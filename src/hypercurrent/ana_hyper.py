@@ -8,14 +8,22 @@ deliberately separate so they can check each other:
 * the tree-sum route, where the same operators are convex combinations
   of the per-tree right inverses with weights tau^2 e^(-beta W_T).
 
-Degree-l forms are evaluated in closed form through orchard sums; the
-Stokes map integrates them over simplices with a degree-5 rule plus
-edgewise dyadic refinement.  Exponentials are always shifted by the
-per-level extremum before exponentiation so large beta stays finite.
+Degree-l forms are evaluated in closed form through orchard sums.  The
+summand is multilinear in the per-level tree choice, so the sum over
+orchards is factored level by level: the Kirchhoff operator
+K = sum_T rho_T R_T at the top level and its derivatives
+D(v) = sum_T (drho_T . v) R_T below it, antisymmetrized over the frame.
+The Stokes map integrates the forms over simplices with a degree-5 rule
+plus edgewise dyadic refinement; the quadrature geometry depends only on
+the simplex dimension and the depth and is cached per process.
+Exponentials are always shifted by the per-level extremum before
+exponentiation so large beta stays finite.
 """
 
+import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,12 +105,13 @@ class FormEvaluation:
 
 # --- cached float context per gap complex -----------------------------------
 
-_CTX = {}
+_CTX = {}   # id(gap) -> _Context; an entry is dropped when its gap is collected
 
 
 class _Context:
+    # holds no reference to the gap, so the gap can be collected and its
+    # entry in _CTX dropped
     def __init__(self, gap: GapComplex):
-        self.gap = gap
         top = gap.top
         self.d = [None] + [
             _fmat(gap.d(j), gap.dim_at(j - 1), gap.dim_at(j)) for j in range(1, top + 1)
@@ -136,8 +145,9 @@ class _Context:
             if coeff is None:
                 raise ValueError("boundary does not factor through the bounds basis")
             self.db.append(_fmat(coeff, nb, gap.dim_at(j)))
-        # trees per parent level, with float right inverses
+        # trees per parent level, with float right inverses, also stacked
         self.trees = {}
+        self.rinv = {}
         for d_level in range(gap.p, gap.q + 1):
             entries = []
             for t in enumerate_dtrees(gap, d_level):
@@ -151,6 +161,7 @@ class _Context:
                     {"tree": t, "idx": idx, "log_tau2": 2.0 * math.log(t.torsion), "rinv": rmat}
                 )
             self.trees[d_level] = entries
+            self.rinv[d_level] = np.stack([e["rinv"] for e in entries])
         # class extraction at the top degree
         htop = gap.homology[top]
         basis = ratlin.hstack(htop.bounds, htop.hbasis)
@@ -163,34 +174,13 @@ class _Context:
             )
         else:
             self.hq_project = None
-        self._orchard_ops = {}
-
-    def orchard_operators(self, ell, zeta):
-        """Composite operator per orchard (independent of point and beta)."""
-        key = (ell, zeta)
-        if key in self._orchard_ops:
-            return self._orchard_ops[key]
-        gap = self.gap
-        zetas = self.zeta_std if zeta == "standard" else self.zeta_alt
-        levels = [gap.p + j for j in range(ell + 1)]
-        ops = {}
-        for combo in itertools.product(*(range(len(self.trees[d])) for d in levels)):
-            mat = self.trees[levels[0]][combo[0]]["rinv"]  # minus the co-tree projection
-            for j in range(1, ell + 1):
-                mat = self.trees[levels[j]][combo[j]]["rinv"] @ mat
-                if j < ell:
-                    mat = zetas[j] @ mat
-            ops[combo] = mat
-        self._orchard_ops[key] = ops
-        return ops
 
 
 def _context(gap: GapComplex) -> _Context:
-    entry = _CTX.get(id(gap))
-    if entry is not None and entry[0] is gap:
-        return entry[1]
-    ctx = _Context(gap)
-    _CTX[id(gap)] = (gap, ctx)
+    ctx = _CTX.get(id(gap))
+    if ctx is None:
+        ctx = _CTX[id(gap)] = _Context(gap)
+        weakref.finalize(gap, _CTX.pop, id(gap), None)
     return ctx
 
 
@@ -262,11 +252,7 @@ def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
     level = j + gap.p
     wv = _level_weights(gap, w, j)
     rho = _tree_distribution(ctx, level, wv, beta)
-    entries = ctx.trees[level]
-    out = np.zeros_like(entries[0]["rinv"])
-    for r, e in zip(rho, entries):
-        out = out + r * e["rinv"]
-    return out
+    return np.tensordot(rho, ctx.rinv[level], axes=1)
 
 
 def enumerate_orchards(gap: GapComplex, ell):
@@ -355,20 +341,38 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
         _, alpha0 = weighted_pseudoinverse_inclusion(gap, w, beta)
         return FormEvaluation(key, tuple(coords), tuple(map(tuple, frame)), 0, alpha0)
     nodes = coords[None, :]
-    rhos, drhos = [], []
-    for j in range(ell + 1):
-        r, dr = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)
-        rhos.append(r[0])
-        drhos.append(dr[0])
-    ops = ctx.orchard_operators(ell, zeta)
-    value = np.zeros((gap.dim_at(ell), gap.dim_at(0)))
-    for combo, op in ops.items():
-        rows = [drhos[ell - 1 - i][combo[ell - 1 - i]] for i in range(ell)]
-        m = np.array([[float(r @ v) for v in frame] for r in rows])
-        scal = rhos[ell][combo[ell]] * np.linalg.det(m)
-        if scal != 0.0:
-            value = value + scal * op
+    rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + ell, nodes)
+    along = np.array(frame).T                     # (jdim, ell)
+    drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1] @ along
+             for j in range(ell)]
+    value = _orchard_sum(ctx, gap.p, zeta, rho_top, drhos, np.ones(1))
     return FormEvaluation(key, tuple(coords), tuple(map(tuple, frame)), ell, value)
+
+
+def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
+    """Weighted node sum of the degree-ell orchard form, factored per level.
+
+    rho_top: (N, ntrees) at level p + ell; drhos[j]: (N, ntrees, ell), the
+    tree-weight differentials at level p + j along the ell frame vectors;
+    wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z ... R_0 is
+    multilinear in the tree chosen per level, so the sum over orchards is
+    sum_sigma sgn(sigma) K Z D_{ell-1}(v_sigma(0)) ... Z D_1 D_0(v_sigma(ell-1))
+    with K = sum_T rho_T R_T and D_j(v) = sum_T (drho_T . v) R_T per node.
+    """
+    ell = len(drhos)
+    zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
+    # R_0 (minus the co-tree projection) at the bottom, Z_j R_T in between
+    factors = [ctx.rinv[p]] + [zetas[j] @ ctx.rinv[p + j] for j in range(1, ell)]
+    kirch = np.tensordot(wts[:, None] * rho_top, ctx.rinv[p + ell], axes=1)
+    derivs = [np.tensordot(dr, f, axes=([1], [0])) for dr, f in zip(drhos, factors)]
+    value = np.zeros((kirch.shape[1], factors[0].shape[2]))
+    for perm in itertools.permutations(range(ell)):
+        chain = derivs[0][:, perm[-1]]
+        for j in range(1, ell):
+            chain = derivs[j][:, perm[ell - 1 - j]] @ chain
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        value += sign * np.tensordot(kirch, chain, axes=([0, 2], [0, 1]))
+    return value
 
 
 # --- quadrature -----------------------------------------------------------------
@@ -424,18 +428,19 @@ def edgewise_pieces(n, depth):
     return pieces
 
 
-def _node_batches(jdim, depth, rule):
-    """All quadrature nodes of one refinement depth with their volumes."""
-    bary, w = rule
-    pieces = edgewise_pieces(jdim, depth)
+@functools.lru_cache(maxsize=32)
+def _node_batches(jdim, depth):
+    """All quadrature nodes of one refinement depth with their weights.
+    They depend on nothing else, so they are built once per process and
+    returned read-only."""
+    bary, w = simplex_rule(jdim)
+    pieces = np.stack(edgewise_pieces(jdim, depth))
     vol = (1.0 / math.factorial(jdim)) / len(pieces)
-    nodes = []
-    weights = []
-    for verts in pieces:
-        mapped = bary @ verts
-        nodes.append(mapped)
-        weights.append(w * vol)
-    return np.vstack(nodes), np.concatenate(weights)
+    nodes = np.einsum("pv,kvd->kpd", bary, pieces).reshape(-1, jdim)
+    weights = np.tile(w * vol, len(pieces))
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard"):
@@ -453,25 +458,13 @@ def jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard"):
         vw = _simplex_vertex_weights(proto, key, gap.p)
         _, alpha0 = weighted_pseudoinverse_inclusion(gap, vw[0], beta)
         return alpha0
-    ops = ctx.orchard_operators(jdim, zeta)
-    rule = simplex_rule(jdim)
     prev = None
     for depth in range(max_depth + 1):
-        nodes, wts = _node_batches(jdim, depth, rule)
-        rhos, drhos = [], []
-        for j in range(jdim + 1):
-            r, dr = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)
-            rhos.append(r)
-            drhos.append(dr)
-        est = np.zeros((gap.dim_at(jdim), gap.dim_at(0)))
-        for combo, op in ops.items():
-            mats = np.stack(
-                [drhos[jdim - 1 - i][:, combo[jdim - 1 - i], :] for i in range(jdim)],
-                axis=1,
-            )
-            dets = np.linalg.det(mats) if jdim > 1 else mats[:, 0, 0]
-            scal = float((wts * rhos[jdim][:, combo[jdim]] * dets).sum())
-            est = est + scal * op
+        nodes, wts = _node_batches(jdim, depth)
+        rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + jdim, nodes)
+        drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1]
+                 for j in range(jdim)]
+        est = _orchard_sum(ctx, gap.p, zeta, rho_top, drhos, wts)
         if prev is not None and np.max(np.abs(est - prev)) < tol:
             return est
         prev = est
@@ -627,7 +620,6 @@ class SweepRow:
     beta: float
     coords: tuple
     distance: float
-    residual: float
 
 
 @dataclass
@@ -642,7 +634,6 @@ def _analytic_class(proto, beta, cycle, rep, tol, max_depth):
     gap = proto.gap
     ctx = _context(gap)
     chain = np.zeros(gap.dim_at(gap.top))
-    residual = 0.0
     for key, coeff in cycle.items():
         mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
         chain = chain + float(coeff) * (mat @ rep)
@@ -650,7 +641,7 @@ def _analytic_class(proto, beta, cycle, rep, tol, max_depth):
     cls = coeffs[ctx.top_nb:]
     if ctx.hq_project is not None:
         cls = ctx.hq_project @ cls
-    return cls, chain, residual
+    return cls, chain
 
 
 def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
@@ -670,10 +661,10 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
     rows = []
 
     def run(beta):
-        cls, chain, _ = _analytic_class(proto, float(beta), cycle, rep, tol, max_depth)
+        cls, _ = _analytic_class(proto, float(beta), cycle, rep, tol, max_depth)
         dist = float(np.linalg.norm(cls - topo))
         return SweepRow(beta=float(beta), coords=tuple(float(c) for c in cls),
-                        distance=dist, residual=0.0)
+                        distance=dist)
 
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor

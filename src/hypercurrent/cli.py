@@ -348,7 +348,7 @@ def cmd_dyn(args):
         writer = csv.writer(fh)
         writer.writerow(["t"] + list(names))
         for t, row in zip(times, traj):
-            writer.writerow([t] + [f"{v!r}" for v in row])
+            writer.writerow([t] + [repr(float(v)) for v in row])
     print(json.dumps({"config": cfg.as_dict(), "csv": out, "mass_drift":
                       float(np.max(np.abs(traj.sum(axis=1) - 1.0)))}, indent=1))
     return 0

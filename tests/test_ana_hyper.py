@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 
 import numpy as np
@@ -5,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurrent import ratlin
+from hypercurrent import ana_hyper, ratlin
 from hypercurrent.complex_core import gap_complex, sphere_complex, sphere_wedge_complex, torsion_complex
 from hypercurrent.errors import BadFrame, NonpositiveBeta, QuadratureNoConvergence
 from hypercurrent.ana_hyper import (
     ModifiedMetric,
     Orchard,
     _context,
+    _node_batches,
+    _rho_drho_at_nodes,
     axioms_check,
     edgewise_pieces,
     enumerate_orchards,
@@ -313,6 +317,96 @@ def test_partition_of_unity_hypothesis(w, beta):
     rho = _tree_distribution(_context(SPHERE2), 2, np.array(w), beta)
     assert rho.sum() == pytest.approx(1.0)
     assert np.all(rho > 0.0)
+
+
+def brute_force_orchard_sum(proto, beta, key, nodes, wts, along, zeta):
+    """Reference for the factored kernel: the weighted node sum over every
+    orchard (one tree per level) of rho_top det(drho . frame) times the
+    orchard's composite operator, with one determinant per orchard."""
+    gap = proto.gap
+    ctx = _context(gap)
+    ell = along.shape[1]
+    zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
+    levels = [gap.p + j for j in range(ell + 1)]
+    rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, levels[-1], nodes)
+    drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, lv, nodes)[1] @ along
+             for lv in levels[:-1]]
+    value = np.zeros((gap.dim_at(ell), gap.dim_at(0)))
+    for combo in itertools.product(*(range(len(ctx.trees[lv])) for lv in levels)):
+        op = ctx.trees[levels[0]][combo[0]]["rinv"]
+        for j in range(1, ell + 1):
+            op = ctx.trees[levels[j]][combo[j]]["rinv"] @ op
+            if j < ell:
+                op = zetas[j] @ op
+        mats = np.stack([drhos[j][:, combo[j], :] for j in reversed(range(ell))], axis=1)
+        value = value + float((wts * rho_top[:, combo[ell]] * np.linalg.det(mats)).sum()) * op
+    return value
+
+
+ORACLE_PROTOCOLS = {
+    "sphere2": lambda: cube_sphere_protocol(2),
+    "sphere3": lambda: cube_sphere_protocol(3),
+    "wedge2": lambda: cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2)),
+}
+
+
+def _close(value, oracle):
+    return float(np.max(np.abs(value - oracle))) <= 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PROTOCOLS))
+def test_jan_form_matches_brute_force_orchards(name):
+    proto = ORACLE_PROTOCOLS[name]()
+    rng = np.random.default_rng(23)
+    for ell in range(1, proto.gap.top + 1):
+        largest = 0.0
+        for jdim in range(ell, proto.gap.top + 1):
+            for key in proto.simplices_of_dim(jdim):
+                coords = rng.random(jdim) / (jdim + 1)
+                frame = [rng.normal(size=jdim) for _ in range(ell)]
+                for zeta in ("standard", "alternative"):
+                    value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta).value
+                    oracle = brute_force_orchard_sum(proto, 4.0, key, coords[None, :], np.ones(1),
+                                                     np.array(frame).T, zeta)
+                    assert _close(value, oracle), (key, ell, zeta)
+                    largest = max(largest, float(np.max(np.abs(oracle))))
+        assert largest > 1e-3    # the comparison is not between zeros
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PROTOCOLS))
+def test_jan_integrate_matches_brute_force_orchards(name):
+    proto = ORACLE_PROTOCOLS[name]()
+    for jdim in range(1, proto.gap.top + 1):
+        nodes, wts = _node_batches(jdim, 1)
+        largest = 0.0
+        for key in proto.simplices_of_dim(jdim):
+            for zeta in ("standard", "alternative"):
+                # an infinite tolerance stops at depth 1
+                value = jan_integrate(proto, 6.0, key, tol=np.inf, max_depth=1, zeta=zeta)
+                oracle = brute_force_orchard_sum(proto, 6.0, key, nodes, wts, np.eye(jdim), zeta)
+                assert _close(value, oracle), (key, zeta)
+                largest = max(largest, float(np.max(np.abs(oracle))))
+        assert largest > 1e-3
+
+
+def test_node_batches_cached_read_only():
+    nodes, wts = _node_batches(2, 1)
+    again = _node_batches(2, 1)
+    assert again[0] is nodes and again[1] is wts
+    assert not nodes.flags.writeable and not wts.flags.writeable
+    assert nodes.shape == (len(wts), 2) and wts.sum() == pytest.approx(0.5)
+    assert _node_batches.cache_info().maxsize is not None
+
+
+def test_context_dropped_with_its_gap():
+    gc.collect()
+    before = len(ana_hyper._CTX)
+    gap = gap_complex(sphere_complex(1), 0, 1)
+    _context(gap)
+    assert len(ana_hyper._CTX) == before + 1
+    del gap
+    gc.collect()
+    assert len(ana_hyper._CTX) == before
 
 
 # --- integration ------------------------------------------------------------------

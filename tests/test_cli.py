@@ -184,6 +184,10 @@ def test_dyn_evolve(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,e0+,e0-"
     assert len(lines) == 52
+    # every cell is a plain number, not a numpy repr such as np.float64(x)
+    for line in lines[1:]:
+        for cell in line.split(","):
+            float(cell)
 
 
 def test_demo_q1(tmp_path, capsys):
