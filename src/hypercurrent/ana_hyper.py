@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, NonpositiveBeta, QuadratureNoConvergence
+from .errors import BadFrame, InvariantBroken, NonpositiveBeta, QuadratureNoConvergence
 from .forests import enumerate_dtrees
 from .protocol import WeightPoint
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, cycle_boundary_defect, \
@@ -58,14 +58,6 @@ __all__ = [
     "simplex_rule",
     "edgewise_pieces",
 ]
-
-
-def _fmat(mat, rows, colns):
-    out = np.zeros((rows, colns))
-    for i, row in enumerate(mat):
-        for j, v in enumerate(row):
-            out[i, j] = float(v)
-    return out
 
 
 @dataclass(frozen=True)
@@ -114,7 +106,7 @@ class _Context:
     def __init__(self, gap: GapComplex):
         top = gap.top
         self.d = [None] + [
-            _fmat(gap.d(j), gap.dim_at(j - 1), gap.dim_at(j)) for j in range(1, top + 1)
+            ratlin.to_float(gap.d(j), gap.dim_at(j - 1), gap.dim_at(j)) for j in range(1, top + 1)
         ]
         self.bounds = []
         self.nb = []
@@ -125,17 +117,17 @@ class _Context:
             n = gap.dim_at(j)
             b = gap.homology[j].bounds
             nb = len(b[0]) if b else 0
-            self.bounds.append(_fmat(b, n, nb))
+            self.bounds.append(ratlin.to_float(b, n, nb))
             self.nb.append(nb)
             if nb:
-                self.zeta_std.append(_fmat(ratlin.pinv(b), nb, n))
-                self.zeta_alt.append(_fmat(ratlin.left_inverse(b), nb, n))
+                self.zeta_std.append(ratlin.to_float(ratlin.pinv(b), nb, n))
+                self.zeta_alt.append(ratlin.to_float(ratlin.left_inverse(b), nb, n))
             else:
                 self.zeta_std.append(np.zeros((0, n)))
                 self.zeta_alt.append(np.zeros((0, n)))
             z = gap.homology[j].cycles
             nz = len(z[0]) if z else 0
-            self.cycles.append(_fmat(z, n, nz))
+            self.cycles.append(ratlin.to_float(z, n, nz))
         # reduced boundary coefficients: d_j = bounds_{j-1} @ db_j, exactly
         self.db = [None]
         for j in range(1, top + 1):
@@ -143,8 +135,8 @@ class _Context:
             nb = self.nb[j - 1]
             coeff = ratlin.solve_matrix(b, gap.d(j)) if nb else ratlin.zeros(0, gap.dim_at(j))
             if coeff is None:
-                raise ValueError("boundary does not factor through the bounds basis")
-            self.db.append(_fmat(coeff, nb, gap.dim_at(j)))
+                raise InvariantBroken("boundary does not factor through the bounds basis")
+            self.db.append(ratlin.to_float(coeff, nb, gap.dim_at(j)))
         # trees per parent level, with float right inverses, also stacked
         self.trees = {}
         self.rinv = {}
@@ -154,9 +146,9 @@ class _Context:
                 idx = [gap.parent.cell_index(d_level, nm) for nm in t.cells]
                 jd = d_level - gap.p
                 if d_level == gap.p:
-                    rmat = _fmat(t.right_inverse, self.nb[0], gap.dim_at(0))
+                    rmat = ratlin.to_float(t.right_inverse, self.nb[0], gap.dim_at(0))
                 else:
-                    rmat = _fmat(t.right_inverse, gap.dim_at(jd), self.nb[jd - 1])
+                    rmat = ratlin.to_float(t.right_inverse, gap.dim_at(jd), self.nb[jd - 1])
                 entries.append(
                     {"tree": t, "idx": idx, "log_tau2": 2.0 * math.log(t.torsion), "rinv": rmat}
                 )
@@ -166,10 +158,10 @@ class _Context:
         htop = gap.homology[top]
         basis = ratlin.hstack(htop.bounds, htop.hbasis)
         ncols = (len(basis[0]) if basis else 0)
-        self.top_solve = _fmat(ratlin.pinv(basis), ncols, gap.dim_at(top))
+        self.top_solve = ratlin.to_float(ratlin.pinv(basis), ncols, gap.dim_at(top))
         self.top_nb = self.nb[top]
         if gap.hq_project is not None:
-            self.hq_project = _fmat(
+            self.hq_project = ratlin.to_float(
                 gap.hq_project, gap.parent_hq.betti, htop.betti
             )
         else:
@@ -594,9 +586,9 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
         # A3: the degree-0 value induces the identity on homology
         h0 = gap.homology[0]
         if h0.betti:
-            hb = _fmat(h0.hbasis, gap.dim_at(0), h0.betti)
+            hb = ratlin.to_float(h0.hbasis, gap.dim_at(0), h0.betti)
             basis = ratlin.hstack(h0.bounds, h0.hbasis)
-            solve = _fmat(ratlin.pinv(basis), len(basis[0]), gap.dim_at(0))
+            solve = ratlin.to_float(ratlin.pinv(basis), len(basis[0]), gap.dim_at(0))
             cls = solve @ (alpha0 @ hb)
             resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(h0.betti))))
             report.initial_value = max(report.initial_value, resid)
@@ -656,7 +648,7 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
     topo_coords, _ = hypercurrent_homology(proto, cycle, class_p)
     topo = np.array([float(c) for c in topo_coords])
     hp = gap.parent_hp
-    hbasis = _fmat(hp.hbasis, gap.dim_at(0), hp.betti)
+    hbasis = ratlin.to_float(hp.hbasis, gap.dim_at(0), hp.betti)
     rep = hbasis @ np.asarray(class_p, dtype=float)
     rows = []
 

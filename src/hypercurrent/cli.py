@@ -19,7 +19,7 @@ import numpy as np
 from .complex_core import betti, gap_complex, load_complex
 from .errors import HclError
 from .forests import enumerate_dtrees, greedy_dtree
-from .protocol import cube_protocol, cube_sphere_protocol, is_good, load_protocol, smallness
+from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol, smallness
 from .topo_hyper import hypercurrent_homology
 from .ana_hyper import axioms_check, interior_samples, jan_cochain, chain_map_residual, \
     quantization_sweep
@@ -86,26 +86,10 @@ def _emit(report, out):
         print(text)
 
 
-def _report_shell(cfg: RunConfig):
-    return {"config": cfg.as_dict(), "input_hash": _hash_inputs(cfg.inputs)}
-
-
 def _load_protocol_arg(path):
     if path.startswith("builtin:"):
-        spec = path.split(":", 1)[1]
-        kind, _, qs = spec.partition(":")
-        q = int(qs) if qs else 2
-        if kind == "cube_sphere":
-            return cube_sphere_protocol(q)
-        if kind == "cube_wedge":
-            from .complex_core import sphere_wedge_complex
-
-            return cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
-        if kind == "square":
-            from .protocol import square_protocol
-
-            return square_protocol()
-        raise HclError(f"unknown builtin protocol {spec!r}")
+        kind, _, qs = path.split(":", 1)[1].partition(":")
+        return builtin_protocol(kind, int(qs) if qs else 2)
     return load_protocol(path)
 
 

@@ -212,16 +212,13 @@ class HomologyData:
 
     Columns of hbasis are the chosen representative cycles: the echelon
     completion of the boundary basis inside the cycle basis, scanning in
-    the given cell order.  harmonic is the orthogonal projection onto
-    the complement of the boundaries inside the cycles (standard inner
-    product).
+    the given cell order.
     """
 
     dim: int
     cycles: Mat
     bounds: Mat
     hbasis: Mat
-    harmonic: Mat
 
     @property
     def betti(self):
@@ -256,10 +253,7 @@ def _homology_data(n, d_in, d_out):
     pivots = ratlin.column_space_pivots(aug) if aug and aug[0] else []
     extra = [j - nb for j in pivots if j >= nb]
     hbasis = ratlin.cols(cycles, extra)
-    harmonic = ratlin.sub(
-        ratlin.projector_onto_columns(cycles), ratlin.projector_onto_columns(bounds)
-    )
-    return HomologyData(dim=n, cycles=cycles, bounds=bounds, hbasis=hbasis, harmonic=harmonic)
+    return HomologyData(dim=n, cycles=cycles, bounds=bounds, hbasis=hbasis)
 
 
 def homology_data(x: CwComplex, j):
@@ -403,9 +397,11 @@ def eth(f: GradedOperator, gap: GapComplex):
         rows = gap.dim_at(j + n - 1)
         term = np.zeros((rows, gap.dim_at(j)))
         if rows:
-            term = term + ratlin.to_float(gap.d(j + n)) @ np.asarray(f.block(gap, j))
+            d_out = ratlin.to_float(gap.d(j + n), rows, gap.dim_at(j + n))
+            term = term + d_out @ np.asarray(f.block(gap, j))
             if j >= 1:
-                term = term - sign * (np.asarray(f.block(gap, j - 1)) @ ratlin.to_float(gap.d(j)))
+                d_in = ratlin.to_float(gap.d(j), gap.dim_at(j - 1), gap.dim_at(j))
+                term = term - sign * (np.asarray(f.block(gap, j - 1)) @ d_in)
         out[j] = term
     return GradedOperator(degree=n - 1, blocks=out, kind="float")
 

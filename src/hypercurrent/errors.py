@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
 Anything raised on malformed or out-of-contract input derives from
-HclError so the CLI can map it to exit code 2.
+HclError so the CLI can map it to exit code 2.  InvariantBroken marks an
+internal invariant that failed on valid input; the CLI exits 1 on it.
 """
 
 
@@ -84,4 +85,8 @@ class EpsilonTooLarge(HclError):
 
 
 class StepTooLarge(HclError):
+    pass
+
+
+class InvariantBroken(RuntimeError):
     pass

@@ -103,21 +103,7 @@ def matroid_is_dtree(gap: GapComplex, d, cells):
     x = gap.parent
     names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
     idx = _cell_indices(gap, d, names)
-    if d > gap.p:
-        dd = x.d(d)
-        target = ratlin.rank(dd)
-        if len(idx) != target:
-            return False
-        return ratlin.rank(ratlin.cols(dd, idx)) == target
-    bounds = gap.homology[0].bounds
-    nb = len(bounds[0]) if bounds else 0
-    n = x.n_cells(d)
-    if len(idx) != n - nb:
-        return False
-    indicators = ratlin.zeros(n, len(idx))
-    for k, i in enumerate(idx):
-        indicators[i][k] = Fraction(1)
-    return ratlin.rank(ratlin.hstack(bounds, indicators)) == nb + len(idx)
+    return len(idx) == _target_size(gap, d) and _independent(gap, d, idx)
 
 
 def _independent(gap: GapComplex, d, idx):

@@ -155,7 +155,7 @@ def boltzmann(x: CwComplex, energies, barriers):
     """Stationary distribution: the normalized kernel of the weighted
     adjoint of the boundary operator."""
     sd = state_diagram(x)  # validates the graph shape
-    d1 = ratlin.to_float(x.d(1))
+    d1 = ratlin.to_float(x.d(1), x.n_cells(0), x.n_cells(1))
     e = np.asarray(energies, dtype=float)
     w = np.asarray(barriers, dtype=float)
     g0 = np.exp(e - e.max())

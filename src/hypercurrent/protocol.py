@@ -15,9 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from . import ratlin
 from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, \
     loads_complex, sphere_complex, sphere_wedge_complex, collapsed_sphere_complex, \
     torsion_complex
@@ -44,6 +42,7 @@ __all__ = [
     "cube_protocol",
     "cube_sphere_protocol",
     "square_protocol",
+    "builtin_protocol",
     "figure_protocols",
     "subdivide",
     "simplex_faces",
@@ -223,15 +222,7 @@ def loads_protocol(text, base_dir=None):
         raise ParseError(str(exc)) from exc
     if "builtin" in doc:
         b = doc["builtin"]
-        kind = b.get("type")
-        if kind == "cube_sphere":
-            return cube_sphere_protocol(int(b["q"]))
-        if kind == "cube_wedge":
-            q = int(b["q"])
-            return cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
-        if kind == "square":
-            return square_protocol()
-        raise ParseError(f"unknown builtin protocol {kind!r}")
+        return builtin_protocol(b.get("type"), int(b.get("q", 2)))
     try:
         x = _resolve_complex(doc["complex"], base_dir)
         p, q = int(doc["p"]), int(doc["q"])
@@ -420,17 +411,22 @@ def scale(proto: SimplicialProtocol, beta):
 def _freudenthal_facet(axis, side, naxes):
     """Ordered-simplex triangulation of the cube facet {x_axis = side}.
 
-    Yields ordered corner tuples; corners are +-1 vectors of length naxes.
+    Yields (sign, ordered corner tuple); corners are +-1 vectors of length
+    naxes.  The chain walks from the facet's lowest corner raising the free
+    axes in the order perm, so its edges span the facet with the sign of
+    perm, and the facet sits in the cube's boundary with the sign of
+    side * (-1)**axis.
     """
     free = [a for a in range(naxes) if a != axis]
     for perm in itertools.permutations(free):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
         corner = [-1] * naxes
         corner[axis] = side
         chain = [tuple(corner)]
         for a in perm:
             corner[a] = 1
             chain.append(tuple(corner))
-        yield chain
+        yield side * (-1) ** (axis + inversions), tuple(chain)
 
 
 def _corner_weight(gap, corner, signs):
@@ -444,49 +440,30 @@ def _corner_weight(gap, corner, signs):
     return WeightPoint(p, q, tuple(vals))
 
 
-def _normalized_kernel_cycle(tops, boundary_of):
-    """The +-1 coefficient vector spanning the kernel of the top boundary."""
-    faces = sorted({f for t in tops for _, f in boundary_of(t)}, key=repr)
-    face_index = {f: i for i, f in enumerate(faces)}
-    mat = ratlin.zeros(len(faces), len(tops))
-    for cidx, t in enumerate(tops):
-        for sign, f in boundary_of(t):
-            mat[face_index[f]][cidx] += Fraction(sign)
-    kernel = ratlin.nullspace(mat)
-    if not kernel or len(kernel[0]) != 1:
-        raise ValueError("top-dimensional cycle is not one-dimensional")
-    coeffs = [kernel[i][0] for i in range(len(tops))]
-    lead = next(c for c in coeffs if c != 0)
-    coeffs = [c / abs(lead) for c in coeffs]
-    if any(abs(c) != 1 for c in coeffs):
-        raise ValueError("fundamental cycle is not a +-1 chain")
-    if coeffs[0] < 0:
-        coeffs = [-c for c in coeffs]
-    return {t: int(c) for t, c in zip(tops, coeffs)}
-
-
 def cube_boundary_protocol(gap: GapComplex, corner_weight):
     """Boundary-of-cube protocol with an arbitrary corner-to-weights map.
 
     The parameter space is the boundary of [-1,1]^(q-p+1), each facet
     triangulated into (q-p)! ordered simplices; corner_weight maps a
-    +-1 corner tuple to a WeightPoint.  The fundamental cycle comes from
-    the one-dimensional kernel of the top boundary.
+    +-1 corner tuple to a WeightPoint.  The fundamental cycle is the sum
+    of the simplices, each signed as part of the cube's boundary and
+    then as a sorted vertex tuple; the overall sign makes the first
+    simplex +1.
     """
     n = gap.q - gap.p + 1
     corners = sorted(itertools.product((-1, 1), repeat=n))
     corner_index = {c: i for i, c in enumerate(corners)}
     ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
     weights = [corner_weight(c) for c in corners]
-    tops = set()
-    for axis in range(n):
-        for side in (-1, 1):
-            for chain in _freudenthal_facet(axis, side, n):
-                tops.add(tuple(sorted(corner_index[c] for c in chain)))
-    tops = sorted(tops)
-    cycle = _normalized_kernel_cycle(tops, lambda t: simplex_faces(t))
-    orientation = {t: cycle[t] for t in tops}
-    return _validate_protocol(gap, ids, weights, tops, orientation, cycle)
+    signed = _ordered_to_sorted(
+        (sign, tuple(corner_index[c] for c in chain))
+        for axis in range(n)
+        for side in (-1, 1)
+        for sign, chain in _freudenthal_facet(axis, side, n)
+    )
+    tops = sorted(signed)
+    cycle = {t: signed[tops[0]] * signed[t] for t in tops}
+    return _validate_protocol(gap, ids, weights, tops, cycle, cycle)
 
 
 def cube_protocol(gap: GapComplex, signs=None):
@@ -511,6 +488,18 @@ def square_protocol():
     weight flipped so the top edge prefers the first 1-cell."""
     gap = gap_complex(sphere_complex(1), 0, 1)
     return cube_protocol(gap, signs=[1, -1])
+
+
+def builtin_protocol(kind, q):
+    """The builtin protocol named kind: "cube_sphere" or "cube_wedge" at
+    top level q, or "square" (which ignores q)."""
+    if kind == "cube_sphere":
+        return cube_sphere_protocol(q)
+    if kind == "cube_wedge":
+        return cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
+    if kind == "square":
+        return square_protocol()
+    raise ParseError(f"unknown builtin protocol {kind!r}")
 
 
 def figure_protocols():
@@ -653,8 +642,11 @@ class CubeCwDomain:
         return _corner_weight(self.gap, vertex_key, self.signs)
 
     def fundamental_cycle(self):
+        """The top cell fixing axis a at v has coefficient v * (-1)**a, up
+        to the overall sign that makes the first top cell +1."""
         tops = [c for c in self.all_cells() if self.dim_of(c) == self.n - 1]
-        return _normalized_kernel_cycle(tops, self.boundary_of)
+        coeffs = [next(v * (-1) ** a for a, v in enumerate(c) if v is not None) for c in tops]
+        return {t: coeffs[0] * c for t, c in zip(tops, coeffs)}
 
 
 def cube_cw_domain(gap: GapComplex, signs=None):

@@ -238,14 +238,14 @@ def left_inverse(a):
     return out
 
 
-def to_float(a):
+def to_float(a, rows, colns):
+    """Float copy of a with the given shape, which empty matrices keep."""
     import numpy as np
 
-    m, n = shape(a)
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            out[i, j] = float(a[i][j])
+    out = np.zeros((rows, colns))
+    for i, row in enumerate(a):
+        for j, v in enumerate(row):
+            out[i, j] = float(v)
     return out
 
 

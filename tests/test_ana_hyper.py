@@ -96,7 +96,7 @@ def test_alpha0_explicit_and_projection():
         out = a0 @ rep
         cls_in = h0.class_of([ratlin.Fraction(v).limit_denominator(10**12) for v in rep])
         basis = ratlin.hstack(h0.bounds, h0.hbasis)
-        solve = np.array(ratlin.to_float(ratlin.pinv(basis)))
+        solve = ratlin.to_float(ratlin.pinv(basis), len(basis[0]), len(basis))
         coeffs = solve @ out
         assert coeffs[-1] == pytest.approx(float(cls_in[0]), abs=1e-12)
 

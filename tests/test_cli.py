@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hypercurrent import ratlin
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
 
@@ -126,6 +127,18 @@ def test_ana_integrate(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["residual"] <= 1e-6
     assert any(len(s["vertices"]) == 2 for s in report["simplices"])
+
+
+def test_broken_invariant_exits_1(monkeypatch, capsys):
+    # a boundary that does not factor through the bounds basis is an
+    # internal fault, not a validation failure
+    monkeypatch.setattr(ratlin, "solve_matrix", lambda a, b: None)
+    assert main(["ana", "integrate", "builtin:square", "--beta", "4"]) == 1
+    assert "InvariantBroken" in capsys.readouterr().err
+
+
+def test_unknown_builtin_is_validation_error(capsys):
+    assert main(["topo", "current", "builtin:nonesuch:2"]) == 2
 
 
 def test_quantize_writes_csv(tmp_path, capsys):

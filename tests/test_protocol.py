@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+from hypercurrent import ratlin
 from hypercurrent.complex_core import gap_complex, sphere_complex, sphere_wedge_complex
 from hypercurrent.errors import (
     BadCoordinates,
@@ -32,6 +35,27 @@ def cycle_boundary(proto, cycle):
         for sign, face in simplex_faces(key):
             out[face] = out.get(face, 0) + coeff * sign
     return {k: v for k, v in out.items() if v}
+
+
+def _normalized_kernel_cycle(tops, boundary_of):
+    """The +-1 coefficient vector spanning the kernel of the top boundary."""
+    faces = sorted({f for t in tops for _, f in boundary_of(t)}, key=repr)
+    face_index = {f: i for i, f in enumerate(faces)}
+    mat = ratlin.zeros(len(faces), len(tops))
+    for cidx, t in enumerate(tops):
+        for sign, f in boundary_of(t):
+            mat[face_index[f]][cidx] += Fraction(sign)
+    kernel = ratlin.nullspace(mat)
+    if not kernel or len(kernel[0]) != 1:
+        raise ValueError("top-dimensional cycle is not one-dimensional")
+    coeffs = [kernel[i][0] for i in range(len(tops))]
+    lead = next(c for c in coeffs if c != 0)
+    coeffs = [c / abs(lead) for c in coeffs]
+    if any(abs(c) != 1 for c in coeffs):
+        raise ValueError("fundamental cycle is not a +-1 chain")
+    if coeffs[0] < 0:
+        coeffs = [-c for c in coeffs]
+    return {t: int(c) for t, c in zip(tops, coeffs)}
 
 
 # --- loading -----------------------------------------------------------------
@@ -217,12 +241,29 @@ def test_square_cycle_boundary_zero():
     assert cycle_boundary(proto, proto.fundamental_cycle) == {}
 
 
-@pytest.mark.parametrize("q,count", [(1, 4), (2, 12), (3, 48)])
+@pytest.mark.parametrize("q,count", [(1, 4), (2, 12), (3, 48), (4, 240)])
 def test_cube_cycle(q, count):
     proto = cube_sphere_protocol(q)
     assert len(proto.fundamental_cycle) == count
     assert all(c in (1, -1) for c in proto.fundamental_cycle.values())
     assert cycle_boundary(proto, proto.fundamental_cycle) == {}
+
+
+@pytest.mark.parametrize("make", [sphere_complex, sphere_wedge_complex])
+@pytest.mark.parametrize("q,signs", [(1, [1, -1]), (2, [-1, 1, -1]), (3, [1, -1, -1, 1])])
+def test_cube_cycle_matches_kernel(make, q, signs):
+    proto = cube_protocol(gap_complex(make(q), 0, q), signs=signs)
+    oracle = _normalized_kernel_cycle(sorted(proto.fundamental_cycle), simplex_faces)
+    assert list(proto.fundamental_cycle.items()) == list(oracle.items())
+    assert proto.orientation == oracle
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_cube_cw_cycle_matches_kernel(n):
+    dom = cube_cw_domain(gap_complex(sphere_complex(n - 1), 0, n - 1))
+    tops = [c for c in dom.all_cells() if dom.dim_of(c) == n - 1]
+    oracle = _normalized_kernel_cycle(tops, dom.boundary_of)
+    assert list(dom.fundamental_cycle().items()) == list(oracle.items())
 
 
 def test_cube_facet_weights_constant():
