@@ -23,7 +23,6 @@ exponentiation so large beta stays finite.
 import functools
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,12 +96,10 @@ class FormEvaluation:
 
 # --- cached float context per gap complex -----------------------------------
 
-_CTX = {}   # id(gap) -> _Context; an entry is dropped when its gap is collected
-
 
 class _Context:
-    # holds no reference to the gap, so the gap can be collected and its
-    # entry in _CTX dropped
+    # float copies of the gap's exact data, its trees and their right
+    # inverses; built once per gap and kept in the gap's memo
     def __init__(self, gap: GapComplex):
         top = gap.top
         self.d = [None] + [
@@ -169,11 +166,7 @@ class _Context:
 
 
 def _context(gap: GapComplex) -> _Context:
-    ctx = _CTX.get(id(gap))
-    if ctx is None:
-        ctx = _CTX[id(gap)] = _Context(gap)
-        weakref.finalize(gap, _CTX.pop, id(gap), None)
-    return ctx
+    return gap.derived("float_context", lambda: _Context(gap))
 
 
 # --- weighted pseudoinverses --------------------------------------------------

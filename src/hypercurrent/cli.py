@@ -23,7 +23,7 @@ from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol, s
 from .topo_hyper import hypercurrent_homology
 from .ana_hyper import axioms_check, interior_samples, jan_cochain, chain_map_residual, \
     quantization_sweep
-from .weight_space import classify_cell, enumerate_top_discriminant_cells, good_summand_count
+from .weight_space import classify_top_cells
 from .graph_dynamics import evolve
 
 
@@ -289,32 +289,25 @@ def cmd_weightspace(args):
     cfg = RunConfig(
         "weightspace.report", inputs=[args.file], p=args.p, q=args.q, out=args.out
     ).validate()
-    x = load_complex(args.file)
-    c, contractible = good_summand_count(x, args.p, args.q)
+    robust = classify_top_cells(load_complex(args.file), args.p, args.q)
     report = {
         "config": cfg.as_dict(),
         "input_hash": _hash_inputs([args.file]),
-        "summands": c,
-        "contractible": contractible,
+        "summands": robust.summands,
+        "contractible": robust.contractible,
     }
-    if not contractible:
-        cells = []
-        u = 0
-        for cell in enumerate_top_discriminant_cells(x, args.p, args.q):
-            rep = classify_cell(x, args.p, args.q, cell)
-            cells.append(
-                {
-                    "height": [[list(b) for b in lvl] for lvl in cell.blocks],
-                    "dimension": rep.dimension,
-                    "essential": rep.essential,
-                    "current_matrix": [[_rat(v) for v in row] for row in rep.current_matrix],
-                }
-            )
-            if not rep.essential:
-                u += 1
-        report["cells"] = cells
-        report["inessential"] = u
-        report["robust_summands"] = c - u
+    if not robust.contractible:
+        report["cells"] = [
+            {
+                "height": [[list(b) for b in lvl] for lvl in rep.height.blocks],
+                "dimension": rep.dimension,
+                "essential": rep.essential,
+                "current_matrix": [[_rat(v) for v in row] for row in rep.current_matrix],
+            }
+            for rep in robust.cells
+        ]
+        report["inessential"] = robust.inessential
+        report["robust_summands"] = robust.robust_summands
     _emit(report, args.out)
     return 0
 

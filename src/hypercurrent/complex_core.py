@@ -266,6 +266,11 @@ class GapComplex:
 
     Degree j holds the (j+p)-cells of the parent for 0 <= j <= q-p;
     dbar[j] is the boundary from degree j to degree j-1.
+
+    Data that depends on the gap alone (the float context of the
+    analytical route, greedy trees per order type, tree contractions) is
+    kept in one memo, read through derived(): each entry is built on
+    first use and dropped with the gap.
     """
 
     parent: CwComplex
@@ -277,6 +282,15 @@ class GapComplex:
     hq_project: Mat      # H_{q-p}(shifted) -> H_q(parent)
     parent_hp: HomologyData
     parent_hq: HomologyData
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def derived(self, key, build):
+        """The memo entry under key, built by build() on first use; threads
+        that race to build it all get the entry stored first."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo.setdefault(key, build())
+        return value
 
     @property
     def top(self):
@@ -411,14 +425,8 @@ class Contraction:
     """Degree +1 operator h with d h + h d = id in positive degrees and
     id minus the harmonic projection in degree 0."""
 
-    dims: tuple
     h: tuple      # h[j] : degree j -> j+1
     pi0: Mat
-
-    def apply(self, j, chain):
-        if j < 0 or j >= len(self.dims) - 1:
-            return []
-        return ratlin.matvec(self.h[j], list(chain))
 
 
 def contraction(dims, boundaries):
@@ -448,4 +456,4 @@ def contraction(dims, boundaries):
         )
     else:
         pi0 = ratlin.identity(dims[0])
-    return Contraction(dims=tuple(dims), h=tuple(hs), pi0=pi0)
+    return Contraction(h=tuple(hs), pi0=pi0)

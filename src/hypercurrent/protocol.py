@@ -324,9 +324,6 @@ class SmallnessCertificate:
     levels: dict      # key -> frozenset of certified levels
     k: dict           # key -> least certified level or None
 
-    def k_of(self, key):
-        return self.k[tuple(key)]
-
 
 def _certified_levels(gap, weight_points):
     """Levels whose weight functions separate every cell pair with one

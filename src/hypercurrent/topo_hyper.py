@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin
-from .complex_core import GapComplex, GradedOperator, contraction, eth
+from .complex_core import GapComplex, GradedOperator, _mm, contraction, eth
 from .errors import LiftObstruction, NotACycle, NotGood, NotSmall
 from .forests import DTree, greedy_dtree
 from .protocol import smallness
@@ -31,12 +31,6 @@ __all__ = [
     "addendum_predicts_trivial",
     "cube_cellular_cochain",
 ]
-
-
-def _mm(a, b, rows, colns):
-    if rows == 0 or colns == 0 or not a or not a[0] or not b or not b[0]:
-        return ratlin.zeros(rows, colns)
-    return ratlin.matmul(a, b)
 
 
 def _tree_masks(gap: GapComplex, tree: DTree):
@@ -122,6 +116,10 @@ class _TreeAux:
             else ratlin.zeros(0, colns)
 
 
+def _tree_aux(gap: GapComplex, tree: DTree) -> _TreeAux:
+    return gap.derived(("tree_aux", tree.key), lambda: _TreeAux(gap, tree))
+
+
 @dataclass
 class LiftCache:
     """Per-cell chain maps m(x (x) [cell]) in ambient coordinates.
@@ -131,31 +129,24 @@ class LiftCache:
     """
 
     gap: GapComplex
-    domain: object
     cert: object
     trees: dict     # cell key -> DTree
-    aux: dict       # tree key -> _TreeAux
     values: dict    # cell key -> list of matrices per input degree
 
 
-def tree_functor(proto, key, cert=None, _tree_cache=None):
+def tree_functor(proto, key, cert=None):
     """The preferred tree of a small cell: greedy at its least injective
-    level, using the order type certified on the whole closed cell."""
+    level, using the order type certified on the whole closed cell; kept
+    in the gap's memo by (level, order type), so protocols share it."""
     gap = proto.gap
     cert = cert or smallness(proto)
     k = cert.k[tuple(key)]
     if k is None:
         raise NotSmall(f"cell {key} has no injective level")
     vertex = proto.vertices_of(key)[0]
-    wp = proto.weight_of(vertex)
-    weights = dict(zip(gap.parent.cells[k], wp.level(k)))
-    if _tree_cache is not None:
-        order = tuple(nm for nm, _ in sorted(weights.items(), key=lambda kv: kv[1]))
-        sig = (k, order)
-        if sig not in _tree_cache:
-            _tree_cache[sig] = greedy_dtree(gap, k, weights)
-        return _tree_cache[sig]
-    return greedy_dtree(gap, k, weights)
+    weights = dict(zip(gap.parent.cells[k], proto.weight_of(vertex).level(k)))
+    order = tuple(sorted(weights, key=weights.get))
+    return gap.derived(("tree", k, order), lambda: greedy_dtree(gap, k, weights))
 
 
 def lift_vertex(proto, vertex_key, cert=None):
@@ -164,8 +155,7 @@ def lift_vertex(proto, vertex_key, cert=None):
     boundary space onto the co-tree span at the bottom; higher degrees
     via the contracting homotopy."""
     tree = tree_functor(proto, vertex_key, cert)
-    aux = _TreeAux(proto.gap, tree)
-    return tree, aux.phi
+    return tree, [ratlin.copy(m) for m in _tree_aux(proto.gap, tree).phi]
 
 
 def build_lift_cache(proto) -> LiftCache:
@@ -175,18 +165,11 @@ def build_lift_cache(proto) -> LiftCache:
     for key in cells:
         if cert.k[key] is None:
             raise NotGood(f"cell {key} is not small")
-    trees = {}
-    aux = {}
-    tree_cache = {}
-    for key in cells:
-        t = tree_functor(proto, key, cert, tree_cache)
-        trees[key] = t
-        if t.key not in aux:
-            aux[t.key] = _TreeAux(gap, t)
-    cache = LiftCache(gap=gap, domain=proto, cert=cert, trees=trees, aux=aux, values={})
+    trees = {key: tree_functor(proto, key, cert) for key in cells}
+    cache = LiftCache(gap=gap, cert=cert, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
-            cache.values[key] = [ratlin.copy(m) for m in aux[trees[key].key].phi]
+            cache.values[key] = [ratlin.copy(m) for m in _tree_aux(gap, trees[key]).phi]
         else:
             cache.values[key] = lift_simplex(proto, key, cache)
     return cache
@@ -203,8 +186,7 @@ def lift_simplex(proto, key, cache: LiftCache):
     """
     gap = cache.gap
     jdim = proto.dim_of(key)
-    tree = cache.trees[key]
-    aux = cache.aux[tree.key]
+    aux = _tree_aux(gap, cache.trees[key])
     faces = proto.boundary_of(key)
     out = []
     for g in range(gap.top + 1):

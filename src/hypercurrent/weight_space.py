@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from . import ratlin
-from .complex_core import CwComplex, gap_complex
+from .complex_core import CwComplex, GapComplex, gap_complex
 from .errors import EpsilonTooLarge
 from .protocol import WeightPoint, cube_boundary_protocol, is_good
 from .topo_hyper import hypercurrent_cochain, hypercurrent_homology
@@ -21,11 +21,13 @@ from .topo_hyper import hypercurrent_cochain, hypercurrent_homology
 __all__ = [
     "HeightData",
     "DiscriminantCellReport",
+    "RobustReport",
     "good_summand_count",
     "enumerate_top_discriminant_cells",
     "height_of_weights",
     "transversal_sphere",
     "classify_cell",
+    "classify_top_cells",
     "robust_counts",
 ]
 
@@ -61,6 +63,23 @@ class DiscriminantCellReport:
     dimension: int
     current_matrix: tuple   # rows indexed by degree-q classes, columns by degree-p classes
     essential: bool
+
+
+@dataclass(frozen=True)
+class RobustReport:
+    """Every top cell of (x, p, q), classified over one gap.  The cells'
+    transversal spheres span H_{L-1} of the good weights, of rank c =
+    summands; the robust count d is the rank over Q of the hypercurrent
+    map on it, i.e. of the flattened current matrices of the cells."""
+
+    summands: int
+    contractible: bool
+    cells: tuple          # DiscriminantCellReport per top cell
+    robust_summands: int
+
+    @property
+    def inessential(self):
+        return self.summands - self.robust_summands
 
 
 def good_summand_count(x: CwComplex, p, q):
@@ -103,7 +122,7 @@ def height_of_weights(x: CwComplex, p, q, wp: WeightPoint):
             vals.setdefault(w, []).append(cell)
         lvl = tuple(tuple(vals[w]) for w in sorted(vals))
         blocks.append(lvl)
-    return HeightData(p=p, q=q, blocks=blocks if isinstance(blocks, tuple) else tuple(blocks))
+    return HeightData(p=p, q=q, blocks=tuple(blocks))
 
 
 def _center_weights(x: CwComplex, cell: HeightData, rank_value=None):
@@ -120,14 +139,15 @@ def _center_weights(x: CwComplex, cell: HeightData, rank_value=None):
     return centers
 
 
-def transversal_sphere(x: CwComplex, p, q, cell: HeightData, eps=0.25, rank_value=None):
-    """A good protocol on the boundary of the transversal cube around a
-    center realizing the height data: the later member of each level's
-    tied pair is perturbed by +-eps along the corresponding cube axis."""
+def transversal_sphere(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=None):
+    """A good protocol over gap on the boundary of the transversal cube
+    around a center realizing the height data: the later member of each
+    level's tied pair is perturbed by +-eps along that level's cube axis."""
     if not cell.is_top:
         raise ValueError("transversal spheres are built over top cells only")
     if not eps > 0:
         raise EpsilonTooLarge("eps must be positive")
+    x, p, q = gap.parent, gap.p, gap.q
     centers = _center_weights(x, cell, rank_value)
     min_gap = None
     for j in range(p, q + 1):
@@ -137,7 +157,6 @@ def transversal_sphere(x: CwComplex, p, q, cell: HeightData, eps=0.25, rank_valu
             min_gap = d if min_gap is None else min(min_gap, d)
     if min_gap is not None and not eps < min_gap / 2:
         raise EpsilonTooLarge(f"eps = {eps} is not below half the center gap {min_gap}")
-    gap = gap_complex(x, p, q)
     perturbed = []
     for j in range(p, q + 1):
         pair = next(b for b in cell.level(j) if len(b) == 2)
@@ -159,11 +178,10 @@ def transversal_sphere(x: CwComplex, p, q, cell: HeightData, eps=0.25, rank_valu
     return proto
 
 
-def classify_cell(x: CwComplex, p, q, cell: HeightData, eps=0.25, rank_value=None):
+def classify_cell(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=None):
     """Pair the transversal sphere against every degree-p class; the
     cell is essential iff some value is nonzero."""
-    proto = transversal_sphere(x, p, q, cell, eps, rank_value)
-    gap = proto.gap
+    proto = transversal_sphere(gap, cell, eps, rank_value)
     cochain = hypercurrent_cochain(proto)
     cols = []
     nclasses = gap.parent_hp.betti
@@ -181,15 +199,22 @@ def classify_cell(x: CwComplex, p, q, cell: HeightData, eps=0.25, rank_value=Non
     )
 
 
-def robust_counts(x: CwComplex, p, q, eps=0.25):
-    """(c, u, d): the wedge count of the good weights, the number of
-    inessential top cells, and their difference."""
+def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
+    """Classify every top discriminant cell over one gap complex and take
+    the rank of their current matrices; a contractible good weight space
+    has no summands and builds no gap."""
     c, contractible = good_summand_count(x, p, q)
     if contractible:
-        return 0, 0, 0
-    u = 0
-    for cell in enumerate_top_discriminant_cells(x, p, q):
-        report = classify_cell(x, p, q, cell, eps)
-        if not report.essential:
-            u += 1
-    return c, u, c - u
+        return RobustReport(summands=c, contractible=True, cells=(), robust_summands=0)
+    gap = gap_complex(x, p, q)
+    tops = enumerate_top_discriminant_cells(x, p, q)
+    cells = tuple(classify_cell(gap, cell, eps) for cell in tops)
+    d = ratlin.rank([[v for row in rep.current_matrix for v in row] for rep in cells])
+    return RobustReport(summands=c, contractible=False, cells=cells, robust_summands=d)
+
+
+def robust_counts(x: CwComplex, p, q, eps=0.25):
+    """(c, c - d, d): the wedge count of the good weights, its
+    inessential part and the robust count d (see RobustReport)."""
+    report = classify_top_cells(x, p, q, eps)
+    return report.summands, report.inessential, report.robust_summands

@@ -24,6 +24,7 @@ from hypercurrent.protocol import (
     subdivide,
 )
 from hypercurrent.topo_hyper import (
+    _tree_aux,
     addendum_predicts_trivial,
     build_lift_cache,
     cochain_chain_map_defect,
@@ -91,14 +92,23 @@ def test_tree_functor_face_inclusion():
     # the face's tree sits inside the cell's tree as a subcomplex
     for proto in (square_protocol(), cube_sphere_protocol(2)):
         cert = smallness(proto)
-        cache = {}
         for s in proto.all_cells():
-            t = tree_functor(proto, s, cert, cache)
+            t = tree_functor(proto, s, cert)
             for _, f in proto.boundary_of(s):
-                tf = tree_functor(proto, f, cert, cache)
+                tf = tree_functor(proto, f, cert)
                 assert tf.level <= t.level
                 if tf.level == t.level:
                     assert tf.cells == t.cells
+
+
+def test_tree_functor_shared_over_the_gap():
+    # scaling keeps every order type, so both protocols get the same tree
+    # objects from the gap's memo
+    proto = cube_sphere_protocol(2)
+    scaled = scale(proto, 3.0)
+    assert scaled.gap is proto.gap
+    for s in proto.all_cells():
+        assert tree_functor(scaled, s) is tree_functor(proto, s)
 
 
 # --- vertex lifts -------------------------------------------------------------
@@ -328,7 +338,7 @@ def test_positively_acyclic_trees():
     proto = cube_sphere_protocol(2)
     cache = build_lift_cache(proto)
     gap = proto.gap
-    for aux in cache.aux.values():
+    for aux in {_tree_aux(gap, t) for t in cache.trees.values()}:
         dims = [len(m) for m in aux.masks]
         for j in range(1, gap.top + 1):
             sub = [[gap.d(j)[r][c] for c in aux.masks[j]] for r in aux.masks[j - 1]]

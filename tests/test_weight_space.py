@@ -3,6 +3,8 @@ import json
 import pytest
 
 from hypercurrent.complex_core import (
+    betti,
+    gap_complex,
     loads_complex,
     sphere_complex,
     sphere_wedge_complex,
@@ -13,6 +15,7 @@ from hypercurrent.protocol import WeightPoint, is_good, smallness
 from hypercurrent.weight_space import (
     DiscriminantCellReport,
     classify_cell,
+    classify_top_cells,
     enumerate_top_discriminant_cells,
     good_summand_count,
     height_of_weights,
@@ -28,6 +31,19 @@ def path_complex():
                 "name": "path3",
                 "cells": [["x", "y", "z"], ["xy", "yz"]],
                 "boundary": [[[-1, 0], [1, -1], [0, 1]]],
+            }
+        )
+    )
+
+
+def triangle_complex():
+    """The triangle graph: three vertices, three edges, H_1 of rank one."""
+    return loads_complex(
+        json.dumps(
+            {
+                "name": "triangle",
+                "cells": [["a", "b", "c"], ["ab", "bc", "ca"]],
+                "boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]],
             }
         )
     )
@@ -94,7 +110,7 @@ def test_height_of_weights_roundtrip():
 def test_transversal_sphere_is_good_and_square_shaped():
     x = sphere_complex(1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
-    proto = transversal_sphere(x, 0, 1, cell)
+    proto = transversal_sphere(gap_complex(x, 0, 1), cell)
     assert is_good(proto)[0]
     assert len(proto.simplices_of_dim(1)) == 4
     cert = smallness(proto)
@@ -105,7 +121,7 @@ def test_transversal_sphere_is_good_and_square_shaped():
 def test_transversal_sphere_cube_pattern():
     x = sphere_complex(2)
     cell = enumerate_top_discriminant_cells(x, 0, 2)[0]
-    proto = transversal_sphere(x, 0, 2, cell)
+    proto = transversal_sphere(gap_complex(x, 0, 2), cell)
     assert is_good(proto)[0]
     assert len(proto.simplices_of_dim(2)) == 12
     cert = smallness(proto)
@@ -115,17 +131,19 @@ def test_transversal_sphere_cube_pattern():
 def test_eps_too_large():
     # needs a level with more than one block, so the center has a gap
     x = path_complex()
+    gap = gap_complex(x, 0, 1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
     with pytest.raises(EpsilonTooLarge):
-        transversal_sphere(x, 0, 1, cell, eps=0.5)
+        transversal_sphere(gap, cell, eps=0.5)
     with pytest.raises(EpsilonTooLarge):
-        transversal_sphere(x, 0, 1, cell, eps=0.0)
+        transversal_sphere(gap, cell, eps=0.0)
 
 
 def test_transversal_good_for_all_fixture_cells():
     for x, p, q in [(sphere_complex(1), 0, 1), (sphere_wedge_complex(2), 0, 2), (path_complex(), 0, 1)]:
+        gap = gap_complex(x, p, q)
         for cell in enumerate_top_discriminant_cells(x, p, q):
-            proto = transversal_sphere(x, p, q, cell)
+            proto = transversal_sphere(gap, cell)
             assert is_good(proto)[0]
 
 
@@ -153,7 +171,7 @@ def test_torsion_contractible_counts():
 def test_classification_report_matrix():
     x = sphere_complex(2)
     cell = enumerate_top_discriminant_cells(x, 0, 2)[0]
-    report = classify_cell(x, 0, 2, cell)
+    report = classify_cell(gap_complex(x, 0, 2), cell)
     assert isinstance(report, DiscriminantCellReport)
     assert report.essential
     assert len(report.current_matrix) == 1 and len(report.current_matrix[0]) == 1
@@ -163,8 +181,9 @@ def test_classification_report_matrix():
 def test_classification_eps_independent():
     x = sphere_complex(1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
-    r1 = classify_cell(x, 0, 1, cell, eps=0.25)
-    r2 = classify_cell(x, 0, 1, cell, eps=0.125)
+    gap = gap_complex(x, 0, 1)
+    r1 = classify_cell(gap, cell, eps=0.25)
+    r2 = classify_cell(gap, cell, eps=0.125)
     assert r1.current_matrix == r2.current_matrix
 
 
@@ -172,11 +191,42 @@ def test_classification_center_choice_independent():
     # scaling the center block ranks leaves the pairing matrix unchanged
     x = sphere_complex(2)
     cell = enumerate_top_discriminant_cells(x, 0, 2)[0]
-    r1 = classify_cell(x, 0, 2, cell)
-    r2 = classify_cell(x, 0, 2, cell, rank_value=lambda r: 3.0 * r + 1.0)
+    gap = gap_complex(x, 0, 2)
+    r1 = classify_cell(gap, cell)
+    r2 = classify_cell(gap, cell, rank_value=lambda r: 3.0 * r + 1.0)
     assert r1.current_matrix == r2.current_matrix
     y = path_complex()
+    gap = gap_complex(y, 0, 1)
     for cell in enumerate_top_discriminant_cells(y, 0, 1)[:2]:
-        a = classify_cell(y, 0, 1, cell)
-        b = classify_cell(y, 0, 1, cell, eps=0.1, rank_value=lambda r: 2.0 * r)
+        a = classify_cell(gap, cell)
+        b = classify_cell(gap, cell, eps=0.1, rank_value=lambda r: 2.0 * r)
         assert a.current_matrix == b.current_matrix
+
+
+@pytest.mark.parametrize(
+    "make, counts",
+    [(path_complex, (5, 5, 0)), (triangle_complex, (25, 24, 1))],
+    ids=["path3", "triangle"],
+)
+def test_robust_count_is_a_rank(make, counts):
+    x = make()
+    c, u, d = robust_counts(x, 0, 1)
+    assert (c, u, d) == counts
+    assert u == c - d
+    assert 0 <= d <= min(c, betti(x, 0) * betti(x, 1))
+
+
+@pytest.mark.parametrize(
+    "make, q",
+    [(path_complex, 1), (triangle_complex, 1), (lambda: sphere_complex(2), 2),
+     (lambda: sphere_wedge_complex(2), 2)],
+    ids=["path3", "triangle", "sphere2", "wedge2"],
+)
+def test_one_gap_classification_matches_fresh_gaps(make, q):
+    # the fresh gap per cell is the oracle for sharing one gap's memo
+    x = make()
+    report = classify_top_cells(x, 0, q)
+    cells = enumerate_top_discriminant_cells(x, 0, q)
+    assert [r.height for r in report.cells] == cells
+    for shared, cell in zip(report.cells, cells):
+        assert shared == classify_cell(gap_complex(x, 0, q), cell)
