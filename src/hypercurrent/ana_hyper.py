@@ -468,8 +468,8 @@ def jan_cochain(proto, beta, tol=1e-8, max_depth=8, zeta="standard") -> HyperCoc
         if jdim > gap.top:
             continue
         mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth, zeta=zeta)
-        values[tuple(key)] = GradedOperator(degree=jdim, blocks={0: mat}, kind="float")
-    return HyperCochain(gap=gap, domain=proto, values=values, kind="float")
+        values[tuple(key)] = GradedOperator(degree=jdim, blocks={0: mat})
+    return HyperCochain(gap=gap, domain=proto, values=values)
 
 
 def chain_map_residual(cochain: HyperCochain):

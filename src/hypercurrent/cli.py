@@ -19,7 +19,7 @@ import numpy as np
 from .complex_core import betti, gap_complex, load_complex
 from .errors import HclError
 from .forests import enumerate_dtrees, greedy_dtree
-from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol, smallness
+from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol
 from .topo_hyper import hypercurrent_homology
 from .ana_hyper import axioms_check, interior_samples, jan_cochain, chain_map_residual, \
     quantization_sweep
@@ -146,7 +146,7 @@ def cmd_trees(args):
 def cmd_protocol(args):
     cfg = RunConfig("protocol." + args.action, inputs=[args.file], out=args.out).validate()
     proto = _load_protocol_arg(args.file)
-    cert = smallness(proto)
+    cert = proto.certificate
     report = {"config": cfg.as_dict(), "input_hash": _hash_or_builtin([args.file])}
     good, offender = is_good(proto)
     report["good"] = good

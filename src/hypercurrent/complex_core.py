@@ -12,6 +12,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import ratlin
 from .errors import (
     BoundarySquareNonzero,
@@ -20,7 +22,7 @@ from .errors import (
     NotPositivelyAcyclic,
     ParseError,
 )
-from .ratlin import Mat, smith_normal_form, torsion_order  # noqa: F401  (re-exported)
+from .ratlin import Mat, QMat, smith_normal_form, torsion_order  # noqa: F401  (re-exported)
 
 __all__ = [
     "CwComplex",
@@ -43,16 +45,6 @@ __all__ = [
     "contraction",
     "eth",
 ]
-
-
-def _mm(a, b, rows, colns):
-    """Matrix product with an explicit result shape, so degenerate
-    (zero-dimensional) factors collapse to a correctly shaped zero."""
-    if rows == 0 or colns == 0:
-        return ratlin.zeros(rows, colns)
-    if not a or not a[0] or not b or not b[0]:
-        return ratlin.zeros(rows, colns)
-    return ratlin.matmul(a, b)
 
 
 @dataclass(frozen=True)
@@ -90,13 +82,12 @@ def _validate(name, cells, boundary):
         d = boundary[j - 1]
         if len(d) != len(cells[j - 1]) or any(len(row) != len(cells[j]) for row in d):
             raise ParseError(f"{name}: D_{j} shape does not match cell counts")
+    mats = [QMat.from_rows(d, (len(cells[j]), len(cells[j + 1]))) for j, d in enumerate(boundary)]
     for j in range(2, dim + 1):
-        nlow = len(cells[j - 2])
-        prod = _mm(boundary[j - 2], boundary[j - 1], nlow, len(cells[j]))
-        for r, row in enumerate(prod):
-            for c, v in enumerate(row):
-                if v != 0:
-                    raise BoundarySquareNonzero(j, r, c, v)
+        prod = mats[j - 2] @ mats[j - 1]
+        for (r, c), v in np.ndenumerate(prod.num):
+            if v != 0:
+                raise BoundarySquareNonzero(j, r, c, Fraction(v, prod.den))
     x = CwComplex(name, tuple(tuple(c) for c in cells), tuple(boundary))
     if betti(x, 0) != 1:
         raise Disconnected(f"{name}: beta_0 = {betti(x, 0)} != 1")
@@ -268,9 +259,9 @@ class GapComplex:
     dbar[j] is the boundary from degree j to degree j-1.
 
     Data that depends on the gap alone (the float context of the
-    analytical route, greedy trees per order type, tree contractions) is
-    kept in one memo, read through derived(): each entry is built on
-    first use and dropped with the gap.
+    analytical route, greedy trees per order type, tree contractions,
+    the boundaries as QMat) is kept in one memo, read through derived():
+    each entry is built on first use and dropped with the gap.
     """
 
     parent: CwComplex
@@ -306,6 +297,12 @@ class GapComplex:
         if 1 <= j <= self.top:
             return self.dbar[j]
         return ratlin.zeros(self.dim_at(j - 1), self.dim_at(j))
+
+    def dmat(self, j):
+        """d(j) as a QMat of its true shape, converted once into the memo."""
+        return self.derived(
+            ("dmat", j), lambda: QMat.from_rows(self.d(j), (self.dim_at(j - 1), self.dim_at(j)))
+        )
 
     def cells_at(self, j):
         return self.parent.cells[j + self.p] if 0 <= j <= self.top else ()
@@ -361,34 +358,21 @@ def gap_complex(x: CwComplex, p, q):
 class GradedOperator:
     """Degree-n operator on a gap complex: one block per source degree.
 
-    blocks[j] maps degree j to degree j+n; missing blocks are zero.
-    kind is 'rational' (Fraction matrices) or 'float' (numpy arrays).
+    blocks[j] maps degree j to degree j+n: a QMat on the exact route, a
+    float array on the analytical one.  Missing blocks are exact zeros.
     """
 
     degree: int
     blocks: dict = field(default_factory=dict)
-    kind: str = "rational"
 
     def block(self, gap: GapComplex, j):
         if j in self.blocks:
             return self.blocks[j]
-        rows, colns = gap.dim_at(j + self.degree), gap.dim_at(j)
-        if self.kind == "rational":
-            return ratlin.zeros(rows, colns)
-        import numpy as np
-
-        return np.zeros((rows, colns))
+        return QMat.zeros(gap.dim_at(j + self.degree), gap.dim_at(j))
 
     def apply(self, gap: GapComplex, j, chain):
         """Apply to a degree-j chain, returning a degree-(j+n) chain."""
-        blk = self.block(gap, j)
-        if self.kind == "rational":
-            if gap.dim_at(j + self.degree) == 0:
-                return []
-            return ratlin.matvec(blk, list(chain))
-        import numpy as np
-
-        return np.asarray(blk) @ np.asarray(chain)
+        return self.block(gap, j) @ chain
 
 
 def eth(f: GradedOperator, gap: GapComplex):
@@ -396,28 +380,12 @@ def eth(f: GradedOperator, gap: GapComplex):
     n = f.degree
     sign = (-1) ** n
     out = {}
-    if f.kind == "rational":
-        for j in range(gap.top + 1):
-            rows = gap.dim_at(j + n - 1)
-            term = _mm(gap.d(j + n), f.block(gap, j), rows, gap.dim_at(j))
-            if j >= 1:
-                t2 = _mm(f.block(gap, j - 1), gap.d(j), rows, gap.dim_at(j))
-                term = ratlin.sub(term, ratlin.scale(t2, sign))
-            out[j] = term
-        return GradedOperator(degree=n - 1, blocks=out, kind="rational")
-    import numpy as np
-
     for j in range(gap.top + 1):
-        rows = gap.dim_at(j + n - 1)
-        term = np.zeros((rows, gap.dim_at(j)))
-        if rows:
-            d_out = ratlin.to_float(gap.d(j + n), rows, gap.dim_at(j + n))
-            term = term + d_out @ np.asarray(f.block(gap, j))
-            if j >= 1:
-                d_in = ratlin.to_float(gap.d(j), gap.dim_at(j - 1), gap.dim_at(j))
-                term = term - sign * (np.asarray(f.block(gap, j - 1)) @ d_in)
+        term = gap.dmat(j + n) @ f.block(gap, j)
+        if j >= 1:
+            term = term - sign * (f.block(gap, j - 1) @ gap.dmat(j))
         out[j] = term
-    return GradedOperator(degree=n - 1, blocks=out, kind="float")
+    return GradedOperator(degree=n - 1, blocks=out)
 
 
 @dataclass(frozen=True)

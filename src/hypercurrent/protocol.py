@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, \
     loads_complex, sphere_complex, sphere_wedge_complex, collapsed_sphere_complex, \
@@ -104,8 +105,17 @@ def _closure(simplices):
     return sorted(seen, key=lambda s: (len(s), s))
 
 
+class _CertifiedDomain:
+    """Parameter domains carry their smallness certificate: computed on
+    first use, then kept with the (immutable) domain."""
+
+    @cached_property
+    def certificate(self):
+        return smallness(self)
+
+
 @dataclass(frozen=True)
-class SimplicialProtocol:
+class SimplicialProtocol(_CertifiedDomain):
     """Oriented simplicial parameter space with a weight point per vertex."""
 
     gap: GapComplex
@@ -367,7 +377,7 @@ def smallness(domain) -> SmallnessCertificate:
 def is_good(domain):
     """True iff every cell of the domain has an injective level; on
     failure also returns the first offending cell."""
-    cert = smallness(domain)
+    cert = domain.certificate
     for key in domain.all_cells():
         if cert.k[key] is None:
             return False, key
@@ -584,7 +594,7 @@ def subdivide(proto: SimplicialProtocol):
 
 
 @dataclass(frozen=True)
-class CubeCwDomain:
+class CubeCwDomain(_CertifiedDomain):
     """Boundary of the cube [-1,1]^n as a regular CW complex.
 
     Cells are patterns over the axes with entries -1, +1 (fixed) or None

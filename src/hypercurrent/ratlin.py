@@ -1,13 +1,163 @@
 """Exact linear algebra over the rationals and the integers.
 
-Matrices are plain row-major lists of lists of ``fractions.Fraction``.
-Everything here is deterministic: echelon forms scan columns left to
-right in the given order, so downstream basis choices are reproducible.
+Two representations, one per job:
+
+- Elimination (``rref``, ``nullspace``, ``pinv``, ``solve`` and the
+  helpers around them) runs on plain row-major lists of lists of
+  ``fractions.Fraction``.  Echelon forms scan columns left to right in
+  the given order, so downstream basis choices are reproducible.
+- Operators (boundaries as the lift reads them, tree contractions, lift
+  values, cochain blocks) are ``QMat``: a numpy object array of Python
+  ints over one positive common denominator, kept in lowest terms.
+  Products, sums and transposes are numpy operations on the integers,
+  and ``==`` compares structure.  Elimination results are converted
+  once, with ``QMat.from_rows``; ``to_rows`` converts back at report
+  boundaries.
+
+Smith normal form runs on Python ints.
 """
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
 Mat = list  # list[list[Fraction]], row-major
+
+
+class QMat:
+    """Exact rational matrix: integer numerators over one denominator.
+
+    ``num`` is a 2-d numpy object array of Python ints and ``den`` a
+    positive int with gcd(den, *num) == 1, so zero has den == 1 and
+    equal matrices have equal fields.  Instances are treated as
+    read-only.  Against a float array an exact matrix acts as its float
+    value, as an int would.
+    """
+
+    __slots__ = ("num", "den")
+    __array_ufunc__ = None   # ndarray operands defer to the reflected methods
+    __hash__ = None
+
+    def __init__(self, num, den=1):
+        if den <= 0:
+            raise ValueError("denominator must be positive")
+        if den != 1:
+            g = math.gcd(den, *num.flat)
+            if g != 1:
+                num, den = num // g, den // g
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def _raw(cls, num, den):
+        out = object.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
+    @classmethod
+    def zeros(cls, m, n):
+        return cls._raw(np.zeros((m, n), dtype=object), 1)
+
+    @classmethod
+    def identity(cls, n):
+        return cls._raw(np.identity(n, dtype=object), 1)
+
+    @classmethod
+    def from_rows(cls, rows, shape):
+        """From rows of numbers (Fractions, ints) of the given shape,
+        which empty matrices keep."""
+        fr = [[Fraction(x) for x in row] for row in rows]
+        den = math.lcm(1, *(x.denominator for row in fr for x in row))
+        num = [[x.numerator * (den // x.denominator) for x in row] for row in fr]
+        return cls(np.array(num, dtype=object).reshape(shape), den)
+
+    def to_rows(self):
+        """Row-major lists of Fractions."""
+        return [[Fraction(x, self.den) for x in row] for row in self.num.tolist()]
+
+    def to_float(self):
+        return (self.num / self.den).astype(float)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.to_rows(), dtype=object).reshape(self.shape).astype(dtype or object)
+
+    @property
+    def shape(self):
+        return self.num.shape
+
+    @property
+    def T(self):
+        return QMat._raw(self.num.T, self.den)
+
+    def is_zero(self):
+        return not self.num.any()
+
+    def __eq__(self, other):
+        if not isinstance(other, QMat):
+            return NotImplemented
+        return self.den == other.den and self.shape == other.shape \
+            and bool((self.num == other.num).all())
+
+    def __repr__(self):
+        return f"QMat({self.num.tolist()!r}, {self.den})"
+
+    def __matmul__(self, other):
+        """Product with a QMat, a float array, or a vector of numbers (a
+        list of Fractions comes back)."""
+        if isinstance(other, QMat):
+            return QMat(self.num @ other.num, self.den * other.den)
+        if isinstance(other, np.ndarray):
+            return self.to_float() @ other
+        col = self @ QMat.from_rows([[x] for x in other], (len(other), 1))
+        return [row[0] for row in col.to_rows()]
+
+    def __rmatmul__(self, other):
+        if isinstance(other, np.ndarray):
+            return other @ self.to_float()
+        return NotImplemented
+
+    def _combine(self, other, sign):
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        if self.den == other.den:
+            return QMat(self.num + sign * other.num, self.den)
+        den = math.lcm(self.den, other.den)
+        return QMat(self.num * (den // self.den) + sign * (den // other.den) * other.num, den)
+
+    def __add__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.to_float() + other
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        if isinstance(other, np.ndarray):
+            return self.to_float() - other
+        return self._combine(other, -1)
+
+    def __radd__(self, other):
+        if isinstance(other, np.ndarray):
+            return other + self.to_float()
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, np.ndarray):
+            return other - self.to_float()
+        return NotImplemented
+
+    def __neg__(self):
+        return QMat._raw(-self.num, self.den)
+
+    def __mul__(self, c):
+        """Multiply by an int or a Fraction."""
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        c = Fraction(c)
+        return QMat(self.num * c.numerator, self.den * c.denominator)
+
+    __rmul__ = __mul__
 
 
 def zeros(m, n):

@@ -4,18 +4,21 @@ Every cell of a good parameter domain gets a preferred tree (greedy at
 the least injective level); vertices get a canonical chain map into
 their tree's subcomplex, and higher cells extend it degreewise through
 the contracting homotopy of the tree subcomplex.  All arithmetic is
-rational and the chain-map identity is asserted exactly at each step,
-so the resulting cochain is reproducible bit for bit.
+exact (ratlin.QMat: integer numerators over one denominator) and the
+chain-map identity is asserted at each step, so the resulting cochain
+is reproducible bit for bit.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import ratlin
-from .complex_core import GapComplex, GradedOperator, _mm, contraction, eth
+from .complex_core import GapComplex, GradedOperator, contraction, eth
 from .errors import LiftObstruction, NotACycle, NotGood, NotSmall
 from .forests import DTree, greedy_dtree
-from .protocol import smallness
+from .ratlin import QMat
 
 __all__ = [
     "LiftCache",
@@ -49,7 +52,7 @@ def _tree_masks(gap: GapComplex, tree: DTree):
 
 class _TreeAux:
     """Contraction and vertex-lift data for one tree subcomplex, embedded
-    in ambient coordinates."""
+    in ambient coordinates as QMat."""
 
     def __init__(self, gap: GapComplex, tree: DTree):
         self.gap = gap
@@ -63,57 +66,49 @@ class _TreeAux:
             bnds.append([[full[r][c] for c in self.masks[j]] for r in self.masks[j - 1]])
         contr = contraction(dims_sub, bnds)
         # ambient-shaped homotopy, one matrix per degree 0..top-1
-        self.h = []
-        for j in range(gap.top):
-            amb = ratlin.zeros(gap.dim_at(j + 1), gap.dim_at(j))
-            if j < ld:
-                sub = contr.h[j]
-                for r, ri in enumerate(self.masks[j + 1]):
-                    for c, ci in enumerate(self.masks[j]):
-                        amb[ri][ci] = sub[r][c]
-            self.h.append(amb)
-        self.pi0 = ratlin.zeros(gap.dim_at(0), gap.dim_at(0))
-        for r, ri in enumerate(self.masks[0]):
-            for c, ci in enumerate(self.masks[0]):
-                self.pi0[ri][ci] = contr.pi0[r][c]
+        self.h = [self._embed(j + 1, j, contr.h[j] if j < ld else None) for j in range(gap.top)]
+        self.pi0 = self._embed(0, 0, contr.pi0)
+        self.outside = []
+        for j in range(gap.top + 1):
+            inside = set(self.masks[j])
+            self.outside.append([r for r in range(gap.dim_at(j)) if r not in inside])
         self.phi = self._vertex_lift()
+
+    def _embed(self, r, c, sub):
+        """The Fraction block sub from the tree's degree-c cells to its
+        degree-r cells as an ambient QMat; None is zero."""
+        gap = self.gap
+        out = np.zeros((gap.dim_at(r), gap.dim_at(c)), dtype=object)
+        if sub is None:
+            return QMat(out)
+        rows, cols = self.masks[r], self.masks[c]
+        blk = QMat.from_rows(sub, (len(rows), len(cols)))
+        out[np.ix_(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))] = blk.num
+        return QMat(out, blk.den)
 
     def _vertex_lift(self):
         gap = self.gap
         n0 = gap.dim_at(0)
+        phi0 = QMat.identity(n0)
         if self.tree.kind == "cotree":
             bounds = gap.homology[0].bounds
-            stored = [list(r) for r in self.tree.right_inverse]
             nb = len(bounds[0]) if bounds else 0
-            if nb == 0:
-                phi0 = ratlin.identity(n0)
-            else:
-                phi0 = ratlin.add(ratlin.identity(n0), _mm(bounds, stored, n0, n0))
-        else:
-            phi0 = ratlin.identity(n0)
+            if nb:
+                stored = QMat.from_rows(self.tree.right_inverse, (nb, n0))
+                phi0 = phi0 + QMat.from_rows(bounds, (n0, nb)) @ stored
         phis = [phi0]
         for g in range(1, gap.top + 1):
-            ng = gap.dim_at(g)
-            prev = _mm(phis[g - 1], gap.d(g), gap.dim_at(g - 1), ng)
-            phis.append(_mm(self.h[g - 1], prev, ng, ng))
+            phis.append(self.h[g - 1] @ (phis[g - 1] @ gap.dmat(g)))
         for g in range(1, gap.top + 1):
-            lhs = _mm(gap.d(g), phis[g], gap.dim_at(g - 1), gap.dim_at(g))
-            rhs = _mm(phis[g - 1], gap.d(g), gap.dim_at(g - 1), gap.dim_at(g))
-            if not ratlin.eq(lhs, rhs):
+            if gap.dmat(g) @ phis[g] != phis[g - 1] @ gap.dmat(g):
                 raise LiftObstruction("vertex lift is not a chain map")
-        return phis
+        return tuple(phis)
 
     def support_ok(self, j, mat):
-        mask = set(self.masks[j]) if 0 <= j <= self.gap.top else set()
-        for r, row in enumerate(mat):
-            if r not in mask and any(v != 0 for v in row):
-                return False
-        return True
-
-    def homotopy(self, j, mat, colns):
-        """Apply the contracting homotopy to a matrix of degree-j chains."""
-        return _mm(self.h[j], mat, self.gap.dim_at(j + 1), colns) if j < self.gap.top \
-            else ratlin.zeros(0, colns)
+        """True iff the degree-j chains in mat lie on the tree's cells."""
+        if not 0 <= j <= self.gap.top:
+            return mat.is_zero()
+        return not mat.num[self.outside[j]].any()
 
 
 def _tree_aux(gap: GapComplex, tree: DTree) -> _TreeAux:
@@ -131,16 +126,15 @@ class LiftCache:
     gap: GapComplex
     cert: object
     trees: dict     # cell key -> DTree
-    values: dict    # cell key -> list of matrices per input degree
+    values: dict    # cell key -> tuple of QMat, one per input degree
 
 
-def tree_functor(proto, key, cert=None):
+def tree_functor(proto, key):
     """The preferred tree of a small cell: greedy at its least injective
     level, using the order type certified on the whole closed cell; kept
     in the gap's memo by (level, order type), so protocols share it."""
     gap = proto.gap
-    cert = cert or smallness(proto)
-    k = cert.k[tuple(key)]
+    k = proto.certificate.k[tuple(key)]
     if k is None:
         raise NotSmall(f"cell {key} has no injective level")
     vertex = proto.vertices_of(key)[0]
@@ -149,27 +143,27 @@ def tree_functor(proto, key, cert=None):
     return gap.derived(("tree", k, order), lambda: greedy_dtree(gap, k, weights))
 
 
-def lift_vertex(proto, vertex_key, cert=None):
+def lift_vertex(proto, vertex_key):
     """Canonical chain map into the vertex tree's subcomplex: identity in
     degree 0 for trees above the bottom level, projection along the
     boundary space onto the co-tree span at the bottom; higher degrees
-    via the contracting homotopy."""
-    tree = tree_functor(proto, vertex_key, cert)
-    return tree, [ratlin.copy(m) for m in _tree_aux(proto.gap, tree).phi]
+    via the contracting homotopy.  The tuple is shared, read-only."""
+    tree = tree_functor(proto, vertex_key)
+    return tree, _tree_aux(proto.gap, tree).phi
 
 
 def build_lift_cache(proto) -> LiftCache:
     gap = proto.gap
-    cert = smallness(proto)
+    cert = proto.certificate
     cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
     for key in cells:
         if cert.k[key] is None:
             raise NotGood(f"cell {key} is not small")
-    trees = {key: tree_functor(proto, key, cert) for key in cells}
+    trees = {key: tree_functor(proto, key) for key in cells}
     cache = LiftCache(gap=gap, cert=cert, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
-            cache.values[key] = [ratlin.copy(m) for m in _tree_aux(gap, trees[key]).phi]
+            cache.values[key] = _tree_aux(gap, trees[key]).phi
         else:
             cache.values[key] = lift_simplex(proto, key, cache)
     return cache
@@ -192,36 +186,28 @@ def lift_simplex(proto, key, cache: LiftCache):
     for g in range(gap.top + 1):
         ng = gap.dim_at(g)
         zdeg = g + jdim - 1
-        rows = gap.dim_at(zdeg)
-        z = ratlin.zeros(rows, ng)
-        if g >= 1:
-            z = ratlin.add(z, _mm(out[g - 1], gap.d(g), rows, ng))
-        sgn = Fraction((-1) ** g)
+        z = out[g - 1] @ gap.dmat(g) if g >= 1 else QMat.zeros(gap.dim_at(zdeg), ng)
+        sgn = (-1) ** g
         for fsign, fkey in faces:
-            fval = cache.values[fkey][g]
-            if rows and fval and fval[0]:
-                z = ratlin.add(z, ratlin.scale(fval, sgn * fsign))
-        if rows and not aux.support_ok(zdeg, z):
+            z = z + cache.values[fkey][g] * (sgn * fsign)
+        if not aux.support_ok(zdeg, z):
             raise LiftObstruction(f"face values escape the tree subcomplex at {key}")
         if zdeg == 0:
-            chk = _mm(aux.pi0, z, rows, ng)
-            if not ratlin.is_zero(chk):
+            if not (aux.pi0 @ z).is_zero():
                 raise LiftObstruction(f"degree-0 argument has nonzero class at {key}")
         elif 0 < zdeg <= gap.top:
-            chk = _mm(gap.d(zdeg), z, gap.dim_at(zdeg - 1), ng)
-            if not ratlin.is_zero(chk):
+            if not (gap.dmat(zdeg) @ z).is_zero():
                 raise LiftObstruction(f"argument fails the cycle check at {key}")
         if g + jdim > gap.top:
-            if rows and not ratlin.is_zero(z):
+            if not z.is_zero():
                 raise LiftObstruction(f"nonzero top-degree obstruction at {key}")
-            out.append(ratlin.zeros(gap.dim_at(g + jdim), ng))
+            out.append(QMat.zeros(gap.dim_at(g + jdim), ng))
             continue
-        m = aux.homotopy(zdeg, z, ng) if rows else ratlin.zeros(gap.dim_at(g + jdim), ng)
-        back = _mm(gap.d(g + jdim), m, rows, ng)
-        if not ratlin.eq(back, z):
+        m = aux.h[zdeg] @ z
+        if gap.dmat(g + jdim) @ m != z:
             raise LiftObstruction(f"chain-map identity fails at {key}, degree {g}")
         out.append(m)
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -231,7 +217,6 @@ class HyperCochain:
     gap: GapComplex
     domain: object
     values: dict   # cell key -> GradedOperator
-    kind: str = "rational"
 
     def operator(self, key):
         return self.values[tuple(key)]
@@ -247,12 +232,9 @@ def hypercurrent_cochain(proto) -> HyperCochain:
     values = {}
     for key, mats in cache.values.items():
         jdim = proto.dim_of(key)
-        blocks = {}
-        for g in range(gap.top + 1):
-            sign = Fraction((-1) ** (jdim * g))
-            blocks[g] = ratlin.scale(mats[g], sign) if mats[g] else mats[g]
-        values[key] = GradedOperator(degree=jdim, blocks=blocks, kind="rational")
-    return HyperCochain(gap=gap, domain=proto, values=values, kind="rational")
+        blocks = {g: mats[g] * (-1) ** (jdim * g) for g in range(gap.top + 1)}
+        values[key] = GradedOperator(degree=jdim, blocks=blocks)
+    return HyperCochain(gap=gap, domain=proto, values=values)
 
 
 def cochain_chain_map_defect(cochain: HyperCochain):
@@ -262,23 +244,15 @@ def cochain_chain_map_defect(cochain: HyperCochain):
     gap = cochain.gap
     worst = 0
     for key, op in cochain.values.items():
-        lhs = eth(op, gap)
+        lhs = eth(op, gap).blocks
         for fsign, fkey in cochain.domain.boundary_of(key):
             fop = cochain.values[fkey]
             for g in range(gap.top + 1):
-                blk = fop.block(gap, g)
-                if cochain.kind == "rational":
-                    term = ratlin.scale(blk, Fraction(-fsign)) if blk else blk
-                    lhs.blocks[g] = ratlin.add(lhs.blocks[g], term) if term else lhs.blocks[g]
-                else:
-                    lhs.blocks[g] = lhs.blocks[g] - fsign * blk
-        for g in range(gap.top + 1):
-            blk = lhs.blocks[g]
-            if cochain.kind == "rational":
-                m = max((abs(v) for row in blk for v in row), default=0)
-            else:
-                m = float(abs(blk).max()) if getattr(blk, "size", 0) else 0.0
-            worst = max(worst, m)
+                lhs[g] = lhs[g] - fsign * fop.block(gap, g)
+        for blk in lhs.values():
+            entries = np.abs(np.asarray(blk))
+            if entries.size:
+                worst = max(worst, entries.max())
     return worst
 
 
@@ -301,13 +275,13 @@ def hypercurrent_homology(proto, cycle, class_p, cochain=None):
         cochain = hypercurrent_cochain(proto)
     # the degree-p representative is a chain in degree 0 of the shifted complex
     rep = gap.parent_hp.representative([Fraction(c) for c in class_p])
-    out = [Fraction(0)] * gap.dim_at(gap.top)
+    total = QMat.zeros(gap.dim_at(gap.top), gap.dim_at(0))
     for key, coeff in cycle.items():
         op = cochain.operator(key)
         if op.degree != gap.top:
             raise NotACycle("cycle has support outside the top dimension")
-        img = op.apply(gap, 0, rep)
-        out = [a + Fraction(coeff) * b for a, b in zip(out, img)]
+        total = total + op.block(gap, 0) * coeff
+    out = total @ rep
     if gap.top == 0:
         # degree-p output chain; its class lives in the parent directly
         return gap.parent_hq.class_of(out), out

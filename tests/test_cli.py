@@ -80,6 +80,16 @@ def test_protocol_check_builtin(capsys):
     assert report["good"] is True
 
 
+def test_protocol_certified_once(monkeypatch, capsys):
+    from hypercurrent import protocol
+
+    calls = []
+    real = protocol.smallness
+    monkeypatch.setattr(protocol, "smallness", lambda dom: calls.append(dom) or real(dom))
+    assert main(["protocol", "strata", "builtin:cube_sphere:2"]) == 0
+    assert len(calls) == 1
+
+
 def test_protocol_strata(capsys):
     assert main(["protocol", "strata", "builtin:cube_sphere:2"]) == 0
     report = json.loads(capsys.readouterr().out)

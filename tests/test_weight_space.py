@@ -230,3 +230,19 @@ def test_one_gap_classification_matches_fresh_gaps(make, q):
     assert [r.height for r in report.cells] == cells
     for shared, cell in zip(report.cells, cells):
         assert shared == classify_cell(gap_complex(x, 0, q), cell)
+
+
+def test_smallness_certified_once_per_cell(monkeypatch):
+    # transversal_sphere's goodness check and the lift share one certificate
+    from hypercurrent import protocol
+
+    calls = []
+    real = protocol.smallness
+    monkeypatch.setattr(protocol, "smallness", lambda dom: calls.append(dom) or real(dom))
+    x = path_complex()
+    gap = gap_complex(x, 0, 1)
+    cells = enumerate_top_discriminant_cells(x, 0, 1)
+    for cell in cells:
+        classify_cell(gap, cell)
+    assert len(calls) == len(cells) == len({id(dom) for dom in calls})
+    assert calls[0].certificate is calls[0].certificate
