@@ -213,6 +213,37 @@ def test_dyn_evolve(tmp_path, capsys):
             float(cell)
 
 
+@pytest.mark.parametrize(
+    "p0, extra, fault",
+    [
+        ([float("nan"), 1.0], [], "NaN or infinite"),
+        ([0.2, 0.3, 0.5], ["--steps", "0"], "one entry per state"),
+        ([1.0, 0.0], ["--t0", "2", "--t1", "1"], "below t0"),
+        ([1.0, 0.0], ["--t1", "inf"], "must be finite"),
+        ([1.0, 0.0], ["--steps", "-2"], "steps must be at least 1"),
+    ],
+)
+def test_dyn_evolve_bad_input_exits_2(tmp_path, capsys, p0, extra, fault):
+    pfile = tmp_path / "proto.json"
+    pfile.write_text(json.dumps({
+        "complex": {"builtin": "sphere", "q": 1},
+        "p": 0,
+        "q": 1,
+        "vertices": [{"id": "t0", "weights": {"0": [0.0, 0.3], "1": [0.0, 0.0]}},
+                     {"id": "t1", "weights": {"0": [0.3, 0.0], "1": [0.0, 0.0]}}],
+        "simplices": [{"vertices": ["t0", "t1"]}],
+    }))
+    p0file = tmp_path / "p0.json"
+    p0file.write_text(json.dumps(p0))
+    out = tmp_path / "traj.csv"
+    assert main(["dyn", "evolve", str(pfile), "--p0", str(p0file), "--out", str(out)]
+                + extra) == 2
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out and "nan" not in captured.out
+    assert fault in captured.err
+    assert not out.exists()
+
+
 def test_demo_q1(tmp_path, capsys):
     out = tmp_path / "demo.csv"
     assert main(["demo", "--q", "1", "--betas", "5,10", "--out", str(out)]) == 0

@@ -1,13 +1,16 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
 
-from hypercurrent import ratlin
+from hypercurrent import graph_dynamics, ratlin
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex
 from hypercurrent.errors import StepTooLarge
 from hypercurrent.graph_dynamics import (
+    MasterOperator,
+    _path_times,
     boltzmann,
     current_form,
     evolve,
@@ -15,7 +18,13 @@ from hypercurrent.graph_dynamics import (
     rates,
     state_diagram,
 )
-from hypercurrent.protocol import SimplicialProtocol, WeightPoint, square_protocol
+from hypercurrent.protocol import (
+    SimplicialProtocol,
+    WeightPoint,
+    loads_protocol,
+    square_protocol,
+    weights_at,
+)
 
 
 def segment_complex():
@@ -93,6 +102,35 @@ def test_master_operator_equals_weighted_laplacian():
     assert np.allclose(op.matrix, -(d1 @ adj), atol=1e-12)
 
 
+def test_batched_rates_and_operators_equal_single_points():
+    rng = np.random.default_rng(11)
+    x = sphere_complex(1)
+    sd = state_diagram(x)
+    e = rng.uniform(-1.0, 1.0, size=(7, x.n_cells(0)))
+    w = rng.uniform(-0.5, 1.5, size=(7, x.n_cells(1)))
+    k = rates(sd, e, w)
+    op = master_operator(sd, e, w)
+    assert k.shape == (7, len(sd.edges)) and op.matrix.shape == (7, 2, 2)
+    for i in range(7):
+        assert np.array_equal(k[i], rates(sd, e[i], w[i]))
+        assert np.array_equal(op.matrix[i], master_operator(sd, e[i], w[i]).matrix)
+    assert op.column_sums.shape == (7, 2)
+    assert np.allclose(op.column_sums, 0.0, atol=1e-12)
+    # two batch axes
+    op2 = master_operator(sd, e.reshape(7, 1, -1), w.reshape(7, 1, -1))
+    assert np.array_equal(op2.matrix[:, 0], op.matrix)
+
+
+def test_master_operator_stack_rejects_one_bad_entry():
+    good = master_operator(state_diagram(segment_complex()), [[0.0, 0.1]] * 3, [[0.2]] * 3).matrix
+    MasterOperator(matrix=good)
+    for i in range(3):
+        bad = good.copy()
+        bad[i, 0, 1] = -1e-3
+        with pytest.raises(ValueError, match="negative off-diagonal"):
+            MasterOperator(matrix=bad)
+
+
 # --- evolution -----------------------------------------------------------------
 
 
@@ -125,6 +163,205 @@ def test_step_too_large():
     proto = constant_path_protocol(segment_complex(), [5.0, 5.0], [-5.0])
     with pytest.raises(StepTooLarge):
         evolve(proto, [1.0, 0.0], 0.0, 10.0, 2)
+
+
+@pytest.mark.parametrize(
+    "p0, match",
+    [
+        ([float("nan"), 1.0], "NaN or infinite"),
+        ([float("inf"), 0.0], "NaN or infinite"),
+        ([1.2, -0.2], "negative entry"),
+        ([0.5, 0.6], "sums to"),
+        ([0.2, 0.3, 0.5], "one entry per state"),
+        ([[0.5, 0.5]], "one entry per state"),
+    ],
+)
+def test_evolve_rejects_bad_initial_state(p0, match):
+    proto = constant_path_protocol(segment_complex(), [0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match=match):
+        evolve(proto, p0, 0.0, 1.0, 5)
+
+
+def test_evolve_rejects_backward_time():
+    proto = constant_path_protocol(segment_complex(), [0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="below t0"):
+        evolve(proto, [1.0, 0.0], 2.0, 1.0, 10)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_evolve_rejects_nonfinite_times(t0, t1):
+    proto = constant_path_protocol(segment_complex(), [0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve(proto, [1.0, 0.0], t0, t1, 10)
+
+
+@pytest.mark.parametrize("steps", [0, -2])
+def test_evolve_rejects_step_counts_below_one(steps):
+    proto = constant_path_protocol(segment_complex(), [0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="steps must be at least 1"):
+        evolve(proto, [1.0, 0.0], 0.0, 1.0, steps)
+
+
+# --- the per-call field, kept as the oracle for evolve ---------------------------------
+
+
+def loop_rates(sd, energies, barriers):
+    """Jump rate out of the source across each directed edge."""
+    e = np.asarray(energies, dtype=float)
+    w = np.asarray(barriers, dtype=float)
+    return np.array([np.exp(e[s] - w[a]) for s, _, a in sd.edges])
+
+
+def loop_master_operator(sd, energies, barriers):
+    """Columns hold the outflow of each state: entry (i, j) is the total
+    rate from j to i, the diagonal balances its column to zero."""
+    n = sd.graph.n_cells(0)
+    k = loop_rates(sd, energies, barriers)
+    m = np.zeros((n, n))
+    for (s, t, _), rate in zip(sd.edges, k):
+        m[t, s] += rate
+        m[s, s] -= rate
+    return MasterOperator(matrix=m)
+
+
+def _weights_on_path(proto, tau):
+    """Weight point at path coordinate tau in [0, nedges]."""
+    m = _path_times(proto)
+    seg = min(int(tau), m - 1)
+    local = tau - seg
+    return weights_at(proto, (seg, seg + 1), [1.0 - local, local])
+
+
+def per_call_evolve(proto, p0, t0, t1, steps, tol=1e-8):
+    """Integrate the probability flow along a one-dimensional protocol.
+
+    The path parameter is mapped affinely onto [t0, t1].  Each grid step
+    is one full 4th-order step checked against two half steps; the pair
+    also provides the local error estimate (StepTooLarge when it exceeds
+    tol).  Returns (times, trajectory) with one row per grid point.
+    """
+    if proto.gap.p != 0 or proto.gap.q != 1:
+        raise ValueError("dynamics requires weights at levels 0 and 1")
+    sd = state_diagram(proto.gap.parent)
+    m = _path_times(proto)
+    p = np.asarray(p0, dtype=float)
+    if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError("initial state must be a probability distribution")
+
+    def field(t, y):
+        tau = (t - t0) / (t1 - t0) * m if t1 > t0 else 0.0
+        wp = _weights_on_path(proto, min(max(tau, 0.0), m))
+        op = loop_master_operator(sd, wp.level(0), wp.level(1))
+        return op.matrix @ y
+
+    def rk4(t, y, h):
+        k1 = field(t, y)
+        k2 = field(t + h / 2, y + h / 2 * k1)
+        k3 = field(t + h / 2, y + h / 2 * k2)
+        k4 = field(t + h, y + h * k3)
+        return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+    times = np.linspace(t0, t1, steps + 1)
+    traj = np.zeros((steps + 1, len(p)))
+    traj[0] = p
+    for n in range(steps):
+        h = times[n + 1] - times[n]
+        full = rk4(times[n], p, h)
+        half = rk4(times[n] + h / 2, rk4(times[n], p, h / 2), h / 2)
+        err = float(np.max(np.abs(full - half))) / 15.0
+        if err > tol:
+            raise StepTooLarge(f"estimated error {err:.2e} > {tol:.2e} at t = {times[n]}")
+        p = half
+        traj[n + 1] = p
+    return times, traj
+
+
+GRAPHS = {
+    "path3": (3, [(0, 1), (1, 2)]),
+    "triangle": (3, [(0, 1), (1, 2), (0, 2)]),
+    "path4": (4, [(0, 1), (1, 2), (2, 3)]),
+    "star4": (4, [(0, 1), (0, 2), (0, 3)]),
+}
+
+
+def seeded_graph_protocol(name, rng, segments=None):
+    """A graph protocol on a path time domain of 2-4 segments with seeded
+    vertex names, orientations, energies and barriers, and a start state."""
+    nverts, edges = GRAPHS[name]
+    vnames = [f"v{i}" for i in range(nverts)]
+    rng.shuffle(vnames)
+    edges = list(edges)
+    rng.shuffle(edges)
+    bnd = [[0] * len(edges) for _ in range(nverts)]
+    for k, (a, b) in enumerate(edges):
+        if rng.random() < 0.5:
+            a, b = b, a
+        bnd[a][k], bnd[b][k] = -1, 1
+    graph = {"name": name, "cells": [vnames, [f"e{k}" for k in range(len(edges))]],
+             "boundary": [bnd]}
+    segments = segments or rng.randint(2, 4)
+    doc = {
+        "complex": {"inline": graph},
+        "p": 0,
+        "q": 1,
+        "vertices": [
+            {"id": f"t{i}", "weights": {
+                "0": [rng.uniform(-1.0, 1.0) for _ in range(nverts)],
+                "1": [rng.uniform(-0.5, 1.5) for _ in range(len(edges))]}}
+            for i in range(segments + 1)
+        ],
+        "simplices": [{"vertices": [f"t{i}", f"t{i + 1}"]} for i in range(segments)],
+    }
+    raw = [rng.random() + 0.05 for _ in range(nverts)]
+    p0 = [v / sum(raw) for v in raw]
+    p0[-1] = 1.0 - sum(p0[:-1])
+    return loads_protocol(json.dumps(doc)), p0
+
+
+def assert_same_as_oracle(proto, p0, t0, t1, steps, tol=1e-8):
+    times, traj = evolve(proto, p0, t0, t1, steps, tol=tol)
+    ref_times, ref_traj = per_call_evolve(proto, p0, t0, t1, steps, tol=tol)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(traj, ref_traj)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_evolve_equals_per_call_field_on_graph_protocols(name, seed):
+    rng = random.Random(f"{name}-{seed}")
+    proto, p0 = seeded_graph_protocol(name, rng)
+    assert_same_as_oracle(proto, p0, 0.0, rng.uniform(2.0, 8.0), 200, tol=1e-6)
+
+
+def test_evolve_equals_per_call_field_across_blocks():
+    # a step count above one block and not a multiple of it, on a path of
+    # three segments, so segment ends and block ends both fall inside the run
+    rng = random.Random("blocks")
+    proto, p0 = seeded_graph_protocol("path4", rng, segments=3)
+    steps = 2 * graph_dynamics._BLOCK + 357
+    assert_same_as_oracle(proto, p0, 0.25, 9.0, steps, tol=1e-6)
+
+
+def test_evolve_equals_per_call_field_on_criterion_10_protocol():
+    wp = WeightPoint(0, 1, ((0.0, math.log(2)), (0.1,)))
+    proto = SimplicialProtocol(
+        gap=gap_complex(segment_complex(), 0, 1),
+        vertex_ids=("t0", "t1"),
+        vertex_weights=(wp, wp),
+        simplices=((0,), (1,), (0, 1)),
+    )
+    assert_same_as_oracle(proto, [1.0, 0.0], 0.0, 10.0, graph_dynamics._BLOCK + 1)
+    # t1 == t0 is allowed: every step has length zero
+    assert_same_as_oracle(proto, [0.25, 0.75], 3.0, 3.0, 3)
+
+
+def test_step_too_large_matches_oracle():
+    proto = constant_path_protocol(segment_complex(), [5.0, 5.0], [-5.0])
+    with pytest.raises(StepTooLarge) as ref:
+        per_call_evolve(proto, [1.0, 0.0], 0.0, 10.0, 2)
+    with pytest.raises(StepTooLarge) as got:
+        evolve(proto, [1.0, 0.0], 0.0, 10.0, 2)
+    assert str(got.value) == str(ref.value)
 
 
 # --- stationary states --------------------------------------------------------------
