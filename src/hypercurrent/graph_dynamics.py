@@ -144,9 +144,10 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
     The path parameter is mapped affinely onto [t0, t1].  Each grid step
     is one full 4th-order step checked against two half steps; the pair
     also provides the local error estimate (StepTooLarge when it exceeds
-    tol).  Returns (times, trajectory) with one row per grid point.
-    ValueError unless p0 is a finite probability vector with one entry
-    per state, t0 <= t1 are finite and steps >= 1.
+    tol or is NaN).  Returns (times, trajectory) with one row per grid
+    point.  ValueError unless p0 is a finite probability vector with one
+    entry per state, t0 <= t1 are finite and steps >= 1, and when a jump
+    rate overflows.
     """
     if proto.gap.p != 0 or proto.gap.q != 1:
         raise ValueError("dynamics requires weights at levels 0 and 1")
@@ -181,13 +182,18 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
         local = (tau - seg)[..., None]
         e = (1.0 - local) * e0[seg] + local * e1[seg]
         w = (1.0 - local) * w0[seg] + local * w1[seg]
-        ops = master_operator(sd, e, w).matrix
+        with np.errstate(over="ignore"):  # overflow is raised below, at its step
+            ops = master_operator(sd, e, w).matrix
+        finite = np.isfinite(ops).all(axis=(-3, -2, -1))
         for j, op in enumerate(ops):
             n = lo + j
+            if not finite[j]:
+                raise ValueError(f"jump rates overflow at t = {times[n]}")
             full = _rk4(p, h[j], op[0], op[2], op[3])
             half = _rk4(_rk4(p, h[j] / 2, op[0], op[1], op[2]), h[j] / 2, op[2], op[4], op[5])
             err = float(np.max(np.abs(full - half))) / 15.0
-            if err > tol:
+            # a NaN estimate fails the step too
+            if not err <= tol:
                 raise StepTooLarge(f"estimated error {err:.2e} > {tol:.2e} at t = {times[n]}")
             p = half
             traj[n + 1] = p

@@ -214,22 +214,23 @@ def test_dyn_evolve(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "p0, extra, fault",
+    "p0, extra, energy, fault",
     [
-        ([float("nan"), 1.0], [], "NaN or infinite"),
-        ([0.2, 0.3, 0.5], ["--steps", "0"], "one entry per state"),
-        ([1.0, 0.0], ["--t0", "2", "--t1", "1"], "below t0"),
-        ([1.0, 0.0], ["--t1", "inf"], "must be finite"),
-        ([1.0, 0.0], ["--steps", "-2"], "steps must be at least 1"),
+        ([float("nan"), 1.0], [], 0.0, "NaN or infinite"),
+        ([0.2, 0.3, 0.5], ["--steps", "0"], 0.0, "one entry per state"),
+        ([1.0, 0.0], ["--t0", "2", "--t1", "1"], 0.0, "below t0"),
+        ([1.0, 0.0], ["--t1", "inf"], 0.0, "must be finite"),
+        ([1.0, 0.0], ["--steps", "-2"], 0.0, "steps must be at least 1"),
+        ([1.0, 0.0], [], 800.0, "overflow"),
     ],
 )
-def test_dyn_evolve_bad_input_exits_2(tmp_path, capsys, p0, extra, fault):
+def test_dyn_evolve_bad_input_exits_2(tmp_path, capsys, p0, extra, energy, fault):
     pfile = tmp_path / "proto.json"
     pfile.write_text(json.dumps({
         "complex": {"builtin": "sphere", "q": 1},
         "p": 0,
         "q": 1,
-        "vertices": [{"id": "t0", "weights": {"0": [0.0, 0.3], "1": [0.0, 0.0]}},
+        "vertices": [{"id": "t0", "weights": {"0": [energy, 0.3], "1": [0.0, 0.0]}},
                      {"id": "t1", "weights": {"0": [0.3, 0.0], "1": [0.0, 0.0]}}],
         "simplices": [{"vertices": ["t0", "t1"]}],
     }))

@@ -165,6 +165,19 @@ def test_step_too_large():
         evolve(proto, [1.0, 0.0], 0.0, 10.0, 2)
 
 
+def test_evolve_rejects_overflowing_rates():
+    proto = constant_path_protocol(segment_complex(), [800.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match="overflow at t = 0.0"):
+        evolve(proto, [1.0, 0.0], 0.0, 1.0, 5)
+
+
+def test_nan_error_estimate_fails_the_step():
+    # rates of e^700 are finite, but one stage overflows and the estimate is NaN
+    proto = constant_path_protocol(segment_complex(), [700.0, 0.0], [0.0])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge, match="nan"):
+        evolve(proto, [1.0, 0.0], 0.0, 1.0, 5)
+
+
 @pytest.mark.parametrize(
     "p0, match",
     [
