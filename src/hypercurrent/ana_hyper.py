@@ -13,6 +13,9 @@ summand is multilinear in the per-level tree choice, so the sum over
 orchards is factored level by level: the Kirchhoff operator
 K = sum_T rho_T R_T at the top level and its derivatives
 D(v) = sum_T (drho_T . v) R_T below it, antisymmetrized over the frame.
+Each level's trees sit in one table; one gather-sum gives their weights
+and one softmax rho, and the point form and the quadrature share one
+evaluator, which computes drho only below the top level.
 The Stokes map integrates the forms over simplices with a degree-5 rule
 plus edgewise dyadic refinement; the quadrature geometry depends only on
 the simplex dimension and the depth and is cached per process.
@@ -24,12 +27,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, InvariantBroken, NonpositiveBeta, QuadratureNoConvergence
+from .errors import BadFrame, InvariantBroken, NonpositiveBeta, NotACycle, \
+    QuadratureNoConvergence
 from .forests import enumerate_dtrees
 from .protocol import WeightPoint
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, cycle_boundary_defect, \
@@ -47,7 +52,6 @@ __all__ = [
     "jan_form",
     "jan_integrate",
     "jan_cochain",
-    "chain_map_residual",
     "axioms_check",
     "AxiomReport",
     "quantization_sweep",
@@ -97,9 +101,26 @@ class FormEvaluation:
 # --- cached float context per gap complex -----------------------------------
 
 
+class _TreeTable(NamedTuple):
+    """The d-trees of one parent level, side by side."""
+
+    trees: tuple            # the DTrees, in enumeration order
+    idx: np.ndarray         # (ntrees, cells per tree) parent cell indices
+    log_tau2: np.ndarray    # (ntrees,) 2 log torsion
+    rinv: np.ndarray        # (ntrees, rows, cols) float right inverses
+
+
+def _class_solve(gap, j):
+    """Float pseudoinverse of [bounds | hbasis] in degree j: a chain's
+    bounds coordinates, then its class."""
+    h = gap.homology[j]
+    basis = ratlin.hstack(h.bounds, h.hbasis)
+    return ratlin.to_float(ratlin.pinv(basis), len(basis[0]) if basis else 0, gap.dim_at(j))
+
+
 class _Context:
-    # float copies of the gap's exact data, its trees and their right
-    # inverses; built once per gap and kept in the gap's memo
+    # float copies of the gap's exact data and a table of its trees per
+    # level; built once per gap and kept in the gap's memo
     def __init__(self, gap: GapComplex):
         top = gap.top
         self.d = [None] + [
@@ -134,35 +155,26 @@ class _Context:
             if coeff is None:
                 raise InvariantBroken("boundary does not factor through the bounds basis")
             self.db.append(ratlin.to_float(coeff, nb, gap.dim_at(j)))
-        # trees per parent level, with float right inverses, also stacked
         self.trees = {}
-        self.rinv = {}
         for d_level in range(gap.p, gap.q + 1):
-            entries = []
-            for t in enumerate_dtrees(gap, d_level):
-                idx = [gap.parent.cell_index(d_level, nm) for nm in t.cells]
-                jd = d_level - gap.p
-                if d_level == gap.p:
-                    rmat = ratlin.to_float(t.right_inverse, self.nb[0], gap.dim_at(0))
-                else:
-                    rmat = ratlin.to_float(t.right_inverse, gap.dim_at(jd), self.nb[jd - 1])
-                entries.append(
-                    {"tree": t, "idx": idx, "log_tau2": 2.0 * math.log(t.torsion), "rinv": rmat}
-                )
-            self.trees[d_level] = entries
-            self.rinv[d_level] = np.stack([e["rinv"] for e in entries])
-        # class extraction at the top degree
-        htop = gap.homology[top]
-        basis = ratlin.hstack(htop.bounds, htop.hbasis)
-        ncols = (len(basis[0]) if basis else 0)
-        self.top_solve = ratlin.to_float(ratlin.pinv(basis), ncols, gap.dim_at(top))
-        self.top_nb = self.nb[top]
-        if gap.hq_project is not None:
-            self.hq_project = ratlin.to_float(
-                gap.hq_project, gap.parent_hq.betti, htop.betti
+            trees = tuple(enumerate_dtrees(gap, d_level))
+            jd = d_level - gap.p
+            shape = (gap.dim_at(jd), self.nb[jd - 1]) if jd else (self.nb[0], gap.dim_at(0))
+            self.trees[d_level] = _TreeTable(
+                trees=trees,
+                idx=np.array([[gap.parent.cell_index(d_level, nm) for nm in t.cells]
+                              for t in trees], dtype=int),
+                log_tau2=np.array([2.0 * math.log(t.torsion) for t in trees]),
+                rinv=np.stack([ratlin.to_float(t.right_inverse, *shape) for t in trees]),
             )
-        else:
-            self.hq_project = None
+        # class extraction: degree 0 for axiom A3, the top degree for sweeps
+        h0 = gap.homology[0]
+        self.h0_basis = ratlin.to_float(h0.hbasis, gap.dim_at(0), h0.betti)
+        self.h0_solve = _class_solve(gap, 0) if h0.betti else None
+        self.top_solve = _class_solve(gap, top)
+        self.top_nb = self.nb[top]
+        self.hq_project = None if gap.hq_project is None else ratlin.to_float(
+            gap.hq_project, gap.parent_hq.betti, gap.homology[top].betti)
 
 
 def _context(gap: GapComplex) -> _Context:
@@ -213,17 +225,22 @@ def weighted_pseudoinverse_inclusion(gap: GapComplex, w, beta):
     return idagger, alpha0
 
 
-def _tree_log_weights(ctx, level, wv, beta):
-    return np.array(
-        [e["log_tau2"] - beta * sum(wv[i] for i in e["idx"]) for e in ctx.trees[level]]
-    )
+def _tree_weights(table, w):
+    """W_T: the sum of w (..., ncells) over each tree's cells, in cell
+    order, (..., ntrees)."""
+    out = np.zeros(w.shape[:-1] + (len(table.trees),))
+    for c in range(table.idx.shape[1]):
+        out = out + w[..., table.idx[:, c]]
+    return out
 
 
-def _tree_distribution(ctx, level, wv, beta):
-    logs = _tree_log_weights(ctx, level, wv, beta)
-    logs = logs - logs.max()
+def _tree_distribution(table, wt, beta):
+    """Tree weights tau^2 e^(-beta W_T), normalized along the last axis
+    after a shift by the largest log so large beta stays finite."""
+    logs = table.log_tau2 - beta * wt
+    logs = logs - logs.max(axis=-1, keepdims=True)
     expd = np.exp(logs)
-    return expd / expd.sum()
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
@@ -234,19 +251,16 @@ def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
     if beta <= 0:
         raise NonpositiveBeta(f"beta = {beta}")
     ctx = _context(gap)
-    level = j + gap.p
-    wv = _level_weights(gap, w, j)
-    rho = _tree_distribution(ctx, level, wv, beta)
-    return np.tensordot(rho, ctx.rinv[level], axes=1)
+    table = ctx.trees[j + gap.p]
+    rho = _tree_distribution(table, _tree_weights(table, _level_weights(gap, w, j)), beta)
+    return np.tensordot(rho, table.rinv, axes=1)
 
 
 def enumerate_orchards(gap: GapComplex, ell):
     ctx = _context(gap)
     levels = [gap.p + j for j in range(ell + 1)]
-    out = []
-    for combo in itertools.product(*(range(len(ctx.trees[d])) for d in levels)):
-        out.append(Orchard(trees=tuple(ctx.trees[levels[j]][combo[j]]["tree"] for j in range(ell + 1))))
-    return out
+    return [Orchard(trees=combo)
+            for combo in itertools.product(*(ctx.trees[d].trees for d in levels))]
 
 
 # --- protocol geometry ---------------------------------------------------------
@@ -265,28 +279,22 @@ def _weights_at_nodes(vw, nodes):
     return base[None, :] + nodes @ grads
 
 
-def _rho_drho_at_nodes(ctx, proto, key, beta, level, nodes):
-    """Tree distribution and its differential at each node.
-
-    Returns (rho: (N, ntrees), drho: (N, ntrees, jdim)); the differential
-    is exact: beta * sum_a eta(T, a) dW_a with the product form of eta.
-    """
-    vw = _simplex_vertex_weights(proto, key, level)
-    entries = ctx.trees[level]
-    wt_vertex = np.array([[sum(row[i] for i in e["idx"]) for e in entries] for row in vw])
+def _rho_at_nodes(ctx, proto, key, beta, level, nodes):
+    """Tree distribution at each node, (N, ntrees), and the tree weights'
+    gradients in the simplex's affine coordinates, (jdim, ntrees)."""
+    table = ctx.trees[level]
+    wt_vertex = _tree_weights(table, _simplex_vertex_weights(proto, key, level))
     base = wt_vertex[0]
-    grads = wt_vertex[1:] - base[None, :]         # (jdim, ntrees)
-    wt = base[None, :] + nodes @ grads            # (N, ntrees)
-    log_tau2 = np.array([e["log_tau2"] for e in entries])
-    logs = log_tau2[None, :] - beta * wt
-    logs = logs - logs.max(axis=1, keepdims=True)
-    expd = np.exp(logs)
-    rho = expd / expd.sum(axis=1, keepdims=True)
-    # d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ]
-    dw = grads.T                                  # (ntrees, jdim)
-    mean_dw = rho @ dw                            # (N, jdim)
-    drho = beta * rho[:, :, None] * (mean_dw[:, None, :] - dw[None, :, :])
-    return rho, drho
+    grads = wt_vertex[1:] - base[None, :]
+    return _tree_distribution(table, base[None, :] + nodes @ grads, beta), grads
+
+
+def _drho(rho, grads, beta):
+    """Exact differential of the tree distribution, (N, ntrees, jdim):
+    d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ]."""
+    dw = grads.T
+    mean_dw = rho @ dw
+    return beta * rho[:, :, None] * (mean_dw[:, None, :] - dw[None, :, :])
 
 
 def rho_and_drho(proto, beta, tree, point):
@@ -294,14 +302,26 @@ def rho_and_drho(proto, beta, tree, point):
     one tree's Boltzmann weight at a point."""
     key, coords = tuple(point[0]), np.atleast_2d(np.asarray(point[1], dtype=float))
     ctx = _context(proto.gap)
-    level = tree.level
-    entries = ctx.trees[level]
-    pos = next(i for i, e in enumerate(entries) if e["tree"].cells == tree.cells)
-    rho, drho = _rho_drho_at_nodes(ctx, proto, key, beta, level, coords)
-    return float(rho[0, pos]), drho[0, pos, :].copy()
+    table = ctx.trees[tree.level]
+    pos = next(i for i, t in enumerate(table.trees) if t.cells == tree.cells)
+    rho, grads = _rho_at_nodes(ctx, proto, key, beta, tree.level, coords)
+    return float(rho[0, pos]), _drho(rho, grads, beta)[0, pos, :].copy()
 
 
 # --- the form and its integrals -------------------------------------------------
+
+
+def _form(ctx, proto, key, beta, nodes, wts, ell, zeta, along=None):
+    """Weighted node sum of the degree-ell form on a simplex: rho at the
+    top level, its differential along the frame columns `along` (the
+    coordinate axes when None) below it, then the orchard sum."""
+    p = proto.gap.p
+    rho_top, _ = _rho_at_nodes(ctx, proto, key, beta, p + ell, nodes)
+    drhos = []
+    for j in range(ell):
+        drho = _drho(*_rho_at_nodes(ctx, proto, key, beta, p + j, nodes), beta)
+        drhos.append(drho if along is None else drho @ along)
+    return _orchard_sum(ctx, p, zeta, rho_top, drhos, wts)
 
 
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
@@ -323,14 +343,10 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
     if ell == 0:
         vw = _simplex_vertex_weights(proto, key, gap.p)
         w = _weights_at_nodes(vw, coords[None, :])[0]
-        _, alpha0 = weighted_pseudoinverse_inclusion(gap, w, beta)
-        return FormEvaluation(key, tuple(coords), tuple(map(tuple, frame)), 0, alpha0)
-    nodes = coords[None, :]
-    rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + ell, nodes)
-    along = np.array(frame).T                     # (jdim, ell)
-    drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1] @ along
-             for j in range(ell)]
-    value = _orchard_sum(ctx, gap.p, zeta, rho_top, drhos, np.ones(1))
+        _, value = weighted_pseudoinverse_inclusion(gap, w, beta)
+    else:
+        value = _form(ctx, proto, key, beta, coords[None, :], np.ones(1), ell, zeta,
+                      along=np.array(frame).T)
     return FormEvaluation(key, tuple(coords), tuple(map(tuple, frame)), ell, value)
 
 
@@ -347,8 +363,9 @@ def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
     ell = len(drhos)
     zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
     # R_0 (minus the co-tree projection) at the bottom, Z_j R_T in between
-    factors = [ctx.rinv[p]] + [zetas[j] @ ctx.rinv[p + j] for j in range(1, ell)]
-    kirch = np.tensordot(wts[:, None] * rho_top, ctx.rinv[p + ell], axes=1)
+    rinv = [ctx.trees[p + j].rinv for j in range(ell + 1)]
+    factors = [rinv[0]] + [zetas[j] @ rinv[j] for j in range(1, ell)]
+    kirch = np.tensordot(wts[:, None] * rho_top, rinv[ell], axes=1)
     derivs = [np.tensordot(dr, f, axes=([1], [0])) for dr, f in zip(drhos, factors)]
     value = np.zeros((kirch.shape[1], factors[0].shape[2]))
     for perm in itertools.permutations(range(ell)):
@@ -446,10 +463,7 @@ def jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard"):
     prev = None
     for depth in range(max_depth + 1):
         nodes, wts = _node_batches(jdim, depth)
-        rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + jdim, nodes)
-        drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1]
-                 for j in range(jdim)]
-        est = _orchard_sum(ctx, gap.p, zeta, rho_top, drhos, wts)
+        est = _form(ctx, proto, key, beta, nodes, wts, jdim, zeta)
         if prev is not None and np.max(np.abs(est - prev)) < tol:
             return est
         prev = est
@@ -470,12 +484,6 @@ def jan_cochain(proto, beta, tol=1e-8, max_depth=8, zeta="standard") -> HyperCoc
         mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth, zeta=zeta)
         values[tuple(key)] = GradedOperator(degree=jdim, blocks={0: mat})
     return HyperCochain(gap=gap, domain=proto, values=values)
-
-
-def chain_map_residual(cochain: HyperCochain):
-    """Per-simplex defect of the boundary identity; bounded by the
-    quadrature tolerance for analytical cochains."""
-    return cochain_chain_map_defect(cochain)
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -528,13 +536,11 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
         frame_basis = np.eye(jdim)
         # A1: boundary of the degree-l value equals the exterior
         # derivative of the degree-(l-1) value, componentwise
-        for ell in range(1, gap.top + 1):
-            if ell > jdim:
-                continue
+        for ell in range(1, min(jdim, gap.top) + 1):
             for axes in itertools.combinations(range(jdim), ell):
                 frame = [frame_basis[a] for a in axes]
                 val = jan_form(proto, beta, key, coords, frame, ell).value
-                lhs = ctx.d[ell] @ val if ell >= 1 else val
+                lhs = ctx.d[ell] @ val
                 rhs = np.zeros_like(lhs)
                 for m, drop in enumerate(axes):
                     sub = [frame_basis[a] for a in axes if a != drop]
@@ -577,13 +583,9 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
             if resid > tol:
                 report.violations.append(("A2", key, coords, ell, resid))
         # A3: the degree-0 value induces the identity on homology
-        h0 = gap.homology[0]
-        if h0.betti:
-            hb = ratlin.to_float(h0.hbasis, gap.dim_at(0), h0.betti)
-            basis = ratlin.hstack(h0.bounds, h0.hbasis)
-            solve = ratlin.to_float(ratlin.pinv(basis), len(basis[0]), gap.dim_at(0))
-            cls = solve @ (alpha0 @ hb)
-            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(h0.betti))))
+        if ctx.h0_solve is not None:
+            cls = ctx.h0_solve @ (alpha0 @ ctx.h0_basis)
+            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(ctx.h0_basis.shape[1]))))
             report.initial_value = max(report.initial_value, resid)
             if resid > tol:
                 report.violations.append(("A3", key, coords, 0, resid))
@@ -605,6 +607,7 @@ class SweepRow:
     beta: float
     coords: tuple
     distance: float
+    residual: float = None    # chain-map defect of the cochain, with residuals=True
 
 
 @dataclass
@@ -615,41 +618,48 @@ class SweepReport:
     fit_range: tuple
 
 
-def _analytic_class(proto, beta, cycle, rep, tol, max_depth):
-    gap = proto.gap
-    ctx = _context(gap)
-    chain = np.zeros(gap.dim_at(gap.top))
+def _analytic_class(ctx, blocks, cycle, rep):
+    """Class of the analytical top chain: the sum over the cycle of each
+    simplex's block applied to the representative."""
+    chain = np.zeros(ctx.top_solve.shape[1])
     for key, coeff in cycle.items():
-        mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
-        chain = chain + float(coeff) * (mat @ rep)
+        chain = chain + float(coeff) * (blocks[key] @ rep)
     coeffs = ctx.top_solve @ chain
     cls = coeffs[ctx.top_nb:]
     if ctx.hq_project is not None:
         cls = ctx.hq_project @ cls
-    return cls, chain
+    return cls
 
 
 def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
-                       fit_range=None, workers=None):
+                       fit_range=None, workers=None, residuals=False):
     """Analytical class per beta against the exact value, with a
-    log-linear decay fit over the requested beta range."""
+    log-linear decay fit over the requested beta range.  With residuals,
+    each beta integrates the whole analytical cochain once: its blocks
+    give the class and its chain-map defect the row's residual."""
     gap = proto.gap
     if cycle_boundary_defect(proto, cycle):
-        from .errors import NotACycle
-
         raise NotACycle("parameter chain has nonzero boundary")
     topo_coords, _ = hypercurrent_homology(proto, cycle, class_p)
     topo = np.array([float(c) for c in topo_coords])
     hp = gap.parent_hp
     hbasis = ratlin.to_float(hp.hbasis, gap.dim_at(0), hp.betti)
     rep = hbasis @ np.asarray(class_p, dtype=float)
-    rows = []
+    ctx = _context(gap)
 
     def run(beta):
-        cls, _ = _analytic_class(proto, float(beta), cycle, rep, tol, max_depth)
-        dist = float(np.linalg.norm(cls - topo))
-        return SweepRow(beta=float(beta), coords=tuple(float(c) for c in cls),
-                        distance=dist)
+        beta = float(beta)
+        if residuals:
+            coch = jan_cochain(proto, beta, tol=tol, max_depth=max_depth)
+            blocks = {key: coch.values[key].blocks[0] for key in cycle}
+            resid = cochain_chain_map_defect(coch)
+        else:
+            blocks = {key: jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
+                      for key in cycle}
+            resid = None
+        cls = _analytic_class(ctx, blocks, cycle, rep)
+        return SweepRow(beta=beta, coords=tuple(float(c) for c in cls),
+                        distance=float(np.linalg.norm(cls - topo)), residual=resid)
 
     if workers and workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -20,9 +20,8 @@ from .complex_core import betti, gap_complex, load_complex
 from .errors import HclError
 from .forests import enumerate_dtrees, greedy_dtree
 from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol
-from .topo_hyper import hypercurrent_homology
-from .ana_hyper import axioms_check, interior_samples, jan_cochain, chain_map_residual, \
-    quantization_sweep
+from .topo_hyper import cochain_chain_map_defect, hypercurrent_homology
+from .ana_hyper import axioms_check, interior_samples, jan_cochain, quantization_sweep
 from .weight_space import classify_top_cells
 from .graph_dynamics import evolve
 
@@ -207,7 +206,7 @@ def cmd_ana(args):
     report = {"config": cfg.as_dict(), "input_hash": _hash_or_builtin([args.file])}
     if args.action == "integrate":
         coch = jan_cochain(proto, args.beta, tol=args.tol, max_depth=args.quad_depth)
-        report["residual"] = chain_map_residual(coch)
+        report["residual"] = cochain_chain_map_defect(coch)
         report["simplices"] = [
             {
                 "vertices": [proto.vertex_ids[v] for v in key],
@@ -229,7 +228,7 @@ def cmd_ana(args):
     return 0
 
 
-def _write_sweep_csv(path, proto, sweep, residuals):
+def _write_sweep_csv(path, sweep):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         ncoords = len(sweep.topological)
@@ -238,7 +237,8 @@ def _write_sweep_csv(path, proto, sweep, residuals):
             + [f"class_{i}" for i in range(ncoords)]
             + ["distance", "max_residual"]
         )
-        for row, resid in zip(sweep.rows, residuals):
+        for row in sweep.rows:
+            resid = "" if row.residual is None else row.residual
             writer.writerow(
                 [row.beta] + [f"{c!r}" for c in row.coords] + [row.distance, resid]
             )
@@ -264,16 +264,10 @@ def cmd_quantize(args):
         tol=args.tol,
         max_depth=args.quad_depth,
         workers=args.workers,
+        residuals=args.residuals,
     )
-    residuals = []
-    for b in betas:
-        if args.residuals:
-            coch = jan_cochain(proto, b, tol=args.tol, max_depth=args.quad_depth)
-            residuals.append(chain_map_residual(coch))
-        else:
-            residuals.append("")
     out = args.out or "sweep.csv"
-    _write_sweep_csv(out, proto, sweep, residuals)
+    _write_sweep_csv(out, sweep)
     summary = {
         "config": cfg.as_dict(),
         "input_hash": _hash_or_builtin([args.file]),

@@ -80,8 +80,9 @@ class MasterOperator:
     def __post_init__(self):
         m = self.matrix
         off = m[..., ~np.eye(m.shape[-1], dtype=bool)]
-        if off.size and off.min() < 0:
-            raise ValueError("negative off-diagonal entry")
+        # NaN fails the test too; +inf passes, for evolve to report as overflow
+        if not (off >= 0).all():
+            raise ValueError("NaN or negative off-diagonal entry")
 
     @property
     def column_sums(self):

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, \
     loads_complex, sphere_complex, sphere_wedge_complex, collapsed_sphere_complex, \
     torsion_complex
@@ -152,12 +154,6 @@ class SimplicialProtocol(_CertifiedDomain):
 
     def simplices_of_dim(self, k):
         return [s for s in self.simplices if len(s) == k + 1]
-
-    def index_of(self, vid):
-        return self.vertex_ids.index(vid)
-
-    def key_by_ids(self, ids):
-        return tuple(sorted(self.index_of(v) for v in ids))
 
 
 def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle):
@@ -335,43 +331,35 @@ class SmallnessCertificate:
     k: dict           # key -> least certified level or None
 
 
-def _certified_levels(gap, weight_points):
-    """Levels whose weight functions separate every cell pair with one
-    strict sign across all the given weight points."""
-    out = set()
-    for j in range(gap.p, gap.q + 1):
-        n = gap.parent.n_cells(j)
-        ok = True
-        for a in range(n):
-            for b in range(a + 1, n):
-                diffs = [wp.level(j)[a] - wp.level(j)[b] for wp in weight_points]
-                if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.add(j)
-    return out
-
-
 def smallness(domain) -> SmallnessCertificate:
     """Exact stratification certificate for a protocol or CW domain.
 
     A level is certified on a cell iff every pairwise weight difference
     has one strict sign at all vertices of the closure; affine functions
     on convex cells attain extrema at vertices, so this is not a
-    sampling test.
+    sampling test.  Each level is one sign test over all cells at once.
     """
     gap = domain.gap
-    levels = {}
-    ks = {}
-    for key in domain.all_cells():
-        pts = [domain.weight_of(v) for v in domain.vertices_of(key)]
-        cert = _certified_levels(gap, pts)
-        levels[key] = frozenset(cert)
-        ks[key] = min(cert) if cert else None
-    return SmallnessCertificate(levels=levels, k=ks)
+    keys = list(domain.all_cells())
+    rows = {}                                   # vertex key -> row
+    cells = [[rows.setdefault(v, len(rows)) for v in domain.vertices_of(key)] for key in keys]
+    # pad each cell with its first vertex: all() over a repeated row is unchanged
+    width = max(map(len, cells))
+    idx = np.array([vs + vs[:1] * (width - len(vs)) for vs in cells])
+    points = [domain.weight_of(v) for v in rows]
+    js = range(gap.p, gap.q + 1)
+    ok = []
+    for j in js:
+        w = np.array([pt.level(j) for pt in points], dtype=float)
+        # entry (a, b) is w_a - w_b; below the diagonal that is exactly the
+        # negated difference above it, so both halves agree in sign
+        diffs = w[:, :, None] - w[:, None, :]
+        sep = (diffs > 0)[idx].all(axis=1) | (diffs < 0)[idx].all(axis=1)
+        ok.append((sep | np.eye(w.shape[1], dtype=bool)).all(axis=(1, 2)))
+    ok = np.array(ok).T.tolist()
+    levels = {key: frozenset(j for j, good in zip(js, row) if good) for key, row in zip(keys, ok)}
+    return SmallnessCertificate(levels=levels,
+                                k={key: min(lv, default=None) for key, lv in levels.items()})
 
 
 def is_good(domain):

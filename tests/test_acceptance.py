@@ -20,10 +20,9 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.forests import enumerate_dtrees, greedy_dtree, is_dtree, matroid_is_dtree
 from hypercurrent.protocol import cube_protocol, cube_sphere_protocol, square_protocol
-from hypercurrent.topo_hyper import hypercurrent_homology
+from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_homology
 from hypercurrent.ana_hyper import (
     axioms_check,
-    chain_map_residual,
     interior_samples,
     jan_cochain,
     kirchhoff_pseudoinverse,
@@ -155,7 +154,7 @@ def test_criterion_7_chain_map_residuals():
         ]
         for proto, beta in fixtures:
             coch = jan_cochain(proto, beta)
-            assert chain_map_residual(coch) <= 1e-6
+            assert cochain_chain_map_defect(coch) <= 1e-6
 
 
 def test_criterion_8_weight_space():

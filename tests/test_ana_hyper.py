@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import math
 import weakref
 
@@ -8,15 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurrent import ratlin
-from hypercurrent.complex_core import gap_complex, sphere_complex, sphere_wedge_complex, torsion_complex
+from hypercurrent import ana_hyper, ratlin
+from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex, \
+    sphere_wedge_complex, torsion_complex
 from hypercurrent.errors import BadFrame, NonpositiveBeta, QuadratureNoConvergence
 from hypercurrent.ana_hyper import (
     ModifiedMetric,
     Orchard,
     _context,
+    _drho,
     _node_batches,
-    _rho_drho_at_nodes,
+    _orchard_sum,
+    _rho_at_nodes,
+    _tree_weights,
     axioms_check,
     edgewise_pieces,
     enumerate_orchards,
@@ -25,7 +30,6 @@ from hypercurrent.ana_hyper import (
     jan_form,
     jan_integrate,
     kirchhoff_pseudoinverse,
-    chain_map_residual,
     quantization_sweep,
     rho_and_drho,
     simplex_rule,
@@ -39,7 +43,9 @@ from hypercurrent.protocol import (
     cube_sphere_protocol,
     square_protocol,
 )
-from hypercurrent.topo_hyper import hypercurrent_cochain, hypercurrent_homology
+from hypercurrent.forests import enumerate_dtrees
+from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_cochain, \
+    hypercurrent_homology
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
 SPHERE2 = gap_complex(sphere_complex(2), 0, 2)
@@ -152,8 +158,8 @@ def test_kirchhoff_torsion_factors_matter():
     ctx = _context(TOR)
     w = np.array([0.0, 0.0])
     beta = 1.0
-    entries = ctx.trees[2]
-    plain = sum(e["rinv"] for e in entries) / len(entries)
+    table = ctx.trees[2]
+    plain = sum(table.rinv) / len(table.trees)
     direct = weighted_pseudoinverse_boundary(TOR, w, beta, 2)
     assert float(np.max(np.abs(plain - direct))) > 1e-2
 
@@ -161,10 +167,8 @@ def test_kirchhoff_torsion_factors_matter():
 def test_equal_weight_rho_uniform():
     gap = SPHERE2
     for level in (0, 1, 2):
-        trees = enumerate_orchards(gap, 0) if level == 0 else None
-        from hypercurrent.ana_hyper import _tree_distribution
-
-        rho = _tree_distribution(_context(gap), level, np.zeros(2), 4.0)
+        table = _context(gap).trees[level]
+        rho = ana_hyper._tree_distribution(table, _tree_weights(table, np.zeros(2)), 4.0)
         assert np.allclose(rho, 0.5)
 
 
@@ -175,11 +179,10 @@ def test_rho_partition_of_unity_and_gradient_sum():
     proto = cube_sphere_protocol(2)
     ctx = _context(proto.gap)
     tri = proto.simplices_of_dim(2)[0]
-    from hypercurrent.ana_hyper import _rho_drho_at_nodes
-
     nodes = np.array([[0.2, 0.3], [0.1, 0.05], [0.4, 0.4]])
     for level in (0, 1, 2):
-        rho, drho = _rho_drho_at_nodes(ctx, proto, tri, 3.0, level, nodes)
+        rho, grads = _rho_at_nodes(ctx, proto, tri, 3.0, level, nodes)
+        drho = _drho(rho, grads, 3.0)
         assert np.allclose(rho.sum(axis=1), 1.0)
         assert np.allclose(drho.sum(axis=1), 0.0, atol=1e-14)
         assert np.all(rho > 0) and np.all(rho < 1)
@@ -195,8 +198,7 @@ def test_rho_frozen_value_at_facet_barycenter():
     corner = proto.vertex_ids[tri[0]]
     ctx = _context(proto.gap)
     lighter = ("e0-",) if corner[1] == "p" else ("e0+",)
-    entries = ctx.trees[0]
-    tree = next(e["tree"] for e in entries if e["tree"].cells == lighter)
+    tree = next(t for t in ctx.trees[0].trees if t.cells == lighter)
     val, _ = rho_and_drho(proto, 1.0, tree, (tri, [1 / 3, 1 / 3]))
     assert val == pytest.approx(0.7310585786300049, abs=1e-12)
 
@@ -206,8 +208,7 @@ def test_rho_fd_oracle_and_eta_bound():
     ctx = _context(proto.gap)
     tri = proto.simplices_of_dim(2)[0]
     beta = 2.5
-    entries = ctx.trees[0]
-    tree = entries[0]["tree"]
+    tree = ctx.trees[0].trees[0]
     pt = np.array([0.21, 0.37])
     val, grad = rho_and_drho(proto, beta, tree, (tri, pt))
     h = 1e-6
@@ -220,9 +221,7 @@ def test_rho_fd_oracle_and_eta_bound():
         vd, _ = rho_and_drho(proto, beta, tree, (tri, dn))
         assert grad[axis] == pytest.approx((vu - vd) / (2 * h), abs=1e-6)
     # eta factors stay within [-1, 1]
-    from hypercurrent.ana_hyper import _rho_drho_at_nodes
-
-    rho, _ = _rho_drho_at_nodes(ctx, proto, tri, beta, 0, pt[None, :])
+    rho, _ = _rho_at_nodes(ctx, proto, tri, beta, 0, pt[None, :])
     r = rho[0]
     for a in range(len(r)):
         for b in range(len(r)):
@@ -235,7 +234,7 @@ def test_constant_protocol_drho_zero():
     wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
     proto = constant_protocol(gap, wp)
     ctx = _context(gap)
-    tree = ctx.trees[0][0]["tree"]
+    tree = ctx.trees[0].trees[0]
     _, grad = rho_and_drho(proto, 3.0, tree, ((0, 1), [0.4]))
     assert np.allclose(grad, 0.0)
 
@@ -313,11 +312,240 @@ def test_jan_form_level1_fd_oracle():
     beta=st.floats(0.2, 15.0),
 )
 def test_partition_of_unity_hypothesis(w, beta):
-    from hypercurrent.ana_hyper import _tree_distribution
-
-    rho = _tree_distribution(_context(SPHERE2), 2, np.array(w), beta)
+    table = _context(SPHERE2).trees[2]
+    rho = ana_hyper._tree_distribution(table, _tree_weights(table, np.array(w)), beta)
     assert rho.sum() == pytest.approx(1.0)
     assert np.all(rho > 0.0)
+
+
+# --- the per-tree route, kept as the oracle -----------------------------------------
+# The float context used to hold one dict per tree and to sum tree weights
+# in Python loops.  That code is kept here verbatim; the tree tables, the
+# gather-sum and the one softmax must reproduce it bit for bit.
+
+
+class ParentTrees:
+    # the tree dicts of the float context, built by its old loop
+    def __init__(self, gap):
+        self.nb = _context(gap).nb
+        # trees per parent level, with float right inverses, also stacked
+        self.trees = {}
+        self.rinv = {}
+        for d_level in range(gap.p, gap.q + 1):
+            entries = []
+            for t in enumerate_dtrees(gap, d_level):
+                idx = [gap.parent.cell_index(d_level, nm) for nm in t.cells]
+                jd = d_level - gap.p
+                if d_level == gap.p:
+                    rmat = ratlin.to_float(t.right_inverse, self.nb[0], gap.dim_at(0))
+                else:
+                    rmat = ratlin.to_float(t.right_inverse, gap.dim_at(jd), self.nb[jd - 1])
+                entries.append(
+                    {"tree": t, "idx": idx, "log_tau2": 2.0 * math.log(t.torsion), "rinv": rmat}
+                )
+            self.trees[d_level] = entries
+            self.rinv[d_level] = np.stack([e["rinv"] for e in entries])
+
+
+def parent_context(gap):
+    return gap.derived("test_parent_trees", lambda: ParentTrees(gap))
+
+
+def _tree_log_weights(ctx, level, wv, beta):
+    return np.array(
+        [e["log_tau2"] - beta * sum(wv[i] for i in e["idx"]) for e in ctx.trees[level]]
+    )
+
+
+def _tree_distribution(ctx, level, wv, beta):
+    logs = _tree_log_weights(ctx, level, wv, beta)
+    logs = logs - logs.max()
+    expd = np.exp(logs)
+    return expd / expd.sum()
+
+
+def _rho_drho_at_nodes(ctx, proto, key, beta, level, nodes):
+    """Tree distribution and its differential at each node.
+
+    Returns (rho: (N, ntrees), drho: (N, ntrees, jdim)); the differential
+    is exact: beta * sum_a eta(T, a) dW_a with the product form of eta.
+    """
+    vw = ana_hyper._simplex_vertex_weights(proto, key, level)
+    entries = ctx.trees[level]
+    wt_vertex = np.array([[sum(row[i] for i in e["idx"]) for e in entries] for row in vw])
+    base = wt_vertex[0]
+    grads = wt_vertex[1:] - base[None, :]         # (jdim, ntrees)
+    wt = base[None, :] + nodes @ grads            # (N, ntrees)
+    log_tau2 = np.array([e["log_tau2"] for e in entries])
+    logs = log_tau2[None, :] - beta * wt
+    logs = logs - logs.max(axis=1, keepdims=True)
+    expd = np.exp(logs)
+    rho = expd / expd.sum(axis=1, keepdims=True)
+    # d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ]
+    dw = grads.T                                  # (ntrees, jdim)
+    mean_dw = rho @ dw                            # (N, jdim)
+    drho = beta * rho[:, :, None] * (mean_dw[:, None, :] - dw[None, :, :])
+    return rho, drho
+
+
+def parent_kirchhoff(gap, w, beta, j):
+    ctx = parent_context(gap)
+    level = j + gap.p
+    wv = ana_hyper._level_weights(gap, w, j)
+    rho = _tree_distribution(ctx, level, wv, beta)
+    return np.tensordot(rho, ctx.rinv[level], axes=1)
+
+
+def parent_rho_and_drho(proto, beta, tree, point):
+    key, coords = tuple(point[0]), np.atleast_2d(np.asarray(point[1], dtype=float))
+    ctx = parent_context(proto.gap)
+    level = tree.level
+    entries = ctx.trees[level]
+    pos = next(i for i, e in enumerate(entries) if e["tree"].cells == tree.cells)
+    rho, drho = _rho_drho_at_nodes(ctx, proto, key, beta, level, coords)
+    return float(rho[0, pos]), drho[0, pos, :].copy()
+
+
+def parent_jan_form(proto, beta, key, coords, frame, ell, zeta):
+    gap = proto.gap
+    ctx = parent_context(gap)
+    nodes = np.asarray(coords, dtype=float)[None, :]
+    rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + ell, nodes)
+    along = np.array(frame).T                     # (jdim, ell)
+    drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1] @ along
+             for j in range(ell)]
+    return _orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, np.ones(1))
+
+
+def parent_jan_integrate(proto, beta, key, tol, max_depth, zeta):
+    gap = proto.gap
+    ctx = parent_context(gap)
+    jdim = proto.dim_of(key)
+    prev = None
+    for depth in range(max_depth + 1):
+        nodes, wts = _node_batches(jdim, depth)
+        rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + jdim, nodes)
+        drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1]
+                 for j in range(jdim)]
+        est = _orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, wts)
+        if prev is not None and np.max(np.abs(est - prev)) < tol:
+            return est
+        prev = est
+    raise QuadratureNoConvergence(f"simplex {key}")
+
+
+def parent_sweep_rows(proto, betas, tol, max_depth):
+    """The two-pass residual route: the cycle's simplices integrated for
+    the class, then the whole cochain integrated again for the residual."""
+    gap = proto.gap
+    ctx = _context(gap)
+    topo_coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    topo = np.array([float(c) for c in topo_coords])
+    hp = gap.parent_hp
+    rep = ratlin.to_float(hp.hbasis, gap.dim_at(0), hp.betti) @ np.array([1.0])
+    rows = []
+    for beta in betas:
+        chain = np.zeros(gap.dim_at(gap.top))
+        for key, coeff in proto.fundamental_cycle.items():
+            mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
+            chain = chain + float(coeff) * (mat @ rep)
+        cls = (ctx.top_solve @ chain)[ctx.top_nb:]
+        if ctx.hq_project is not None:
+            cls = ctx.hq_project @ cls
+        resid = cochain_chain_map_defect(jan_cochain(proto, beta, tol=tol, max_depth=max_depth))
+        rows.append((beta, tuple(float(c) for c in cls), float(np.linalg.norm(cls - topo)), resid))
+    return rows
+
+
+def k4_protocol():
+    """Seeded weights of mixed magnitude over a triangle of edges, for
+    the complete graph K4: 16 spanning trees of three edges each, so the
+    order in which a tree's weights are summed shows in the last bit."""
+    x = loads_complex(json.dumps({
+        "name": "k4",
+        "cells": [["a", "b", "c", "d"], ["ab", "ac", "ad", "bc", "bd", "cd"]],
+        "boundary": [[[-1, -1, -1, 0, 0, 0], [1, 0, 0, -1, -1, 0],
+                      [0, 1, 0, 1, 0, -1], [0, 0, 1, 0, 1, 1]]],
+    }))
+    rng = np.random.default_rng(3)
+
+    def level(n):
+        return tuple(float(v) for v in rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1, size=n))
+
+    return SimplicialProtocol(
+        gap=gap_complex(x, 0, 1),
+        vertex_ids=("A", "B", "C"),
+        vertex_weights=tuple(WeightPoint(0, 1, (level(4), level(6))) for _ in range(3)),
+        simplices=((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)),
+    )
+
+
+PARENT_PROTOCOLS = {
+    "k4": k4_protocol,
+    "square": square_protocol,
+    "sphere2": lambda: cube_sphere_protocol(2),
+    "sphere3": lambda: cube_sphere_protocol(3),
+    "wedge2": lambda: cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2)),
+    "wedge3": lambda: cube_protocol(gap_complex(sphere_wedge_complex(3), 0, 3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
+def test_tree_table_matches_parent_dicts(name):
+    gap = PARENT_PROTOCOLS[name]().gap
+    ctx, old = _context(gap), parent_context(gap)
+    for level, entries in old.trees.items():
+        table = ctx.trees[level]
+        assert table.trees == tuple(e["tree"] for e in entries)
+        assert table.idx.tolist() == [e["idx"] for e in entries]
+        assert table.log_tau2.tolist() == [e["log_tau2"] for e in entries]
+        assert np.array_equal(table.rinv, old.rinv[level])
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
+def test_kirchhoff_and_rho_equal_parent(name):
+    proto = PARENT_PROTOCOLS[name]()
+    gap = proto.gap
+    rng = np.random.default_rng(31)
+    for beta in (0.5, 3.0, 40.0):
+        for j in range(gap.top + 1):
+            w = rng.normal(size=gap.dim_at(j))
+            assert np.array_equal(kirchhoff_pseudoinverse(gap, w, beta, j),
+                                  parent_kirchhoff(gap, w, beta, j))
+        for key in proto.all_cells():
+            coords = rng.random(proto.dim_of(key)) / (len(key) + 1)
+            for table in _context(gap).trees.values():
+                for tree in table.trees:
+                    new = rho_and_drho(proto, beta, tree, (key, coords))
+                    old = parent_rho_and_drho(proto, beta, tree, (key, coords))
+                    assert new[0] == old[0] and np.array_equal(new[1], old[1])
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
+def test_jan_form_equals_parent(name):
+    proto = PARENT_PROTOCOLS[name]()
+    rng = np.random.default_rng(37)
+    for ell in range(1, proto.gap.top + 1):
+        for jdim in range(ell, proto.gap.top + 1):
+            for key in proto.simplices_of_dim(jdim):
+                coords = rng.random(jdim) / (jdim + 1)
+                frame = [rng.normal(size=jdim) for _ in range(ell)]
+                for zeta in ("standard", "alternative"):
+                    value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta).value
+                    oracle = parent_jan_form(proto, 4.0, key, coords, frame, ell, zeta)
+                    assert np.array_equal(value, oracle), (key, ell, zeta)
+
+
+@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
+def test_jan_integrate_equals_parent(name):
+    proto = PARENT_PROTOCOLS[name]()
+    tol = 1e-4 if proto.gap.top == 3 else 1e-8
+    for jdim in range(1, proto.gap.top + 1):
+        for key in proto.simplices_of_dim(jdim):
+            for zeta in ("standard", "alternative"):
+                value = jan_integrate(proto, 5.0, key, tol=tol, zeta=zeta)
+                oracle = parent_jan_integrate(proto, 5.0, key, tol, 8, zeta)
+                assert np.array_equal(value, oracle), (key, zeta)
 
 
 def brute_force_orchard_sum(proto, beta, key, nodes, wts, along, zeta):
@@ -325,9 +553,9 @@ def brute_force_orchard_sum(proto, beta, key, nodes, wts, along, zeta):
     orchard (one tree per level) of rho_top det(drho . frame) times the
     orchard's composite operator, with one determinant per orchard."""
     gap = proto.gap
-    ctx = _context(gap)
+    ctx = parent_context(gap)
     ell = along.shape[1]
-    zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
+    zetas = _context(gap).zeta_std if zeta == "standard" else _context(gap).zeta_alt
     levels = [gap.p + j for j in range(ell + 1)]
     rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, levels[-1], nodes)
     drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, lv, nodes)[1] @ along
@@ -492,13 +720,13 @@ def test_nonpositive_beta_rejected():
 def test_jan_cochain_residuals():
     proto = square_protocol()
     coch = jan_cochain(proto, 8.0)
-    assert chain_map_residual(coch) <= 1e-6
+    assert cochain_chain_map_defect(coch) <= 1e-6
 
 
 def test_jan_cochain_residual_cube():
     proto = cube_sphere_protocol(2)
     coch = jan_cochain(proto, 10.0)
-    assert chain_map_residual(coch) <= 1e-6
+    assert cochain_chain_map_defect(coch) <= 1e-6
 
 
 def test_constant_protocol_residual_zero():
@@ -506,7 +734,7 @@ def test_constant_protocol_residual_zero():
     wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
     proto = constant_protocol(gap, wp)
     coch = jan_cochain(proto, 3.0)
-    assert chain_map_residual(coch) <= 1e-14
+    assert cochain_chain_map_defect(coch) <= 1e-14
 
 
 # --- axioms ------------------------------------------------------------------------
@@ -552,6 +780,58 @@ def test_quantization_wedge_trivial():
     assert all(r.distance <= 1e-6 for r in rep.rows)
 
 
+@pytest.mark.parametrize("name", ["square", "sphere2", "wedge2"])
+def test_residual_sweep_equals_two_pass_route(name):
+    proto = PARENT_PROTOCOLS[name]()
+    betas = [2.5, 4.0, 9.0]
+    oracle = parent_sweep_rows(proto, betas, 1e-6, 8)
+    for residuals in (True, False):
+        rep = quantization_sweep(proto, betas, proto.fundamental_cycle, [1], tol=1e-6,
+                                 residuals=residuals)
+        got = [(r.beta, r.coords, r.distance, r.residual) for r in rep.rows]
+        assert got == [row[:3] + ((row[3],) if residuals else (None,)) for row in oracle]
+
+
+def test_residual_sweep_integrates_each_cell_once(monkeypatch):
+    proto = cube_sphere_protocol(2)
+    betas = [3.0, 5.0]
+    integrals, forms = [], []
+    cochains = []
+    for name, log, rec in (("jan_integrate", integrals, lambda a: (a[1], tuple(a[2]))),
+                           ("_form", forms, lambda a: (a[3], a[2], len(a[4]))),
+                           ("jan_cochain", cochains, lambda a: a[1])):
+        original = getattr(ana_hyper, name)
+
+        def counted(*args, original=original, log=log, rec=rec, **kwargs):
+            log.append(rec(args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(ana_hyper, name, counted)
+    quantization_sweep(proto, betas, proto.fundamental_cycle, [1], residuals=True)
+    cells = [key for key in proto.all_cells() if proto.dim_of(key) <= proto.gap.top]
+    assert cochains == betas
+    # one integral per (beta, cell), one form sum per (beta, cell, depth)
+    assert sorted(integrals) == sorted((b, key) for b in betas for key in cells)
+    assert len(set(forms)) == len(forms) > len(integrals)
+
+
+def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):
+    proto = cube_sphere_protocol(2)
+    rng = np.random.default_rng(5)
+    axioms_check(proto, 3.0, interior_samples(proto, 1, rng))
+    calls = []
+    original = ratlin.pinv
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ratlin, "pinv", counted)
+    for count in (1, 6):
+        axioms_check(proto, 3.0, interior_samples(proto, count, rng))
+        assert not calls
+
+
 # --- types ------------------------------------------------------------------------------
 
 
@@ -562,10 +842,10 @@ def test_modified_metric_positive():
 
 def test_orchard_validation():
     trees2 = _context(SPHERE2).trees
-    good = Orchard(trees=(trees2[0][0]["tree"], trees2[1][0]["tree"]))
+    good = Orchard(trees=(trees2[0].trees[0], trees2[1].trees[0]))
     assert good.trees[0].level == 0
     with pytest.raises(ValueError):
-        Orchard(trees=(trees2[0][0]["tree"], trees2[2][0]["tree"]))
+        Orchard(trees=(trees2[0].trees[0], trees2[2].trees[0]))
 
 
 def test_enumerate_orchards_count():
@@ -584,6 +864,6 @@ def test_a1_residual_shrinks_with_fd_step():
 
 def test_residual_shrinks_under_quadrature_refinement():
     proto = cube_sphere_protocol(2)
-    coarse = chain_map_residual(jan_cochain(proto, 12.0, tol=1e-3))
-    fine = chain_map_residual(jan_cochain(proto, 12.0, tol=1e-10))
+    coarse = cochain_chain_map_defect(jan_cochain(proto, 12.0, tol=1e-3))
+    fine = cochain_chain_map_defect(jan_cochain(proto, 12.0, tol=1e-10))
     assert fine < coarse

@@ -163,6 +163,24 @@ def test_quantize_writes_csv(tmp_path, capsys):
     assert len(lines) == 3
 
 
+def test_quantize_residuals_from_the_sweep(monkeypatch, tmp_path, capsys):
+    # the residual column comes from the sweep's own cochain per beta, so
+    # the command itself never builds one
+    from hypercurrent import ana_hyper, cli
+
+    built = []
+    real = ana_hyper.jan_cochain
+    monkeypatch.setattr(ana_hyper, "jan_cochain", lambda *a, **k: built.append(a[1]) or real(*a, **k))
+    monkeypatch.setattr(cli, "jan_cochain", None)
+    out = tmp_path / "sweep.csv"
+    assert main(["quantize", "builtin:square", "--betas", "5,15", "--residuals",
+                 "--out", str(out)]) == 0
+    assert built == [5.0, 15.0]
+    rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [5.0, 15.0]
+    assert all(0.0 <= float(r[-1]) <= 1e-6 for r in rows)
+
+
 def test_quantize_rejects_descending_betas(capsys):
     assert main(["quantize", "builtin:square", "--betas", "10,5"]) == 2
 

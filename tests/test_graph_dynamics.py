@@ -131,6 +131,21 @@ def test_master_operator_stack_rejects_one_bad_entry():
             MasterOperator(matrix=bad)
 
 
+def test_master_operator_rejects_nan():
+    sd = state_diagram(sphere_complex(1))
+    with pytest.raises(ValueError, match="NaN or negative off-diagonal"):
+        master_operator(sd, [math.nan, 0.0], [0.0, 0.0])
+    good = master_operator(sd, [0.0, 0.0], [0.0, 0.0]).matrix
+    for stack in (good.copy(), np.stack([good] * 3)):
+        stack[..., 1, 0] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            MasterOperator(matrix=stack)
+    # an overflowing rate stays +inf, which evolve reports itself
+    inf = good.copy()
+    inf[1, 0] = math.inf
+    MasterOperator(matrix=inf)
+
+
 # --- evolution -----------------------------------------------------------------
 
 

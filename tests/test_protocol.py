@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from hypercurrent import ratlin
-from hypercurrent.complex_core import gap_complex, sphere_complex, sphere_wedge_complex
+from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex, \
+    sphere_wedge_complex
 from hypercurrent.errors import (
     BadCoordinates,
     LevelMismatch,
@@ -12,6 +14,7 @@ from hypercurrent.errors import (
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
+    SmallnessCertificate,
     WeightPoint,
     cube_cw_domain,
     cube_protocol,
@@ -27,6 +30,7 @@ from hypercurrent.protocol import (
     subdivide,
     weights_at,
 )
+from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 
 def cycle_boundary(proto, cycle):
@@ -192,6 +196,74 @@ def test_good_protocols():
     assert is_good(square_protocol())[0]
     for q in (1, 2, 3):
         assert is_good(cube_sphere_protocol(q))[0]
+
+
+def loop_certified_levels(gap, weight_points):
+    """Levels whose weight functions separate every cell pair with one
+    strict sign across all the given weight points."""
+    out = set()
+    for j in range(gap.p, gap.q + 1):
+        n = gap.parent.n_cells(j)
+        ok = True
+        for a in range(n):
+            for b in range(a + 1, n):
+                diffs = [wp.level(j)[a] - wp.level(j)[b] for wp in weight_points]
+                if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.add(j)
+    return out
+
+
+def loop_smallness(domain):
+    # the per-pair loop the certificate used to run, as the oracle
+    levels, ks = {}, {}
+    for key in domain.all_cells():
+        cert = loop_certified_levels(domain.gap, [domain.weight_of(v) for v in domain.vertices_of(key)])
+        levels[key] = frozenset(cert)
+        ks[key] = min(cert) if cert else None
+    return SmallnessCertificate(levels=levels, k=ks)
+
+
+def _graph(name, cells, boundary):
+    return loads_complex(json.dumps({"name": name, "cells": cells, "boundary": boundary}))
+
+
+def _smallness_domains():
+    for q in (1, 2, 3, 4):
+        yield cube_sphere_protocol(q)
+        yield cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
+    yield square_protocol()
+    for n in (2, 3, 4):
+        yield cube_cw_domain(gap_complex(sphere_complex(n - 1), 0, n - 1))
+    # midpoint vertices tie the cube coordinate at zero
+    yield subdivide(square_protocol())
+    yield subdivide(cube_sphere_protocol(2))
+    # level 1 tied at both vertices, then at one of them
+    tied = ((0.0, 1.0), (0.0, 0.0))
+    for other in (tied, ((0.0, 1.0), (2.0, 0.0))):
+        yield SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1), vertex_ids=("A", "B"),
+                                 vertex_weights=(WeightPoint(0, 1, tied), WeightPoint(0, 1, other)),
+                                 simplices=((0,), (1,), (0, 1)))
+    path3 = _graph("path3", [["x", "y", "z"], ["xy", "yz"]], [[[-1, 0], [1, -1], [0, 1]]])
+    triangle = _graph("triangle", [["a", "b", "c"], ["ab", "bc", "ca"]],
+                      [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]])
+    for x in (path3, triangle):
+        gap = gap_complex(x, 0, 1)
+        for cell in enumerate_top_discriminant_cells(x, 0, 1):
+            yield transversal_sphere(gap, cell)
+
+
+def test_smallness_matches_pair_loop():
+    uncertified = 0
+    for domain in _smallness_domains():
+        cert = smallness(domain)
+        assert cert == loop_smallness(domain)
+        uncertified += sum(len(lv) < domain.gap.top + 1 for lv in cert.levels.values())
+    assert uncertified    # some cell pair changes sign, so both outcomes are compared
 
 
 def test_all_zero_weights_bad():
