@@ -324,7 +324,7 @@ def test_partition_of_unity_hypothesis(w, beta):
 # gather-sum and the one softmax must reproduce it bit for bit.
 
 
-class ParentTrees:
+class TreeDicts:
     # the tree dicts of the float context, built by its old loop
     def __init__(self, gap):
         self.nb = _context(gap).nb
@@ -347,8 +347,8 @@ class ParentTrees:
             self.rinv[d_level] = np.stack([e["rinv"] for e in entries])
 
 
-def parent_context(gap):
-    return gap.derived("test_parent_trees", lambda: ParentTrees(gap))
+def tree_dicts(gap):
+    return gap.derived("test_tree_dicts", lambda: TreeDicts(gap))
 
 
 def _tree_log_weights(ctx, level, wv, beta):
@@ -388,17 +388,17 @@ def _rho_drho_at_nodes(ctx, proto, key, beta, level, nodes):
     return rho, drho
 
 
-def parent_kirchhoff(gap, w, beta, j):
-    ctx = parent_context(gap)
+def dict_kirchhoff(gap, w, beta, j):
+    ctx = tree_dicts(gap)
     level = j + gap.p
     wv = ana_hyper._level_weights(gap, w, j)
     rho = _tree_distribution(ctx, level, wv, beta)
     return np.tensordot(rho, ctx.rinv[level], axes=1)
 
 
-def parent_rho_and_drho(proto, beta, tree, point):
+def dict_rho_and_drho(proto, beta, tree, point):
     key, coords = tuple(point[0]), np.atleast_2d(np.asarray(point[1], dtype=float))
-    ctx = parent_context(proto.gap)
+    ctx = tree_dicts(proto.gap)
     level = tree.level
     entries = ctx.trees[level]
     pos = next(i for i, e in enumerate(entries) if e["tree"].cells == tree.cells)
@@ -406,9 +406,9 @@ def parent_rho_and_drho(proto, beta, tree, point):
     return float(rho[0, pos]), drho[0, pos, :].copy()
 
 
-def parent_jan_form(proto, beta, key, coords, frame, ell, zeta):
+def dict_jan_form(proto, beta, key, coords, frame, ell, zeta):
     gap = proto.gap
-    ctx = parent_context(gap)
+    ctx = tree_dicts(gap)
     nodes = np.asarray(coords, dtype=float)[None, :]
     rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + ell, nodes)
     along = np.array(frame).T                     # (jdim, ell)
@@ -417,9 +417,9 @@ def parent_jan_form(proto, beta, key, coords, frame, ell, zeta):
     return _orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, np.ones(1))
 
 
-def parent_jan_integrate(proto, beta, key, tol, max_depth, zeta):
+def dict_jan_integrate(proto, beta, key, tol, max_depth, zeta):
     gap = proto.gap
-    ctx = parent_context(gap)
+    ctx = tree_dicts(gap)
     jdim = proto.dim_of(key)
     prev = None
     for depth in range(max_depth + 1):
@@ -434,7 +434,7 @@ def parent_jan_integrate(proto, beta, key, tol, max_depth, zeta):
     raise QuadratureNoConvergence(f"simplex {key}")
 
 
-def parent_sweep_rows(proto, betas, tol, max_depth):
+def two_pass_sweep_rows(proto, betas, tol, max_depth):
     """The two-pass residual route: the cycle's simplices integrated for
     the class, then the whole cochain integrated again for the residual."""
     gap = proto.gap
@@ -480,7 +480,7 @@ def k4_protocol():
     )
 
 
-PARENT_PROTOCOLS = {
+EQUALITY_PROTOCOLS = {
     "k4": k4_protocol,
     "square": square_protocol,
     "sphere2": lambda: cube_sphere_protocol(2),
@@ -490,10 +490,10 @@ PARENT_PROTOCOLS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
-def test_tree_table_matches_parent_dicts(name):
-    gap = PARENT_PROTOCOLS[name]().gap
-    ctx, old = _context(gap), parent_context(gap)
+@pytest.mark.parametrize("name", sorted(EQUALITY_PROTOCOLS))
+def test_tree_table_matches_tree_dicts(name):
+    gap = EQUALITY_PROTOCOLS[name]().gap
+    ctx, old = _context(gap), tree_dicts(gap)
     for level, entries in old.trees.items():
         table = ctx.trees[level]
         assert table.trees == tuple(e["tree"] for e in entries)
@@ -502,28 +502,28 @@ def test_tree_table_matches_parent_dicts(name):
         assert np.array_equal(table.rinv, old.rinv[level])
 
 
-@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
-def test_kirchhoff_and_rho_equal_parent(name):
-    proto = PARENT_PROTOCOLS[name]()
+@pytest.mark.parametrize("name", sorted(EQUALITY_PROTOCOLS))
+def test_kirchhoff_and_rho_equal_dict_route(name):
+    proto = EQUALITY_PROTOCOLS[name]()
     gap = proto.gap
     rng = np.random.default_rng(31)
     for beta in (0.5, 3.0, 40.0):
         for j in range(gap.top + 1):
             w = rng.normal(size=gap.dim_at(j))
             assert np.array_equal(kirchhoff_pseudoinverse(gap, w, beta, j),
-                                  parent_kirchhoff(gap, w, beta, j))
+                                  dict_kirchhoff(gap, w, beta, j))
         for key in proto.all_cells():
             coords = rng.random(proto.dim_of(key)) / (len(key) + 1)
             for table in _context(gap).trees.values():
                 for tree in table.trees:
                     new = rho_and_drho(proto, beta, tree, (key, coords))
-                    old = parent_rho_and_drho(proto, beta, tree, (key, coords))
+                    old = dict_rho_and_drho(proto, beta, tree, (key, coords))
                     assert new[0] == old[0] and np.array_equal(new[1], old[1])
 
 
-@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
-def test_jan_form_equals_parent(name):
-    proto = PARENT_PROTOCOLS[name]()
+@pytest.mark.parametrize("name", sorted(EQUALITY_PROTOCOLS))
+def test_jan_form_equals_dict_route(name):
+    proto = EQUALITY_PROTOCOLS[name]()
     rng = np.random.default_rng(37)
     for ell in range(1, proto.gap.top + 1):
         for jdim in range(ell, proto.gap.top + 1):
@@ -532,19 +532,19 @@ def test_jan_form_equals_parent(name):
                 frame = [rng.normal(size=jdim) for _ in range(ell)]
                 for zeta in ("standard", "alternative"):
                     value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta).value
-                    oracle = parent_jan_form(proto, 4.0, key, coords, frame, ell, zeta)
+                    oracle = dict_jan_form(proto, 4.0, key, coords, frame, ell, zeta)
                     assert np.array_equal(value, oracle), (key, ell, zeta)
 
 
-@pytest.mark.parametrize("name", sorted(PARENT_PROTOCOLS))
-def test_jan_integrate_equals_parent(name):
-    proto = PARENT_PROTOCOLS[name]()
+@pytest.mark.parametrize("name", sorted(EQUALITY_PROTOCOLS))
+def test_jan_integrate_equals_dict_route(name):
+    proto = EQUALITY_PROTOCOLS[name]()
     tol = 1e-4 if proto.gap.top == 3 else 1e-8
     for jdim in range(1, proto.gap.top + 1):
         for key in proto.simplices_of_dim(jdim):
             for zeta in ("standard", "alternative"):
                 value = jan_integrate(proto, 5.0, key, tol=tol, zeta=zeta)
-                oracle = parent_jan_integrate(proto, 5.0, key, tol, 8, zeta)
+                oracle = dict_jan_integrate(proto, 5.0, key, tol, 8, zeta)
                 assert np.array_equal(value, oracle), (key, zeta)
 
 
@@ -553,7 +553,7 @@ def brute_force_orchard_sum(proto, beta, key, nodes, wts, along, zeta):
     orchard (one tree per level) of rho_top det(drho . frame) times the
     orchard's composite operator, with one determinant per orchard."""
     gap = proto.gap
-    ctx = parent_context(gap)
+    ctx = tree_dicts(gap)
     ell = along.shape[1]
     zetas = _context(gap).zeta_std if zeta == "standard" else _context(gap).zeta_alt
     levels = [gap.p + j for j in range(ell + 1)]
@@ -782,9 +782,9 @@ def test_quantization_wedge_trivial():
 
 @pytest.mark.parametrize("name", ["square", "sphere2", "wedge2"])
 def test_residual_sweep_equals_two_pass_route(name):
-    proto = PARENT_PROTOCOLS[name]()
+    proto = EQUALITY_PROTOCOLS[name]()
     betas = [2.5, 4.0, 9.0]
-    oracle = parent_sweep_rows(proto, betas, 1e-6, 8)
+    oracle = two_pass_sweep_rows(proto, betas, 1e-6, 8)
     for residuals in (True, False):
         rep = quantization_sweep(proto, betas, proto.fundamental_cycle, [1], tol=1e-6,
                                  residuals=residuals)
@@ -795,8 +795,9 @@ def test_residual_sweep_equals_two_pass_route(name):
 def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     proto = cube_sphere_protocol(2)
     betas = [3.0, 5.0]
-    integrals, forms = [], []
-    cochains = []
+    integrals, forms, cochains = [], [], []
+    # jan_integrate(proto, beta, key), _form(ctx, proto, key, beta, nodes, ...)
+    # and jan_cochain(proto, beta): the node count of a form sum names its depth
     for name, log, rec in (("jan_integrate", integrals, lambda a: (a[1], tuple(a[2]))),
                            ("_form", forms, lambda a: (a[3], a[2], len(a[4]))),
                            ("jan_cochain", cochains, lambda a: a[1])):
