@@ -18,7 +18,14 @@ and one softmax rho, and the point form and the quadrature share one
 evaluator, which computes drho only below the top level.
 The Stokes map integrates the forms over simplices with a degree-5 rule
 plus edgewise dyadic refinement; the quadrature geometry depends only on
-the simplex dimension and the depth and is cached per process.
+the simplex dimension and the depth and is cached per process.  The
+integration is stacked: all simplices of one dimension at one beta share
+the depth loop, their vertex tree weights are computed once, and each
+depth is one form evaluation over the still-unconverged simplices, in
+blocks of at most _BLOCK simplices times nodes (or of one simplex whose
+nodes alone exceed it).  A simplex leaves the stack when its own two
+last depths agree.  The point form is the
+one-simplex, one-node case of the same evaluator.
 Exponentials are always shifted by the per-level extremum before
 exponentiation so large beta stays finite.
 """
@@ -33,8 +40,8 @@ import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, InvariantBroken, NonpositiveBeta, NotACycle, \
-    QuadratureNoConvergence
+from .errors import BadFrame, InvariantBroken, NonfiniteBeta, NonpositiveBeta, \
+    NotACycle, QuadratureNoConvergence
 from .forests import enumerate_dtrees
 from .protocol import WeightPoint
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, cycle_boundary_defect, \
@@ -110,12 +117,11 @@ class _TreeTable(NamedTuple):
     rinv: np.ndarray        # (ntrees, rows, cols) float right inverses
 
 
-def _class_solve(gap, j):
-    """Float pseudoinverse of [bounds | hbasis] in degree j: a chain's
-    bounds coordinates, then its class."""
-    h = gap.homology[j]
+def _class_solve(h, n):
+    """Float pseudoinverse of [bounds | hbasis] for the homology data h of
+    a degree with n cells: a chain's bounds coordinates, then its class."""
     basis = ratlin.hstack(h.bounds, h.hbasis)
-    return ratlin.to_float(ratlin.pinv(basis), len(basis[0]) if basis else 0, gap.dim_at(j))
+    return ratlin.to_float(ratlin.pinv(basis), len(basis[0]) if basis else 0, n)
 
 
 class _Context:
@@ -167,14 +173,22 @@ class _Context:
                 log_tau2=np.array([2.0 * math.log(t.torsion) for t in trees]),
                 rinv=np.stack([ratlin.to_float(t.right_inverse, *shape) for t in trees]),
             )
-        # class extraction: degree 0 for axiom A3, the top degree for sweeps
-        h0 = gap.homology[0]
-        self.h0_basis = ratlin.to_float(h0.hbasis, gap.dim_at(0), h0.betti)
-        self.h0_solve = _class_solve(gap, 0) if h0.betti else None
-        self.top_solve = _class_solve(gap, top)
+        # class extraction: the top degree for sweeps; degree 0, which only
+        # axiom A3 reads, on first use (h0_class)
+        self.top_solve = _class_solve(gap.homology[top], gap.dim_at(top))
         self.top_nb = self.nb[top]
         self.hq_project = None if gap.hq_project is None else ratlin.to_float(
             gap.hq_project, gap.parent_hq.betti, gap.homology[top].betti)
+        self._h0 = (gap.homology[0], gap.dim_at(0))
+
+    @functools.cached_property
+    def h0_class(self):
+        """Degree-0 homology basis and class solve, or None without
+        degree-0 homology."""
+        h0, n = self._h0
+        if not h0.betti:
+            return None
+        return ratlin.to_float(h0.hbasis, n, h0.betti), _class_solve(h0, n)
 
 
 def _context(gap: GapComplex) -> _Context:
@@ -182,6 +196,13 @@ def _context(gap: GapComplex) -> _Context:
 
 
 # --- weighted pseudoinverses --------------------------------------------------
+
+
+def _check_beta(beta):
+    if not math.isfinite(beta):
+        raise NonfiniteBeta(f"beta = {beta}")
+    if beta <= 0:
+        raise NonpositiveBeta(f"beta = {beta}")
 
 
 def _level_weights(gap, w, j):
@@ -193,8 +214,7 @@ def _level_weights(gap, w, j):
 def weighted_pseudoinverse_boundary(gap: GapComplex, w, beta, j):
     """Minimum-norm right inverse of the boundary in the metric
     e^(beta w): bounds-basis coordinates one degree down to chains."""
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
+    _check_beta(beta)
     ctx = _context(gap)
     if j < 1 or j > gap.top:
         raise ValueError("degree out of range")
@@ -210,8 +230,7 @@ def weighted_pseudoinverse_boundary(gap: GapComplex, w, beta, j):
 def weighted_pseudoinverse_inclusion(gap: GapComplex, w, beta):
     """Left inverse of the bounds inclusion in the metric e^(beta w),
     and the complementary projection: (idagger, alpha0)."""
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
+    _check_beta(beta)
     ctx = _context(gap)
     wv = _level_weights(gap, w, 0)
     g = np.exp(beta * (wv - wv.max()))
@@ -248,8 +267,7 @@ def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
     combination of tree right inverses with weights tau^2 e^(-beta W_T).
     For j = 0 this is minus the weighted bounds projection, through
     co-trees."""
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
+    _check_beta(beta)
     ctx = _context(gap)
     table = ctx.trees[j + gap.p]
     rho = _tree_distribution(table, _tree_weights(table, _level_weights(gap, w, j)), beta)
@@ -279,22 +297,33 @@ def _weights_at_nodes(vw, nodes):
     return base[None, :] + nodes @ grads
 
 
-def _rho_at_nodes(ctx, proto, key, beta, level, nodes):
-    """Tree distribution at each node, (N, ntrees), and the tree weights'
-    gradients in the simplex's affine coordinates, (jdim, ntrees)."""
-    table = ctx.trees[level]
-    wt_vertex = _tree_weights(table, _simplex_vertex_weights(proto, key, level))
-    base = wt_vertex[0]
-    grads = wt_vertex[1:] - base[None, :]
-    return _tree_distribution(table, base[None, :] + nodes @ grads, beta), grads
+def _vertex_geometry(ctx, proto, keys, levels):
+    """Per level: the tree weights at the first vertex of each simplex,
+    (I, ntrees), and their gradients in the simplices' affine coordinates,
+    (I, jdim, ntrees).  Tree weights are affine on a simplex, so these fix
+    them everywhere."""
+    geos = []
+    for level in levels:
+        vw = np.array([_simplex_vertex_weights(proto, key, level) for key in keys])
+        wt = _tree_weights(ctx.trees[level], vw)
+        base = wt[:, 0]
+        geos.append((base, wt[:, 1:] - base[:, None, :]))
+    return geos
+
+
+def _rho_at_nodes(table, geo, beta, nodes):
+    """Tree distribution at each node of each simplex, (I, N, ntrees), from
+    the simplices' vertex geometry (base, grads)."""
+    base, grads = geo
+    return _tree_distribution(table, base[:, None, :] + nodes @ grads, beta)
 
 
 def _drho(rho, grads, beta):
-    """Exact differential of the tree distribution, (N, ntrees, jdim):
+    """Exact differential of the tree distribution, (I, N, ntrees, jdim):
     d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ]."""
-    dw = grads.T
+    dw = np.swapaxes(grads, 1, 2)
     mean_dw = rho @ dw
-    return beta * rho[:, :, None] * (mean_dw[:, None, :] - dw[None, :, :])
+    return beta * rho[..., None] * (mean_dw[:, :, None, :] - dw[:, None, :, :])
 
 
 def rho_and_drho(proto, beta, tree, point):
@@ -304,22 +333,25 @@ def rho_and_drho(proto, beta, tree, point):
     ctx = _context(proto.gap)
     table = ctx.trees[tree.level]
     pos = next(i for i, t in enumerate(table.trees) if t.cells == tree.cells)
-    rho, grads = _rho_at_nodes(ctx, proto, key, beta, tree.level, coords)
-    return float(rho[0, pos]), _drho(rho, grads, beta)[0, pos, :].copy()
+    geo, = _vertex_geometry(ctx, proto, [key], [tree.level])
+    rho = _rho_at_nodes(table, geo, beta, coords)
+    return float(rho[0, 0, pos]), _drho(rho, geo[1], beta)[0, 0, pos, :].copy()
 
 
 # --- the form and its integrals -------------------------------------------------
 
 
-def _form(ctx, proto, key, beta, nodes, wts, ell, zeta, along=None):
-    """Weighted node sum of the degree-ell form on a simplex: rho at the
-    top level, its differential along the frame columns `along` (the
-    coordinate axes when None) below it, then the orchard sum."""
-    p = proto.gap.p
-    rho_top, _ = _rho_at_nodes(ctx, proto, key, beta, p + ell, nodes)
+def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
+    """Weighted node sum of the degree-ell form on a stack of simplices of
+    one dimension, (I, rows, cols): rho at the top level, its differential
+    along the frame columns `along` (the coordinate axes when None) below
+    it, then the orchard sum.  geos[j] is the simplices' vertex geometry
+    at level p + j, for j = 0 .. ell."""
+    ell = len(geos) - 1
+    rho_top = _rho_at_nodes(ctx.trees[p + ell], geos[ell], beta, nodes)
     drhos = []
     for j in range(ell):
-        drho = _drho(*_rho_at_nodes(ctx, proto, key, beta, p + j, nodes), beta)
+        drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, nodes), geos[j][1], beta)
         drhos.append(drho if along is None else drho @ along)
     return _orchard_sum(ctx, p, zeta, rho_top, drhos, wts)
 
@@ -327,8 +359,7 @@ def _form(ctx, proto, key, beta, nodes, wts, ell, zeta, along=None):
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
     """Closed-form evaluation of the degree-ell current form at a point
     of a simplex, on a frame of ell tangent vectors (affine coordinates)."""
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
+    _check_beta(beta)
     gap = proto.gap
     ctx = _context(gap)
     key = tuple(key)
@@ -345,35 +376,47 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
         w = _weights_at_nodes(vw, coords[None, :])[0]
         _, value = weighted_pseudoinverse_inclusion(gap, w, beta)
     else:
-        value = _form(ctx, proto, key, beta, coords[None, :], np.ones(1), ell, zeta,
-                      along=np.array(frame).T)
+        geos = _vertex_geometry(ctx, proto, [key], range(gap.p, gap.p + ell + 1))
+        value = _form(ctx, gap.p, beta, geos, coords[None, :], np.ones(1), zeta,
+                      along=np.array(frame).T)[0]
     return FormEvaluation(key, tuple(coords), tuple(map(tuple, frame)), ell, value)
 
 
-def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
-    """Weighted node sum of the degree-ell orchard form, factored per level.
+def _tree_sum(coeffs, ops):
+    """sum_T coeffs[..., T] ops[T], as one matmul over every leading index."""
+    out = coeffs.reshape(-1, ops.shape[0]) @ ops.reshape(ops.shape[0], -1)
+    return out.reshape(coeffs.shape[:-1] + ops.shape[1:])
 
-    rho_top: (N, ntrees) at level p + ell; drhos[j]: (N, ntrees, ell), the
-    tree-weight differentials at level p + j along the ell frame vectors;
-    wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z ... R_0 is
-    multilinear in the tree chosen per level, so the sum over orchards is
+
+def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
+    """Weighted node sum of the degree-ell orchard form, factored per level,
+    for each simplex of a stack.
+
+    rho_top: (I, N, ntrees) at level p + ell; drhos[j]: (I, N, ntrees, ell),
+    the tree-weight differentials at level p + j along the ell frame
+    vectors; wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z ...
+    R_0 is multilinear in the tree chosen per level, so the sum over
+    orchards is
     sum_sigma sgn(sigma) K Z D_{ell-1}(v_sigma(0)) ... Z D_1 D_0(v_sigma(ell-1))
     with K = sum_T rho_T R_T and D_j(v) = sum_T (drho_T . v) R_T per node.
+    The node sum of each permutation's product is one matmul per simplex.
     """
     ell = len(drhos)
     zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
     # R_0 (minus the co-tree projection) at the bottom, Z_j R_T in between
     rinv = [ctx.trees[p + j].rinv for j in range(ell + 1)]
     factors = [rinv[0]] + [zetas[j] @ rinv[j] for j in range(1, ell)]
-    kirch = np.tensordot(wts[:, None] * rho_top, rinv[ell], axes=1)
-    derivs = [np.tensordot(dr, f, axes=([1], [0])) for dr, f in zip(drhos, factors)]
-    value = np.zeros((kirch.shape[1], factors[0].shape[2]))
+    kirch = _tree_sum(wts[:, None] * rho_top, rinv[ell])
+    derivs = [_tree_sum(np.swapaxes(dr, 2, 3), f) for dr, f in zip(drhos, factors)]
+    items, n, rows, inner = kirch.shape
+    kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
+    value = np.zeros((items, rows, factors[0].shape[2]))
     for perm in itertools.permutations(range(ell)):
-        chain = derivs[0][:, perm[-1]]
+        chain = derivs[0][:, :, perm[-1]]
         for j in range(1, ell):
-            chain = derivs[j][:, perm[ell - 1 - j]] @ chain
+            chain = derivs[j][:, :, perm[ell - 1 - j]] @ chain
         sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-        value += sign * np.tensordot(kirch, chain, axes=([0, 2], [0, 1]))
+        value += sign * (kirch @ chain.reshape(items, n * inner, -1))
     return value
 
 
@@ -408,26 +451,24 @@ def edgewise_pieces(n, depth):
     r = 2 ** depth
     if n == 0:
         return [np.zeros((1, 0))]
-    if r == 1:
-        verts = [np.zeros(n)] + [np.eye(n)[i] for i in range(n)]
-        return [np.array(verts)]
-    pieces = []
     # the sorted cube picture: y_1 >= y_2 >= ... >= y_n, mapped to the
-    # standard simplex by t_m = y_m - y_{m+1}
-    for base in itertools.product(range(r), repeat=n):
-        for perm in itertools.permutations(range(n)):
-            chain = [np.array(base, dtype=float)]
-            for a in perm:
-                nxt = chain[-1].copy()
-                nxt[a] += 1.0
-                chain.append(nxt)
-            bary = sum(chain) / len(chain)
-            if all(bary[m] >= bary[m + 1] for m in range(n - 1)):
-                ys = np.array(chain) / r
-                ts = ys.copy()
-                ts[:, :-1] -= ys[:, 1:]
-                pieces.append(ts)
-    return pieces
+    # standard simplex by t_m = y_m - y_{m+1}.  Each cube of the r^n grid
+    # (base corner, in lexicographic order) splits into n! monotone chains
+    # (one unit step per axis, permutations in lexicographic order); the
+    # piece is the chain whose barycentre is sorted.  Barycentres are
+    # compared through their vertex sums, which are exact integers.
+    bases = np.indices((r,) * n).reshape(n, -1).T
+    perms = np.array(list(itertools.permutations(range(n))))
+    steps = np.zeros((len(perms), n + 1, n), dtype=int)
+    for k in range(n):
+        steps[:, k + 1] = steps[:, k]
+        steps[np.arange(len(perms)), k + 1, perms[:, k]] += 1
+    sums = (n + 1) * bases[:, None, :] + steps.sum(axis=1)[None, :, :]
+    base_at, perm_at = np.nonzero((sums[:, :, :-1] >= sums[:, :, 1:]).all(axis=2))
+    ys = (bases[base_at, None, :] + steps[perm_at]).astype(float) / r
+    ts = ys.copy()
+    ts[:, :, :-1] -= ys[:, :, 1:]
+    return list(ts)
 
 
 @functools.lru_cache(maxsize=32)
@@ -445,44 +486,82 @@ def _node_batches(jdim, depth):
     return nodes, weights
 
 
-def jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard"):
-    """Stokes-map value on one simplex: the integral of the pulled-back
-    degree-(dim) form, refined dyadically until stable within tol."""
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
-    gap = proto.gap
-    ctx = _context(gap)
-    key = tuple(key)
-    jdim = proto.dim_of(key)
-    if jdim > gap.top:
-        raise ValueError("simplex dimension exceeds the gap width")
-    if jdim == 0:
-        vw = _simplex_vertex_weights(proto, key, gap.p)
-        _, alpha0 = weighted_pseudoinverse_inclusion(gap, vw[0], beta)
-        return alpha0
+# Simplices times nodes in one stacked form evaluation.  Every array of a
+# block then holds at most _BLOCK times a per-node size fixed by the gap
+# (trees, frame vectors, operator shape), whatever the depth.  A simplex
+# whose nodes alone exceed it is evaluated by itself: splitting its node
+# sum would change the float result.
+_BLOCK = 16384
+
+
+def _integrate_stack(ctx, proto, beta, keys, tol, max_depth, zeta):
+    """Dyadic Stokes integrals of simplices of one dimension, stacked: one
+    form evaluation per depth and block of still-active simplices.  Each
+    simplex leaves once two depths agree within tol; returns its blocks
+    (None where it never converged)."""
+    p = proto.gap.p
+    jdim = proto.dim_of(keys[0])
+    geos = _vertex_geometry(ctx, proto, keys, range(p, p + jdim + 1))
+    out = [None] * len(keys)
+    active = np.arange(len(keys))
     prev = None
     for depth in range(max_depth + 1):
         nodes, wts = _node_batches(jdim, depth)
-        est = _form(ctx, proto, key, beta, nodes, wts, jdim, zeta)
-        if prev is not None and np.max(np.abs(est - prev)) < tol:
-            return est
+        step = max(1, _BLOCK // len(wts))
+        est = np.concatenate([
+            _form(ctx, p, beta, [(base[lo:lo + step], grads[lo:lo + step]) for base, grads in geos],
+                  nodes, wts, zeta)
+            for lo in range(0, len(active), step)])
+        if prev is not None:
+            done = np.max(np.abs(est - prev), axis=(1, 2)) < tol
+            for i, block in zip(active[done], est[done]):
+                out[i] = block
+            active, est = active[~done], est[~done]
+            geos = [(base[~done], grads[~done]) for base, grads in geos]
+            if not len(active):
+                break
         prev = est
-    raise QuadratureNoConvergence(
-        f"simplex {key}: no convergence within depth {max_depth} at tol {tol}"
-    )
+    return out
+
+
+def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8, zeta="standard"):
+    """Stokes-map values on a list of simplices, in their order: the
+    integral of each one's pulled-back degree-(dim) form, refined
+    dyadically until two depths agree within tol.  Simplices of one
+    dimension are integrated together (see _integrate_stack)."""
+    _check_beta(beta)
+    gap = proto.gap
+    ctx = _context(gap)
+    keys = [tuple(key) for key in keys]
+    dims = [proto.dim_of(key) for key in keys]
+    if any(jdim > gap.top for jdim in dims):
+        raise ValueError("simplex dimension exceeds the gap width")
+    out = [None] * len(keys)
+    for jdim in sorted(set(dims)):
+        pos = [i for i, d in enumerate(dims) if d == jdim]
+        if jdim == 0:
+            blocks = [weighted_pseudoinverse_inclusion(
+                gap, _simplex_vertex_weights(proto, keys[i], gap.p)[0], beta)[1] for i in pos]
+        else:
+            blocks = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol,
+                                      max_depth, zeta)
+        for i, block in zip(pos, blocks):
+            out[i] = block
+    for key, block in zip(keys, out):
+        if block is None:
+            raise QuadratureNoConvergence(
+                f"simplex {key}: no convergence within depth {max_depth} at tol {tol}")
+    return out
 
 
 def jan_cochain(proto, beta, tol=1e-8, max_depth=8, zeta="standard") -> HyperCochain:
     """The analytical cochain: every cell of dimension at most the gap
     width gets the Stokes-map integral as its operator block."""
     gap = proto.gap
-    values = {}
-    for key in proto.all_cells():
-        jdim = proto.dim_of(key)
-        if jdim > gap.top:
-            continue
-        mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth, zeta=zeta)
-        values[tuple(key)] = GradedOperator(degree=jdim, blocks={0: mat})
+    keys = [tuple(key) for key in proto.all_cells() if proto.dim_of(key) <= gap.top]
+    blocks = jan_integrate(proto, beta, keys, tol=tol, max_depth=max_depth, zeta=zeta)
+    values = {key: GradedOperator(degree=proto.dim_of(key), blocks={0: mat})
+              for key, mat in zip(keys, blocks)}
     return HyperCochain(gap=gap, domain=proto, values=values)
 
 
@@ -583,9 +662,10 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
             if resid > tol:
                 report.violations.append(("A2", key, coords, ell, resid))
         # A3: the degree-0 value induces the identity on homology
-        if ctx.h0_solve is not None:
-            cls = ctx.h0_solve @ (alpha0 @ ctx.h0_basis)
-            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(ctx.h0_basis.shape[1]))))
+        if ctx.h0_class is not None:
+            h0_basis, h0_solve = ctx.h0_class
+            cls = h0_solve @ (alpha0 @ h0_basis)
+            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(h0_basis.shape[1]))))
             report.initial_value = max(report.initial_value, resid)
             if resid > tol:
                 report.violations.append(("A3", key, coords, 0, resid))
@@ -654,8 +734,9 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
             blocks = {key: coch.values[key].blocks[0] for key in cycle}
             resid = cochain_chain_map_defect(coch)
         else:
-            blocks = {key: jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
-                      for key in cycle}
+            keys = list(cycle)
+            blocks = dict(zip(keys, jan_integrate(proto, beta, keys, tol=tol,
+                                                  max_depth=max_depth)))
             resid = None
         cls = _analytic_class(ctx, blocks, cycle, rep)
         return SweepRow(beta=beta, coords=tuple(float(c) for c in cls),

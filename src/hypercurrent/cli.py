@@ -10,6 +10,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -42,7 +43,11 @@ class RunConfig:
     def validate(self):
         if self.tol is not None and not self.tol > 0:
             raise HclError("tolerances must be positive")
+        if self.quad_depth is not None and self.quad_depth < 0:
+            raise HclError(f"quadrature depth must be non-negative, got {self.quad_depth}")
         if self.betas:
+            if any(not math.isfinite(b) for b in self.betas):
+                raise HclError("beta values must be finite")
             if any(not b > 0 for b in self.betas):
                 raise HclError("beta values must be positive")
             if list(self.betas) != sorted(self.betas):

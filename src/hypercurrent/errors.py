@@ -56,6 +56,10 @@ class NonpositiveBeta(HclError):
     pass
 
 
+class NonfiniteBeta(HclError):
+    pass
+
+
 class NotSmall(HclError):
     pass
 

@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from hypercurrent import ana_hyper, ratlin
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex, \
     sphere_wedge_complex, torsion_complex
-from hypercurrent.errors import BadFrame, NonpositiveBeta, QuadratureNoConvergence
+from hypercurrent.errors import BadFrame, NonfiniteBeta, NonpositiveBeta, \
+    QuadratureNoConvergence
 from hypercurrent.ana_hyper import (
     ModifiedMetric,
     Orchard,
     _context,
     _drho,
     _node_batches,
-    _orchard_sum,
     _rho_at_nodes,
     _tree_weights,
+    _vertex_geometry,
     axioms_check,
     edgewise_pieces,
     enumerate_orchards,
@@ -181,8 +182,10 @@ def test_rho_partition_of_unity_and_gradient_sum():
     tri = proto.simplices_of_dim(2)[0]
     nodes = np.array([[0.2, 0.3], [0.1, 0.05], [0.4, 0.4]])
     for level in (0, 1, 2):
-        rho, grads = _rho_at_nodes(ctx, proto, tri, 3.0, level, nodes)
-        drho = _drho(rho, grads, 3.0)
+        geo, = _vertex_geometry(ctx, proto, [tri], [level])
+        rho = _rho_at_nodes(ctx.trees[level], geo, 3.0, nodes)
+        drho = _drho(rho, geo[1], 3.0)[0]
+        rho = rho[0]
         assert np.allclose(rho.sum(axis=1), 1.0)
         assert np.allclose(drho.sum(axis=1), 0.0, atol=1e-14)
         assert np.all(rho > 0) and np.all(rho < 1)
@@ -221,8 +224,9 @@ def test_rho_fd_oracle_and_eta_bound():
         vd, _ = rho_and_drho(proto, beta, tree, (tri, dn))
         assert grad[axis] == pytest.approx((vu - vd) / (2 * h), abs=1e-6)
     # eta factors stay within [-1, 1]
-    rho, _ = _rho_at_nodes(ctx, proto, tri, beta, 0, pt[None, :])
-    r = rho[0]
+    rho = _rho_at_nodes(ctx.trees[0], _vertex_geometry(ctx, proto, [tri], [0])[0], beta,
+                        pt[None, :])
+    r = rho[0, 0]
     for a in range(len(r)):
         for b in range(len(r)):
             eta = r[a] * r[b] if a != b else -r[a] * (1 - r[a])
@@ -414,7 +418,7 @@ def dict_jan_form(proto, beta, key, coords, frame, ell, zeta):
     along = np.array(frame).T                     # (jdim, ell)
     drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1] @ along
              for j in range(ell)]
-    return _orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, np.ones(1))
+    return single_orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, np.ones(1))
 
 
 def dict_jan_integrate(proto, beta, key, tol, max_depth, zeta):
@@ -427,11 +431,130 @@ def dict_jan_integrate(proto, beta, key, tol, max_depth, zeta):
         rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + jdim, nodes)
         drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1]
                  for j in range(jdim)]
-        est = _orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, wts)
+        est = single_orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, wts)
         if prev is not None and np.max(np.abs(est - prev)) < tol:
             return est
         prev = est
     raise QuadratureNoConvergence(f"simplex {key}")
+
+
+# --- the per-simplex route, kept as the oracle --------------------------------------
+# jan_integrate used to run its own depth loop for each simplex, with one
+# form evaluation per depth on that simplex's nodes alone.  That code is
+# kept here verbatim (renamed, with the library helpers it shares
+# qualified); the stacked evaluator must reproduce it bit for bit.
+
+
+def single_rho_at_nodes(ctx, proto, key, beta, level, nodes):
+    """Tree distribution at each node, (N, ntrees), and the tree weights'
+    gradients in the simplex's affine coordinates, (jdim, ntrees)."""
+    table = ctx.trees[level]
+    wt_vertex = ana_hyper._tree_weights(table, ana_hyper._simplex_vertex_weights(proto, key, level))
+    base = wt_vertex[0]
+    grads = wt_vertex[1:] - base[None, :]
+    return ana_hyper._tree_distribution(table, base[None, :] + nodes @ grads, beta), grads
+
+
+def single_drho(rho, grads, beta):
+    """Exact differential of the tree distribution, (N, ntrees, jdim):
+    d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ]."""
+    dw = grads.T
+    mean_dw = rho @ dw
+    return beta * rho[:, :, None] * (mean_dw[:, None, :] - dw[None, :, :])
+
+
+def single_form(ctx, proto, key, beta, nodes, wts, ell, zeta, along=None):
+    """Weighted node sum of the degree-ell form on a simplex: rho at the
+    top level, its differential along the frame columns `along` (the
+    coordinate axes when None) below it, then the orchard sum."""
+    p = proto.gap.p
+    rho_top, _ = single_rho_at_nodes(ctx, proto, key, beta, p + ell, nodes)
+    drhos = []
+    for j in range(ell):
+        drho = single_drho(*single_rho_at_nodes(ctx, proto, key, beta, p + j, nodes), beta)
+        drhos.append(drho if along is None else drho @ along)
+    return single_orchard_sum(ctx, p, zeta, rho_top, drhos, wts)
+
+
+def single_orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
+    """Weighted node sum of the degree-ell orchard form, factored per level.
+
+    rho_top: (N, ntrees) at level p + ell; drhos[j]: (N, ntrees, ell), the
+    tree-weight differentials at level p + j along the ell frame vectors;
+    wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z ... R_0 is
+    multilinear in the tree chosen per level, so the sum over orchards is
+    sum_sigma sgn(sigma) K Z D_{ell-1}(v_sigma(0)) ... Z D_1 D_0(v_sigma(ell-1))
+    with K = sum_T rho_T R_T and D_j(v) = sum_T (drho_T . v) R_T per node.
+    """
+    ell = len(drhos)
+    zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
+    # R_0 (minus the co-tree projection) at the bottom, Z_j R_T in between
+    rinv = [ctx.trees[p + j].rinv for j in range(ell + 1)]
+    factors = [rinv[0]] + [zetas[j] @ rinv[j] for j in range(1, ell)]
+    kirch = np.tensordot(wts[:, None] * rho_top, rinv[ell], axes=1)
+    derivs = [np.tensordot(dr, f, axes=([1], [0])) for dr, f in zip(drhos, factors)]
+    value = np.zeros((kirch.shape[1], factors[0].shape[2]))
+    for perm in itertools.permutations(range(ell)):
+        chain = derivs[0][:, perm[-1]]
+        for j in range(1, ell):
+            chain = derivs[j][:, perm[ell - 1 - j]] @ chain
+        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+        value += sign * np.tensordot(kirch, chain, axes=([0, 2], [0, 1]))
+    return value
+
+
+def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard"):
+    """Stokes-map value on one simplex: the integral of the pulled-back
+    degree-(dim) form, refined dyadically until stable within tol."""
+    if beta <= 0:
+        raise NonpositiveBeta(f"beta = {beta}")
+    gap = proto.gap
+    ctx = _context(gap)
+    key = tuple(key)
+    jdim = proto.dim_of(key)
+    if jdim > gap.top:
+        raise ValueError("simplex dimension exceeds the gap width")
+    if jdim == 0:
+        vw = ana_hyper._simplex_vertex_weights(proto, key, gap.p)
+        _, alpha0 = weighted_pseudoinverse_inclusion(gap, vw[0], beta)
+        return alpha0
+    prev = None
+    for depth in range(max_depth + 1):
+        nodes, wts = _node_batches(jdim, depth)
+        est = single_form(ctx, proto, key, beta, nodes, wts, jdim, zeta)
+        if prev is not None and np.max(np.abs(est - prev)) < tol:
+            return est
+        prev = est
+    raise QuadratureNoConvergence(
+        f"simplex {key}: no convergence within depth {max_depth} at tol {tol}"
+    )
+
+
+def loop_edgewise_pieces(n, depth):
+    """The edgewise subdivision by its loop over every candidate chain."""
+    r = 2 ** depth
+    if n == 0:
+        return [np.zeros((1, 0))]
+    if r == 1:
+        verts = [np.zeros(n)] + [np.eye(n)[i] for i in range(n)]
+        return [np.array(verts)]
+    pieces = []
+    # the sorted cube picture: y_1 >= y_2 >= ... >= y_n, mapped to the
+    # standard simplex by t_m = y_m - y_{m+1}
+    for base in itertools.product(range(r), repeat=n):
+        for perm in itertools.permutations(range(n)):
+            chain = [np.array(base, dtype=float)]
+            for a in perm:
+                nxt = chain[-1].copy()
+                nxt[a] += 1.0
+                chain.append(nxt)
+            bary = sum(chain) / len(chain)
+            if all(bary[m] >= bary[m + 1] for m in range(n - 1)):
+                ys = np.array(chain) / r
+                ts = ys.copy()
+                ts[:, :-1] -= ys[:, 1:]
+                pieces.append(ts)
+    return pieces
 
 
 def two_pass_sweep_rows(proto, betas, tol, max_depth):
@@ -447,7 +570,7 @@ def two_pass_sweep_rows(proto, betas, tol, max_depth):
     for beta in betas:
         chain = np.zeros(gap.dim_at(gap.top))
         for key, coeff in proto.fundamental_cycle.items():
-            mat = jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
+            mat = single_jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
             chain = chain + float(coeff) * (mat @ rep)
         cls = (ctx.top_solve @ chain)[ctx.top_nb:]
         if ctx.hq_project is not None:
@@ -541,9 +664,10 @@ def test_jan_integrate_equals_dict_route(name):
     proto = EQUALITY_PROTOCOLS[name]()
     tol = 1e-4 if proto.gap.top == 3 else 1e-8
     for jdim in range(1, proto.gap.top + 1):
-        for key in proto.simplices_of_dim(jdim):
-            for zeta in ("standard", "alternative"):
-                value = jan_integrate(proto, 5.0, key, tol=tol, zeta=zeta)
+        keys = proto.simplices_of_dim(jdim)
+        for zeta in ("standard", "alternative"):
+            values = jan_integrate(proto, 5.0, keys, tol=tol, zeta=zeta)
+            for key, value in zip(keys, values):
                 oracle = dict_jan_integrate(proto, 5.0, key, tol, 8, zeta)
                 assert np.array_equal(value, oracle), (key, zeta)
 
@@ -608,14 +732,105 @@ def test_jan_integrate_matches_brute_force_orchards(name):
     for jdim in range(1, proto.gap.top + 1):
         nodes, wts = _node_batches(jdim, 1)
         largest = 0.0
-        for key in proto.simplices_of_dim(jdim):
-            for zeta in ("standard", "alternative"):
-                # an infinite tolerance stops at depth 1
-                value = jan_integrate(proto, 6.0, key, tol=np.inf, max_depth=1, zeta=zeta)
+        keys = proto.simplices_of_dim(jdim)
+        for zeta in ("standard", "alternative"):
+            # an infinite tolerance stops at depth 1
+            values = jan_integrate(proto, 6.0, keys, tol=np.inf, max_depth=1, zeta=zeta)
+            for key, value in zip(keys, values):
                 oracle = brute_force_orchard_sum(proto, 6.0, key, nodes, wts, np.eye(jdim), zeta)
                 assert _close(value, oracle), (key, zeta)
                 largest = max(largest, float(np.max(np.abs(oracle))))
         assert largest > 1e-3
+
+
+# --- stacked integration against the per-simplex route --------------------------------
+
+STACKED_CASES = {
+    # builtin, betas, tol: the q=3 cells at the benchmark's coarse tolerance
+    "square": (square_protocol, (2.0, 12.5, 30.0, 300.0), 1e-8),
+    "sphere1": (lambda: cube_sphere_protocol(1), (2.0, 12.5, 300.0), 1e-8),
+    "sphere2": (lambda: cube_sphere_protocol(2), (2.0, 12.5, 300.0), 1e-8),
+    "sphere3": (lambda: cube_sphere_protocol(3), (2.0,), 1e-4),
+    "wedge2": (lambda: cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2)),
+               (2.0, 12.5, 300.0), 1e-8),
+}
+
+
+def integrable_cells(proto):
+    return [key for key in proto.all_cells() if proto.dim_of(key) <= proto.gap.top]
+
+
+@pytest.mark.parametrize("name", sorted(STACKED_CASES))
+def test_stacked_integrate_equals_per_simplex_route(name):
+    make, betas, tol = STACKED_CASES[name]
+    proto = make()
+    # every cell in one call, highest dimension first, so the blocks come
+    # back in input order across the dimension groups
+    keys = integrable_cells(proto)[::-1]
+    for beta in betas:
+        for zeta in ("standard", "alternative"):
+            values = jan_integrate(proto, beta, keys, tol=tol, zeta=zeta)
+            assert len(values) == len(keys)
+            for key, value in zip(keys, values):
+                oracle = single_jan_integrate(proto, beta, key, tol=tol, zeta=zeta)
+                assert np.array_equal(value, oracle), (key, beta, zeta)
+
+
+def _item_counts(monkeypatch):
+    """Records (simplices, nodes) of every stacked form evaluation."""
+    calls = []
+    original = ana_hyper._form
+
+    def counted(ctx, p, beta, geos, nodes, *args, **kwargs):
+        calls.append((len(geos[0][0]), len(nodes)))
+        return original(ctx, p, beta, geos, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(ana_hyper, "_form", counted)
+    return calls
+
+
+def test_stacked_integrate_mixed_depths(monkeypatch):
+    # on the cube sphere's cycle at beta 12.5 some simplices converge at
+    # depth 1 and the rest refine on: they leave the stack one by one
+    proto = cube_sphere_protocol(2)
+    keys = list(proto.fundamental_cycle)
+    calls = _item_counts(monkeypatch)
+    for zeta in ("standard", "alternative"):
+        calls.clear()
+        values = jan_integrate(proto, 12.5, keys, zeta=zeta)
+        for key, value in zip(keys, values):
+            assert np.array_equal(value, single_jan_integrate(proto, 12.5, key, zeta=zeta))
+        items = [sum(i for i, n in calls if n == nodes)
+                 for nodes in sorted({n for _, n in calls})]
+        assert items[0] == items[1] == len(keys) > items[2]
+        assert len(items) > 4 and items[-1] > 0
+        assert items == sorted(items, reverse=True)
+
+
+def test_stacked_integrate_raises_for_first_failure_in_input_order():
+    # depth-starved: some cells converge by depth 3, others do not; at
+    # depth -1 only the vertices, which need no quadrature, have a value
+    proto = cube_sphere_protocol(2)
+    cells = integrable_cells(proto)
+    for max_depth in (3, -1):
+        for keys in (cells, cells[::-1]):
+            fails = []
+            for key in keys:
+                try:
+                    single_jan_integrate(proto, 12.5, key, max_depth=max_depth)
+                except QuadratureNoConvergence as exc:
+                    fails.append(str(exc))
+            assert 0 < len(fails) < len(keys)
+            with pytest.raises(QuadratureNoConvergence) as err:
+                jan_integrate(proto, 12.5, keys, max_depth=max_depth)
+            assert str(err.value) == fails[0]
+
+
+def test_stacked_integrate_empty_and_bad_dimension():
+    proto = square_protocol()
+    assert jan_integrate(proto, 3.0, []) == []
+    with pytest.raises(ValueError):
+        jan_integrate(proto, 3.0, list(cube_sphere_protocol(2).simplices_of_dim(2)))
 
 
 def test_node_batches_cached_read_only():
@@ -657,6 +872,16 @@ def test_simplex_rule_degree_five_exact():
             assert approx == pytest.approx(exact, abs=1e-14)
 
 
+def test_edgewise_pieces_equal_loop_route():
+    for n in range(4):
+        for depth in range(5):
+            pieces, oracle = edgewise_pieces(n, depth), loop_edgewise_pieces(n, depth)
+            assert len(pieces) == len(oracle)
+            assert all(p.dtype == o.dtype and np.array_equal(p, o) for p, o in zip(pieces, oracle))
+    pieces, oracle = edgewise_pieces(3, 5), loop_edgewise_pieces(3, 5)
+    assert np.array_equal(np.stack(pieces), np.stack(oracle))
+
+
 def test_edgewise_pieces_tile():
     for n in (1, 2, 3):
         for depth in (0, 1, 2):
@@ -674,7 +899,7 @@ def test_edgewise_pieces_tile():
 def test_integrate_dim0_is_alpha0():
     proto = square_protocol()
     v = proto.simplices_of_dim(0)[0]
-    out = jan_integrate(proto, 4.0, v)
+    out, = jan_integrate(proto, 4.0, [v])
     wp = proto.vertex_weights[v[0]]
     _, alpha0 = weighted_pseudoinverse_inclusion(proto.gap, np.array(wp.level(0)), 4.0)
     assert np.allclose(out, alpha0)
@@ -684,7 +909,7 @@ def test_integrate_constant_protocol_zero():
     gap = SPHERE1
     wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
     proto = constant_protocol(gap, wp)
-    out = jan_integrate(proto, 4.0, (0, 1))
+    out, = jan_integrate(proto, 4.0, [(0, 1)])
     assert np.allclose(out, 0.0)
 
 
@@ -693,8 +918,9 @@ def test_square_cycle_integral_matches_topology():
     coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
     target = np.array([float(c) for c in chain])
     total = np.zeros((2, 2))
-    for key, coeff in proto.fundamental_cycle.items():
-        total = total + coeff * jan_integrate(proto, 30.0, key)
+    keys = list(proto.fundamental_cycle)
+    for key, mat in zip(keys, jan_integrate(proto, 30.0, keys)):
+        total = total + proto.fundamental_cycle[key] * mat
     gen = np.array([1.0, 0.0])
     assert np.max(np.abs(total @ gen - target)) <= 1e-3
 
@@ -703,13 +929,27 @@ def test_quadrature_no_convergence():
     proto = square_protocol()
     edge = proto.simplices_of_dim(1)[0]
     with pytest.raises(QuadratureNoConvergence):
-        jan_integrate(proto, 30.0, edge, tol=1e-16, max_depth=0)
+        jan_integrate(proto, 30.0, [edge], tol=1e-16, max_depth=0)
+
+
+def test_nonfinite_beta_rejected():
+    proto = square_protocol()
+    edge = proto.simplices_of_dim(1)[0]
+    for beta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(NonfiniteBeta):
+            jan_integrate(proto, beta, [edge])
+        with pytest.raises(NonfiniteBeta):
+            jan_form(proto, beta, edge, [0.5], [np.array([1.0])], 1)
+        with pytest.raises(NonfiniteBeta):
+            jan_cochain(proto, beta)
+    with pytest.raises(NonpositiveBeta):
+        jan_cochain(proto, -1.0)
 
 
 def test_nonpositive_beta_rejected():
     proto = square_protocol()
     with pytest.raises(NonpositiveBeta):
-        jan_integrate(proto, 0.0, proto.simplices_of_dim(1)[0])
+        jan_integrate(proto, 0.0, [proto.simplices_of_dim(1)[0]])
     with pytest.raises(NonpositiveBeta):
         weighted_pseudoinverse_boundary(SPHERE1, [0.0, 0.0], -1.0, 1)
 
@@ -795,25 +1035,59 @@ def test_residual_sweep_equals_two_pass_route(name):
 def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     proto = cube_sphere_protocol(2)
     betas = [3.0, 5.0]
-    integrals, forms, cochains = [], [], []
-    # jan_integrate(proto, beta, key), _form(ctx, proto, key, beta, nodes, ...)
-    # and jan_cochain(proto, beta): the node count of a form sum names its depth
-    for name, log, rec in (("jan_integrate", integrals, lambda a: (a[1], tuple(a[2]))),
-                           ("_form", forms, lambda a: (a[3], a[2], len(a[4]))),
-                           ("jan_cochain", cochains, lambda a: a[1])):
+    # a small block bound, so some depths need more than one block
+    monkeypatch.setattr(ana_hyper, "_BLOCK", 64)
+    calls, integrals, forms, cochains = [], [], [], []
+    # jan_integrate(proto, beta, keys), _form(ctx, p, beta, geos, nodes, ...)
+    # and jan_cochain(proto, beta): a form sum's nodes name its dimension
+    # and depth, its vertex geometry the number of simplices in its block
+    for name, log, rec in (
+            ("jan_integrate", calls, lambda a: a[1]),
+            ("jan_integrate", integrals, lambda a: [(a[1], tuple(k)) for k in a[2]]),
+            ("_form", forms, lambda a: ((a[2], a[4].shape[1], len(a[4])), len(a[3][0][0]))),
+            ("jan_cochain", cochains, lambda a: a[1])):
         original = getattr(ana_hyper, name)
 
         def counted(*args, original=original, log=log, rec=rec, **kwargs):
-            log.append(rec(args))
+            entry = rec(args)
+            log.extend(entry) if isinstance(entry, list) else log.append(entry)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(ana_hyper, name, counted)
     quantization_sweep(proto, betas, proto.fundamental_cycle, [1], residuals=True)
-    cells = [key for key in proto.all_cells() if proto.dim_of(key) <= proto.gap.top]
+    cells = integrable_cells(proto)
     assert cochains == betas
-    # one integral per (beta, cell), one form sum per (beta, cell, depth)
+    # one integral per (beta, cell), all of one beta in one call
+    assert calls == betas
     assert sorted(integrals) == sorted((b, key) for b in betas for key in cells)
-    assert len(set(forms)) == len(forms) > len(integrals)
+    # one form sum per (beta, dimension, depth, block): full blocks of
+    # _BLOCK // nodes simplices and one last partial block
+    groups = {}
+    for group, items in forms:
+        groups.setdefault(group, []).append(items)
+    for (beta, jdim, nodes), items in groups.items():
+        step = max(1, 64 // nodes)
+        assert items[:-1] == [step] * (len(items) - 1) and 0 < items[-1] <= step
+        depth0 = min(n for b, d, n in groups if (b, d) == (beta, jdim))
+        if nodes == depth0:
+            assert sum(items) == len(proto.simplices_of_dim(jdim))
+    assert any(len(items) > 1 for items in groups.values())
+    assert any(max(items) > 1 for items in groups.values())
+    assert {(b, d) for b, d, _ in groups} == {(b, d) for b in betas for d in (1, 2)}
+
+
+@pytest.mark.parametrize("name", ["sphere2", "wedge2"])
+def test_sweep_workers_equal_serial(name):
+    proto = EQUALITY_PROTOCOLS[name]()
+    betas = [2.0, 3.0, 4.5, 9.0]
+    for residuals in (False, True):
+        serial = quantization_sweep(proto, betas, proto.fundamental_cycle, [1],
+                                    residuals=residuals, workers=1)
+        threaded = quantization_sweep(proto, betas, proto.fundamental_cycle, [1],
+                                      residuals=residuals, workers=2)
+        assert threaded.rows == serial.rows
+        assert threaded.topological == serial.topological
+        assert repr(threaded.slope) == repr(serial.slope)     # nan where every distance is 0
 
 
 def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):

@@ -185,6 +185,41 @@ def test_quantize_rejects_descending_betas(capsys):
     assert main(["quantize", "builtin:square", "--betas", "10,5"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["quantize", "builtin:square", "--betas", "inf"],
+    ["quantize", "builtin:square", "--betas", "5,nan"],
+    ["ana", "integrate", "builtin:square", "--beta", "inf"],
+])
+def test_nonfinite_beta_is_validation_error(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "beta values must be finite" in captured.err
+    assert "NaN" not in captured.out and "Warning" not in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [["quantize", "builtin:square", "--betas", "5"],
+                                     ["ana", "integrate", "builtin:square", "--beta", "5"]])
+def test_negative_quad_depth_is_validation_error(command, tmp_path, capsys):
+    assert main(command + ["--quad-depth", "-1", "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "quadrature depth must be non-negative, got -1" in captured.err
+    assert "NaN" not in captured.out
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec", ["cube_sphere:2", "cube_wedge:2"])
+def test_quantize_workers_write_identical_csv(spec, tmp_path, capsys):
+    csvs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        assert main(["quantize", f"builtin:{spec}", "--betas", "2,3,4.5,9", "--residuals",
+                     "--workers", workers, "--out", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 5
+
+
 def test_weightspace_report(sphere1_file, capsys):
     assert main(["weightspace", "report", sphere1_file, "--p", "0", "--q", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
