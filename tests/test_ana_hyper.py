@@ -442,7 +442,9 @@ def dict_jan_integrate(proto, beta, key, tol, max_depth, zeta):
 # jan_integrate used to run its own depth loop for each simplex, with one
 # form evaluation per depth on that simplex's nodes alone.  That code is
 # kept here verbatim (renamed, with the library helpers it shares
-# qualified); the stacked evaluator must reproduce it bit for bit.
+# qualified); the stacked evaluator must reproduce it bit for bit.  The
+# tree-last tree distribution it calls is copied too, so the oracle does
+# not move with the library's tree-major kernel.
 
 
 def single_rho_at_nodes(ctx, proto, key, beta, level, nodes):
@@ -452,7 +454,16 @@ def single_rho_at_nodes(ctx, proto, key, beta, level, nodes):
     wt_vertex = ana_hyper._tree_weights(table, ana_hyper._simplex_vertex_weights(proto, key, level))
     base = wt_vertex[0]
     grads = wt_vertex[1:] - base[None, :]
-    return ana_hyper._tree_distribution(table, base[None, :] + nodes @ grads, beta), grads
+    return single_tree_distribution(table, base[None, :] + nodes @ grads, beta), grads
+
+
+def single_tree_distribution(table, wt, beta):
+    """Tree weights tau^2 e^(-beta W_T), normalized along the last axis
+    after a shift by the largest log so large beta stays finite."""
+    logs = table.log_tau2 - beta * wt
+    logs = logs - logs.max(axis=-1, keepdims=True)
+    expd = np.exp(logs)
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 def single_drho(rho, grads, beta):
