@@ -16,6 +16,13 @@ D(v) = sum_T (drho_T . v) R_T below it, antisymmetrized over the frame.
 Each level's trees sit in one table; one gather-sum gives their weights
 and one softmax rho, and the point form and the quadrature share one
 evaluator, which computes drho only below the top level.
+The Boltzmann kernel is tree-major: rho keeps the tree index on its
+leading axis, so the softmax's max and sum over trees and every
+broadcast against per-tree data run with the node axis innermost.  Its
+bits are those of the tree-last kernel: the tree sum adds in numpy's
+order for a last axis of that length (_tree_axis_sum), and the matmuls
+that contract trees, whose rounding depends on operand layout, are
+handed tree-last arrays (drho is laid out trees innermost).
 The Stokes map integrates the forms over simplices with a degree-5 rule
 plus edgewise dyadic refinement; the quadrature geometry depends only on
 the simplex dimension and the depth and is cached per process.  The
@@ -173,6 +180,12 @@ class _Context:
                 log_tau2=np.array([2.0 * math.log(t.torsion) for t in trees]),
                 rinv=np.stack([ratlin.to_float(t.right_inverse, *shape) for t in trees]),
             )
+        # the orchard sum's per-level operators: R_T at the top, and below it
+        # R_0 (minus the co-tree projection), then Z_j R_T, per zeta choice
+        self.rinv = [self.trees[gap.p + j].rinv for j in range(top + 1)]
+        self.factors_std, self.factors_alt = (
+            [self.rinv[0]] + [zetas[j] @ self.rinv[j] for j in range(1, top)]
+            for zetas in (self.zeta_std, self.zeta_alt))
         # class extraction: the top degree for sweeps; degree 0, which only
         # axiom A3 reads, on first use (h0_class)
         self.top_solve = _class_solve(gap.homology[top], gap.dim_at(top))
@@ -253,13 +266,36 @@ def _tree_weights(table, w):
     return out
 
 
+def _tree_axis_sum(x):
+    """x summed over its leading (tree) axis in the order numpy sums a last
+    axis of that length: one by one below 8 terms, in 8 lanes up to 128,
+    by halves above.  The node axes stay innermost and the bits are those
+    of x.sum(axis=-1) on the tree-last layout."""
+    n = len(x)
+    if n < 8:
+        return np.add.reduce(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _tree_axis_sum(x[:half]) + _tree_axis_sum(x[half:])
+    lanes = x[:8].copy()
+    for i in range(8, n - n % 8, 8):
+        lanes += x[i:i + 8]
+    total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + \
+        ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+    for i in range(n - n % 8, n):
+        total += x[i]
+    return total
+
+
 def _tree_distribution(table, wt, beta):
-    """Tree weights tau^2 e^(-beta W_T), normalized along the last axis
-    after a shift by the largest log so large beta stays finite."""
-    logs = table.log_tau2 - beta * wt
-    logs = logs - logs.max(axis=-1, keepdims=True)
-    expd = np.exp(logs)
-    return expd / expd.sum(axis=-1, keepdims=True)
+    """Tree weights tau^2 e^(-beta W_T), normalized over the leading tree
+    axis after a shift by the largest log so large beta stays finite.
+    log tau^2 broadcasts along the last axis of the transposed view."""
+    logs = (table.log_tau2 - beta * wt.T).T
+    logs -= np.maximum.reduce(logs)
+    expd = np.exp(logs, out=logs)
+    expd /= _tree_axis_sum(expd)
+    return expd
 
 
 def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
@@ -312,18 +348,35 @@ def _vertex_geometry(ctx, proto, keys, levels):
 
 
 def _rho_at_nodes(table, geo, beta, nodes):
-    """Tree distribution at each node of each simplex, (I, N, ntrees), from
-    the simplices' vertex geometry (base, grads)."""
+    """Tree distribution at each node of each simplex, tree-major
+    (ntrees, I, N), from the simplices' vertex geometry (base, grads)."""
     base, grads = geo
-    return _tree_distribution(table, base[:, None, :] + nodes @ grads, beta)
+    # the matmul keeps its tree-last layout; the given tree-major out makes
+    # the add run over the nodes (an allocated result would follow the
+    # matmul and run over the trees)
+    wt = np.empty((grads.shape[2], len(base), len(nodes)))
+    np.add(base.T[:, :, None], (nodes @ grads).transpose(2, 0, 1), out=wt)
+    return _tree_distribution(table, wt, beta)
 
 
 def _drho(rho, grads, beta):
-    """Exact differential of the tree distribution, (I, N, ntrees, jdim):
-    d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ]."""
-    dw = np.swapaxes(grads, 1, 2)
-    mean_dw = rho @ dw
-    return beta * rho[..., None] * (mean_dw[:, :, None, :] - dw[:, None, :, :])
+    """Exact differential of the tree distribution rho (ntrees, I, N),
+    (I, N, ntrees, jdim) with the trees innermost in memory:
+    d rho_T = beta * [ sum_a rho_T rho_a dW_a - rho_T dW_T ].
+    A matmul rounds by the memory order of its operands, so the ones that
+    contract trees (here and in the orchard sum) get the tree-last layout;
+    the broadcasts write through tree-major views, over the nodes."""
+    ntrees, items, n = rho.shape
+    jdim = grads.shape[1]
+    # a ufunc copy runs over the nodes, an assignment over the trees
+    tree_last = np.empty((items, n, ntrees))
+    np.positive(rho, out=tree_last.transpose(2, 0, 1))
+    mean_dw = tree_last @ grads.swapaxes(1, 2)
+    diff = np.empty((ntrees, items, jdim, n))
+    np.subtract(mean_dw.transpose(0, 2, 1), grads.transpose(2, 0, 1)[..., None], out=diff)
+    out = np.empty((items, n, jdim, ntrees))
+    np.multiply((beta * rho)[:, :, None], diff, out=out.transpose(3, 0, 2, 1))
+    return out.swapaxes(2, 3)
 
 
 def rho_and_drho(proto, beta, tree, point):
@@ -335,7 +388,7 @@ def rho_and_drho(proto, beta, tree, point):
     pos = next(i for i, t in enumerate(table.trees) if t.cells == tree.cells)
     geo, = _vertex_geometry(ctx, proto, [key], [tree.level])
     rho = _rho_at_nodes(table, geo, beta, coords)
-    return float(rho[0, 0, pos]), _drho(rho, geo[1], beta)[0, 0, pos, :].copy()
+    return float(rho[pos, 0, 0]), _drho(rho, geo[1], beta)[0, 0, pos, :].copy()
 
 
 # --- the form and its integrals -------------------------------------------------
@@ -353,7 +406,7 @@ def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
     for j in range(ell):
         drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, nodes), geos[j][1], beta)
         drhos.append(drho if along is None else drho @ along)
-    return _orchard_sum(ctx, p, zeta, rho_top, drhos, wts)
+    return _orchard_sum(ctx, zeta, rho_top, drhos, wts)
 
 
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
@@ -388,11 +441,11 @@ def _tree_sum(coeffs, ops):
     return out.reshape(coeffs.shape[:-1] + ops.shape[1:])
 
 
-def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
+def _orchard_sum(ctx, zeta, rho_top, drhos, wts):
     """Weighted node sum of the degree-ell orchard form, factored per level,
     for each simplex of a stack.
 
-    rho_top: (I, N, ntrees) at level p + ell; drhos[j]: (I, N, ntrees, ell),
+    rho_top: (ntrees, I, N) at level p + ell; drhos[j]: (I, N, ntrees, ell),
     the tree-weight differentials at level p + j along the ell frame
     vectors; wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z ...
     R_0 is multilinear in the tree chosen per level, so the sum over
@@ -402,22 +455,29 @@ def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
     The node sum of each permutation's product is one matmul per simplex.
     """
     ell = len(drhos)
-    zetas = ctx.zeta_std if zeta == "standard" else ctx.zeta_alt
-    # R_0 (minus the co-tree projection) at the bottom, Z_j R_T in between
-    rinv = [ctx.trees[p + j].rinv for j in range(ell + 1)]
-    factors = [rinv[0]] + [zetas[j] @ rinv[j] for j in range(1, ell)]
-    kirch = _tree_sum(wts[:, None] * rho_top, rinv[ell])
-    derivs = [_tree_sum(np.swapaxes(dr, 2, 3), f) for dr, f in zip(drhos, factors)]
+    factors = ctx.factors_std if zeta == "standard" else ctx.factors_alt
+    # node weights times rho, computed over the nodes and written tree-last
+    # for the matmul
+    coeffs = np.empty(rho_top.shape[1:] + rho_top.shape[:1])
+    np.multiply(rho_top, wts, out=coeffs.transpose(2, 0, 1))
+    kirch = _tree_sum(coeffs, ctx.rinv[ell])
+    derivs = [_tree_sum(dr.swapaxes(2, 3), f) for dr, f in zip(drhos, factors)]
     items, n, rows, inner = kirch.shape
     kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
     value = np.zeros((items, rows, factors[0].shape[2]))
-    for perm in itertools.permutations(range(ell)):
+    for perm, sign in _signed_permutations(ell):
         chain = derivs[0][:, :, perm[-1]]
         for j in range(1, ell):
             chain = derivs[j][:, :, perm[ell - 1 - j]] @ chain
-        sign = (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
         value += sign * (kirch @ chain.reshape(items, n * inner, -1))
     return value
+
+
+@functools.lru_cache(maxsize=8)
+def _signed_permutations(ell):
+    """The permutations of range(ell), each with its sign."""
+    return tuple((perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+                 for perm in itertools.permutations(range(ell)))
 
 
 # --- quadrature -----------------------------------------------------------------

@@ -185,8 +185,9 @@ def test_rho_partition_of_unity_and_gradient_sum():
         geo, = _vertex_geometry(ctx, proto, [tri], [level])
         rho = _rho_at_nodes(ctx.trees[level], geo, 3.0, nodes)
         drho = _drho(rho, geo[1], 3.0)[0]
-        rho = rho[0]
-        assert np.allclose(rho.sum(axis=1), 1.0)
+        rho = rho[:, 0]    # tree-major: (ntrees, nodes)
+        assert rho.shape == (len(ctx.trees[level].trees), len(nodes))
+        assert np.allclose(rho.sum(axis=0), 1.0)
         assert np.allclose(drho.sum(axis=1), 0.0, atol=1e-14)
         assert np.all(rho > 0) and np.all(rho < 1)
 
@@ -226,7 +227,8 @@ def test_rho_fd_oracle_and_eta_bound():
     # eta factors stay within [-1, 1]
     rho = _rho_at_nodes(ctx.trees[0], _vertex_geometry(ctx, proto, [tri], [0])[0], beta,
                         pt[None, :])
-    r = rho[0, 0]
+    r = rho[:, 0, 0]
+    assert len(r) == len(ctx.trees[0].trees) > 1
     for a in range(len(r)):
         for b in range(len(r)):
             eta = r[a] * r[b] if a != b else -r[a] * (1 - r[a])
@@ -320,6 +322,29 @@ def test_partition_of_unity_hypothesis(w, beta):
     rho = ana_hyper._tree_distribution(table, _tree_weights(table, np.array(w)), beta)
     assert rho.sum() == pytest.approx(1.0)
     assert np.all(rho > 0.0)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=["scalar", "nodes", "items_nodes"])
+def test_tree_axis_sum_matches_last_axis_sum(shape):
+    # 1-300 trees cover the one-by-one (< 8), 8-lane (8-128) and halving
+    # (> 128) branches; terms span 16 decades, so any other order of the
+    # additions shows in the last bits
+    rng = np.random.default_rng(41)
+    for ntrees in range(1, 301):
+        tree_last = rng.normal(size=shape + (ntrees,)) * 10.0 ** rng.uniform(
+            -8, 8, size=shape + (ntrees,))
+        tree_major = np.ascontiguousarray(np.moveaxis(tree_last, -1, 0))
+        assert np.array_equal(ana_hyper._tree_axis_sum(tree_major),
+                              tree_last.sum(axis=-1)), ntrees
+
+
+def test_tree_axis_sum_order_is_not_sequential():
+    # the check above can fail: from 8 terms on, a plain running sum over
+    # the tree axis differs from numpy's last-axis sum on this data
+    rng = np.random.default_rng(41)
+    tree_last = rng.normal(size=(64, 40)) * 10.0 ** rng.uniform(-8, 8, size=(64, 40))
+    running = np.add.reduce(np.ascontiguousarray(tree_last.T))
+    assert not np.array_equal(running, tree_last.sum(axis=-1))
 
 
 # --- the per-tree route, kept as the oracle -----------------------------------------
