@@ -37,9 +37,11 @@ Exponentials are always shifted by the per-level extremum before
 exponentiation so large beta stays finite.
 """
 
+import collections
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -305,6 +307,8 @@ def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
     co-trees."""
     _check_beta(beta)
     ctx = _context(gap)
+    if j < 0 or j > gap.top:
+        raise ValueError("degree out of range")
     table = ctx.trees[j + gap.p]
     rho = _tree_distribution(table, _tree_weights(table, _level_weights(gap, w, j)), beta)
     return np.tensordot(rho, table.rinv, axes=1)
@@ -382,6 +386,7 @@ def _drho(rho, grads, beta):
 def rho_and_drho(proto, beta, tree, point):
     """Value and differential (in the simplex's affine coordinates) of
     one tree's Boltzmann weight at a point."""
+    _check_beta(beta)
     key, coords = tuple(point[0]), np.atleast_2d(np.asarray(point[1], dtype=float))
     ctx = _context(proto.gap)
     table = ctx.trees[tree.level]
@@ -531,11 +536,24 @@ def edgewise_pieces(n, depth):
     return list(ts)
 
 
-@functools.lru_cache(maxsize=32)
+# Bytes of node batches kept for reuse.  A quantize op set needs under
+# 2 MB; one batch of the 3-simplex at depth 5 takes 16 MB, at depth 6
+# 126 MB, more than is worth keeping for the life of the process.
+_NODE_CACHE_BYTES = 32 * 2 ** 20
+_node_cache = collections.OrderedDict()     # (jdim, depth) -> (nodes, weights)
+_node_cache_lock = threading.Lock()         # sweeps may run betas on threads
+
+
 def _node_batches(jdim, depth):
-    """All quadrature nodes of one refinement depth with their weights.
-    They depend on nothing else, so they are built once per process and
-    returned read-only."""
+    """All quadrature nodes of one refinement depth with their weights,
+    read-only.  They depend on nothing else, so they are kept for reuse,
+    the least recently used leaving first once the kept batches exceed
+    _NODE_CACHE_BYTES; a batch larger than that is not kept."""
+    key = (jdim, depth)
+    with _node_cache_lock:
+        if key in _node_cache:
+            _node_cache.move_to_end(key)
+            return _node_cache[key]
     bary, w = simplex_rule(jdim)
     pieces = np.stack(edgewise_pieces(jdim, depth))
     vol = (1.0 / math.factorial(jdim)) / len(pieces)
@@ -543,7 +561,14 @@ def _node_batches(jdim, depth):
     weights = np.tile(w * vol, len(pieces))
     nodes.setflags(write=False)
     weights.setflags(write=False)
-    return nodes, weights
+    if nodes.nbytes + weights.nbytes > _NODE_CACHE_BYTES:
+        return nodes, weights
+    with _node_cache_lock:
+        batch = _node_cache.setdefault(key, (nodes, weights))
+        _node_cache.move_to_end(key)
+        while sum(n.nbytes + w.nbytes for n, w in _node_cache.values()) > _NODE_CACHE_BYTES:
+            _node_cache.popitem(last=False)
+    return batch
 
 
 # Simplices times nodes in one stacked form evaluation.  Every array of a
@@ -777,6 +802,8 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
     log-linear decay fit over the requested beta range.  With residuals,
     each beta integrates the whole analytical cochain once: its blocks
     give the class and its chain-map defect the row's residual."""
+    if len(betas) == 0:
+        raise ValueError("quantization sweep needs at least one beta: the beta list is empty")
     gap = proto.gap
     if cycle_boundary_defect(proto, cycle):
         raise NotACycle("parameter chain has nonzero boundary")

@@ -869,13 +869,31 @@ def test_stacked_integrate_empty_and_bad_dimension():
         jan_integrate(proto, 3.0, list(cube_sphere_protocol(2).simplices_of_dim(2)))
 
 
-def test_node_batches_cached_read_only():
+def test_node_batches_cached_read_only(monkeypatch):
     nodes, wts = _node_batches(2, 1)
     again = _node_batches(2, 1)
     assert again[0] is nodes and again[1] is wts
     assert not nodes.flags.writeable and not wts.flags.writeable
     assert nodes.shape == (len(wts), 2) and wts.sum() == pytest.approx(0.5)
-    assert _node_batches.cache_info().maxsize is not None
+    # the kept batches are bounded by bytes, least recently used out first
+    kept = ana_hyper._node_cache
+    assert sum(n.nbytes + w.nbytes for n, w in kept.values()) <= ana_hyper._NODE_CACHE_BYTES
+    monkeypatch.setattr(ana_hyper, "_node_cache", type(kept)())
+    size = {d: sum(a.nbytes for a in _node_batches(2, d)) for d in (0, 1, 2)}
+    monkeypatch.setattr(ana_hyper, "_node_cache", type(kept)())
+    monkeypatch.setattr(ana_hyper, "_NODE_CACHE_BYTES", size[1] + size[2])
+    first = _node_batches(2, 1)
+    _node_batches(2, 2)
+    assert list(ana_hyper._node_cache) == [(2, 1), (2, 2)]
+    _node_batches(2, 0)     # over the bound: (2, 1) is the least recently used
+    assert list(ana_hyper._node_cache) == [(2, 2), (2, 0)]
+    rebuilt = _node_batches(2, 1)
+    assert rebuilt[0] is not first[0] and np.array_equal(rebuilt[0], first[0])
+    assert np.array_equal(rebuilt[1], first[1]) and not rebuilt[0].flags.writeable
+    assert list(ana_hyper._node_cache) == [(2, 0), (2, 1)]
+    # a batch larger than the bound is returned but not kept
+    big = _node_batches(2, 3)
+    assert big[0].shape == (len(big[1]), 2) and (2, 3) not in ana_hyper._node_cache
 
 
 def test_context_dropped_with_its_gap():
@@ -988,6 +1006,29 @@ def test_nonpositive_beta_rejected():
         jan_integrate(proto, 0.0, [proto.simplices_of_dim(1)[0]])
     with pytest.raises(NonpositiveBeta):
         weighted_pseudoinverse_boundary(SPHERE1, [0.0, 0.0], -1.0, 1)
+
+
+@pytest.mark.parametrize("beta, error", [(math.inf, NonfiniteBeta), (math.nan, NonfiniteBeta),
+                                         (0.0, NonpositiveBeta), (-1.0, NonpositiveBeta)],
+                         ids=["inf", "nan", "zero", "negative"])
+def test_rho_and_drho_rejects_bad_beta(beta, error):
+    proto = cube_sphere_protocol(2)
+    tri = proto.simplices_of_dim(2)[0]
+    tree = _context(proto.gap).trees[0].trees[0]
+    with pytest.raises(error):
+        rho_and_drho(proto, beta, tree, (tri, [0.2, 0.3]))
+
+
+def test_kirchhoff_degree_out_of_range():
+    for j in (-1, SPHERE2.top + 1, 7):
+        with pytest.raises(ValueError, match="degree out of range"):
+            kirchhoff_pseudoinverse(SPHERE2, np.zeros(2), 3.0, j)
+
+
+def test_quantization_sweep_empty_betas():
+    proto = square_protocol()
+    with pytest.raises(ValueError, match="beta list is empty"):
+        quantization_sweep(proto, [], proto.fundamental_cycle, [1])
 
 
 # --- cochain residuals ---------------------------------------------------------------
