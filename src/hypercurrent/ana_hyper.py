@@ -182,11 +182,11 @@ class _Context:
                 log_tau2=np.array([2.0 * math.log(t.torsion) for t in trees]),
                 rinv=np.stack([ratlin.to_float(t.right_inverse, *shape) for t in trees]),
             )
-        # the orchard sum's per-level operators: R_T at the top, and below it
-        # R_0 (minus the co-tree projection), then Z_j R_T, per zeta choice
-        self.rinv = [self.trees[gap.p + j].rinv for j in range(top + 1)]
+        # the orchard sum's operators below its top level, per zeta choice:
+        # R_0 (minus the co-tree projection), then Z_j R_T
+        rinv = [self.trees[gap.p + j].rinv for j in range(top)]
         self.factors_std, self.factors_alt = (
-            [self.rinv[0]] + [zetas[j] @ self.rinv[j] for j in range(1, top)]
+            rinv[:1] + [zetas[j] @ rinv[j] for j in range(1, top)]
             for zetas in (self.zeta_std, self.zeta_alt))
         # class extraction: the top degree for sweeps; degree 0, which only
         # axiom A3 reads, on first use (h0_class)
@@ -411,7 +411,7 @@ def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
     for j in range(ell):
         drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, nodes), geos[j][1], beta)
         drhos.append(drho if along is None else drho @ along)
-    return _orchard_sum(ctx, zeta, rho_top, drhos, wts)
+    return _orchard_sum(ctx, p, zeta, rho_top, drhos, wts)
 
 
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
@@ -446,7 +446,7 @@ def _tree_sum(coeffs, ops):
     return out.reshape(coeffs.shape[:-1] + ops.shape[1:])
 
 
-def _orchard_sum(ctx, zeta, rho_top, drhos, wts):
+def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
     """Weighted node sum of the degree-ell orchard form, factored per level,
     for each simplex of a stack.
 
@@ -465,7 +465,7 @@ def _orchard_sum(ctx, zeta, rho_top, drhos, wts):
     # for the matmul
     coeffs = np.empty(rho_top.shape[1:] + rho_top.shape[:1])
     np.multiply(rho_top, wts, out=coeffs.transpose(2, 0, 1))
-    kirch = _tree_sum(coeffs, ctx.rinv[ell])
+    kirch = _tree_sum(coeffs, ctx.trees[p + ell].rinv)
     derivs = [_tree_sum(dr.swapaxes(2, 3), f) for dr, f in zip(drhos, factors)]
     items, n, rows, inner = kirch.shape
     kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
@@ -566,7 +566,7 @@ def _node_batches(jdim, depth):
     with _node_cache_lock:
         batch = _node_cache.setdefault(key, (nodes, weights))
         _node_cache.move_to_end(key)
-        while sum(n.nbytes + w.nbytes for n, w in _node_cache.values()) > _NODE_CACHE_BYTES:
+        while sum(a.nbytes for kept in _node_cache.values() for a in kept) > _NODE_CACHE_BYTES:
             _node_cache.popitem(last=False)
     return batch
 
