@@ -376,6 +376,7 @@ def _drho(rho, grads, beta):
     tree_last = np.empty((items, n, ntrees))
     np.positive(rho, out=tree_last.transpose(2, 0, 1))
     mean_dw = tree_last @ grads.swapaxes(1, 2)
+    del tree_last       # before the broadcasts allocate the largest arrays
     diff = np.empty((ntrees, items, jdim, n))
     np.subtract(mean_dw.transpose(0, 2, 1), grads.transpose(2, 0, 1)[..., None], out=diff)
     out = np.empty((items, n, jdim, ntrees))
@@ -462,10 +463,10 @@ def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
     ell = len(drhos)
     factors = ctx.factors_std if zeta == "standard" else ctx.factors_alt
     # node weights times rho, computed over the nodes and written tree-last
-    # for the matmul
-    coeffs = np.empty(rho_top.shape[1:] + rho_top.shape[:1])
-    np.multiply(rho_top, wts, out=coeffs.transpose(2, 0, 1))
-    kirch = _tree_sum(coeffs, ctx.trees[p + ell].rinv)
+    # for the matmul (the name is reused so the product is freed after it)
+    kirch = np.empty(rho_top.shape[1:] + rho_top.shape[:1])
+    np.multiply(rho_top, wts, out=kirch.transpose(2, 0, 1))
+    kirch = _tree_sum(kirch, ctx.trees[p + ell].rinv)
     derivs = [_tree_sum(dr.swapaxes(2, 3), f) for dr, f in zip(drhos, factors)]
     items, n, rows, inner = kirch.shape
     kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
