@@ -52,6 +52,8 @@ class RunConfig:
                 raise HclError("beta values must be positive")
             if list(self.betas) != sorted(self.betas):
                 raise HclError("beta values must be ascending")
+        if self.workers < 1:
+            raise HclError("workers must be at least 1")
         return self
 
     def as_dict(self):

@@ -225,7 +225,12 @@ class HomologyData:
         return coeffs[nb:]
 
     def representative(self, coords):
-        return ratlin.matvec(self.hbasis, list(coords))
+        """The cycle with the given coordinates in the homology basis."""
+        coords = list(coords)
+        if len(coords) != self.betti:
+            raise ValueError(
+                f"class has {len(coords)} coordinates, homology has dimension {self.betti}")
+        return ratlin.matvec(self.hbasis, coords)
 
 
 def _homology_data(n, d_in, d_out):

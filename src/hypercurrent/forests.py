@@ -255,11 +255,19 @@ def tree_right_inverse(gap: GapComplex, d, cells):
 
 
 def make_dtree(gap: GapComplex, d, cells):
-    """Validate a cell subset and package it with torsion and right inverse."""
-    if not matroid_is_dtree(gap, d, cells):
-        raise NotATree(f"{cells} is not a degree-{d} tree")
+    """Validate a cell subset and package it with torsion and right inverse.
+
+    A tree is built once per gap and kept in the gap's memo by its level
+    and cells, so enumeration and greedy selection share one object; a
+    set that is not a tree raises every time and is not kept."""
     x = gap.parent
     names = tuple(sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
+    return gap.derived(("dtree", d, names), lambda: _build_dtree(gap, d, cells, names))
+
+
+def _build_dtree(gap: GapComplex, d, cells, names):
+    if not matroid_is_dtree(gap, d, names):
+        raise NotATree(f"{cells} is not a degree-{d} tree")
     kind = "cotree" if d == gap.p else "tree"
     tau = torsion_of(gap, d, names)
     rinv = tree_right_inverse(gap, d, names)

@@ -7,9 +7,20 @@ the contracting homotopy of the tree subcomplex.  All arithmetic is
 exact (ratlin.QMat: integer numerators over one denominator) and the
 chain-map identity is asserted at each step, so the resulting cochain
 is reproducible bit for bit.
+
+Higher cells are lifted one dimension at a time: lift_simplex stacks
+the cells of a dimension as object arrays of numerators over one
+denominator per degree, gathers their face values from the previous
+dimension's stack, and runs every product and check on the whole
+stack.  Each cell's blocks are reduced to lowest terms once, at the
+end, so they equal a cell-by-cell lift's.  If checks fail, the error
+raised is the one a cell-by-cell pass in (dim, repr) order meets
+first: earliest cell, then degree, then check (support, class or
+cycle, top degree, chain-map identity).
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -52,7 +63,8 @@ def _tree_masks(gap: GapComplex, tree: DTree):
 
 class _TreeAux:
     """Contraction and vertex-lift data for one tree subcomplex, embedded
-    in ambient coordinates as QMat."""
+    in ambient coordinates as QMat; outside[j] marks the degree-j rows
+    off the tree's cells."""
 
     def __init__(self, gap: GapComplex, tree: DTree):
         self.gap = gap
@@ -70,8 +82,9 @@ class _TreeAux:
         self.pi0 = self._embed(0, 0, contr.pi0)
         self.outside = []
         for j in range(gap.top + 1):
-            inside = set(self.masks[j])
-            self.outside.append([r for r in range(gap.dim_at(j)) if r not in inside])
+            off = np.ones(gap.dim_at(j), dtype=bool)
+            off[self.masks[j]] = False
+            self.outside.append(off)
         self.phi = self._vertex_lift()
 
     def _embed(self, r, c, sub):
@@ -104,12 +117,6 @@ class _TreeAux:
                 raise LiftObstruction("vertex lift is not a chain map")
         return tuple(phis)
 
-    def support_ok(self, j, mat):
-        """True iff the degree-j chains in mat lie on the tree's cells."""
-        if not 0 <= j <= self.gap.top:
-            return mat.is_zero()
-        return not mat.num[self.outside[j]].any()
-
 
 def _tree_aux(gap: GapComplex, tree: DTree) -> _TreeAux:
     return gap.derived(("tree_aux", tree.key), lambda: _TreeAux(gap, tree))
@@ -120,13 +127,16 @@ class LiftCache:
     """Per-cell chain maps m(x (x) [cell]) in ambient coordinates.
 
     values[key][g] maps degree-g basis chains to degree g+dim(cell)
-    chains supported on the cell's tree subcomplex.
+    chains supported on the cell's tree subcomplex.  stacked holds the
+    last dimension lifted as (position of each cell, one stack per input
+    degree), so the next dimension gathers its faces from it.
     """
 
     gap: GapComplex
     cert: object
     trees: dict     # cell key -> DTree
     values: dict    # cell key -> tuple of QMat, one per input degree
+    stacked: tuple = field(default=None, repr=False, compare=False)
 
 
 def tree_functor(proto, key):
@@ -161,53 +171,130 @@ def build_lift_cache(proto) -> LiftCache:
             raise NotGood(f"cell {key} is not small")
     trees = {key: tree_functor(proto, key) for key in cells}
     cache = LiftCache(gap=gap, cert=cert, trees=trees, values={})
+    by_dim = {}
     for key in cells:
-        if proto.dim_of(key) == 0:
-            cache.values[key] = _tree_aux(gap, trees[key]).phi
+        by_dim.setdefault(proto.dim_of(key), []).append(key)
+    for jdim, keys in by_dim.items():
+        if jdim == 0:
+            cache.values.update((key, _tree_aux(gap, trees[key]).phi) for key in keys)
         else:
-            cache.values[key] = lift_simplex(proto, key, cache)
+            lift_simplex(proto, keys, cache)
     return cache
 
 
-def lift_simplex(proto, key, cache: LiftCache):
-    """Extend the lift over one cell, all proper faces being done.
+def _stacked(mats):
+    """QMats of one shape as numerators over their common denominator,
+    stacked along a leading axis."""
+    den = math.lcm(*(m.den for m in mats))
+    return np.stack([m.num * (den // m.den) for m in mats]), den
+
+
+def _reduced(num, den):
+    """A stack over den with the factor common to den and all entries
+    divided out."""
+    g = math.gcd(den, *num.flat)
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def _nonzero(num):
+    """Per cell of a stack: does any entry differ from zero."""
+    return num.astype(bool).any(axis=(1, 2))
+
+
+# the checks of one lift step in the order they are made
+_OBSTRUCTIONS = (
+    "face values escape the tree subcomplex at {key}",
+    "degree-0 argument has nonzero class at {key}",
+    "argument fails the cycle check at {key}",
+    "nonzero top-degree obstruction at {key}",
+    "chain-map identity fails at {key}, degree {g}",
+)
+
+
+def lift_simplex(proto, keys, cache: LiftCache):
+    """Extend the lift over the cells keys, all of one dimension j, all
+    lower dimensions being done; fills cache.values for them.
 
     For each basis chain x in increasing degree the defining value is
     the contracting homotopy applied to
         m(dx (x) [cell]) + (-1)^{|x|} m(x (x) d[cell]);
     the argument is asserted to be an exact cycle (a boundary) before
-    and after the solve, in exact arithmetic.
+    and after the solve, in exact arithmetic.  The cells are lifted as
+    one stack per degree: face values are gathered from the stack of
+    dimension j-1 and each tree's homotopy acts on its cells at once.
+    When checks fail the error names the failure a cell-by-cell pass in
+    keys order would meet first: earliest cell, then degree, then check.
     """
     gap = cache.gap
-    jdim = proto.dim_of(key)
-    aux = _tree_aux(gap, cache.trees[key])
-    faces = proto.boundary_of(key)
+    top = gap.top
+    jdim = proto.dim_of(keys[0])
+    if any(proto.dim_of(key) != jdim for key in keys):
+        raise ValueError("lift_simplex takes cells of one dimension")
+    cells, faces, signs = [], [], []
+    for i, key in enumerate(keys):
+        for fsign, fkey in proto.boundary_of(key):
+            cells.append(i)
+            faces.append(fkey)
+            signs.append(fsign)
+    if cache.stacked is not None and all(f in cache.stacked[0] for f in faces):
+        index, fstack = cache.stacked
+    else:
+        distinct = list(dict.fromkeys(faces))
+        index = {f: i for i, f in enumerate(distinct)}
+        fstack = [_stacked([cache.values[f][g] for f in distinct]) for g in range(top + 1)]
+    cells = np.array(cells, dtype=np.intp)
+    faces = np.array([index[f] for f in faces], dtype=np.intp)
+    signs = np.array(signs, dtype=object)[:, None, None]
+    trees = list({cache.trees[key].key: cache.trees[key] for key in keys}.values())
+    tree_pos = {tree.key: t for t, tree in enumerate(trees)}
+    tree_of = np.array([tree_pos[cache.trees[key].key] for key in keys], dtype=np.intp)
+    auxes = [_tree_aux(gap, tree) for tree in trees]
+    n = len(keys)
     out = []
-    for g in range(gap.top + 1):
+    failed = []     # (cell position, degree, check) of each check's first failing cell
+
+    def check(bad, g, which):
+        if bad.any():
+            failed.append((int(np.argmax(bad)), g, which))
+
+    for g in range(top + 1):
         ng = gap.dim_at(g)
         zdeg = g + jdim - 1
-        z = out[g - 1] @ gap.dmat(g) if g >= 1 else QMat.zeros(gap.dim_at(zdeg), ng)
-        sgn = (-1) ** g
-        for fsign, fkey in faces:
-            z = z + cache.values[fkey][g] * (sgn * fsign)
-        if not aux.support_ok(zdeg, z):
-            raise LiftObstruction(f"face values escape the tree subcomplex at {key}")
-        if zdeg == 0:
-            if not (aux.pi0 @ z).is_zero():
-                raise LiftObstruction(f"degree-0 argument has nonzero class at {key}")
-        elif 0 < zdeg <= gap.top:
-            if not (gap.dmat(zdeg) @ z).is_zero():
-                raise LiftObstruction(f"argument fails the cycle check at {key}")
-        if g + jdim > gap.top:
-            if not z.is_zero():
-                raise LiftObstruction(f"nonzero top-degree obstruction at {key}")
-            out.append(QMat.zeros(gap.dim_at(g + jdim), ng))
+        rows = gap.dim_at(zdeg)
+        fnum, zden = fstack[g]
+        z = np.zeros((n, rows, ng), dtype=object)
+        np.add.at(z, cells, fnum[faces] * (signs * (-1) ** g))
+        if g >= 1:
+            pnum, pden = out[g - 1]
+            d = gap.dmat(g)
+            bden = pden * d.den
+            den = math.lcm(zden, bden)
+            z = z * (den // zden) + (pnum @ d.num) * (den // bden)
+            zden = den
+        if rows:
+            off = np.stack([aux.outside[zdeg] for aux in auxes])[tree_of]
+            check((z.astype(bool) & off[:, :, None]).any(axis=(1, 2)), g, 0)
+            if zdeg == 0:
+                pi0 = np.stack([aux.pi0.num for aux in auxes])[tree_of]
+                check(_nonzero(pi0 @ z), g, 1)
+            else:
+                check(_nonzero(gap.dmat(zdeg).num @ z), g, 2)
+        if g + jdim > top:
+            check(_nonzero(z), g, 3)
+            out.append((np.zeros((n, 0, ng), dtype=object), 1))
             continue
-        m = aux.h[zdeg] @ z
-        if gap.dmat(g + jdim) @ m != z:
-            raise LiftObstruction(f"chain-map identity fails at {key}, degree {g}")
-        out.append(m)
-    return tuple(out)
+        hnum, hden = _stacked([aux.h[zdeg] for aux in auxes])
+        m, mden = _reduced(hnum[tree_of] @ z, hden * zden)
+        d = gap.dmat(g + jdim)
+        # d m == z, cross-multiplied: (d.num @ m) / (d.den mden) == z / zden
+        check(_nonzero((d.num @ m) * zden - z * (d.den * mden)), g, 4)
+        out.append((m, mden))
+    if failed:
+        i, g, which = min(failed)
+        raise LiftObstruction(_OBSTRUCTIONS[which].format(key=keys[i], g=g))
+    for i, key in enumerate(keys):
+        cache.values[key] = tuple(QMat(num[i], den) for num, den in out)
+    cache.stacked = ({key: i for i, key in enumerate(keys)}, out)
 
 
 @dataclass

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercurrent import ana_hyper, ratlin
+from hypercurrent import ana_hyper, forests, ratlin
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex, \
     sphere_wedge_complex, torsion_complex
 from hypercurrent.errors import BadFrame, NonfiniteBeta, NonpositiveBeta, \
@@ -46,7 +46,7 @@ from hypercurrent.protocol import (
 )
 from hypercurrent.forests import enumerate_dtrees
 from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_cochain, \
-    hypercurrent_homology
+    hypercurrent_homology, tree_functor
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
 SPHERE2 = gap_complex(sphere_complex(2), 0, 2)
@@ -1079,6 +1079,27 @@ def test_quantization_square():
                              fit_range=(5.0, 20.0))
     assert rep.rows[-1].distance <= 1e-3
     assert rep.slope == pytest.approx(-1.0, rel=0.25)
+
+
+def test_context_and_tree_functor_share_trees():
+    proto = cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2))
+    chosen = {tree_functor(proto, key) for key in proto.all_cells()}
+    tables = _context(proto.gap).trees
+    for tree in chosen:
+        assert any(t is tree for t in tables[tree.level].trees)
+
+
+@pytest.mark.parametrize("spec", ["sphere", "wedge"])
+def test_quantization_sweep_checks_each_tree_once(monkeypatch, spec):
+    complex_of = {"sphere": sphere_complex, "wedge": sphere_wedge_complex}[spec]
+    proto = cube_protocol(gap_complex(complex_of(2), 0, 2))
+    calls = []
+    real = forests.is_dtree
+    monkeypatch.setattr(forests, "is_dtree",
+                        lambda gap, d, cells: calls.append((d, tuple(cells))) or real(gap, d, cells))
+    quantization_sweep(proto, [2.0], proto.fundamental_cycle, [1], tol=1e-4, max_depth=4)
+    trees = _context(proto.gap).trees
+    assert sorted(calls) == sorted((d, t.cells) for d, table in trees.items() for t in table.trees)
 
 
 def test_quantization_wedge_trivial():

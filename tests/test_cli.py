@@ -122,6 +122,54 @@ def test_topo_current_matches_library(capsys):
     assert report["chain"] == expected
 
 
+@pytest.mark.parametrize("coords", [[1, 2], []])
+def test_topo_current_class_of_wrong_length(coords, tmp_path, capsys):
+    path = tmp_path / "class.json"
+    path.write_text(json.dumps(coords))
+    assert main(["topo", "current", "builtin:cube_sphere:2", "--class", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"class has {len(coords)} coordinates, homology has dimension 1" in captured.err
+    assert captured.out == ""
+
+
+def _count_calls(monkeypatch, names):
+    """Calls of each "module.function" in names, counted by rebinding the
+    function under every name any hypercurrent module holds it by."""
+    import sys
+
+    calls = dict.fromkeys(names, 0)
+    modules = [m for n, m in sys.modules.items() if n.startswith("hypercurrent") and m]
+    for name in names:
+        module, func = name.split(".")
+        original = getattr(sys.modules["hypercurrent." + module], func)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_topo_current_reaches_the_stacked_lift(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ["topo_hyper.build_lift_cache", "topo_hyper.lift_simplex",
+                                       "topo_hyper.tree_functor", "forests.greedy_dtree"])
+    assert main(["topo", "current", "builtin:cube_sphere:2"]) == 0
+    assert calls["topo_hyper.build_lift_cache"] == 1
+    # one stacked pass per cell dimension above the vertices
+    assert calls["topo_hyper.lift_simplex"] == 2
+    assert calls["topo_hyper.tree_functor"] > 0 and calls["forests.greedy_dtree"] > 0
+
+
+def test_quantize_reaches_tree_enumeration(monkeypatch, tmp_path, capsys):
+    calls = _count_calls(monkeypatch, ["forests.enumerate_dtrees"])
+    assert main(["quantize", "builtin:square", "--betas", "5", "--out", str(tmp_path / "q.csv")]) == 0
+    assert calls["forests.enumerate_dtrees"] > 0
+
+
 def test_ana_axioms(capsys):
     assert main(
         ["ana", "axioms", "builtin:square", "--beta", "3", "--samples", "5",
@@ -206,6 +254,15 @@ def test_negative_quad_depth_is_validation_error(command, tmp_path, capsys):
     assert "quadrature depth must be non-negative, got -1" in captured.err
     assert "NaN" not in captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_quantize_workers_below_one_is_validation_error(workers, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["quantize", "builtin:square", "--betas", "5", "--workers", workers,
+                 "--out", str(out)]) == 2
+    assert "workers must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("spec", ["cube_sphere:2", "cube_wedge:2"])

@@ -123,6 +123,16 @@ def test_sphere_top_generator():
     assert gen2[0] == -gen2[1] != 0
 
 
+@pytest.mark.parametrize("coords", [[1, 2], [], [0, 0, 1]])
+def test_representative_rejects_wrong_length(coords):
+    h = homology_data(sphere_complex(2), 0)
+    assert h.betti == 1
+    with pytest.raises(ValueError, match=f"class has {len(coords)} coordinates, "
+                                         "homology has dimension 1"):
+        h.representative(coords)
+    assert h.representative([Fraction(3)]) == [3 * x for x in ratlin.col(h.hbasis, 0)]
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_wedge_homology(q):
     y = sphere_wedge_complex(q)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurrent import ratlin
+from hypercurrent import forests, ratlin
 from hypercurrent.complex_core import (
     gap_complex,
     sphere_complex,
@@ -201,3 +201,21 @@ def test_cotree_projection_properties():
 def test_make_dtree_rejects_nontree():
     with pytest.raises(NotATree):
         make_dtree(SPHERE2, 2, ("e2+", "e2-"))
+
+
+def test_make_dtree_kept_per_gap(monkeypatch):
+    gap = gap_complex(sphere_wedge_complex(2), 0, 2)
+    checks = []
+    real = forests.matroid_is_dtree
+    monkeypatch.setattr(forests, "matroid_is_dtree",
+                        lambda g, d, cells: checks.append(cells) or real(g, d, cells))
+    tree = greedy_dtree(gap, 1, {nm: i for i, nm in enumerate(gap.parent.cells[1])})
+    assert make_dtree(gap, 1, tree.cells[::-1]) is tree
+    assert any(t is tree for t in enumerate_dtrees(gap, 1))
+    assert checks.count(tree.cells) == 1
+    # a set that is not a tree is checked, and refused, every time
+    for _ in range(2):
+        with pytest.raises(NotATree):
+            make_dtree(gap, 2, gap.parent.cells[2])
+    assert checks.count(tuple(gap.parent.cells[2])) == 2
+    assert make_dtree(gap_complex(sphere_wedge_complex(2), 0, 2), 1, tree.cells) is not tree

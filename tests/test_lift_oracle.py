@@ -2,6 +2,7 @@
 kept verbatim as the oracle for the QMat lift path."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,16 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.errors import LiftObstruction, NotGood
 from hypercurrent.forests import DTree
-from hypercurrent.protocol import cube_cw_domain, cube_protocol, smallness, square_protocol
+from hypercurrent import topo_hyper
+from hypercurrent.protocol import (
+    cube_cw_domain,
+    cube_protocol,
+    cube_sphere_protocol,
+    loads_protocol,
+    smallness,
+    square_protocol,
+    subdivide,
+)
 from hypercurrent.topo_hyper import LiftCache, _tree_masks, build_lift_cache, tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
@@ -183,15 +193,67 @@ def _path3_transversal_sphere():
     return transversal_sphere(gap, enumerate_top_discriminant_cells(x, 0, 1)[0])
 
 
+# the q = 3 cube template of the benchmark's generated protocol files: the
+# Freudenthal triangulation of the 4-cube's boundary, one simplex per line
+# with its orientation, which is also its coefficient in the stored cycle
+_CUBE3_SIMPLICES = """
++ mmmm mmmp mmpp mppp  - mmmm mmmp mmpp pmpp  - mmmm mmmp mpmp mppp  + mmmm mmmp mpmp ppmp
++ mmmm mmmp pmmp pmpp  - mmmm mmmp pmmp ppmp  - mmmm mmpm mmpp mppp  + mmmm mmpm mmpp pmpp
++ mmmm mmpm mppm mppp  - mmmm mmpm mppm pppm  - mmmm mmpm pmpm pmpp  + mmmm mmpm pmpm pppm
++ mmmm mpmm mpmp mppp  - mmmm mpmm mpmp ppmp  - mmmm mpmm mppm mppp  + mmmm mpmm mppm pppm
++ mmmm mpmm ppmm ppmp  - mmmm mpmm ppmm pppm  - mmmm pmmm pmmp pmpp  + mmmm pmmm pmmp ppmp
++ mmmm pmmm pmpm pmpp  - mmmm pmmm pmpm pppm  - mmmm pmmm ppmm ppmp  + mmmm pmmm ppmm pppm
++ mmmp mmpp mppp pppp  - mmmp mmpp pmpp pppp  - mmmp mpmp mppp pppp  + mmmp mpmp ppmp pppp
++ mmmp pmmp pmpp pppp  - mmmp pmmp ppmp pppp  - mmpm mmpp mppp pppp  + mmpm mmpp pmpp pppp
++ mmpm mppm mppp pppp  - mmpm mppm pppm pppp  - mmpm pmpm pmpp pppp  + mmpm pmpm pppm pppp
++ mpmm mpmp mppp pppp  - mpmm mpmp ppmp pppp  - mpmm mppm mppp pppp  + mpmm mppm pppm pppp
++ mpmm ppmm ppmp pppp  - mpmm ppmm pppm pppp  - pmmm pmmp pmpp pppp  + pmmm pmmp ppmp pppp
++ pmmm pmpm pmpp pppp  - pmmm pmpm pppm pppp  - pmmm ppmm ppmp pppp  + pmmm ppmm pppm pppp
+"""
+
+
+def _perturbed_cube3_file(kind="sphere_wedge", seed=20261018):
+    """A q = 3 cube protocol as the benchmark writes its files: seeded
+    level signs, each corner's leading weight scaled by a factor in
+    [0.5, 2] and a second weight in [-0.25, 0.25], which keeps the order
+    type of every level; the cycle is stored."""
+    rng = random.Random(seed)
+    q = 3
+    signs = [rng.choice((1, -1)) for _ in range(q + 1)]
+    words = _CUBE3_SIMPLICES.split()
+    simplices = [{"orientation": 1 if words[i] == "+" else -1,
+                  "vertices": ["c" + v for v in words[i + 1:i + 5]]}
+                 for i in range(0, len(words), 5)]
+    vertices = []
+    for vid in sorted({v for s in simplices for v in s["vertices"]}):
+        corner = [1 if ch == "p" else -1 for ch in vid[1:]]
+        weights = {str(j): [signs[j] * corner[j] * rng.uniform(0.5, 2.0), rng.uniform(-0.25, 0.25)]
+                   for j in range(q + 1)}
+        vertices.append({"id": vid, "weights": weights})
+    doc = {
+        "complex": {"builtin": kind, "q": q},
+        "p": 0,
+        "q": q,
+        "vertices": vertices,
+        "simplices": simplices,
+        "cycle": {",".join(s["vertices"]): s["orientation"] for s in simplices},
+    }
+    return loads_protocol(json.dumps(doc))
+
+
 DOMAINS = (
     [("square", square_protocol)]
     + [(f"cube_sphere{q}", lambda q=q: cube_protocol(gap_complex(sphere_complex(q), 0, q)))
-       for q in (1, 2, 3)]
+       for q in (1, 2, 3, 4)]
     + [(f"cube_wedge{q}", lambda q=q: cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q)))
        for q in (1, 2, 3)]
     + [(f"cube_cw{n}", lambda n=n: cube_cw_domain(gap_complex(sphere_complex(n - 1), 0, n - 1)))
        for n in (2, 3, 4)]
     + [("path3_transversal", _path3_transversal_sphere)]
+    + [("cube3_file", _perturbed_cube3_file)]
+    # the sign of the odd-degree face terms changes no lift on the domains
+    # above, and does on this one
+    + [("cube_sphere2_subdivided", lambda: subdivide(cube_sphere_protocol(2)))]
 )
 
 
@@ -209,3 +271,68 @@ def test_lift_matches_fraction_oracle(make):
         for g, mat in enumerate(mats):
             assert mat.shape == (gap.dim_at(g + jdim), gap.dim_at(g))
             assert mat.to_rows() == old.values[key][g]
+
+
+# --- the first obstruction, stacked route against the cell-by-cell oracle -------
+
+
+def _bumped(mats, g, r, c):
+    """mats with entry (r, c) of its g-th matrix raised by 1, for QMats and
+    for Fraction lists."""
+    out = list(mats)
+    m = out[g]
+    if isinstance(m, ratlin.QMat):
+        num = m.num.copy()
+        num[r, c] += m.den
+        out[g] = ratlin.QMat(num, m.den)
+    else:
+        out[g] = ratlin.copy(m)
+        out[g][r][c] += 1
+    return type(mats)(out)
+
+
+# (tree, field, degree, row, col) entries raised by 1, and a cell whose first
+# face has its sign flipped; the first obstruction each case meets
+FIRST_OBSTRUCTIONS = {
+    "vertex_lift_class": ([((0, ("e0-",)), "phi", 0, 1, 1)], None,
+                          "degree-0 argument has nonzero class at (0, 4)"),
+    # cycle check and identity fail on the same cell and degree: check order
+    "vertex_lift_cycle": ([((0, ("e0+",)), "phi", 1, 0, 0)], None,
+                          "argument fails the cycle check at (0, 4)"),
+    "face_sign_cycle": ([], (0, 1, 5), "argument fails the cycle check at (0, 1, 5)"),
+    "homotopy_identity": ([((2, ("e2+",)), "h", 1, 0, 0)], None,
+                          "chain-map identity fails at (0, 2, 6), degree 0"),
+    # edge (0, 4) fails at degree 2, the later edge (0, 5) at degree 0:
+    # the earlier cell wins over the earlier degree
+    "cell_before_degree": ([((0, ("e0+",)), "phi", 2, 1, 0)], (0, 5),
+                           "face values escape the tree subcomplex at (0, 4)"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_OBSTRUCTIONS))
+def test_first_obstruction_matches_oracle(monkeypatch, case):
+    """Corrupt tree data or one cell's boundary in both routes; the error
+    the stacked route raises must be the one the cell-by-cell oracle
+    meets first, (dim, repr) order, then degree, then check: the same
+    text, naming the same cell and degree."""
+    bumps, flip, expected = FIRST_OBSTRUCTIONS[case]
+    proto = cube_sphere_protocol(2)
+    gap = proto.gap
+    trees = {t.key: t for t in map(lambda k: tree_functor(proto, k), proto.all_cells())}
+    for tree_key, field, g, r, c in bumps:
+        for aux in (topo_hyper._tree_aux(gap, trees[tree_key]), _tree_aux(gap, trees[tree_key])):
+            monkeypatch.setattr(aux, field, _bumped(getattr(aux, field), g, r, c))
+    if flip is not None:
+        real = type(proto).boundary_of
+
+        def flipped(self, key):
+            (sign, face), *rest = real(self, key)
+            return [(-sign if key == flip else sign, face)] + rest
+
+        monkeypatch.setattr(type(proto), "boundary_of", flipped)
+    with pytest.raises(LiftObstruction) as old:
+        build_lift_cache_oracle(proto)
+    with pytest.raises(LiftObstruction) as new:
+        build_lift_cache(proto)
+    assert str(old.value) == expected
+    assert str(new.value) == str(old.value)
