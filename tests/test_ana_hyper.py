@@ -1089,10 +1089,9 @@ def test_context_and_tree_functor_share_trees():
         assert any(t is tree for t in tables[tree.level].trees)
 
 
-@pytest.mark.parametrize("spec", ["sphere", "wedge"])
-def test_quantization_sweep_checks_each_tree_once(monkeypatch, spec):
-    complex_of = {"sphere": sphere_complex, "wedge": sphere_wedge_complex}[spec]
-    proto = cube_protocol(gap_complex(complex_of(2), 0, 2))
+@pytest.mark.parametrize("make", [sphere_complex, sphere_wedge_complex], ids=["sphere", "wedge"])
+def test_quantization_sweep_checks_each_tree_once(monkeypatch, make):
+    proto = cube_protocol(gap_complex(make(2), 0, 2))
     calls = []
     real = forests.is_dtree
     monkeypatch.setattr(forests, "is_dtree",

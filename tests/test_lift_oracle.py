@@ -212,12 +212,12 @@ _CUBE3_SIMPLICES = """
 """
 
 
-def _perturbed_cube3_file(kind="sphere_wedge", seed=20261018):
-    """A q = 3 cube protocol as the benchmark writes its files: seeded
-    level signs, each corner's leading weight scaled by a factor in
-    [0.5, 2] and a second weight in [-0.25, 0.25], which keeps the order
-    type of every level; the cycle is stored."""
-    rng = random.Random(seed)
+def _perturbed_cube3_file():
+    """A q = 3 wedge cube protocol as the benchmark writes its files:
+    seeded level signs, each corner's leading weight scaled by a factor
+    in [0.5, 2] and a second weight in [-0.25, 0.25], which keeps the
+    order type of every level; the cycle is stored."""
+    rng = random.Random(20261018)
     q = 3
     signs = [rng.choice((1, -1)) for _ in range(q + 1)]
     words = _CUBE3_SIMPLICES.split()
@@ -231,7 +231,7 @@ def _perturbed_cube3_file(kind="sphere_wedge", seed=20261018):
                    for j in range(q + 1)}
         vertices.append({"id": vid, "weights": weights})
     doc = {
-        "complex": {"builtin": kind, "q": q},
+        "complex": {"builtin": "sphere_wedge", "q": q},
         "p": 0,
         "q": q,
         "vertices": vertices,
@@ -318,7 +318,7 @@ def test_first_obstruction_matches_oracle(monkeypatch, case):
     bumps, flip, expected = FIRST_OBSTRUCTIONS[case]
     proto = cube_sphere_protocol(2)
     gap = proto.gap
-    trees = {t.key: t for t in map(lambda k: tree_functor(proto, k), proto.all_cells())}
+    trees = {t.key: t for t in (tree_functor(proto, k) for k in proto.all_cells())}
     for tree_key, field, g, r, c in bumps:
         for aux in (topo_hyper._tree_aux(gap, trees[tree_key]), _tree_aux(gap, trees[tree_key])):
             monkeypatch.setattr(aux, field, _bumped(getattr(aux, field), g, r, c))
