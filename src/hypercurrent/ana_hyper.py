@@ -31,8 +31,10 @@ the depth loop, their vertex tree weights are computed once, and each
 depth is one form evaluation over the still-unconverged simplices, in
 blocks of at most _BLOCK simplices times nodes (or of one simplex whose
 nodes alone exceed it).  A simplex leaves the stack when its own two
-last depths agree.  The point form is the
-one-simplex, one-node case of the same evaluator.
+last depths agree.  The point form takes a stack of points: each is its
+simplex's vertex geometry moved to it, so the stack is the one-node case
+of the same evaluator, and each point rounds as it does alone.  The axiom
+check makes one such call per degree, frame and zeta over its samples.
 Exponentials are always shifted by the per-level extremum before
 exponentiation so large beta stays finite.
 """
@@ -244,17 +246,18 @@ def weighted_pseudoinverse_boundary(gap: GapComplex, w, beta, j):
 
 def weighted_pseudoinverse_inclusion(gap: GapComplex, w, beta):
     """Left inverse of the bounds inclusion in the metric e^(beta w),
-    and the complementary projection: (idagger, alpha0)."""
+    and the complementary projection: (idagger, alpha0).  Weights
+    (..., n) give a stack of each, from one solve."""
     _check_beta(beta)
     ctx = _context(gap)
     wv = _level_weights(gap, w, 0)
-    g = np.exp(beta * (wv - wv.max()))
+    g = np.exp(beta * (wv - wv.max(axis=-1, keepdims=True)))
     bmat = ctx.bounds[0]
     n = bmat.shape[0]
     if ctx.nb[0] == 0:
-        return np.zeros((0, n)), np.eye(n)
-    m = bmat.T @ (g[:, None] * bmat)
-    idagger = np.linalg.solve(m, bmat.T * g[None, :])
+        return np.zeros(wv.shape[:-1] + (0, n)), np.zeros(wv.shape[:-1] + (n, n)) + np.eye(n)
+    m = bmat.T @ (g[..., None] * bmat)
+    idagger = np.linalg.solve(m, bmat.T * g[..., None, :])
     alpha0 = np.eye(n) - bmat @ idagger
     return idagger, alpha0
 
@@ -330,11 +333,23 @@ def _simplex_vertex_weights(proto, key, level):
     return np.array([pt.level(level) for pt in pts], dtype=float)
 
 
-def _weights_at_nodes(vw, nodes):
-    """vw: (nv, ncells) vertex rows; nodes: (N, nv-1) affine coordinates."""
-    base = vw[0]
-    grads = vw[1:] - base[None, :]
-    return base[None, :] + nodes @ grads
+def _vertex_rows(proto, keys, level):
+    """The rows of _simplex_vertex_weights for each simplex of a stack of
+    one dimension, (M, nv, ncells), gathered once per distinct simplex."""
+    rows = {key: _simplex_vertex_weights(proto, key, level) for key in dict.fromkeys(keys)}
+    return np.array([rows[key] for key in keys])
+
+
+def _at_points(base, grads, points):
+    """Affine data of a stack of simplices, base (M, k) at the first vertex
+    and grads (M, jdim, k), at one point (M, jdim) of each."""
+    return base + (points[:, None, :] @ grads)[:, 0]
+
+
+def _point_weights(proto, keys, level, points):
+    """One level's cell weights at one point of each simplex, (M, ncells)."""
+    vw = _vertex_rows(proto, keys, level)
+    return _at_points(vw[:, 0], vw[:, 1:] - vw[:, :1], points)
 
 
 def _vertex_geometry(ctx, proto, keys, levels):
@@ -344,8 +359,7 @@ def _vertex_geometry(ctx, proto, keys, levels):
     them everywhere."""
     geos = []
     for level in levels:
-        vw = np.array([_simplex_vertex_weights(proto, key, level) for key in keys])
-        wt = _tree_weights(ctx.trees[level], vw)
+        wt = _tree_weights(ctx.trees[level], _vertex_rows(proto, keys, level))
         base = wt[:, 0]
         geos.append((base, wt[:, 1:] - base[:, None, :]))
     return geos
@@ -417,13 +431,21 @@ def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
 
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
     """Closed-form evaluation of the degree-ell current form at a point
-    of a simplex, on a frame of ell tangent vectors (affine coordinates)."""
+    of a simplex, on a frame of ell tangent vectors (affine coordinates).
+    A stack of points, coords (M, jdim) in key or in each of a sequence
+    of M simplices of one dimension, gives values with a leading axis M:
+    tree weights are affine on a simplex, so each point is its simplex's
+    vertex geometry moved there, and the stack is one form evaluation at
+    one node."""
     _check_beta(beta)
     gap = proto.gap
     ctx = _context(gap)
-    key = tuple(key)
-    jdim = proto.dim_of(key)
     coords = np.asarray(coords, dtype=float)
+    points = np.atleast_2d(coords)
+    keys = [tuple(k) for k in key] if len(key) and np.ndim(key[0]) else [tuple(key)] * len(points)
+    if len(keys) != len(points) or len({proto.dim_of(k) for k in keys}) != 1:
+        raise ValueError("need one point per simplex, all simplices of one dimension")
+    jdim = proto.dim_of(keys[0])
     frame = [np.asarray(v, dtype=float) for v in frame]
     if len(frame) != ell:
         raise BadFrame(f"need {ell} frame vectors, got {len(frame)}")
@@ -431,19 +453,27 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
         if v.shape != (jdim,):
             raise BadFrame("frame vectors must live in the simplex coordinates")
     if ell == 0:
-        vw = _simplex_vertex_weights(proto, key, gap.p)
-        w = _weights_at_nodes(vw, coords[None, :])[0]
-        _, value = weighted_pseudoinverse_inclusion(gap, w, beta)
+        _, value = weighted_pseudoinverse_inclusion(gap, _point_weights(proto, keys, gap.p, points),
+                                                    beta)
     else:
-        geos = _vertex_geometry(ctx, proto, [key], range(gap.p, gap.p + ell + 1))
-        value = _form(ctx, gap.p, beta, geos, coords[None, :], np.ones(1), zeta,
-                      along=np.array(frame).T)[0]
-    return FormEvaluation(key, tuple(coords), tuple(map(tuple, frame)), ell, value)
+        geos = [(_at_points(base, grads, points), grads) for base, grads in
+                _vertex_geometry(ctx, proto, keys, range(gap.p, gap.p + ell + 1))]
+        value = _form(ctx, gap.p, beta, geos, np.zeros((1, jdim)), np.ones(1), zeta,
+                      along=np.array(frame).T)
+    frame = tuple(map(tuple, frame))
+    if coords.ndim == 1:
+        return FormEvaluation(keys[0], tuple(coords), frame, ell, value[0])
+    return FormEvaluation(tuple(keys), tuple(map(tuple, coords)), frame, ell, value)
 
 
 def _tree_sum(coeffs, ops):
-    """sum_T coeffs[..., T] ops[T], as one matmul over every leading index."""
-    out = coeffs.reshape(-1, ops.shape[0]) @ ops.reshape(ops.shape[0], -1)
+    """sum_T coeffs[..., T] ops[T], as one matmul over every leading index.
+    With one node per item (point forms) it is one matmul per item, so each
+    point of a stack rounds as it does alone: BLAS rounds a one-row product
+    (gemv) differently from a row of a larger one (gemm)."""
+    ntrees = ops.shape[0]
+    rows = (len(coeffs), -1, ntrees) if coeffs.shape[1] == 1 else (-1, ntrees)
+    out = coeffs.reshape(rows) @ ops.reshape(ntrees, -1)
     return out.reshape(coeffs.shape[:-1] + ops.shape[1:])
 
 
@@ -681,88 +711,84 @@ class AxiomReport:
         return max(self.continuity, self.orthogonality, self.initial_value)
 
 
-def _fd_partial(fun, coords, axis, h):
-    up = np.array(coords, dtype=float)
-    dn = up.copy()
-    up[axis] += h
-    dn[axis] -= h
-    return (fun(up) - fun(dn)) / (2 * h)
-
-
 def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
     """Continuity / orthogonality / initial-value residuals at sample
     points, plus independence of the orchard sums from the choice of the
-    bounds left-inverse."""
+    bounds left-inverse.  The samples of one dimension are checked
+    together, with one stacked jan_form per degree, frame and zeta; a
+    residual that is not finite is a violation and its report field's
+    value."""
+    if not (math.isfinite(fd_step) and fd_step > 0):
+        raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
     gap = proto.gap
     ctx = _context(gap)
-    report = AxiomReport(samples=len(samples))
-    for key, coords in samples:
-        jdim = proto.dim_of(key)
-        frame_basis = np.eye(jdim)
+    resids = collections.defaultdict(lambda: [[0.0]])   # field -> per-point residual arrays
+    found = [[] for _ in samples]                       # violations per sample, in check order
+    dims = [proto.dim_of(key) for key, _ in samples]
+    for jdim in sorted(set(dims)):
+        pos = [i for i, d in enumerate(dims) if d == jdim]
+        keys = [tuple(samples[i][0]) for i in pos]
+        x = np.array([samples[i][1] for i in pos], dtype=float)
+        eye = np.eye(jdim)
+        degrees = range(1, min(jdim, gap.top) + 1)
+
+        def check(axiom, name, ell, resid):
+            resids[name].append(resid)
+            for i, r in zip(pos, resid):
+                if not r <= tol:
+                    found[i].append((axiom, *samples[i], ell, float(r)))
+
         # A1: boundary of the degree-l value equals the exterior
         # derivative of the degree-(l-1) value, componentwise
-        for ell in range(1, min(jdim, gap.top) + 1):
+        values = {}
+        for ell in degrees:
             for axes in itertools.combinations(range(jdim), ell):
-                frame = [frame_basis[a] for a in axes]
-                val = jan_form(proto, beta, key, coords, frame, ell).value
-                lhs = ctx.d[ell] @ val
+                values[axes] = jan_form(proto, beta, keys, x, eye[list(axes)], ell).value
+                lhs = ctx.d[ell] @ values[axes]
                 rhs = np.zeros_like(lhs)
                 for m, drop in enumerate(axes):
-                    sub = [frame_basis[a] for a in axes if a != drop]
-
-                    def f(pt, sub=sub, ell=ell):
-                        return jan_form(proto, beta, key, pt, sub, ell - 1).value
-
-                    rhs = rhs + (-1) ** m * _fd_partial(f, coords, drop, fd_step)
-                resid = float(np.max(np.abs(lhs - rhs)))
-                report.continuity = max(report.continuity, resid)
-                if resid > tol:
-                    report.violations.append(("A1", key, coords, ell, resid))
+                    up, dn = x.copy(), x.copy()
+                    up[:, drop] += fd_step
+                    dn[:, drop] -= fd_step
+                    both = jan_form(proto, beta, keys * 2, np.concatenate([up, dn]),
+                                    eye[[a for a in axes if a != drop]], ell - 1).value
+                    rhs = rhs + (-1) ** m * ((both[:len(x)] - both[len(x):]) / (2 * fd_step))
+                check("A1", "continuity", ell, np.max(np.abs(lhs - rhs), axis=(1, 2)))
         # A2: values are orthogonal to cycles (bounds in degree 0) in the
         # modified metric
-        vw0 = _simplex_vertex_weights(proto, key, gap.p)
-        w0 = _weights_at_nodes(vw0, np.asarray(coords)[None, :])[0]
-        g0 = np.exp(beta * (w0 - w0.max()))
+        w0 = _point_weights(proto, keys, gap.p, x)
+        g0 = np.exp(beta * (w0 - w0.max(axis=1, keepdims=True)))
         _, alpha0 = weighted_pseudoinverse_inclusion(gap, w0, beta)
         b0 = ctx.bounds[0]
         if b0.shape[1]:
-            pair = b0.T @ (g0[:, None] * alpha0)
-            scale = max(np.max(np.abs(alpha0)), 1.0) * g0.max()
-            resid = float(np.max(np.abs(pair))) / scale
-            report.orthogonality = max(report.orthogonality, resid)
-            if resid > tol:
-                report.violations.append(("A2", key, coords, 0, resid))
-        for ell in range(1, min(jdim, gap.top) + 1):
+            pair = b0.T @ (g0[:, :, None] * alpha0)
+            scale = np.maximum(np.max(np.abs(alpha0), axis=(1, 2)), 1.0) * g0.max(axis=1)
+            check("A2", "orthogonality", 0, np.max(np.abs(pair), axis=(1, 2)) / scale)
+        for ell in degrees:
             zmat = ctx.cycles[ell]
             if not zmat.shape[1]:
                 continue
-            vwl = _simplex_vertex_weights(proto, key, gap.p + ell)
-            wl = _weights_at_nodes(vwl, np.asarray(coords)[None, :])[0]
-            gl = np.exp(beta * (wl - wl.max()))
-            frame = [frame_basis[a] for a in range(ell)]
-            val = jan_form(proto, beta, key, coords, frame, ell).value
-            pair = zmat.T @ (gl[:, None] * val)
-            scale = max(np.max(np.abs(val)), 1e-30) * gl.max()
-            resid = float(np.max(np.abs(pair))) / scale
-            report.orthogonality = max(report.orthogonality, resid)
-            if resid > tol:
-                report.violations.append(("A2", key, coords, ell, resid))
+            wl = _point_weights(proto, keys, gap.p + ell, x)
+            gl = np.exp(beta * (wl - wl.max(axis=1, keepdims=True)))
+            val = values[tuple(range(ell))]
+            pair = zmat.T @ (gl[:, :, None] * val)
+            scale = np.maximum(np.max(np.abs(val), axis=(1, 2)), 1e-30) * gl.max(axis=1)
+            check("A2", "orthogonality", ell, np.max(np.abs(pair), axis=(1, 2)) / scale)
         # A3: the degree-0 value induces the identity on homology
         if ctx.h0_class is not None:
             h0_basis, h0_solve = ctx.h0_class
             cls = h0_solve @ (alpha0 @ h0_basis)
-            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(h0_basis.shape[1]))))
-            report.initial_value = max(report.initial_value, resid)
-            if resid > tol:
-                report.violations.append(("A3", key, coords, 0, resid))
+            check("A3", "initial_value", 0, np.max(
+                np.abs(cls[:, ctx.nb[0]:, :] - np.eye(h0_basis.shape[1])), axis=(1, 2)))
         # independence of the bounds left-inverse choice
-        for ell in range(1, min(jdim, gap.top) + 1):
-            frame = [frame_basis[a] for a in range(ell)]
-            v1 = jan_form(proto, beta, key, coords, frame, ell, zeta="standard").value
-            v2 = jan_form(proto, beta, key, coords, frame, ell, zeta="alternative").value
-            resid = float(np.max(np.abs(v1 - v2)))
-            report.zeta_independence = max(report.zeta_independence, resid)
-    return report
+        for ell in degrees:
+            alt = jan_form(proto, beta, keys, x, eye[:ell], ell, zeta="alternative").value
+            resids["zeta_independence"].append(
+                np.max(np.abs(values[tuple(range(ell))] - alt), axis=(1, 2)))
+    return AxiomReport(
+        samples=len(samples), violations=[v for vs in found for v in vs],
+        **{name: float(np.concatenate(resids[name]).max())
+           for name in ("continuity", "orthogonality", "initial_value", "zeta_independence")})
 
 
 # --- quantization ----------------------------------------------------------------

@@ -222,6 +222,8 @@ def cmd_ana(args):
             for key, op in sorted(coch.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
     else:
+        if args.samples < 1:
+            raise HclError(f"samples must be at least 1, got {args.samples}")
         rng = np.random.default_rng(args.seed)
         samples = interior_samples(proto, args.samples, rng)
         rep = axioms_check(proto, args.beta, samples, fd_step=args.fd_step, tol=args.tol)

@@ -15,6 +15,7 @@ from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex
 from hypercurrent.errors import BadFrame, NonfiniteBeta, NonpositiveBeta, \
     QuadratureNoConvergence
 from hypercurrent.ana_hyper import (
+    AxiomReport,
     ModifiedMetric,
     Orchard,
     _context,
@@ -1068,6 +1069,200 @@ def test_axioms_constant_protocol_zero_residuals():
     rep = axioms_check(proto, 3.0, [((0, 1), (0.5,))])
     assert rep.continuity <= 1e-12
     assert rep.max_residual <= 1e-12
+
+
+# --- the per-point axiom check, kept as the oracle ----------------------------------------
+# axioms_check used to evaluate every form at one point with its own
+# one-point jan_form call.  That loop is kept here (renamed, with the
+# library helpers it shares qualified); the stacked check must reproduce
+# it bit for bit.
+
+
+def point_weights(proto, key, level, coords):
+    """One level's cell weights at a point of a simplex."""
+    vw = ana_hyper._simplex_vertex_weights(proto, key, level)
+    base = vw[0]
+    grads = vw[1:] - base[None, :]
+    return (base[None, :] + np.asarray(coords, dtype=float)[None, :] @ grads)[0]
+
+
+def fd_partial(fun, coords, axis, h):
+    up = np.array(coords, dtype=float)
+    dn = up.copy()
+    up[axis] += h
+    dn[axis] -= h
+    return (fun(up) - fun(dn)) / (2 * h)
+
+
+def pointwise_axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
+    gap = proto.gap
+    ctx = _context(gap)
+    report = AxiomReport(samples=len(samples))
+    for key, coords in samples:
+        jdim = proto.dim_of(key)
+        frame_basis = np.eye(jdim)
+        for ell in range(1, min(jdim, gap.top) + 1):
+            for axes in itertools.combinations(range(jdim), ell):
+                frame = [frame_basis[a] for a in axes]
+                val = jan_form(proto, beta, key, coords, frame, ell).value
+                lhs = ctx.d[ell] @ val
+                rhs = np.zeros_like(lhs)
+                for m, drop in enumerate(axes):
+                    sub = [frame_basis[a] for a in axes if a != drop]
+
+                    def f(pt, sub=sub, ell=ell):
+                        return jan_form(proto, beta, key, pt, sub, ell - 1).value
+
+                    rhs = rhs + (-1) ** m * fd_partial(f, coords, drop, fd_step)
+                resid = float(np.max(np.abs(lhs - rhs)))
+                report.continuity = max(report.continuity, resid)
+                if resid > tol:
+                    report.violations.append(("A1", key, coords, ell, resid))
+        w0 = point_weights(proto, key, gap.p, coords)
+        g0 = np.exp(beta * (w0 - w0.max()))
+        _, alpha0 = weighted_pseudoinverse_inclusion(gap, w0, beta)
+        b0 = ctx.bounds[0]
+        if b0.shape[1]:
+            pair = b0.T @ (g0[:, None] * alpha0)
+            scale = max(np.max(np.abs(alpha0)), 1.0) * g0.max()
+            resid = float(np.max(np.abs(pair))) / scale
+            report.orthogonality = max(report.orthogonality, resid)
+            if resid > tol:
+                report.violations.append(("A2", key, coords, 0, resid))
+        for ell in range(1, min(jdim, gap.top) + 1):
+            zmat = ctx.cycles[ell]
+            if not zmat.shape[1]:
+                continue
+            wl = point_weights(proto, key, gap.p + ell, coords)
+            gl = np.exp(beta * (wl - wl.max()))
+            frame = [frame_basis[a] for a in range(ell)]
+            val = jan_form(proto, beta, key, coords, frame, ell).value
+            pair = zmat.T @ (gl[:, None] * val)
+            scale = max(np.max(np.abs(val)), 1e-30) * gl.max()
+            resid = float(np.max(np.abs(pair))) / scale
+            report.orthogonality = max(report.orthogonality, resid)
+            if resid > tol:
+                report.violations.append(("A2", key, coords, ell, resid))
+        if ctx.h0_class is not None:
+            h0_basis, h0_solve = ctx.h0_class
+            cls = h0_solve @ (alpha0 @ h0_basis)
+            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(h0_basis.shape[1]))))
+            report.initial_value = max(report.initial_value, resid)
+            if resid > tol:
+                report.violations.append(("A3", key, coords, 0, resid))
+        for ell in range(1, min(jdim, gap.top) + 1):
+            frame = [frame_basis[a] for a in range(ell)]
+            v1 = jan_form(proto, beta, key, coords, frame, ell, zeta="standard").value
+            v2 = jan_form(proto, beta, key, coords, frame, ell, zeta="alternative").value
+            resid = float(np.max(np.abs(v1 - v2)))
+            report.zeta_independence = max(report.zeta_independence, resid)
+    return report
+
+
+AXIOM_PROTOCOLS = {
+    "square": square_protocol,
+    "sphere2": lambda: cube_sphere_protocol(2),
+    "sphere3": lambda: cube_sphere_protocol(3),
+}
+RESIDUAL_FIELDS = ("continuity", "orthogonality", "initial_value", "zeta_independence")
+
+
+@pytest.mark.parametrize("name,beta,tol", [
+    (name, beta, 1e-5) for name in sorted(AXIOM_PROTOCOLS) for beta in (2.5, 9.7)
+] + [("sphere3", 5.0, 1e-9)])
+def test_axioms_check_equals_pointwise_route(name, beta, tol):
+    proto = AXIOM_PROTOCOLS[name]()
+    # samples in several simplices, some of them repeated
+    samples = interior_samples(proto, 10, np.random.default_rng(int(beta * 10)))
+    rep = axioms_check(proto, beta, samples, tol=tol)
+    oracle = pointwise_axioms_check(proto, beta, samples, tol=tol)
+    assert rep.samples == oracle.samples == 10
+    for name in RESIDUAL_FIELDS:
+        assert getattr(rep, name) == getattr(oracle, name), name
+    assert rep.violations == oracle.violations
+    assert bool(rep.violations) == (tol < 1e-5)
+
+
+def test_axiom_report_fields_are_floats():
+    proto = cube_sphere_protocol(2)
+    rep = axioms_check(proto, 4.0, interior_samples(proto, 3, np.random.default_rng(2)))
+    assert rep.orthogonality > 0
+    for name in RESIDUAL_FIELDS:
+        assert type(getattr(rep, name)) is float, name
+    empty = axioms_check(proto, 4.0, [])
+    assert empty.samples == 0 and not empty.violations
+    assert all(getattr(empty, name) == 0.0 for name in RESIDUAL_FIELDS)
+
+
+@pytest.mark.parametrize("fd_step", [0.0, math.nan, -1e-5, math.inf])
+def test_axioms_check_rejects_bad_fd_step(fd_step):
+    proto = cube_sphere_protocol(2)
+    samples = interior_samples(proto, 2, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="fd_step must be finite and positive"):
+        axioms_check(proto, 5.0, samples, fd_step=fd_step)
+
+
+def test_nonfinite_residual_is_a_violation():
+    # a NaN weight makes every residual NaN; max() and "resid > tol" both
+    # used to drop it, reporting zero residuals and no violations
+    bad = WeightPoint(0, 1, ((0.0, math.nan), (0.0, 1.0)))
+    proto = SimplicialProtocol(gap=SPHERE1, vertex_ids=("A", "B"),
+                               vertex_weights=(WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0))), bad),
+                               simplices=((0,), (1,), (0, 1)))
+    with np.errstate(invalid="ignore"):
+        rep = axioms_check(proto, 3.0, [((0, 1), (0.5,))])
+    for name in RESIDUAL_FIELDS:
+        assert math.isnan(getattr(rep, name)), name
+    assert [v[0] for v in rep.violations] == ["A1", "A2", "A2", "A3"]
+    assert all(math.isnan(v[-1]) for v in rep.violations)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["square", "sphere1", "sphere2", "sphere3", "wedge2", "k4"]),
+       seed=st.integers(0, 2 ** 16), count=st.integers(1, 7), beta=st.floats(0.5, 40.0))
+def test_stacked_jan_form_equals_one_point_calls(name, seed, count, beta):
+    proto = {**EQUALITY_PROTOCOLS, "sphere1": lambda: cube_sphere_protocol(1)}[name]()
+    rng = np.random.default_rng(seed)
+    for jdim in range(proto.gap.top + 1):
+        cells = proto.simplices_of_dim(jdim)
+        if not cells:
+            continue
+        keys = [cells[i] for i in rng.integers(len(cells), size=count)]
+        coords = rng.random((count, jdim)) / (jdim + 1)
+        for ell in range(min(jdim, proto.gap.top) + 1):
+            frame = [rng.normal(size=jdim) for _ in range(ell)]
+            for zeta in ("standard", "alternative"):
+                # mixed keys, and one key for every point
+                for stack in (keys, keys[0]):
+                    value = jan_form(proto, beta, stack, coords, frame, ell, zeta=zeta).value
+                    assert value.shape[0] == count
+                    for i, pt in enumerate(coords):
+                        one = jan_form(proto, beta, keys[i] if stack is keys else stack, pt,
+                                       frame, ell, zeta=zeta).value
+                        assert np.array_equal(value[i], one), (jdim, ell, zeta, i)
+
+
+def test_stacked_jan_form_rejects_mismatched_stacks():
+    proto = cube_sphere_protocol(2)
+    edges, tris = proto.simplices_of_dim(1), proto.simplices_of_dim(2)
+    with pytest.raises(ValueError, match="one point per simplex"):
+        jan_form(proto, 3.0, edges[:3], np.full((2, 1), 0.3), [np.ones(1)], 1)
+    with pytest.raises(ValueError, match="one dimension"):
+        jan_form(proto, 3.0, [edges[0], tris[0]], np.full((2, 1), 0.3), [np.ones(1)], 1)
+
+
+def test_axioms_check_forms_flat_in_samples(monkeypatch):
+    proto = cube_sphere_protocol(2)
+    rng = np.random.default_rng(5)
+    calls = _item_counts(monkeypatch)
+    counts = {}
+    for count in (1, 6):
+        calls.clear()
+        axioms_check(proto, 3.0, interior_samples(proto, count, rng))
+        counts[count] = len(calls)
+        # one node per call; a call holds at most the up and down points
+        assert all(nodes == 1 and 0 < items <= 2 * count for items, nodes in calls)
+    assert counts[1] == counts[6] > 0
 
 
 # --- quantization ----------------------------------------------------------------------

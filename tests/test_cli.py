@@ -180,6 +180,32 @@ def test_ana_axioms(capsys):
     assert report["continuity"] <= 1e-5
 
 
+def test_ana_axioms_reaches_jan_form(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, ["ana_hyper.jan_form", "ana_hyper.axioms_check"])
+    assert main(["ana", "axioms", "builtin:square", "--beta", "3", "--samples", "4"]) == 0
+    assert calls["ana_hyper.axioms_check"] == 1
+    assert calls["ana_hyper.jan_form"] > 0
+
+
+@pytest.mark.parametrize("step", ["0", "nan", "-1e-5"])
+def test_ana_axioms_bad_fd_step_is_validation_error(step, capsys):
+    # a zero or NaN step used to pass every axiom with zero residuals
+    assert main(["ana", "axioms", "builtin:cube_sphere:2", "--beta", "5", "--tol", "1e-5",
+                 f"--fd-step={step}"]) == 2
+    captured = capsys.readouterr()
+    assert "fd_step must be finite and positive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_ana_axioms_samples_below_one_is_validation_error(samples, capsys):
+    assert main(["ana", "axioms", "builtin:cube_sphere:2", "--beta", "5",
+                 "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert f"samples must be at least 1, got {samples}" in captured.err
+    assert captured.out == ""
+
+
 def test_ana_integrate(capsys):
     assert main(["ana", "integrate", "builtin:square", "--beta", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
