@@ -128,11 +128,10 @@ class _TreeTable(NamedTuple):
     rinv: np.ndarray        # (ntrees, rows, cols) float right inverses
 
 
-def _class_solve(h, n):
+def _class_solve(h):
     """Float pseudoinverse of [bounds | hbasis] for the homology data h of
-    a degree with n cells: a chain's bounds coordinates, then its class."""
-    basis = ratlin.hstack(h.bounds, h.hbasis)
-    return ratlin.to_float(ratlin.pinv(basis), len(basis[0]) if basis else 0, n)
+    one degree: a chain's bounds coordinates, then its class."""
+    return ratlin.pinv(ratlin.hstack(h.bounds, h.hbasis)).to_float()
 
 
 class _Context:
@@ -140,49 +139,29 @@ class _Context:
     # level; built once per gap and kept in the gap's memo
     def __init__(self, gap: GapComplex):
         top = gap.top
-        self.d = [None] + [
-            ratlin.to_float(gap.d(j), gap.dim_at(j - 1), gap.dim_at(j)) for j in range(1, top + 1)
-        ]
-        self.bounds = []
-        self.nb = []
-        self.zeta_std = []
-        self.zeta_alt = []
-        self.cycles = []
-        for j in range(top + 1):
-            n = gap.dim_at(j)
-            b = gap.homology[j].bounds
-            nb = len(b[0]) if b else 0
-            self.bounds.append(ratlin.to_float(b, n, nb))
-            self.nb.append(nb)
-            if nb:
-                self.zeta_std.append(ratlin.to_float(ratlin.pinv(b), nb, n))
-                self.zeta_alt.append(ratlin.to_float(ratlin.left_inverse(b), nb, n))
-            else:
-                self.zeta_std.append(np.zeros((0, n)))
-                self.zeta_alt.append(np.zeros((0, n)))
-            z = gap.homology[j].cycles
-            nz = len(z[0]) if z else 0
-            self.cycles.append(ratlin.to_float(z, n, nz))
+        self.d = [None] + [gap.d(j).to_float() for j in range(1, top + 1)]
+        bounds = [h.bounds for h in gap.homology]
+        self.bounds = [b.to_float() for b in bounds]
+        self.nb = [b.shape[1] for b in bounds]
+        self.zeta_std = [ratlin.pinv(b).to_float() for b in bounds]
+        self.zeta_alt = [ratlin.left_inverse(b).to_float() for b in bounds]
+        self.cycles = [h.cycles.to_float() for h in gap.homology]
         # reduced boundary coefficients: d_j = bounds_{j-1} @ db_j, exactly
         self.db = [None]
         for j in range(1, top + 1):
-            b = gap.homology[j - 1].bounds
-            nb = self.nb[j - 1]
-            coeff = ratlin.solve_matrix(b, gap.d(j)) if nb else ratlin.zeros(0, gap.dim_at(j))
+            coeff = ratlin.solve_matrix(bounds[j - 1], gap.d(j))
             if coeff is None:
                 raise InvariantBroken("boundary does not factor through the bounds basis")
-            self.db.append(ratlin.to_float(coeff, nb, gap.dim_at(j)))
+            self.db.append(coeff.to_float())
         self.trees = {}
         for d_level in range(gap.p, gap.q + 1):
             trees = tuple(enumerate_dtrees(gap, d_level))
-            jd = d_level - gap.p
-            shape = (gap.dim_at(jd), self.nb[jd - 1]) if jd else (self.nb[0], gap.dim_at(0))
             self.trees[d_level] = _TreeTable(
                 trees=trees,
                 idx=np.array([[gap.parent.cell_index(d_level, nm) for nm in t.cells]
                               for t in trees], dtype=int),
                 log_tau2=np.array([2.0 * math.log(t.torsion) for t in trees]),
-                rinv=np.stack([ratlin.to_float(t.right_inverse, *shape) for t in trees]),
+                rinv=np.stack([t.right_inverse.to_float() for t in trees]),
             )
         # the orchard sum's operators below its top level, per zeta choice:
         # R_0 (minus the co-tree projection), then Z_j R_T
@@ -192,20 +171,19 @@ class _Context:
             for zetas in (self.zeta_std, self.zeta_alt))
         # class extraction: the top degree for sweeps; degree 0, which only
         # axiom A3 reads, on first use (h0_class)
-        self.top_solve = _class_solve(gap.homology[top], gap.dim_at(top))
+        self.top_solve = _class_solve(gap.homology[top])
         self.top_nb = self.nb[top]
-        self.hq_project = None if gap.hq_project is None else ratlin.to_float(
-            gap.hq_project, gap.parent_hq.betti, gap.homology[top].betti)
-        self._h0 = (gap.homology[0], gap.dim_at(0))
+        self.hq_project = None if gap.hq_project is None else gap.hq_project.to_float()
+        self._h0 = gap.homology[0]
 
     @functools.cached_property
     def h0_class(self):
         """Degree-0 homology basis and class solve, or None without
         degree-0 homology."""
-        h0, n = self._h0
+        h0 = self._h0
         if not h0.betti:
             return None
-        return ratlin.to_float(h0.hbasis, n, h0.betti), _class_solve(h0, n)
+        return h0.hbasis.to_float(), _class_solve(h0)
 
 
 def _context(gap: GapComplex) -> _Context:
@@ -542,11 +520,11 @@ def simplex_rule(n, s=2):
 
 
 def edgewise_pieces(n, depth):
-    """Vertex matrices ((n+1) x n) of the 2^depth-fold edgewise
-    subdivision of the standard n-simplex, all of equal volume."""
+    """Vertex matrices of the 2^depth-fold edgewise subdivision of the
+    standard n-simplex, all of equal volume, as a (pieces, n+1, n) array."""
     r = 2 ** depth
     if n == 0:
-        return [np.zeros((1, 0))]
+        return np.zeros((1, 1, 0))
     # the sorted cube picture: y_1 >= y_2 >= ... >= y_n, mapped to the
     # standard simplex by t_m = y_m - y_{m+1}.  Each cube of the r^n grid
     # (base corner, in lexicographic order) splits into n! monotone chains
@@ -564,7 +542,7 @@ def edgewise_pieces(n, depth):
     ys = (bases[base_at, None, :] + steps[perm_at]).astype(float) / r
     ts = ys.copy()
     ts[:, :, :-1] -= ys[:, :, 1:]
-    return list(ts)
+    return ts
 
 
 # Bytes of node batches kept for reuse.  A quantize op set needs under
@@ -586,7 +564,7 @@ def _node_batches(jdim, depth):
             _node_cache.move_to_end(key)
             return _node_cache[key]
     bary, w = simplex_rule(jdim)
-    pieces = np.stack(edgewise_pieces(jdim, depth))
+    pieces = edgewise_pieces(jdim, depth)
     vol = (1.0 / math.factorial(jdim)) / len(pieces)
     nodes = np.einsum("pv,kvd->kpd", bary, pieces).reshape(-1, jdim)
     weights = np.tile(w * vol, len(pieces))
@@ -837,7 +815,7 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
     topo_coords, _ = hypercurrent_homology(proto, cycle, class_p)
     topo = np.array([float(c) for c in topo_coords])
     hp = gap.parent_hp
-    hbasis = ratlin.to_float(hp.hbasis, gap.dim_at(0), hp.betti)
+    hbasis = hp.hbasis.to_float()
     rep = hbasis @ np.asarray(class_p, dtype=float)
     ctx = _context(gap)
 

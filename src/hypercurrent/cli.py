@@ -135,6 +135,8 @@ def cmd_trees(args):
             for t in enumerate_dtrees(gap, args.level)
         ]
     else:
+        if args.weights is None:
+            raise HclError("trees greedy needs --weights")
         with open(args.weights, "r", encoding="utf-8") as fh:
             weights = {k: float(v) for k, v in json.load(fh).items()}
         t = greedy_dtree(gap, args.level, weights)

@@ -22,7 +22,7 @@ from .errors import (
     NotPositivelyAcyclic,
     ParseError,
 )
-from .ratlin import Mat, QMat, smith_normal_form, torsion_order  # noqa: F401  (re-exported)
+from .ratlin import QMat, smith_normal_form, torsion_order  # noqa: F401  (re-exported)
 
 __all__ = [
     "CwComplex",
@@ -53,7 +53,7 @@ class CwComplex:
 
     name: str
     cells: tuple          # cells[j] = tuple of j-cell names
-    boundary: tuple       # boundary[j-1] = D_j for 1 <= j <= dim
+    boundary: tuple       # boundary[j-1] = D_j (a QMat) for 1 <= j <= dim
 
     @property
     def dim(self):
@@ -68,23 +68,15 @@ class CwComplex:
         """Boundary matrix D_j : C_j -> C_{j-1}; zero-shaped outside range."""
         if 1 <= j <= self.dim:
             return self.boundary[j - 1]
-        return ratlin.zeros(self.n_cells(j - 1), self.n_cells(j))
+        return QMat.zeros(self.n_cells(j - 1), self.n_cells(j))
 
     def cell_index(self, j, name):
         return self.cells[j].index(name)
 
 
 def _validate(name, cells, boundary):
-    dim = len(cells) - 1
-    if len(boundary) != max(dim, 0):
-        raise ParseError(f"{name}: expected {dim} boundary matrices, got {len(boundary)}")
-    for j in range(1, dim + 1):
-        d = boundary[j - 1]
-        if len(d) != len(cells[j - 1]) or any(len(row) != len(cells[j]) for row in d):
-            raise ParseError(f"{name}: D_{j} shape does not match cell counts")
-    mats = [QMat.from_rows(d, (len(cells[j]), len(cells[j + 1]))) for j, d in enumerate(boundary)]
-    for j in range(2, dim + 1):
-        prod = mats[j - 2] @ mats[j - 1]
+    for j in range(2, len(cells)):
+        prod = boundary[j - 2] @ boundary[j - 1]
         for (r, c), v in np.ndenumerate(prod.num):
             if v != 0:
                 raise BoundarySquareNonzero(j, r, c, Fraction(v, prod.den))
@@ -109,13 +101,19 @@ def _from_doc(doc):
         raw = doc["boundary"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
+    dim = len(cells) - 1
+    if len(raw) != max(dim, 0):
+        raise ParseError(f"{name}: expected {dim} boundary matrices, got {len(raw)}")
     boundary = []
-    for mat in raw:
+    for j, mat in enumerate(raw, start=1):
         for row in mat:
             for v in row:
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ParseError(f"non-integer boundary entry {v!r}")
-        boundary.append(ratlin.from_rows(mat))
+        shape = (len(cells[j - 1]), len(cells[j]))
+        if len(mat) != shape[0] or any(len(row) != shape[1] for row in mat):
+            raise ParseError(f"{name}: D_{j} shape does not match cell counts")
+        boundary.append(QMat.from_rows(mat, shape))
     return _validate(name, cells, boundary)
 
 
@@ -129,7 +127,7 @@ def dumps_complex(x: CwComplex):
     doc = {
         "name": x.name,
         "cells": [list(c) for c in x.cells],
-        "boundary": [[[int(v) for v in row] for row in d] for d in x.boundary],
+        "boundary": [[[int(v) for v in row] for row in d.to_rows()] for d in x.boundary],
     }
     return json.dumps(doc, indent=1, sort_keys=True)
 
@@ -141,8 +139,8 @@ def sphere_complex(q):
     cells = [(f"e{j}+", f"e{j}-") for j in range(q + 1)]
     boundary = []
     for j in range(1, q + 1):
-        s = Fraction((-1) ** j)
-        boundary.append([[Fraction(1), s], [s, Fraction(1)]])
+        s = (-1) ** j
+        boundary.append(QMat.from_rows([[1, s], [s, 1]], (2, 2)))
     return _validate(f"sphere{q}", cells, boundary)
 
 
@@ -153,9 +151,8 @@ def sphere_wedge_complex(q):
         raise ValueError("q must be >= 1")
     base = sphere_complex(q)
     cells = [tuple(c) for c in base.cells[:q]] + [(f"e{q}id", f"e{q}const")]
-    s = Fraction((-1) ** q)
-    top = [[Fraction(1), Fraction(0)], [s, Fraction(0)]]
-    boundary = [ratlin.copy(base.boundary[j]) for j in range(q - 1)] + [top]
+    top = QMat.from_rows([[1, 0], [(-1) ** q, 0]], (2, 2))
+    boundary = list(base.boundary[: q - 1]) + [top]
     return _validate(f"wedge{q}", cells, boundary)
 
 
@@ -166,16 +163,14 @@ def collapsed_sphere_complex(q):
         raise ValueError("q must be >= 2")
     base = sphere_complex(q)
     cells = [("pt",)] + [tuple(base.cells[j]) for j in range(1, q + 1)]
-    boundary = [ratlin.zeros(1, 2)]
-    for j in range(2, q + 1):
-        boundary.append(ratlin.copy(base.boundary[j - 1]))
+    boundary = [QMat.zeros(1, 2)] + list(base.boundary[1:])
     return _validate(f"collapsed_sphere{q}", cells, boundary)
 
 
 def torsion_complex():
     """One vertex, one edge, and two 2-cells attached with degrees 2 and 3."""
     cells = [("v",), ("a",), ("u", "w")]
-    boundary = [ratlin.zeros(1, 1), [[Fraction(2), Fraction(3)]]]
+    boundary = [QMat.zeros(1, 1), QMat.from_rows([[2, 3]], (1, 2))]
     return _validate("TOR", cells, boundary)
 
 
@@ -207,22 +202,20 @@ class HomologyData:
     """
 
     dim: int
-    cycles: Mat
-    bounds: Mat
-    hbasis: Mat
+    cycles: QMat
+    bounds: QMat
+    hbasis: QMat
 
     @property
     def betti(self):
-        return len(self.hbasis[0]) if self.hbasis else 0
+        return self.hbasis.shape[1]
 
     def class_of(self, chain):
         """Coordinates of a cycle's class in the chosen homology basis."""
-        nb = len(self.bounds[0]) if self.bounds else 0
-        basis = ratlin.hstack(self.bounds, self.hbasis)
-        coeffs = ratlin.solve(basis, list(chain))
+        coeffs = ratlin.solve(ratlin.hstack(self.bounds, self.hbasis), chain)
         if coeffs is None:
             raise ValueError("chain is not a cycle (class undefined)")
-        return coeffs[nb:]
+        return coeffs[self.bounds.shape[1]:]
 
     def representative(self, coords):
         """The cycle with the given coordinates in the homology basis."""
@@ -230,25 +223,17 @@ class HomologyData:
         if len(coords) != self.betti:
             raise ValueError(
                 f"class has {len(coords)} coordinates, homology has dimension {self.betti}")
-        return ratlin.matvec(self.hbasis, coords)
+        return self.hbasis @ coords
 
 
 def _homology_data(n, d_in, d_out):
     """Subspace data in a degree of dimension n; d_out leaves the degree
     (may be None for the zero map), d_in arrives into it (may be None)."""
-    if d_out is None or not d_out or not d_out[0]:
-        cycles = ratlin.identity(n)
-    else:
-        cycles = ratlin.nullspace(d_out)
-    if d_in is None or not d_in or not d_in[0]:
-        bounds = ratlin.zeros(n, 0)
-    else:
-        bounds = ratlin.column_echelon_basis(d_in)
-    aug = ratlin.hstack(bounds, cycles)
-    nb = len(bounds[0]) if bounds else 0
-    pivots = ratlin.column_space_pivots(aug) if aug and aug[0] else []
-    extra = [j - nb for j in pivots if j >= nb]
-    hbasis = ratlin.cols(cycles, extra)
+    cycles = QMat.identity(n) if d_out is None else ratlin.nullspace(d_out)
+    bounds = QMat.zeros(n, 0) if d_in is None else ratlin.column_echelon_basis(d_in)
+    nb = bounds.shape[1]
+    pivots = ratlin.column_space_pivots(ratlin.hstack(bounds, cycles))
+    hbasis = cycles[:, [j - nb for j in pivots if j >= nb]]
     return HomologyData(dim=n, cycles=cycles, bounds=bounds, hbasis=hbasis)
 
 
@@ -264,9 +249,9 @@ class GapComplex:
     dbar[j] is the boundary from degree j to degree j-1.
 
     Data that depends on the gap alone (the float context of the
-    analytical route, greedy trees per order type, tree contractions,
-    the boundaries as QMat) is kept in one memo, read through derived():
-    each entry is built on first use and dropped with the gap.
+    analytical route, trees, greedy trees per order type, tree
+    contractions) is kept in one memo, read through derived(): each
+    entry is built on first use and dropped with the gap.
     """
 
     parent: CwComplex
@@ -274,8 +259,8 @@ class GapComplex:
     q: int
     dbar: tuple
     homology: tuple      # HomologyData per degree 0..q-p
-    hp_embed: Mat        # H_p(parent) -> H_0(shifted), chosen bases
-    hq_project: Mat      # H_{q-p}(shifted) -> H_q(parent)
+    hp_embed: QMat       # H_p(parent) -> H_0(shifted), chosen bases
+    hq_project: QMat     # H_{q-p}(shifted) -> H_q(parent); None if q == p
     parent_hp: HomologyData
     parent_hq: HomologyData
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -301,13 +286,7 @@ class GapComplex:
         """Shifted boundary, degree j -> j-1; zero-shaped outside (0, top]."""
         if 1 <= j <= self.top:
             return self.dbar[j]
-        return ratlin.zeros(self.dim_at(j - 1), self.dim_at(j))
-
-    def dmat(self, j):
-        """d(j) as a QMat of its true shape, converted once into the memo."""
-        return self.derived(
-            ("dmat", j), lambda: QMat.from_rows(self.d(j), (self.dim_at(j - 1), self.dim_at(j)))
-        )
+        return QMat.zeros(self.dim_at(j - 1), self.dim_at(j))
 
     def cells_at(self, j):
         return self.parent.cells[j + self.p] if 0 <= j <= self.top else ()
@@ -320,9 +299,7 @@ def gap_complex(x: CwComplex, p, q):
     if q > x.dim:
         raise GapViolated(f"q={q} exceeds dim {x.name} = {x.dim}")
     top = q - p
-    dbar = [ratlin.zeros(0, x.n_cells(p))]
-    for jj in range(1, top + 1):
-        dbar.append(ratlin.copy(x.d(jj + p)))
+    dbar = [QMat.zeros(0, x.n_cells(p))] + [x.d(jj + p) for jj in range(1, top + 1)]
     homology = []
     for jj in range(top + 1):
         d_out = dbar[jj] if jj >= 1 else None
@@ -331,20 +308,20 @@ def gap_complex(x: CwComplex, p, q):
 
     parent_hp = homology_data(x, p)
     parent_hq = homology_data(x, q)
-    hp_cols = [homology[0].class_of(ratlin.col(parent_hp.hbasis, k)) for k in range(parent_hp.betti)]
-    hp_embed = ratlin.transpose(hp_cols) if hp_cols else ratlin.zeros(homology[0].betti, 0)
+    hp_cols = [homology[0].class_of(parent_hp.hbasis[:, k]) for k in range(parent_hp.betti)]
+    hp_embed = QMat.from_rows(hp_cols, (parent_hp.betti, homology[0].betti)).T
     if top == 0:
         # every chain is a degree-0 class of the shifted complex, so the
         # projection onto degree-q homology only exists on actual cycles;
         # pairings take classes in the parent directly in this case
         hq_project = None
     else:
-        hq_cols = [parent_hq.class_of(ratlin.col(homology[top].hbasis, k)) for k in range(homology[top].betti)]
-        hq_project = ratlin.transpose(hq_cols) if hq_cols else ratlin.zeros(parent_hq.betti, 0)
+        hq_cols = [parent_hq.class_of(homology[top].hbasis[:, k]) for k in range(homology[top].betti)]
+        hq_project = QMat.from_rows(hq_cols, (homology[top].betti, parent_hq.betti)).T
 
-    if hp_cols and ratlin.rank(hp_embed) != parent_hp.betti:
+    if ratlin.rank(hp_embed) != parent_hp.betti:
         raise GapViolated("embedding of degree-p homology is not injective")
-    if top > 0 and parent_hq.betti and ratlin.rank(hq_project) != parent_hq.betti:
+    if top > 0 and ratlin.rank(hq_project) != parent_hq.betti:
         raise GapViolated("projection onto degree-q homology is not surjective")
     return GapComplex(
         parent=x,
@@ -386,9 +363,9 @@ def eth(f: GradedOperator, gap: GapComplex):
     sign = (-1) ** n
     out = {}
     for j in range(gap.top + 1):
-        term = gap.dmat(j + n) @ f.block(gap, j)
+        term = gap.d(j + n) @ f.block(gap, j)
         if j >= 1:
-            term = term - sign * (f.block(gap, j - 1) @ gap.dmat(j))
+            term = term - sign * (f.block(gap, j - 1) @ gap.d(j))
         out[j] = term
     return GradedOperator(degree=n - 1, blocks=out)
 
@@ -398,8 +375,8 @@ class Contraction:
     """Degree +1 operator h with d h + h d = id in positive degrees and
     id minus the harmonic projection in degree 0."""
 
-    h: tuple      # h[j] : degree j -> j+1
-    pi0: Mat
+    h: tuple      # h[j] : degree j -> j+1, a QMat
+    pi0: QMat
 
 
 def contraction(dims, boundaries):
@@ -416,17 +393,8 @@ def contraction(dims, boundaries):
         b = ratlin.rank(boundaries[j + 1]) if j + 1 <= top else 0
         if z != b:
             raise NotPositivelyAcyclic(f"H_{j} has dimension {z - b}")
-    hs = []
-    for j in range(top):
-        if dims[j + 1] == 0 or dims[j] == 0:
-            hs.append(ratlin.zeros(dims[j + 1], dims[j]))
-        else:
-            hs.append(ratlin.pinv(boundaries[j + 1]))
-    hs.append(ratlin.zeros(0, dims[top]))
-    if top >= 1 and dims[0] and boundaries[1] and boundaries[1][0]:
-        pi0 = ratlin.sub(
-            ratlin.identity(dims[0]), ratlin.projector_onto_columns(boundaries[1])
-        )
-    else:
-        pi0 = ratlin.identity(dims[0])
+    hs = [ratlin.pinv(boundaries[j + 1]) for j in range(top)] + [QMat.zeros(0, dims[top])]
+    pi0 = QMat.identity(dims[0])
+    if top >= 1:
+        pi0 = pi0 - ratlin.projector_onto_columns(boundaries[1])
     return Contraction(h=tuple(hs), pi0=pi0)

@@ -8,12 +8,12 @@ carry an integer torsion order and a preferred right inverse used by
 the Kirchhoff tree sums.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 from . import ratlin
 from .complex_core import GapComplex
 from .errors import NotATree, NotInjective
+from .ratlin import QMat
 
 __all__ = [
     "DTree",
@@ -35,8 +35,10 @@ class DTree:
     kind: str            # "tree" | "cotree"
     cells: tuple         # cell names, in the parent's cell order
     torsion: int
-    right_inverse: tuple # tree: bounds_{d-p-1} coords -> ambient chains;
-                         # cotree: minus the projection onto bounds coords
+    # tree: bounds_{d-p-1} coords -> ambient chains; cotree: minus the
+    # projection onto bounds coords.  Fixed by the gap and the cells, so
+    # left out of == and hash.
+    right_inverse: QMat = field(compare=False)
 
     @property
     def key(self):
@@ -47,17 +49,21 @@ def _cell_indices(gap: GapComplex, d, names):
     return [gap.parent.cell_index(d, nm) for nm in names]
 
 
+def _check_level(gap: GapComplex, d):
+    if not (gap.p <= d <= gap.q):
+        raise ValueError("level outside the gap")
+
+
 def is_dtree(gap: GapComplex, d, cells):
     """Definitional test: build the subcomplex through degree d and check
     its homology directly (the oracle for the matroid characterization)."""
     x = gap.parent
-    if not (gap.p <= d <= gap.q):
-        raise ValueError("level outside the gap")
+    _check_level(gap, d)
     names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
     idx = _cell_indices(gap, d, names)
     dd = x.d(d)
-    restricted = ratlin.cols(dd, idx) if idx else None
-    rank_restricted = ratlin.rank(restricted) if restricted else 0
+    restricted = dd[:, idx]
+    rank_restricted = ratlin.rank(restricted)
     if d > gap.p:
         # spanning tree: top homology of the subcomplex dies, next Betti
         # number matches the ambient one
@@ -69,31 +75,15 @@ def is_dtree(gap: GapComplex, d, cells):
     # homology and the Betti number one degree down is unchanged
     if d >= 1 and rank_restricted != ratlin.rank(dd):
         return False
-    if restricted is None:
-        kernel = ratlin.zeros(0, 0)
-        kdim = 0
-    elif not restricted or not restricted[0]:
-        kernel = ratlin.identity(len(idx))
-        kdim = len(idx)
-    else:
-        kernel = ratlin.nullspace(restricted)
-        kdim = len(kernel[0]) if kernel else 0
     hx = gap.parent_hp
-    if kdim != hx.betti:
+    kernel = QMat.identity(x.n_cells(d))[:, idx] @ ratlin.nullspace(restricted)
+    if kernel.shape[1] != hx.betti:
         return False
-    cols = []
-    for k in range(kdim):
-        vec = [Fraction(0)] * x.n_cells(d)
-        for r, i in enumerate(idx):
-            vec[i] = kernel[r][k]
-        try:
-            cols.append(hx.class_of(vec))
-        except ValueError:
-            return False
-    if kdim == 0:
-        return True
-    induced = ratlin.transpose(cols)
-    return ratlin.rank(induced) == hx.betti
+    try:
+        cols = [hx.class_of(kernel[:, k]) for k in range(hx.betti)]
+    except ValueError:
+        return False
+    return ratlin.rank(QMat.from_rows(cols, (hx.betti, hx.betti))) == hx.betti
 
 
 def matroid_is_dtree(gap: GapComplex, d, cells):
@@ -109,27 +99,22 @@ def matroid_is_dtree(gap: GapComplex, d, cells):
 def _independent(gap: GapComplex, d, idx):
     x = gap.parent
     if d > gap.p:
-        return ratlin.rank(ratlin.cols(x.d(d), idx)) == len(idx)
+        return ratlin.rank(x.d(d)[:, idx]) == len(idx)
     bounds = gap.homology[0].bounds
-    nb = len(bounds[0]) if bounds else 0
-    n = x.n_cells(d)
-    indicators = ratlin.zeros(n, len(idx))
-    for k, i in enumerate(idx):
-        indicators[i][k] = Fraction(1)
-    return ratlin.rank(ratlin.hstack(bounds, indicators)) == nb + len(idx)
+    indicators = QMat.identity(x.n_cells(d))[:, idx]
+    return ratlin.rank(ratlin.hstack(bounds, indicators)) == bounds.shape[1] + len(idx)
 
 
 def _target_size(gap: GapComplex, d):
     x = gap.parent
     if d > gap.p:
         return ratlin.rank(x.d(d))
-    bounds = gap.homology[0].bounds
-    nb = len(bounds[0]) if bounds else 0
-    return x.n_cells(d) - nb
+    return x.n_cells(d) - gap.homology[0].bounds.shape[1]
 
 
 def enumerate_dtrees(gap: GapComplex, d):
     """All degree-d trees, by rank-guided backtracking over cell subsets."""
+    _check_level(gap, d)
     x = gap.parent
     n = x.n_cells(d)
     target = _target_size(gap, d)
@@ -159,8 +144,12 @@ def greedy_dtree(gap: GapComplex, d, weights):
     one-to-one; cells are scanned in ascending weight and kept whenever
     they extend an independent set.
     """
+    _check_level(gap, d)
     x = gap.parent
     names = x.cells[d]
+    missing = [nm for nm in names if nm not in weights]
+    if missing:
+        raise ValueError(f"no weight for cell {missing[0]!r} on level {d}")
     vals = [weights[nm] for nm in names]
     if len(set(vals)) != len(vals):
         raise NotInjective(f"weights on level {d} are not one-to-one")
@@ -185,39 +174,20 @@ def torsion_of(gap: GapComplex, d, cells):
     x = gap.parent
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
     if d > gap.p:
-        d_low = x.d(d - 1)
-        low_int = [[int(v) for v in row] for row in d_low] if d - 1 >= 1 else []
-        if d - 1 == 0 or not low_int:
-            kernel_rows = [[int(i == j) for j in range(x.n_cells(d - 1))] for i in range(x.n_cells(d - 1))]
-        else:
-            kernel_rows = ratlin.integer_kernel_basis(low_int)
-        kt = ratlin.from_rows(kernel_rows)
-        kt = ratlin.transpose(kt) if kernel_rows else ratlin.zeros(x.n_cells(d - 1), 0)
-        image = ratlin.cols(x.d(d), idx)
-        coeffs = ratlin.solve_matrix(kt, image)
+        coeffs = ratlin.solve_matrix(ratlin.integer_kernel_basis(x.d(d - 1)), x.d(d)[:, idx])
         if coeffs is None:
             raise NotATree("tree boundary does not land in the cycle lattice")
-        int_coeffs = []
-        for row in coeffs:
-            int_row = []
-            for v in row:
-                if v.denominator != 1:
-                    raise NotATree("non-integral coefficients in the cycle lattice")
-                int_row.append(int(v))
-            int_coeffs.append(int_row)
-        return ratlin.torsion_order(int_coeffs)
+        if coeffs.den != 1:
+            raise NotATree("non-integral coefficients in the cycle lattice")
+        return ratlin.torsion_order(coeffs)
     # co-tree: finite part of the degree-p chain lattice modulo integral
     # boundaries and the span of the co-tree cells
-    n = x.n_cells(d)
-    up = x.d(d + 1)
-    combined = [[int(v) for v in row] for row in up] if up and up[0] else [[] for _ in range(n)]
-    indicator = [[1 if i == j else 0 for j in idx] for i in range(n)]
-    merged = [combined[i] + indicator[i] for i in range(n)]
-    return ratlin.torsion_order(merged)
+    indicators = QMat.identity(x.n_cells(d))[:, idx]
+    return ratlin.torsion_order(ratlin.hstack(x.d(d + 1), indicators))
 
 
 def tree_right_inverse(gap: GapComplex, d, cells):
-    """Preferred right inverse attached to a tree.
+    """Preferred right inverse attached to a tree, a QMat.
 
     For d above the bottom level: the unique solution operator of
     "boundary = given" supported on the tree cells, as a matrix from
@@ -227,31 +197,12 @@ def tree_right_inverse(gap: GapComplex, d, cells):
     """
     x = gap.parent
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
-    jd = d - gap.p
+    tree_cells = QMat.identity(x.n_cells(d))[:, idx]
     if d > gap.p:
-        bounds = gap.homology[jd - 1].bounds
-        nb = len(bounds[0]) if bounds else 0
-        n = x.n_cells(d)
-        if nb == 0:
-            return ratlin.zeros(n, 0)
-        restricted = ratlin.cols(x.d(d), idx)
-        sol = ratlin.matmul(ratlin.pinv(restricted), bounds)
-        out = ratlin.zeros(n, nb)
-        for r, i in enumerate(idx):
-            out[i] = sol[r]
-        return out
+        bounds = gap.homology[d - gap.p - 1].bounds
+        return tree_cells @ (ratlin.pinv(x.d(d)[:, idx]) @ bounds)
     bounds = gap.homology[0].bounds
-    nb = len(bounds[0]) if bounds else 0
-    n = x.n_cells(d)
-    if nb == 0:
-        return ratlin.zeros(0, n)
-    indicators = ratlin.zeros(n, len(idx))
-    for k, i in enumerate(idx):
-        indicators[i][k] = Fraction(1)
-    full = ratlin.hstack(bounds, indicators)
-    inv = ratlin.inverse(full)
-    proj = [inv[i] for i in range(nb)]
-    return ratlin.scale(proj, Fraction(-1))
+    return -ratlin.inverse(ratlin.hstack(bounds, tree_cells))[: bounds.shape[1], :]
 
 
 def make_dtree(gap: GapComplex, d, cells):
@@ -271,5 +222,4 @@ def _build_dtree(gap: GapComplex, d, cells, names):
     kind = "cotree" if d == gap.p else "tree"
     tau = torsion_of(gap, d, names)
     rinv = tree_right_inverse(gap, d, names)
-    return DTree(level=d, kind=kind, cells=names, torsion=tau,
-                 right_inverse=tuple(tuple(row) for row in rinv))
+    return DTree(level=d, kind=kind, cells=names, torsion=tau, right_inverse=rinv)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ratlin
 from .complex_core import CwComplex
 from .errors import StepTooLarge
 from .protocol import SimplicialProtocol, weights_at
@@ -50,7 +49,7 @@ def state_diagram(x: CwComplex) -> StateDiagram:
     d1 = x.d(1)
     edges = []
     for e in range(x.n_cells(1)):
-        col = [d1[v][e] for v in range(x.n_cells(0))]
+        col = d1[:, e]
         plus = [v for v, c in enumerate(col) if c == 1]
         minus = [v for v, c in enumerate(col) if c == -1]
         if len(plus) != 1 or len(minus) != 1 or any(c not in (-1, 0, 1) for c in col):
@@ -205,7 +204,7 @@ def boltzmann(x: CwComplex, energies, barriers):
     """Stationary distribution: the normalized kernel of the weighted
     adjoint of the boundary operator."""
     sd = state_diagram(x)  # validates the graph shape
-    d1 = ratlin.to_float(x.d(1), x.n_cells(0), x.n_cells(1))
+    d1 = x.d(1).to_float()
     e = np.asarray(energies, dtype=float)
     w = np.asarray(barriers, dtype=float)
     g0 = np.exp(e - e.max())

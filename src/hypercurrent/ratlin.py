@@ -1,18 +1,17 @@
 """Exact linear algebra over the rationals and the integers.
 
-Two representations, one per job:
+Every matrix is a ``QMat``: a numpy object array of Python ints over one
+positive common denominator, kept in lowest terms, with an explicit
+shape that empty matrices keep.  Products, sums, transposes and slices
+are numpy operations on the integers, and ``==`` compares structure.
+``to_rows`` gives rows of Fractions where a report is written and
+``to_float`` the float copy the analytical route reads.
 
-- Elimination (``rref``, ``nullspace``, ``pinv``, ``solve`` and the
-  helpers around them) runs on plain row-major lists of lists of
-  ``fractions.Fraction``.  Echelon forms scan columns left to right in
-  the given order, so downstream basis choices are reproducible.
-- Operators (boundaries as the lift reads them, tree contractions, lift
-  values, cochain blocks) are ``QMat``: a numpy object array of Python
-  ints over one positive common denominator, kept in lowest terms.
-  Products, sums and transposes are numpy operations on the integers,
-  and ``==`` compares structure.  Elimination results are converted
-  once, with ``QMat.from_rows``; ``to_rows`` converts back at report
-  boundaries.
+The elimination functions (``rank``, ``nullspace``, ``pinv``,
+``solve`` and the ones around them) take and return QMat.  Inside, they
+run on a row kernel of plain lists of ``fractions.Fraction``: ``rref``,
+whose echelon forms scan columns left to right in the given order, so
+downstream basis choices are reproducible, and ``matmul``.
 
 Smith normal form runs on Python ints.
 """
@@ -21,8 +20,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-
-Mat = list  # list[list[Fraction]], row-major
 
 
 class QMat:
@@ -61,22 +58,27 @@ class QMat:
 
     @classmethod
     def identity(cls, n):
-        return cls._raw(np.identity(n, dtype=object), 1)
+        num = np.zeros((n, n), dtype=object)
+        num.flat[:: n + 1] = 1
+        return cls._raw(num, 1)
 
     @classmethod
     def from_rows(cls, rows, shape):
-        """From rows of numbers (Fractions, ints) of the given shape,
-        which empty matrices keep."""
-        fr = [[Fraction(x) for x in row] for row in rows]
-        den = math.lcm(1, *(x.denominator for row in fr for x in row))
-        num = [[x.numerator * (den // x.denominator) for x in row] for row in fr]
+        """From a list of rows of rationals (ints, Fractions) of the given
+        shape, which empty matrices keep."""
+        den = math.lcm(1, *(x.denominator for row in rows for x in row))
+        num = [[x.numerator * (den // x.denominator) for x in row] for row in rows]
         return cls(np.array(num, dtype=object).reshape(shape), den)
 
     def to_rows(self):
         """Row-major lists of Fractions."""
-        return [[Fraction(x, self.den) for x in row] for row in self.num.tolist()]
+        den = self.den
+        if den == 1:
+            return [[Fraction(x) for x in row] for row in self.num.tolist()]
+        return [[Fraction(x, den) for x in row] for row in self.num.tolist()]
 
     def to_float(self):
+        """Float copy of the same shape, each entry correctly rounded."""
         return (self.num / self.den).astype(float)
 
     def __array__(self, dtype=None, copy=None):
@@ -89,6 +91,16 @@ class QMat:
     @property
     def T(self):
         return QMat._raw(self.num.T, self.den)
+
+    def __getitem__(self, key):
+        """numpy indexing: a 2-d result is a QMat, a row or column a list
+        of Fractions, an entry a Fraction."""
+        num = self.num[key]
+        if not isinstance(num, np.ndarray):
+            return Fraction(num, self.den)
+        if num.ndim == 2:
+            return QMat(num, self.den)
+        return [Fraction(x, self.den) for x in num.tolist()]
 
     def is_zero(self):
         return not self.num.any()
@@ -103,14 +115,16 @@ class QMat:
         return f"QMat({self.num.tolist()!r}, {self.den})"
 
     def __matmul__(self, other):
-        """Product with a QMat, a float array, or a vector of numbers (a
+        """Product with a QMat, a float array, or a vector of rationals (a
         list of Fractions comes back)."""
         if isinstance(other, QMat):
             return QMat(self.num @ other.num, self.den * other.den)
         if isinstance(other, np.ndarray):
             return self.to_float() @ other
-        col = self @ QMat.from_rows([[x] for x in other], (len(other), 1))
-        return [row[0] for row in col.to_rows()]
+        vec = list(other)
+        den = math.lcm(1, *(x.denominator for x in vec))
+        col = np.array([x.numerator * (den // x.denominator) for x in vec], dtype=object)
+        return [Fraction(v, self.den * den) for v in (self.num @ col).tolist()]
 
     def __rmatmul__(self, other):
         if isinstance(other, np.ndarray):
@@ -160,93 +174,33 @@ class QMat:
     __rmul__ = __mul__
 
 
-def zeros(m, n):
-    return [[Fraction(0)] * n for _ in range(m)]
+def hstack(*mats):
+    """Matrices with one row count, side by side."""
+    den = math.lcm(*(m.den for m in mats))
+    return QMat(np.concatenate([m.num * (den // m.den) for m in mats], axis=1), den)
 
 
-def identity(n):
-    out = zeros(n, n)
-    for i in range(n):
-        out[i][i] = Fraction(1)
-    return out
+# ---------------------------------------------------------------------------
+# Row kernel: lists of Fraction rows
 
 
-def from_rows(rows):
-    """Copy arbitrary number entries into a Fraction matrix."""
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def shape(a):
-    return (len(a), len(a[0]) if a else 0)
-
-
-def copy(a):
-    return [row[:] for row in a]
-
-
-def transpose(a):
-    m, n = shape(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
-def add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def scale(a, c):
-    c = Fraction(c)
-    return [[c * x for x in row] for row in a]
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def matmul(a, b):
-    m, k = shape(a)
-    k2, n = shape(b)
-    if k != k2:
-        raise ValueError(f"shape mismatch {shape(a)} @ {shape(b)}")
-    bt = transpose(b)
+    """Product of two nonempty Fraction row matrices."""
+    if len(a[0]) != len(b):
+        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
+    bt = _transpose(b)
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def matvec(a, v):
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def is_zero(a):
-    return all(x == 0 for row in a for x in row)
-
-
-def eq(a, b):
-    return shape(a) == shape(b) and all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def col(a, j):
-    return [row[j] for row in a]
-
-
-def cols(a, js):
-    return [[row[j] for j in js] for row in a]
-
-
-def hstack(a, b):
-    ma, na = shape(a)
-    mb, nb = shape(b)
-    if na == 0:
-        return copy(b)
-    if nb == 0:
-        return copy(a)
-    if ma != mb:
-        raise ValueError("row count mismatch in hstack")
-    return [ra + rb for ra, rb in zip(a, b)]
-
-
 def rref(a):
-    """Row-reduced echelon form; returns (R, pivot_columns)."""
-    r = copy(a)
-    m, n = shape(r)
+    """Row-reduced echelon form of Fraction rows; returns (R, pivot_columns)."""
+    r = [row[:] for row in a]
+    m = len(r)
+    n = len(r[0]) if m else 0
     pivots = []
     row = 0
     for j in range(n):
@@ -271,76 +225,79 @@ def rref(a):
     return r, pivots
 
 
+def _inverse(a):
+    """Inverse of a square matrix of Fraction rows."""
+    n = len(a)
+    r, pivots = rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in r]
+
+
+# ---------------------------------------------------------------------------
+# Elimination on QMat
+
+
 def rank(a):
-    if not a or not a[0]:
-        return 0
-    return len(rref(a)[1])
+    return len(rref(a.to_rows())[1])
 
 
 def nullspace(a):
-    """Canonical kernel basis, one column per free variable (n x k matrix)."""
-    m, n = shape(a)
-    if n == 0:
-        return zeros(0, 0)
-    r, pivots = rref(a)
+    """Canonical kernel basis, one column per free variable (n x k)."""
+    n = a.shape[1]
+    r, pivots = rref(a.to_rows())
     free = [j for j in range(n) if j not in pivots]
-    basis = zeros(n, len(free))
+    basis = [[Fraction(0)] * len(free) for _ in range(n)]
     for k, f in enumerate(free):
         basis[f][k] = Fraction(1)
         for i, p in enumerate(pivots):
             basis[p][k] = -r[i][f]
-    return basis
+    return QMat.from_rows(basis, (n, len(free)))
 
 
 def column_space_pivots(a):
     """Indices of a's pivot columns, in the given column order."""
-    return rref(a)[1]
+    return rref(a.to_rows())[1]
 
 
 def column_echelon_basis(a):
     """Canonical basis of the column space (reduced column echelon form)."""
-    m, n = shape(a)
-    if n == 0 or m == 0:
-        return zeros(m, 0)
-    r, pivots = rref(transpose(a))
-    return transpose(r[: len(pivots)])
+    r, pivots = rref(a.T.to_rows())
+    return QMat.from_rows(r[: len(pivots)], (len(pivots), a.shape[0])).T
+
+
+def _solve(rows, n, k):
+    """Rows of X with a X = b (free variables zero) from the rows of
+    [a | b], a having n columns and b k; None if a column of b is
+    inconsistent."""
+    r, pivots = rref(rows)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[Fraction(0)] * k for _ in range(n)]
+    for i, p in enumerate(pivots):
+        x[p] = r[i][n:]
+    return x
 
 
 def solve(a, b):
-    """One solution x of a x = b (free variables zero), or None."""
-    m, n = shape(a)
-    aug = hstack(a, [[x] for x in b])
-    r, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for i, p in enumerate(pivots):
-        x[p] = r[i][n]
-    return x
+    """One solution x of a x = b for a vector b (free variables zero),
+    as a list of Fractions, or None."""
+    x = _solve([row + [Fraction(v)] for row, v in zip(a.to_rows(), b)], a.shape[1], 1)
+    return None if x is None else [row[0] for row in x]
 
 
 def solve_matrix(a, b):
     """X with a X = b, columnwise; None if any column is inconsistent."""
-    m, n = shape(a)
-    mb, k = shape(b)
-    out = zeros(n, k)
-    for j in range(k):
-        x = solve(a, col(b, j))
-        if x is None:
-            return None
-        for i in range(n):
-            out[i][j] = x[i]
-    return out
+    n, k = a.shape[1], b.shape[1]
+    x = _solve([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())], n, k)
+    return None if x is None else QMat.from_rows(x, (n, k))
 
 
 def inverse(a):
-    m, n = shape(a)
+    m, n = a.shape
     if m != n:
         raise ValueError("inverse of non-square matrix")
-    r, pivots = rref(hstack(a, identity(n)))
-    if len(pivots) != n or pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    return QMat.from_rows(_inverse(a.to_rows()), (n, n))
 
 
 def pinv(a):
@@ -349,54 +306,35 @@ def pinv(a):
     Uses the full-rank factorization a = C F with C the pivot columns and
     F the pivot rows of rref(a).
     """
-    m, n = shape(a)
-    if m == 0 or n == 0:
-        return zeros(n, m)
-    r, pivots = rref(a)
+    m, n = a.shape
+    rows = a.to_rows()
+    r, pivots = rref(rows)
     if not pivots:
-        return zeros(n, m)
-    c = cols(a, pivots)
+        return QMat.zeros(n, m)
+    c = [[row[j] for j in pivots] for row in rows]
     f = r[: len(pivots)]
-    ct, ft = transpose(c), transpose(f)
-    left = matmul(ft, inverse(matmul(f, ft)))
-    right = matmul(inverse(matmul(ct, c)), ct)
-    return matmul(left, right)
+    ct, ft = _transpose(c), _transpose(f)
+    left = matmul(ft, _inverse(matmul(f, ft)))
+    right = matmul(_inverse(matmul(ct, c)), ct)
+    return QMat.from_rows(matmul(left, right), (n, m))
 
 
 def projector_onto_columns(a):
     """Orthogonal projection onto the column space (standard inner product)."""
-    m, n = shape(a)
-    basis = cols(a, column_space_pivots(a))
-    if shape(basis)[1] == 0:
-        return zeros(m, m)
-    bt = transpose(basis)
-    return matmul(matmul(basis, inverse(matmul(bt, basis))), bt)
+    basis = a[:, column_space_pivots(a)]
+    return basis @ inverse(basis.T @ basis) @ basis.T
 
 
 def left_inverse(a):
     """A deterministic left inverse of an injective matrix (pivot-row based)."""
-    m, n = shape(a)
+    m, n = a.shape
     if rank(a) != n:
         raise ValueError("matrix is not injective")
-    piv_rows = column_space_pivots(transpose(a))
-    sub = [a[i] for i in piv_rows]
-    inv = inverse(sub)
-    out = zeros(n, m)
-    for i in range(n):
-        for k, r_idx in enumerate(piv_rows):
-            out[i][r_idx] = inv[i][k]
-    return out
-
-
-def to_float(a, rows, colns):
-    """Float copy of a with the given shape, which empty matrices keep."""
-    import numpy as np
-
-    out = np.zeros((rows, colns))
-    for i, row in enumerate(a):
-        for j, v in enumerate(row):
-            out[i, j] = float(v)
-    return out
+    piv_rows = column_space_pivots(a.T)
+    inv = inverse(a[piv_rows, :])
+    out = np.zeros((n, m), dtype=object)
+    out[:, piv_rows] = inv.num
+    return QMat(out, inv.den)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +342,15 @@ def to_float(a, rows, colns):
 
 
 def smith_normal_form(a):
-    """Diagonal invariant factors d_1 | d_2 | ... of an integer matrix.
+    """Diagonal invariant factors d_1 | d_2 | ... of an integer QMat.
 
     Returns (diagonal, U, V) with U a V = diag embedded in the same shape,
-    U and V unimodular.
+    U and V unimodular QMats.
     """
-    m = [[int(x) for x in row] for row in a]
-    rows = len(m)
-    ncols = len(m[0]) if rows else 0
+    if a.den != 1:
+        raise ValueError("Smith normal form of a non-integer matrix")
+    rows, ncols = a.shape
+    m = a.num.tolist()
     u = [[int(i == j) for j in range(rows)] for i in range(rows)]
     v = [[int(i == j) for j in range(ncols)] for i in range(ncols)]
 
@@ -477,28 +416,17 @@ def smith_normal_form(a):
         t += 1
 
     diag = [m[i][i] for i in range(limit) if m[i][i] != 0]
+    u, v = (QMat(np.array(w, dtype=object).reshape(k, k)) for w, k in ((u, rows), (v, ncols)))
     return diag, u, v
 
 
 def torsion_order(a):
-    """Order of the torsion subgroup of coker(a) for an integer matrix a."""
-    if not a or not a[0]:
-        return 1
-    diag, _, _ = smith_normal_form(a)
-    out = 1
-    for d in diag:
-        out *= abs(d)
-    return out
+    """Order of the torsion subgroup of coker(a) for an integer QMat a."""
+    return math.prod(abs(d) for d in smith_normal_form(a)[0])
 
 
 def integer_kernel_basis(a):
-    """Z-basis of the integer kernel lattice {x : a x = 0}, via SNF."""
-    rows = len(a)
-    ncols = len(a[0]) if rows else 0
-    if ncols == 0:
-        return []
-    if rows == 0:
-        return [[int(i == j) for j in range(ncols)] for i in range(ncols)]
+    """Z-basis of the integer kernel lattice {x : a x = 0} of an integer
+    QMat, one column per basis vector, via SNF."""
     diag, _, v = smith_normal_form(a)
-    r = len(diag)
-    return [[v[i][j] for i in range(ncols)] for j in range(r, ncols)]
+    return v[:, len(diag):]

@@ -25,7 +25,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import ratlin
 from .complex_core import GapComplex, GradedOperator, contraction, eth
 from .errors import LiftObstruction, NotACycle, NotGood, NotSmall
 from .forests import DTree, greedy_dtree
@@ -48,17 +47,18 @@ __all__ = [
 
 
 def _tree_masks(gap: GapComplex, tree: DTree):
+    """Per degree, the indices of the tree subcomplex's cells."""
     ld = tree.level - gap.p
     idx = sorted(gap.parent.cell_index(tree.level, nm) for nm in tree.cells)
     masks = []
     for j in range(gap.top + 1):
         if j < ld:
-            masks.append(list(range(gap.dim_at(j))))
+            masks.append(range(gap.dim_at(j)))
         elif j == ld:
             masks.append(idx)
         else:
             masks.append([])
-    return masks
+    return [np.array(m, dtype=np.intp) for m in masks]
 
 
 class _TreeAux:
@@ -72,10 +72,8 @@ class _TreeAux:
         self.masks = _tree_masks(gap, tree)
         ld = tree.level - gap.p
         dims_sub = [len(self.masks[j]) for j in range(ld + 1)]
-        bnds = [None]
-        for j in range(1, ld + 1):
-            full = gap.d(j)
-            bnds.append([[full[r][c] for c in self.masks[j]] for r in self.masks[j - 1]])
+        bnds = [None] + [gap.d(j)[np.ix_(self.masks[j - 1], self.masks[j])]
+                         for j in range(1, ld + 1)]
         contr = contraction(dims_sub, bnds)
         # ambient-shaped homotopy, one matrix per degree 0..top-1
         self.h = [self._embed(j + 1, j, contr.h[j] if j < ld else None) for j in range(gap.top)]
@@ -88,32 +86,25 @@ class _TreeAux:
         self.phi = self._vertex_lift()
 
     def _embed(self, r, c, sub):
-        """The Fraction block sub from the tree's degree-c cells to its
-        degree-r cells as an ambient QMat; None is zero."""
+        """The block sub from the tree's degree-c cells to its degree-r
+        cells as an ambient QMat; None is zero."""
         gap = self.gap
         out = np.zeros((gap.dim_at(r), gap.dim_at(c)), dtype=object)
         if sub is None:
             return QMat(out)
-        rows, cols = self.masks[r], self.masks[c]
-        blk = QMat.from_rows(sub, (len(rows), len(cols)))
-        out[np.ix_(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp))] = blk.num
-        return QMat(out, blk.den)
+        out[np.ix_(self.masks[r], self.masks[c])] = sub.num
+        return QMat(out, sub.den)
 
     def _vertex_lift(self):
         gap = self.gap
-        n0 = gap.dim_at(0)
-        phi0 = QMat.identity(n0)
+        phi0 = QMat.identity(gap.dim_at(0))
         if self.tree.kind == "cotree":
-            bounds = gap.homology[0].bounds
-            nb = len(bounds[0]) if bounds else 0
-            if nb:
-                stored = QMat.from_rows(self.tree.right_inverse, (nb, n0))
-                phi0 = phi0 + QMat.from_rows(bounds, (n0, nb)) @ stored
+            phi0 = phi0 + gap.homology[0].bounds @ self.tree.right_inverse
         phis = [phi0]
         for g in range(1, gap.top + 1):
-            phis.append(self.h[g - 1] @ (phis[g - 1] @ gap.dmat(g)))
+            phis.append(self.h[g - 1] @ (phis[g - 1] @ gap.d(g)))
         for g in range(1, gap.top + 1):
-            if gap.dmat(g) @ phis[g] != phis[g - 1] @ gap.dmat(g):
+            if gap.d(g) @ phis[g] != phis[g - 1] @ gap.d(g):
                 raise LiftObstruction("vertex lift is not a chain map")
         return tuple(phis)
 
@@ -266,7 +257,7 @@ def lift_simplex(proto, keys, cache: LiftCache):
         np.add.at(z, cells, fnum[faces] * (signs * (-1) ** g))
         if g >= 1:
             pnum, pden = out[g - 1]
-            d = gap.dmat(g)
+            d = gap.d(g)
             bden = pden * d.den
             den = math.lcm(zden, bden)
             z = z * (den // zden) + (pnum @ d.num) * (den // bden)
@@ -278,14 +269,14 @@ def lift_simplex(proto, keys, cache: LiftCache):
                 pi0 = np.stack([aux.pi0.num for aux in auxes])[tree_of]
                 check(_nonzero(pi0 @ z), g, 1)
             else:
-                check(_nonzero(gap.dmat(zdeg).num @ z), g, 2)
+                check(_nonzero(gap.d(zdeg).num @ z), g, 2)
         if g + jdim > top:
             check(_nonzero(z), g, 3)
             out.append((np.zeros((n, 0, ng), dtype=object), 1))
             continue
         hnum, hden = _stacked([aux.h[zdeg] for aux in auxes])
         m, mden = _reduced(hnum[tree_of] @ z, hden * zden)
-        d = gap.dmat(g + jdim)
+        d = gap.d(g + jdim)
         # d m == z, cross-multiplied: (d.num @ m) / (d.den mden) == z / zden
         check(_nonzero((d.num @ m) * zden - z * (d.den * mden)), g, 4)
         out.append((m, mden))
@@ -373,7 +364,7 @@ def hypercurrent_homology(proto, cycle, class_p, cochain=None):
         # degree-p output chain; its class lives in the parent directly
         return gap.parent_hq.class_of(out), out
     cls = gap.homology[gap.top].class_of(out)
-    return ratlin.matvec(gap.hq_project, cls), out
+    return gap.hq_project @ cls, out
 
 
 def addendum_predicts_trivial(x, p, q):
@@ -384,8 +375,7 @@ def addendum_predicts_trivial(x, p, q):
         if x.n_cells(j) <= 1:
             return True
     for j in range(p, q):
-        d = x.d(j + 1)
-        if not d or not d[0] or ratlin.is_zero(d):
+        if x.d(j + 1).is_zero():
             return True
     return False
 

@@ -16,6 +16,7 @@ from . import ratlin
 from .complex_core import CwComplex, GapComplex, gap_complex
 from .errors import EpsilonTooLarge
 from .protocol import WeightPoint, cube_boundary_protocol, is_good
+from .ratlin import QMat
 from .topo_hyper import hypercurrent_cochain, hypercurrent_homology
 
 __all__ = [
@@ -189,27 +190,29 @@ def classify_cell(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=None):
         unit = [1 if i == k else 0 for i in range(nclasses)]
         coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, unit, cochain=cochain)
         cols.append(coords)
-    mat = ratlin.transpose(cols) if cols else []
-    essential = any(v != 0 for row in mat for v in row)
+    current = tuple(zip(*cols))
     return DiscriminantCellReport(
         height=cell,
         dimension=cell.dimension,
-        current_matrix=tuple(tuple(row) for row in mat),
-        essential=essential,
+        current_matrix=current,
+        essential=any(v != 0 for row in current for v in row),
     )
 
 
 def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
     """Classify every top discriminant cell over one gap complex and take
     the rank of their current matrices; a contractible good weight space
-    has no summands and builds no gap."""
+    has no summands and classifies no cell.  (p, q) must be a gap of x
+    either way."""
+    gap = gap_complex(x, p, q)
     c, contractible = good_summand_count(x, p, q)
     if contractible:
         return RobustReport(summands=c, contractible=True, cells=(), robust_summands=0)
-    gap = gap_complex(x, p, q)
     tops = enumerate_top_discriminant_cells(x, p, q)
     cells = tuple(classify_cell(gap, cell, eps) for cell in tops)
-    d = ratlin.rank([[v for row in rep.current_matrix for v in row] for rep in cells])
+    width = gap.parent_hq.betti * gap.parent_hp.betti
+    flat = [[v for row in rep.current_matrix for v in row] for rep in cells]
+    d = ratlin.rank(QMat.from_rows(flat, (len(cells), width)))
     return RobustReport(summands=c, contractible=False, cells=cells, robust_summands=d)
 
 

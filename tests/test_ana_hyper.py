@@ -101,11 +101,10 @@ def test_alpha0_explicit_and_projection():
         assert np.allclose(a0 @ a0, a0, atol=1e-12)
         # induces the identity on degree-0 homology
         h0 = SPHERE1.homology[0]
-        rep = np.array([float(v) for v in ratlin.col(h0.hbasis, 0)])
+        rep = np.array([float(v) for v in h0.hbasis[:, 0]])
         out = a0 @ rep
         cls_in = h0.class_of([ratlin.Fraction(v).limit_denominator(10**12) for v in rep])
-        basis = ratlin.hstack(h0.bounds, h0.hbasis)
-        solve = ratlin.to_float(ratlin.pinv(basis), len(basis[0]), len(basis))
+        solve = ratlin.pinv(ratlin.hstack(h0.bounds, h0.hbasis)).to_float()
         coeffs = solve @ out
         assert coeffs[-1] == pytest.approx(float(cls_in[0]), abs=1e-12)
 
@@ -361,14 +360,8 @@ class TreeDicts:
             entries = []
             for t in enumerate_dtrees(gap, d_level):
                 idx = [gap.parent.cell_index(d_level, nm) for nm in t.cells]
-                jd = d_level - gap.p
-                if d_level == gap.p:
-                    rmat = ratlin.to_float(t.right_inverse, self.nb[0], gap.dim_at(0))
-                else:
-                    rmat = ratlin.to_float(t.right_inverse, gap.dim_at(jd), self.nb[jd - 1])
-                entries.append(
-                    {"tree": t, "idx": idx, "log_tau2": 2.0 * math.log(t.torsion), "rinv": rmat}
-                )
+                entries.append({"tree": t, "idx": idx, "log_tau2": 2.0 * math.log(t.torsion),
+                                "rinv": t.right_inverse.to_float()})
             self.trees[d_level] = entries
             self.rinv[d_level] = np.stack([e["rinv"] for e in entries])
 
@@ -598,7 +591,7 @@ def two_pass_sweep_rows(proto, betas, tol, max_depth):
     topo_coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
     topo = np.array([float(c) for c in topo_coords])
     hp = gap.parent_hp
-    rep = ratlin.to_float(hp.hbasis, gap.dim_at(0), hp.betti) @ np.array([1.0])
+    rep = hp.hbasis.to_float() @ np.array([1.0])
     rows = []
     for beta in betas:
         chain = np.zeros(gap.dim_at(gap.top))
@@ -938,6 +931,8 @@ def test_edgewise_pieces_tile():
         for depth in (0, 1, 2):
             pieces = edgewise_pieces(n, depth)
             assert len(pieces) == 2 ** (n * depth)
+            # one array, so quadrature nodes come without a stacked copy
+            assert isinstance(pieces, np.ndarray) and pieces.shape == (len(pieces), n + 1, n)
             # volumes are equal and sum to the simplex volume
             vols = []
             for verts in pieces:

@@ -2,7 +2,6 @@ import json
 
 import pytest
 
-from hypercurrent import ratlin
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
 
@@ -18,6 +17,14 @@ def sphere1_file(tmp_path):
 def tor_file(tmp_path):
     path = tmp_path / "tor.json"
     path.write_text(dumps_complex(torsion_complex()))
+    return str(path)
+
+
+@pytest.fixture
+def triangle_file(tmp_path):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps({"name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ac"]],
+                                "boundary": [[[-1, 0, -1], [1, -1, 0], [0, 1, 1]]]}))
     return str(path)
 
 
@@ -72,6 +79,33 @@ def test_trees_greedy(tor_file, tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["tree"]["cells"] == ["w"]
     assert report["tree"]["total_weight"] == 1.0
+
+
+def test_trees_greedy_without_weights_is_validation_error(triangle_file, capsys):
+    assert main(["trees", "greedy", triangle_file, "--p", "0", "--q", "1", "--level", "1"]) == 2
+    captured = capsys.readouterr()
+    assert "trees greedy needs --weights" in captured.err and captured.out == ""
+
+
+def test_trees_greedy_weights_missing_a_cell_is_validation_error(triangle_file, tmp_path, capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"ab": 1.0, "bc": 2.0}))
+    assert main(["trees", "greedy", triangle_file, "--p", "0", "--q", "1", "--level", "1",
+                 "--weights", str(wfile)]) == 2
+    captured = capsys.readouterr()
+    assert "no weight for cell 'ac' on level 1" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("level", ["-1", "2"])
+@pytest.mark.parametrize("action", ["enumerate", "greedy"])
+def test_trees_level_outside_the_gap_is_validation_error(action, level, triangle_file, tmp_path,
+                                                          capsys):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({"a": 1.0, "b": 2.0, "c": 3.0, "ab": 1.0, "bc": 2.0, "ac": 3.0}))
+    assert main(["trees", action, triangle_file, "--p", "0", "--q", "1", f"--level={level}",
+                 "--weights", str(wfile)]) == 2
+    captured = capsys.readouterr()
+    assert "level outside the gap" in captured.err and captured.out == ""
 
 
 def test_protocol_check_builtin(capsys):
@@ -216,7 +250,7 @@ def test_ana_integrate(capsys):
 def test_broken_invariant_exits_1(monkeypatch, capsys):
     # a boundary that does not factor through the bounds basis is an
     # internal fault, not a validation failure
-    monkeypatch.setattr(ratlin, "solve_matrix", lambda a, b: None)
+    monkeypatch.setattr("hypercurrent.ratlin.solve_matrix", lambda a, b: None)
     assert main(["ana", "integrate", "builtin:square", "--beta", "4"]) == 1
     assert "InvariantBroken" in capsys.readouterr().err
 
@@ -316,6 +350,13 @@ def test_weightspace_contractible(tor_file, capsys):
     assert main(["weightspace", "report", tor_file, "--p", "0", "--q", "2"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["contractible"] is True and report["summands"] == 0
+
+
+def test_weightspace_report_outside_a_gap_is_validation_error(triangle_file, capsys):
+    # beta_1 = 1 inside [0, 3], and 3 is above the dimension
+    assert main(["weightspace", "report", triangle_file, "--p", "0", "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "GapViolated" in captured.err and captured.out == ""
 
 
 def test_dyn_evolve(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurrent import forests, ratlin
+from hypercurrent import forests
 from hypercurrent.complex_core import (
     gap_complex,
     sphere_complex,
@@ -21,6 +21,7 @@ from hypercurrent.forests import (
     torsion_of,
     tree_right_inverse,
 )
+from hypercurrent.ratlin import QMat
 
 
 def all_subsets(names):
@@ -108,6 +109,21 @@ def test_greedy_not_injective():
         greedy_dtree(SPHERE1, 1, {"e1+": 1.0, "e1-": 1.0})
 
 
+def test_greedy_names_a_cell_without_weight():
+    with pytest.raises(ValueError, match="no weight for cell 'e1-' on level 1"):
+        greedy_dtree(SPHERE1, 1, {"e1+": 1.0})
+
+
+@pytest.mark.parametrize("d", [-1, 2])
+def test_level_outside_the_gap(d):
+    # a negative level must not wrap around to the top cells
+    weights = {nm: float(i) for cells in SPHERE1.parent.cells for i, nm in enumerate(cells)}
+    for build in (lambda: enumerate_dtrees(SPHERE1, d), lambda: greedy_dtree(SPHERE1, d, weights),
+                  lambda: is_dtree(SPHERE1, d, ())):
+        with pytest.raises(ValueError, match="level outside the gap"):
+            build()
+
+
 def test_greedy_equals_argmin_and_order_type_stability():
     rng = random.Random(23)
     for gap, levels in [(SPHERE2, (0, 1, 2)), (TOR, (0, 1, 2)), (WEDGE2, (0, 1, 2))]:
@@ -158,16 +174,16 @@ def test_right_inverse_sphere1():
     rinv = tree_right_inverse(SPHERE1, 1, ("e1+",))
     bounds = SPHERE1.homology[0].bounds  # canonical basis of the boundary space
     # bounds is the echelon basis, spanned by e0+ - e0-
-    assert ratlin.col(bounds, 0) == [Fraction(1), Fraction(-1)]
-    sol = ratlin.matvec(rinv, [Fraction(1)])
+    assert bounds[:, 0] == [Fraction(1), Fraction(-1)]
+    sol = rinv @ [Fraction(1)]
     assert sol == [Fraction(1), Fraction(0)]  # e1+ solves the boundary equation
 
 
 def test_right_inverse_tor():
     rinv = tree_right_inverse(TOR, 2, ("u",))
     bounds = TOR.homology[1].bounds
-    assert ratlin.col(bounds, 0) == [Fraction(1)]  # normalized span of the edge
-    sol = ratlin.matvec(rinv, [Fraction(1)])
+    assert bounds[:, 0] == [Fraction(1)]  # normalized span of the edge
+    sol = rinv @ [Fraction(1)]
     assert sol == [Fraction(1, 2), Fraction(0)]  # solves 2x = 1 on the u column
 
 
@@ -176,26 +192,21 @@ def test_right_inverse_identity_on_bounds():
         for d in levels:
             jd = d - gap.p
             bounds = gap.homology[jd - 1].bounds
-            nb = len(bounds[0]) if bounds else 0
             for t in enumerate_dtrees(gap, d):
-                rinv = [list(r) for r in t.right_inverse]
-                if nb == 0:
-                    continue
-                prod = ratlin.matmul(gap.parent.d(d), rinv)
-                assert ratlin.eq(prod, bounds)
+                assert gap.parent.d(d) @ t.right_inverse == bounds
 
 
 def test_cotree_projection_properties():
     for t in enumerate_dtrees(SPHERE2, 0):
-        proj = ratlin.scale([list(r) for r in t.right_inverse], Fraction(-1))
+        proj = -t.right_inverse
         bounds = SPHERE2.homology[0].bounds
         # left inverse of the inclusion of the boundary space
-        assert ratlin.eq(ratlin.matmul(proj, bounds), ratlin.identity(1))
+        assert proj @ bounds == QMat.identity(1)
         # kernel contains the co-tree cell
         i = SPHERE2.parent.cell_index(0, t.cells[0])
         vec = [Fraction(0), Fraction(0)]
         vec[i] = Fraction(1)
-        assert ratlin.matvec(proj, vec) == [Fraction(0)]
+        assert proj @ vec == [Fraction(0)]
 
 
 def test_make_dtree_rejects_nontree():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from hypercurrent import graph_dynamics, ratlin
+from hypercurrent import graph_dynamics
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex
 from hypercurrent.errors import StepTooLarge
 from hypercurrent.graph_dynamics import (
@@ -86,7 +86,7 @@ def test_master_operator_is_negative_graph_laplacian():
     x = sphere_complex(1)
     sd = state_diagram(x)
     op = master_operator(sd, [0.0, 0.0], [0.0, 0.0])
-    d1 = ratlin.to_float(x.d(1), x.n_cells(0), x.n_cells(1))
+    d1 = x.d(1).to_float()
     lap = d1 @ d1.T
     assert np.allclose(op.matrix, -lap)
 
@@ -97,7 +97,7 @@ def test_master_operator_equals_weighted_laplacian():
     e = np.array([0.3, -0.4])
     w = np.array([0.9])
     op = master_operator(sd, e, w)
-    d1 = ratlin.to_float(x.d(1), x.n_cells(0), x.n_cells(1))
+    d1 = x.d(1).to_float()
     adj = (d1.T * np.exp(e)[None, :]) / np.exp(w)[:, None]
     assert np.allclose(op.matrix, -(d1 @ adj), atol=1e-12)
 

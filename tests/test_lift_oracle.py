@@ -1,5 +1,6 @@
 """The lift on Fraction lists, as it stood before the QMat operators,
-kept verbatim as the oracle for the QMat lift path."""
+kept as the oracle for the QMat lift path.  The library's matrices
+(boundaries, contractions, right inverses) enter it as Fraction rows."""
 
 import json
 import random
@@ -28,18 +29,43 @@ from hypercurrent.protocol import (
     square_protocol,
     subdivide,
 )
+from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import LiftCache, _tree_masks, build_lift_cache, tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+
+
+def _zeros(m, n):
+    return [[Fraction(0)] * n for _ in range(m)]
+
+
+def _identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _add(a, b):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _scale(a, c):
+    return [[c * x for x in row] for row in a]
+
+
+def _is_zero(a):
+    return all(x == 0 for row in a for x in row)
 
 
 def _mm(a, b, rows, colns):
     """Matrix product with an explicit result shape, so degenerate
     (zero-dimensional) factors collapse to a correctly shaped zero."""
     if rows == 0 or colns == 0:
-        return ratlin.zeros(rows, colns)
+        return _zeros(rows, colns)
     if not a or not a[0] or not b or not b[0]:
-        return ratlin.zeros(rows, colns)
+        return _zeros(rows, colns)
     return ratlin.matmul(a, b)
+
+
+def _d(gap, j):
+    return gap.d(j).to_rows()
 
 
 class _TreeAux:
@@ -54,47 +80,49 @@ class _TreeAux:
         dims_sub = [len(self.masks[j]) for j in range(ld + 1)]
         bnds = [None]
         for j in range(1, ld + 1):
-            full = gap.d(j)
-            bnds.append([[full[r][c] for c in self.masks[j]] for r in self.masks[j - 1]])
+            full = _d(gap, j)
+            sub = [[full[r][c] for c in self.masks[j]] for r in self.masks[j - 1]]
+            bnds.append(QMat.from_rows(sub, (dims_sub[j - 1], dims_sub[j])))
         contr = contraction(dims_sub, bnds)
         # ambient-shaped homotopy, one matrix per degree 0..top-1
         self.h = []
         for j in range(gap.top):
-            amb = ratlin.zeros(gap.dim_at(j + 1), gap.dim_at(j))
+            amb = _zeros(gap.dim_at(j + 1), gap.dim_at(j))
             if j < ld:
-                sub = contr.h[j]
+                sub = contr.h[j].to_rows()
                 for r, ri in enumerate(self.masks[j + 1]):
                     for c, ci in enumerate(self.masks[j]):
                         amb[ri][ci] = sub[r][c]
             self.h.append(amb)
-        self.pi0 = ratlin.zeros(gap.dim_at(0), gap.dim_at(0))
+        self.pi0 = _zeros(gap.dim_at(0), gap.dim_at(0))
+        pi0 = contr.pi0.to_rows()
         for r, ri in enumerate(self.masks[0]):
             for c, ci in enumerate(self.masks[0]):
-                self.pi0[ri][ci] = contr.pi0[r][c]
+                self.pi0[ri][ci] = pi0[r][c]
         self.phi = self._vertex_lift()
 
     def _vertex_lift(self):
         gap = self.gap
         n0 = gap.dim_at(0)
         if self.tree.kind == "cotree":
-            bounds = gap.homology[0].bounds
-            stored = [list(r) for r in self.tree.right_inverse]
+            bounds = gap.homology[0].bounds.to_rows()
+            stored = self.tree.right_inverse.to_rows()
             nb = len(bounds[0]) if bounds else 0
             if nb == 0:
-                phi0 = ratlin.identity(n0)
+                phi0 = _identity(n0)
             else:
-                phi0 = ratlin.add(ratlin.identity(n0), _mm(bounds, stored, n0, n0))
+                phi0 = _add(_identity(n0), _mm(bounds, stored, n0, n0))
         else:
-            phi0 = ratlin.identity(n0)
+            phi0 = _identity(n0)
         phis = [phi0]
         for g in range(1, gap.top + 1):
             ng = gap.dim_at(g)
-            prev = _mm(phis[g - 1], gap.d(g), gap.dim_at(g - 1), ng)
+            prev = _mm(phis[g - 1], _d(gap, g), gap.dim_at(g - 1), ng)
             phis.append(_mm(self.h[g - 1], prev, ng, ng))
         for g in range(1, gap.top + 1):
-            lhs = _mm(gap.d(g), phis[g], gap.dim_at(g - 1), gap.dim_at(g))
-            rhs = _mm(phis[g - 1], gap.d(g), gap.dim_at(g - 1), gap.dim_at(g))
-            if not ratlin.eq(lhs, rhs):
+            lhs = _mm(_d(gap, g), phis[g], gap.dim_at(g - 1), gap.dim_at(g))
+            rhs = _mm(phis[g - 1], _d(gap, g), gap.dim_at(g - 1), gap.dim_at(g))
+            if lhs != rhs:
                 raise LiftObstruction("vertex lift is not a chain map")
         return phis
 
@@ -108,7 +136,7 @@ class _TreeAux:
     def homotopy(self, j, mat, colns):
         """Apply the contracting homotopy to a matrix of degree-j chains."""
         return _mm(self.h[j], mat, self.gap.dim_at(j + 1), colns) if j < self.gap.top \
-            else ratlin.zeros(0, colns)
+            else _zeros(0, colns)
 
 
 _AUX = {}
@@ -133,7 +161,7 @@ def build_lift_cache_oracle(proto) -> LiftCache:
     cache = LiftCache(gap=gap, cert=cert, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
-            cache.values[key] = [ratlin.copy(m) for m in _tree_aux(gap, trees[key]).phi]
+            cache.values[key] = [[row[:] for row in m] for m in _tree_aux(gap, trees[key]).phi]
         else:
             cache.values[key] = lift_simplex_oracle(proto, key, cache)
     return cache
@@ -149,32 +177,32 @@ def lift_simplex_oracle(proto, key, cache: LiftCache):
         ng = gap.dim_at(g)
         zdeg = g + jdim - 1
         rows = gap.dim_at(zdeg)
-        z = ratlin.zeros(rows, ng)
+        z = _zeros(rows, ng)
         if g >= 1:
-            z = ratlin.add(z, _mm(out[g - 1], gap.d(g), rows, ng))
+            z = _add(z, _mm(out[g - 1], _d(gap, g), rows, ng))
         sgn = Fraction((-1) ** g)
         for fsign, fkey in faces:
             fval = cache.values[fkey][g]
             if rows and fval and fval[0]:
-                z = ratlin.add(z, ratlin.scale(fval, sgn * fsign))
+                z = _add(z, _scale(fval, sgn * fsign))
         if rows and not aux.support_ok(zdeg, z):
             raise LiftObstruction(f"face values escape the tree subcomplex at {key}")
         if zdeg == 0:
             chk = _mm(aux.pi0, z, rows, ng)
-            if not ratlin.is_zero(chk):
+            if not _is_zero(chk):
                 raise LiftObstruction(f"degree-0 argument has nonzero class at {key}")
         elif 0 < zdeg <= gap.top:
-            chk = _mm(gap.d(zdeg), z, gap.dim_at(zdeg - 1), ng)
-            if not ratlin.is_zero(chk):
+            chk = _mm(_d(gap, zdeg), z, gap.dim_at(zdeg - 1), ng)
+            if not _is_zero(chk):
                 raise LiftObstruction(f"argument fails the cycle check at {key}")
         if g + jdim > gap.top:
-            if rows and not ratlin.is_zero(z):
+            if rows and not _is_zero(z):
                 raise LiftObstruction(f"nonzero top-degree obstruction at {key}")
-            out.append(ratlin.zeros(gap.dim_at(g + jdim), ng))
+            out.append(_zeros(gap.dim_at(g + jdim), ng))
             continue
-        m = aux.homotopy(zdeg, z, ng) if rows else ratlin.zeros(gap.dim_at(g + jdim), ng)
-        back = _mm(gap.d(g + jdim), m, rows, ng)
-        if not ratlin.eq(back, z):
+        m = aux.homotopy(zdeg, z, ng) if rows else _zeros(gap.dim_at(g + jdim), ng)
+        back = _mm(_d(gap, g + jdim), m, rows, ng)
+        if back != z:
             raise LiftObstruction(f"chain-map identity fails at {key}, degree {g}")
         out.append(m)
     return out
@@ -281,12 +309,12 @@ def _bumped(mats, g, r, c):
     for Fraction lists."""
     out = list(mats)
     m = out[g]
-    if isinstance(m, ratlin.QMat):
+    if isinstance(m, QMat):
         num = m.num.copy()
         num[r, c] += m.den
-        out[g] = ratlin.QMat(num, m.den)
+        out[g] = QMat(num, m.den)
     else:
-        out[g] = ratlin.copy(m)
+        out[g] = [row[:] for row in m]
         out[g][r][c] += 1
     return type(mats)(out)
 

@@ -30,6 +30,7 @@ from hypercurrent.protocol import (
     subdivide,
     weights_at,
 )
+from hypercurrent.ratlin import QMat
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 
@@ -45,14 +46,14 @@ def _normalized_kernel_cycle(tops, boundary_of):
     """The +-1 coefficient vector spanning the kernel of the top boundary."""
     faces = sorted({f for t in tops for _, f in boundary_of(t)}, key=repr)
     face_index = {f: i for i, f in enumerate(faces)}
-    mat = ratlin.zeros(len(faces), len(tops))
+    mat = [[Fraction(0)] * len(tops) for _ in faces]
     for cidx, t in enumerate(tops):
         for sign, f in boundary_of(t):
             mat[face_index[f]][cidx] += Fraction(sign)
-    kernel = ratlin.nullspace(mat)
-    if not kernel or len(kernel[0]) != 1:
+    kernel = ratlin.nullspace(QMat.from_rows(mat, (len(faces), len(tops))))
+    if kernel.shape[1] != 1:
         raise ValueError("top-dimensional cycle is not one-dimensional")
-    coeffs = [kernel[i][0] for i in range(len(tops))]
+    coeffs = kernel[:, 0]
     lead = next(c for c in coeffs if c != 0)
     coeffs = [c / abs(lead) for c in coeffs]
     if any(abs(c) != 1 for c in coeffs):

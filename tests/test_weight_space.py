@@ -10,7 +10,7 @@ from hypercurrent.complex_core import (
     sphere_wedge_complex,
     torsion_complex,
 )
-from hypercurrent.errors import EpsilonTooLarge
+from hypercurrent.errors import EpsilonTooLarge, GapViolated
 from hypercurrent.protocol import WeightPoint, is_good, smallness
 from hypercurrent.weight_space import (
     DiscriminantCellReport,
@@ -166,6 +166,17 @@ def test_wedge_inessential(q):
 
 def test_torsion_contractible_counts():
     assert robust_counts(torsion_complex(), 0, 2) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("make, q", [(triangle_complex, 3), (torsion_complex, 3)],
+                         ids=["triangle", "torsion"])
+def test_counts_outside_a_gap_raise(make, q):
+    # the torsion complex has a one-cell level, so its good weight space
+    # is contractible; the gap is checked before that shortcut
+    with pytest.raises(GapViolated):
+        classify_top_cells(make(), 0, q)
+    with pytest.raises(GapViolated):
+        robust_counts(make(), 0, q)
 
 
 def test_classification_report_matrix():
