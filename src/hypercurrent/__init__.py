@@ -48,8 +48,6 @@ from .ana_hyper import (
     jan_integrate,
     kirchhoff_pseudoinverse,
     quantization_sweep,
-    weighted_pseudoinverse_boundary,
-    weighted_pseudoinverse_inclusion,
 )
 from .weight_space import classify_cell, enumerate_top_discriminant_cells, good_summand_count, robust_counts
 from .graph_dynamics import boltzmann, current_form, evolve, master_operator, rates, state_diagram
@@ -68,7 +66,6 @@ __all__ = [
     "hypercurrent_homology",
     "axioms_check", "jan_cochain", "jan_form", "jan_integrate",
     "kirchhoff_pseudoinverse", "quantization_sweep",
-    "weighted_pseudoinverse_boundary", "weighted_pseudoinverse_inclusion",
     "classify_cell", "enumerate_top_discriminant_cells", "good_summand_count",
     "robust_counts",
     "boltzmann", "current_form", "evolve", "master_operator", "rates", "state_diagram",

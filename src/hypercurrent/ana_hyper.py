@@ -1,12 +1,14 @@
 """The analytical current forms and their integration.
 
-Everything here is floating point.  The two computation routes are kept
-deliberately separate so they can check each other:
-
-* weighted pseudoinverses solved directly as least-squares problems in
-  the modified (Boltzmann) inner product e^(beta * weight);
-* the tree-sum route, where the same operators are convex combinations
-  of the per-tree right inverses with weights tau^2 e^(-beta W_T).
+Everything here is floating point.  Every weighted pseudoinverse in the
+Boltzmann metric e^(beta * weight) takes one route: the convex
+combination of the per-tree right inverses with weights
+tau^2 e^(-beta W_T) (Kirchhoff's tree sum), which stays bounded whatever
+the weights.  At the bottom level the trees are co-trees and the sum
+K_0 is minus the weighted left inverse of the bounds inclusion, so the
+degree-0 form is alpha0 = I + B K_0.  The normal equations of the same
+operators live only in the tests, as the oracle the tree sums are
+checked against.
 
 Degree-l forms are evaluated in closed form through orchard sums.  The
 summand is multilinear in the per-level tree choice, so the sum over
@@ -51,20 +53,15 @@ import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, InvariantBroken, NonfiniteBeta, NonpositiveBeta, \
-    NotACycle, QuadratureNoConvergence
+from .errors import BadFrame, NonfiniteBeta, NonpositiveBeta, NotACycle, \
+    QuadratureNoConvergence
 from .forests import enumerate_dtrees
 from .protocol import WeightPoint
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, cycle_boundary_defect, \
     hypercurrent_homology
 
 __all__ = [
-    "ModifiedMetric",
-    "Orchard",
     "FormEvaluation",
-    "enumerate_orchards",
-    "weighted_pseudoinverse_boundary",
-    "weighted_pseudoinverse_inclusion",
     "kirchhoff_pseudoinverse",
     "rho_and_drho",
     "jan_form",
@@ -79,32 +76,6 @@ __all__ = [
     "simplex_rule",
     "edgewise_pieces",
 ]
-
-
-@dataclass(frozen=True)
-class ModifiedMetric:
-    """Diagonal Boltzmann metric e^(beta w) on one degree of the complex."""
-
-    level: int
-    beta: float
-    weights: tuple
-
-    @property
-    def diagonal(self):
-        w = np.asarray(self.weights, dtype=float)
-        return np.exp(self.beta * (w - w.max()))  # shifted; scale never matters
-
-
-@dataclass(frozen=True)
-class Orchard:
-    """Trees at consecutive levels from the bottom of the gap upward."""
-
-    trees: tuple
-
-    def __post_init__(self):
-        for j, t in enumerate(self.trees):
-            if j and t.level != self.trees[0].level + j:
-                raise ValueError("orchard levels must increase by one")
 
 
 @dataclass(frozen=True)
@@ -146,13 +117,6 @@ class _Context:
         self.zeta_std = [ratlin.pinv(b).to_float() for b in bounds]
         self.zeta_alt = [ratlin.left_inverse(b).to_float() for b in bounds]
         self.cycles = [h.cycles.to_float() for h in gap.homology]
-        # reduced boundary coefficients: d_j = bounds_{j-1} @ db_j, exactly
-        self.db = [None]
-        for j in range(1, top + 1):
-            coeff = ratlin.solve_matrix(bounds[j - 1], gap.d(j))
-            if coeff is None:
-                raise InvariantBroken("boundary does not factor through the bounds basis")
-            self.db.append(coeff.to_float())
         self.trees = {}
         for d_level in range(gap.p, gap.q + 1):
             trees = tuple(enumerate_dtrees(gap, d_level))
@@ -190,7 +154,7 @@ def _context(gap: GapComplex) -> _Context:
     return gap.derived("float_context", lambda: _Context(gap))
 
 
-# --- weighted pseudoinverses --------------------------------------------------
+# --- the Kirchhoff tree sums ---------------------------------------------------
 
 
 def _check_beta(beta):
@@ -204,40 +168,6 @@ def _level_weights(gap, w, j):
     if isinstance(w, WeightPoint):
         return np.asarray(w.level(j + gap.p), dtype=float)
     return np.asarray(w, dtype=float)
-
-
-def weighted_pseudoinverse_boundary(gap: GapComplex, w, beta, j):
-    """Minimum-norm right inverse of the boundary in the metric
-    e^(beta w): bounds-basis coordinates one degree down to chains."""
-    _check_beta(beta)
-    ctx = _context(gap)
-    if j < 1 or j > gap.top:
-        raise ValueError("degree out of range")
-    wv = _level_weights(gap, w, j)
-    ginv = np.exp(-beta * (wv - wv.min()))
-    db = ctx.db[j]
-    if ctx.nb[j - 1] == 0:
-        return np.zeros((gap.dim_at(j), 0))
-    m = (db * ginv[None, :]) @ db.T
-    return (ginv[:, None] * db.T) @ np.linalg.solve(m, np.eye(ctx.nb[j - 1]))
-
-
-def weighted_pseudoinverse_inclusion(gap: GapComplex, w, beta):
-    """Left inverse of the bounds inclusion in the metric e^(beta w),
-    and the complementary projection: (idagger, alpha0).  Weights
-    (..., n) give a stack of each, from one solve."""
-    _check_beta(beta)
-    ctx = _context(gap)
-    wv = _level_weights(gap, w, 0)
-    g = np.exp(beta * (wv - wv.max(axis=-1, keepdims=True)))
-    bmat = ctx.bounds[0]
-    n = bmat.shape[0]
-    if ctx.nb[0] == 0:
-        return np.zeros(wv.shape[:-1] + (0, n)), np.zeros(wv.shape[:-1] + (n, n)) + np.eye(n)
-    m = bmat.T @ (g[..., None] * bmat)
-    idagger = np.linalg.solve(m, bmat.T * g[..., None, :])
-    alpha0 = np.eye(n) - bmat @ idagger
-    return idagger, alpha0
 
 
 def _tree_weights(table, w):
@@ -282,24 +212,28 @@ def _tree_distribution(table, wt, beta):
 
 
 def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
-    """Tree-sum route to the weighted pseudoinverse: the convex
-    combination of tree right inverses with weights tau^2 e^(-beta W_T).
-    For j = 0 this is minus the weighted bounds projection, through
-    co-trees."""
+    """The weighted pseudoinverse in the metric e^(beta w): the convex
+    combination of tree right inverses with weights tau^2 e^(-beta W_T),
+    from bounds coordinates one degree down to chains.  For j = 0 it is
+    minus the weighted left inverse of the bounds inclusion, through
+    co-trees.  Weights (..., n) give a stack (..., rows, cols), one
+    matmul per item, so each item rounds as it does alone."""
     _check_beta(beta)
     ctx = _context(gap)
     if j < 0 or j > gap.top:
         raise ValueError("degree out of range")
     table = ctx.trees[j + gap.p]
-    rho = _tree_distribution(table, _tree_weights(table, _level_weights(gap, w, j)), beta)
-    return np.tensordot(rho, table.rinv, axes=1)
+    wt = _tree_weights(table, _level_weights(gap, w, j))
+    rho = _tree_distribution(table, wt.T, beta).T
+    ntrees, rows, cols = table.rinv.shape
+    out = rho[..., None, :] @ table.rinv.reshape(ntrees, rows * cols)
+    return out.reshape(wt.shape[:-1] + (rows, cols))
 
 
-def enumerate_orchards(gap: GapComplex, ell):
-    ctx = _context(gap)
-    levels = [gap.p + j for j in range(ell + 1)]
-    return [Orchard(trees=combo)
-            for combo in itertools.product(*(ctx.trees[d].trees for d in levels))]
+def _alpha0(gap, w, beta):
+    """The degree-0 form alpha0 = I + B K_0 at level-p weights (..., n)."""
+    b0 = _context(gap).bounds[0]
+    return np.eye(len(b0)) + b0 @ kirchhoff_pseudoinverse(gap, w, beta, 0)
 
 
 # --- protocol geometry ---------------------------------------------------------
@@ -431,8 +365,7 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
         if v.shape != (jdim,):
             raise BadFrame("frame vectors must live in the simplex coordinates")
     if ell == 0:
-        _, value = weighted_pseudoinverse_inclusion(gap, _point_weights(proto, keys, gap.p, points),
-                                                    beta)
+        value = _alpha0(gap, _point_weights(proto, keys, gap.p, points), beta)
     else:
         geos = [(_at_points(base, grads, points), grads) for base, grads in
                 _vertex_geometry(ctx, proto, keys, range(gap.p, gap.p + ell + 1))]
@@ -634,8 +567,8 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8, zeta="standard"):
     for jdim in sorted(set(dims)):
         pos = [i for i, d in enumerate(dims) if d == jdim]
         if jdim == 0:
-            blocks = [weighted_pseudoinverse_inclusion(
-                gap, _simplex_vertex_weights(proto, keys[i], gap.p)[0], beta)[1] for i in pos]
+            blocks = _alpha0(gap, _vertex_rows(proto, [keys[i] for i in pos], gap.p)[:, 0],
+                             beta)
         else:
             blocks = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol,
                                       max_depth, zeta)
@@ -736,7 +669,7 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
         # modified metric
         w0 = _point_weights(proto, keys, gap.p, x)
         g0 = np.exp(beta * (w0 - w0.max(axis=1, keepdims=True)))
-        _, alpha0 = weighted_pseudoinverse_inclusion(gap, w0, beta)
+        alpha0 = _alpha0(gap, w0, beta)
         b0 = ctx.bounds[0]
         if b0.shape[1]:
             pair = b0.T @ (g0[:, :, None] * alpha0)

@@ -468,6 +468,10 @@ def main(argv=None):
     except HclError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except np.linalg.LinAlgError as exc:
+        # a ValueError, but numpy failing on validated input is an internal fault
+        print(f"internal error: InvariantBroken: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -91,6 +91,7 @@ def matroid_is_dtree(gap: GapComplex, d, cells):
     independence modulo the boundary space (co-trees), with the right
     cardinality."""
     x = gap.parent
+    _check_level(gap, d)
     names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
     idx = _cell_indices(gap, d, names)
     return len(idx) == _target_size(gap, d) and _independent(gap, d, idx)
@@ -196,6 +197,7 @@ def tree_right_inverse(gap: GapComplex, d, cells):
     kernel is the span of the co-tree cells.
     """
     x = gap.parent
+    _check_level(gap, d)
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
     tree_cells = QMat.identity(x.n_cells(d))[:, idx]
     if d > gap.p:

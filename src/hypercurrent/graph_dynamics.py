@@ -223,9 +223,9 @@ def boltzmann(x: CwComplex, energies, barriers):
 
 def current_form(proto: SimplicialProtocol, point, tangent, beta=1.0):
     """The current one-form of the stationary distribution: the weighted
-    minimum-norm solve applied to the derivative of the Boltzmann state
+    pseudoinverse (the Kirchhoff tree sum) applied to the derivative of the Boltzmann state
     along the tangent.  Returns a one-chain over the edges."""
-    from .ana_hyper import _context, weighted_pseudoinverse_boundary
+    from .ana_hyper import _context, kirchhoff_pseudoinverse
 
     gap = proto.gap
     if gap.p != 0 or gap.q != 1:
@@ -246,5 +246,5 @@ def current_form(proto: SimplicialProtocol, point, tangent, beta=1.0):
     drho = -beta * rho * (de - float(rho @ de))
     ctx = _context(gap)
     bcoords = ctx.zeta_std[0] @ drho
-    dag = weighted_pseudoinverse_boundary(gap, w_here, beta, 1)
+    dag = kirchhoff_pseudoinverse(gap, w_here, beta, 1)
     return dag @ bcoords

@@ -27,12 +27,11 @@ from hypercurrent.ana_hyper import (
     jan_cochain,
     kirchhoff_pseudoinverse,
     quantization_sweep,
-    weighted_pseudoinverse_boundary,
-    weighted_pseudoinverse_inclusion,
 )
 from hypercurrent.weight_space import good_summand_count, robust_counts
 from hypercurrent.graph_dynamics import boltzmann, current_form, evolve
 from hypercurrent.protocol import SimplicialProtocol, WeightPoint
+from normal_equations import weighted_pseudoinverse_boundary, weighted_pseudoinverse_inclusion
 
 
 @contextmanager

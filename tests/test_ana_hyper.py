@@ -16,8 +16,6 @@ from hypercurrent.errors import BadFrame, NonfiniteBeta, NonpositiveBeta, \
     QuadratureNoConvergence
 from hypercurrent.ana_hyper import (
     AxiomReport,
-    ModifiedMetric,
-    Orchard,
     _context,
     _drho,
     _node_batches,
@@ -26,7 +24,6 @@ from hypercurrent.ana_hyper import (
     _vertex_geometry,
     axioms_check,
     edgewise_pieces,
-    enumerate_orchards,
     interior_samples,
     jan_cochain,
     jan_form,
@@ -35,8 +32,6 @@ from hypercurrent.ana_hyper import (
     quantization_sweep,
     rho_and_drho,
     simplex_rule,
-    weighted_pseudoinverse_boundary,
-    weighted_pseudoinverse_inclusion,
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
@@ -48,6 +43,8 @@ from hypercurrent.protocol import (
 from hypercurrent.forests import enumerate_dtrees
 from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_cochain, \
     hypercurrent_homology, tree_functor
+from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
+    weighted_pseudoinverse_inclusion
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
 SPHERE2 = gap_complex(sphere_complex(2), 0, 2)
@@ -71,7 +68,7 @@ def test_sphere1_boundary_closed_form():
     # solutions of dx = e0+ - e0-
     for beta in (0.5, 2.0):
         for wp, wm in [(0.0, 0.0), (0.7, -0.3), (-1.0, 2.0)]:
-            mat = weighted_pseudoinverse_boundary(SPHERE1, [wp, wm], beta, 1)
+            mat = kirchhoff_pseudoinverse(SPHERE1, [wp, wm], beta, 1)
             ep, em = math.exp(-beta * wp), math.exp(-beta * wm)
             expected = np.array([ep, -em]) / (ep + em)
             assert np.allclose(mat[:, 0], expected, atol=1e-14)
@@ -79,25 +76,24 @@ def test_sphere1_boundary_closed_form():
 
 def test_tor_boundary_closed_form():
     beta, wu, ww = 1.3, 0.4, -0.6
-    mat = weighted_pseudoinverse_boundary(TOR, [wu, ww], beta, 2)
+    mat = kirchhoff_pseudoinverse(TOR, [wu, ww], beta, 2)
     eu, ew = math.exp(-beta * wu), math.exp(-beta * ww)
     expected = np.array([2 * eu, 3 * ew]) / (4 * eu + 9 * ew)
     assert np.allclose(mat[:, 0], expected, atol=1e-14)
 
 
 def test_symmetric_weights_symmetric_output():
-    mat = weighted_pseudoinverse_boundary(SPHERE1, [0.3, 0.3], 1.0, 1)
+    mat = kirchhoff_pseudoinverse(SPHERE1, [0.3, 0.3], 1.0, 1)
     assert mat[0, 0] == pytest.approx(-mat[1, 0])
 
 
 def test_alpha0_explicit_and_projection():
-    idag, alpha0 = weighted_pseudoinverse_inclusion(SPHERE1, [0.0, 0.0], 1.0)
-    assert np.allclose(alpha0, 0.5 * np.ones((2, 2)))
+    assert np.allclose(ana_hyper._alpha0(SPHERE1, [0.0, 0.0], 1.0), 0.5 * np.ones((2, 2)))
     rng = np.random.default_rng(3)
     for _ in range(10):
         w = rng.normal(size=2)
         beta = float(rng.uniform(0.2, 8.0))
-        _, a0 = weighted_pseudoinverse_inclusion(SPHERE1, w, beta)
+        a0 = ana_hyper._alpha0(SPHERE1, w, beta)
         assert np.allclose(a0 @ a0, a0, atol=1e-12)
         # induces the identity on degree-0 homology
         h0 = SPHERE1.homology[0]
@@ -116,15 +112,16 @@ def test_pseudoinverse_defining_identities():
         for j in range(1, gap.top + 1):
             w = rng.normal(size=gap.dim_at(j))
             beta = 3.0
-            dag = weighted_pseudoinverse_boundary(gap, w, beta, j)
+            dag = kirchhoff_pseudoinverse(gap, w, beta, j)
             if ctx.nb[j - 1] == 0:
                 continue
+            db = reduced_boundary(gap, j)
             # d o dagger = identity on the bounds
-            prod = ctx.db[j] @ dag
+            prod = db @ dag
             assert np.allclose(prod, np.eye(ctx.nb[j - 1]), atol=1e-12)
             # dagger o d is the weighted projection onto the complement
             # of the cycles: apply twice, stays the same
-            pd = dag @ ctx.db[j]
+            pd = dag @ db
             assert np.allclose(pd @ pd, pd, atol=1e-11)
             # kills nothing outside cycles; annihilates cycles
             z = ctx.cycles[j]
@@ -542,8 +539,7 @@ def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard
         raise ValueError("simplex dimension exceeds the gap width")
     if jdim == 0:
         vw = ana_hyper._simplex_vertex_weights(proto, key, gap.p)
-        _, alpha0 = weighted_pseudoinverse_inclusion(gap, vw[0], beta)
-        return alpha0
+        return ana_hyper._alpha0(gap, vw[0], beta)
     prev = None
     for depth in range(max_depth + 1):
         nodes, wts = _node_batches(jdim, depth)
@@ -1001,7 +997,7 @@ def test_nonpositive_beta_rejected():
     with pytest.raises(NonpositiveBeta):
         jan_integrate(proto, 0.0, [edge])
     with pytest.raises(NonpositiveBeta):
-        weighted_pseudoinverse_boundary(SPHERE1, [0.0, 0.0], -1.0, 1)
+        kirchhoff_pseudoinverse(SPHERE1, [0.0, 0.0], -1.0, 1)
     for beta in (0.0, -1.0):
         with pytest.raises(NonpositiveBeta):
             rho_and_drho(proto, beta, _context(proto.gap).trees[0].trees[0], (edge, [0.5]))
@@ -1115,7 +1111,7 @@ def pointwise_axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
                     report.violations.append(("A1", key, coords, ell, resid))
         w0 = point_weights(proto, key, gap.p, coords)
         g0 = np.exp(beta * (w0 - w0.max()))
-        _, alpha0 = weighted_pseudoinverse_inclusion(gap, w0, beta)
+        alpha0 = ana_hyper._alpha0(gap, w0, beta)
         b0 = ctx.bounds[0]
         if b0.shape[1]:
             pair = b0.T @ (g0[:, None] * alpha0)
@@ -1387,25 +1383,7 @@ def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):
         assert not calls
 
 
-# --- types ------------------------------------------------------------------------------
-
-
-def test_modified_metric_positive():
-    m = ModifiedMetric(level=1, beta=3.0, weights=(0.0, 2.0, -1.0))
-    assert np.all(m.diagonal > 0)
-
-
-def test_orchard_validation():
-    trees2 = _context(SPHERE2).trees
-    good = Orchard(trees=(trees2[0].trees[0], trees2[1].trees[0]))
-    assert good.trees[0].level == 0
-    with pytest.raises(ValueError):
-        Orchard(trees=(trees2[0].trees[0], trees2[2].trees[0]))
-
-
-def test_enumerate_orchards_count():
-    assert len(enumerate_orchards(SPHERE2, 2)) == 8
-    assert len(enumerate_orchards(SPHERE2, 0)) == 2
+# --- residuals under refinement -----------------------------------------------------------
 
 
 def test_a1_residual_shrinks_with_fd_step():
@@ -1422,3 +1400,63 @@ def test_residual_shrinks_under_quadrature_refinement():
     coarse = cochain_chain_map_defect(jan_cochain(proto, 12.0, tol=1e-3))
     fine = cochain_chain_map_defect(jan_cochain(proto, 12.0, tol=1e-10))
     assert fine < coarse
+
+
+# --- large beta on the triangle graph ----------------------------------------------------
+# Three cells per level: the normal equations of the weighted
+# pseudoinverses are singular to working precision from beta 37 on at
+# level weights (0, 1, 2).  The tree sums stay bounded.
+
+TRIANGLE = gap_complex(loads_complex(json.dumps({
+    "name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ca"]],
+    "boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]})), 0, 1)
+LEVEL_WEIGHTS = (0.0, 1.0, 2.0)
+LARGE_BETAS = (37.0, 100.0, 1000.0)
+
+
+def triangle_protocol():
+    """Level weights (0, 1, 2) at the first vertex; along the edge every
+    gap between weights of one level stays at least 1."""
+    return SimplicialProtocol(
+        gap=TRIANGLE, vertex_ids=("A", "B"),
+        vertex_weights=(WeightPoint(0, 1, (LEVEL_WEIGHTS, LEVEL_WEIGHTS)),
+                        WeightPoint(0, 1, ((0.0, 1.5, 3.0), (0.0, 1.0, 2.5)))),
+        simplices=((0,), (1,), (0, 1)))
+
+
+@pytest.mark.parametrize("beta", LARGE_BETAS)
+def test_triangle_pseudoinverses_at_large_beta(beta):
+    ctx = _context(TRIANGLE)
+    w = np.array(LEVEL_WEIGHTS)
+    k0, k1 = (kirchhoff_pseudoinverse(TRIANGLE, w, beta, j) for j in (0, 1))
+    assert np.all(np.isfinite(k0)) and np.all(np.isfinite(k1))
+    # d o dagger is the identity on the bounds, in both degrees
+    assert np.allclose(-k0 @ ctx.bounds[0], np.eye(2), atol=1e-12)
+    assert np.allclose(ctx.d[1] @ k1, ctx.bounds[0], atol=1e-12)
+    # every other tree weighs e^(-beta) or less: the sum is the greedy
+    # tree's exact right inverse
+    for j, tree_sum in enumerate((k0, k1)):
+        tree = forests.greedy_dtree(TRIANGLE, j, dict(zip(TRIANGLE.parent.cells[j], w)))
+        assert float(np.max(np.abs(tree_sum - tree.right_inverse.to_float()))) <= 1e-12
+    # the degree-0 blocks are alpha0 = I + B K_0: idempotent, the identity on H0
+    vertex_a, = jan_integrate(triangle_protocol(), beta, [(0,)])
+    assert np.allclose(vertex_a, np.eye(3) + ctx.bounds[0] @ k0, atol=1e-12)
+    assert np.allclose(vertex_a @ vertex_a, vertex_a, atol=1e-12)
+    h0_basis, h0_solve = ctx.h0_class
+    cls = h0_solve @ (vertex_a @ h0_basis)
+    assert np.allclose(cls[ctx.nb[0]:], np.eye(1), atol=1e-12)
+
+
+@pytest.mark.parametrize("beta", LARGE_BETAS)
+def test_triangle_forms_and_axioms_at_large_beta(beta):
+    from hypercurrent.graph_dynamics import current_form
+
+    proto = triangle_protocol()
+    coords = np.array([[0.0], [0.3], [1.0]])
+    alpha0 = jan_form(proto, beta, (0, 1), coords, [], 0).value
+    assert alpha0.shape == (3, 3, 3) and np.all(np.isfinite(alpha0))
+    report = axioms_check(proto, beta, [((0, 1), (0.3,)), ((0, 1), (0.7,))])
+    assert report.max_residual <= 1e-5 and not report.violations
+    for t in coords:
+        flow = current_form(proto, ((0, 1), t), [1.0], beta)
+        assert flow.shape == (3,) and np.all(np.isfinite(flow))

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hypercurrent.cli import main
@@ -248,11 +249,15 @@ def test_ana_integrate(capsys):
 
 
 def test_broken_invariant_exits_1(monkeypatch, capsys):
-    # a boundary that does not factor through the bounds basis is an
-    # internal fault, not a validation failure
-    monkeypatch.setattr("hypercurrent.ratlin.solve_matrix", lambda a, b: None)
+    # numpy failing on valid input is an internal fault, not a validation
+    # failure, though LinAlgError is a ValueError
+    def singular(*args):
+        return np.linalg.inv(np.zeros((2, 2)))
+
+    monkeypatch.setattr("hypercurrent.ana_hyper.kirchhoff_pseudoinverse", singular)
     assert main(["ana", "integrate", "builtin:square", "--beta", "4"]) == 1
-    assert "InvariantBroken" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "InvariantBroken" in err and "LinAlgError: Singular matrix" in err
 
 
 def test_unknown_builtin_is_validation_error(capsys):

@@ -119,7 +119,8 @@ def test_level_outside_the_gap(d):
     # a negative level must not wrap around to the top cells
     weights = {nm: float(i) for cells in SPHERE1.parent.cells for i, nm in enumerate(cells)}
     for build in (lambda: enumerate_dtrees(SPHERE1, d), lambda: greedy_dtree(SPHERE1, d, weights),
-                  lambda: is_dtree(SPHERE1, d, ())):
+                  lambda: is_dtree(SPHERE1, d, ()), lambda: matroid_is_dtree(SPHERE1, d, ()),
+                  lambda: tree_right_inverse(SPHERE1, d, ())):
         with pytest.raises(ValueError, match="level outside the gap"):
             build()
 
