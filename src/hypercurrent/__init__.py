@@ -27,7 +27,6 @@ from .protocol import (
     SimplicialProtocol,
     WeightPoint,
     cube_sphere_protocol,
-    figure_protocols,
     is_good,
     load_protocol,
     scale,
@@ -60,8 +59,8 @@ __all__ = [
     "sphere_wedge_complex", "torsion_order", "verify_gap",
     "DTree", "enumerate_dtrees", "greedy_dtree", "is_dtree", "torsion_of",
     "tree_right_inverse",
-    "SimplicialProtocol", "WeightPoint", "cube_sphere_protocol", "figure_protocols",
-    "is_good", "load_protocol", "scale", "smallness", "square_protocol", "weights_at",
+    "SimplicialProtocol", "WeightPoint", "cube_sphere_protocol", "is_good",
+    "load_protocol", "scale", "smallness", "square_protocol", "weights_at",
     "HyperCochain", "addendum_predicts_trivial", "hypercurrent_cochain",
     "hypercurrent_homology",
     "axioms_check", "jan_cochain", "jan_form", "jan_integrate",

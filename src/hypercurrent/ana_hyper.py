@@ -99,12 +99,6 @@ class _TreeTable(NamedTuple):
     rinv: np.ndarray        # (ntrees, rows, cols) float right inverses
 
 
-def _class_solve(h):
-    """Float pseudoinverse of [bounds | hbasis] for the homology data h of
-    one degree: a chain's bounds coordinates, then its class."""
-    return ratlin.pinv(ratlin.hstack(h.bounds, h.hbasis)).to_float()
-
-
 class _Context:
     # float copies of the gap's exact data and a table of its trees per
     # level; built once per gap and kept in the gap's memo
@@ -133,21 +127,13 @@ class _Context:
         self.factors_std, self.factors_alt = (
             rinv[:1] + [zetas[j] @ rinv[j] for j in range(1, top)]
             for zetas in (self.zeta_std, self.zeta_alt))
-        # class extraction: the top degree for sweeps; degree 0, which only
-        # axiom A3 reads, on first use (h0_class)
-        self.top_solve = _class_solve(gap.homology[top])
+        # class extraction, float copies of the exact class maps: the top
+        # degree for sweeps, degree 0 for axiom A3
+        self.top_class = gap.homology[top].class_map.to_float()
         self.top_nb = self.nb[top]
         self.hq_project = None if gap.hq_project is None else gap.hq_project.to_float()
-        self._h0 = gap.homology[0]
-
-    @functools.cached_property
-    def h0_class(self):
-        """Degree-0 homology basis and class solve, or None without
-        degree-0 homology."""
-        h0 = self._h0
-        if not h0.betti:
-            return None
-        return h0.hbasis.to_float(), _class_solve(h0)
+        self.h0_basis = gap.homology[0].hbasis.to_float()
+        self.h0_class = gap.homology[0].class_map.to_float()
 
 
 def _context(gap: GapComplex) -> _Context:
@@ -686,11 +672,10 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
             scale = np.maximum(np.max(np.abs(val), axis=(1, 2)), 1e-30) * gl.max(axis=1)
             check("A2", "orthogonality", ell, np.max(np.abs(pair), axis=(1, 2)) / scale)
         # A3: the degree-0 value induces the identity on homology
-        if ctx.h0_class is not None:
-            h0_basis, h0_solve = ctx.h0_class
-            cls = h0_solve @ (alpha0 @ h0_basis)
+        if ctx.h0_basis.shape[1]:
+            cls = ctx.h0_class @ (alpha0 @ ctx.h0_basis)
             check("A3", "initial_value", 0, np.max(
-                np.abs(cls[:, ctx.nb[0]:, :] - np.eye(h0_basis.shape[1])), axis=(1, 2)))
+                np.abs(cls[:, ctx.nb[0]:, :] - np.eye(ctx.h0_basis.shape[1])), axis=(1, 2)))
         # independence of the bounds left-inverse choice
         for ell in degrees:
             alt = jan_form(proto, beta, keys, x, eye[:ell], ell, zeta="alternative").value
@@ -724,10 +709,10 @@ class SweepReport:
 def _analytic_class(ctx, blocks, cycle, rep):
     """Class of the analytical top chain: the sum over the cycle of each
     simplex's block applied to the representative."""
-    chain = np.zeros(ctx.top_solve.shape[1])
+    chain = np.zeros(ctx.top_class.shape[1])
     for key, coeff in cycle.items():
         chain = chain + float(coeff) * (blocks[key] @ rep)
-    coeffs = ctx.top_solve @ chain
+    coeffs = ctx.top_class @ chain
     cls = coeffs[ctx.top_nb:]
     if ctx.hq_project is not None:
         cls = ctx.hq_project @ cls

@@ -198,22 +198,27 @@ class HomologyData:
 
     Columns of hbasis are the chosen representative cycles: the echelon
     completion of the boundary basis inside the cycle basis, scanning in
-    the given cell order.
+    the given cell order.  class_map is an exact left inverse of
+    [bounds | hbasis], built in the same elimination that picks hbasis:
+    it sends a cycle to its coordinates in that basis, so every class is
+    one product with it.
     """
 
     dim: int
     cycles: QMat
     bounds: QMat
     hbasis: QMat
+    class_map: QMat
 
     @property
     def betti(self):
         return self.hbasis.shape[1]
 
     def class_of(self, chain):
-        """Coordinates of a cycle's class in the chosen homology basis."""
-        coeffs = ratlin.solve(ratlin.hstack(self.bounds, self.hbasis), chain)
-        if coeffs is None:
+        """Coordinates of a cycle's class in the chosen homology basis: a
+        list of rationals for a list, a QMat of columns for a QMat."""
+        coeffs = self.class_map @ chain
+        if ratlin.hstack(self.bounds, self.hbasis) @ coeffs != chain:
             raise ValueError("chain is not a cycle (class undefined)")
         return coeffs[self.bounds.shape[1]:]
 
@@ -232,9 +237,9 @@ def _homology_data(n, d_in, d_out):
     cycles = QMat.identity(n) if d_out is None else ratlin.nullspace(d_out)
     bounds = QMat.zeros(n, 0) if d_in is None else ratlin.column_echelon_basis(d_in)
     nb = bounds.shape[1]
-    pivots = ratlin.column_space_pivots(ratlin.hstack(bounds, cycles))
+    pivots, class_map = ratlin.pivot_left_inverse(ratlin.hstack(bounds, cycles))
     hbasis = cycles[:, [j - nb for j in pivots if j >= nb]]
-    return HomologyData(dim=n, cycles=cycles, bounds=bounds, hbasis=hbasis)
+    return HomologyData(dim=n, cycles=cycles, bounds=bounds, hbasis=hbasis, class_map=class_map)
 
 
 def homology_data(x: CwComplex, j):
@@ -308,16 +313,14 @@ def gap_complex(x: CwComplex, p, q):
 
     parent_hp = homology_data(x, p)
     parent_hq = homology_data(x, q)
-    hp_cols = [homology[0].class_of(parent_hp.hbasis[:, k]) for k in range(parent_hp.betti)]
-    hp_embed = QMat.from_rows(hp_cols, (parent_hp.betti, homology[0].betti)).T
+    hp_embed = homology[0].class_of(parent_hp.hbasis)
     if top == 0:
         # every chain is a degree-0 class of the shifted complex, so the
         # projection onto degree-q homology only exists on actual cycles;
         # pairings take classes in the parent directly in this case
         hq_project = None
     else:
-        hq_cols = [parent_hq.class_of(homology[top].hbasis[:, k]) for k in range(homology[top].betti)]
-        hq_project = QMat.from_rows(hq_cols, (homology[top].betti, parent_hq.betti)).T
+        hq_project = parent_hq.class_of(homology[top].hbasis)
 
     if ratlin.rank(hp_embed) != parent_hp.betti:
         raise GapViolated("embedding of degree-p homology is not injective")

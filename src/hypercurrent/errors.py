@@ -2,7 +2,8 @@
 
 Anything raised on malformed or out-of-contract input derives from
 HclError so the CLI can map it to exit code 2.  InvariantBroken marks an
-internal invariant that failed on valid input; the CLI exits 1 on it.
+internal invariant that failed on valid input, such as a paired chain of
+the exact lift that is not a cycle; the CLI exits 1 on it.
 """
 
 

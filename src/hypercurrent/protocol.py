@@ -46,7 +46,6 @@ __all__ = [
     "cube_sphere_protocol",
     "square_protocol",
     "builtin_protocol",
-    "figure_protocols",
     "subdivide",
     "simplex_faces",
 ]
@@ -495,11 +494,6 @@ def builtin_protocol(kind, q):
     if kind == "square":
         return square_protocol()
     raise ParseError(f"unknown builtin protocol {kind!r}")
-
-
-def figure_protocols():
-    """Catalog of the standard square and cube example protocols."""
-    return {"square": square_protocol(), "cube": cube_sphere_protocol(2)}
 
 
 # --- subdivision --------------------------------------------------------------

@@ -8,10 +8,14 @@ are numpy operations on the integers, and ``==`` compares structure.
 ``to_float`` the float copy the analytical route reads.
 
 The elimination functions (``rank``, ``nullspace``, ``pinv``,
-``solve`` and the ones around them) take and return QMat.  Inside, they
-run on a row kernel of plain lists of ``fractions.Fraction``: ``rref``,
-whose echelon forms scan columns left to right in the given order, so
-downstream basis choices are reproducible, and ``matmul``.
+``solve_matrix``, ``pivot_left_inverse`` and the ones around them) take
+and return QMat.  ``pivot_left_inverse`` is the one left-inverse
+construction: a single elimination of ``[a | I]`` gives a's pivot
+columns and a left inverse on them, which is how each homology degree
+gets its class map.  Inside, the functions run on a row kernel of plain
+lists of ``fractions.Fraction``: ``rref``, whose echelon forms scan
+columns left to right in the given order, so downstream basis choices
+are reproducible, and ``matmul``.
 
 Smith normal form runs on Python ints.
 """
@@ -266,31 +270,17 @@ def column_echelon_basis(a):
     return QMat.from_rows(r[: len(pivots)], (len(pivots), a.shape[0])).T
 
 
-def _solve(rows, n, k):
-    """Rows of X with a X = b (free variables zero) from the rows of
-    [a | b], a having n columns and b k; None if a column of b is
-    inconsistent."""
-    r, pivots = rref(rows)
+def solve_matrix(a, b):
+    """X with a X = b, columnwise (free variables zero); None if any column
+    is inconsistent."""
+    n, k = a.shape[1], b.shape[1]
+    r, pivots = rref([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())])
     if pivots and pivots[-1] >= n:
         return None
     x = [[Fraction(0)] * k for _ in range(n)]
     for i, p in enumerate(pivots):
         x[p] = r[i][n:]
-    return x
-
-
-def solve(a, b):
-    """One solution x of a x = b for a vector b (free variables zero),
-    as a list of Fractions, or None."""
-    x = _solve([row + [Fraction(v)] for row, v in zip(a.to_rows(), b)], a.shape[1], 1)
-    return None if x is None else [row[0] for row in x]
-
-
-def solve_matrix(a, b):
-    """X with a X = b, columnwise; None if any column is inconsistent."""
-    n, k = a.shape[1], b.shape[1]
-    x = _solve([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())], n, k)
-    return None if x is None else QMat.from_rows(x, (n, k))
+    return QMat.from_rows(x, (n, k))
 
 
 def inverse(a):
@@ -325,16 +315,27 @@ def projector_onto_columns(a):
     return basis @ inverse(basis.T @ basis) @ basis.T
 
 
-def left_inverse(a):
-    """A deterministic left inverse of an injective matrix (pivot-row based)."""
+def pivot_left_inverse(a):
+    """(pivots, L): a's pivot columns, in the given column order, and a left
+    inverse L of a[:, pivots], from one elimination of [a | I].
+
+    The rows of the reduced identity block at the pivot rows are L: the
+    elimination makes them send each pivot column to its unit vector.
+    """
     m, n = a.shape
-    if rank(a) != n:
+    r, pivots = rref([row + [Fraction(int(i == j)) for j in range(m)]
+                      for i, row in enumerate(a.to_rows())])
+    pivots = [j for j in pivots if j < n]
+    k = len(pivots)
+    return pivots, QMat.from_rows([row[n:] for row in r[:k]], (k, m))
+
+
+def left_inverse(a):
+    """A deterministic left inverse of an injective matrix."""
+    pivots, inv = pivot_left_inverse(a)
+    if len(pivots) != a.shape[1]:
         raise ValueError("matrix is not injective")
-    piv_rows = column_space_pivots(a.T)
-    inv = inverse(a[piv_rows, :])
-    out = np.zeros((n, m), dtype=object)
-    out[:, piv_rows] = inv.num
-    return QMat(out, inv.den)
+    return inv
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complex_core import GapComplex, GradedOperator, contraction, eth
-from .errors import LiftObstruction, NotACycle, NotGood, NotSmall
+from .errors import InvariantBroken, LiftObstruction, NotACycle, NotGood, NotSmall
 from .forests import DTree, greedy_dtree
 from .ratlin import QMat
 
@@ -360,11 +360,15 @@ def hypercurrent_homology(proto, cycle, class_p, cochain=None):
             raise NotACycle("cycle has support outside the top dimension")
         total = total + op.block(gap, 0) * coeff
     out = total @ rep
-    if gap.top == 0:
-        # degree-p output chain; its class lives in the parent directly
-        return gap.parent_hq.class_of(out), out
-    cls = gap.homology[gap.top].class_of(out)
-    return gap.hq_project @ cls, out
+    # with top 0 the output is a degree-p chain whose class lives in the
+    # parent directly
+    homology = gap.parent_hq if gap.top == 0 else gap.homology[gap.top]
+    try:
+        cls = homology.class_of(out)
+    except ValueError as exc:
+        # the lift is a chain map, so the paired chain is a cycle
+        raise InvariantBroken(f"paired chain: {exc}") from exc
+    return (cls if gap.top == 0 else gap.hq_project @ cls), out
 
 
 def addendum_predicts_trivial(x, p, q):

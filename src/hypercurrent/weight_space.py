@@ -25,7 +25,6 @@ __all__ = [
     "RobustReport",
     "good_summand_count",
     "enumerate_top_discriminant_cells",
-    "height_of_weights",
     "transversal_sphere",
     "classify_cell",
     "classify_top_cells",
@@ -113,34 +112,19 @@ def enumerate_top_discriminant_cells(x: CwComplex, p, q):
     return out
 
 
-def height_of_weights(x: CwComplex, p, q, wp: WeightPoint):
-    """The height data induced by a weight point: cells tie iff their
-    weights are equal, blocks ordered by increasing weight."""
-    blocks = []
-    for j in range(p, q + 1):
-        vals = {}
-        for cell, w in zip(x.cells[j], wp.level(j)):
-            vals.setdefault(w, []).append(cell)
-        lvl = tuple(tuple(vals[w]) for w in sorted(vals))
-        blocks.append(lvl)
-    return HeightData(p=p, q=q, blocks=tuple(blocks))
-
-
-def _center_weights(x: CwComplex, cell: HeightData, rank_value=None):
-    """Block ranks as weights (integers by default); tied pair equal."""
-    if rank_value is None:
-        rank_value = float
+def _center_weights(x: CwComplex, cell: HeightData):
+    """Block ranks as weights; tied pair equal."""
     centers = []
     for j in range(cell.p, cell.q + 1):
         vals = {}
         for rank, block in enumerate(cell.level(j)):
             for nm in block:
-                vals[nm] = float(rank_value(rank))
+                vals[nm] = float(rank)
         centers.append(tuple(vals[nm] for nm in x.cells[j]))
     return centers
 
 
-def transversal_sphere(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=None):
+def transversal_sphere(gap: GapComplex, cell: HeightData, eps=0.25):
     """A good protocol over gap on the boundary of the transversal cube
     around a center realizing the height data: the later member of each
     level's tied pair is perturbed by +-eps along that level's cube axis."""
@@ -149,7 +133,7 @@ def transversal_sphere(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=N
     if not eps > 0:
         raise EpsilonTooLarge("eps must be positive")
     x, p, q = gap.parent, gap.p, gap.q
-    centers = _center_weights(x, cell, rank_value)
+    centers = _center_weights(x, cell)
     min_gap = None
     for j in range(p, q + 1):
         ranks = sorted(set(centers[j - p]))
@@ -179,10 +163,10 @@ def transversal_sphere(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=N
     return proto
 
 
-def classify_cell(gap: GapComplex, cell: HeightData, eps=0.25, rank_value=None):
+def classify_cell(gap: GapComplex, cell: HeightData, eps=0.25):
     """Pair the transversal sphere against every degree-p class; the
     cell is essential iff some value is nonzero."""
-    proto = transversal_sphere(gap, cell, eps, rank_value)
+    proto = transversal_sphere(gap, cell, eps)
     cochain = hypercurrent_cochain(proto)
     cols = []
     nclasses = gap.parent_hp.betti

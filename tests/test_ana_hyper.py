@@ -594,7 +594,7 @@ def two_pass_sweep_rows(proto, betas, tol, max_depth):
         for key, coeff in proto.fundamental_cycle.items():
             mat = single_jan_integrate(proto, beta, key, tol=tol, max_depth=max_depth)
             chain = chain + float(coeff) * (mat @ rep)
-        cls = (ctx.top_solve @ chain)[ctx.top_nb:]
+        cls = (ctx.top_class @ chain)[ctx.top_nb:]
         if ctx.hq_project is not None:
             cls = ctx.hq_project @ cls
         resid = cochain_chain_map_defect(jan_cochain(proto, beta, tol=tol, max_depth=max_depth))
@@ -894,6 +894,20 @@ def test_context_dropped_with_its_gap():
     assert ref() is None
 
 
+@pytest.mark.parametrize("gap", [SPHERE1, SPHERE2, TOR,
+                                 gap_complex(sphere_wedge_complex(2), 0, 2)],
+                         ids=["sphere1", "sphere2", "torsion", "wedge2"])
+def test_context_classes_are_the_exact_class_maps(gap):
+    # the analytical route reads classes through the exact class maps
+    # alone, rounded once; no second solve of its own
+    ctx = _context(gap)
+    top, h0 = gap.homology[gap.top], gap.homology[0]
+    for got, want in ((ctx.top_class, top.class_map), (ctx.h0_class, h0.class_map),
+                      (ctx.h0_basis, h0.hbasis)):
+        assert got.shape == want.shape and np.array_equal(got, want.to_float())
+    assert ctx.top_nb == top.bounds.shape[1]
+
+
 # --- integration ------------------------------------------------------------------
 
 
@@ -1134,10 +1148,9 @@ def pointwise_axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
             report.orthogonality = max(report.orthogonality, resid)
             if resid > tol:
                 report.violations.append(("A2", key, coords, ell, resid))
-        if ctx.h0_class is not None:
-            h0_basis, h0_solve = ctx.h0_class
-            cls = h0_solve @ (alpha0 @ h0_basis)
-            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(h0_basis.shape[1]))))
+        if ctx.h0_basis.shape[1]:
+            cls = ctx.h0_class @ (alpha0 @ ctx.h0_basis)
+            resid = float(np.max(np.abs(cls[ctx.nb[0]:, :] - np.eye(ctx.h0_basis.shape[1]))))
             report.initial_value = max(report.initial_value, resid)
             if resid > tol:
                 report.violations.append(("A3", key, coords, 0, resid))
@@ -1442,8 +1455,7 @@ def test_triangle_pseudoinverses_at_large_beta(beta):
     vertex_a, = jan_integrate(triangle_protocol(), beta, [(0,)])
     assert np.allclose(vertex_a, np.eye(3) + ctx.bounds[0] @ k0, atol=1e-12)
     assert np.allclose(vertex_a @ vertex_a, vertex_a, atol=1e-12)
-    h0_basis, h0_solve = ctx.h0_class
-    cls = h0_solve @ (vertex_a @ h0_basis)
+    cls = ctx.h0_class @ (vertex_a @ ctx.h0_basis)
     assert np.allclose(cls[ctx.nb[0]:], np.eye(1), atol=1e-12)
 
 

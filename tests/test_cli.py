@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from hypercurrent import topo_hyper
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
+from hypercurrent.ratlin import QMat
 
 
 @pytest.fixture
@@ -258,6 +260,27 @@ def test_broken_invariant_exits_1(monkeypatch, capsys):
     assert main(["ana", "integrate", "builtin:square", "--beta", "4"]) == 1
     err = capsys.readouterr().err
     assert "InvariantBroken" in err and "LinAlgError: Singular matrix" in err
+
+
+def test_paired_non_cycle_is_broken_invariant(monkeypatch, capsys):
+    # the lift is a chain map, so the chain the pairing reads is a cycle;
+    # one corrupted lift entry breaks that on valid input
+    original = topo_hyper.hypercurrent_cochain
+
+    def corrupted(proto):
+        cochain = original(proto)
+        op = cochain.operator(next(iter(proto.fundamental_cycle)))
+        blk = op.blocks[0]
+        num = blk.num.copy()
+        num[0, 0] += blk.den
+        op.blocks[0] = QMat(num, blk.den)
+        return cochain
+
+    monkeypatch.setattr(topo_hyper, "hypercurrent_cochain", corrupted)
+    assert main(["topo", "current", "builtin:cube_sphere:2"]) == 1
+    captured = capsys.readouterr()
+    assert "internal error: InvariantBroken" in captured.err and "not a cycle" in captured.err
+    assert captured.out == ""
 
 
 def test_unknown_builtin_is_validation_error(capsys):

@@ -305,3 +305,82 @@ def test_hq_project_composed_path():
         top_cls = gap.homology[gap.top].class_of(cyc)
         out = gap.hq_project @ top_cls
         assert len(out) == 1 and out[0] != 0
+
+
+# --- class maps -------------------------------------------------------------
+
+
+def triangle_complex():
+    return loads_complex(json.dumps({
+        "name": "triangle",
+        "cells": [["a", "b", "c"], ["ab", "bc", "ca"]],
+        "boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]],
+    }))
+
+
+def loops_complex():
+    """One vertex, loops a, b, c and 2-cells f0, f1, f2 with
+    d f0 = d f1 = a - b and d f2 = 0: rank-2 homology in degrees 1 and 2."""
+    return loads_complex(json.dumps({
+        "name": "loops",
+        "cells": [["v"], ["a", "b", "c"], ["f0", "f1", "f2"]],
+        "boundary": [[[0, 0, 0]], [[1, 1, 0], [-1, -1, 0], [0, 0, 0]]],
+    }))
+
+
+CLASS_MAP_GAPS = [
+    pytest.param(lambda: sphere_complex(1), 0, 1, id="sphere1"),
+    pytest.param(lambda: sphere_complex(2), 0, 2, id="sphere2"),
+    pytest.param(lambda: sphere_complex(3), 0, 3, id="sphere3"),
+    pytest.param(lambda: sphere_wedge_complex(2), 0, 2, id="wedge2"),
+    pytest.param(lambda: collapsed_sphere_complex(3), 1, 3, id="collapsed3"),
+    pytest.param(torsion_complex, 0, 2, id="torsion"),
+    pytest.param(triangle_complex, 0, 1, id="triangle"),
+    pytest.param(loops_complex, 1, 2, id="loops"),
+]
+
+
+def _all_homology(gap):
+    return list(gap.homology) + [gap.parent_hp, gap.parent_hq]
+
+
+def test_loops_complex_homology():
+    x = loops_complex()
+    assert [betti(x, j) for j in range(3)] == [1, 2, 2]
+    gap = gap_complex(x, 1, 2)
+    assert gap.parent_hp.betti == gap.parent_hq.betti == 2
+
+
+@pytest.mark.parametrize("make, p, q", CLASS_MAP_GAPS)
+def test_class_map_is_left_inverse(make, p, q):
+    for h in _all_homology(gap_complex(make(), p, q)):
+        basis = ratlin.hstack(h.bounds, h.hbasis)
+        assert h.class_map @ basis == QMat.identity(basis.shape[1])
+
+
+@pytest.mark.parametrize("make, p, q", CLASS_MAP_GAPS)
+def test_class_of_matrix_equals_columns(make, p, q):
+    for h in _all_homology(gap_complex(make(), p, q)):
+        for chains in (h.cycles, h.hbasis, h.cycles @ QMat.from_rows(
+                [[Fraction(i - 2 * k, 3) for k in range(2)] for i in range(h.cycles.shape[1])],
+                (h.cycles.shape[1], 2))):
+            k = chains.shape[1]
+            cols = [h.class_of(chains[:, c]) for c in range(k)]
+            assert h.class_of(chains) == QMat.from_rows(cols, (k, h.betti)).T
+
+
+@pytest.mark.parametrize("make, p, q", CLASS_MAP_GAPS)
+def test_class_of_rejects_non_cycles(make, p, q):
+    checked = 0
+    for h in _all_homology(gap_complex(make(), p, q)):
+        z = ratlin.rank(h.cycles)
+        for k in range(h.dim):
+            unit = QMat.identity(h.dim)[:, [k]]
+            if ratlin.rank(ratlin.hstack(h.cycles, unit)) == z:
+                continue
+            with pytest.raises(ValueError):
+                h.class_of(unit[:, 0])
+            with pytest.raises(ValueError):
+                h.class_of(unit)
+            checked += 1
+    assert checked

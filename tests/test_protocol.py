@@ -20,7 +20,6 @@ from hypercurrent.protocol import (
     cube_protocol,
     cube_sphere_protocol,
     dumps_protocol,
-    figure_protocols,
     is_good,
     loads_protocol,
     scale,
@@ -345,17 +344,6 @@ def test_cube_facet_weights_constant():
     plus_corners = [v for v, cid in enumerate(proto.vertex_ids) if cid[1] == "p"]
     for v in plus_corners:
         assert proto.vertex_weights[v].level(0) == (1.0, 0.0)
-
-
-def test_figure_catalog():
-    cat = figure_protocols()
-    assert set(cat) == {"square", "cube"}
-    cube = cat["cube"]
-    # Fig.-style labels: on facet x_0 = +1 the first 0-cell is heavier
-    for v, cid in enumerate(cube.vertex_ids):
-        if cid[1] == "p":
-            w = cube.vertex_weights[v].level(0)
-            assert w[0] > w[1]
 
 
 def test_wedge_cube_protocol_good():

@@ -38,16 +38,16 @@ def test_solve_roundtrip():
     for _ in range(30):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         a = rand_mat(rng, m, n)
-        x = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
+        x = QMat.from_rows([[rng.randint(-3, 3)] for _ in range(n)], (n, 1))
         b = a @ x
-        sol = ratlin.solve(a, b)
-        assert sol is not None
+        sol = ratlin.solve_matrix(a, b)
+        assert sol is not None and sol.shape == (n, 1)
         assert a @ sol == b
 
 
 def test_solve_inconsistent():
     a = QMat.from_rows([[1], [1]], (2, 1))
-    assert ratlin.solve(a, [Fraction(0), Fraction(1)]) is None
+    assert ratlin.solve_matrix(a, QMat.from_rows([[0], [1]], (2, 1))) is None
 
 
 def test_pinv_penrose_identities():
@@ -84,6 +84,18 @@ def test_left_inverse():
     a = QMat.from_rows([[0], [3]], (2, 1))
     li = ratlin.left_inverse(a)
     assert li @ a == QMat.identity(1)
+
+
+def test_pivot_left_inverse():
+    rng = random.Random(13)
+    for _ in range(30):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_mat(rng, m, n, -2, 2)
+        pivots, inv = ratlin.pivot_left_inverse(a)
+        assert pivots == ratlin.column_space_pivots(a)
+        assert inv @ a[:, pivots] == QMat.identity(len(pivots))
+    with pytest.raises(ValueError):
+        ratlin.left_inverse(QMat.from_rows([[1, 2], [2, 4]], (2, 2)))
 
 
 def test_empty_shapes_survive_elimination():

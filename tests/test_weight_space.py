@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -12,13 +13,13 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.errors import EpsilonTooLarge, GapViolated
 from hypercurrent.protocol import WeightPoint, is_good, smallness
+from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.weight_space import (
     DiscriminantCellReport,
     classify_cell,
     classify_top_cells,
     enumerate_top_discriminant_cells,
     good_summand_count,
-    height_of_weights,
     robust_counts,
     transversal_sphere,
 )
@@ -94,14 +95,6 @@ def test_dimension_formula():
     x = sphere_complex(3)
     for cell in enumerate_top_discriminant_cells(x, 0, 3):
         assert cell.dimension == sum(x.n_cells(j) - 1 for j in range(4))
-
-
-def test_height_of_weights_roundtrip():
-    x = sphere_complex(1)
-    wp = WeightPoint(0, 1, ((0.5, 0.5), (2.0, 1.0)))
-    h = height_of_weights(x, 0, 1, wp)
-    assert h.level(0) == (("e0+", "e0-"),)
-    assert h.level(1) == (("e1-",), ("e1+",))
 
 
 # --- transversal spheres --------------------------------------------------------------
@@ -198,20 +191,34 @@ def test_classification_eps_independent():
     assert r1.current_matrix == r2.current_matrix
 
 
+def _affine_weights(proto, a, b):
+    """The protocol with every vertex weight mapped through w -> a w + b."""
+    weights = tuple(
+        WeightPoint(wp.p, wp.q, tuple(tuple(a * v + b for v in row) for row in wp.values))
+        for wp in proto.vertex_weights)
+    return dataclasses.replace(proto, vertex_weights=weights)
+
+
+def _pairing(proto):
+    nclasses = proto.gap.parent_hp.betti
+    return [hypercurrent_homology(proto, proto.fundamental_cycle,
+                                  [int(i == k) for i in range(nclasses)])[0]
+            for k in range(nclasses)]
+
+
 def test_classification_center_choice_independent():
-    # scaling the center block ranks leaves the pairing matrix unchanged
-    x = sphere_complex(2)
-    cell = enumerate_top_discriminant_cells(x, 0, 2)[0]
-    gap = gap_complex(x, 0, 2)
-    r1 = classify_cell(gap, cell)
-    r2 = classify_cell(gap, cell, rank_value=lambda r: 3.0 * r + 1.0)
-    assert r1.current_matrix == r2.current_matrix
-    y = path_complex()
-    gap = gap_complex(y, 0, 1)
-    for cell in enumerate_top_discriminant_cells(y, 0, 1)[:2]:
-        a = classify_cell(gap, cell)
-        b = classify_cell(gap, cell, eps=0.1, rank_value=lambda r: 2.0 * r)
-        assert a.current_matrix == b.current_matrix
+    # a positive affine map of every vertex weight keeps each level's
+    # order and ties, hence the trees and the pairing
+    essential = 0
+    for x, q, cells in ((sphere_complex(2), 2, slice(0, 1)), (triangle_complex(), 1, slice(None))):
+        gap = gap_complex(x, 0, q)
+        for cell in enumerate_top_discriminant_cells(x, 0, q)[cells]:
+            proto = transversal_sphere(gap, cell)
+            base = _pairing(proto)
+            essential += any(v != 0 for col in base for v in col)
+            for a, b in ((3, 1), (2, 0), (0.5, -7)):
+                assert _pairing(_affine_weights(proto, a, b)) == base
+    assert essential == 1 + 6
 
 
 @pytest.mark.parametrize(
@@ -257,3 +264,22 @@ def test_smallness_certified_once_per_cell(monkeypatch):
         classify_cell(gap, cell)
     assert len(calls) == len(cells) == len({id(dom) for dom in calls})
     assert calls[0].certificate is calls[0].certificate
+
+
+def loops_complex():
+    """One vertex, loops a, b, c and 2-cells with d f0 = d f1 = a - b and
+    d f2 = 0: degree-1 homology of rank two."""
+    return loads_complex(json.dumps({
+        "name": "loops",
+        "cells": [["v"], ["a", "b", "c"], ["f0", "f1", "f2"]],
+        "boundary": [[[0, 0, 0]], [[1, 1, 0], [-1, -1, 0], [0, 0, 0]]],
+    }))
+
+
+def test_robust_count_with_rank_two_homology():
+    report = classify_top_cells(loops_complex(), 1, 2)
+    assert (report.summands, report.inessential, report.robust_summands) == (25, 24, 1)
+    assert len(report.cells) == 36
+    assert sum(rep.essential for rep in report.cells) == 4
+    assert all(len(rep.current_matrix) == 2 and len(rep.current_matrix[0]) == 2
+               for rep in report.cells)
