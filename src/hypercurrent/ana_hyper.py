@@ -53,17 +53,15 @@ import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, NonfiniteBeta, NonpositiveBeta, NotACycle, \
-    QuadratureNoConvergence
+from .errors import BadFrame, NotACycle, QuadratureNoConvergence
 from .forests import enumerate_dtrees
-from .protocol import WeightPoint
+from .protocol import _check_beta
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, cycle_boundary_defect, \
     hypercurrent_homology
 
 __all__ = [
     "FormEvaluation",
     "kirchhoff_pseudoinverse",
-    "rho_and_drho",
     "jan_form",
     "jan_integrate",
     "jan_cochain",
@@ -143,19 +141,6 @@ def _context(gap: GapComplex) -> _Context:
 # --- the Kirchhoff tree sums ---------------------------------------------------
 
 
-def _check_beta(beta):
-    if not math.isfinite(beta):
-        raise NonfiniteBeta(f"beta = {beta}")
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
-
-
-def _level_weights(gap, w, j):
-    if isinstance(w, WeightPoint):
-        return np.asarray(w.level(j + gap.p), dtype=float)
-    return np.asarray(w, dtype=float)
-
-
 def _tree_weights(table, w):
     """W_T: the sum of w (..., ncells) over each tree's cells, in cell
     order, (..., ntrees)."""
@@ -209,7 +194,7 @@ def kirchhoff_pseudoinverse(gap: GapComplex, w, beta, j):
     if j < 0 or j > gap.top:
         raise ValueError("degree out of range")
     table = ctx.trees[j + gap.p]
-    wt = _tree_weights(table, _level_weights(gap, w, j))
+    wt = _tree_weights(table, np.asarray(w, dtype=float))
     rho = _tree_distribution(table, wt.T, beta).T
     ntrees, rows, cols = table.rinv.shape
     out = rho[..., None, :] @ table.rinv.reshape(ntrees, rows * cols)
@@ -294,19 +279,6 @@ def _drho(rho, grads, beta):
     out = np.empty((items, n, jdim, ntrees))
     np.multiply((beta * rho)[:, :, None], diff, out=out.transpose(3, 0, 2, 1))
     return out.swapaxes(2, 3)
-
-
-def rho_and_drho(proto, beta, tree, point):
-    """Value and differential (in the simplex's affine coordinates) of
-    one tree's Boltzmann weight at a point."""
-    _check_beta(beta)
-    key, coords = tuple(point[0]), np.atleast_2d(np.asarray(point[1], dtype=float))
-    ctx = _context(proto.gap)
-    table = ctx.trees[tree.level]
-    pos = next(i for i, t in enumerate(table.trees) if t.cells == tree.cells)
-    geo, = _vertex_geometry(ctx, proto, [key], [tree.level])
-    rho = _rho_at_nodes(table, geo, beta, coords)
-    return float(rho[pos, 0, 0]), _drho(rho, geo[1], beta)[0, 0, pos, :].copy()
 
 
 # --- the form and its integrals -------------------------------------------------
@@ -416,10 +388,10 @@ def _signed_permutations(ell):
 # --- quadrature -----------------------------------------------------------------
 
 
-def simplex_rule(n, s=2):
-    """Degree-(2s+1) rule on the standard n-simplex; returns barycentric
-    points (P, n+1) and weights summing to one."""
-    d = 2 * s + 1
+def simplex_rule(n):
+    """Degree-5 rule (2s+1 with s = 2) on the standard n-simplex; returns
+    barycentric points (P, n+1) and weights summing to one."""
+    s, d = 2, 5
     pts = []
     wts = []
     for i in range(s + 1):
@@ -507,7 +479,7 @@ def _node_batches(jdim, depth):
 _BLOCK = 16384
 
 
-def _integrate_stack(ctx, proto, beta, keys, tol, max_depth, zeta):
+def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     """Dyadic Stokes integrals of simplices of one dimension, stacked: one
     form evaluation per depth and block of still-active simplices.  Each
     simplex leaves once two depths agree within tol; returns its blocks
@@ -523,7 +495,7 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth, zeta):
         step = max(1, _BLOCK // len(wts))
         est = np.concatenate([
             _form(ctx, p, beta, [(base[lo:lo + step], grads[lo:lo + step]) for base, grads in geos],
-                  nodes, wts, zeta)
+                  nodes, wts, "standard")
             for lo in range(0, len(active), step)])
         if prev is not None:
             done = np.max(np.abs(est - prev), axis=(1, 2)) < tol
@@ -537,7 +509,7 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth, zeta):
     return out
 
 
-def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8, zeta="standard"):
+def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     """Stokes-map values on a list of simplices, in their order: the
     integral of each one's pulled-back degree-(dim) form, refined
     dyadically until two depths agree within tol.  Simplices of one
@@ -556,8 +528,7 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8, zeta="standard"):
             blocks = _alpha0(gap, _vertex_rows(proto, [keys[i] for i in pos], gap.p)[:, 0],
                              beta)
         else:
-            blocks = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol,
-                                      max_depth, zeta)
+            blocks = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol, max_depth)
         for i, block in zip(pos, blocks):
             out[i] = block
     for key, block in zip(keys, out):
@@ -567,12 +538,12 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8, zeta="standard"):
     return out
 
 
-def jan_cochain(proto, beta, tol=1e-8, max_depth=8, zeta="standard") -> HyperCochain:
+def jan_cochain(proto, beta, tol=1e-8, max_depth=8) -> HyperCochain:
     """The analytical cochain: every cell of dimension at most the gap
     width gets the Stokes-map integral as its operator block."""
     gap = proto.gap
     keys = [tuple(key) for key in proto.all_cells() if proto.dim_of(key) <= gap.top]
-    blocks = jan_integrate(proto, beta, keys, tol=tol, max_depth=max_depth, zeta=zeta)
+    blocks = jan_integrate(proto, beta, keys, tol=tol, max_depth=max_depth)
     values = {key: GradedOperator(degree=proto.dim_of(key), blocks={0: mat})
               for key, mat in zip(keys, blocks)}
     return HyperCochain(gap=gap, domain=proto, values=values)

@@ -223,11 +223,11 @@ class HomologyData:
         return coeffs[self.bounds.shape[1]:]
 
     def representative(self, coords):
-        """The cycle with the given coordinates in the homology basis."""
-        coords = list(coords)
-        if len(coords) != self.betti:
-            raise ValueError(
-                f"class has {len(coords)} coordinates, homology has dimension {self.betti}")
+        """The cycle with the given coordinates in the homology basis: a
+        list of rationals for a list, a QMat of columns for a QMat."""
+        n = coords.shape[0] if isinstance(coords, QMat) else len(coords)
+        if n != self.betti:
+            raise ValueError(f"class has {n} coordinates, homology has dimension {self.betti}")
         return self.hbasis @ coords
 
 
@@ -354,10 +354,6 @@ class GradedOperator:
         if j in self.blocks:
             return self.blocks[j]
         return QMat.zeros(gap.dim_at(j + self.degree), gap.dim_at(j))
-
-    def apply(self, gap: GapComplex, j, chain):
-        """Apply to a degree-j chain, returning a degree-(j+n) chain."""
-        return self.block(gap, j) @ chain
 
 
 def eth(f: GradedOperator, gap: GapComplex):

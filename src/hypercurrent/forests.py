@@ -8,6 +8,7 @@ carry an integer torsion order and a preferred right inverse used by
 the Kirchhoff tree sums.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import ratlin
@@ -137,7 +138,7 @@ def enumerate_dtrees(gap: GapComplex, d):
 def greedy_dtree(gap: GapComplex, d, weights):
     """Minimum-weight tree by the matroid greedy algorithm.
 
-    weights maps each degree-d cell name to a number and must be
+    weights maps each degree-d cell name to a finite number and must be
     one-to-one; cells are scanned in ascending weight and kept whenever
     they extend an independent set.
     """
@@ -148,6 +149,9 @@ def greedy_dtree(gap: GapComplex, d, weights):
     if missing:
         raise ValueError(f"no weight for cell {missing[0]!r} on level {d}")
     vals = [weights[nm] for nm in names]
+    for nm, v in zip(names, vals):
+        if not math.isfinite(v):
+            raise ValueError(f"weight {v} of cell {nm!r} on level {d} is not finite")
     if len(set(vals)) != len(vals):
         raise NotInjective(f"weights on level {d} are not one-to-one")
     order = sorted(range(len(names)), key=lambda i: vals[i])

@@ -25,6 +25,7 @@ from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, 
 from .errors import (
     BadCoordinates,
     LevelMismatch,
+    NonfiniteBeta,
     NonpositiveBeta,
     NotClosedUnderFaces,
     ParseError,
@@ -315,6 +316,8 @@ def weights_at(proto: SimplicialProtocol, simplex, coords):
     coords = [float(c) for c in coords]
     if len(coords) != len(key):
         raise BadCoordinates("coordinate count does not match the simplex")
+    if not all(map(math.isfinite, coords)):
+        raise BadCoordinates(f"barycentric coordinates must be finite, got {coords}")
     if any(c < -1e-12 for c in coords) or abs(sum(coords) - 1.0) > 1e-9:
         raise BadCoordinates("barycentric coordinates must be nonnegative and sum to 1")
     pts = [proto.vertex_weights[v] for v in key]
@@ -371,24 +374,16 @@ def is_good(domain):
     return True, None
 
 
-def restrict(proto: SimplicialProtocol, keys):
-    """Face-closed sub-protocol generated by the given simplices."""
-    closed = _closure([tuple(k) for k in keys])
-    present = set(closed)
-    return SimplicialProtocol(
-        gap=proto.gap,
-        vertex_ids=proto.vertex_ids,
-        vertex_weights=proto.vertex_weights,
-        simplices=tuple(closed),
-        orientation={k: v for k, v in proto.orientation.items() if k in present},
-        fundamental_cycle={k: v for k, v in proto.fundamental_cycle.items() if k in present},
-    )
+def _check_beta(beta):
+    if not math.isfinite(beta):
+        raise NonfiniteBeta(f"beta = {beta}")
+    if beta <= 0:
+        raise NonpositiveBeta(f"beta = {beta}")
 
 
 def scale(proto: SimplicialProtocol, beta):
     """Pointwise scalar multiple of all weights; order types unchanged."""
-    if not beta > 0:
-        raise NonpositiveBeta(f"beta = {beta}")
+    _check_beta(beta)
     return SimplicialProtocol(
         gap=proto.gap,
         vertex_ids=proto.vertex_ids,
@@ -581,11 +576,10 @@ class CubeCwDomain(_CertifiedDomain):
 
     Cells are patterns over the axes with entries -1, +1 (fixed) or None
     (free); at least one axis is fixed.  Weights live on the corners,
-    exactly as in the triangulated cube protocols.
+    exactly as in the triangulated cube protocol with unflipped levels.
     """
 
     gap: GapComplex
-    signs: tuple
     n: int
 
     def all_cells(self):
@@ -628,7 +622,7 @@ class CubeCwDomain(_CertifiedDomain):
         return corners
 
     def weight_of(self, vertex_key):
-        return _corner_weight(self.gap, vertex_key, self.signs)
+        return _corner_weight(self.gap, vertex_key, (1,) * self.n)
 
     def fundamental_cycle(self):
         """The top cell fixing axis a at v has coefficient v * (-1)**a, up
@@ -638,8 +632,5 @@ class CubeCwDomain(_CertifiedDomain):
         return {t: coeffs[0] * c for t, c in zip(tops, coeffs)}
 
 
-def cube_cw_domain(gap: GapComplex, signs=None):
-    n = gap.q - gap.p + 1
-    if signs is None:
-        signs = [1] * n
-    return CubeCwDomain(gap=gap, signs=tuple(signs), n=n)
+def cube_cw_domain(gap: GapComplex):
+    return CubeCwDomain(gap=gap, n=gap.q - gap.p + 1)

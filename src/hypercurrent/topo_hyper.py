@@ -5,8 +5,13 @@ the least injective level); vertices get a canonical chain map into
 their tree's subcomplex, and higher cells extend it degreewise through
 the contracting homotopy of the tree subcomplex.  All arithmetic is
 exact (ratlin.QMat: integer numerators over one denominator) and the
-chain-map identity is asserted at each step, so the resulting cochain
-is reproducible bit for bit.
+chain-map identity is asserted at each step, so the lift is
+reproducible bit for bit.
+
+The pairing of a top cycle with degree-p classes reads the degree-0
+blocks of the cycle cells' lifts straight from the lift cache (their
+Koszul sign is +1); hypercurrent_cochain, which signs every block,
+serves the chain-map defect and the cellular variant.
 
 Higher cells are lifted one dimension at a time: lift_simplex stacks
 the cells of a dimension as object arrays of numerators over one
@@ -34,7 +39,6 @@ __all__ = [
     "LiftCache",
     "HyperCochain",
     "tree_functor",
-    "lift_vertex",
     "lift_simplex",
     "build_lift_cache",
     "hypercurrent_cochain",
@@ -124,7 +128,6 @@ class LiftCache:
     """
 
     gap: GapComplex
-    cert: object
     trees: dict     # cell key -> DTree
     values: dict    # cell key -> tuple of QMat, one per input degree
     stacked: tuple = field(default=None, repr=False, compare=False)
@@ -144,24 +147,20 @@ def tree_functor(proto, key):
     return gap.derived(("tree", k, order), lambda: greedy_dtree(gap, k, weights))
 
 
-def lift_vertex(proto, vertex_key):
-    """Canonical chain map into the vertex tree's subcomplex: identity in
-    degree 0 for trees above the bottom level, projection along the
-    boundary space onto the co-tree span at the bottom; higher degrees
-    via the contracting homotopy.  The tuple is shared, read-only."""
-    tree = tree_functor(proto, vertex_key)
-    return tree, _tree_aux(proto.gap, tree).phi
-
-
 def build_lift_cache(proto) -> LiftCache:
     gap = proto.gap
     cert = proto.certificate
     cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
+    # the tree depends only on the cell's first vertex and its level
+    trees, shared = {}, {}
     for key in cells:
         if cert.k[key] is None:
             raise NotGood(f"cell {key} is not small")
-    trees = {key: tree_functor(proto, key) for key in cells}
-    cache = LiftCache(gap=gap, cert=cert, trees=trees, values={})
+        at = (proto.vertices_of(key)[0], cert.k[key])
+        if at not in shared:
+            shared[at] = tree_functor(proto, key)
+        trees[key] = shared[at]
+    cache = LiftCache(gap=gap, trees=trees, values={})
     by_dim = {}
     for key in cells:
         by_dim.setdefault(proto.dim_of(key), []).append(key)
@@ -296,9 +295,6 @@ class HyperCochain:
     domain: object
     values: dict   # cell key -> GradedOperator
 
-    def operator(self, key):
-        return self.values[tuple(key)]
-
 
 def hypercurrent_cochain(proto) -> HyperCochain:
     """The exact current cochain: on a cell of dimension j the operator
@@ -342,23 +338,26 @@ def cycle_boundary_defect(domain, cycle):
     return {k: v for k, v in out.items() if v}
 
 
-def hypercurrent_homology(proto, cycle, class_p, cochain=None):
-    """Pair a top cycle of the parameter domain with a degree-p homology
-    class; returns coordinates in the chosen degree-q homology basis of
-    the parent complex."""
+def hypercurrent_homology(proto, cycle, class_p):
+    """Pair a top cycle of the parameter domain with degree-p homology:
+    class_p is one class (a list of coordinates) or a QMat whose columns
+    are classes.  Returns their coordinates in the chosen degree-q
+    homology basis of the parent complex (a list, or a QMat of columns)
+    and the paired chain.  The pairing reads the degree-0 block of each
+    cycle cell's lift, whose Koszul sign is +1."""
     gap = proto.gap
     if cycle_boundary_defect(proto, cycle):
         raise NotACycle("parameter chain has nonzero boundary")
-    if cochain is None:
-        cochain = hypercurrent_cochain(proto)
+    lift = build_lift_cache(proto).values
     # the degree-p representative is a chain in degree 0 of the shifted complex
-    rep = gap.parent_hp.representative([Fraction(c) for c in class_p])
+    if not isinstance(class_p, QMat):
+        class_p = [Fraction(c) for c in class_p]
+    rep = gap.parent_hp.representative(class_p)
     total = QMat.zeros(gap.dim_at(gap.top), gap.dim_at(0))
     for key, coeff in cycle.items():
-        op = cochain.operator(key)
-        if op.degree != gap.top:
+        if proto.dim_of(key) != gap.top:
             raise NotACycle("cycle has support outside the top dimension")
-        total = total + op.block(gap, 0) * coeff
+        total = total + lift[tuple(key)][0] * coeff
     out = total @ rep
     # with top 0 the output is a degree-p chain whose class lives in the
     # parent directly
@@ -384,12 +383,12 @@ def addendum_predicts_trivial(x, p, q):
     return False
 
 
-def cube_cellular_cochain(gap: GapComplex, signs=None):
+def cube_cellular_cochain(gap: GapComplex):
     """The regular-CW variant on the cube boundary domain: the same
     lifting run over the face poset of the cube's cells instead of a
     triangulation.  Returns (domain, cochain)."""
     from .protocol import cube_cw_domain
 
-    dom = cube_cw_domain(gap, signs)
+    dom = cube_cw_domain(gap)
     cochain = hypercurrent_cochain(dom)
     return dom, cochain

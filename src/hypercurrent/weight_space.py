@@ -17,7 +17,7 @@ from .complex_core import CwComplex, GapComplex, gap_complex
 from .errors import EpsilonTooLarge
 from .protocol import WeightPoint, cube_boundary_protocol, is_good
 from .ratlin import QMat
-from .topo_hyper import hypercurrent_cochain, hypercurrent_homology
+from .topo_hyper import hypercurrent_homology
 
 __all__ = [
     "HeightData",
@@ -164,17 +164,12 @@ def transversal_sphere(gap: GapComplex, cell: HeightData, eps=0.25):
 
 
 def classify_cell(gap: GapComplex, cell: HeightData, eps=0.25):
-    """Pair the transversal sphere against every degree-p class; the
-    cell is essential iff some value is nonzero."""
+    """Pair the transversal sphere against every degree-p class at once;
+    the cell is essential iff some value is nonzero."""
     proto = transversal_sphere(gap, cell, eps)
-    cochain = hypercurrent_cochain(proto)
-    cols = []
-    nclasses = gap.parent_hp.betti
-    for k in range(nclasses):
-        unit = [1 if i == k else 0 for i in range(nclasses)]
-        coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, unit, cochain=cochain)
-        cols.append(coords)
-    current = tuple(zip(*cols))
+    units = QMat.identity(gap.parent_hp.betti)
+    coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, units)
+    current = tuple(map(tuple, coords.to_rows()))
     return DiscriminantCellReport(
         height=cell,
         dimension=cell.dimension,

@@ -13,7 +13,7 @@ sums, which stay bounded whatever the weights.
 import numpy as np
 
 from hypercurrent import ratlin
-from hypercurrent.ana_hyper import _check_beta, _level_weights
+from hypercurrent.protocol import _check_beta
 
 
 def reduced_boundary(gap, j):
@@ -33,7 +33,7 @@ def weighted_pseudoinverse_boundary(gap, w, beta, j):
     _check_beta(beta)
     if j < 1 or j > gap.top:
         raise ValueError("degree out of range")
-    wv = _level_weights(gap, w, j)
+    wv = np.asarray(w, dtype=float)
     ginv = np.exp(-beta * (wv - wv.min()))
     db = reduced_boundary(gap, j)
     nb = db.shape[0]
@@ -48,7 +48,7 @@ def weighted_pseudoinverse_inclusion(gap, w, beta):
     and the complementary projection: (idagger, alpha0).  Weights
     (..., n) give a stack of each, from one solve."""
     _check_beta(beta)
-    wv = _level_weights(gap, w, 0)
+    wv = np.asarray(w, dtype=float)
     g = np.exp(beta * (wv - wv.max(axis=-1, keepdims=True)))
     bmat = gap.homology[0].bounds.to_float()
     n, nb = bmat.shape

@@ -30,7 +30,6 @@ from hypercurrent.ana_hyper import (
     jan_integrate,
     kirchhoff_pseudoinverse,
     quantization_sweep,
-    rho_and_drho,
     simplex_rule,
 )
 from hypercurrent.protocol import (
@@ -187,6 +186,19 @@ def test_rho_partition_of_unity_and_gradient_sum():
         assert np.allclose(rho.sum(axis=0), 1.0)
         assert np.allclose(drho.sum(axis=1), 0.0, atol=1e-14)
         assert np.all(rho > 0) and np.all(rho < 1)
+
+
+def rho_and_drho(proto, beta, tree, point):
+    """Value and differential (in the simplex's affine coordinates) of
+    one tree's Boltzmann weight at a point, through the library's
+    tree-major kernel."""
+    key, coords = tuple(point[0]), np.atleast_2d(np.asarray(point[1], dtype=float))
+    ctx = _context(proto.gap)
+    table = ctx.trees[tree.level]
+    pos = next(i for i, t in enumerate(table.trees) if t.cells == tree.cells)
+    geo, = _vertex_geometry(ctx, proto, [key], [tree.level])
+    rho = _rho_at_nodes(table, geo, beta, coords)
+    return float(rho[pos, 0, 0]), _drho(rho, geo[1], beta)[0, 0, pos, :].copy()
 
 
 def test_rho_frozen_value_at_facet_barycenter():
@@ -407,7 +419,7 @@ def _rho_drho_at_nodes(ctx, proto, key, beta, level, nodes):
 def dict_kirchhoff(gap, w, beta, j):
     ctx = tree_dicts(gap)
     level = j + gap.p
-    wv = ana_hyper._level_weights(gap, w, j)
+    wv = np.asarray(w, dtype=float)
     rho = _tree_distribution(ctx, level, wv, beta)
     return np.tensordot(rho, ctx.rinv[level], axes=1)
 
@@ -433,7 +445,7 @@ def dict_jan_form(proto, beta, key, coords, frame, ell, zeta):
     return single_orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, np.ones(1))
 
 
-def dict_jan_integrate(proto, beta, key, tol, max_depth, zeta):
+def dict_jan_integrate(proto, beta, key, tol, max_depth):
     gap = proto.gap
     ctx = tree_dicts(gap)
     jdim = proto.dim_of(key)
@@ -443,7 +455,7 @@ def dict_jan_integrate(proto, beta, key, tol, max_depth, zeta):
         rho_top, _ = _rho_drho_at_nodes(ctx, proto, key, beta, gap.p + jdim, nodes)
         drhos = [_rho_drho_at_nodes(ctx, proto, key, beta, gap.p + j, nodes)[1]
                  for j in range(jdim)]
-        est = single_orchard_sum(_context(gap), gap.p, zeta, rho_top, drhos, wts)
+        est = single_orchard_sum(_context(gap), gap.p, "standard", rho_top, drhos, wts)
         if prev is not None and np.max(np.abs(est - prev)) < tol:
             return est
         prev = est
@@ -526,7 +538,7 @@ def single_orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
     return value
 
 
-def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard"):
+def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8):
     """Stokes-map value on one simplex: the integral of the pulled-back
     degree-(dim) form, refined dyadically until stable within tol."""
     if beta <= 0:
@@ -543,7 +555,7 @@ def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8, zeta="standard
     prev = None
     for depth in range(max_depth + 1):
         nodes, wts = _node_batches(jdim, depth)
-        est = single_form(ctx, proto, key, beta, nodes, wts, jdim, zeta)
+        est = single_form(ctx, proto, key, beta, nodes, wts, jdim, "standard")
         if prev is not None and np.max(np.abs(est - prev)) < tol:
             return est
         prev = est
@@ -687,11 +699,10 @@ def test_jan_integrate_equals_dict_route(name):
     tol = 1e-4 if proto.gap.top == 3 else 1e-8
     for jdim in range(1, proto.gap.top + 1):
         keys = proto.simplices_of_dim(jdim)
-        for zeta in ("standard", "alternative"):
-            values = jan_integrate(proto, 5.0, keys, tol=tol, zeta=zeta)
-            for key, value in zip(keys, values):
-                oracle = dict_jan_integrate(proto, 5.0, key, tol, 8, zeta)
-                assert np.array_equal(value, oracle), (key, zeta)
+        values = jan_integrate(proto, 5.0, keys, tol=tol)
+        for key, value in zip(keys, values):
+            oracle = dict_jan_integrate(proto, 5.0, key, tol, 8)
+            assert np.array_equal(value, oracle), key
 
 
 def brute_force_orchard_sum(proto, beta, key, nodes, wts, along, zeta):
@@ -755,13 +766,12 @@ def test_jan_integrate_matches_brute_force_orchards(name):
         nodes, wts = _node_batches(jdim, 1)
         largest = 0.0
         keys = proto.simplices_of_dim(jdim)
-        for zeta in ("standard", "alternative"):
-            # an infinite tolerance stops at depth 1
-            values = jan_integrate(proto, 6.0, keys, tol=np.inf, max_depth=1, zeta=zeta)
-            for key, value in zip(keys, values):
-                oracle = brute_force_orchard_sum(proto, 6.0, key, nodes, wts, np.eye(jdim), zeta)
-                assert _close(value, oracle), (key, zeta)
-                largest = max(largest, float(np.max(np.abs(oracle))))
+        # an infinite tolerance stops at depth 1
+        values = jan_integrate(proto, 6.0, keys, tol=np.inf, max_depth=1)
+        for key, value in zip(keys, values):
+            oracle = brute_force_orchard_sum(proto, 6.0, key, nodes, wts, np.eye(jdim), "standard")
+            assert _close(value, oracle), key
+            largest = max(largest, float(np.max(np.abs(oracle))))
         assert largest > 1e-3
 
 
@@ -790,12 +800,11 @@ def test_stacked_integrate_equals_per_simplex_route(name):
     # back in input order across the dimension groups
     keys = integrable_cells(proto)[::-1]
     for beta in betas:
-        for zeta in ("standard", "alternative"):
-            values = jan_integrate(proto, beta, keys, tol=tol, zeta=zeta)
-            assert len(values) == len(keys)
-            for key, value in zip(keys, values):
-                oracle = single_jan_integrate(proto, beta, key, tol=tol, zeta=zeta)
-                assert np.array_equal(value, oracle), (key, beta, zeta)
+        values = jan_integrate(proto, beta, keys, tol=tol)
+        assert len(values) == len(keys)
+        for key, value in zip(keys, values):
+            oracle = single_jan_integrate(proto, beta, key, tol=tol)
+            assert np.array_equal(value, oracle), (key, beta)
 
 
 def _item_counts(monkeypatch):
@@ -817,16 +826,14 @@ def test_stacked_integrate_mixed_depths(monkeypatch):
     proto = cube_sphere_protocol(2)
     keys = list(proto.fundamental_cycle)
     calls = _item_counts(monkeypatch)
-    for zeta in ("standard", "alternative"):
-        calls.clear()
-        values = jan_integrate(proto, 12.5, keys, zeta=zeta)
-        for key, value in zip(keys, values):
-            assert np.array_equal(value, single_jan_integrate(proto, 12.5, key, zeta=zeta))
-        items = [sum(i for i, n in calls if n == nodes)
-                 for nodes in sorted({n for _, n in calls})]
-        assert items[0] == items[1] == len(keys) > items[2]
-        assert len(items) > 4 and items[-1] > 0
-        assert items == sorted(items, reverse=True)
+    values = jan_integrate(proto, 12.5, keys)
+    for key, value in zip(keys, values):
+        assert np.array_equal(value, single_jan_integrate(proto, 12.5, key))
+    items = [sum(i for i, n in calls if n == nodes)
+             for nodes in sorted({n for _, n in calls})]
+    assert items[0] == items[1] == len(keys) > items[2]
+    assert len(items) > 4 and items[-1] > 0
+    assert items == sorted(items, reverse=True)
 
 
 def test_stacked_integrate_raises_for_first_failure_in_input_order():
@@ -991,7 +998,6 @@ def test_quadrature_no_convergence():
 def test_nonfinite_beta_rejected():
     proto = square_protocol()
     edge = proto.simplices_of_dim(1)[0]
-    tree = _context(proto.gap).trees[0].trees[0]
     for beta in (math.inf, -math.inf, math.nan):
         with pytest.raises(NonfiniteBeta):
             jan_integrate(proto, beta, [edge])
@@ -999,8 +1005,6 @@ def test_nonfinite_beta_rejected():
             jan_form(proto, beta, edge, [0.5], [np.array([1.0])], 1)
         with pytest.raises(NonfiniteBeta):
             jan_cochain(proto, beta)
-        with pytest.raises(NonfiniteBeta):
-            rho_and_drho(proto, beta, tree, (edge, [0.5]))
     with pytest.raises(NonpositiveBeta):
         jan_cochain(proto, -1.0)
 
@@ -1012,9 +1016,6 @@ def test_nonpositive_beta_rejected():
         jan_integrate(proto, 0.0, [edge])
     with pytest.raises(NonpositiveBeta):
         kirchhoff_pseudoinverse(SPHERE1, [0.0, 0.0], -1.0, 1)
-    for beta in (0.0, -1.0):
-        with pytest.raises(NonpositiveBeta):
-            rho_and_drho(proto, beta, _context(proto.gap).trees[0].trees[0], (edge, [0.5]))
 
 
 def test_kirchhoff_degree_out_of_range():

@@ -99,6 +99,16 @@ def test_trees_greedy_weights_missing_a_cell_is_validation_error(triangle_file, 
     assert "no weight for cell 'ac' on level 1" in captured.err and captured.out == ""
 
 
+def test_trees_greedy_nonfinite_weight_is_validation_error(triangle_file, tmp_path, capsys):
+    # the report would print "total_weight": NaN, which is not JSON
+    wfile = tmp_path / "w.json"
+    wfile.write_text('{"ab": NaN, "bc": 2.0, "ac": 3.0}')
+    assert main(["trees", "greedy", triangle_file, "--p", "0", "--q", "1", "--level", "1",
+                 "--weights", str(wfile)]) == 2
+    captured = capsys.readouterr()
+    assert "of cell 'ab' on level 1 is not finite" in captured.err and captured.out == ""
+
+
 @pytest.mark.parametrize("level", ["-1", "2"])
 @pytest.mark.parametrize("action", ["enumerate", "greedy"])
 def test_trees_level_outside_the_gap_is_validation_error(action, level, triangle_file, tmp_path,
@@ -265,18 +275,18 @@ def test_broken_invariant_exits_1(monkeypatch, capsys):
 def test_paired_non_cycle_is_broken_invariant(monkeypatch, capsys):
     # the lift is a chain map, so the chain the pairing reads is a cycle;
     # one corrupted lift entry breaks that on valid input
-    original = topo_hyper.hypercurrent_cochain
+    original = topo_hyper.build_lift_cache
 
     def corrupted(proto):
-        cochain = original(proto)
-        op = cochain.operator(next(iter(proto.fundamental_cycle)))
-        blk = op.blocks[0]
+        cache = original(proto)
+        key = next(iter(proto.fundamental_cycle))
+        blk = cache.values[key][0]
         num = blk.num.copy()
         num[0, 0] += blk.den
-        op.blocks[0] = QMat(num, blk.den)
-        return cochain
+        cache.values[key] = (QMat(num, blk.den),) + cache.values[key][1:]
+        return cache
 
-    monkeypatch.setattr(topo_hyper, "hypercurrent_cochain", corrupted)
+    monkeypatch.setattr(topo_hyper, "build_lift_cache", corrupted)
     assert main(["topo", "current", "builtin:cube_sphere:2"]) == 1
     captured = capsys.readouterr()
     assert "internal error: InvariantBroken" in captured.err and "not a cycle" in captured.err

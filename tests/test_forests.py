@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -112,6 +113,13 @@ def test_greedy_not_injective():
 def test_greedy_names_a_cell_without_weight():
     with pytest.raises(ValueError, match="no weight for cell 'e1-' on level 1"):
         greedy_dtree(SPHERE1, 1, {"e1+": 1.0})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_greedy_names_a_cell_with_nonfinite_weight(bad):
+    # a NaN weight leaves the ascending order undefined
+    with pytest.raises(ValueError, match="of cell 'e1-' on level 1 is not finite"):
+        greedy_dtree(SPHERE1, 1, {"e1+": 1.0, "e1-": bad})
 
 
 @pytest.mark.parametrize("d", [-1, 2])

@@ -158,7 +158,7 @@ def build_lift_cache_oracle(proto) -> LiftCache:
         if cert.k[key] is None:
             raise NotGood(f"cell {key} is not small")
     trees = {key: tree_functor(proto, key) for key in cells}
-    cache = LiftCache(gap=gap, cert=cert, trees=trees, values={})
+    cache = LiftCache(gap=gap, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
             cache.values[key] = [[row[:] for row in m] for m in _tree_aux(gap, trees[key]).phi]

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex
 from hypercurrent.errors import (
     BadCoordinates,
     LevelMismatch,
+    NonfiniteBeta,
     NonpositiveBeta,
     NotClosedUnderFaces,
 )
@@ -133,6 +135,15 @@ def test_weights_at_bad_coords():
         weights_at(proto, edge, [0.7, 0.7])
     with pytest.raises(BadCoordinates):
         weights_at(proto, edge, [-0.5, 1.5])
+
+
+@pytest.mark.parametrize("coords", [[math.nan, math.nan], [math.inf, -math.inf], [math.nan, 1.0]])
+def test_weights_at_rejects_nonfinite_coords(coords):
+    # NaN compares false against every bound, so it used to pass both checks
+    proto = square_protocol()
+    edge = proto.simplices_of_dim(1)[0]
+    with pytest.raises(BadCoordinates, match="must be finite"):
+        weights_at(proto, edge, coords)
 
 
 def test_cube2_facet_barycenter_gap():
@@ -283,6 +294,14 @@ def test_scale_preserves_certificate():
     assert cert.k == cert2.k
     with pytest.raises(NonpositiveBeta):
         scale(proto, 0.0)
+
+
+@pytest.mark.parametrize("beta", [math.inf, -math.inf, math.nan])
+def test_scale_rejects_nonfinite_beta(beta):
+    # inf times a zero weight is NaN: the scaled protocol would have no
+    # small cell
+    with pytest.raises(NonfiniteBeta):
+        scale(square_protocol(), beta)
 
 
 def test_scale_identity():

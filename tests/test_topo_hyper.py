@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypercurrent import ratlin
+from hypercurrent import ratlin, topo_hyper
 from hypercurrent.complex_core import (
     collapsed_sphere_complex,
     gap_complex,
@@ -17,9 +17,9 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
     SimplicialProtocol,
     WeightPoint,
+    _closure,
     cube_protocol,
     cube_sphere_protocol,
-    restrict,
     scale,
     smallness,
     square_protocol,
@@ -33,9 +33,31 @@ from hypercurrent.topo_hyper import (
     cube_cellular_cochain,
     hypercurrent_cochain,
     hypercurrent_homology,
-    lift_vertex,
     tree_functor,
 )
+
+
+def lift_vertex(proto, vertex_key):
+    """Canonical chain map into the vertex tree's subcomplex: identity in
+    degree 0 for trees above the bottom level, projection along the
+    boundary space onto the co-tree span at the bottom; higher degrees
+    via the contracting homotopy."""
+    tree = tree_functor(proto, vertex_key)
+    return tree, _tree_aux(proto.gap, tree).phi
+
+
+def restrict(proto, keys):
+    """Face-closed sub-protocol generated by the given simplices."""
+    closed = _closure([tuple(k) for k in keys])
+    present = set(closed)
+    return SimplicialProtocol(
+        gap=proto.gap,
+        vertex_ids=proto.vertex_ids,
+        vertex_weights=proto.vertex_weights,
+        simplices=tuple(closed),
+        orientation={k: v for k, v in proto.orientation.items() if k in present},
+        fundamental_cycle={k: v for k, v in proto.fundamental_cycle.items() if k in present},
+    )
 
 
 def constant_protocol(gap, weight_point, nvertices=3):
@@ -112,6 +134,26 @@ def test_tree_functor_shared_over_the_gap():
         assert tree_functor(scaled, s) is tree_functor(proto, s)
 
 
+def test_lift_cache_one_tree_per_first_vertex_and_level(monkeypatch):
+    # the tree depends only on the cell's first vertex and its level, so
+    # build_lift_cache asks for it once per such pair, not once per cell
+    proto = cube_sphere_protocol(3)
+    cert = proto.certificate
+    calls = []
+    original = topo_hyper.tree_functor
+
+    def counted(proto, key):
+        calls.append(key)
+        return original(proto, key)
+
+    monkeypatch.setattr(topo_hyper, "tree_functor", counted)
+    cache = build_lift_cache(proto)
+    pairs = {(proto.vertices_of(key)[0], cert.k[key]) for key in proto.all_cells()}
+    assert len(calls) == len(pairs) < len(proto.all_cells())
+    for key in proto.all_cells():
+        assert cache.trees[key] is original(proto, key)
+
+
 # --- vertex lifts -------------------------------------------------------------
 
 
@@ -171,7 +213,7 @@ def test_lift_vertex_chain_identity():
 def test_constant_tree_edge_lifts_to_zero():
     proto = square_protocol()
     cache = build_lift_cache(proto)
-    cert = cache.cert
+    cert = proto.certificate
     for s in proto.simplices_of_dim(1):
         if cert.k[s] == 0:
             # both endpoints share the edge's co-tree, so the lift vanishes
@@ -183,7 +225,7 @@ def test_constant_tree_edge_lifts_to_zero():
 def test_square_top_edge_support():
     proto = square_protocol()
     cache = build_lift_cache(proto)
-    cert = cache.cert
+    cert = proto.certificate
     gen = [Fraction(1), Fraction(0)]  # e0+ generates degree-0 homology
     seen = set()
     for s in proto.simplices_of_dim(1):
@@ -285,7 +327,7 @@ def test_representative_independence():
     def pair(vec):
         out = [Fraction(0)] * gap.dim_at(gap.top)
         for key, coeff in proto.fundamental_cycle.items():
-            img = coch.operator(key).apply(gap, 0, vec)
+            img = coch.values[key].block(gap, 0) @ vec
             out = [a + coeff * b for a, b in zip(out, img)]
         return gap.homology[gap.top].class_of(out)
 
@@ -388,8 +430,8 @@ def test_addendum_cross_check_pairing_zero():
 def test_cellular_variant_agrees_on_homology():
     for q in (1, 2):
         gap = gap_complex(sphere_complex(q), 0, q)
-        dom, coch = cube_cellular_cochain(gap)
-        coords_cw, _ = hypercurrent_homology(dom, dom.fundamental_cycle(), [1], cochain=coch)
+        dom, _ = cube_cellular_cochain(gap)
+        coords_cw, _ = hypercurrent_homology(dom, dom.fundamental_cycle(), [1])
         proto = cube_sphere_protocol(q)
         coords_tri, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
         assert abs(coords_cw[0]) == abs(coords_tri[0]) == 1

@@ -283,3 +283,16 @@ def test_robust_count_with_rank_two_homology():
     assert sum(rep.essential for rep in report.cells) == 4
     assert all(len(rep.current_matrix) == 2 and len(rep.current_matrix[0]) == 2
                for rep in report.cells)
+
+
+def test_current_matrix_shape_without_degree_p_homology():
+    # H_1 = 0 and H_2 of rank one: rows are indexed by degree-q classes,
+    # so every cell's matrix is one row with no entries
+    x = loads_complex(json.dumps({
+        "name": "no_h1",
+        "cells": [["v"], ["a", "b"], ["f0", "f1", "f2"]],
+        "boundary": [[[0, 0]], [[1, 0, 1], [0, 1, 0]]],
+    }))
+    report = classify_top_cells(x, 1, 2)
+    assert report.summands == 5 and report.robust_summands == 0
+    assert report.cells and all(rep.current_matrix == ((),) for rep in report.cells)
