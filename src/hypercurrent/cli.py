@@ -8,6 +8,7 @@ exit with status 2, internal errors with 1.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -374,7 +375,10 @@ def cmd_demo(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(prog="hcl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

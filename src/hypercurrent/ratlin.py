@@ -2,20 +2,21 @@
 
 Every matrix is a ``QMat``: a numpy object array of Python ints over one
 positive common denominator, kept in lowest terms, with an explicit
-shape that empty matrices keep.  Products, sums, transposes and slices
-are numpy operations on the integers, and ``==`` compares structure.
-``to_rows`` gives rows of Fractions where a report is written and
-``to_float`` the float copy the analytical route reads.
+shape that empty matrices keep.  Products (``matmul``, which ``@``
+calls), sums, transposes and slices are numpy operations on the
+integers, and ``==`` compares structure.  ``to_rows`` gives rows of
+Fractions where a report is written and ``to_float`` the float copy the
+analytical route reads.
 
-The elimination functions (``rank``, ``nullspace``, ``pinv``,
-``solve_matrix``, ``pivot_left_inverse`` and the ones around them) take
-and return QMat.  ``pivot_left_inverse`` is the one left-inverse
-construction: a single elimination of ``[a | I]`` gives a's pivot
-columns and a left inverse on them, which is how each homology degree
-gets its class map.  Inside, the functions run on a row kernel of plain
-lists of ``fractions.Fraction``: ``rref``, whose echelon forms scan
-columns left to right in the given order, so downstream basis choices
-are reproducible, and ``matmul``.
+Elimination is ``rref``: fraction-free Gauss-Jordan on the integer
+numerators, scanning columns left to right in the given order, so
+downstream basis choices are reproducible.  The functions around it
+(``rank``, ``nullspace``, ``pinv``, ``solve_matrix``,
+``pivot_left_inverse`` and the others) read the reduced form's
+numerators and denominator directly.  ``pivot_left_inverse`` is the one
+left-inverse construction: a single elimination of ``[a | I]`` gives a's
+pivot columns and a left inverse on them, which is how each homology
+degree gets its class map.
 
 Smith normal form runs on Python ints.
 """
@@ -92,6 +93,10 @@ class QMat:
     def shape(self):
         return self.num.shape
 
+    def __len__(self):
+        """Row count, as for an ndarray."""
+        return self.num.shape[0]
+
     @property
     def T(self):
         return QMat._raw(self.num.T, self.den)
@@ -122,7 +127,7 @@ class QMat:
         """Product with a QMat, a float array, or a vector of rationals (a
         list of Fractions comes back)."""
         if isinstance(other, QMat):
-            return QMat(self.num @ other.num, self.den * other.den)
+            return matmul(self, other)
         if isinstance(other, np.ndarray):
             return self.to_float() @ other
         vec = list(other)
@@ -184,110 +189,99 @@ def hstack(*mats):
     return QMat(np.concatenate([m.num * (den // m.den) for m in mats], axis=1), den)
 
 
-# ---------------------------------------------------------------------------
-# Row kernel: lists of Fraction rows
-
-
-def _transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def matmul(a, b):
-    """Product of two nonempty Fraction row matrices."""
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch {len(a)}x{len(a[0])} @ {len(b)}x{len(b[0])}")
-    bt = _transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
-def rref(a):
-    """Row-reduced echelon form of Fraction rows; returns (R, pivot_columns)."""
-    r = [row[:] for row in a]
-    m = len(r)
-    n = len(r[0]) if m else 0
-    pivots = []
-    row = 0
-    for j in range(n):
-        if row >= m:
-            break
-        piv = None
-        for i in range(row, m):
-            if r[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        r[row], r[piv] = r[piv], r[row]
-        f = r[row][j]
-        r[row] = [x / f for x in r[row]]
-        for i in range(m):
-            if i != row and r[i][j] != 0:
-                g = r[i][j]
-                r[i] = [x - g * y for x, y in zip(r[i], r[row])]
-        pivots.append(j)
-        row += 1
-    return r, pivots
-
-
-def _inverse(a):
-    """Inverse of a square matrix of Fraction rows."""
-    n = len(a)
-    r, pivots = rref([row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in r]
+    """Product of two QMats; ``a @ b`` between QMats calls it."""
+    return QMat(a.num @ b.num, a.den * b.den)
 
 
 # ---------------------------------------------------------------------------
 # Elimination on QMat
 
 
+def rref(a):
+    """Reduced row echelon form; returns (R, pivot_columns), R a QMat of a's
+    shape.
+
+    Fraction-free Gauss-Jordan on the numerators (Bareiss, Math. Comp. 22
+    (1968)): the pivot of each column is the first nonzero entry at or
+    below the current row, every other row becomes (p * row - c * pivot
+    row) / d, an exact division by the previous pivot d, and every pivot
+    entry ends equal to the last pivot, so R is the integer matrix over it.
+    """
+    m, n = a.shape
+    rows = a.num.tolist()
+    pivots = []
+    d = 1
+    for j in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][j]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        top = rows[r]
+        p = top[j]
+        for i, row in enumerate(rows):
+            if i == r:
+                continue
+            c = row[j]
+            if c:
+                rows[i] = [(p * x - c * y) // d for x, y in zip(row, top)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row]
+        d = p
+        pivots.append(j)
+    num = np.array(rows, dtype=object).reshape(m, n)
+    return (QMat(num, d) if d > 0 else QMat(-num, -d)), pivots
+
+
 def rank(a):
-    return len(rref(a.to_rows())[1])
+    return len(rref(a)[1])
 
 
 def nullspace(a):
     """Canonical kernel basis, one column per free variable (n x k)."""
     n = a.shape[1]
-    r, pivots = rref(a.to_rows())
+    r, pivots = rref(a)
     free = [j for j in range(n) if j not in pivots]
-    basis = [[Fraction(0)] * len(free) for _ in range(n)]
-    for k, f in enumerate(free):
-        basis[f][k] = Fraction(1)
-        for i, p in enumerate(pivots):
-            basis[p][k] = -r[i][f]
-    return QMat.from_rows(basis, (n, len(free)))
+    num = np.zeros((n, len(free)), dtype=object)
+    num[free, range(len(free))] = r.den
+    num[pivots] = -r.num[: len(pivots)][:, free]
+    return QMat(num, r.den)
 
 
 def column_space_pivots(a):
     """Indices of a's pivot columns, in the given column order."""
-    return rref(a.to_rows())[1]
+    return rref(a)[1]
 
 
 def column_echelon_basis(a):
     """Canonical basis of the column space (reduced column echelon form)."""
-    r, pivots = rref(a.T.to_rows())
-    return QMat.from_rows(r[: len(pivots)], (len(pivots), a.shape[0])).T
+    r, pivots = rref(a.T)
+    return r[: len(pivots)].T
 
 
 def solve_matrix(a, b):
     """X with a X = b, columnwise (free variables zero); None if any column
     is inconsistent."""
     n, k = a.shape[1], b.shape[1]
-    r, pivots = rref([ra + rb for ra, rb in zip(a.to_rows(), b.to_rows())])
+    r, pivots = rref(hstack(a, b))
     if pivots and pivots[-1] >= n:
         return None
-    x = [[Fraction(0)] * k for _ in range(n)]
-    for i, p in enumerate(pivots):
-        x[p] = r[i][n:]
-    return QMat.from_rows(x, (n, k))
+    num = np.zeros((n, k), dtype=object)
+    num[pivots] = r.num[: len(pivots), n:]
+    return QMat(num, r.den)
 
 
 def inverse(a):
     m, n = a.shape
     if m != n:
         raise ValueError("inverse of non-square matrix")
-    return QMat.from_rows(_inverse(a.to_rows()), (n, n))
+    r, pivots = rref(hstack(a, QMat.identity(n)))
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return r[:, n:]
 
 
 def pinv(a):
@@ -297,16 +291,11 @@ def pinv(a):
     F the pivot rows of rref(a).
     """
     m, n = a.shape
-    rows = a.to_rows()
-    r, pivots = rref(rows)
+    r, pivots = rref(a)
     if not pivots:
         return QMat.zeros(n, m)
-    c = [[row[j] for j in pivots] for row in rows]
-    f = r[: len(pivots)]
-    ct, ft = _transpose(c), _transpose(f)
-    left = matmul(ft, _inverse(matmul(f, ft)))
-    right = matmul(_inverse(matmul(ct, c)), ct)
-    return QMat.from_rows(matmul(left, right), (n, m))
+    c, f = a[:, pivots], r[: len(pivots)]
+    return (f.T @ inverse(f @ f.T)) @ (inverse(c.T @ c) @ c.T)
 
 
 def projector_onto_columns(a):
@@ -323,11 +312,9 @@ def pivot_left_inverse(a):
     elimination makes them send each pivot column to its unit vector.
     """
     m, n = a.shape
-    r, pivots = rref([row + [Fraction(int(i == j)) for j in range(m)]
-                      for i, row in enumerate(a.to_rows())])
+    r, pivots = rref(hstack(a, QMat.identity(m)))
     pivots = [j for j in pivots if j < n]
-    k = len(pivots)
-    return pivots, QMat.from_rows([row[n:] for row in r[:k]], (k, m))
+    return pivots, r[: len(pivots), n:]
 
 
 def left_inverse(a):

@@ -17,6 +17,7 @@ TEST_ONLY_FEATURES = {
     "robust_counts",
     "boltzmann",
     "current_form",
+    "scale",
 }
 
 
@@ -26,17 +27,57 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module.__name__}.__all__ names missing {name!r}"
 
 
+def _bound_in(func):
+    """Parameters and assignment targets of one function, not counting the
+    functions nested in it."""
+    args = func.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    todo = list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def _reads(tree):
+    """Every attribute read, and every name read where no enclosing function
+    binds it as a parameter or assignment target: a local that happens to
+    share a public name is not a use of it."""
+    used = set()
+
+    def visit(node, local):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _bound_in(node)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id not in local:
+                used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, local)
+
+    visit(tree, frozenset())
+    return used
+
+
 def test_every_exported_name_has_a_caller_in_the_package():
-    # a use is a name or attribute read anywhere in the package source;
     # definitions, imports and the __all__ strings themselves do not count
     used = set()
     for path in pathlib.Path(hypercurrent.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+        used |= _reads(ast.parse(path.read_text(encoding="utf-8")))
     unused = sorted({f"{module.__name__}.{name}" for module in MODULES
                      for name in getattr(module, "__all__", ())
                      if name not in used and name not in TEST_ONLY_FEATURES})
     assert not unused, f"exported but never used in the package: {unused}"
+
+
+def test_a_shadowing_local_is_not_a_use():
+    tree = ast.parse("def f(scale):\n    return scale\n"
+                     "def g():\n    rank = 1\n    return rank + gap\n"
+                     "def h():\n    return other.rank(nullspace)\n")
+    assert _reads(tree) == {"gap", "other", "rank", "nullspace"}

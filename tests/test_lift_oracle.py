@@ -1,6 +1,7 @@
 """The lift on Fraction lists, as it stood before the QMat operators,
 kept as the oracle for the QMat lift path.  The library's matrices
-(boundaries, contractions, right inverses) enter it as Fraction rows."""
+(boundaries, contractions, right inverses) enter it as Fraction rows, and
+products run on the Fraction row kernel of ``row_kernel``."""
 
 import json
 import random
@@ -8,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurrent import ratlin
 from hypercurrent.complex_core import (
     GapComplex,
     contraction,
@@ -32,6 +32,8 @@ from hypercurrent.protocol import (
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import LiftCache, _tree_masks, build_lift_cache, tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+
+import row_kernel
 
 
 def _zeros(m, n):
@@ -61,7 +63,7 @@ def _mm(a, b, rows, colns):
         return _zeros(rows, colns)
     if not a or not a[0] or not b or not b[0]:
         return _zeros(rows, colns)
-    return ratlin.matmul(a, b)
+    return row_kernel.matmul(a, b)
 
 
 def _d(gap, j):

@@ -11,6 +11,8 @@ from hypercurrent import ratlin
 from hypercurrent.complex_core import gap_complex, sphere_complex
 from hypercurrent.ratlin import QMat
 
+import row_kernel
+
 
 def rand_mat(rng, m, n, lo=-4, hi=4):
     return QMat.from_rows([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)], (m, n))
@@ -18,8 +20,10 @@ def rand_mat(rng, m, n, lo=-4, hi=4):
 
 def test_rref_identity():
     a = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
-    r, piv = ratlin.rref(a)
+    r, piv = row_kernel.rref(a)
     assert r == a and piv == [0, 1, 2]
+    r, piv = ratlin.rref(QMat.identity(3))
+    assert r == QMat.identity(3) and piv == [0, 1, 2]
 
 
 def test_rank_and_nullspace_consistency():
@@ -178,11 +182,11 @@ def list_zeros(m, n):
 
 
 def list_product(a, b, shape):
-    """ratlin.matmul, with empty factors giving a zero of the right shape."""
+    """The oracle's matmul, with empty factors giving a zero of the right shape."""
     m, n = shape
     if 0 in (m, n) or not a or not a[0]:
         return list_zeros(m, n)
-    return ratlin.matmul(a, b)
+    return row_kernel.matmul(a, b)
 
 
 def list_combine(a, b, sign):
@@ -225,6 +229,29 @@ def test_qmat_product_matches_lists(m, k, n, data):
     assert prod.shape == (m, n)
     assert prod.to_rows() == list_product(a, b, (m, n))
     assert canonical(prod)
+
+
+@st.composite
+def elimination_inputs(draw):
+    """Rational matrices up to 5 x 6, empty ones, and products that drop rank."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    if not draw(st.booleans()):
+        return draw(qmat_rows(m, n))
+    k = draw(st.integers(1, 3))
+    left, _ = draw(qmat_rows(m, k))
+    right, _ = draw(qmat_rows(k, n))
+    return list_product(left, right, (m, n)), (m, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(elimination_inputs(), qmat_rows(m=0), qmat_rows(n=0)))
+def test_rref_matches_fraction_oracle(ab):
+    rows, shape = ab
+    r, pivots = ratlin.rref(QMat.from_rows(rows, shape))
+    expected, expected_pivots = row_kernel.rref(rows)
+    assert r.shape == shape and canonical(r)
+    assert pivots == expected_pivots
+    assert r.to_rows() == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,6 +299,15 @@ def test_qmat_empty_shapes(m, k, n):
     assert a.T.shape == (k, m)
     assert QMat.from_rows(a.to_rows(), (m, k)) == a
     assert a @ ([Fraction(0)] * k) == [Fraction(0)] * m
+
+
+@pytest.mark.parametrize("shape, entries", [((2, 5), 10), ((4, 11), 44), ((0, 0), 0),
+                                            ((0, 3), 0), ((3, 0), 0)])
+def test_qmat_length_is_row_count(shape, entries):
+    a = QMat.zeros(*shape)
+    assert len(a) == a.shape[0]
+    # how a caller that knows only row lists sizes a matrix
+    assert (len(a) * len(a[0]) if a and a[0] else 0) == entries
 
 
 def test_qmat_shape_mismatch_raises():
