@@ -53,14 +53,12 @@ import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, NotACycle, QuadratureNoConvergence
+from .errors import BadFrame, QuadratureNoConvergence
 from .forests import enumerate_dtrees
-from .protocol import _check_beta
-from .topo_hyper import HyperCochain, cochain_chain_map_defect, cycle_boundary_defect, \
-    hypercurrent_homology
+from .protocol import _check_beta, _perm_sign
+from .topo_hyper import HyperCochain, cochain_chain_map_defect, hypercurrent_homology
 
 __all__ = [
-    "FormEvaluation",
     "kirchhoff_pseudoinverse",
     "jan_form",
     "jan_integrate",
@@ -74,15 +72,6 @@ __all__ = [
     "simplex_rule",
     "edgewise_pieces",
 ]
-
-
-@dataclass(frozen=True)
-class FormEvaluation:
-    simplex: tuple
-    coords: tuple
-    frame: tuple
-    degree: int
-    value: np.ndarray
 
 
 # --- cached float context per gap complex -----------------------------------
@@ -103,11 +92,10 @@ class _Context:
     def __init__(self, gap: GapComplex):
         top = gap.top
         self.d = [None] + [gap.d(j).to_float() for j in range(1, top + 1)]
-        bounds = [h.bounds for h in gap.homology]
-        self.bounds = [b.to_float() for b in bounds]
-        self.nb = [b.shape[1] for b in bounds]
-        self.zeta_std = [ratlin.pinv(b).to_float() for b in bounds]
-        self.zeta_alt = [ratlin.left_inverse(b).to_float() for b in bounds]
+        self.exact_bounds = [h.bounds for h in gap.homology]
+        self.bounds = [b.to_float() for b in self.exact_bounds]
+        self.nb = [b.shape[1] for b in self.exact_bounds]
+        self.zeta_std = [ratlin.pinv(b).to_float() for b in self.exact_bounds]
         self.cycles = [h.cycles.to_float() for h in gap.homology]
         self.trees = {}
         for d_level in range(gap.p, gap.q + 1):
@@ -119,12 +107,7 @@ class _Context:
                 log_tau2=np.array([2.0 * math.log(t.torsion) for t in trees]),
                 rinv=np.stack([t.right_inverse.to_float() for t in trees]),
             )
-        # the orchard sum's operators below its top level, per zeta choice:
-        # R_0 (minus the co-tree projection), then Z_j R_T
-        rinv = [self.trees[gap.p + j].rinv for j in range(top)]
-        self.factors_std, self.factors_alt = (
-            rinv[:1] + [zetas[j] @ rinv[j] for j in range(1, top)]
-            for zetas in (self.zeta_std, self.zeta_alt))
+        self.factors_std = self._factors(self.zeta_std)
         # class extraction, float copies of the exact class maps: the top
         # degree for sweeps, degree 0 for axiom A3
         self.top_class = gap.homology[top].class_map.to_float()
@@ -132,6 +115,21 @@ class _Context:
         self.hq_project = None if gap.hq_project is None else gap.hq_project.to_float()
         self.h0_basis = gap.homology[0].hbasis.to_float()
         self.h0_class = gap.homology[0].class_map.to_float()
+
+    def _factors(self, zetas):
+        # the orchard sum's operators below its top level for one zeta
+        # choice: R_0 (minus the co-tree projection), then Z_j R_T
+        rinv = [table.rinv for table in self.trees.values()][:-1]
+        return rinv[:1] + [zetas[j] @ rinv[j] for j in range(1, len(rinv))]
+
+    # the alternative bounds left inverse is read only by the axiom check
+    @functools.cached_property
+    def zeta_alt(self):
+        return [ratlin.left_inverse(b).to_float() for b in self.exact_bounds]
+
+    @functools.cached_property
+    def factors_alt(self):
+        return self._factors(self.zeta_alt)
 
 
 def _context(gap: GapComplex) -> _Context:
@@ -306,7 +304,8 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
     of M simplices of one dimension, gives values with a leading axis M:
     tree weights are affine on a simplex, so each point is its simplex's
     vertex geometry moved there, and the stack is one form evaluation at
-    one node."""
+    one node.  Returns the value, (rows, cols) for one point and
+    (M, rows, cols) for a stack."""
     _check_beta(beta)
     gap = proto.gap
     ctx = _context(gap)
@@ -329,10 +328,7 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
                 _vertex_geometry(ctx, proto, keys, range(gap.p, gap.p + ell + 1))]
         value = _form(ctx, gap.p, beta, geos, np.zeros((1, jdim)), np.ones(1), zeta,
                       along=np.array(frame).T)
-    frame = tuple(map(tuple, frame))
-    if coords.ndim == 1:
-        return FormEvaluation(keys[0], tuple(coords), frame, ell, value[0])
-    return FormEvaluation(tuple(keys), tuple(map(tuple, coords)), frame, ell, value)
+    return value[0] if coords.ndim == 1 else value
 
 
 def _tree_sum(coeffs, ops):
@@ -381,8 +377,7 @@ def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
 @functools.lru_cache(maxsize=8)
 def _signed_permutations(ell):
     """The permutations of range(ell), each with its sign."""
-    return tuple((perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
-                 for perm in itertools.permutations(range(ell)))
+    return tuple((perm, _perm_sign(perm)) for perm in itertools.permutations(range(ell)))
 
 
 # --- quadrature -----------------------------------------------------------------
@@ -512,9 +507,12 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
 def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     """Stokes-map values on a list of simplices, in their order: the
     integral of each one's pulled-back degree-(dim) form, refined
-    dyadically until two depths agree within tol.  Simplices of one
-    dimension are integrated together (see _integrate_stack)."""
+    dyadically until two depths agree within tol, which must be finite
+    and positive.  Simplices of one dimension are integrated together
+    (see _integrate_stack)."""
     _check_beta(beta)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     gap = proto.gap
     ctx = _context(gap)
     keys = [tuple(key) for key in keys]
@@ -611,7 +609,7 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
         values = {}
         for ell in degrees:
             for axes in itertools.combinations(range(jdim), ell):
-                values[axes] = jan_form(proto, beta, keys, x, eye[list(axes)], ell).value
+                values[axes] = jan_form(proto, beta, keys, x, eye[list(axes)], ell)
                 lhs = ctx.d[ell] @ values[axes]
                 rhs = np.zeros_like(lhs)
                 for m, drop in enumerate(axes):
@@ -619,7 +617,7 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
                     up[:, drop] += fd_step
                     dn[:, drop] -= fd_step
                     both = jan_form(proto, beta, keys * 2, np.concatenate([up, dn]),
-                                    eye[[a for a in axes if a != drop]], ell - 1).value
+                                    eye[[a for a in axes if a != drop]], ell - 1)
                     rhs = rhs + (-1) ** m * ((both[:len(x)] - both[len(x):]) / (2 * fd_step))
                 check("A1", "continuity", ell, np.max(np.abs(lhs - rhs), axis=(1, 2)))
         # A2: values are orthogonal to cycles (bounds in degree 0) in the
@@ -649,7 +647,7 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
                 np.abs(cls[:, ctx.nb[0]:, :] - np.eye(ctx.h0_basis.shape[1])), axis=(1, 2)))
         # independence of the bounds left-inverse choice
         for ell in degrees:
-            alt = jan_form(proto, beta, keys, x, eye[:ell], ell, zeta="alternative").value
+            alt = jan_form(proto, beta, keys, x, eye[:ell], ell, zeta="alternative")
             resids["zeta_independence"].append(
                 np.max(np.abs(values[tuple(range(ell))] - alt), axis=(1, 2)))
     return AxiomReport(
@@ -674,7 +672,6 @@ class SweepReport:
     topological: tuple
     rows: list
     slope: float
-    fit_range: tuple
 
 
 def _analytic_class(ctx, blocks, cycle, rep):
@@ -693,14 +690,13 @@ def _analytic_class(ctx, blocks, cycle, rep):
 def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
                        fit_range=None, workers=None, residuals=False):
     """Analytical class per beta against the exact value, with a
-    log-linear decay fit over the requested beta range.  With residuals,
-    each beta integrates the whole analytical cochain once: its blocks
-    give the class and its chain-map defect the row's residual."""
+    log-linear decay fit over the requested beta range (slope NaN unless
+    the range holds two distinct betas).  With residuals, each beta
+    integrates the whole analytical cochain once: its blocks give the
+    class and its chain-map defect the row's residual."""
     if len(betas) == 0:
         raise ValueError("quantization sweep needs at least one beta: the beta list is empty")
     gap = proto.gap
-    if cycle_boundary_defect(proto, cycle):
-        raise NotACycle("parameter chain has nonzero boundary")
     topo_coords, _ = hypercurrent_homology(proto, cycle, class_p)
     topo = np.array([float(c) for c in topo_coords])
     hp = gap.parent_hp
@@ -734,7 +730,7 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
     xs = [r.beta for r in rows if lo <= r.beta <= hi and r.distance > 0]
     ys = [math.log(r.distance) for r in rows if lo <= r.beta <= hi and r.distance > 0]
     slope = float("nan")
-    if len(xs) >= 2:
+    if len(set(xs)) >= 2:
         xbar = sum(xs) / len(xs)
         ybar = sum(ys) / len(ys)
         den = sum((x - xbar) ** 2 for x in xs)
@@ -743,5 +739,4 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
         topological=tuple(float(c) for c in topo),
         rows=rows,
         slope=slope,
-        fit_range=(lo, hi),
     )

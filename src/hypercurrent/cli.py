@@ -42,8 +42,8 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
-        if self.tol is not None and not self.tol > 0:
-            raise HclError("tolerances must be positive")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
+            raise HclError(f"tolerances must be finite and positive, got {self.tol}")
         if self.quad_depth is not None and self.quad_depth < 0:
             raise HclError(f"quadrature depth must be non-negative, got {self.quad_depth}")
         if self.betas:

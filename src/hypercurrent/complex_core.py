@@ -393,7 +393,8 @@ def contraction(dims, boundaries):
         if z != b:
             raise NotPositivelyAcyclic(f"H_{j} has dimension {z - b}")
     hs = [ratlin.pinv(boundaries[j + 1]) for j in range(top)] + [QMat.zeros(0, dims[top])]
+    # d1 h0 = d1 pinv(d1) is the orthogonal projector onto the degree-0 boundaries
     pi0 = QMat.identity(dims[0])
     if top >= 1:
-        pi0 = pi0 - ratlin.projector_onto_columns(boundaries[1])
+        pi0 = pi0 - boundaries[1] @ hs[0]
     return Contraction(h=tuple(hs), pi0=pi0)

@@ -169,18 +169,18 @@ def greedy_dtree(gap: GapComplex, d, weights):
 def torsion_of(gap: GapComplex, d, cells):
     """Integer torsion order of the tree's homology one degree down
     (trees) or of the bottom chains modulo boundaries and co-tree cells
-    (co-trees)."""
+    (co-trees).
+
+    Both are the torsion of one cokernel.  For a tree it is that of the
+    tree's boundary columns in the (d-1)-chains: the chains modulo cycles
+    embed in the free (d-2)-chains, so the cycle lattice is a direct
+    summand and adds no torsion of its own."""
     if not is_dtree(gap, d, cells):
         raise NotATree(f"{cells} is not a degree-{d} tree")
     x = gap.parent
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
     if d > gap.p:
-        coeffs = ratlin.solve_matrix(ratlin.integer_kernel_basis(x.d(d - 1)), x.d(d)[:, idx])
-        if coeffs is None:
-            raise NotATree("tree boundary does not land in the cycle lattice")
-        if coeffs.den != 1:
-            raise NotATree("non-integral coefficients in the cycle lattice")
-        return ratlin.torsion_order(coeffs)
+        return ratlin.torsion_order(x.d(d)[:, idx])
     # co-tree: finite part of the degree-p chain lattice modulo integral
     # boundaries and the span of the co-tree cells
     indicators = QMat.identity(x.n_cells(d))[:, idx]

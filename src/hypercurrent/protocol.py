@@ -397,6 +397,12 @@ def scale(proto: SimplicialProtocol, beta):
 # --- cube protocols ----------------------------------------------------------
 
 
+def _perm_sign(perm):
+    """Sign of the permutation that sorts a sequence of distinct items:
+    -1 to the number of inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
 def _freudenthal_facet(axis, side, naxes):
     """Ordered-simplex triangulation of the cube facet {x_axis = side}.
 
@@ -408,14 +414,13 @@ def _freudenthal_facet(axis, side, naxes):
     """
     free = [a for a in range(naxes) if a != axis]
     for perm in itertools.permutations(free):
-        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
         corner = [-1] * naxes
         corner[axis] = side
         chain = [tuple(corner)]
         for a in perm:
             corner[a] = 1
             chain.append(tuple(corner))
-        yield side * (-1) ** (axis + inversions), tuple(chain)
+        yield side * (-1) ** axis * _perm_sign(perm), tuple(chain)
 
 
 def _corner_weight(gap, corner, signs):
@@ -500,20 +505,7 @@ def _ordered_to_sorted(chain):
     out = {}
     for coeff, ordered in chain:
         srt = tuple(sorted(ordered))
-        perm = [ordered.index(v) for v in srt]
-        sign = 1
-        seen = [False] * len(perm)
-        for i in range(len(perm)):
-            if seen[i]:
-                continue
-            j, ln = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                ln += 1
-            if ln % 2 == 0:
-                sign = -sign
-        out[srt] = out.get(srt, 0) + coeff * sign
+        out[srt] = out.get(srt, 0) + coeff * _perm_sign(ordered)
     return {k: v for k, v in out.items() if v}
 
 

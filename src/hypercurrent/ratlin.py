@@ -16,9 +16,13 @@ downstream basis choices are reproducible.  The functions around it
 numerators and denominator directly.  ``pivot_left_inverse`` is the one
 left-inverse construction: a single elimination of ``[a | I]`` gives a's
 pivot columns and a left inverse on them, which is how each homology
-degree gets its class map.
+degree gets its class map.  ``pinv`` is the one orthogonal-projector
+route: ``a @ pinv(a)`` projects onto a's columns.
 
-Smith normal form runs on Python ints.
+Smith normal form runs on Python ints.  ``torsion_order`` reads one
+Smith form, of the matrix whose cokernel it measures; the kernel lattice
+of ``integer_kernel_basis`` is there for callers that need the lattice
+itself.
 """
 
 import math
@@ -251,11 +255,6 @@ def nullspace(a):
     return QMat(num, r.den)
 
 
-def column_space_pivots(a):
-    """Indices of a's pivot columns, in the given column order."""
-    return rref(a)[1]
-
-
 def column_echelon_basis(a):
     """Canonical basis of the column space (reduced column echelon form)."""
     r, pivots = rref(a.T)
@@ -296,12 +295,6 @@ def pinv(a):
         return QMat.zeros(n, m)
     c, f = a[:, pivots], r[: len(pivots)]
     return (f.T @ inverse(f @ f.T)) @ (inverse(c.T @ c) @ c.T)
-
-
-def projector_onto_columns(a):
-    """Orthogonal projection onto the column space (standard inner product)."""
-    basis = a[:, column_space_pivots(a)]
-    return basis @ inverse(basis.T @ basis) @ basis.T
 
 
 def pivot_left_inverse(a):

@@ -227,4 +227,4 @@ def test_criterion_10_dynamics():
             graph_current = current_form(square, point, np.array([1.0]), beta=1.0)
             ev = jan_form(square, 1.0, edge, [0.3], [np.array([1.0])], 1)
             delta = np.array([1.0, 0.0])
-            assert float(np.max(np.abs(graph_current - ev.value @ delta))) <= 1e-8
+            assert float(np.max(np.abs(graph_current - ev @ delta))) <= 1e-8

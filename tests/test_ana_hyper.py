@@ -262,7 +262,7 @@ def test_jan_form_constant_protocol_zero():
     wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
     proto = constant_protocol(gap, wp)
     ev = jan_form(proto, 2.0, (0, 1), [0.3], [np.array([1.0])], 1)
-    assert np.allclose(ev.value, 0.0)
+    assert np.allclose(ev, 0.0)
 
 
 def test_jan_form_repeated_frame_vector_zero():
@@ -270,7 +270,7 @@ def test_jan_form_repeated_frame_vector_zero():
     tri = proto.simplices_of_dim(2)[0]
     v = np.array([0.6, 0.1])
     ev = jan_form(proto, 3.0, tri, [0.25, 0.25], [v, v], 2)
-    assert np.allclose(ev.value, 0.0, atol=1e-14)
+    assert np.allclose(ev, 0.0, atol=1e-14)
 
 
 def test_jan_form_antisymmetry_and_multilinearity():
@@ -278,10 +278,10 @@ def test_jan_form_antisymmetry_and_multilinearity():
     tri = proto.simplices_of_dim(2)[0]
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 1.0])
-    e1 = jan_form(proto, 3.0, tri, [0.25, 0.25], [a, b], 2).value
-    e2 = jan_form(proto, 3.0, tri, [0.25, 0.25], [b, a], 2).value
+    e1 = jan_form(proto, 3.0, tri, [0.25, 0.25], [a, b], 2)
+    e2 = jan_form(proto, 3.0, tri, [0.25, 0.25], [b, a], 2)
     assert np.allclose(e1, -e2, atol=1e-14)
-    e3 = jan_form(proto, 3.0, tri, [0.25, 0.25], [2.5 * a, b], 2).value
+    e3 = jan_form(proto, 3.0, tri, [0.25, 0.25], [2.5 * a, b], 2)
     assert np.allclose(e3, 2.5 * e1, atol=1e-13)
 
 
@@ -302,12 +302,11 @@ def test_jan_form_level1_fd_oracle():
     edge = proto.simplices_of_dim(1)[0]
     beta = 2.0
     t = np.array([0.4])
-    val = jan_form(proto, beta, edge, t, [np.array([1.0])], 1).value
+    val = jan_form(proto, beta, edge, t, [np.array([1.0])], 1)
     h = 1e-6
 
     def alpha(tv):
-        ev = jan_form(proto, beta, edge, [tv], [], 0)
-        return ev.value
+        return jan_form(proto, beta, edge, [tv], [], 0)
 
     dalpha = (alpha(0.4 + h) - alpha(0.4 - h)) / (2 * h)
     ctx = _context(gap)
@@ -688,7 +687,7 @@ def test_jan_form_equals_dict_route(name):
                 coords = rng.random(jdim) / (jdim + 1)
                 frame = [rng.normal(size=jdim) for _ in range(ell)]
                 for zeta in ("standard", "alternative"):
-                    value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta).value
+                    value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta)
                     oracle = dict_jan_form(proto, 4.0, key, coords, frame, ell, zeta)
                     assert np.array_equal(value, oracle), (key, ell, zeta)
 
@@ -751,7 +750,7 @@ def test_jan_form_matches_brute_force_orchards(name):
                 coords = rng.random(jdim) / (jdim + 1)
                 frame = [rng.normal(size=jdim) for _ in range(ell)]
                 for zeta in ("standard", "alternative"):
-                    value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta).value
+                    value = jan_form(proto, 4.0, key, coords, frame, ell, zeta=zeta)
                     oracle = brute_force_orchard_sum(proto, 4.0, key, coords[None, :], np.ones(1),
                                                      np.array(frame).T, zeta)
                     assert _close(value, oracle), (key, ell, zeta)
@@ -766,8 +765,8 @@ def test_jan_integrate_matches_brute_force_orchards(name):
         nodes, wts = _node_batches(jdim, 1)
         largest = 0.0
         keys = proto.simplices_of_dim(jdim)
-        # an infinite tolerance stops at depth 1
-        values = jan_integrate(proto, 6.0, keys, tol=np.inf, max_depth=1)
+        # a tolerance no two finite depths miss stops at depth 1
+        values = jan_integrate(proto, 6.0, keys, tol=1e300, max_depth=1)
         for key, value in zip(keys, values):
             oracle = brute_force_orchard_sum(proto, 6.0, key, nodes, wts, np.eye(jdim), "standard")
             assert _close(value, oracle), key
@@ -1030,6 +1029,45 @@ def test_quantization_sweep_empty_betas():
         quantization_sweep(proto, [], proto.fundamental_cycle, [1])
 
 
+def test_quantization_sweep_repeated_betas_has_no_slope():
+    proto = square_protocol()
+    rep = quantization_sweep(proto, [5.0, 5.0], proto.fundamental_cycle, [1])
+    assert len(rep.rows) == 2 and rep.rows[0] == rep.rows[1]
+    assert math.isnan(rep.slope)
+    # one distinct beta inside the fit range, others outside it
+    rep = quantization_sweep(proto, [5.0, 5.0, 10.0], proto.fundamental_cycle, [1],
+                             fit_range=(4.0, 6.0))
+    assert len(rep.rows) == 3 and math.isnan(rep.slope)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-8])
+def test_tolerance_must_be_finite_and_positive(tol):
+    proto = square_protocol()
+    edge = proto.simplices_of_dim(1)[0]
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        jan_integrate(proto, 30.0, [edge], tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        jan_cochain(proto, 30.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        quantization_sweep(proto, [30.0], proto.fundamental_cycle, [1], tol=tol)
+
+
+def test_alternative_zeta_is_built_for_the_axiom_check_only(monkeypatch):
+    calls = []
+    real = ratlin.left_inverse
+    monkeypatch.setattr(ratlin, "left_inverse", lambda a: calls.append(a) or real(a))
+    proto = cube_sphere_protocol(2)     # a fresh gap, with an empty memo
+    jan_integrate(proto, 5.0, proto.simplices_of_dim(2)[:3], tol=1e-6)
+    quantization_sweep(proto, [5.0], proto.fundamental_cycle, [1], tol=1e-6)
+    assert calls == []
+    samples = interior_samples(proto, 3, np.random.default_rng(0))
+    rep = axioms_check(proto, 5.0, samples)
+    built = len(calls)
+    assert built == proto.gap.top + 1
+    assert axioms_check(proto, 5.0, samples) == rep
+    assert len(calls) == built
+
+
 # --- cochain residuals ---------------------------------------------------------------
 
 
@@ -1110,14 +1148,14 @@ def pointwise_axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
         for ell in range(1, min(jdim, gap.top) + 1):
             for axes in itertools.combinations(range(jdim), ell):
                 frame = [frame_basis[a] for a in axes]
-                val = jan_form(proto, beta, key, coords, frame, ell).value
+                val = jan_form(proto, beta, key, coords, frame, ell)
                 lhs = ctx.d[ell] @ val
                 rhs = np.zeros_like(lhs)
                 for m, drop in enumerate(axes):
                     sub = [frame_basis[a] for a in axes if a != drop]
 
                     def f(pt, sub=sub, ell=ell):
-                        return jan_form(proto, beta, key, pt, sub, ell - 1).value
+                        return jan_form(proto, beta, key, pt, sub, ell - 1)
 
                     rhs = rhs + (-1) ** m * fd_partial(f, coords, drop, fd_step)
                 resid = float(np.max(np.abs(lhs - rhs)))
@@ -1142,7 +1180,7 @@ def pointwise_axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
             wl = point_weights(proto, key, gap.p + ell, coords)
             gl = np.exp(beta * (wl - wl.max()))
             frame = [frame_basis[a] for a in range(ell)]
-            val = jan_form(proto, beta, key, coords, frame, ell).value
+            val = jan_form(proto, beta, key, coords, frame, ell)
             pair = zmat.T @ (gl[:, None] * val)
             scale = max(np.max(np.abs(val)), 1e-30) * gl.max()
             resid = float(np.max(np.abs(pair))) / scale
@@ -1157,8 +1195,8 @@ def pointwise_axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
                 report.violations.append(("A3", key, coords, 0, resid))
         for ell in range(1, min(jdim, gap.top) + 1):
             frame = [frame_basis[a] for a in range(ell)]
-            v1 = jan_form(proto, beta, key, coords, frame, ell, zeta="standard").value
-            v2 = jan_form(proto, beta, key, coords, frame, ell, zeta="alternative").value
+            v1 = jan_form(proto, beta, key, coords, frame, ell, zeta="standard")
+            v2 = jan_form(proto, beta, key, coords, frame, ell, zeta="alternative")
             resid = float(np.max(np.abs(v1 - v2)))
             report.zeta_independence = max(report.zeta_independence, resid)
     return report
@@ -1240,11 +1278,11 @@ def test_stacked_jan_form_equals_one_point_calls(name, seed, count, beta):
             for zeta in ("standard", "alternative"):
                 # mixed keys, and one key for every point
                 for stack in (keys, keys[0]):
-                    value = jan_form(proto, beta, stack, coords, frame, ell, zeta=zeta).value
+                    value = jan_form(proto, beta, stack, coords, frame, ell, zeta=zeta)
                     assert value.shape[0] == count
                     for i, pt in enumerate(coords):
                         one = jan_form(proto, beta, keys[i] if stack is keys else stack, pt,
-                                       frame, ell, zeta=zeta).value
+                                       frame, ell, zeta=zeta)
                         assert np.array_equal(value[i], one), (jdim, ell, zeta, i)
 
 
@@ -1466,7 +1504,7 @@ def test_triangle_forms_and_axioms_at_large_beta(beta):
 
     proto = triangle_protocol()
     coords = np.array([[0.0], [0.3], [1.0]])
-    alpha0 = jan_form(proto, beta, (0, 1), coords, [], 0).value
+    alpha0 = jan_form(proto, beta, (0, 1), coords, [], 0)
     assert alpha0.shape == (3, 3, 3) and np.all(np.isfinite(alpha0))
     report = axioms_check(proto, beta, [((0, 1), (0.3,)), ((0, 1), (0.7,))])
     assert report.max_residual <= 1e-5 and not report.violations

@@ -344,6 +344,27 @@ def test_nonfinite_beta_is_validation_error(argv, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["quantize", "builtin:square", "--betas", "30"],
+    ["ana", "integrate", "builtin:square", "--beta", "30"],
+    ["ana", "axioms", "builtin:square", "--beta", "30"],
+    ["demo", "--q", "1", "--betas", "30"],
+])
+def test_infinite_tolerance_is_validation_error(command, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(command + ["--tol", "inf", "--out", str(out)]) == 2
+    assert "tolerances must be finite and positive, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["quantize", "builtin:square"], ["demo", "--q", "1"]])
+def test_repeated_betas_give_one_row_each(command, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(command + ["--betas", "5,5", "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == 2 and rows[0] == rows[1]
+
+
 @pytest.mark.parametrize("command", [["quantize", "builtin:square", "--betas", "5"],
                                      ["ana", "integrate", "builtin:square", "--beta", "5"]])
 def test_negative_quad_depth_is_validation_error(command, tmp_path, capsys):
@@ -437,6 +458,7 @@ def test_dyn_evolve(tmp_path, capsys):
         ([1.0, 0.0], ["--t1", "inf"], 0.0, "must be finite"),
         ([1.0, 0.0], ["--steps", "-2"], 0.0, "steps must be at least 1"),
         ([1.0, 0.0], [], 800.0, "overflow"),
+        ([1.0, 0.0], ["--tol", "inf"], 0.0, "tolerances must be finite and positive"),
     ],
 )
 def test_dyn_evolve_bad_input_exits_2(tmp_path, capsys, p0, extra, energy, fault):

@@ -28,6 +28,7 @@ from hypercurrent.errors import (
     NotPositivelyAcyclic,
     ParseError,
 )
+from hypercurrent.forests import enumerate_dtrees
 from hypercurrent.ratlin import QMat
 
 
@@ -384,3 +385,49 @@ def test_class_of_rejects_non_cycles(make, p, q):
                 h.class_of(unit)
             checked += 1
     assert checked
+
+
+# --- the harmonic projector ------------------------------------------------------
+
+
+def _assert_harmonic_projector(dims, boundaries):
+    pi0 = contraction(dims, boundaries).pi0
+    assert pi0 @ pi0 == pi0
+    assert pi0 == pi0.T
+    assert (pi0 @ boundaries[1]).is_zero()
+
+
+@pytest.mark.parametrize("make, p, q", CLASS_MAP_GAPS)
+def test_contraction_pi0_is_the_harmonic_projector(make, p, q):
+    # the subcomplex of each tree: every cell below its level and its own
+    # cells at it, acyclic in positive degrees by the gap condition
+    gap = gap_complex(make(), p, q)
+    checked = 0
+    for level in range(p + 1, q + 1):
+        for tree in enumerate_dtrees(gap, level):
+            top = level - p
+            idx = [gap.parent.cell_index(level, nm) for nm in tree.cells]
+            dims = [gap.dim_at(j) for j in range(top)] + [len(idx)]
+            boundaries = [None] + [gap.d(j) for j in range(1, top)] + [gap.d(top)[:, idx]]
+            _assert_harmonic_projector(dims, boundaries)
+            checked += 1
+    assert checked
+
+
+def test_contraction_pi0_is_the_harmonic_projector_on_random_complexes():
+    rng = random.Random(5)
+
+    def injective(m, n):
+        while True:
+            a = QMat.from_rows([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], (m, n))
+            if ratlin.rank(a) == n:
+                return a
+
+    for _ in range(10):
+        n = rng.randint(1, 4)
+        _assert_harmonic_projector([4, n], [None, injective(4, n)])
+        # three terms, exact in degree 1: d1 kills exactly the image of d2
+        k, l = rng.randint(2, 5), rng.randint(1, 2)
+        d2 = injective(k, l)
+        d1 = injective(rng.randint(k - l, 5), k - l) @ ratlin.nullspace(d2.T).T
+        _assert_harmonic_projector([d1.shape[0], k, l], [None, d1, d2])

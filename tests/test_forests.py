@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurrent import forests
+from hypercurrent import forests, ratlin
 from hypercurrent.complex_core import (
+    CwComplex,
+    collapsed_sphere_complex,
     gap_complex,
     sphere_complex,
     sphere_wedge_complex,
@@ -169,6 +171,45 @@ def test_sphere_torsion_trivial():
 def test_cotree_torsion_on_connected_graph():
     for t in enumerate_dtrees(SPHERE1, 0):
         assert t.torsion == 1
+
+
+def kernel_lattice_torsion(gap, d, cells):
+    """Torsion of a tree's homology one degree down, through the cycle
+    lattice: a Z-basis of the (d-1)-cycles, the tree's boundary columns in
+    that basis, and the Smith form of those coordinates."""
+    x = gap.parent
+    idx = sorted(x.cell_index(d, nm) for nm in cells)
+    coeffs = ratlin.solve_matrix(ratlin.integer_kernel_basis(x.d(d - 1)), x.d(d)[:, idx])
+    assert coeffs is not None and coeffs.den == 1
+    return ratlin.torsion_order(coeffs)
+
+
+def complete_graph(n):
+    verts = [chr(ord("a") + i) for i in range(n)]
+    edges = list(itertools.combinations(range(n), 2))
+    bnd = [[(i == v) - (i == u) for u, v in edges] for i in range(n)]
+    return CwComplex(f"K{n}", (tuple(verts), tuple(verts[u] + verts[v] for u, v in edges)),
+                     (QMat.from_rows(bnd, (n, len(edges))),))
+
+
+TORSION_GAPS = (
+    [(sphere_complex(q), 0, q) for q in range(1, 5)]
+    + [(sphere_wedge_complex(q), 0, q) for q in range(1, 5)]
+    + [(collapsed_sphere_complex(q), 1, q) for q in range(2, 5)]
+    + [(torsion_complex(), 0, 2)] + [(complete_graph(n), 0, 1) for n in (3, 4, 5)]
+)
+
+
+def test_torsion_equals_kernel_lattice_route():
+    count = 0
+    for x, p, q in TORSION_GAPS:
+        gap = gap_complex(x, p, q)
+        for d in range(p + 1, q + 1):
+            for t in enumerate_dtrees(gap, d):
+                assert torsion_of(gap, d, t.cells) == t.torsion \
+                    == kernel_lattice_torsion(gap, d, t.cells), (x.name, t.cells)
+                count += 1
+    assert count == 195
 
 
 def test_torsion_requires_tree():

@@ -431,7 +431,7 @@ def test_current_form_matches_general_machinery():
         for v in range(2):
             delta = np.zeros(2)
             delta[v] = 1.0
-            j_general = ev.value @ delta
+            j_general = ev @ delta
             assert np.max(np.abs(j_graph - j_general)) <= 1e-8
 
 

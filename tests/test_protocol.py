@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -18,6 +19,8 @@ from hypercurrent.protocol import (
     SimplicialProtocol,
     SmallnessCertificate,
     WeightPoint,
+    _ordered_to_sorted,
+    _perm_sign,
     cube_cw_domain,
     cube_protocol,
     cube_sphere_protocol,
@@ -370,6 +373,38 @@ def test_wedge_cube_protocol_good():
     gap = gap_complex(sphere_wedge_complex(q), 0, q)
     proto = cube_protocol(gap)
     assert is_good(proto)[0]
+
+
+# --- permutation signs ----------------------------------------------------------
+
+
+def cycle_walk_sign(perm):
+    """Sign of a permutation of range(n): each cycle of even length flips it."""
+    sign = 1
+    seen = [False] * len(perm)
+    for i in range(len(perm)):
+        if seen[i]:
+            continue
+        j, ln = i, 0
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        if ln % 2 == 0:
+            sign = -sign
+    return sign
+
+
+def test_perm_sign_equals_cycle_walk():
+    labels = (3, 7, 8, 12, 20, 31)
+    for n in range(7):
+        for perm in itertools.permutations(range(n)):
+            assert _perm_sign(perm) == cycle_walk_sign(perm)
+            # an ordered simplex on arbitrary labels, signed as its sort
+            ordered = tuple(labels[i] for i in perm)
+            srt = tuple(sorted(ordered))
+            assert _ordered_to_sorted([(2, ordered)]) == \
+                {srt: 2 * cycle_walk_sign([ordered.index(v) for v in srt])}
 
 
 # --- subdivision --------------------------------------------------------------------
