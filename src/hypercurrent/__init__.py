@@ -29,17 +29,11 @@ from .protocol import (
     cube_sphere_protocol,
     is_good,
     load_protocol,
-    scale,
     smallness,
     square_protocol,
     weights_at,
 )
-from .topo_hyper import (
-    HyperCochain,
-    addendum_predicts_trivial,
-    hypercurrent_cochain,
-    hypercurrent_homology,
-)
+from .topo_hyper import HyperCochain, hypercurrent_homology
 from .ana_hyper import (
     axioms_check,
     jan_cochain,
@@ -48,8 +42,8 @@ from .ana_hyper import (
     kirchhoff_pseudoinverse,
     quantization_sweep,
 )
-from .weight_space import classify_cell, enumerate_top_discriminant_cells, good_summand_count, robust_counts
-from .graph_dynamics import boltzmann, current_form, evolve, master_operator, rates, state_diagram
+from .weight_space import classify_cell, enumerate_top_discriminant_cells, good_summand_count
+from .graph_dynamics import evolve, master_operator, rates, state_diagram
 
 __version__ = "0.1.0"
 
@@ -60,12 +54,10 @@ __all__ = [
     "DTree", "enumerate_dtrees", "greedy_dtree", "is_dtree", "torsion_of",
     "tree_right_inverse",
     "SimplicialProtocol", "WeightPoint", "cube_sphere_protocol", "is_good",
-    "load_protocol", "scale", "smallness", "square_protocol", "weights_at",
-    "HyperCochain", "addendum_predicts_trivial", "hypercurrent_cochain",
-    "hypercurrent_homology",
+    "load_protocol", "smallness", "square_protocol", "weights_at",
+    "HyperCochain", "hypercurrent_homology",
     "axioms_check", "jan_cochain", "jan_form", "jan_integrate",
     "kirchhoff_pseudoinverse", "quantization_sweep",
     "classify_cell", "enumerate_top_discriminant_cells", "good_summand_count",
-    "robust_counts",
-    "boltzmann", "current_form", "evolve", "master_operator", "rates", "state_diagram",
+    "evolve", "master_operator", "rates", "state_diagram",
 ]

@@ -45,7 +45,6 @@ import collections
 import functools
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,9 +52,9 @@ import numpy as np
 
 from . import ratlin
 from .complex_core import GapComplex, GradedOperator
-from .errors import BadFrame, QuadratureNoConvergence
+from .errors import BadFrame, NonfiniteBeta, NonpositiveBeta, QuadratureNoConvergence
 from .forests import enumerate_dtrees
-from .protocol import _check_beta, _perm_sign
+from .protocol import _perm_sign
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, hypercurrent_homology
 
 __all__ = [
@@ -72,6 +71,13 @@ __all__ = [
     "simplex_rule",
     "edgewise_pieces",
 ]
+
+
+def _check_beta(beta):
+    if not math.isfinite(beta):
+        raise NonfiniteBeta(f"beta = {beta}")
+    if beta <= 0:
+        raise NonpositiveBeta(f"beta = {beta}")
 
 
 # --- cached float context per gap complex -----------------------------------
@@ -436,7 +442,6 @@ def edgewise_pieces(n, depth):
 # 126 MB, more than is worth keeping for the life of the process.
 _NODE_CACHE_BYTES = 32 * 2 ** 20
 _node_cache = collections.OrderedDict()     # (jdim, depth) -> (nodes, weights)
-_node_cache_lock = threading.Lock()         # sweeps may run betas on threads
 
 
 def _node_batches(jdim, depth):
@@ -445,10 +450,9 @@ def _node_batches(jdim, depth):
     the least recently used leaving first once the kept batches exceed
     _NODE_CACHE_BYTES; a batch larger than that is not kept."""
     key = (jdim, depth)
-    with _node_cache_lock:
-        if key in _node_cache:
-            _node_cache.move_to_end(key)
-            return _node_cache[key]
+    if key in _node_cache:
+        _node_cache.move_to_end(key)
+        return _node_cache[key]
     bary, w = simplex_rule(jdim)
     pieces = edgewise_pieces(jdim, depth)
     vol = (1.0 / math.factorial(jdim)) / len(pieces)
@@ -458,12 +462,10 @@ def _node_batches(jdim, depth):
     weights.setflags(write=False)
     if nodes.nbytes + weights.nbytes > _NODE_CACHE_BYTES:
         return nodes, weights
-    with _node_cache_lock:
-        batch = _node_cache.setdefault(key, (nodes, weights))
-        _node_cache.move_to_end(key)
-        while sum(a.nbytes for kept in _node_cache.values() for a in kept) > _NODE_CACHE_BYTES:
-            _node_cache.popitem(last=False)
-    return batch
+    _node_cache[key] = (nodes, weights)
+    while sum(a.nbytes for kept in _node_cache.values() for a in kept) > _NODE_CACHE_BYTES:
+        _node_cache.popitem(last=False)
+    return nodes, weights
 
 
 # Simplices times nodes in one stacked form evaluation.  Every array of a
@@ -583,9 +585,11 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
     bounds left-inverse.  The samples of one dimension are checked
     together, with one stacked jan_form per degree, frame and zeta; a
     residual that is not finite is a violation and its report field's
-    value."""
+    value.  fd_step and tol must be finite and positive."""
     if not (math.isfinite(fd_step) and fd_step > 0):
         raise ValueError(f"fd_step must be finite and positive, got {fd_step}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     gap = proto.gap
     ctx = _context(gap)
     resids = collections.defaultdict(lambda: [[0.0]])   # field -> per-point residual arrays
@@ -688,7 +692,7 @@ def _analytic_class(ctx, blocks, cycle, rep):
 
 
 def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
-                       fit_range=None, workers=None, residuals=False):
+                       fit_range=None, residuals=False):
     """Analytical class per beta against the exact value, with a
     log-linear decay fit over the requested beta range (slope NaN unless
     the range holds two distinct betas).  With residuals, each beta
@@ -719,13 +723,7 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
         return SweepRow(beta=beta, coords=tuple(float(c) for c in cls),
                         distance=float(np.linalg.norm(cls - topo)), residual=resid)
 
-    if workers and workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, betas))
-    else:
-        rows = [run(b) for b in betas]
+    rows = [run(b) for b in betas]
     lo, hi = fit_range if fit_range else (min(betas), max(betas))
     xs = [r.beta for r in rows if lo <= r.beta <= hi and r.distance > 0]
     ys = [math.log(r.distance) for r in rows if lo <= r.beta <= hi and r.distance > 0]

@@ -38,7 +38,6 @@ class RunConfig:
     tol: float = 1e-8
     quad_depth: int = 8
     out: str = None
-    workers: int = 1
     seed: int = 0
 
     def validate(self):
@@ -53,8 +52,6 @@ class RunConfig:
                 raise HclError("beta values must be positive")
             if list(self.betas) != sorted(self.betas):
                 raise HclError("beta values must be ascending")
-        if self.workers < 1:
-            raise HclError("workers must be at least 1")
         return self
 
     def as_dict(self):
@@ -66,7 +63,8 @@ class RunConfig:
             "betas": list(self.betas),
             "tol": self.tol,
             "quad_depth": self.quad_depth,
-            "workers": self.workers,
+            # the library runs on one thread; reports keep the key they always carried
+            "workers": 1,
             "seed": self.seed,
         }
 
@@ -265,7 +263,6 @@ def cmd_quantize(args):
         tol=args.tol,
         quad_depth=args.quad_depth,
         out=args.out,
-        workers=args.workers,
     ).validate()
     proto = _load_protocol_arg(args.file)
     sweep = quantization_sweep(
@@ -275,7 +272,6 @@ def cmd_quantize(args):
         [1] + [0] * (proto.gap.parent_hp.betti - 1),
         tol=args.tol,
         max_depth=args.quad_depth,
-        workers=args.workers,
         residuals=args.residuals,
     )
     out = args.out or "sweep.csv"
@@ -430,7 +426,6 @@ def build_parser():
     pq.add_argument("--tol", type=float, default=1e-8)
     pq.add_argument("--quad-depth", type=int, default=8)
     pq.add_argument("--residuals", action="store_true")
-    pq.add_argument("--workers", type=int, default=1)
     pq.add_argument("--out")
     pq.set_defaults(func=cmd_quantize)
 

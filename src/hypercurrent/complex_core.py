@@ -11,6 +11,7 @@ the pair (q-skeleton, (p-1)-skeleton).
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -201,18 +202,31 @@ class HomologyData:
     the given cell order.  class_map is an exact left inverse of
     [bounds | hbasis], built in the same elimination that picks hbasis:
     it sends a cycle to its coordinates in that basis, so every class is
-    one product with it.
+    one product with it.  That elimination runs on first use of either,
+    so a degree whose classes are never read does not pay for it.
     """
 
     dim: int
     cycles: QMat
     bounds: QMat
-    hbasis: QMat
-    class_map: QMat
+
+    @cached_property
+    def _basis(self):
+        nb = self.bounds.shape[1]
+        pivots, class_map = ratlin.pivot_left_inverse(ratlin.hstack(self.bounds, self.cycles))
+        return self.cycles[:, [j - nb for j in pivots if j >= nb]], class_map
+
+    @property
+    def hbasis(self):
+        return self._basis[0]
+
+    @property
+    def class_map(self):
+        return self._basis[1]
 
     @property
     def betti(self):
-        return self.hbasis.shape[1]
+        return self.cycles.shape[1] - self.bounds.shape[1]
 
     def class_of(self, chain):
         """Coordinates of a cycle's class in the chosen homology basis: a
@@ -236,10 +250,7 @@ def _homology_data(n, d_in, d_out):
     (may be None for the zero map), d_in arrives into it (may be None)."""
     cycles = QMat.identity(n) if d_out is None else ratlin.nullspace(d_out)
     bounds = QMat.zeros(n, 0) if d_in is None else ratlin.column_echelon_basis(d_in)
-    nb = bounds.shape[1]
-    pivots, class_map = ratlin.pivot_left_inverse(ratlin.hstack(bounds, cycles))
-    hbasis = cycles[:, [j - nb for j in pivots if j >= nb]]
-    return HomologyData(dim=n, cycles=cycles, bounds=bounds, hbasis=hbasis, class_map=class_map)
+    return HomologyData(dim=n, cycles=cycles, bounds=bounds)
 
 
 def homology_data(x: CwComplex, j):
@@ -271,11 +282,10 @@ class GapComplex:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def derived(self, key, build):
-        """The memo entry under key, built by build() on first use; threads
-        that race to build it all get the entry stored first."""
+        """The memo entry under key, built by build() on first use."""
         value = self._memo.get(key)
         if value is None:
-            value = self._memo.setdefault(key, build())
+            value = self._memo[key] = build()
         return value
 
     @property

@@ -10,9 +10,9 @@ checked against two half steps.  The three 4th-order calls of one step
 read the field at six distinct times, so the field is built per block of
 steps from one batched `master_operator` call over the block's six
 times per step; each RK4 stage is then one matrix-vector product.  The
-stationary (Boltzmann) distribution and the associated current one-form
-are computed by independent routes and cross-checked against the
-general machinery in tests.
+stationary (Boltzmann) distribution and its current one-form live in the
+tests, as independent routes checked against this machinery and the
+analytical current.
 """
 
 from dataclasses import dataclass
@@ -30,8 +30,6 @@ __all__ = [
     "rates",
     "master_operator",
     "evolve",
-    "boltzmann",
-    "current_form",
 ]
 
 
@@ -146,9 +144,11 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
     also provides the local error estimate (StepTooLarge when it exceeds
     tol or is NaN).  Returns (times, trajectory) with one row per grid
     point.  ValueError unless p0 is a finite probability vector with one
-    entry per state, t0 <= t1 are finite and steps >= 1, and when a jump
-    rate overflows.
+    entry per state, t0 <= t1 are finite, steps >= 1 and tol is finite and
+    positive, and when a jump rate overflows.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     if proto.gap.p != 0 or proto.gap.q != 1:
         raise ValueError("dynamics requires weights at levels 0 and 1")
     sd = state_diagram(proto.gap.parent)
@@ -198,53 +198,3 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
             p = half
             traj[n + 1] = p
     return times, traj
-
-
-def boltzmann(x: CwComplex, energies, barriers):
-    """Stationary distribution: the normalized kernel of the weighted
-    adjoint of the boundary operator."""
-    sd = state_diagram(x)  # validates the graph shape
-    d1 = x.d(1).to_float()
-    e = np.asarray(energies, dtype=float)
-    w = np.asarray(barriers, dtype=float)
-    g0 = np.exp(e - e.max())
-    g1 = np.exp(w - w.max())
-    adjoint = (d1.T * g0[None, :]) / g1[:, None]
-    _, s, vt = np.linalg.svd(adjoint, full_matrices=True)
-    null = vt[-1]
-    if x.n_cells(1) >= x.n_cells(0) and s[-1] > 1e-9 * s[0]:
-        raise ValueError("weighted adjoint has no kernel (graph disconnected?)")
-    if null.sum() < 0:
-        null = -null
-    if null.min() < -1e-12:
-        raise ValueError("kernel vector is not single-signed")
-    return np.clip(null, 0.0, None) / null.sum()
-
-
-def current_form(proto: SimplicialProtocol, point, tangent, beta=1.0):
-    """The current one-form of the stationary distribution: the weighted
-    pseudoinverse (the Kirchhoff tree sum) applied to the derivative of the Boltzmann state
-    along the tangent.  Returns a one-chain over the edges."""
-    from .ana_hyper import _context, kirchhoff_pseudoinverse
-
-    gap = proto.gap
-    if gap.p != 0 or gap.q != 1:
-        raise ValueError("current forms require weights at levels 0 and 1")
-    key, coords = tuple(point[0]), np.asarray(point[1], dtype=float)
-    tangent = np.asarray(tangent, dtype=float)
-    pts = [proto.weight_of(v) for v in proto.vertices_of(key)]
-    e_rows = np.array([pt.level(0) for pt in pts])
-    w_rows = np.array([pt.level(1) for pt in pts])
-    base_e, grad_e = e_rows[0], e_rows[1:] - e_rows[0][None, :]
-    base_w = w_rows[0]
-    e_here = base_e + coords @ grad_e
-    w_here = base_w + coords @ (w_rows[1:] - base_w[None, :])
-    # stationary state and its derivative along the tangent
-    z = np.exp(-beta * (e_here - e_here.min()))
-    rho = z / z.sum()
-    de = grad_e.T @ tangent
-    drho = -beta * rho * (de - float(rho @ de))
-    ctx = _context(gap)
-    bcoords = ctx.zeta_std[0] @ drho
-    dag = kirchhoff_pseudoinverse(gap, w_here, beta, 1)
-    return dag @ bcoords

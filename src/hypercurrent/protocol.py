@@ -7,8 +7,9 @@ simplex, injectivity of a level over a closed simplex is decided
 exactly by strict sign agreement of pairwise differences at vertices;
 no sampling is involved.
 
-The same vertex-weight machinery also drives the regular-CW cube
-domain used by the cellular variant of the current construction.
+Smallness and the exact lift read a parameter domain only through
+all_cells, dim_of, boundary_of, vertices_of, weight_of and its cached
+certificate, so the tests also run them on a regular-CW cube domain.
 """
 
 import itertools
@@ -25,8 +26,6 @@ from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, 
 from .errors import (
     BadCoordinates,
     LevelMismatch,
-    NonfiniteBeta,
-    NonpositiveBeta,
     NotClosedUnderFaces,
     ParseError,
 )
@@ -35,19 +34,16 @@ __all__ = [
     "WeightPoint",
     "SimplicialProtocol",
     "SmallnessCertificate",
-    "CubeCwDomain",
     "load_protocol",
     "loads_protocol",
     "dumps_protocol",
     "weights_at",
     "smallness",
     "is_good",
-    "scale",
     "cube_protocol",
     "cube_sphere_protocol",
     "square_protocol",
     "builtin_protocol",
-    "subdivide",
     "simplex_faces",
 ]
 
@@ -64,19 +60,6 @@ class WeightPoint:
         if not (self.p <= j <= self.q):
             raise LevelMismatch(f"level {j} outside [{self.p},{self.q}]")
         return self.values[j - self.p]
-
-    def combine(self, other, t):
-        """Affine combination (1-t)*self + t*other."""
-        vals = tuple(
-            tuple((1 - t) * a + t * b for a, b in zip(va, vb))
-            for va, vb in zip(self.values, other.values)
-        )
-        return WeightPoint(self.p, self.q, vals)
-
-    def scaled(self, c):
-        return WeightPoint(
-            self.p, self.q, tuple(tuple(c * v for v in row) for row in self.values)
-        )
 
 
 def _affine(points, coeffs):
@@ -107,17 +90,8 @@ def _closure(simplices):
     return sorted(seen, key=lambda s: (len(s), s))
 
 
-class _CertifiedDomain:
-    """Parameter domains carry their smallness certificate: computed on
-    first use, then kept with the (immutable) domain."""
-
-    @cached_property
-    def certificate(self):
-        return smallness(self)
-
-
 @dataclass(frozen=True)
-class SimplicialProtocol(_CertifiedDomain):
+class SimplicialProtocol:
     """Oriented simplicial parameter space with a weight point per vertex."""
 
     gap: GapComplex
@@ -127,7 +101,7 @@ class SimplicialProtocol(_CertifiedDomain):
     orientation: dict = field(default_factory=dict)        # top key -> +-1
     fundamental_cycle: dict = field(default_factory=dict)  # key -> int coeff
 
-    # -- the parameter-domain interface shared with CubeCwDomain --
+    # -- the parameter-domain interface read by smallness and the lift --
 
     def all_cells(self):
         return self.simplices
@@ -145,6 +119,12 @@ class SimplicialProtocol(_CertifiedDomain):
 
     def weight_of(self, vertex_key):
         return self.vertex_weights[vertex_key[0]]
+
+    @cached_property
+    def certificate(self):
+        """The smallness certificate, computed on first use and then kept
+        with the (immutable) protocol."""
+        return smallness(self)
 
     # -- conveniences --
 
@@ -374,26 +354,6 @@ def is_good(domain):
     return True, None
 
 
-def _check_beta(beta):
-    if not math.isfinite(beta):
-        raise NonfiniteBeta(f"beta = {beta}")
-    if beta <= 0:
-        raise NonpositiveBeta(f"beta = {beta}")
-
-
-def scale(proto: SimplicialProtocol, beta):
-    """Pointwise scalar multiple of all weights; order types unchanged."""
-    _check_beta(beta)
-    return SimplicialProtocol(
-        gap=proto.gap,
-        vertex_ids=proto.vertex_ids,
-        vertex_weights=tuple(wp.scaled(float(beta)) for wp in proto.vertex_weights),
-        simplices=proto.simplices,
-        orientation=dict(proto.orientation),
-        fundamental_cycle=dict(proto.fundamental_cycle),
-    )
-
-
 # --- cube protocols ----------------------------------------------------------
 
 
@@ -401,6 +361,16 @@ def _perm_sign(perm):
     """Sign of the permutation that sorts a sequence of distinct items:
     -1 to the number of inversions."""
     return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+def _ordered_to_sorted(chain):
+    """Convert ordered-simplex chains [(coeff, ordered_tuple)] to a dict
+    over sorted tuples with permutation signs."""
+    out = {}
+    for coeff, ordered in chain:
+        srt = tuple(sorted(ordered))
+        out[srt] = out.get(srt, 0) + coeff * _perm_sign(ordered)
+    return {k: v for k, v in out.items() if v}
 
 
 def _freudenthal_facet(axis, side, naxes):
@@ -494,135 +464,3 @@ def builtin_protocol(kind, q):
     if kind == "square":
         return square_protocol()
     raise ParseError(f"unknown builtin protocol {kind!r}")
-
-
-# --- subdivision --------------------------------------------------------------
-
-
-def _ordered_to_sorted(chain):
-    """Convert ordered-simplex chains [(coeff, ordered_tuple)] to a dict
-    over sorted tuples with permutation signs."""
-    out = {}
-    for coeff, ordered in chain:
-        srt = tuple(sorted(ordered))
-        out[srt] = out.get(srt, 0) + coeff * _perm_sign(ordered)
-    return {k: v for k, v in out.items() if v}
-
-
-def subdivide(proto: SimplicialProtocol):
-    """Midpoint (edgewise) subdivision for parameter spaces of dimension
-    at most two; weights interpolate affinely, the fundamental cycle is
-    carried along."""
-    if proto.dim > 2:
-        raise NotImplementedError("subdivision implemented through dimension 2")
-    ids = list(proto.vertex_ids)
-    weights = list(proto.vertex_weights)
-    mid = {}
-
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid:
-            ids.append(f"m({ids[key[0]]},{ids[key[1]]})")
-            weights.append(weights[key[0]].combine(weights[key[1]], 0.5))
-            mid[key] = len(ids) - 1
-        return mid[key]
-
-    def children(key):
-        if len(key) == 1:
-            return [(1, key)]
-        if len(key) == 2:
-            a, b = key
-            m = midpoint(a, b)
-            return [(1, (a, m)), (1, (m, b))]
-        a, b, c = key
-        mab, mac, mbc = midpoint(a, b), midpoint(a, c), midpoint(b, c)
-        return [
-            (1, (a, mab, mac)),
-            (1, (mab, b, mbc)),
-            (1, (mac, mbc, c)),
-            (1, (mbc, mac, mab)),
-        ]
-
-    new_tops = []
-    new_cycle = {}
-    new_orient = {}
-    top_dim = proto.dim
-    for key in proto.simplices_of_dim(top_dim):
-        ch = children(key)
-        signed = _ordered_to_sorted(ch)
-        for skey, sgn in signed.items():
-            new_tops.append(skey)
-            if key in proto.fundamental_cycle:
-                new_cycle[skey] = new_cycle.get(skey, 0) + proto.fundamental_cycle[key] * sgn
-            if key in proto.orientation:
-                new_orient[skey] = proto.orientation[key] * sgn
-    return _validate_protocol(proto.gap, ids, weights, new_tops, new_orient, new_cycle)
-
-
-# --- the regular-CW cube domain ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CubeCwDomain(_CertifiedDomain):
-    """Boundary of the cube [-1,1]^n as a regular CW complex.
-
-    Cells are patterns over the axes with entries -1, +1 (fixed) or None
-    (free); at least one axis is fixed.  Weights live on the corners,
-    exactly as in the triangulated cube protocol with unflipped levels.
-    """
-
-    gap: GapComplex
-    n: int
-
-    def all_cells(self):
-        cells = []
-        for free_count in range(self.n):
-            for free_axes in itertools.combinations(range(self.n), free_count):
-                fixed_axes = [a for a in range(self.n) if a not in free_axes]
-                for vals in itertools.product((-1, 1), repeat=len(fixed_axes)):
-                    pattern = [None] * self.n
-                    for a, v in zip(fixed_axes, vals):
-                        pattern[a] = v
-                    cells.append(tuple(pattern))
-        return sorted(cells, key=lambda c: (sum(1 for v in c if v is None), str(c)))
-
-    def dim_of(self, key):
-        return sum(1 for v in key if v is None)
-
-    def boundary_of(self, key):
-        out = []
-        m = 0
-        for a, v in enumerate(key):
-            if v is not None:
-                continue
-            base = (-1) ** m
-            plus = tuple(1 if i == a else key[i] for i in range(self.n))
-            minus = tuple(-1 if i == a else key[i] for i in range(self.n))
-            out.append((base, plus))
-            out.append((-base, minus))
-            m += 1
-        return out
-
-    def vertices_of(self, key):
-        free = [a for a, v in enumerate(key) if v is None]
-        corners = []
-        for vals in itertools.product((-1, 1), repeat=len(free)):
-            c = list(key)
-            for a, v in zip(free, vals):
-                c[a] = v
-            corners.append(tuple(c))
-        return corners
-
-    def weight_of(self, vertex_key):
-        return _corner_weight(self.gap, vertex_key, (1,) * self.n)
-
-    def fundamental_cycle(self):
-        """The top cell fixing axis a at v has coefficient v * (-1)**a, up
-        to the overall sign that makes the first top cell +1."""
-        tops = [c for c in self.all_cells() if self.dim_of(c) == self.n - 1]
-        coeffs = [next(v * (-1) ** a for a, v in enumerate(c) if v is not None) for c in tops]
-        return {t: coeffs[0] * c for t, c in zip(tops, coeffs)}
-
-
-def cube_cw_domain(gap: GapComplex):
-    return CubeCwDomain(gap=gap, n=gap.q - gap.p + 1)

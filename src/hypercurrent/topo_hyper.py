@@ -10,8 +10,10 @@ reproducible bit for bit.
 
 The pairing of a top cycle with degree-p classes reads the degree-0
 blocks of the cycle cells' lifts straight from the lift cache (their
-Koszul sign is +1); hypercurrent_cochain, which signs every block,
-serves the chain-map defect and the cellular variant.
+Koszul sign is +1).  A HyperCochain holds the analytical route's
+cochain, whose distance from a chain map cochain_chain_map_defect
+measures; the tests build the exact cochain from the lift cache, with
+the Koszul sign on every block, as the defect's zero reference.
 
 Higher cells are lifted one dimension at a time: lift_simplex stacks
 the cells of a dimension as object arrays of numerators over one
@@ -30,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complex_core import GapComplex, GradedOperator, contraction, eth
+from .complex_core import GapComplex, contraction, eth
 from .errors import InvariantBroken, LiftObstruction, NotACycle, NotGood, NotSmall
 from .forests import DTree, greedy_dtree
 from .ratlin import QMat
@@ -41,12 +43,9 @@ __all__ = [
     "tree_functor",
     "lift_simplex",
     "build_lift_cache",
-    "hypercurrent_cochain",
     "cochain_chain_map_defect",
     "hypercurrent_homology",
     "cycle_boundary_defect",
-    "addendum_predicts_trivial",
-    "cube_cellular_cochain",
 ]
 
 
@@ -296,21 +295,6 @@ class HyperCochain:
     values: dict   # cell key -> GradedOperator
 
 
-def hypercurrent_cochain(proto) -> HyperCochain:
-    """The exact current cochain: on a cell of dimension j the operator
-    sends a degree-g chain to the lift of (chain (x) [cell]), with the
-    Koszul sign making the boundary identity hold with plain simplicial
-    boundary signs."""
-    cache = build_lift_cache(proto)
-    gap = cache.gap
-    values = {}
-    for key, mats in cache.values.items():
-        jdim = proto.dim_of(key)
-        blocks = {g: mats[g] * (-1) ** (jdim * g) for g in range(gap.top + 1)}
-        values[key] = GradedOperator(degree=jdim, blocks=blocks)
-    return HyperCochain(gap=gap, domain=proto, values=values)
-
-
 def cochain_chain_map_defect(cochain: HyperCochain):
     """Largest entry of eth(value) - sum of signed face values; exactly
     zero for the rational construction, quadrature-sized for the
@@ -368,27 +352,3 @@ def hypercurrent_homology(proto, cycle, class_p):
         # the lift is a chain map, so the paired chain is a cycle
         raise InvariantBroken(f"paired chain: {exc}") from exc
     return (cls if gap.top == 0 else gap.hq_project @ cls), out
-
-
-def addendum_predicts_trivial(x, p, q):
-    """Structural sufficient conditions for a forced-trivial pairing:
-    a trivial boundary operator inside the gap range, or a level with
-    at most one cell."""
-    for j in range(p, q + 1):
-        if x.n_cells(j) <= 1:
-            return True
-    for j in range(p, q):
-        if x.d(j + 1).is_zero():
-            return True
-    return False
-
-
-def cube_cellular_cochain(gap: GapComplex):
-    """The regular-CW variant on the cube boundary domain: the same
-    lifting run over the face poset of the cube's cells instead of a
-    triangulation.  Returns (domain, cochain)."""
-    from .protocol import cube_cw_domain
-
-    dom = cube_cw_domain(gap)
-    cochain = hypercurrent_cochain(dom)
-    return dom, cochain

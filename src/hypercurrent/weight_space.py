@@ -28,7 +28,6 @@ __all__ = [
     "transversal_sphere",
     "classify_cell",
     "classify_top_cells",
-    "robust_counts",
 ]
 
 
@@ -193,10 +192,3 @@ def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
     flat = [[v for row in rep.current_matrix for v in row] for rep in cells]
     d = ratlin.rank(QMat.from_rows(flat, (len(cells), width)))
     return RobustReport(summands=c, contractible=False, cells=cells, robust_summands=d)
-
-
-def robust_counts(x: CwComplex, p, q, eps=0.25):
-    """(c, c - d, d): the wedge count of the good weights, its
-    inessential part and the robust count d (see RobustReport)."""
-    report = classify_top_cells(x, p, q, eps)
-    return report.summands, report.inessential, report.robust_summands

@@ -13,7 +13,7 @@ sums, which stay bounded whatever the weights.
 import numpy as np
 
 from hypercurrent import ratlin
-from hypercurrent.protocol import _check_beta
+from hypercurrent.ana_hyper import _check_beta
 
 
 def reduced_boundary(gap, j):

@@ -28,10 +28,11 @@ from hypercurrent.ana_hyper import (
     kirchhoff_pseudoinverse,
     quantization_sweep,
 )
-from hypercurrent.weight_space import good_summand_count, robust_counts
-from hypercurrent.graph_dynamics import boltzmann, current_form, evolve
+from hypercurrent.weight_space import classify_top_cells, good_summand_count
+from hypercurrent.graph_dynamics import evolve
 from hypercurrent.protocol import SimplicialProtocol, WeightPoint
 from normal_equations import weighted_pseudoinverse_boundary, weighted_pseudoinverse_inclusion
+from stationary import boltzmann, current_form
 
 
 @contextmanager
@@ -160,8 +161,9 @@ def test_criterion_8_weight_space():
     with criterion(8, "wedge counts and essential/inessential classification", 30.0):
         for q in (1, 2):
             assert good_summand_count(sphere_complex(q), 0, q) == (1, False)
-            assert robust_counts(sphere_complex(q), 0, q) == (1, 0, 1)
-            assert robust_counts(sphere_wedge_complex(q), 0, q) == (1, 1, 0)
+            for x, counts in ((sphere_complex(q), (1, 0, 1)), (sphere_wedge_complex(q), (1, 1, 0))):
+                r = classify_top_cells(x, 0, q)
+                assert (r.summands, r.inessential, r.robust_summands) == counts
         assert good_summand_count(path_complex(), 0, 1) == (5, False)
 
 

@@ -40,10 +40,11 @@ from hypercurrent.protocol import (
     square_protocol,
 )
 from hypercurrent.forests import enumerate_dtrees
-from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_cochain, \
-    hypercurrent_homology, tree_functor
+from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_homology, tree_functor
+from exact_cochain import hypercurrent_cochain
 from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
     weighted_pseudoinverse_inclusion
+from stationary import current_form
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
 SPHERE2 = gap_complex(sphere_complex(2), 0, 2)
@@ -1212,10 +1213,10 @@ RESIDUAL_FIELDS = ("continuity", "orthogonality", "initial_value", "zeta_indepen
 
 @pytest.mark.parametrize("name,beta,tol", [
     (name, beta, 1e-5) for name in sorted(AXIOM_PROTOCOLS) for beta in (2.5, 9.7)
-] + [("sphere3", 5.0, 1e-9), ("sphere2", 5.0, 0.0)])
+] + [("sphere3", 5.0, 1e-9), ("sphere2", 5.0, math.ulp(0.0))])
 def test_axioms_check_equals_pointwise_route(name, beta, tol):
-    # at tol 0 every nonzero residual is a violation: A1 and A2 ones
-    # interleave sample by sample
+    # at the least positive tol every nonzero residual is a violation: A1
+    # and A2 ones interleave sample by sample
     proto = AXIOM_PROTOCOLS[name]()
     samples = interior_samples(proto, 10, np.random.default_rng(int(beta * 10)))
     rep = axioms_check(proto, beta, samples, tol=tol)
@@ -1244,6 +1245,15 @@ def test_axioms_check_rejects_bad_fd_step(fd_step):
     samples = interior_samples(proto, 2, np.random.default_rng(3))
     with pytest.raises(ValueError, match="fd_step must be finite and positive"):
         axioms_check(proto, 5.0, samples, fd_step=fd_step)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_axioms_check_rejects_bad_tol(tol):
+    # an infinite tol would report no violation whatever the residuals
+    proto = square_protocol()
+    samples = interior_samples(proto, 5, np.random.default_rng(3))
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+        axioms_check(proto, 30.0, samples, tol=tol)
 
 
 def test_nonfinite_residual_is_a_violation():
@@ -1404,20 +1414,6 @@ def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     assert {(b, d) for b, d, _ in groups} == {(b, d) for b in betas for d in (1, 2)}
 
 
-@pytest.mark.parametrize("name", ["sphere2", "wedge2"])
-def test_sweep_workers_equal_serial(name):
-    proto = EQUALITY_PROTOCOLS[name]()
-    betas = [2.0, 3.0, 4.5, 9.0]
-    for residuals in (False, True):
-        serial = quantization_sweep(proto, betas, proto.fundamental_cycle, [1],
-                                    residuals=residuals, workers=1)
-        threaded = quantization_sweep(proto, betas, proto.fundamental_cycle, [1],
-                                      residuals=residuals, workers=2)
-        assert threaded.rows == serial.rows
-        assert threaded.topological == serial.topological
-        assert repr(threaded.slope) == repr(serial.slope)     # nan where every distance is 0
-
-
 def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):
     proto = cube_sphere_protocol(2)
     rng = np.random.default_rng(5)
@@ -1500,8 +1496,6 @@ def test_triangle_pseudoinverses_at_large_beta(beta):
 
 @pytest.mark.parametrize("beta", LARGE_BETAS)
 def test_triangle_forms_and_axioms_at_large_beta(beta):
-    from hypercurrent.graph_dynamics import current_form
-
     proto = triangle_protocol()
     coords = np.array([[0.0], [0.3], [1.0]])
     alpha0 = jan_form(proto, beta, (0, 1), coords, [], 0)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypercurrent import topo_hyper
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
 from hypercurrent.ratlin import QMat
+
+REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "refs.json"
 
 
 @pytest.fixture
@@ -375,25 +378,23 @@ def test_negative_quad_depth_is_validation_error(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("workers", ["0", "-2"])
-def test_quantize_workers_below_one_is_validation_error(workers, tmp_path, capsys):
+def test_quantize_has_no_workers_option(tmp_path, capsys):
+    # argparse rejects the option before main's error handling runs
     out = tmp_path / "out.csv"
-    assert main(["quantize", "builtin:square", "--betas", "5", "--workers", workers,
-                 "--out", str(out)]) == 2
-    assert "workers must be at least 1" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["quantize", "builtin:square", "--betas", "5", "--workers", "2", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["cube_sphere:2", "cube_wedge:2"])
-def test_quantize_workers_write_identical_csv(spec, tmp_path, capsys):
-    csvs = []
-    for workers in ("1", "2"):
-        out = tmp_path / f"w{workers}.csv"
-        assert main(["quantize", f"builtin:{spec}", "--betas", "2,3,4.5,9", "--residuals",
-                     "--workers", workers, "--out", str(out)]) == 0
-        csvs.append(out.read_bytes())
-    assert csvs[0] == csvs[1]
-    assert len(csvs[0].splitlines()) == 5
+@pytest.mark.parametrize("spec", ["cube_sphere:1", "cube_sphere:2", "cube_sphere:3",
+                                  "cube_wedge:1", "cube_wedge:2", "cube_wedge:3"])
+def test_topo_current_builtin_report_bytes(spec, capsys):
+    # the benchmark's recorded reports, config included, byte for byte
+    refs = json.loads(REFS.read_text(encoding="utf-8"))
+    assert main(["topo", "current", f"builtin:{spec}"]) == 0
+    assert capsys.readouterr().out == refs["topo_builtin"][spec]
 
 
 def test_weightspace_report(sphere1_file, capsys):

@@ -202,6 +202,21 @@ def test_gap_complex_torsion():
     assert gap.homology[2].betti == 1
 
 
+def test_gap_complex_eliminates_class_maps_only_where_read(monkeypatch):
+    # degrees strictly inside the gap have zero homology and nothing in the
+    # gap reads their class maps: degree 0, the top and the parent's
+    # degrees p and q take one elimination each
+    calls = []
+    original = ratlin.pivot_left_inverse
+    monkeypatch.setattr(ratlin, "pivot_left_inverse", lambda a: calls.append(a) or original(a))
+    gap = gap_complex(sphere_complex(3), 0, 3)
+    assert len(calls) == 4
+    # betti from the basis sizes agrees with the eliminated bases
+    assert [h.betti for h in gap.homology] == [h.hbasis.shape[1] for h in gap.homology]
+    assert [h.betti for h in gap.homology] == [1, 0, 0, 1]
+    assert len(calls) == 6
+
+
 def test_gap_complex_rejects_violation():
     cells = [("v",), ("a", "b"), ("f",)]
     x = CwComplex("tube", tuple(cells), (QMat.zeros(1, 2), QMat.from_rows([[1], [-1]], (2, 1))))

@@ -11,8 +11,6 @@ from hypercurrent.errors import StepTooLarge
 from hypercurrent.graph_dynamics import (
     MasterOperator,
     _path_times,
-    boltzmann,
-    current_form,
     evolve,
     master_operator,
     rates,
@@ -25,6 +23,8 @@ from hypercurrent.protocol import (
     square_protocol,
     weights_at,
 )
+
+from stationary import boltzmann, current_form
 
 
 def segment_complex():
@@ -228,6 +228,14 @@ def test_evolve_rejects_step_counts_below_one(steps):
     proto = constant_path_protocol(segment_complex(), [0.0, 0.0], [0.0])
     with pytest.raises(ValueError, match="steps must be at least 1"):
         evolve(proto, [1.0, 0.0], 0.0, 1.0, steps)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1.0])
+def test_evolve_rejects_bad_tol(tol):
+    # an infinite tol would pass every error estimate, overflow included
+    proto = constant_path_protocol(segment_complex(), [0.0, 0.0], [0.0])
+    with pytest.raises(ValueError, match=f"tol must be finite and positive, got {tol}"):
+        evolve(proto, [1.0, 0.0], 0.0, 1.0, 10, tol=tol)
 
 
 # --- the per-call field, kept as the oracle for evolve ---------------------------------

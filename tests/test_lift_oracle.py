@@ -21,19 +21,19 @@ from hypercurrent.errors import LiftObstruction, NotGood
 from hypercurrent.forests import DTree
 from hypercurrent import topo_hyper
 from hypercurrent.protocol import (
-    cube_cw_domain,
     cube_protocol,
     cube_sphere_protocol,
     loads_protocol,
     smallness,
     square_protocol,
-    subdivide,
 )
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import LiftCache, _tree_masks, build_lift_cache, tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 import row_kernel
+from exact_cochain import cube_cw_domain
+from protocol_ops import subdivide
 
 
 def _zeros(m, n):

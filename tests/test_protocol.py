@@ -21,21 +21,21 @@ from hypercurrent.protocol import (
     WeightPoint,
     _ordered_to_sorted,
     _perm_sign,
-    cube_cw_domain,
     cube_protocol,
     cube_sphere_protocol,
     dumps_protocol,
     is_good,
     loads_protocol,
-    scale,
     simplex_faces,
     smallness,
     square_protocol,
-    subdivide,
     weights_at,
 )
 from hypercurrent.ratlin import QMat
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+
+from exact_cochain import cube_cw_domain
+from protocol_ops import scale, subdivide
 
 
 def cycle_boundary(proto, cycle):

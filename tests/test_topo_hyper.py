@@ -20,21 +20,19 @@ from hypercurrent.protocol import (
     _closure,
     cube_protocol,
     cube_sphere_protocol,
-    scale,
     smallness,
     square_protocol,
-    subdivide,
 )
 from hypercurrent.topo_hyper import (
     _tree_aux,
-    addendum_predicts_trivial,
     build_lift_cache,
     cochain_chain_map_defect,
-    cube_cellular_cochain,
-    hypercurrent_cochain,
     hypercurrent_homology,
     tree_functor,
 )
+
+from exact_cochain import addendum_predicts_trivial, cube_cellular_cochain, hypercurrent_cochain
+from protocol_ops import scale, subdivide
 
 
 def lift_vertex(proto, vertex_key):

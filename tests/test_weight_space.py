@@ -20,7 +20,6 @@ from hypercurrent.weight_space import (
     classify_top_cells,
     enumerate_top_discriminant_cells,
     good_summand_count,
-    robust_counts,
     transversal_sphere,
 )
 
@@ -145,20 +144,19 @@ def test_transversal_good_for_all_fixture_cells():
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_sphere_essential(q):
-    x = sphere_complex(q)
-    c, u, d = robust_counts(x, 0, q)
-    assert (c, u, d) == (1, 0, 1)
+    r = classify_top_cells(sphere_complex(q), 0, q)
+    assert (r.summands, r.inessential, r.robust_summands) == (1, 0, 1)
 
 
 @pytest.mark.parametrize("q", [1, 2])
 def test_wedge_inessential(q):
-    y = sphere_wedge_complex(q)
-    c, u, d = robust_counts(y, 0, q)
-    assert (c, u, d) == (1, 1, 0)
+    r = classify_top_cells(sphere_wedge_complex(q), 0, q)
+    assert (r.summands, r.inessential, r.robust_summands) == (1, 1, 0)
 
 
 def test_torsion_contractible_counts():
-    assert robust_counts(torsion_complex(), 0, 2) == (0, 0, 0)
+    r = classify_top_cells(torsion_complex(), 0, 2)
+    assert (r.summands, r.inessential, r.robust_summands) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("make, q", [(triangle_complex, 3), (torsion_complex, 3)],
@@ -168,8 +166,6 @@ def test_counts_outside_a_gap_raise(make, q):
     # is contractible; the gap is checked before that shortcut
     with pytest.raises(GapViolated):
         classify_top_cells(make(), 0, q)
-    with pytest.raises(GapViolated):
-        robust_counts(make(), 0, q)
 
 
 def test_classification_report_matrix():
@@ -228,7 +224,8 @@ def test_classification_center_choice_independent():
 )
 def test_robust_count_is_a_rank(make, counts):
     x = make()
-    c, u, d = robust_counts(x, 0, 1)
+    r = classify_top_cells(x, 0, 1)
+    c, u, d = r.summands, r.inessential, r.robust_summands
     assert (c, u, d) == counts
     assert u == c - d
     assert 0 <= d <= min(c, betti(x, 0) * betti(x, 1))
