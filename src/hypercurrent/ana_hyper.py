@@ -214,17 +214,11 @@ def _alpha0(gap, w, beta):
 # --- protocol geometry ---------------------------------------------------------
 
 
-def _simplex_vertex_weights(proto, key, level):
-    """Per-vertex weight vectors of one level over a simplex, as rows."""
-    pts = [proto.weight_of(v) for v in proto.vertices_of(key)]
-    return np.array([pt.level(level) for pt in pts], dtype=float)
-
-
 def _vertex_rows(proto, keys, level):
-    """The rows of _simplex_vertex_weights for each simplex of a stack of
-    one dimension, (M, nv, ncells), gathered once per distinct simplex."""
-    rows = {key: _simplex_vertex_weights(proto, key, level) for key in dict.fromkeys(keys)}
-    return np.array([rows[key] for key in keys])
+    """One level's weight vectors at the vertices of each simplex of a
+    stack of one dimension, (M, nv, ncells): one gather from the
+    protocol's weight array of that level."""
+    return proto.level_weights[level - proto.gap.p][np.array(keys, dtype=np.intp)]
 
 
 def _at_points(base, grads, points):

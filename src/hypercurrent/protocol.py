@@ -8,15 +8,21 @@ exactly by strict sign agreement of pairwise differences at vertices;
 no sampling is involved.
 
 Smallness and the exact lift read a parameter domain only through
-all_cells, dim_of, boundary_of, vertices_of, weight_of and its cached
-certificate, so the tests also run them on a regular-CW cube domain.
+all_cells, dim_of, boundary_of, vertices_of, weight_of, its cached
+certificate and two cached array views: cell_index, the cells by
+dimension with their vertices as one index array, and level_weights,
+one (n_vertices, n_cells) array per level.  The tests also run them on a
+regular-CW cube domain.
 """
 
 import itertools
 import json
 import math
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, 
 from .errors import (
     BadCoordinates,
     LevelMismatch,
+    NotACycle,
     NotClosedUnderFaces,
     ParseError,
 )
@@ -33,6 +40,7 @@ from .errors import (
 __all__ = [
     "WeightPoint",
     "SimplicialProtocol",
+    "CellIndex",
     "SmallnessCertificate",
     "load_protocol",
     "loads_protocol",
@@ -72,22 +80,42 @@ def _affine(points, coeffs):
 
 
 def simplex_faces(key):
-    """Codimension-one faces of a sorted vertex tuple with their signs."""
-    return [(((-1) ** m), key[:m] + key[m + 1 :]) for m in range(len(key))]
+    """Codimension-one faces of a sorted vertex tuple with their signs: the
+    face without vertex m has sign (-1)**m."""
+    faces = list(itertools.combinations(key, len(key) - 1))
+    faces.reverse()     # combinations leave out the last vertex first
+    return list(zip(itertools.cycle((1, -1)), faces))
 
 
 def _closure(simplices):
-    seen = set()
-    stack = [tuple(s) for s in simplices]
-    while stack:
-        s = stack.pop()
-        if s in seen:
-            continue
-        seen.add(s)
-        if len(s) > 1:
-            for _, f in simplex_faces(s):
-                stack.append(f)
-    return sorted(seen, key=lambda s: (len(s), s))
+    """Every face of the given sorted vertex tuples, themselves included,
+    sorted by (length, tuple): one set of simplices per length, whose
+    faces one length down are their sub-tuples of that length."""
+    by_len = {}
+    for s in simplices:
+        by_len.setdefault(len(s), []).append(tuple(s))
+    closed = []
+    level = set()
+    for n in range(max(by_len, default=0), 0, -1):
+        level.update(by_len.get(n, ()))
+        closed.append(sorted(level))
+        level = set(itertools.chain.from_iterable(map(itertools.combinations, level,
+                                                      itertools.repeat(n - 1))))
+    return list(itertools.chain.from_iterable(reversed(closed)))
+
+
+class CellIndex(NamedTuple):
+    """A parameter domain's cells grouped by dimension, each dimension in
+    all_cells order: the d-cells are keys[offsets[d]:offsets[d + 1]].
+    Row i of vertices holds the vertices of cell keys[i] (in vertices_of
+    order) as rows of the domain's level_weights, padded to the widest
+    cell with the cell's first vertex.  position maps a cell to its place
+    in keys."""
+
+    keys: tuple
+    offsets: tuple
+    vertices: np.ndarray    # int array (number of cells, most vertices of a cell)
+    position: dict
 
 
 @dataclass(frozen=True)
@@ -126,6 +154,29 @@ class SimplicialProtocol:
         with the (immutable) protocol."""
         return smallness(self)
 
+    @cached_property
+    def cell_index(self):
+        """The simplices by dimension; a simplex's vertices are its keys'
+        entries, which index vertex_weights."""
+        keys = tuple(sorted(self.simplices, key=len))
+        sizes = list(map(len, keys))
+        width = sizes[-1] if sizes else 0
+        offsets = tuple(bisect_left(sizes, n) for n in range(1, width + 2))
+        vertices = np.empty((len(keys), width), dtype=np.intp)
+        for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1):
+            vertices[a:b, :n] = np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
+            vertices[a:b, n:] = vertices[a:b, :1]
+        return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
+
+    @cached_property
+    def level_weights(self):
+        """Per level p..q, the vertex weights as an (n_vertices, n_cells)
+        float array."""
+        gap = self.gap
+        return tuple(np.array([wp.values[j - gap.p] for wp in self.vertex_weights], dtype=float)
+                     .reshape(len(self.vertex_weights), gap.parent.n_cells(j))
+                     for j in range(gap.p, gap.q + 1))
+
     # -- conveniences --
 
     @property
@@ -156,14 +207,11 @@ def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, 
                 raise NotClosedUnderFaces(f"simplex {s} references unknown vertex {v}")
         if list(s) != sorted(set(s)):
             raise ParseError(f"simplex {s} is not a strictly sorted vertex tuple")
-    closed = _closure(simplices)
-    for v in range(nv):
-        if (v,) not in closed:
-            closed = sorted(closed + [(v,)], key=lambda t: (len(t), t))
+    closed = _closure(list(simplices) + [(v,) for v in range(nv)])
     for sign in orientation.values():
         if sign not in (1, -1):
             raise ParseError("orientation signs must be +-1")
-    return SimplicialProtocol(
+    proto = SimplicialProtocol(
         gap=gap,
         vertex_ids=tuple(vertex_ids),
         vertex_weights=tuple(vertex_weights),
@@ -171,6 +219,12 @@ def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, 
         orientation=dict(orientation),
         fundamental_cycle=dict(cycle),
     )
+    position = proto.cell_index.position
+    for key in proto.fundamental_cycle:
+        if key not in position:
+            raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
+                            "which is not a simplex of the protocol")
+    return proto
 
 
 # --- documents --------------------------------------------------------------
@@ -304,13 +358,32 @@ def weights_at(proto: SimplicialProtocol, simplex, coords):
     return _affine(pts, coords)
 
 
+class _PerCell(Mapping):
+    """A read-only map from a domain's cells to one row each of per-cell
+    data, converted when read."""
+
+    def __init__(self, position, rows, convert):
+        self._position, self._rows, self._convert = position, rows, convert
+
+    def __getitem__(self, key):
+        return self._convert(self._rows[self._position[key]])
+
+    def __iter__(self):
+        return iter(self._position)
+
+    def __len__(self):
+        return len(self._position)
+
+
 @dataclass(frozen=True)
 class SmallnessCertificate:
-    """Per simplex: the set of levels injective on the whole closed
-    simplex, and the least such level when one exists."""
+    """Per cell: the set of levels injective on the whole closed cell, and
+    the least such level when one exists.  least holds the latter for the
+    cells in cell_index order, -1 where there is none."""
 
-    levels: dict      # key -> frozenset of certified levels
-    k: dict           # key -> least certified level or None
+    levels: Mapping   # key -> frozenset of certified levels
+    k: Mapping        # key -> least certified level or None
+    least: np.ndarray = field(default=None, compare=False, repr=False)
 
 
 def smallness(domain) -> SmallnessCertificate:
@@ -319,38 +392,35 @@ def smallness(domain) -> SmallnessCertificate:
     A level is certified on a cell iff every pairwise weight difference
     has one strict sign at all vertices of the closure; affine functions
     on convex cells attain extrema at vertices, so this is not a
-    sampling test.  Each level is one sign test over all cells at once.
+    sampling test.  That holds iff every vertex of the cell ranks the
+    level's cells strictly (no ties) and all of them rank them alike, so
+    each level is one ranking per vertex, gathered over all cells at once
+    through their vertex index array; a padded entry repeats a vertex,
+    which changes neither test.
     """
     gap = domain.gap
-    keys = list(domain.all_cells())
-    rows = {}                                   # vertex key -> row
-    cells = [[rows.setdefault(v, len(rows)) for v in domain.vertices_of(key)] for key in keys]
-    # pad each cell with its first vertex: all() over a repeated row is unchanged
-    width = max(map(len, cells))
-    idx = np.array([vs + vs[:1] * (width - len(vs)) for vs in cells])
-    points = [domain.weight_of(v) for v in rows]
-    js = range(gap.p, gap.q + 1)
-    ok = []
-    for j in js:
-        w = np.array([pt.level(j) for pt in points], dtype=float)
-        # entry (a, b) is w_a - w_b; below the diagonal that is exactly the
-        # negated difference above it, so both halves agree in sign
-        diffs = w[:, :, None] - w[:, None, :]
-        sep = (diffs > 0)[idx].all(axis=1) | (diffs < 0)[idx].all(axis=1)
-        ok.append((sep | np.eye(w.shape[1], dtype=bool)).all(axis=(1, 2)))
-    ok = np.array(ok).T.tolist()
-    levels = {key: frozenset(j for j, good in zip(js, row) if good) for key, row in zip(keys, ok)}
-    return SmallnessCertificate(levels=levels,
-                                k={key: min(lv, default=None) for key, lv in levels.items()})
+    cells = domain.cell_index
+    ok = np.empty((len(cells.keys), gap.q - gap.p + 1), dtype=bool)
+    for col, w in enumerate(domain.level_weights):
+        rank = np.argsort(w, axis=1)
+        ranked = np.sort(w, axis=1)
+        strict = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        ranks = rank[cells.vertices]
+        ok[:, col] = (ranks == ranks[:, :1]).all(axis=(1, 2)) & strict[cells.vertices].all(axis=1)
+    least = np.where(ok.any(axis=1), ok.argmax(axis=1) + gap.p, -1)
+    return SmallnessCertificate(
+        levels=_PerCell(cells.position, ok,
+                        lambda row: frozenset((np.flatnonzero(row) + gap.p).tolist())),
+        k=_PerCell(cells.position, least.tolist(), lambda k: None if k < 0 else k),
+        least=least)
 
 
 def is_good(domain):
     """True iff every cell of the domain has an injective level; on
-    failure also returns the first offending cell."""
-    cert = domain.certificate
-    for key in domain.all_cells():
-        if cert.k[key] is None:
-            return False, key
+    failure also returns the first offending cell in cell_index order."""
+    bad = np.flatnonzero(domain.certificate.least < 0)
+    if len(bad):
+        return False, domain.cell_index.keys[bad[0]]
     return True, None
 
 

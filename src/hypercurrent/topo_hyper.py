@@ -9,26 +9,31 @@ chain-map identity is asserted at each step, so the lift is
 reproducible bit for bit.
 
 The pairing of a top cycle with degree-p classes reads the degree-0
-blocks of the cycle cells' lifts straight from the lift cache (their
-Koszul sign is +1).  A HyperCochain holds the analytical route's
-cochain, whose distance from a chain map cochain_chain_map_defect
-measures; the tests build the exact cochain from the lift cache, with
-the Koszul sign on every block, as the defect's zero reference.
+blocks of the cycle cells' lifts straight from the lift cache's top
+stack (their Koszul sign is +1).  A HyperCochain holds the analytical
+route's cochain, whose distance from a chain map
+cochain_chain_map_defect measures; the tests build the exact cochain
+from the lift cache, with the Koszul sign on every block, as the
+defect's zero reference.
 
-Higher cells are lifted one dimension at a time: lift_simplex stacks
-the cells of a dimension as object arrays of numerators over one
-denominator per degree, gathers their face values from the previous
-dimension's stack, and runs every product and check on the whole
-stack.  Each cell's blocks are reduced to lowest terms once, at the
-end, so they equal a cell-by-cell lift's.  If checks fail, the error
-raised is the one a cell-by-cell pass in (dim, repr) order meets
-first: earliest cell, then degree, then check (support, class or
-cycle, top degree, chain-map identity).
+The lift stays stacked to the end.  Each dimension, vertices included,
+is one stack per degree: object arrays of numerators over one
+denominator, with a cell key -> row index.  lift_simplex gathers a
+dimension's face values from the previous dimension's stack and runs
+every product and check on the whole stack; the pairing contracts the
+top stack's degree-0 numerators with the cycle's coefficients and
+reduces once.  A cell's lowest-terms QMats, equal to a cell-by-cell
+lift's, are built only when LiftCache.values is read at that cell.  If
+checks fail, the error raised is the one a cell-by-cell pass in
+(dim, repr) order meets first: earliest cell, then degree, then check
+(support, class or cycle, top degree, chain-map identity).
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -116,20 +121,60 @@ def _tree_aux(gap: GapComplex, tree: DTree) -> _TreeAux:
     return gap.derived(("tree_aux", tree.key), lambda: _TreeAux(gap, tree))
 
 
+class _Stack(NamedTuple):
+    """The lift of cells of one dimension: per input degree, numerators
+    (cell, rows, cols) over one denominator; row maps a cell key to its
+    place in keys."""
+
+    keys: tuple
+    row: dict
+    blocks: list    # (num, den) per input degree
+
+
+class _CellBlocks(Mapping):
+    """Read-only view of the stacks by cell: a cell's lowest-terms QMats,
+    one per input degree, built when the cell is first read."""
+
+    def __init__(self, stacks):
+        self._stacks = stacks
+        self._built = {}
+
+    def __getitem__(self, key):
+        if key in self._built:
+            return self._built[key]
+        for stack in self._stacks:
+            i = stack.row.get(key)
+            if i is not None:
+                out = tuple(QMat(num[i], den) for num, den in stack.blocks)
+                self._built[key] = out
+                return out
+        raise KeyError(key)
+
+    def __iter__(self):
+        for stack in self._stacks:
+            yield from stack.keys
+
+    def __len__(self):
+        return sum(len(stack.keys) for stack in self._stacks)
+
+
 @dataclass
 class LiftCache:
     """Per-cell chain maps m(x (x) [cell]) in ambient coordinates.
 
-    values[key][g] maps degree-g basis chains to degree g+dim(cell)
-    chains supported on the cell's tree subcomplex.  stacked holds the
-    last dimension lifted as (position of each cell, one stack per input
-    degree), so the next dimension gathers its faces from it.
+    stacks[d] holds the lift of the d-cells, vertices included, as one
+    stack of numerators over one denominator per input degree with a
+    cell key -> row index; the next dimension gathers its faces from it
+    and the pairing contracts the top one.  values[key][g] maps degree-g
+    basis chains to degree g+dim(cell) chains supported on the cell's
+    tree subcomplex, as a lowest-terms QMat built from the stack when
+    the cell is first read.
     """
 
     gap: GapComplex
-    trees: dict     # cell key -> DTree
-    values: dict    # cell key -> tuple of QMat, one per input degree
-    stacked: tuple = field(default=None, repr=False, compare=False)
+    trees: dict       # cell key -> DTree
+    values: Mapping   # cell key -> tuple of QMat, one per input degree
+    stacks: list = field(default_factory=list, repr=False, compare=False)
 
 
 def tree_functor(proto, key):
@@ -149,26 +194,43 @@ def tree_functor(proto, key):
 def build_lift_cache(proto) -> LiftCache:
     gap = proto.gap
     cert = proto.certificate
-    cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
+    cells = proto.cell_index
+    keys = cells.keys
+    if cert.least.min() < 0:
+        # the cell a cell-by-cell pass in (dim, repr) order meets first
+        bad = (keys[i] for i in np.flatnonzero(cert.least < 0))
+        first = min(bad, key=lambda c: (proto.dim_of(c), repr(c)))
+        raise NotGood(f"cell {first} is not small")
     # the tree depends only on the cell's first vertex and its level
-    trees, shared = {}, {}
-    for key in cells:
-        if cert.k[key] is None:
-            raise NotGood(f"cell {key} is not small")
-        at = (proto.vertices_of(key)[0], cert.k[key])
-        if at not in shared:
-            shared[at] = tree_functor(proto, key)
-        trees[key] = shared[at]
-    cache = LiftCache(gap=gap, trees=trees, values={})
-    by_dim = {}
-    for key in cells:
-        by_dim.setdefault(proto.dim_of(key), []).append(key)
-    for jdim, keys in by_dim.items():
-        if jdim == 0:
-            cache.values.update((key, _tree_aux(gap, trees[key]).phi) for key in keys)
-        else:
-            lift_simplex(proto, keys, cache)
+    at = list(zip(cells.vertices[:, 0].tolist(), cert.least.tolist()))
+    found = {}
+    for a, key in zip(at, keys):
+        if a not in found:
+            found[a] = tree_functor(proto, key)
+    trees = dict(zip(keys, map(found.__getitem__, at)))
+    stacks = []
+    cache = LiftCache(gap=gap, trees=trees, values=_CellBlocks(stacks), stacks=stacks)
+    vertices = keys[cells.offsets[0]:cells.offsets[1]]
+    distinct, tree_of = _tree_positions(trees, vertices)
+    phis = [_tree_aux(gap, tree).phi for tree in distinct]
+    blocks = []
+    for g in range(gap.top + 1):
+        num, den = _stacked([phi[g] for phi in phis])
+        blocks.append((num[tree_of], den))
+    stacks.append(_Stack(vertices, dict(zip(vertices, range(len(vertices)))), blocks))
+    for a, b in zip(cells.offsets[1:], cells.offsets[2:]):
+        lift_simplex(proto, keys[a:b], cache)
     return cache
+
+
+def _tree_positions(trees, keys):
+    """The distinct trees of the cells keys, in order of first appearance,
+    and each cell's position among them."""
+    per_key = list(map(trees.__getitem__, keys))
+    ids = list(map(id, per_key))
+    distinct = dict(zip(ids, per_key))
+    pos = dict(zip(distinct, range(len(distinct))))
+    return list(distinct.values()), np.fromiter(map(pos.__getitem__, ids), np.intp, len(ids))
 
 
 def _stacked(mats):
@@ -202,7 +264,7 @@ _OBSTRUCTIONS = (
 
 def lift_simplex(proto, keys, cache: LiftCache):
     """Extend the lift over the cells keys, all of one dimension j, all
-    lower dimensions being done; fills cache.values for them.
+    lower dimensions being done; stores their stack as cache.stacks[j].
 
     For each basis chain x in increasing degree the defining value is
     the contracting homotopy applied to
@@ -212,45 +274,42 @@ def lift_simplex(proto, keys, cache: LiftCache):
     one stack per degree: face values are gathered from the stack of
     dimension j-1 and each tree's homotopy acts on its cells at once.
     When checks fail the error names the failure a cell-by-cell pass in
-    keys order would meet first: earliest cell, then degree, then check.
+    (dim, repr) order would meet first: earliest cell, then degree, then
+    check.
     """
     gap = cache.gap
     top = gap.top
+    keys = tuple(keys)
     jdim = proto.dim_of(keys[0])
-    if any(proto.dim_of(key) != jdim for key in keys):
+    if set(map(proto.dim_of, keys)) != {jdim}:
         raise ValueError("lift_simplex takes cells of one dimension")
-    cells, faces, signs = [], [], []
-    for i, key in enumerate(keys):
-        for fsign, fkey in proto.boundary_of(key):
-            cells.append(i)
-            faces.append(fkey)
-            signs.append(fsign)
-    if cache.stacked is not None and all(f in cache.stacked[0] for f in faces):
-        index, fstack = cache.stacked
-    else:
-        distinct = list(dict.fromkeys(faces))
-        index = {f: i for i, f in enumerate(distinct)}
-        fstack = [_stacked([cache.values[f][g] for f in distinct]) for g in range(top + 1)]
-    cells = np.array(cells, dtype=np.intp)
-    faces = np.array([index[f] for f in faces], dtype=np.intp)
+    fstack = cache.stacks[jdim - 1]
+    # one cell's boundary at a time: the faces' rows in the stack below
+    counts, faces, signs = [], [], []
+    for key in keys:
+        bnd = proto.boundary_of(key)
+        counts.append(len(bnd))
+        for sign, face in bnd:
+            signs.append(sign)
+            faces.append(fstack.row[face])
+    cells = np.repeat(np.arange(len(keys)), counts)
+    faces = np.array(faces, dtype=np.intp)
     signs = np.array(signs, dtype=object)[:, None, None]
-    trees = list({cache.trees[key].key: cache.trees[key] for key in keys}.values())
-    tree_pos = {tree.key: t for t, tree in enumerate(trees)}
-    tree_of = np.array([tree_pos[cache.trees[key].key] for key in keys], dtype=np.intp)
+    trees, tree_of = _tree_positions(cache.trees, keys)
     auxes = [_tree_aux(gap, tree) for tree in trees]
     n = len(keys)
     out = []
-    failed = []     # (cell position, degree, check) of each check's first failing cell
+    failed = []     # (failing cells, degree, check) of each check that fails
 
     def check(bad, g, which):
         if bad.any():
-            failed.append((int(np.argmax(bad)), g, which))
+            failed.append((bad, g, which))
 
     for g in range(top + 1):
         ng = gap.dim_at(g)
         zdeg = g + jdim - 1
         rows = gap.dim_at(zdeg)
-        fnum, zden = fstack[g]
+        fnum, zden = fstack.blocks[g]
         z = np.zeros((n, rows, ng), dtype=object)
         np.add.at(z, cells, fnum[faces] * (signs * (-1) ** g))
         if g >= 1:
@@ -279,11 +338,11 @@ def lift_simplex(proto, keys, cache: LiftCache):
         check(_nonzero((d.num @ m) * zden - z * (d.den * mden)), g, 4)
         out.append((m, mden))
     if failed:
-        i, g, which = min(failed)
+        _, i, g, which = min((repr(keys[i]), i, g, which)
+                             for bad, g, which in failed for i in np.flatnonzero(bad).tolist())
         raise LiftObstruction(_OBSTRUCTIONS[which].format(key=keys[i], g=g))
-    for i, key in enumerate(keys):
-        cache.values[key] = tuple(QMat(num[i], den) for num, den in out)
-    cache.stacked = ({key: i for i, key in enumerate(keys)}, out)
+    del cache.stacks[jdim:]
+    cache.stacks.append(_Stack(keys, dict(zip(keys, range(n))), out))
 
 
 @dataclass
@@ -332,16 +391,30 @@ def hypercurrent_homology(proto, cycle, class_p):
     gap = proto.gap
     if cycle_boundary_defect(proto, cycle):
         raise NotACycle("parameter chain has nonzero boundary")
-    lift = build_lift_cache(proto).values
+    stacks = build_lift_cache(proto).stacks
+    top = stacks[gap.top] if gap.top < len(stacks) else None
     # the degree-p representative is a chain in degree 0 of the shifted complex
     if not isinstance(class_p, QMat):
         class_p = [Fraction(c) for c in class_p]
     rep = gap.parent_hp.representative(class_p)
-    total = QMat.zeros(gap.dim_at(gap.top), gap.dim_at(0))
+    rows, coeffs = [], []
     for key, coeff in cycle.items():
+        key = tuple(key)
         if proto.dim_of(key) != gap.top:
             raise NotACycle("cycle has support outside the top dimension")
-        total = total + lift[tuple(key)][0] * coeff
+        if top is None or key not in top.row:
+            raise NotACycle(f"cycle names {key}, which is not a cell of the domain")
+        rows.append(top.row[key])
+        coeffs.append(Fraction(coeff))
+    # one contraction of the top stack's degree-0 numerators with the
+    # coefficients, over the product of the denominators
+    total = QMat.zeros(gap.dim_at(gap.top), gap.dim_at(0))
+    if rows:
+        num, den = top.blocks[0]
+        cden = math.lcm(*(c.denominator for c in coeffs))
+        weights = np.array([c.numerator * (cden // c.denominator) for c in coeffs], dtype=object)
+        total = QMat((weights @ num[rows].reshape(len(rows), -1)).reshape(num.shape[1:]),
+                     den * cden)
     out = total @ rep
     # with top 0 the output is a degree-p chain whose class lives in the
     # parent directly

@@ -12,8 +12,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from hypercurrent.complex_core import GapComplex, GradedOperator
-from hypercurrent.protocol import _corner_weight, smallness
+from hypercurrent.protocol import CellIndex, _corner_weight, smallness
 from hypercurrent.topo_hyper import HyperCochain, build_lift_cache
 
 
@@ -47,6 +49,26 @@ class CubeCwDomain:
     @cached_property
     def certificate(self):
         return smallness(self)
+
+    @cached_property
+    def cell_index(self):
+        """The cells by dimension; the vertices are the 0-cells, the
+        corners, in their all_cells order."""
+        keys = tuple(self.all_cells())
+        dims = [self.dim_of(c) for c in keys]
+        offsets = tuple(dims.index(d) for d in range(self.n)) + (len(keys),)
+        corner = {c: i for i, c in enumerate(keys[:offsets[1]])}
+        width = 2 ** (self.n - 1)
+        rows = [[corner[v] for v in self.vertices_of(c)] for c in keys]
+        vertices = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.intp)
+        return CellIndex(keys, offsets, vertices, {c: i for i, c in enumerate(keys)})
+
+    @cached_property
+    def level_weights(self):
+        index = self.cell_index
+        corners = [self.weight_of(c) for c in index.keys[:index.offsets[1]]]
+        return tuple(np.array([wp.level(j) for wp in corners], dtype=float)
+                     for j in range(self.gap.p, self.gap.q + 1))
 
     def all_cells(self):
         cells = []

@@ -1,7 +1,12 @@
 """Operations on protocols that only the tests use: midpoint subdivision
 and scaling of all weights.  Both keep a protocol's order types, so the
 exact lift must not change under them; the tests check that it does not.
+Also the face closure one face at a time, the oracle for the library's
+closure over index arrays, and a document whose stored cycle leaves the
+protocol.
 """
+
+import json
 
 from hypercurrent.ana_hyper import _check_beta
 from hypercurrent.protocol import (
@@ -9,7 +14,26 @@ from hypercurrent.protocol import (
     WeightPoint,
     _ordered_to_sorted,
     _validate_protocol,
+    dumps_protocol,
+    simplex_faces,
+    square_protocol,
 )
+
+
+def closure_by_faces(simplices):
+    """Every face of the given sorted vertex tuples, themselves included,
+    found by walking codimension-one faces; sorted by (length, tuple)."""
+    seen = set()
+    stack = [tuple(s) for s in simplices]
+    while stack:
+        s = stack.pop()
+        if s in seen:
+            continue
+        seen.add(s)
+        if len(s) > 1:
+            for _, f in simplex_faces(s):
+                stack.append(f)
+    return sorted(seen, key=lambda s: (len(s), s))
 
 
 def _combine(a: WeightPoint, b: WeightPoint, t):
@@ -86,3 +110,13 @@ def subdivide(proto: SimplicialProtocol):
             if key in proto.orientation:
                 new_orient[skey] = proto.orientation[key] * sgn
     return _validate_protocol(proto.gap, ids, weights, new_tops, new_orient, new_cycle)
+
+
+def square_doc_without_last_edge():
+    """The square protocol's document with its last edge dropped and its
+    stored cycle kept, and the dropped edge's name as the cycle writes it."""
+    doc = json.loads(dumps_protocol(square_protocol()))
+    dropped = doc["simplices"].pop()
+    name = ",".join(dropped["vertices"])
+    assert name in doc["cycle"]
+    return doc, name

@@ -51,6 +51,13 @@ SPHERE2 = gap_complex(sphere_complex(2), 0, 2)
 TOR = gap_complex(torsion_complex(), 0, 2)
 
 
+def simplex_vertex_weights(proto, key, level):
+    """Per-vertex weight vectors of one level over a simplex, as rows, read
+    point by point: the oracle for the library's gather."""
+    pts = [proto.weight_of(v) for v in proto.vertices_of(key)]
+    return np.array([pt.level(level) for pt in pts], dtype=float)
+
+
 def constant_protocol(gap, wp):
     return SimplicialProtocol(
         gap=gap,
@@ -398,7 +405,7 @@ def _rho_drho_at_nodes(ctx, proto, key, beta, level, nodes):
     Returns (rho: (N, ntrees), drho: (N, ntrees, jdim)); the differential
     is exact: beta * sum_a eta(T, a) dW_a with the product form of eta.
     """
-    vw = ana_hyper._simplex_vertex_weights(proto, key, level)
+    vw = simplex_vertex_weights(proto, key, level)
     entries = ctx.trees[level]
     wt_vertex = np.array([[sum(row[i] for i in e["idx"]) for e in entries] for row in vw])
     base = wt_vertex[0]
@@ -475,7 +482,7 @@ def single_rho_at_nodes(ctx, proto, key, beta, level, nodes):
     """Tree distribution at each node, (N, ntrees), and the tree weights'
     gradients in the simplex's affine coordinates, (jdim, ntrees)."""
     table = ctx.trees[level]
-    wt_vertex = ana_hyper._tree_weights(table, ana_hyper._simplex_vertex_weights(proto, key, level))
+    wt_vertex = ana_hyper._tree_weights(table, simplex_vertex_weights(proto, key, level))
     base = wt_vertex[0]
     grads = wt_vertex[1:] - base[None, :]
     return single_tree_distribution(table, base[None, :] + nodes @ grads, beta), grads
@@ -550,7 +557,7 @@ def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8):
     if jdim > gap.top:
         raise ValueError("simplex dimension exceeds the gap width")
     if jdim == 0:
-        vw = ana_hyper._simplex_vertex_weights(proto, key, gap.p)
+        vw = simplex_vertex_weights(proto, key, gap.p)
         return ana_hyper._alpha0(gap, vw[0], beta)
     prev = None
     for depth in range(max_depth + 1):
@@ -1123,9 +1130,24 @@ def test_axioms_constant_protocol_zero_residuals():
 # it bit for bit.
 
 
+@pytest.mark.parametrize("make", [square_protocol, lambda: cube_sphere_protocol(2),
+                                  lambda: cube_protocol(gap_complex(sphere_wedge_complex(3), 0, 3))])
+def test_vertex_rows_gather_equals_point_by_point(make):
+    # one fancy index into the protocol's weight arrays gives the same
+    # floats as reading each vertex's weight point
+    proto = make()
+    gap = proto.gap
+    for jdim in range(proto.dim + 1):
+        keys = proto.simplices_of_dim(jdim)
+        keys = keys + keys[:1]      # a repeated simplex, as in stacks of nodes
+        for level in range(gap.p, gap.q + 1):
+            want = np.array([simplex_vertex_weights(proto, key, level) for key in keys])
+            assert np.array_equal(ana_hyper._vertex_rows(proto, keys, level), want)
+
+
 def point_weights(proto, key, level, coords):
     """One level's cell weights at a point of a simplex."""
-    vw = ana_hyper._simplex_vertex_weights(proto, key, level)
+    vw = simplex_vertex_weights(proto, key, level)
     base = vw[0]
     grads = vw[1:] - base[None, :]
     return (base[None, :] + np.asarray(coords, dtype=float)[None, :] @ grads)[0]

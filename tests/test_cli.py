@@ -4,10 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
-from hypercurrent import topo_hyper
+from hypercurrent import ratlin, topo_hyper
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
-from hypercurrent.ratlin import QMat
+from hypercurrent.protocol import builtin_protocol
+
+from protocol_ops import square_doc_without_last_edge
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "refs.json"
 
@@ -214,6 +216,37 @@ def test_topo_current_reaches_the_stacked_lift(monkeypatch, capsys):
     assert calls["topo_hyper.tree_functor"] > 0 and calls["forests.greedy_dtree"] > 0
 
 
+def test_topo_current_materialises_no_cell_qmat(monkeypatch, capsys):
+    # the pairing contracts the top stack, so no cell's lowest-terms QMat is
+    # built; an eager unpack would build one per cell and degree
+    read = []
+    real_read = topo_hyper._CellBlocks.__getitem__
+    monkeypatch.setattr(topo_hyper._CellBlocks, "__getitem__",
+                        lambda self, key: read.append(key) or real_read(self, key))
+    made = []
+    real_init = ratlin.QMat.__init__
+
+    def counted(self, num, den=1):
+        made.append(num.shape)
+        real_init(self, num, den)
+
+    monkeypatch.setattr(ratlin.QMat, "__init__", counted)
+    assert main(["topo", "current", "builtin:cube_sphere:3"]) == 0
+    proto = builtin_protocol("cube_sphere", 3)
+    assert read == []
+    assert len(made) < len(proto.all_cells()) * (proto.gap.top + 1)
+
+
+def test_topo_current_cycle_outside_the_protocol_is_validation_error(tmp_path, capsys):
+    doc, name = square_doc_without_last_edge()
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    assert main(["topo", "current", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: NotACycle: cycle names simplex {name}," in captured.err
+    assert captured.out == ""
+
+
 def test_quantize_reaches_tree_enumeration(monkeypatch, tmp_path, capsys):
     calls = _count_calls(monkeypatch, ["forests.enumerate_dtrees"])
     assert main(["quantize", "builtin:square", "--betas", "5", "--out", str(tmp_path / "q.csv")]) == 0
@@ -277,16 +310,17 @@ def test_broken_invariant_exits_1(monkeypatch, capsys):
 
 def test_paired_non_cycle_is_broken_invariant(monkeypatch, capsys):
     # the lift is a chain map, so the chain the pairing reads is a cycle;
-    # one corrupted lift entry breaks that on valid input
+    # one corrupted entry of the data the pairing reads, a cycle cell's row
+    # in the top stack's degree-0 numerators, breaks that on valid input
     original = topo_hyper.build_lift_cache
 
     def corrupted(proto):
         cache = original(proto)
-        key = next(iter(proto.fundamental_cycle))
-        blk = cache.values[key][0]
-        num = blk.num.copy()
-        num[0, 0] += blk.den
-        cache.values[key] = (QMat(num, blk.den),) + cache.values[key][1:]
+        top = cache.stacks[proto.gap.top]
+        num, den = top.blocks[0]
+        num = num.copy()
+        num[top.row[next(iter(proto.fundamental_cycle))], 0, 0] += den
+        top.blocks[0] = (num, den)
         return cache
 
     monkeypatch.setattr(topo_hyper, "build_lift_cache", corrupted)

@@ -3,7 +3,10 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hypercurrent import ratlin
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex, \
@@ -13,12 +16,14 @@ from hypercurrent.errors import (
     LevelMismatch,
     NonfiniteBeta,
     NonpositiveBeta,
+    NotACycle,
     NotClosedUnderFaces,
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
     SmallnessCertificate,
     WeightPoint,
+    _closure,
     _ordered_to_sorted,
     _perm_sign,
     cube_protocol,
@@ -35,7 +40,7 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 from exact_cochain import cube_cw_domain
-from protocol_ops import scale, subdivide
+from protocol_ops import closure_by_faces, scale, square_doc_without_last_edge, subdivide
 
 
 def cycle_boundary(proto, cycle):
@@ -109,6 +114,44 @@ def test_level_mismatch():
 
     with pytest.raises(LevelMismatch):
         loads_protocol(json.dumps(doc))
+
+
+def test_stored_cycle_outside_the_protocol_is_rejected():
+    doc, name = square_doc_without_last_edge()
+    with pytest.raises(NotACycle, match=f"cycle names simplex {name},"):
+        loads_protocol(json.dumps(doc))
+
+
+simplex_lists = st.lists(
+    st.lists(st.integers(0, 13), min_size=1, max_size=4, unique=True).map(lambda s: tuple(sorted(s))),
+    max_size=8)
+
+
+# isolated vertices; a repeated simplex and a face listed beside its simplex;
+# vertex indices of 10 and more, where repr order is not numeric order
+@example([(3,), (7,)])
+@example([(0, 1, 2), (0, 1, 2), (1, 2), (2,)])
+@example([(2, 9, 11), (10, 12), (1,)])
+@given(simplex_lists)
+def test_closure_matches_closure_by_faces(simplices):
+    assert _closure(simplices) == closure_by_faces(simplices)
+
+
+def test_cell_index_and_level_weights_match_per_cell_reads():
+    proto = cube_sphere_protocol(3)   # 16 vertices
+    cells = proto.cell_index
+    assert cells.keys == proto.simplices
+    width = proto.dim + 1
+    for d in range(width):
+        keys = cells.keys[cells.offsets[d]:cells.offsets[d + 1]]
+        assert keys == tuple(proto.simplices_of_dim(d))
+        rows = cells.vertices[cells.offsets[d]:cells.offsets[d + 1]].tolist()
+        # each cell's vertices, padded with its first one
+        assert rows == [[v for (v,) in proto.vertices_of(key)] + [key[0]] * (width - d - 1)
+                        for key in keys]
+    assert all(cells.keys[i] == key for key, i in cells.position.items())
+    for j, w in enumerate(proto.level_weights, start=proto.gap.p):
+        assert np.array_equal(w, [proto.weight_of((v,)).level(j) for v in range(len(proto.vertex_ids))])
 
 
 # --- evaluation ----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypercurrent.complex_core import (
     sphere_wedge_complex,
     torsion_complex,
 )
-from hypercurrent.errors import NotACycle, NotSmall
+from hypercurrent.errors import LiftObstruction, NotACycle, NotSmall
 from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
     SimplicialProtocol,
@@ -31,6 +32,7 @@ from hypercurrent.topo_hyper import (
     tree_functor,
 )
 
+from eager_lift import build_lift_cache_eager
 from exact_cochain import addendum_predicts_trivial, cube_cellular_cochain, hypercurrent_cochain
 from protocol_ops import scale, subdivide
 
@@ -313,6 +315,15 @@ def test_not_a_cycle_rejected():
         hypercurrent_homology(proto, {edge: 1}, [1])
 
 
+def test_cycle_outside_the_domain_is_not_a_cycle():
+    # the square's cycle paired over the path its last edge leaves behind
+    proto = square_protocol()
+    edges = proto.simplices_of_dim(1)
+    path = restrict(proto, edges[:-1])
+    with pytest.raises(NotACycle, match=re.escape(f"cycle names {edges[-1]}, which is not a cell")):
+        hypercurrent_homology(path, proto.fundamental_cycle, [1])
+
+
 def test_representative_independence():
     proto = cube_sphere_protocol(2)
     gap = proto.gap
@@ -445,3 +456,54 @@ def test_addendum_single_top_cell():
                     "boundary": [[[-1], [1]]]})
     )
     assert addendum_predicts_trivial(seg, 0, 1)  # a single top cell
+
+
+# --- lazy blocks against the eager unpack ------------------------------------------
+
+
+def _cube3_file():
+    from test_lift_oracle import _perturbed_cube3_file
+
+    return _perturbed_cube3_file()
+
+
+LAZY_DOMAINS = {
+    "cube_sphere3": lambda: cube_sphere_protocol(3),
+    "cube_wedge3": lambda: cube_protocol(gap_complex(sphere_wedge_complex(3), 0, 3)),
+    "cube3_file": _cube3_file,
+}
+
+
+@pytest.mark.parametrize("name", list(LAZY_DOMAINS))
+def test_lazy_blocks_equal_eager_unpack(name):
+    proto = LAZY_DOMAINS[name]()
+    lazy = build_lift_cache(proto)
+    eager = build_lift_cache_eager(proto)
+    assert lazy.trees == eager.trees
+    assert len(lazy.values) == len(eager.values) == len(proto.all_cells())
+    assert set(lazy.values) == set(eager.values)
+    for key, mats in eager.values.items():
+        assert lazy.values[key] == mats
+        assert lazy.values[key] is lazy.values[key]
+
+
+def test_first_obstruction_follows_repr_order(monkeypatch):
+    # two failing edges whose numeric order and (dim, repr) order disagree:
+    # the error names the one a cell-by-cell pass in (dim, repr) order meets
+    proto = cube_sphere_protocol(3)
+    edges = proto.simplices_of_dim(1)
+    a, b = next((e, f) for e in edges for f in edges if e[0] == f[0] and 2 <= e[1] < 10 <= f[1])
+    assert a < b and repr(b) < repr(a)
+    real = type(proto).boundary_of
+
+    def flipped(self, key):
+        (sign, face), *rest = real(self, key)
+        return [(-sign if key in (a, b) else sign, face)] + rest
+
+    monkeypatch.setattr(type(proto), "boundary_of", flipped)
+    with pytest.raises(LiftObstruction) as eager:
+        build_lift_cache_eager(proto)
+    with pytest.raises(LiftObstruction) as lazy:
+        build_lift_cache(proto)
+    assert str(eager.value).endswith(f"at {b}")
+    assert str(lazy.value) == str(eager.value)
