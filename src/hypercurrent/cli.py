@@ -326,8 +326,8 @@ def cmd_dyn(args):
     with open(out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + list(names))
-        for t, row in zip(times, traj):
-            writer.writerow([t] + [repr(float(v)) for v in row])
+        # csv writes a Python float as its repr
+        writer.writerows([t] + row for t, row in zip(times.tolist(), traj.tolist()))
     print(json.dumps({"config": cfg.as_dict(), "csv": out, "mass_drift":
                       float(np.max(np.abs(traj.sum(axis=1) - 1.0)))}, indent=1))
     return 0

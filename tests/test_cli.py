@@ -7,7 +7,8 @@ import pytest
 from hypercurrent import ratlin, topo_hyper
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
-from hypercurrent.protocol import builtin_protocol
+from hypercurrent.graph_dynamics import evolve
+from hypercurrent.protocol import builtin_protocol, load_protocol
 
 from protocol_ops import square_doc_without_last_edge
 
@@ -453,19 +454,21 @@ def test_weightspace_report_outside_a_gap_is_validation_error(triangle_file, cap
     assert "GapViolated" in captured.err and captured.out == ""
 
 
+DYN_PROTOCOL = {
+    "complex": {"builtin": "sphere", "q": 1},
+    "p": 0,
+    "q": 1,
+    "vertices": [
+        {"id": "t0", "weights": {"0": [0.0, 0.3], "1": [0.0, 0.0]}},
+        {"id": "t1", "weights": {"0": [0.3, 0.0], "1": [0.0, 0.0]}},
+    ],
+    "simplices": [{"vertices": ["t0", "t1"]}],
+}
+
+
 def test_dyn_evolve(tmp_path, capsys):
-    proto_doc = {
-        "complex": {"builtin": "sphere", "q": 1},
-        "p": 0,
-        "q": 1,
-        "vertices": [
-            {"id": "t0", "weights": {"0": [0.0, 0.3], "1": [0.0, 0.0]}},
-            {"id": "t1", "weights": {"0": [0.3, 0.0], "1": [0.0, 0.0]}},
-        ],
-        "simplices": [{"vertices": ["t0", "t1"]}],
-    }
     pfile = tmp_path / "proto.json"
-    pfile.write_text(json.dumps(proto_doc))
+    pfile.write_text(json.dumps(DYN_PROTOCOL))
     p0file = tmp_path / "p0.json"
     p0file.write_text(json.dumps([1.0, 0.0]))
     out = tmp_path / "traj.csv"
@@ -482,6 +485,21 @@ def test_dyn_evolve(tmp_path, capsys):
     for line in lines[1:]:
         for cell in line.split(","):
             float(cell)
+
+
+def test_dyn_evolve_csv_cells_are_float_reprs(tmp_path):
+    pfile = tmp_path / "proto.json"
+    pfile.write_text(json.dumps(DYN_PROTOCOL))
+    p0file = tmp_path / "p0.json"
+    p0file.write_text(json.dumps([0.25, 0.75]))
+    out = tmp_path / "traj.csv"
+    # times of order 1e-5 print in exponent form
+    assert main(["dyn", "evolve", str(pfile), "--p0", str(p0file), "--t0", "0", "--t1", "2e-5",
+                 "--steps", "8", "--out", str(out)]) == 0
+    times, traj = evolve(load_protocol(str(pfile)), [0.25, 0.75], 0.0, 2e-5, 8)
+    rows = [",".join(repr(float(x)) for x in [t, *row]) for t, row in zip(times, traj)]
+    assert out.read_bytes() == ("\r\n".join(["t,e0+,e0-"] + rows) + "\r\n").encode()
+    assert "e-05" in rows[-1].split(",")[0]
 
 
 @pytest.mark.parametrize(

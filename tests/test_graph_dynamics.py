@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hypercurrent import graph_dynamics
+from hypercurrent.ana_hyper import quantization_sweep
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex
 from hypercurrent.errors import StepTooLarge
 from hypercurrent.graph_dynamics import (
@@ -274,7 +275,8 @@ def per_call_evolve(proto, p0, t0, t1, steps, tol=1e-8):
     The path parameter is mapped affinely onto [t0, t1].  Each grid step
     is one full 4th-order step checked against two half steps; the pair
     also provides the local error estimate (StepTooLarge when it exceeds
-    tol).  Returns (times, trajectory) with one row per grid point.
+    tol or is NaN).  Returns (times, trajectory) with one row per grid
+    point.
     """
     if proto.gap.p != 0 or proto.gap.q != 1:
         raise ValueError("dynamics requires weights at levels 0 and 1")
@@ -305,7 +307,7 @@ def per_call_evolve(proto, p0, t0, t1, steps, tol=1e-8):
         full = rk4(times[n], p, h)
         half = rk4(times[n] + h / 2, rk4(times[n], p, h / 2), h / 2)
         err = float(np.max(np.abs(full - half))) / 15.0
-        if err > tol:
+        if not err <= tol:
             raise StepTooLarge(f"estimated error {err:.2e} > {tol:.2e} at t = {times[n]}")
         p = half
         traj[n + 1] = p
@@ -400,6 +402,66 @@ def test_step_too_large_matches_oracle():
     assert str(got.value) == str(ref.value)
 
 
+def ramp_protocol(end_energy):
+    """Three path vertices on the segment: level-0 energies (0, 0), (0, 0)
+    and (end_energy, 0), barriers 0.  The field is constant over the first
+    half of the run and ramps up over the second."""
+    flat = WeightPoint(0, 1, ((0.0, 0.0), (0.0,)))
+    return SimplicialProtocol(
+        gap=gap_complex(segment_complex(), 0, 1),
+        vertex_ids=("t0", "t1", "t2"),
+        vertex_weights=(flat, flat, WeightPoint(0, 1, ((end_energy, 0.0), (0.0,)))),
+        simplices=((0,), (1,), (2,), (0, 1), (1, 2)),
+    )
+
+
+def test_oracle_fails_a_nan_estimate_as_evolve_does():
+    # the first ramp step overflows inside a stage, so its estimate is NaN
+    proto = ramp_protocol(1e6)
+    msg = "estimated error nan > 1.00e-08 at t = 4.5"
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(StepTooLarge) as ref:
+        per_call_evolve(proto, [0.5, 0.5], 0.0, 9.0, 3000)
+    with pytest.raises(StepTooLarge) as got:
+        evolve(proto, [0.5, 0.5], 0.0, 9.0, 3000)
+    assert str(ref.value) == str(got.value) == msg
+
+
+# Each block's estimates are checked after its half-step chain has run, so
+# these pin which failure of a block is raised: the first failing step, an
+# estimate before an overflowing operator, whichever block it falls in.
+
+
+def test_step_too_large_in_a_later_block_matches_oracle():
+    # 3000 steps: the ramp starts at step 1500, in the second block
+    assert graph_dynamics._BLOCK < 1500 < 2 * graph_dynamics._BLOCK
+    proto = ramp_protocol(50.0)
+    with pytest.raises(StepTooLarge) as ref:
+        per_call_evolve(proto, [0.5, 0.5], 0.0, 9.0, 3000)
+    with pytest.raises(StepTooLarge) as got:
+        evolve(proto, [0.5, 0.5], 0.0, 9.0, 3000)
+    assert str(got.value) == str(ref.value)
+    assert str(got.value) == "estimated error 1.02e-08 > 1.00e-08 at t = 5.085"
+
+
+def test_overflow_in_a_later_block_without_earlier_failure():
+    with pytest.raises(ValueError) as got:
+        evolve(ramp_protocol(1e8), [0.5, 0.5], 0.0, 9.0, 3000)
+    assert str(got.value) == "jump rates overflow at t = 4.5"
+
+
+def test_failing_estimate_before_overflow_in_the_same_block():
+    # the estimate of step 100 fails; the rates overflow from step 114 on
+    with pytest.raises(StepTooLarge) as got:
+        evolve(ramp_protocol(5000.0), [0.5, 0.5], 0.0, 2.0, 200)
+    assert str(got.value) == "estimated error 6.52e+66 > 1.00e-08 at t = 1.0"
+
+
+def test_overflow_at_the_first_ramp_step():
+    with pytest.raises(ValueError) as got:
+        evolve(ramp_protocol(1e6), [0.5, 0.5], 0.0, 2.0, 200)
+    assert str(got.value) == "jump rates overflow at t = 1.0"
+
+
 # --- stationary states --------------------------------------------------------------
 
 
@@ -447,3 +509,70 @@ def test_current_form_constant_protocol_zero():
     proto = constant_path_protocol(segment_complex(), [0.0, 1.0], [0.2])
     val = current_form(proto, ((0, 1), [0.5]), np.array([1.0]))
     assert np.allclose(val, 0.0, atol=1e-14)
+
+
+# --- pumping: the flux per period tends to the analytical class ---------------------
+
+
+def unrolled_square(beta):
+    """square_protocol's loop as a five-vertex path protocol, weights
+    scaled by beta, walked along the fundamental cycle from its first
+    corner back to it."""
+    square = square_protocol()
+    succ = {}
+    for (a, b), coeff in square.fundamental_cycle.items():
+        if coeff > 0:
+            succ[a] = b
+        else:
+            succ[b] = a
+    loop = [0]
+    while len(loop) < 5:
+        loop.append(succ[loop[-1]])
+    pts = tuple(
+        WeightPoint(0, 1, tuple(tuple(beta * v for v in level) for level in wp.values))
+        for wp in (square.vertex_weights[c] for c in loop)
+    )
+    proto = SimplicialProtocol(
+        gap=square.gap,
+        vertex_ids=tuple(f"t{i}" for i in range(5)),
+        vertex_weights=pts,
+        simplices=tuple((i,) for i in range(5)) + tuple((i, i + 1) for i in range(4)),
+    )
+    return proto, pts
+
+
+def pumped_flux(beta, period, steps=4000, periods=4):
+    """Net probability current through each edge, along its orientation,
+    integrated over the last of `periods` periods (Simpson's rule; segment
+    ends fall on even grid points)."""
+    proto, pts = unrolled_square(beta)
+    sd = state_diagram(proto.gap.parent)
+    p = np.full(sd.graph.n_cells(0), 1.0 / sd.graph.n_cells(0))
+    for _ in range(periods):
+        times, traj = evolve(proto, p, 0.0, period, steps, tol=1e-6)
+        p = traj[-1]
+    e = np.array([wp.level(0) for wp in pts])
+    w = np.array([wp.level(1) for wp in pts])
+    tau = times / period * 4
+    seg = np.minimum(tau.astype(np.intp), 3)
+    local = (tau - seg)[:, None]
+    k = rates(sd, (1 - local) * e[seg] + local * e[seg + 1],
+              (1 - local) * w[seg] + local * w[seg + 1])
+    flux = np.zeros((len(times), sd.graph.n_cells(1)))
+    for i, (s, _, a) in enumerate(sd.edges):
+        # state_diagram lists each edge along its orientation, then against it
+        flux[:, a] += (-1) ** i * k[:, i] * traj[:, s]
+    simpson = np.ones(len(times))
+    simpson[1:-1:2], simpson[2:-1:2] = 4.0, 2.0
+    return simpson @ flux * (times[1] - times[0]) / 3
+
+
+def test_pumped_flux_tends_to_the_analytical_class():
+    # Sinitsyn & Nemenman, EPL 77 (2007) 58001: under slow periodic driving
+    # the current per period tends to the loop integral of the adiabatic
+    # current form, with an O(1/T) error
+    square = square_protocol()
+    (cls,) = quantization_sweep(square, [1.0], square.fundamental_cycle, [1]).rows[0].coords
+    err = {period: np.max(np.abs(pumped_flux(1.0, period) - cls)) for period in (10.0, 100.0)}
+    assert err[100.0] <= 2e-4
+    assert err[10.0] >= 10 * err[100.0]
