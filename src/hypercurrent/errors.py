@@ -3,7 +3,8 @@
 Anything raised on malformed or out-of-contract input derives from
 HclError so the CLI can map it to exit code 2.  InvariantBroken marks an
 internal invariant that failed on valid input, such as a paired chain of
-the exact lift that is not a cycle; the CLI exits 1 on it.
+the exact lift that is not a cycle or a lift obstruction on a good
+domain; the CLI exits 1 on it.
 """
 
 
@@ -73,10 +74,6 @@ class NotACycle(HclError):
     pass
 
 
-class LiftObstruction(HclError):
-    pass
-
-
 class BadFrame(HclError):
     pass
 
@@ -95,3 +92,15 @@ class StepTooLarge(HclError):
 
 class InvariantBroken(RuntimeError):
     pass
+
+
+class LiftObstruction(InvariantBroken):
+    """A check of the exact lift failed on a domain certified small, where
+    the lift exists: an internal fault, not bad input.  part is the part
+    of the domain holding the failing cell, which the message names in
+    that part's own vertex numbering (0 on a one-part domain); None when
+    no cell is at fault."""
+
+    def __init__(self, message, part=None):
+        super().__init__(message)
+        self.part = part

@@ -57,7 +57,12 @@ def _check_level(gap: GapComplex, d):
 
 def is_dtree(gap: GapComplex, d, cells):
     """Definitional test: build the subcomplex through degree d and check
-    its homology directly (the oracle for the matroid characterization)."""
+    its homology directly (the oracle for the matroid characterization).
+
+    The ambient complex is the q-skeleton, whose cells the gap complex
+    holds.  Its degree-p homology is the parent's when p < q; when p == q
+    no (p+1)-cell is there to bound, so it is every degree-p cycle, and
+    the one co-tree is every p-cell, as the matroid test finds."""
     x = gap.parent
     _check_level(gap, d)
     names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
@@ -76,8 +81,11 @@ def is_dtree(gap: GapComplex, d, cells):
     # homology and the Betti number one degree down is unchanged
     if d >= 1 and rank_restricted != ratlin.rank(dd):
         return False
-    hx = gap.parent_hp
     kernel = QMat.identity(x.n_cells(d))[:, idx] @ ratlin.nullspace(restricted)
+    if gap.q == gap.p:
+        # no (p+1)-cell bounds: the kernel must be every degree-p cycle
+        return kernel.shape[1] == x.n_cells(d) - ratlin.rank(dd)
+    hx = gap.parent_hp
     if kernel.shape[1] != hx.betti:
         return False
     return ratlin.rank(hx.class_of(kernel)) == hx.betti
@@ -181,10 +189,10 @@ def torsion_of(gap: GapComplex, d, cells):
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
     if d > gap.p:
         return ratlin.torsion_order(x.d(d)[:, idx])
-    # co-tree: finite part of the degree-p chain lattice modulo integral
-    # boundaries and the span of the co-tree cells
+    # co-tree: finite part of the degree-p chain lattice modulo the gap's
+    # integral boundaries and the span of the co-tree cells
     indicators = QMat.identity(x.n_cells(d))[:, idx]
-    return ratlin.torsion_order(ratlin.hstack(x.d(d + 1), indicators))
+    return ratlin.torsion_order(ratlin.hstack(gap.d(1), indicators))
 
 
 def tree_right_inverse(gap: GapComplex, d, cells):

@@ -8,11 +8,18 @@ exactly by strict sign agreement of pairwise differences at vertices;
 no sampling is involved.
 
 Smallness and the exact lift read a parameter domain only through
-all_cells, dim_of, boundary_of, vertices_of, weight_of, its cached
-certificate and two cached array views: cell_index, the cells by
+all_cells, dim_of, boundary_of, vertices_of, weight_of, part_of, its
+cached certificate and two cached array views: cell_index, the cells by
 dimension with their vertices as one index array, and level_weights,
 one (n_vertices, n_cells) array per level.  The tests also run them on a
 regular-CW cube domain.
+
+A protocol may be a disjoint union of equal parts, numbered part by
+part: cube_boundary_protocol builds one from many corner maps, one cube
+each, from a triangulation made once per cube dimension.  part_of names
+a cell by its part and its vertices within that part, which is how the
+lift reports a failing cell, and part_cycles cuts the fundamental cycle
+into the parts' cycles.
 """
 
 import itertools
@@ -21,7 +28,7 @@ import math
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +135,7 @@ class SimplicialProtocol:
     simplices: tuple             # all faces, sorted vertex-index tuples
     orientation: dict = field(default_factory=dict)        # top key -> +-1
     fundamental_cycle: dict = field(default_factory=dict)  # key -> int coeff
+    parts: int = 1               # equal parts, vertices numbered part by part
 
     # -- the parameter-domain interface read by smallness and the lift --
 
@@ -147,6 +155,13 @@ class SimplicialProtocol:
 
     def weight_of(self, vertex_key):
         return self.vertex_weights[vertex_key[0]]
+
+    def part_of(self, key):
+        """The part holding a cell, and the cell in that part's own vertex
+        numbering."""
+        size = len(self.vertex_ids) // self.parts
+        part = key[0] // size
+        return part, tuple(v - part * size for v in key)
 
     @cached_property
     def certificate(self):
@@ -186,8 +201,16 @@ class SimplicialProtocol:
     def simplices_of_dim(self, k):
         return [s for s in self.simplices if len(s) == k + 1]
 
+    def part_cycles(self):
+        """The fundamental cycle cut into one cycle per part, in part order."""
+        size = len(self.vertex_ids) // self.parts
+        out = [{} for _ in range(self.parts)]
+        for key, coeff in self.fundamental_cycle.items():
+            out[key[0] // size][key] = coeff
+        return out
 
-def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle):
+
+def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
     for wp in vertex_weights:
         if wp.p != gap.p or wp.q != gap.q:
             raise LevelMismatch("weight point levels do not match the gap")
@@ -218,6 +241,7 @@ def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, 
         simplices=tuple(closed),
         orientation=dict(orientation),
         fundamental_cycle=dict(cycle),
+        parts=parts,
     )
     position = proto.cell_index.position
     for key in proto.fundamental_cycle:
@@ -474,6 +498,25 @@ def _corner_weight(gap, corner, signs):
     return WeightPoint(p, q, tuple(vals))
 
 
+@lru_cache(maxsize=8)
+def _cube_boundary(n):
+    """The triangulated boundary of [-1,1]^n, built once per n: the
+    corners in sorted order, the top simplices as an array of sorted
+    corner-index rows, and each top simplex's coefficient in the
+    fundamental cycle."""
+    corners = sorted(itertools.product((-1, 1), repeat=n))
+    corner_index = {c: i for i, c in enumerate(corners)}
+    signed = _ordered_to_sorted(
+        (sign, tuple(corner_index[c] for c in chain))
+        for axis in range(n)
+        for side in (-1, 1)
+        for sign, chain in _freudenthal_facet(axis, side, n)
+    )
+    tops = sorted(signed)
+    coeffs = tuple(signed[tops[0]] * signed[t] for t in tops)
+    return tuple(corners), np.array(tops, dtype=np.intp).reshape(len(tops), n), coeffs
+
+
 def cube_boundary_protocol(gap: GapComplex, corner_weight):
     """Boundary-of-cube protocol with an arbitrary corner-to-weights map.
 
@@ -483,21 +526,26 @@ def cube_boundary_protocol(gap: GapComplex, corner_weight):
     of the simplices, each signed as part of the cube's boundary and
     then as a sorted vertex tuple; the overall sign makes the first
     simplex +1.
+
+    corner_weight may also be a sequence of such maps, one per cube.
+    The protocol is then the disjoint union of the cubes, one part each
+    (parts == number of maps): cube i's vertices are numbered from
+    i * 2^(q-p+1), its vertex ids carry the prefix "i." when there are
+    several, and the fundamental cycle is the sum of the cubes' cycles
+    (part_cycles() gives them one by one).  The cube's triangulation is
+    built once per dimension and offset per cube.
     """
     n = gap.q - gap.p + 1
-    corners = sorted(itertools.product((-1, 1), repeat=n))
-    corner_index = {c: i for i, c in enumerate(corners)}
+    corners, tops, coeffs = _cube_boundary(n)
+    maps = [corner_weight] if callable(corner_weight) else list(corner_weight)
     ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
-    weights = [corner_weight(c) for c in corners]
-    signed = _ordered_to_sorted(
-        (sign, tuple(corner_index[c] for c in chain))
-        for axis in range(n)
-        for side in (-1, 1)
-        for sign, chain in _freudenthal_facet(axis, side, n)
-    )
-    tops = sorted(signed)
-    cycle = {t: signed[tops[0]] * signed[t] for t in tops}
-    return _validate_protocol(gap, ids, weights, tops, cycle, cycle)
+    if len(maps) > 1:
+        ids = [f"{i}.{cid}" for i in range(len(maps)) for cid in ids]
+    weights = [cw(c) for cw in maps for c in corners]
+    offsets = np.arange(len(maps), dtype=np.intp) * len(corners)
+    keys = list(map(tuple, (offsets[:, None, None] + tops).reshape(-1, n).tolist()))
+    cycle = dict(zip(keys, coeffs * len(maps)))
+    return _validate_protocol(gap, ids, weights, keys, cycle, cycle, parts=len(maps))
 
 
 def cube_protocol(gap: GapComplex, signs=None):

@@ -27,6 +27,15 @@ lift's, are built only when LiftCache.values is read at that cell.  If
 checks fail, the error raised is the one a cell-by-cell pass in
 (dim, repr) order meets first: earliest cell, then degree, then check
 (support, class or cycle, top degree, chain-map identity).
+
+A domain that is a disjoint union of parts (the transversal spheres of
+a chunk of weight-space cells) is lifted as one domain, so each stack
+holds every part's cells of its dimension.  Failures are then ordered
+by dimension, part, and repr of the cell in its part's own vertex
+numbering; the LiftObstruction names the cell that way and carries its
+part.  hypercurrent_homology pairs many cycles over one lift: one
+gather and contraction of the top stack for all of them and one
+class_of on their paired chains side by side.
 """
 
 import math
@@ -262,6 +271,13 @@ _OBSTRUCTIONS = (
 )
 
 
+def _located(proto, key):
+    """A cell as lift failures are ordered and named: its part, its repr in
+    that part's own vertex numbering, and that cell."""
+    part, local = proto.part_of(key)
+    return part, repr(local), local
+
+
 def lift_simplex(proto, keys, cache: LiftCache):
     """Extend the lift over the cells keys, all of one dimension j, all
     lower dimensions being done; stores their stack as cache.stacks[j].
@@ -275,7 +291,9 @@ def lift_simplex(proto, keys, cache: LiftCache):
     dimension j-1 and each tree's homotopy acts on its cells at once.
     When checks fail the error names the failure a cell-by-cell pass in
     (dim, repr) order would meet first: earliest cell, then degree, then
-    check.
+    check.  On a domain of several parts the cells are ordered by part,
+    then by repr in the part's own vertex numbering, and the error names
+    the cell that way and carries its part.
     """
     gap = cache.gap
     top = gap.top
@@ -338,9 +356,10 @@ def lift_simplex(proto, keys, cache: LiftCache):
         check(_nonzero((d.num @ m) * zden - z * (d.den * mden)), g, 4)
         out.append((m, mden))
     if failed:
-        _, i, g, which = min((repr(keys[i]), i, g, which)
-                             for bad, g, which in failed for i in np.flatnonzero(bad).tolist())
-        raise LiftObstruction(_OBSTRUCTIONS[which].format(key=keys[i], g=g))
+        part, _, local, g, which = min((*_located(proto, keys[i]), g, which)
+                                       for bad, g, which in failed
+                                       for i in np.flatnonzero(bad).tolist())
+        raise LiftObstruction(_OBSTRUCTIONS[which].format(key=local, g=g), part=part)
     del cache.stacks[jdim:]
     cache.stacks.append(_Stack(keys, dict(zip(keys, range(n))), out))
 
@@ -387,41 +406,70 @@ def hypercurrent_homology(proto, cycle, class_p):
     are classes.  Returns their coordinates in the chosen degree-q
     homology basis of the parent complex (a list, or a QMat of columns)
     and the paired chain.  The pairing reads the degree-0 block of each
-    cycle cell's lift, whose Koszul sign is +1."""
+    cycle cell's lift, whose Koszul sign is +1.
+
+    cycle may also be a sequence of cycles, all paired over one lift:
+    the result is then a list of (coordinates, chain), one per cycle.
+    Their paired chains come from one gather and contraction of the top
+    stack and get their classes in one class_of on the chains side by
+    side."""
     gap = proto.gap
-    if cycle_boundary_defect(proto, cycle):
-        raise NotACycle("parameter chain has nonzero boundary")
+    one = isinstance(cycle, Mapping)
+    cycles = [cycle] if one else list(cycle)
+    for c in cycles:
+        if cycle_boundary_defect(proto, c):
+            raise NotACycle("parameter chain has nonzero boundary")
     stacks = build_lift_cache(proto).stacks
     top = stacks[gap.top] if gap.top < len(stacks) else None
     # the degree-p representative is a chain in degree 0 of the shifted complex
-    if not isinstance(class_p, QMat):
+    as_list = not isinstance(class_p, QMat)
+    if as_list:
         class_p = [Fraction(c) for c in class_p]
     rep = gap.parent_hp.representative(class_p)
-    rows, coeffs = [], []
-    for key, coeff in cycle.items():
-        key = tuple(key)
-        if proto.dim_of(key) != gap.top:
-            raise NotACycle("cycle has support outside the top dimension")
-        if top is None or key not in top.row:
-            raise NotACycle(f"cycle names {key}, which is not a cell of the domain")
-        rows.append(top.row[key])
-        coeffs.append(Fraction(coeff))
-    # one contraction of the top stack's degree-0 numerators with the
-    # coefficients, over the product of the denominators
-    total = QMat.zeros(gap.dim_at(gap.top), gap.dim_at(0))
-    if rows:
+    if as_list:
+        rep = QMat.from_rows([[v] for v in rep], (len(rep), 1))
+    entries = []    # per cycle, (row in the top stack, coefficient) per cell
+    for c in cycles:
+        entries.append([])
+        for key, coeff in c.items():
+            key = tuple(key)
+            if proto.dim_of(key) != gap.top:
+                raise NotACycle("cycle has support outside the top dimension")
+            if top is None or key not in top.row:
+                raise NotACycle(f"cycle names {key}, which is not a cell of the domain")
+            entries[-1].append((top.row[key], Fraction(coeff)))
+    # one contraction of the top stack's degree-0 numerators with every
+    # cycle's coefficients (zeros pad the shorter cycles), over the product
+    # of the denominators
+    shape = (gap.dim_at(gap.top), gap.dim_at(0))
+    width = max(map(len, entries), default=0)
+    cden = math.lcm(1, *(f.denominator for e in entries for _, f in e))
+    gather = np.zeros((len(cycles), width), dtype=np.intp)
+    weights = np.zeros((len(cycles), width), dtype=object)
+    for i, e in enumerate(entries):
+        gather[i, :len(e)] = [row for row, _ in e]
+        weights[i, :len(e)] = [f.numerator * (cden // f.denominator) for _, f in e]
+    if width:
         num, den = top.blocks[0]
-        cden = math.lcm(*(c.denominator for c in coeffs))
-        weights = np.array([c.numerator * (cden // c.denominator) for c in coeffs], dtype=object)
-        total = QMat((weights @ num[rows].reshape(len(rows), -1)).reshape(num.shape[1:]),
-                     den * cden)
-    out = total @ rep
+        total = (weights[:, :, None, None] * num[gather]).sum(axis=1)
+    else:
+        total, den = np.zeros((len(cycles),) + shape, dtype=object), 1
+    # the paired chains side by side, one block of columns per cycle
+    k = rep.shape[1]
+    chains = QMat((total @ rep.num).transpose(1, 0, 2).reshape(shape[0], len(cycles) * k),
+                  den * cden * rep.den)
     # with top 0 the output is a degree-p chain whose class lives in the
     # parent directly
     homology = gap.parent_hq if gap.top == 0 else gap.homology[gap.top]
     try:
-        cls = homology.class_of(out)
+        cls = homology.class_of(chains)
     except ValueError as exc:
         # the lift is a chain map, so the paired chain is a cycle
         raise InvariantBroken(f"paired chain: {exc}") from exc
-    return (cls if gap.top == 0 else gap.hq_project @ cls), out
+    if gap.top != 0:
+        cls = gap.hq_project @ cls
+    out = []
+    for i in range(len(cycles)):
+        pair = cls[:, i * k:(i + 1) * k], chains[:, i * k:(i + 1) * k]
+        out.append(tuple(m[:, 0] for m in pair) if as_list else pair)
+    return out[0] if one else out

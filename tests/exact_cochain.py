@@ -112,6 +112,9 @@ class CubeCwDomain:
     def weight_of(self, vertex_key):
         return _corner_weight(self.gap, vertex_key, (1,) * self.n)
 
+    def part_of(self, key):
+        return 0, key
+
     def fundamental_cycle(self):
         """The top cell fixing axis a at v has coefficient v * (-1)**a, up
         to the overall sign that makes the first top cell +1."""

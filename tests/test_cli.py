@@ -441,6 +441,21 @@ def test_weightspace_report(sphere1_file, capsys):
     assert report["cells"][0]["essential"] is True
 
 
+def test_weightspace_report_reaches_the_stacked_lift(monkeypatch, tmp_path, capsys):
+    # every name the benchmark's weightspace reach list traces is called, and
+    # the six path3 cells share one lift
+    spec = json.loads((REFS.parents[1] / "predictions.json").read_text(encoding="utf-8"))
+    reach = [name for name, loads in spec["reach"].items()
+             if "weightspace" in loads and name != "cli.main"]
+    calls = _count_calls(monkeypatch, reach + ["topo_hyper.build_lift_cache"])
+    path = tmp_path / "path3.json"
+    path.write_text(json.dumps({"name": "path3", "cells": [["x", "y", "z"], ["xy", "yz"]],
+                                "boundary": [[[-1, 0], [1, -1], [0, 1]]]}))
+    assert main(["weightspace", "report", str(path), "--p", "0", "--q", "1"]) == 0
+    assert len(reach) == 12 and not [name for name in reach if not calls[name]]
+    assert calls["topo_hyper.build_lift_cache"] == 1
+
+
 def test_weightspace_contractible(tor_file, capsys):
     assert main(["weightspace", "report", tor_file, "--p", "0", "--q", "2"]) == 0
     report = json.loads(capsys.readouterr().out)

@@ -77,6 +77,22 @@ def test_bruteforce_subset_equivalence(gap, levels):
             assert (tuple(subset) in enumerated) == definitional
 
 
+@pytest.mark.parametrize("x, p", [(sphere_complex(1), 0), (sphere_complex(1), 1),
+                                  (sphere_complex(2), 1), (torsion_complex(), 2)],
+                         ids=["sphere1-0", "sphere1-1", "sphere2-1", "tor-2"])
+def test_single_level_gap_subset_equivalence(x, p):
+    # p == q: the gap has no (p+1)-cells, and both tests find the one co-tree,
+    # every p-cell, which greedy picks and torsion_of accepts
+    gap = gap_complex(x, p, p)
+    names = x.cells[p]
+    for subset in all_subsets(names):
+        definitional = is_dtree(gap, p, subset)
+        assert matroid_is_dtree(gap, p, subset) == definitional
+        assert definitional == (set(subset) == set(names))
+    tree = greedy_dtree(gap, p, {nm: float(k) for k, nm in enumerate(names)})
+    assert tree.cells == tuple(names) and torsion_of(gap, p, names) == 1
+
+
 def test_tree_equals_cotree_strictly_inside_gap():
     # at levels strictly between the gap ends both definitions agree
     gap3 = gap_complex(sphere_complex(3), 0, 3)

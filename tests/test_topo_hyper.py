@@ -324,6 +324,27 @@ def test_cycle_outside_the_domain_is_not_a_cycle():
         hypercurrent_homology(path, proto.fundamental_cycle, [1])
 
 
+def test_many_cycles_pair_as_each_alone():
+    # cycles of different lengths and denominators over one lift of a
+    # three-part union, against one call per cycle
+    from hypercurrent.complex_core import loads_complex
+    from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+
+    x = loads_complex('{"name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ca"]], '
+                      '"boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]}')
+    union = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[:3])
+    a, b, c = union.part_cycles()
+    cycles = [a, {}, {k: Fraction(-3, 2) * v for k, v in {**b, **c}.items()}, c]
+    for class_p in ([1], [Fraction(2, 3)], QMat.identity(1)):
+        many = hypercurrent_homology(union, cycles, class_p)
+        assert many == [hypercurrent_homology(union, cycle, class_p) for cycle in cycles]
+        assert isinstance(many[0][0], list) != isinstance(class_p, QMat)
+    assert any(coords != [0] for coords, _ in hypercurrent_homology(union, cycles, [1]))
+    assert hypercurrent_homology(union, [], [1]) == []
+    with pytest.raises(NotACycle, match="nonzero boundary"):
+        hypercurrent_homology(union, [a, {next(iter(b)): 1}], [1])
+
+
 def test_representative_independence():
     proto = cube_sphere_protocol(2)
     gap = proto.gap

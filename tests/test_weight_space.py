@@ -1,17 +1,22 @@
 import dataclasses
 import json
+import math
 
 import pytest
 
+from hypercurrent import topo_hyper, weight_space
+from hypercurrent.cli import main
+
 from hypercurrent.complex_core import (
     betti,
+    dumps_complex,
     gap_complex,
     loads_complex,
     sphere_complex,
     sphere_wedge_complex,
     torsion_complex,
 )
-from hypercurrent.errors import EpsilonTooLarge, GapViolated
+from hypercurrent.errors import EpsilonTooLarge, GapViolated, LiftObstruction
 from hypercurrent.protocol import WeightPoint, is_good, smallness
 from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.weight_space import (
@@ -47,6 +52,23 @@ def triangle_complex():
             }
         )
     )
+
+
+PATH4 = [(0, 1), (1, 2), (2, 3)]
+STAR4 = [(0, 1), (0, 2), (0, 3)]
+
+
+def graph_complex(name, edges):
+    """A graph on vertices v0.. with the given edges, each oriented low to
+    high."""
+    nverts = 1 + max(max(e) for e in edges)
+    bnd = [[0] * len(edges) for _ in range(nverts)]
+    for k, (a, b) in enumerate(edges):
+        bnd[a][k], bnd[b][k] = -1, 1
+    return loads_complex(json.dumps({
+        "name": name,
+        "cells": [[f"v{i}" for i in range(nverts)], [f"e{k}" for k in range(len(edges))]],
+        "boundary": [bnd]}))
 
 
 # --- counting -------------------------------------------------------------------
@@ -234,11 +256,13 @@ def test_robust_count_is_a_rank(make, counts):
 @pytest.mark.parametrize(
     "make, q",
     [(path_complex, 1), (triangle_complex, 1), (lambda: sphere_complex(2), 2),
-     (lambda: sphere_wedge_complex(2), 2)],
-    ids=["path3", "triangle", "sphere2", "wedge2"],
+     (lambda: sphere_wedge_complex(2), 2), (lambda: graph_complex("path4", PATH4), 1),
+     (lambda: graph_complex("star4", STAR4), 1)],
+    ids=["path3", "triangle", "sphere2", "wedge2", "path4", "star4"],
 )
 def test_one_gap_classification_matches_fresh_gaps(make, q):
-    # the fresh gap per cell is the oracle for sharing one gap's memo
+    # the one-cell classification on a fresh gap per cell is the oracle for
+    # classifying chunks of cells over one gap and one lift per chunk
     x = make()
     report = classify_top_cells(x, 0, q)
     cells = enumerate_top_discriminant_cells(x, 0, q)
@@ -293,3 +317,139 @@ def test_current_matrix_shape_without_degree_p_homology():
     report = classify_top_cells(x, 1, 2)
     assert report.summands == 5 and report.robust_summands == 0
     assert report.cells and all(rep.current_matrix == ((),) for rep in report.cells)
+
+
+# --- chunks: many cells over one union of transversal spheres -------------------------
+
+
+def test_union_of_transversal_spheres_is_their_disjoint_union():
+    x = triangle_complex()
+    gap = gap_complex(x, 0, 1)
+    cells = enumerate_top_discriminant_cells(x, 0, 1)[:3]
+    union = transversal_sphere(gap, cells)
+    assert union.parts == 3 and is_good(union)[0]
+    size = len(union.vertex_ids) // 3
+    cycles = union.part_cycles()
+    assert sum(map(len, cycles)) == len(union.fundamental_cycle)
+    for i, (cell, cycle) in enumerate(zip(cells, cycles)):
+        alone = transversal_sphere(gap, cell)
+        assert union.vertex_weights[i * size:(i + 1) * size] == alone.vertex_weights
+        assert union.vertex_ids[i * size:(i + 1) * size] == tuple(f"{i}.{v}" for v in alone.vertex_ids)
+        assert dict(map(lambda kc: (union.part_of(kc[0]), kc[1]), cycle.items())) == \
+            {(i, key): c for key, c in alone.fundamental_cycle.items()}
+    assert len(union.all_cells()) == 3 * len(alone.all_cells())
+
+
+def test_uneven_chunks_keep_the_report(monkeypatch):
+    # 36 triangle cells in chunks of 7: five full chunks and one of a single cell
+    x = triangle_complex()
+    whole = classify_top_cells(x, 0, 1)
+    calls = []
+    real = weight_space.classify_cell
+    monkeypatch.setattr(weight_space, "_CHUNK", 7)
+    monkeypatch.setattr(weight_space, "classify_cell",
+                        lambda gap, cells, eps: calls.append(len(cells)) or real(gap, cells, eps))
+    assert classify_top_cells(x, 0, 1) == whole
+    assert calls == [7] * 5 + [1]
+
+
+def test_smallness_certified_once_per_chunk(monkeypatch):
+    from hypercurrent import protocol
+
+    calls = []
+    real = protocol.smallness
+    monkeypatch.setattr(protocol, "smallness", lambda dom: calls.append(dom) or real(dom))
+    report = classify_top_cells(path_complex(), 0, 1)
+    assert len(report.cells) == 6 and len(calls) == 1 and calls[0].parts == 6
+
+
+def test_batch_eps_error_is_the_first_cells():
+    x = path_complex()
+    gap = gap_complex(x, 0, 1)
+    first = enumerate_top_discriminant_cells(x, 0, 1)[0]
+    with pytest.raises(EpsilonTooLarge) as alone:
+        classify_cell(gap, first, eps=0.5)
+    with pytest.raises(EpsilonTooLarge) as batch:
+        classify_top_cells(x, 0, 1, eps=0.5)
+    assert str(batch.value) == str(alone.value) == "eps = 0.5 is not below half the center gap 1.0"
+
+
+@pytest.mark.parametrize("eps", [math.inf, -math.inf, math.nan])
+def test_nonfinite_eps_is_rejected(eps):
+    # sphere1 has no center gap to compare eps with; inf used to reach the
+    # protocol check as a non-finite weight (LevelMismatch)
+    x = sphere_complex(1)
+    gap = gap_complex(x, 0, 1)
+    cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
+    for call in (lambda: classify_cell(gap, cell, eps=eps), lambda: classify_cell(gap, [cell], eps),
+                 lambda: classify_top_cells(x, 0, 1, eps=eps)):
+        with pytest.raises(EpsilonTooLarge, match="eps must be finite and positive"):
+            call()
+
+
+def corrupt_vertex_lifts(monkeypatch, vertices):
+    """Raise entry (0, 0) of the degree-0 vertex lift at each of the given
+    vertices of the domain, between the vertex stack and the edges."""
+    real = topo_hyper.lift_simplex
+
+    def corrupted(proto, keys, cache):
+        if len(cache.stacks) == 1:
+            stack = cache.stacks[0]
+            num, den = stack.blocks[0]
+            num = num.copy()
+            for v in vertices:
+                num[stack.row[(v,)], 0, 0] += den
+            stack.blocks[0] = (num, den)
+        return real(proto, keys, cache)
+
+    monkeypatch.setattr(topo_hyper, "lift_simplex", corrupted)
+
+
+def test_lift_fault_in_a_batch_names_its_cube(monkeypatch):
+    # the one-cell classification with the same fault is the oracle for the
+    # message; of two faulty cubes the earlier one is named
+    x = triangle_complex()
+    gap = gap_complex(x, 0, 1)
+    cells = enumerate_top_discriminant_cells(x, 0, 1)
+    size = 4    # corners of a square
+    with monkeypatch.context() as m:
+        corrupt_vertex_lifts(m, [1])
+        with pytest.raises(LiftObstruction) as alone:
+            classify_cell(gap, cells[5])
+    assert alone.value.part == 0 and "at (" in str(alone.value)
+    corrupt_vertex_lifts(monkeypatch, [9 * size + 3, 5 * size + 1])
+    with pytest.raises(LiftObstruction) as batch:
+        classify_cell(gap, cells)
+    assert batch.value.part == 5
+    assert str(batch.value) == f"transversal sphere of top cell {cells[5].blocks}: {alone.value}"
+    with pytest.raises(LiftObstruction) as report:
+        classify_top_cells(x, 0, 1)
+    assert str(report.value) == str(batch.value)
+
+
+def test_lift_fault_in_a_batch_exits_1(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "path3.json"
+    path.write_text(dumps_complex(path_complex()))
+    corrupt_vertex_lifts(monkeypatch, [2 * 4 + 1])
+    assert main(["weightspace", "report", str(path), "--p", "0", "--q", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "internal error: LiftObstruction: transversal sphere of top cell" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("make, summands",
+                         [(path_complex, 5), (lambda: graph_complex("path4", PATH4), 23)],
+                         ids=["path3", "path4"])
+def test_single_level_gap(make, summands, tmp_path, capsys):
+    # p == q: the gap complex has no edges, so greedy's co-tree is every
+    # vertex, and torsion_of's definitional test now agrees; a 0-sphere's
+    # cycle has coefficient sum zero, so every cell is inessential
+    x = make()
+    report = classify_top_cells(x, 0, 0)
+    assert (report.summands, report.robust_summands) == (summands, 0)
+    assert len(report.cells) == math.comb(x.n_cells(0), 2) * math.factorial(x.n_cells(0) - 1)
+    assert not any(rep.essential for rep in report.cells)
+    path = tmp_path / "graph.json"
+    path.write_text(dumps_complex(x))
+    assert main(["weightspace", "report", str(path), "--p", "0", "--q", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["summands"] == summands
