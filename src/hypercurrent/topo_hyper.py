@@ -291,9 +291,8 @@ def lift_simplex(proto, keys, cache: LiftCache):
     dimension j-1 and each tree's homotopy acts on its cells at once.
     When checks fail the error names the failure a cell-by-cell pass in
     (dim, repr) order would meet first: earliest cell, then degree, then
-    check.  On a domain of several parts the cells are ordered by part,
-    then by repr in the part's own vertex numbering, and the error names
-    the cell that way and carries its part.
+    check, with cells of a domain of several parts ordered by part first
+    (see the module docstring).
     """
     gap = cache.gap
     top = gap.top
@@ -408,11 +407,8 @@ def hypercurrent_homology(proto, cycle, class_p):
     and the paired chain.  The pairing reads the degree-0 block of each
     cycle cell's lift, whose Koszul sign is +1.
 
-    cycle may also be a sequence of cycles, all paired over one lift:
-    the result is then a list of (coordinates, chain), one per cycle.
-    Their paired chains come from one gather and contraction of the top
-    stack and get their classes in one class_of on the chains side by
-    side."""
+    cycle may also be a sequence of cycles, all paired over one lift;
+    the result is then a list of (coordinates, chain), one per cycle."""
     gap = proto.gap
     one = isinstance(cycle, Mapping)
     cycles = [cycle] if one else list(cycle)

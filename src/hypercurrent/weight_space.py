@@ -179,10 +179,9 @@ def transversal_sphere(gap: GapComplex, cell, eps=0.25):
 
     cell may also be a sequence of top cells: the protocol is then the
     disjoint union of their transversal spheres, one part per cell in
-    the given order (see cube_boundary_protocol).  The cells are checked
-    in order, each as a one-cell call checks it, and a union that is not
-    good names the first offending cell, in cell_index order, by its top
-    cell and its vertex numbering within that cell's cube."""
+    the given order.  The cells are checked in order as one-cell calls
+    check them; a union that is not good names the first offending cell
+    in cell_index order by its top cell and its place in that cube."""
     one = isinstance(cell, HeightData)
     cells = [cell] if one else list(cell)
     proto = cube_boundary_protocol(gap, [_corner_weights(gap, c, eps) for c in cells])
@@ -200,14 +199,9 @@ def classify_cell(gap: GapComplex, cell, eps=0.25):
     """Pair the transversal sphere against every degree-p class at once;
     the cell is essential iff some value is nonzero.
 
-    cell may also be a sequence of top cells, which are classified over
-    one union of their transversal spheres: one certificate, one lift
-    with one stacked pass per cell dimension, and one pairing of every
-    cube's cycle (see hypercurrent_homology).  Returns one report per
-    cell.  A lift failure names the failing cube's top cell and the cell
-    of its cube, in the cube's own vertex numbering; of several, the
-    lowest dimension wins, then the earliest cube, then repr order in
-    the cube."""
+    cell may also be a sequence of top cells, classified over one union
+    of their transversal spheres; the result is then one report per
+    cell, and a lift failure is named as the module docstring says."""
     one = isinstance(cell, HeightData)
     cells = [cell] if one else list(cell)
     proto = transversal_sphere(gap, cell, eps)
@@ -235,9 +229,7 @@ def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
     """Classify every top discriminant cell over one gap complex and take
     the rank of their current matrices; a contractible good weight space
     has no summands and classifies no cell.  (p, q) must be a gap of x
-    either way.  The cells are classified _CHUNK at a time (classify_cell
-    on a sequence), so a chunk's transversal spheres share one lift and
-    memory stays bounded however many cells there are."""
+    either way.  The cells are classified _CHUNK at a time."""
     gap = gap_complex(x, p, q)
     c, contractible = good_summand_count(x, p, q)
     if contractible:
