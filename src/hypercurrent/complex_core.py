@@ -267,7 +267,8 @@ class GapComplex:
     Data that depends on the gap alone (the float context of the
     analytical route, trees, greedy trees per order type, tree
     contractions) is kept in one memo, read through derived(): each
-    entry is built on first use and dropped with the gap.
+    entry is built on first use and dropped with the gap.  The boundaries
+    are the gap's own kept QMats, whose eliminations every tree shares.
     """
 
     parent: CwComplex
@@ -314,15 +315,16 @@ def gap_complex(x: CwComplex, p, q):
     if q > x.dim:
         raise GapViolated(f"q={q} exceeds dim {x.name} = {x.dim}")
     top = q - p
-    dbar = [QMat.zeros(0, x.n_cells(p))] + [x.d(jj + p) for jj in range(1, top + 1)]
+    bnd = {j: ratlin.kept(x.d(j)) for j in range(max(p, 1), q + 2)}
+    dbar = [QMat.zeros(0, x.n_cells(p))] + [bnd[jj + p] for jj in range(1, top + 1)]
     homology = []
     for jj in range(top + 1):
         d_out = dbar[jj] if jj >= 1 else None
         d_in = dbar[jj + 1] if jj + 1 <= top else None
         homology.append(_homology_data(x.n_cells(jj + p), d_in, d_out))
 
-    parent_hp = homology_data(x, p)
-    parent_hq = homology_data(x, q)
+    parent_hp, parent_hq = (_homology_data(x.n_cells(j), bnd[j + 1], bnd[j] if j >= 1 else None)
+                            for j in (p, q))
     hp_embed = homology[0].class_of(parent_hp.hbasis)
     if top == 0:
         # every chain is a degree-0 class of the shifted complex, so the

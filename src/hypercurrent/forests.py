@@ -6,6 +6,11 @@ down; at the bottom level the role is played by co-trees, whose cells
 descend to a basis of the degree-p chains modulo boundaries.  Both
 carry an integer torsion order and a preferred right inverse used by
 the Kirchhoff tree sums.
+
+The gap shares: ranks come from its homology data, and it holds the
+last subset's independence matrix (ratlin.kept).  Greedy and enumeration
+end on the tree's subset, so its tests, torsion, right inverse and, in
+the exact lift, contraction read one elimination.
 """
 
 import math
@@ -67,24 +72,20 @@ def is_dtree(gap: GapComplex, d, cells):
     _check_level(gap, d)
     names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
     idx = _cell_indices(gap, d, names)
-    dd = x.d(d)
-    restricted = dd[:, idx]
-    rank_restricted = ratlin.rank(restricted)
     if d > gap.p:
         # spanning tree: top homology of the subcomplex dies, next Betti
         # number matches the ambient one
-        h_top = len(idx) - rank_restricted
-        if h_top != 0:
-            return False
-        return rank_restricted == ratlin.rank(dd)
+        rank_restricted = ratlin.rank(_restricted(gap, d, idx))
+        return len(idx) - rank_restricted == 0 and rank_restricted == _boundary_rank(gap, d)
     # spanning co-tree: inclusion induces an isomorphism on degree-p
     # homology and the Betti number one degree down is unchanged
-    if d >= 1 and rank_restricted != ratlin.rank(dd):
+    restricted = ratlin.kept(x.d(d)[:, idx])
+    if d >= 1 and ratlin.rank(restricted) != _boundary_rank(gap, d):
         return False
     kernel = QMat.identity(x.n_cells(d))[:, idx] @ ratlin.nullspace(restricted)
     if gap.q == gap.p:
         # no (p+1)-cell bounds: the kernel must be every degree-p cycle
-        return kernel.shape[1] == x.n_cells(d) - ratlin.rank(dd)
+        return kernel.shape[1] == x.n_cells(d) - _boundary_rank(gap, d)
     hx = gap.parent_hp
     if kernel.shape[1] != hx.betti:
         return False
@@ -102,20 +103,34 @@ def matroid_is_dtree(gap: GapComplex, d, cells):
     return len(idx) == _target_size(gap, d) and _independent(gap, d, idx)
 
 
+def _restricted(gap: GapComplex, d, idx):
+    """The kept matrix whose rank decides if the degree-d cells idx are
+    independent: their boundary columns, or bottom boundaries and indicators."""
+    x, key = gap.parent, (d, tuple(idx))
+    held = gap.derived("restricted", dict)      # the last subset's only
+    if key not in held:
+        held.clear()
+        held[key] = ratlin.kept(x.d(d)[:, idx] if d > gap.p else ratlin.hstack(
+            gap.homology[0].bounds, QMat.identity(x.n_cells(d))[:, idx]))
+    return held[key]
+
+
 def _independent(gap: GapComplex, d, idx):
-    x = gap.parent
+    nb = 0 if d > gap.p else _boundary_rank(gap, d + 1)
+    return ratlin.rank(_restricted(gap, d, idx)) == nb + len(idx)
+
+
+def _boundary_rank(gap: GapComplex, d):
+    """Rank of the parent's boundary out of degree d, from the homology data."""
     if d > gap.p:
-        return ratlin.rank(x.d(d)[:, idx]) == len(idx)
-    bounds = gap.homology[0].bounds
-    indicators = QMat.identity(x.n_cells(d))[:, idx]
-    return ratlin.rank(ratlin.hstack(bounds, indicators)) == bounds.shape[1] + len(idx)
+        return gap.homology[d - gap.p - 1].bounds.shape[1]
+    return gap.parent.n_cells(d) - gap.parent_hp.cycles.shape[1]
 
 
 def _target_size(gap: GapComplex, d):
-    x = gap.parent
     if d > gap.p:
-        return ratlin.rank(x.d(d))
-    return x.n_cells(d) - gap.homology[0].bounds.shape[1]
+        return _boundary_rank(gap, d)
+    return gap.parent.n_cells(d) - _boundary_rank(gap, d + 1)
 
 
 def enumerate_dtrees(gap: GapComplex, d):
@@ -188,7 +203,7 @@ def torsion_of(gap: GapComplex, d, cells):
     x = gap.parent
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
     if d > gap.p:
-        return ratlin.torsion_order(x.d(d)[:, idx])
+        return ratlin.torsion_order(_restricted(gap, d, idx))
     # co-tree: finite part of the degree-p chain lattice modulo the gap's
     # integral boundaries and the span of the co-tree cells
     indicators = QMat.identity(x.n_cells(d))[:, idx]
@@ -207,12 +222,11 @@ def tree_right_inverse(gap: GapComplex, d, cells):
     x = gap.parent
     _check_level(gap, d)
     idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
-    tree_cells = QMat.identity(x.n_cells(d))[:, idx]
     if d > gap.p:
+        tree_cells = QMat.identity(x.n_cells(d))[:, idx]
         bounds = gap.homology[d - gap.p - 1].bounds
-        return tree_cells @ (ratlin.pinv(x.d(d)[:, idx]) @ bounds)
-    bounds = gap.homology[0].bounds
-    return -ratlin.inverse(ratlin.hstack(bounds, tree_cells))[: bounds.shape[1], :]
+        return tree_cells @ (ratlin.pinv(_restricted(gap, d, idx)) @ bounds)
+    return -ratlin.inverse(_restricted(gap, d, idx))[:_boundary_rank(gap, d + 1), :]
 
 
 def make_dtree(gap: GapComplex, d, cells):

@@ -8,10 +8,11 @@ exactly by strict sign agreement of pairwise differences at vertices;
 no sampling is involved.
 
 Smallness and the exact lift read a parameter domain only through
-all_cells, dim_of, boundary_of, vertices_of, weight_of, part_of, its
-cached certificate and two cached array views: cell_index, the cells by
-dimension with their vertices as one index array, and level_weights,
-one (n_vertices, n_cells) array per level.  The tests also run them on a
+dim_of, vertices_of, weight_of, part_of, its cached certificate and
+three cached array views: cell_index, the cells by dimension with their
+vertices as one index array; face_rows, each dimension's faces as rows
+of the dimension below with their signs; and level_weights, one
+(n_vertices, n_cells) array per level.  The tests also run them on a
 regular-CW cube domain.
 
 A protocol may be a disjoint union of equal parts, numbered part by
@@ -184,6 +185,31 @@ class SimplicialProtocol:
         return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
 
     @cached_property
+    def face_rows(self):
+        """Per dimension d, (rows, signs) of shape (d-cells, d + 1): the m-th
+        face, in boundary_of order, of the i-th d-cell of cell_index is the
+        (d-1)-cell in place rows[i, m], with sign signs[i, m] (a read-only
+        view).  A face outside the protocol raises."""
+        cells, base = self.cell_index, len(self.vertex_ids)
+        out = [(np.zeros((cells.offsets[1], 0), dtype=np.intp),) * 2]
+        for d in range(1, len(cells.offsets) - 1):
+            lo, a, b = cells.offsets[d - 1:d + 2]
+            # a vertex row as one number, in base the vertex count
+            place = np.array([base ** e for e in range(d - 1, -1, -1)],
+                             dtype=np.int64 if base ** d < 2 ** 63 else object)
+            codes = cells.vertices[lo:a, :d] @ place
+            order = np.argsort(codes, kind="stable").astype(np.int32)
+            faces = [np.delete(cells.vertices[a:b, :d + 1], m, axis=1) for m in range(d + 1)]
+            wanted = np.stack([face @ place for face in faces], axis=1)
+            rows = order[np.minimum(np.searchsorted(codes, wanted, sorter=order), a - lo - 1)]
+            if (codes[rows] != wanted).any():
+                i, m = np.argwhere(codes[rows] != wanted)[0]
+                raise NotClosedUnderFaces(f"face {tuple(faces[m][i].tolist())} of simplex "
+                                          f"{cells.keys[a + i]} is not in the protocol")
+            out.append((rows, np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)))
+        return tuple(out)
+
+    @cached_property
     def level_weights(self):
         """Per level p..q, the vertex weights as an (n_vertices, n_cells)
         float array."""
@@ -210,19 +236,33 @@ class SimplicialProtocol:
         return out
 
 
-def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
+def _validate_weights(gap, vertex_weights):
+    """Raise the first fault of the vertex weights in vertex, level order;
+    when all are well shaped real numbers, by one test of the stacked weights."""
+    levels = range(gap.p, gap.q + 1)
+    if all((wp.p, wp.q, len(wp.values)) == (gap.p, gap.q, len(levels)) for wp in vertex_weights):
+        try:
+            stacks = [np.array([wp.values[j - gap.p] for wp in vertex_weights]) for j in levels]
+        except ValueError:     # ragged: some length is wrong
+            stacks = []
+        if stacks and all(a.shape == (len(vertex_weights), gap.parent.n_cells(j))
+                          and a.dtype.kind in "biuf" for a, j in zip(stacks, levels)):
+            if not all(np.isfinite(a).all() for a in stacks):
+                raise LevelMismatch("non-finite weight entry")
+            return
     for wp in vertex_weights:
         if wp.p != gap.p or wp.q != gap.q:
             raise LevelMismatch("weight point levels do not match the gap")
-        for j in range(gap.p, gap.q + 1):
+        for j in levels:
             if len(wp.level(j)) != gap.parent.n_cells(j):
-                raise LevelMismatch(
-                    f"level {j} weight vector has length {len(wp.level(j))}, "
-                    f"expected {gap.parent.n_cells(j)}"
-                )
-            for v in wp.level(j):
-                if not math.isfinite(v):
-                    raise LevelMismatch("non-finite weight entry")
+                raise LevelMismatch(f"level {j} weight vector has length {len(wp.level(j))}, "
+                                    f"expected {gap.parent.n_cells(j)}")
+            if not all(map(math.isfinite, wp.level(j))):
+                raise LevelMismatch("non-finite weight entry")
+
+
+def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
+    _validate_weights(gap, vertex_weights)
     nv = len(vertex_ids)
     for s in simplices:
         for v in s:
@@ -538,6 +578,8 @@ def cube_boundary_protocol(gap: GapComplex, corner_weight):
     n = gap.q - gap.p + 1
     corners, tops, coeffs = _cube_boundary(n)
     maps = [corner_weight] if callable(corner_weight) else list(corner_weight)
+    if not maps:
+        raise ValueError("no cube to build: an empty sequence of corner maps (top cells)")
     ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
     if len(maps) > 1:
         ids = [f"{i}.{cid}" for i in range(len(maps)) for cid in ids]

@@ -13,11 +13,12 @@ numerators, scanning columns left to right in the given order, so
 downstream basis choices are reproducible.  The functions around it
 (``rank``, ``nullspace``, ``pinv``, ``solve_matrix``,
 ``pivot_left_inverse`` and the others) read the reduced form's
-numerators and denominator directly.  ``pivot_left_inverse`` is the one
-left-inverse construction: a single elimination of ``[a | I]`` gives a's
-pivot columns and a left inverse on them, which is how each homology
-degree gets its class map.  ``pinv`` is the one orthogonal-projector
-route: ``a @ pinv(a)`` projects onto a's columns.
+numerators and denominator directly; a ``kept`` matrix stores them for
+its holders, and a zero matrix is not eliminated.  The one left-inverse
+construction is ``pivot_left_inverse``: a single elimination of
+``[a | I]`` gives a's pivot columns and a left inverse on them, which is
+how each homology degree gets its class map.  ``pinv`` is the one
+orthogonal-projector route: ``a @ pinv(a)`` projects onto a's columns.
 
 Smith normal form runs on Python ints.  ``torsion_order`` reads one
 Smith form, of the matrix whose cokernel it measures; the kernel lattice
@@ -41,7 +42,7 @@ class QMat:
     value, as an int would.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "_memo")
     __array_ufunc__ = None   # ndarray operands defer to the reflected methods
     __hash__ = None
 
@@ -240,14 +241,34 @@ def rref(a):
     return (QMat(num, d) if d > 0 else QMat(-num, -d)), pivots
 
 
+def kept(a):
+    """a as a new QMat that stores its reduced form, column basis and
+    pseudoinverse when first computed, for every later call on it."""
+    out = QMat._raw(a.num, a.den)
+    out._memo = {}
+    return out
+
+
+def _once(a, key, make):
+    memo = getattr(a, "_memo", None)
+    return make() if memo is None else memo[key] if key in memo else memo.setdefault(key, make())
+
+
+def _reduced(a):
+    """rref(a), once per kept matrix; a zero matrix is its own."""
+    if not a.num.any():
+        return QMat.zeros(*a.shape), []
+    return _once(a, "rref", lambda: rref(a))
+
+
 def rank(a):
-    return len(rref(a)[1])
+    return len(_reduced(a)[1])
 
 
 def nullspace(a):
     """Canonical kernel basis, one column per free variable (n x k)."""
     n = a.shape[1]
-    r, pivots = rref(a)
+    r, pivots = _reduced(a)
     free = [j for j in range(n) if j not in pivots]
     num = np.zeros((n, len(free)), dtype=object)
     num[free, range(len(free))] = r.den
@@ -257,7 +278,7 @@ def nullspace(a):
 
 def column_echelon_basis(a):
     """Canonical basis of the column space (reduced column echelon form)."""
-    r, pivots = rref(a.T)
+    r, pivots = _once(a, "columns", lambda: _reduced(a.T))
     return r[: len(pivots)].T
 
 
@@ -287,14 +308,19 @@ def pinv(a):
     """Moore-Penrose pseudoinverse, exact, in the standard inner product.
 
     Uses the full-rank factorization a = C F with C the pivot columns and
-    F the pivot rows of rref(a).
+    F the pivot rows of rref(a), the identity when all columns are pivots.
     """
+    return _once(a, "pinv", lambda: _pinv(a))
+
+
+def _pinv(a):
     m, n = a.shape
-    r, pivots = rref(a)
+    r, pivots = _reduced(a)
     if not pivots:
         return QMat.zeros(n, m)
     c, f = a[:, pivots], r[: len(pivots)]
-    return (f.T @ inverse(f @ f.T)) @ (inverse(c.T @ c) @ c.T)
+    left = inverse(c.T @ c) @ c.T
+    return left if len(pivots) == n else (f.T @ inverse(f @ f.T)) @ left
 
 
 def pivot_left_inverse(a):

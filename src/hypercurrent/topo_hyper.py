@@ -4,38 +4,32 @@ Every cell of a good parameter domain gets a preferred tree (greedy at
 the least injective level); vertices get a canonical chain map into
 their tree's subcomplex, and higher cells extend it degreewise through
 the contracting homotopy of the tree subcomplex.  All arithmetic is
-exact (ratlin.QMat: integer numerators over one denominator) and the
-chain-map identity is asserted at each step, so the lift is
-reproducible bit for bit.
-
-The pairing of a top cycle with degree-p classes reads the degree-0
-blocks of the cycle cells' lifts straight from the lift cache's top
-stack (their Koszul sign is +1).  A HyperCochain holds the analytical
+exact and the chain-map identity is asserted at each step, so the lift
+is reproducible bit for bit.  A HyperCochain holds the analytical
 route's cochain, whose distance from a chain map
-cochain_chain_map_defect measures; the tests build the exact cochain
-from the lift cache, with the Koszul sign on every block, as the
-defect's zero reference.
+cochain_chain_map_defect measures.
 
-The lift stays stacked to the end.  Each dimension, vertices included,
-is one stack per degree: object arrays of numerators over one
-denominator, with a cell key -> row index.  lift_simplex gathers a
-dimension's face values from the previous dimension's stack and runs
-every product and check on the whole stack; the pairing contracts the
-top stack's degree-0 numerators with the cycle's coefficients and
-reduces once.  A cell's lowest-terms QMats, equal to a cell-by-cell
-lift's, are built only when LiftCache.values is read at that cell.  If
-checks fail, the error raised is the one a cell-by-cell pass in
-(dim, repr) order meets first: earliest cell, then degree, then check
-(support, class or cycle, top degree, chain-map identity).
+The lift is stacked: each dimension, vertices included, is one stack
+per degree of numerators over one denominator, with a cell key -> row
+index.  lift_simplex gathers a dimension's face values from the stack
+below through the domain's face rows (row indices and signs) and runs
+every product and check on the whole stack: on int64 numerators when a
+bound from its operands' largest entries keeps every product and sum of
+the degree below _INT64_BOUND, else on Python ints.  What leaves the
+module holds Python ints: a cell's lowest-terms QMats, built when
+LiftCache.values is read there, and the pairing, which checks the
+cycles' boundaries on the same face rows and contracts the top stack's
+degree-0 numerators (Koszul sign +1) with their coefficients.
 
-A domain that is a disjoint union of parts (the transversal spheres of
-a chunk of weight-space cells) is lifted as one domain, so each stack
-holds every part's cells of its dimension.  Failures are then ordered
+Errors are those a cell-by-cell pass in (dim, repr) order meets first:
+earliest cell, then degree, then check (support, class or cycle, top
+degree, chain-map identity); a cycle with nonzero boundary is rejected
+before one that names a cell outside the domain.  A domain that is a
+disjoint union of parts (the transversal spheres of a chunk of
+weight-space cells) is lifted as one domain; failures are then ordered
 by dimension, part, and repr of the cell in its part's own vertex
-numbering; the LiftObstruction names the cell that way and carries its
-part.  hypercurrent_homology pairs many cycles over one lift: one
-gather and contraction of the top stack for all of them and one
-class_of on their paired chains side by side.
+numbering, and the LiftObstruction names the cell that way and carries
+its part.  hypercurrent_homology pairs many cycles over one lift.
 """
 
 import math
@@ -48,7 +42,7 @@ import numpy as np
 
 from .complex_core import GapComplex, contraction, eth
 from .errors import InvariantBroken, LiftObstruction, NotACycle, NotGood, NotSmall
-from .forests import DTree, greedy_dtree
+from .forests import DTree, _restricted, greedy_dtree
 from .ratlin import QMat
 
 __all__ = [
@@ -59,7 +53,6 @@ __all__ = [
     "build_lift_cache",
     "cochain_chain_map_defect",
     "hypercurrent_homology",
-    "cycle_boundary_defect",
 ]
 
 
@@ -67,15 +60,8 @@ def _tree_masks(gap: GapComplex, tree: DTree):
     """Per degree, the indices of the tree subcomplex's cells."""
     ld = tree.level - gap.p
     idx = sorted(gap.parent.cell_index(tree.level, nm) for nm in tree.cells)
-    masks = []
-    for j in range(gap.top + 1):
-        if j < ld:
-            masks.append(range(gap.dim_at(j)))
-        elif j == ld:
-            masks.append(idx)
-        else:
-            masks.append([])
-    return [np.array(m, dtype=np.intp) for m in masks]
+    return [np.arange(gap.dim_at(j)) if j < ld else np.array(idx if j == ld else [], dtype=np.intp)
+            for j in range(gap.top + 1)]
 
 
 class _TreeAux:
@@ -89,17 +75,16 @@ class _TreeAux:
         self.masks = _tree_masks(gap, tree)
         ld = tree.level - gap.p
         dims_sub = [len(self.masks[j]) for j in range(ld + 1)]
-        bnds = [None] + [gap.d(j)[np.ix_(self.masks[j - 1], self.masks[j])]
-                         for j in range(1, ld + 1)]
+        # the gap's own boundaries below the tree's degree, its columns there
+        bnds = [None] + [gap.d(j) for j in range(1, ld)] \
+            + ([_restricted(gap, tree.level, self.masks[ld].tolist())] if ld else [])
         contr = contraction(dims_sub, bnds)
         # ambient-shaped homotopy, one matrix per degree 0..top-1
         self.h = [self._embed(j + 1, j, contr.h[j] if j < ld else None) for j in range(gap.top)]
         self.pi0 = self._embed(0, 0, contr.pi0)
-        self.outside = []
-        for j in range(gap.top + 1):
-            off = np.ones(gap.dim_at(j), dtype=bool)
-            off[self.masks[j]] = False
-            self.outside.append(off)
+        self.outside = [np.ones(gap.dim_at(j), dtype=bool) for j in range(gap.top + 1)]
+        for off, mask in zip(self.outside, self.masks):
+            off[mask] = False
         self.phi = self._vertex_lift()
 
     def _embed(self, r, c, sub):
@@ -109,7 +94,7 @@ class _TreeAux:
         out = np.zeros((gap.dim_at(r), gap.dim_at(c)), dtype=object)
         if sub is None:
             return QMat(out)
-        out[np.ix_(self.masks[r], self.masks[c])] = sub.num
+        out[self.masks[r][:, None], self.masks[c]] = sub.num
         return QMat(out, sub.den)
 
     def _vertex_lift(self):
@@ -154,7 +139,7 @@ class _CellBlocks(Mapping):
         for stack in self._stacks:
             i = stack.row.get(key)
             if i is not None:
-                out = tuple(QMat(num[i], den) for num, den in stack.blocks)
+                out = tuple(QMat(num[i].astype(object), den) for num, den in stack.blocks)
                 self._built[key] = out
                 return out
         raise KeyError(key)
@@ -189,7 +174,8 @@ class LiftCache:
 def tree_functor(proto, key):
     """The preferred tree of a small cell: greedy at its least injective
     level, using the order type certified on the whole closed cell; kept
-    in the gap's memo by (level, order type), so protocols share it."""
+    in the gap's memo by (level, order type), so protocols share it, with
+    its contraction, built while the gap holds the tree's elimination."""
     gap = proto.gap
     k = proto.certificate.k[tuple(key)]
     if k is None:
@@ -197,7 +183,8 @@ def tree_functor(proto, key):
     vertex = proto.vertices_of(key)[0]
     weights = dict(zip(gap.parent.cells[k], proto.weight_of(vertex).level(k)))
     order = tuple(sorted(weights, key=weights.get))
-    return gap.derived(("tree", k, order), lambda: greedy_dtree(gap, k, weights))
+    return gap.derived(("tree", k, order),
+                       lambda: _tree_aux(gap, greedy_dtree(gap, k, weights)).tree)
 
 
 def build_lift_cache(proto) -> LiftCache:
@@ -252,13 +239,22 @@ def _stacked(mats):
 def _reduced(num, den):
     """A stack over den with the factor common to den and all entries
     divided out."""
-    g = math.gcd(den, *num.flat)
+    g = math.gcd(den, int(np.gcd.reduce(num, axis=None)))
     return (num // g, den // g) if g > 1 else (num, den)
 
 
 def _nonzero(num):
     """Per cell of a stack: does any entry differ from zero."""
     return num.astype(bool).any(axis=(1, 2))
+
+
+def _peak(num):
+    """Largest absolute entry of an array of integers, and at least 1."""
+    return max(int(np.abs(num).max()), 1) if num.size else 1
+
+
+# a lift degree runs on int64 when its bound stays below this
+_INT64_BOUND = 2 ** 62
 
 
 # the checks of one lift step in the order they are made
@@ -286,13 +282,8 @@ def lift_simplex(proto, keys, cache: LiftCache):
     the contracting homotopy applied to
         m(dx (x) [cell]) + (-1)^{|x|} m(x (x) d[cell]);
     the argument is asserted to be an exact cycle (a boundary) before
-    and after the solve, in exact arithmetic.  The cells are lifted as
-    one stack per degree: face values are gathered from the stack of
-    dimension j-1 and each tree's homotopy acts on its cells at once.
-    When checks fail the error names the failure a cell-by-cell pass in
-    (dim, repr) order would meet first: earliest cell, then degree, then
-    check, with cells of a domain of several parts ordered by part first
-    (see the module docstring).
+    and after the solve.  Stacks, face rows, int64 steps and the order
+    of errors are as the module docstring says.
     """
     gap = cache.gap
     top = gap.top
@@ -301,20 +292,15 @@ def lift_simplex(proto, keys, cache: LiftCache):
     if set(map(proto.dim_of, keys)) != {jdim}:
         raise ValueError("lift_simplex takes cells of one dimension")
     fstack = cache.stacks[jdim - 1]
-    # one cell's boundary at a time: the faces' rows in the stack below
-    counts, faces, signs = [], [], []
-    for key in keys:
-        bnd = proto.boundary_of(key)
-        counts.append(len(bnd))
-        for sign, face in bnd:
-            signs.append(sign)
-            faces.append(fstack.row[face])
-    cells = np.repeat(np.arange(len(keys)), counts)
-    faces = np.array(faces, dtype=np.intp)
-    signs = np.array(signs, dtype=object)[:, None, None]
+    cells = proto.cell_index
+    if fstack.keys != cells.keys[cells.offsets[jdim - 1]:cells.offsets[jdim]]:
+        raise ValueError("lift_simplex reads the lift of every lower cell, in cell_index order")
+    at = np.fromiter(map(cells.position.__getitem__, keys), np.intp, len(keys))
+    faces, signs = (view[at - cells.offsets[jdim]] for view in proto.face_rows[jdim])
     trees, tree_of = _tree_positions(cache.trees, keys)
     auxes = [_tree_aux(gap, tree) for tree in trees]
     n = len(keys)
+    bpeak = gap.derived("boundary_peak", lambda: max(_peak(m.num) for m in gap.dbar))
     out = []
     failed = []     # (failing cells, degree, check) of each check that fails
 
@@ -327,32 +313,40 @@ def lift_simplex(proto, keys, cache: LiftCache):
         zdeg = g + jdim - 1
         rows = gap.dim_at(zdeg)
         fnum, zden = fstack.blocks[g]
-        z = np.zeros((n, rows, ng), dtype=object)
-        np.add.at(z, cells, fnum[faces] * (signs * (-1) ** g))
+        # bounds on |z|, on |pi0 z|, |d z| and |h z|, and on the step's largest term
+        zmax = _peak(fnum) * faces.shape[1]
         if g >= 1:
             pnum, pden = out[g - 1]
             d = gap.d(g)
             bden = pden * d.den
             den = math.lcm(zden, bden)
-            z = z * (den // zden) + (pnum @ d.num) * (den // bden)
+            zmax = zmax * (den // zden) \
+                + _peak(pnum) * bpeak * max(gap.dim_at(g - 1), 1) * (den // bden)
+        dz, dt = gap.d(zdeg).num, gap.d(g + jdim)
+        hnum, hden = _stacked([aux.h[zdeg] for aux in auxes]) if g + jdim <= top else (dz, 1)
+        pi0 = np.stack([aux.pi0.num for aux in auxes]) if zdeg == 0 else dz
+        mmax = zmax * max(rows, 1) * max(_peak(hnum), _peak(pi0), bpeak)
+        step = max(mmax * bpeak * max(gap.dim_at(g + jdim), 1) * zden, zmax * dt.den * hden * zden)
+        dtype = np.int64 if step < _INT64_BOUND else object
+        z = (fnum.astype(dtype, copy=False)[faces] * ((-1) ** g * signs[..., None, None])).sum(1)
+        if g >= 1:
+            z = z * (den // zden) + (pnum.astype(dtype, copy=False) @ d.num.astype(dtype)) \
+                * (den // bden)
             zden = den
         if rows:
             off = np.stack([aux.outside[zdeg] for aux in auxes])[tree_of]
             check((z.astype(bool) & off[:, :, None]).any(axis=(1, 2)), g, 0)
             if zdeg == 0:
-                pi0 = np.stack([aux.pi0.num for aux in auxes])[tree_of]
-                check(_nonzero(pi0 @ z), g, 1)
+                check(_nonzero(pi0.astype(dtype)[tree_of] @ z), g, 1)
             else:
-                check(_nonzero(gap.d(zdeg).num @ z), g, 2)
+                check(_nonzero(dz.astype(dtype) @ z), g, 2)
         if g + jdim > top:
             check(_nonzero(z), g, 3)
-            out.append((np.zeros((n, 0, ng), dtype=object), 1))
+            out.append((np.zeros((n, 0, ng), dtype=dtype), 1))
             continue
-        hnum, hden = _stacked([aux.h[zdeg] for aux in auxes])
-        m, mden = _reduced(hnum[tree_of] @ z, hden * zden)
-        d = gap.d(g + jdim)
+        m, mden = _reduced(hnum.astype(dtype)[tree_of] @ z, hden * zden)
         # d m == z, cross-multiplied: (d.num @ m) / (d.den mden) == z / zden
-        check(_nonzero((d.num @ m) * zden - z * (d.den * mden)), g, 4)
+        check(_nonzero((dt.num.astype(dtype) @ m) * zden - z * (dt.den * mden)), g, 4)
         out.append((m, mden))
     if failed:
         part, _, local, g, which = min((*_located(proto, keys[i]), g, which)
@@ -391,14 +385,6 @@ def cochain_chain_map_defect(cochain: HyperCochain):
     return worst
 
 
-def cycle_boundary_defect(domain, cycle):
-    out = {}
-    for key, coeff in cycle.items():
-        for sign, face in domain.boundary_of(key):
-            out[face] = out.get(face, 0) + coeff * sign
-    return {k: v for k, v in out.items() if v}
-
-
 def hypercurrent_homology(proto, cycle, class_p):
     """Pair a top cycle of the parameter domain with degree-p homology:
     class_p is one class (a list of coordinates) or a QMat whose columns
@@ -412,32 +398,14 @@ def hypercurrent_homology(proto, cycle, class_p):
     gap = proto.gap
     one = isinstance(cycle, Mapping)
     cycles = [cycle] if one else list(cycle)
-    for c in cycles:
-        if cycle_boundary_defect(proto, c):
-            raise NotACycle("parameter chain has nonzero boundary")
-    stacks = build_lift_cache(proto).stacks
-    top = stacks[gap.top] if gap.top < len(stacks) else None
-    # the degree-p representative is a chain in degree 0 of the shifted complex
-    as_list = not isinstance(class_p, QMat)
-    if as_list:
-        class_p = [Fraction(c) for c in class_p]
-    rep = gap.parent_hp.representative(class_p)
-    if as_list:
-        rep = QMat.from_rows([[v] for v in rep], (len(rep), 1))
-    entries = []    # per cycle, (row in the top stack, coefficient) per cell
-    for c in cycles:
-        entries.append([])
-        for key, coeff in c.items():
-            key = tuple(key)
-            if proto.dim_of(key) != gap.top:
-                raise NotACycle("cycle has support outside the top dimension")
-            if top is None or key not in top.row:
-                raise NotACycle(f"cycle names {key}, which is not a cell of the domain")
-            entries[-1].append((top.row[key], Fraction(coeff)))
-    # one contraction of the top stack's degree-0 numerators with every
-    # cycle's coefficients (zeros pad the shorter cycles), over the product
-    # of the denominators
-    shape = (gap.dim_at(gap.top), gap.dim_at(0))
+    cells = proto.cell_index
+    # per cycle, its first cell outside the top cells, else (row, coefficient) per cell
+    strays = [next((k for k in map(tuple, c) if proto.dim_of(k) != gap.top
+                    or k not in cells.position), None) for c in cycles]
+    entries = [[] if stray is not None else [(cells.position[tuple(k)] - cells.offsets[gap.top],
+                                              Fraction(v)) for k, v in c.items()]
+               for c, stray in zip(cycles, strays)]
+    # the coefficients as integers over one denominator, zeros padding
     width = max(map(len, entries), default=0)
     cden = math.lcm(1, *(f.denominator for e in entries for _, f in e))
     gather = np.zeros((len(cycles), width), dtype=np.intp)
@@ -445,9 +413,35 @@ def hypercurrent_homology(proto, cycle, class_p):
     for i, e in enumerate(entries):
         gather[i, :len(e)] = [row for row, _ in e]
         weights[i, :len(e)] = [f.numerator * (cden // f.denominator) for _, f in e]
+    if width and gap.top:
+        # one signed scatter over the face rows, cycle i's offset by i * stride
+        rows, signs = proto.face_rows[gap.top]
+        stride = cells.offsets[gap.top]
+        at, where = np.unique(rows[gather] + stride * np.arange(len(cycles))[:, None, None],
+                              return_inverse=True)
+        bnd = np.zeros(len(at), dtype=object)
+        np.add.at(bnd, where.ravel(), (weights[:, :, None] * signs[gather]).ravel())
+        broken = set((at[bnd.astype(bool)] // stride).tolist())
+        if any(i in broken and stray is None for i, stray in enumerate(strays)):
+            raise NotACycle("parameter chain has nonzero boundary")
+    stacks = build_lift_cache(proto).stacks
+    # the degree-p representative is a chain in degree 0 of the shifted complex
+    as_list = not isinstance(class_p, QMat)
+    if as_list:
+        class_p = [Fraction(c) for c in class_p]
+    rep = gap.parent_hp.representative(class_p)
+    if as_list:
+        rep = QMat.from_rows([[v] for v in rep], (len(rep), 1))
+    for stray in (k for k in strays if k is not None):
+        if proto.dim_of(stray) != gap.top:
+            raise NotACycle("cycle has support outside the top dimension")
+        raise NotACycle(f"cycle names {stray}, which is not a cell of the domain")
+    # one contraction of the top stack's degree-0 numerators with every
+    # cycle's coefficients, over the product of the denominators
+    shape = (gap.dim_at(gap.top), gap.dim_at(0))
     if width:
-        num, den = top.blocks[0]
-        total = (weights[:, :, None, None] * num[gather]).sum(axis=1)
+        num, den = stacks[gap.top].blocks[0]
+        total = (weights[:, :, None, None] * num[gather].astype(object)).sum(axis=1)
     else:
         total, den = np.zeros((len(cycles),) + shape, dtype=object), 1
     # the paired chains side by side, one block of columns per cycle

@@ -204,7 +204,9 @@ def classify_cell(gap: GapComplex, cell, eps=0.25):
     cell, and a lift failure is named as the module docstring says."""
     one = isinstance(cell, HeightData)
     cells = [cell] if one else list(cell)
-    proto = transversal_sphere(gap, cell, eps)
+    if not cells:
+        return []
+    proto = transversal_sphere(gap, cell if one else cells, eps)
     units = QMat.identity(gap.parent_hp.betti)
     try:
         pairs = hypercurrent_homology(proto, proto.part_cycles(), units)

@@ -64,6 +64,20 @@ class CubeCwDomain:
         return CellIndex(keys, offsets, vertices, {c: i for i, c in enumerate(keys)})
 
     @cached_property
+    def face_rows(self):
+        """Per dimension, the faces of its cells as rows among the cells one
+        dimension down, with their signs, in boundary_of order."""
+        index = self.cell_index
+        out = [(np.zeros((index.offsets[1], 0), dtype=np.intp),) * 2]
+        for d in range(1, self.n):
+            lo, a, b = index.offsets[d - 1:d + 2]
+            bnd = [self.boundary_of(c) for c in index.keys[a:b]]
+            out.append((np.array([[index.position[f] - lo for _, f in faces] for faces in bnd],
+                                 dtype=np.intp),
+                        np.array([[s for s, _ in faces] for faces in bnd], dtype=np.intp)))
+        return tuple(out)
+
+    @cached_property
     def level_weights(self):
         index = self.cell_index
         corners = [self.weight_of(c) for c in index.keys[:index.offsets[1]]]

@@ -563,3 +563,25 @@ def test_reports_are_deterministic(sphere1_file, tmp_path):
     main(["complex", "betti", sphere1_file, "--out", str(out1)])
     main(["complex", "betti", sphere1_file, "--out", str(out2)])
     assert out1.read_text() == out2.read_text()
+
+
+def test_topo_current_eliminates_each_matrix_once(monkeypatch, capsys):
+    # the tree tests, right inverses and contractions of one gap share their
+    # eliminations: 29 rref calls on cube_sphere:2, where a call per use made 91
+    calls = _count_calls(monkeypatch, ["ratlin.rref"])
+    assert main(["topo", "current", "builtin:cube_sphere:2"]) == 0
+    assert calls["ratlin.rref"] <= 32
+
+
+def test_float_context_eliminates_no_more_than_a_call_per_use(monkeypatch):
+    # the analytical route's context on K5's (0, 1) gap: 1221 rref calls when
+    # every test and right inverse eliminated its own matrices
+    from hypercurrent import ana_hyper
+    from hypercurrent.complex_core import gap_complex
+
+    from test_forests import complete_graph
+
+    gap = gap_complex(complete_graph(5), 0, 1)
+    calls = _count_calls(monkeypatch, ["ratlin.rref"])
+    ana_hyper._context(gap)
+    assert 0 < calls["ratlin.rref"] <= 1221

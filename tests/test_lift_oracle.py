@@ -360,9 +360,41 @@ def test_first_obstruction_matches_oracle(monkeypatch, case):
             return [(-sign if key == flip else sign, face)] + rest
 
         monkeypatch.setattr(type(proto), "boundary_of", flipped)
+        # the stacked route reads the face view: the same flip there
+        index, views = proto.cell_index, list(proto.face_rows)
+        dim = len(flip) - 1
+        rows, signs = views[dim]
+        signs = signs.copy()
+        signs[index.position[flip] - index.offsets[dim], 0] *= -1
+        views[dim] = (rows, signs)
+        monkeypatch.setitem(proto.__dict__, "face_rows", tuple(views))
     with pytest.raises(LiftObstruction) as old:
         build_lift_cache_oracle(proto)
     with pytest.raises(LiftObstruction) as new:
         build_lift_cache(proto)
     assert str(old.value) == expected
     assert str(new.value) == str(old.value)
+
+
+# --- numerators past the int64 bound ------------------------------------------------
+
+
+def _steep_circle_protocol():
+    """cube_protocol over a circle whose first 1-cell has the boundary column
+    (2^40, -2^40): the lift's denominators carry 2^40, so the products of its
+    checks pass the int64 bound without any patching."""
+    big = 2 ** 40
+    x = loads_complex(json.dumps({"name": "steep_circle", "cells": [["e0+", "e0-"], ["e1+", "e1-"]],
+                                  "boundary": [[[big, 1], [-big, -1]]]}))
+    return cube_protocol(gap_complex(x, 0, 1))
+
+
+def test_lift_past_the_int64_bound_matches_fraction_oracle():
+    proto = _steep_circle_protocol()
+    new = build_lift_cache(proto)
+    assert new.stacks[1].blocks[0][0].dtype == object
+    assert max(m.den for mats in new.values.values() for m in mats) >= 2 ** 40
+    old = build_lift_cache_oracle(proto)
+    assert new.values.keys() == old.values.keys()
+    for key, mats in new.values.items():
+        assert [m.to_rows() for m in mats] == [list(map(list, m)) for m in old.values[key]]

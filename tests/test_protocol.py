@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hypercurrent import ratlin
+from hypercurrent import protocol, ratlin
 from hypercurrent.complex_core import gap_complex, loads_complex, sphere_complex, \
     sphere_wedge_complex
 from hypercurrent.errors import (
@@ -526,3 +527,104 @@ def test_order_type_constant_on_certified_levels():
         bary = weights_at(proto, s, [1.0 / n] * n).level(k)
         rankings.append(tuple(sorted(range(len(bary)), key=lambda i: bary[i])))
         assert len(set(rankings)) == 1
+
+
+# --- the stacked weight checks and the face view -----------------------------------
+
+
+def _weights_oracle(gap, vertex_weights):
+    """The weight checks one entry at a time, in vertex then level order."""
+    for wp in vertex_weights:
+        if wp.p != gap.p or wp.q != gap.q:
+            raise LevelMismatch("weight point levels do not match the gap")
+        for j in range(gap.p, gap.q + 1):
+            if len(wp.level(j)) != gap.parent.n_cells(j):
+                raise LevelMismatch(f"level {j} weight vector has length {len(wp.level(j))}, "
+                                    f"expected {gap.parent.n_cells(j)}")
+            for v in wp.level(j):
+                if not math.isfinite(v):
+                    raise LevelMismatch("non-finite weight entry")
+
+
+def _faulty(proto, faults):
+    """The protocol's vertex weights with (vertex, level, values) replaced."""
+    points = list(proto.vertex_weights)
+    for v, k, row in faults:
+        values = list(points[v].values)
+        if k is None:
+            points[v] = WeightPoint(points[v].p + 1, points[v].q + 1, points[v].values)
+            continue
+        values[k] = row
+        points[v] = WeightPoint(points[v].p, points[v].q, tuple(values))
+    return points
+
+
+NAN, SHORT = (math.nan, 0.0), (0.0,)
+WEIGHT_FAULTS = {
+    "nan_then_length": [(1, 0, NAN), (2, 1, SHORT)],
+    "length_then_nan": [(1, 1, SHORT), (2, 0, NAN)],
+    "nan_below_length_on_one_vertex": [(3, 0, NAN), (3, 1, SHORT)],
+    "length_below_nan_on_one_vertex": [(3, 0, SHORT), (3, 1, NAN)],
+    "nan_after_length_on_one_vertex": [(3, 1, NAN), (3, 0, SHORT)],
+    "inf_only": [(2, 1, (0.0, -math.inf))],
+    "levels_then_nan": [(0, None, None), (1, 0, NAN)],
+    "nan_then_levels": [(1, 0, NAN), (2, None, None)],
+    "string_then_nan": [(0, 1, ("x", 0.0)), (1, 0, NAN)],
+    "nan_then_string": [(0, 1, NAN), (1, 0, ("x", 0.0))],
+    "clean": [],
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHT_FAULTS))
+def test_weight_faults_raise_as_one_entry_at_a_time(case):
+    # a NaN on one vertex and a length mismatch on another, in both orders,
+    # and their neighbours: the stacked test raises what the entry-by-entry
+    # loop raises first, with the same text
+    proto = square_protocol()
+    points = _faulty(proto, WEIGHT_FAULTS[case])
+    errors = []
+    for check in (_weights_oracle, protocol._validate_weights):
+        try:
+            check(proto.gap, points)
+            errors.append(None)
+        except Exception as exc:    # compared by type and text
+            errors.append((type(exc), str(exc)))
+    assert errors[0] == errors[1]
+    assert (errors[0] is None) == (case == "clean")
+
+
+@pytest.mark.parametrize("make", [lambda: cube_sphere_protocol(q) for q in (1, 2, 3, 4)]
+                         + [lambda: transversal_sphere(*_triangle_gap_and_cells()),
+                            lambda: subdivide(cube_sphere_protocol(2))],
+                         ids=["cs1", "cs2", "cs3", "cs4", "triangle_union", "subdivided"])
+def test_face_rows_are_boundary_of(make):
+    proto = make()
+    cells = proto.cell_index
+    for d, (rows, signs) in enumerate(proto.face_rows):
+        lo, a, b = (cells.offsets[d - 1] if d else 0), cells.offsets[d], cells.offsets[d + 1]
+        for i, key in enumerate(cells.keys[a:b]):
+            got = [(int(s), cells.keys[lo + r]) for r, s in zip(rows[i], signs[i])]
+            assert got == proto.boundary_of(key)
+
+
+def _triangle_gap_and_cells():
+    x = loads_complex('{"name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ca"]], '
+                      '"boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]}')
+    gap = gap_complex(x, 0, 1)
+    return gap, enumerate_top_discriminant_cells(x, 0, 1)[:5]
+
+
+def test_a_face_outside_the_protocol_raises():
+    proto = cube_sphere_protocol(2)
+    tops = proto.simplices_of_dim(2)
+    open_proto = SimplicialProtocol(gap=proto.gap, vertex_ids=proto.vertex_ids,
+                                    vertex_weights=proto.vertex_weights,
+                                    simplices=tuple(s for s in proto.simplices if s != tops[0][1:]))
+    with pytest.raises(NotClosedUnderFaces, match=re.escape(f"face {tops[0][1:]} of simplex")):
+        open_proto.face_rows
+
+
+def test_empty_sequence_of_corner_maps_is_rejected():
+    gap = gap_complex(sphere_complex(1), 0, 1)
+    with pytest.raises(ValueError, match="empty sequence"):
+        protocol.cube_boundary_protocol(gap, [])

@@ -522,9 +522,96 @@ def test_first_obstruction_follows_repr_order(monkeypatch):
         return [(-sign if key in (a, b) else sign, face)] + rest
 
     monkeypatch.setattr(type(proto), "boundary_of", flipped)
+    # the library's lift reads the face view: the same flip there
+    index, views = proto.cell_index, list(proto.face_rows)
+    rows, signs = views[1]
+    signs = signs.copy()
+    signs[[index.position[e] - index.offsets[1] for e in (a, b)], 0] *= -1
+    views[1] = (rows, signs)
+    monkeypatch.setitem(proto.__dict__, "face_rows", tuple(views))
     with pytest.raises(LiftObstruction) as eager:
         build_lift_cache_eager(proto)
     with pytest.raises(LiftObstruction) as lazy:
         build_lift_cache(proto)
     assert str(eager.value).endswith(f"at {b}")
     assert str(lazy.value) == str(eager.value)
+
+
+# --- the lift's int64 steps and the cycle check on face rows ------------------------
+
+
+def _fundamental_cycle(domain):
+    cycle = domain.fundamental_cycle
+    return cycle() if callable(cycle) else cycle
+
+
+INT64_DOMAINS = {
+    "cube_sphere3": lambda: cube_sphere_protocol(3),
+    "cube_wedge3": lambda: cube_protocol(gap_complex(sphere_wedge_complex(3), 0, 3)),
+    "cube_cw3": lambda: cube_cellular_cochain(gap_complex(sphere_complex(2), 0, 2))[0],
+}
+
+
+@pytest.mark.parametrize("name", list(INT64_DOMAINS))
+def test_python_int_steps_equal_int64_steps(monkeypatch, name):
+    # with the bound lowered to 1 every step runs on Python ints; stacks,
+    # values and pairings are those of the int64 run, and every value a
+    # caller reads holds Python ints
+    runs = []
+    for bound in (topo_hyper._INT64_BOUND, 1):
+        monkeypatch.setattr(topo_hyper, "_INT64_BOUND", bound)
+        proto = INT64_DOMAINS[name]()
+        cache = build_lift_cache(proto)
+        pairing = hypercurrent_homology(proto, _fundamental_cycle(proto), [1])
+        runs.append((cache, pairing))
+    (fast, fast_pair), (slow, slow_pair) = runs
+    assert all(num.dtype == np.int64 for stack in fast.stacks[1:] for num, _ in stack.blocks)
+    assert all(num.dtype == object for stack in slow.stacks for num, _ in stack.blocks)
+    for a, b in zip(fast.stacks, slow.stacks, strict=True):
+        assert a.keys == b.keys
+        for (anum, aden), (bnum, bden) in zip(a.blocks, b.blocks, strict=True):
+            assert aden == bden and anum.shape == bnum.shape and (anum == bnum).all()
+    assert dict(fast.values) == dict(slow.values)
+    assert all(m.num.dtype == object for mats in fast.values.values() for m in mats)
+    assert fast_pair == slow_pair
+    assert all(type(v) is Fraction for v in fast_pair[0] + fast_pair[1])
+
+
+def test_cycle_check_reads_the_face_rows():
+    # a chain raises NotACycle exactly when its boundary, summed face by face
+    # through boundary_of, is nonzero; alone and in a sequence of cycles
+    proto = cube_sphere_protocol(2)
+    cycle = proto.fundamental_cycle
+    rng = random.Random(2525)
+    for _ in range(20):
+        chain = {key: rng.choice((2, 3)) * c for key, c in cycle.items()}
+        for key in rng.sample(list(chain), rng.choice((0, 0, 1, 2))):
+            chain[key] += rng.choice((-1, 1))
+        bnd = {}
+        for key, c in chain.items():
+            for sign, face in proto.boundary_of(key):
+                bnd[face] = bnd.get(face, 0) + sign * c
+        if any(bnd.values()):
+            with pytest.raises(NotACycle, match="nonzero boundary"):
+                hypercurrent_homology(proto, chain, [1])
+            with pytest.raises(NotACycle, match="nonzero boundary"):
+                hypercurrent_homology(proto, [cycle, chain, cycle], [1])
+        else:
+            assert hypercurrent_homology(proto, [chain], [1])[0] == \
+                hypercurrent_homology(proto, chain, [1])
+
+
+def test_nonzero_boundary_is_raised_before_a_cell_outside_the_domain():
+    proto = square_protocol()
+    edges = proto.simplices_of_dim(1)
+    path = restrict(proto, edges[:-1])
+    outside = re.escape(f"cycle names {edges[-1]}, which is not a cell of the domain")
+    # the square's cycle names an edge the path does not hold
+    with pytest.raises(NotACycle, match="nonzero boundary"):
+        hypercurrent_homology(path, [proto.fundamental_cycle, {edges[0]: 1}], [1])
+    with pytest.raises(NotACycle, match=outside):
+        hypercurrent_homology(path, [{}, proto.fundamental_cycle], [1])
+    with pytest.raises(NotACycle, match=outside):
+        hypercurrent_homology(path, {edges[-1]: 1}, [1])
+    with pytest.raises(NotACycle, match="support outside the top dimension"):
+        hypercurrent_homology(proto, [{}, {edges[0][:1]: 1}], [1])

@@ -453,3 +453,13 @@ def test_single_level_gap(make, summands, tmp_path, capsys):
     path.write_text(dumps_complex(x))
     assert main(["weightspace", "report", str(path), "--p", "0", "--q", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["summands"] == summands
+
+
+def test_empty_sequence_of_top_cells():
+    # classify_cell pairs nothing, as hypercurrent_homology does with no
+    # cycles; a transversal sphere of no cells has no protocol to be
+    gap = gap_complex(sphere_complex(1), 0, 1)
+    assert classify_cell(gap, []) == []
+    assert classify_cell(gap, iter([])) == []
+    with pytest.raises(ValueError, match="empty sequence"):
+        transversal_sphere(gap, [])
