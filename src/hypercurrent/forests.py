@@ -76,7 +76,7 @@ def is_dtree(gap: GapComplex, d, cells):
         # spanning tree: top homology of the subcomplex dies, next Betti
         # number matches the ambient one
         rank_restricted = ratlin.rank(_restricted(gap, d, idx))
-        return len(idx) - rank_restricted == 0 and rank_restricted == _boundary_rank(gap, d)
+        return len(idx) == rank_restricted == _boundary_rank(gap, d)
     # spanning co-tree: inclusion induces an isomorphism on degree-p
     # homology and the Betti number one degree down is unchanged
     restricted = ratlin.kept(x.d(d)[:, idx])
@@ -107,7 +107,7 @@ def _restricted(gap: GapComplex, d, idx):
     """The kept matrix whose rank decides if the degree-d cells idx are
     independent: their boundary columns, or bottom boundaries and indicators."""
     x, key = gap.parent, (d, tuple(idx))
-    held = gap.derived("restricted", dict)      # the last subset's only
+    held = gap.derived("restricted", dict)      # the last subset's matrix only
     if key not in held:
         held.clear()
         held[key] = ratlin.kept(x.d(d)[:, idx] if d > gap.p else ratlin.hstack(
