@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ratlin
-from .complex_core import GapComplex, GradedOperator
+from .complex_core import GapComplex
 from .errors import BadFrame, NonfiniteBeta, NonpositiveBeta, QuadratureNoConvergence
 from .forests import enumerate_dtrees
 from .protocol import _perm_sign
@@ -473,12 +473,13 @@ _BLOCK = 16384
 def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     """Dyadic Stokes integrals of simplices of one dimension, stacked: one
     form evaluation per depth and block of still-active simplices.  Each
-    simplex leaves once two depths agree within tol; returns its blocks
-    (None where it never converged)."""
+    simplex leaves once two depths agree within tol; returns the blocks
+    as one array (simplices, rows, cols) and the places of the simplices
+    that never converged, whose blocks are NaN."""
     p = proto.gap.p
     jdim = proto.dim_of(keys[0])
     geos = _vertex_geometry(ctx, proto, keys, range(p, p + jdim + 1))
-    out = [None] * len(keys)
+    out = np.full((len(keys), proto.gap.dim_at(jdim), proto.gap.dim_at(0)), np.nan)
     active = np.arange(len(keys))
     prev = None
     for depth in range(max_depth + 1):
@@ -490,13 +491,38 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
             for lo in range(0, len(active), step)])
         if prev is not None:
             done = np.max(np.abs(est - prev), axis=(1, 2)) < tol
-            for i, block in zip(active[done], est[done]):
-                out[i] = block
+            out[active[done]] = est[done]
             active, est = active[~done], est[~done]
             geos = [(base[~done], grads[~done]) for base, grads in geos]
             if not len(active):
                 break
         prev = est
+    return out, active
+
+
+def _integrate_by_dim(proto, beta, keys, tol, max_depth):
+    """jan_integrate's checks and values: per dimension of keys, ascending,
+    the places of its keys and their blocks as one array."""
+    _check_beta(beta)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    gap = proto.gap
+    ctx = _context(gap)
+    dims = [proto.dim_of(key) for key in keys]
+    if any(jdim > gap.top for jdim in dims):
+        raise ValueError("simplex dimension exceeds the gap width")
+    out, missed = [], []
+    for jdim in sorted(set(dims)):
+        pos = [i for i, d in enumerate(dims) if d == jdim]
+        if jdim == 0:
+            stack = _alpha0(gap, _vertex_rows(proto, [keys[i] for i in pos], gap.p)[:, 0], beta)
+        else:
+            stack, left = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol, max_depth)
+            missed += [pos[i] for i in left]
+        out.append((pos, stack))
+    if missed:
+        raise QuadratureNoConvergence(
+            f"simplex {keys[min(missed)]}: no convergence within depth {max_depth} at tol {tol}")
     return out
 
 
@@ -506,41 +532,19 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     dyadically until two depths agree within tol, which must be finite
     and positive.  Simplices of one dimension are integrated together
     (see _integrate_stack)."""
-    _check_beta(beta)
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    gap = proto.gap
-    ctx = _context(gap)
     keys = [tuple(key) for key in keys]
-    dims = [proto.dim_of(key) for key in keys]
-    if any(jdim > gap.top for jdim in dims):
-        raise ValueError("simplex dimension exceeds the gap width")
-    out = [None] * len(keys)
-    for jdim in sorted(set(dims)):
-        pos = [i for i, d in enumerate(dims) if d == jdim]
-        if jdim == 0:
-            blocks = _alpha0(gap, _vertex_rows(proto, [keys[i] for i in pos], gap.p)[:, 0],
-                             beta)
-        else:
-            blocks = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol, max_depth)
-        for i, block in zip(pos, blocks):
-            out[i] = block
-    for key, block in zip(keys, out):
-        if block is None:
-            raise QuadratureNoConvergence(
-                f"simplex {key}: no convergence within depth {max_depth} at tol {tol}")
-    return out
+    got = {i: block for pos, stack in _integrate_by_dim(proto, beta, keys, tol, max_depth)
+           for i, block in zip(pos, stack)}
+    return [got[i] for i in range(len(keys))]
 
 
 def jan_cochain(proto, beta, tol=1e-8, max_depth=8) -> HyperCochain:
     """The analytical cochain: every cell of dimension at most the gap
-    width gets the Stokes-map integral as its operator block."""
-    gap = proto.gap
-    keys = [tuple(key) for key in proto.all_cells() if proto.dim_of(key) <= gap.top]
-    blocks = jan_integrate(proto, beta, keys, tol=tol, max_depth=max_depth)
-    values = {key: GradedOperator(degree=proto.dim_of(key), blocks={0: mat})
-              for key, mat in zip(keys, blocks)}
-    return HyperCochain(gap=gap, domain=proto, values=values)
+    width gets the Stokes-map integral as its operator block, one stack
+    per dimension in cell_index order."""
+    keys = [key for key in proto.cell_index.keys if proto.dim_of(key) <= proto.gap.top]
+    stacks = [stack for _, stack in _integrate_by_dim(proto, beta, keys, tol, max_depth)]
+    return HyperCochain(gap=proto.gap, domain=proto, stacks=stacks)
 
 
 # --- axiom checking -----------------------------------------------------------
@@ -706,7 +710,7 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
         beta = float(beta)
         if residuals:
             coch = jan_cochain(proto, beta, tol=tol, max_depth=max_depth)
-            blocks = {key: coch.values[key].blocks[0] for key in cycle}
+            blocks = {key: coch.block(key) for key in cycle}
             resid = cochain_chain_map_defect(coch)
         else:
             keys = list(cycle)
@@ -727,8 +731,4 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
         ybar = sum(ys) / len(ys)
         den = sum((x - xbar) ** 2 for x in xs)
         slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / den
-    return SweepReport(
-        topological=tuple(float(c) for c in topo),
-        rows=rows,
-        slope=slope,
-    )
+    return SweepReport(topological=tuple(float(c) for c in topo), rows=rows, slope=slope)

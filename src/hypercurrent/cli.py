@@ -216,11 +216,9 @@ def cmd_ana(args):
         coch = jan_cochain(proto, args.beta, tol=args.tol, max_depth=args.quad_depth)
         report["residual"] = cochain_chain_map_defect(coch)
         report["simplices"] = [
-            {
-                "vertices": [proto.vertex_ids[v] for v in key],
-                "block": np.asarray(op.blocks[0]).tolist(),
-            }
-            for key, op in sorted(coch.values.items(), key=lambda kv: (len(kv[0]), kv[0]))
+            {"vertices": [proto.vertex_ids[v] for v in key], "block": coch.block(key).tolist()}
+            for key in sorted(proto.cell_index.keys[:sum(map(len, coch.stacks))],
+                              key=lambda key: (len(key), key))
         ]
     else:
         if args.samples < 1:

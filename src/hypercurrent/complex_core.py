@@ -253,10 +253,6 @@ def _homology_data(n, d_in, d_out):
     return HomologyData(dim=n, cycles=cycles, bounds=bounds)
 
 
-def homology_data(x: CwComplex, j):
-    return _homology_data(x.n_cells(j), x.d(j + 1), x.d(j) if j >= 1 else None)
-
-
 @dataclass(frozen=True)
 class GapComplex:
     """Shifted rational complex of the pair (q-skeleton, (p-1)-skeleton).
@@ -356,28 +352,31 @@ class GradedOperator:
     """Degree-n operator on a gap complex: one block per source degree.
 
     blocks[j] maps degree j to degree j+n: a QMat on the exact route, a
-    float array on the analytical one.  Missing blocks are exact zeros.
+    float array on the analytical one, which may stack the blocks of many
+    cells along a leading axis.  Missing blocks are exact zeros.
     """
 
     degree: int
     blocks: dict = field(default_factory=dict)
 
-    def block(self, gap: GapComplex, j):
-        if j in self.blocks:
-            return self.blocks[j]
-        return QMat.zeros(gap.dim_at(j + self.degree), gap.dim_at(j))
-
 
 def eth(f: GradedOperator, gap: GapComplex):
-    """Boundary in the endomorphism complex: d f - (-1)^n f d."""
+    """Boundary in the endomorphism complex: d f - (-1)^n f d.  Float blocks
+    meet the boundaries' float copies, kept with the gap; products through
+    missing blocks or zero boundaries are skipped, as are empty degrees."""
     n = f.degree
     sign = (-1) ** n
+    bnd = gap.dbar
+    if not all(isinstance(b, QMat) for b in f.blocks.values()):
+        bnd = gap.derived("float_dbar", lambda: tuple(m.to_float() for m in gap.dbar))
     out = {}
     for j in range(gap.top + 1):
-        term = gap.d(j + n) @ f.block(gap, j)
-        if j >= 1:
-            term = term - sign * (f.block(gap, j - 1) @ gap.d(j))
-        out[j] = term
+        term = bnd[j + n] @ f.blocks[j] if j in f.blocks and 1 <= j + n <= gap.top else None
+        if j >= 1 and j - 1 in f.blocks:
+            right = sign * (f.blocks[j - 1] @ bnd[j])
+            term = -right if term is None else term - right
+        if term is not None:
+            out[j] = term
     return GradedOperator(degree=n - 1, blocks=out)
 
 

@@ -6,8 +6,8 @@ their tree's subcomplex, and higher cells extend it degreewise through
 the contracting homotopy of the tree subcomplex.  All arithmetic is
 exact and the chain-map identity is asserted at each step, so the lift
 is reproducible bit for bit.  A HyperCochain holds the analytical
-route's cochain, whose distance from a chain map
-cochain_chain_map_defect measures.
+cochain, one float stack per cell dimension, whose distance from a chain
+map cochain_chain_map_defect measures in one pass per dimension.
 
 The lift is stacked: each dimension, vertices included, is one stack
 per degree of numerators over one denominator, with a cell key -> row
@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complex_core import GapComplex, contraction, eth
+from .complex_core import GapComplex, GradedOperator, contraction, eth
 from .errors import InvariantBroken, LiftObstruction, NotACycle, NotGood, NotSmall
 from .forests import DTree, _restricted, greedy_dtree
 from .ratlin import QMat
@@ -154,16 +154,9 @@ class _CellBlocks(Mapping):
 
 @dataclass
 class LiftCache:
-    """Per-cell chain maps m(x (x) [cell]) in ambient coordinates.
-
-    stacks[d] holds the lift of the d-cells, vertices included, as one
-    stack of numerators over one denominator per input degree with a
-    cell key -> row index; the next dimension gathers its faces from it
-    and the pairing contracts the top one.  values[key][g] maps degree-g
-    basis chains to degree g+dim(cell) chains supported on the cell's
-    tree subcomplex, as a lowest-terms QMat built from the stack when
-    the cell is first read.
-    """
+    """Per-cell chain maps m(x (x) [cell]) in ambient coordinates: stacks[d]
+    is the lift of the d-cells, and values[key][g] maps degree-g basis
+    chains to degree g+dim(cell) chains on the cell's tree subcomplex."""
 
     gap: GapComplex
     trees: dict       # cell key -> DTree
@@ -359,30 +352,39 @@ def lift_simplex(proto, keys, cache: LiftCache):
 
 @dataclass
 class HyperCochain:
-    """Assignment of a graded operator to every cell of the domain."""
+    """The analytical cochain: stacks[d] holds the degree-0 block of every
+    d-cell of the domain, in cell_index order, as one float array (cells,
+    rows, cols)."""
 
     gap: GapComplex
     domain: object
-    values: dict   # cell key -> GradedOperator
+    stacks: list
+
+    def block(self, key):
+        cells = self.domain.cell_index
+        dim = self.domain.dim_of(key)
+        return self.stacks[dim][cells.position[key] - cells.offsets[dim]]
 
 
 def cochain_chain_map_defect(cochain: HyperCochain):
-    """Largest entry of eth(value) - sum of signed face values; exactly
-    zero for the rational construction, quadrature-sized for the
-    analytical one."""
-    gap = cochain.gap
-    worst = 0
-    for key, op in cochain.values.items():
-        lhs = eth(op, gap).blocks
-        for fsign, fkey in cochain.domain.boundary_of(key):
-            fop = cochain.values[fkey]
-            for g in range(gap.top + 1):
-                lhs[g] = lhs[g] - fsign * fop.block(gap, g)
-        for blk in lhs.values():
-            entries = np.abs(np.asarray(blk))
-            if entries.size:
-                worst = max(worst, entries.max())
-    return worst
+    """Largest entry of eth(value) - sum of signed face values over all
+    cells (0 if all are zero; NaN if a block is not finite): per dimension
+    one eth of the stack, less the faces gathered through the face rows,
+    one face at a time in boundary_of order, rounding as cell by cell."""
+    stacks = cochain.stacks
+    if not all(np.isfinite(stack).all() for stack in stacks):
+        return math.nan
+    peaks = []
+    for dim, stack in enumerate(stacks):
+        lhs = eth(GradedOperator(degree=dim, blocks={0: stack}), cochain.gap).blocks
+        if dim:
+            rows, signs = cochain.domain.face_rows[dim]
+            faces = stacks[dim - 1][rows] * signs[:, :, None, None]
+            for m in range(dim + 1):
+                lhs[0] = lhs[0] - faces[:, m]
+        peaks += [np.abs(blk).max() for blk in lhs.values() if blk.size]
+    worst = np.max(peaks, initial=0.0)
+    return float(worst) if worst else 0
 
 
 def hypercurrent_homology(proto, cycle, class_p):

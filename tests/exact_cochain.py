@@ -1,25 +1,76 @@
-"""The exact current as a cochain, and the cell structures and structural
-predictions the tests check the exact route against.
+"""The exact current as a cochain, the cell-by-cell chain-map defect,
+and the cell structures and structural predictions the tests check the
+exact route against.
 
 hypercurrent_cochain signs every block of the lift cache with its Koszul
 sign, so the exact cochain is a chain map with defect exactly zero; the
 library's pairing reads only the degree-0 blocks, whose sign is +1.
+chain_map_defect_oracle walks a cochain cell by cell through
+boundary_of, the route the library's stacked defect is checked against.
 CubeCwDomain runs the same lift over the face poset of the cube's cells
 instead of a triangulation.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from hypercurrent.complex_core import GapComplex, GradedOperator
+from hypercurrent.complex_core import GapComplex, GradedOperator, eth
 from hypercurrent.protocol import CellIndex, _corner_weight, smallness
+from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import HyperCochain, build_lift_cache
 
 
-def hypercurrent_cochain(proto) -> HyperCochain:
+@dataclass
+class CellCochain:
+    """A cochain cell by cell: values maps a cell key to its GradedOperator,
+    whose blocks may be QMats or float arrays."""
+
+    gap: GapComplex
+    domain: object
+    values: dict
+
+
+def cell_by_cell(coch: HyperCochain) -> CellCochain:
+    """The analytical cochain's stacks read by cell."""
+    cells = coch.domain.cell_index
+    keys = cells.keys[:sum(map(len, coch.stacks))]
+    return CellCochain(coch.gap, coch.domain, {
+        key: GradedOperator(degree=coch.domain.dim_of(key), blocks={0: coch.block(key)})
+        for key in keys})
+
+
+def chain_map_defect_oracle(cochain):
+    """Largest entry of eth(value) - sum of signed face values, one cell and
+    one face at a time in boundary_of order: exactly zero (the int 0) for
+    a chain map, NaN when some entry is NaN.  Takes a CellCochain, or the
+    library's HyperCochain read by cell."""
+    if isinstance(cochain, HyperCochain):
+        cochain = cell_by_cell(cochain)
+    gap = cochain.gap
+
+    def block(op, g):
+        # a missing block is an exact zero
+        return op.blocks.get(g, QMat.zeros(gap.dim_at(g + op.degree), gap.dim_at(g)))
+
+    peaks = [0]
+    for key, op in cochain.values.items():
+        lhs = eth(op, gap)
+        blocks = [block(lhs, g) for g in range(gap.top + 1)]
+        for fsign, fkey in cochain.domain.boundary_of(key):
+            fop = cochain.values[fkey]
+            blocks = [blk - fsign * block(fop, g) for g, blk in enumerate(blocks)]
+        entries = [np.abs(np.asarray(blk)) for blk in blocks]
+        peaks += [e.max() for e in entries if e.size]
+    if any(p != p for p in peaks):
+        return math.nan
+    return max(peaks)
+
+
+def hypercurrent_cochain(proto) -> CellCochain:
     """The exact current cochain: on a cell of dimension j the operator
     sends a degree-g chain to the lift of (chain (x) [cell]), with the
     Koszul sign making the boundary identity hold with plain simplicial
@@ -31,7 +82,7 @@ def hypercurrent_cochain(proto) -> HyperCochain:
         jdim = proto.dim_of(key)
         blocks = {g: mats[g] * (-1) ** (jdim * g) for g in range(gap.top + 1)}
         values[key] = GradedOperator(degree=jdim, blocks=blocks)
-    return HyperCochain(gap=gap, domain=proto, values=values)
+    return CellCochain(gap=gap, domain=proto, values=values)
 
 
 @dataclass(frozen=True)

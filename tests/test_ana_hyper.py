@@ -35,13 +35,16 @@ from hypercurrent.ana_hyper import (
 from hypercurrent.protocol import (
     SimplicialProtocol,
     WeightPoint,
+    builtin_protocol,
     cube_protocol,
     cube_sphere_protocol,
     square_protocol,
 )
 from hypercurrent.forests import enumerate_dtrees
-from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_homology, tree_functor
-from exact_cochain import hypercurrent_cochain
+from hypercurrent.topo_hyper import HyperCochain, cochain_chain_map_defect, \
+    hypercurrent_homology, tree_functor
+from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+from exact_cochain import chain_map_defect_oracle, hypercurrent_cochain
 from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
     weighted_pseudoinverse_inclusion
 from stationary import current_form
@@ -616,7 +619,7 @@ def two_pass_sweep_rows(proto, betas, tol, max_depth):
         cls = (ctx.top_class @ chain)[ctx.top_nb:]
         if ctx.hq_project is not None:
             cls = ctx.hq_project @ cls
-        resid = cochain_chain_map_defect(jan_cochain(proto, beta, tol=tol, max_depth=max_depth))
+        resid = chain_map_defect_oracle(jan_cochain(proto, beta, tol=tol, max_depth=max_depth))
         rows.append((beta, tuple(float(c) for c in cls), float(np.linalg.norm(cls - topo)), resid))
     return rows
 
@@ -1099,6 +1102,72 @@ def test_constant_protocol_residual_zero():
     assert cochain_chain_map_defect(coch) <= 1e-14
 
 
+def triangle_sphere():
+    """The transversal sphere of the triangle graph's first top cell."""
+    return transversal_sphere(TRIANGLE, enumerate_top_discriminant_cells(TRIANGLE.parent, 0, 1)[0])
+
+
+# builtin name or maker -> (betas, tol); q = 3 at the benchmark's tol
+DEFECT_CASES = {
+    "square": ((5.0, 30.0), 1e-8),
+    "cube_sphere:1": ((2.0, 8.0), 1e-8),
+    "cube_sphere:2": ((2.5, 10.0), 1e-8),
+    "cube_sphere:3": ((2.0, 2.5), 1e-4),
+    "cube_wedge:1": ((3.0, 20.0), 1e-8),
+    "cube_wedge:2": ((2.0, 4.0), 1e-8),
+    "triangle_sphere": ((3.0, 9.0), 1e-8),
+}
+
+
+def defect_case(name):
+    if name == "triangle_sphere":
+        return triangle_sphere()
+    kind, _, q = name.partition(":")
+    return builtin_protocol(kind, int(q or 2))
+
+
+def with_stacks(coch, edit):
+    """The cochain with copies of its stacks, edit(dim, stack) applied to each."""
+    stacks = [stack.copy() for stack in coch.stacks]
+    for dim, stack in enumerate(stacks):
+        edit(dim, stack)
+    return HyperCochain(gap=coch.gap, domain=coch.domain, stacks=stacks)
+
+
+def perturb(dim, stack):
+    # one cell per dimension, by a pattern that differs between entries
+    # and dimensions, so a wrong face, row or sign changes the defect
+    cell = stack[len(stack) // 2]
+    cell += 1e-3 * (dim + 1) * np.arange(1, cell.size + 1).reshape(cell.shape)
+
+
+@pytest.mark.parametrize("name", DEFECT_CASES)
+def test_stacked_defect_equals_the_cell_by_cell_oracle(name):
+    proto = defect_case(name)
+    betas, tol = DEFECT_CASES[name]
+    for beta in betas:
+        coch = jan_cochain(proto, beta, tol=tol)
+        moved = with_stacks(coch, perturb)
+        assert cochain_chain_map_defect(coch) == chain_map_defect_oracle(coch) < 1e-6
+        assert cochain_chain_map_defect(moved) == chain_map_defect_oracle(moved) > 1e-4
+
+
+@pytest.mark.parametrize("make", [square_protocol, lambda: cube_sphere_protocol(2)],
+                         ids=["square", "sphere2"])
+def test_defect_is_nan_when_a_block_is_not_finite(make):
+    proto = make()
+    coch = jan_cochain(proto, 5.0)
+    assert math.isfinite(cochain_chain_map_defect(coch))
+    top = proto.gap.top
+    last = len(coch.stacks[top]) - 1
+    for dim, row, entry in ((0, 0, np.s_[:]), (top, last, np.s_[0, 0]), (top, 0, np.s_[:])):
+        for bad in (np.nan, np.inf):
+            def spoil(d, stack):
+                if d == dim:
+                    stack[row][entry] = bad
+            assert math.isnan(cochain_chain_map_defect(with_stacks(coch, spoil)))
+
+
 # --- axioms ------------------------------------------------------------------------
 
 
@@ -1398,12 +1467,13 @@ def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     # a small block bound, so some depths need more than one block
     monkeypatch.setattr(ana_hyper, "_BLOCK", 64)
     calls, integrals, forms, cochains = [], [], [], []
-    # jan_integrate(proto, beta, keys), _form(ctx, p, beta, geos, nodes, ...)
-    # and jan_cochain(proto, beta): a form sum's nodes name its dimension
+    # _integrate_by_dim(proto, beta, keys, ...), which every integration
+    # goes through, _form(ctx, p, beta, geos, nodes, ...) and
+    # jan_cochain(proto, beta): a form sum's nodes name its dimension
     # and depth, its vertex geometry the number of simplices in its block
     for name, log, rec in (
-            ("jan_integrate", calls, lambda a: a[1]),
-            ("jan_integrate", integrals, lambda a: [(a[1], tuple(k)) for k in a[2]]),
+            ("_integrate_by_dim", calls, lambda a: a[1]),
+            ("_integrate_by_dim", integrals, lambda a: [(a[1], tuple(k)) for k in a[2]]),
             ("_form", forms, lambda a: ((a[2], a[4].shape[1], len(a[4])), len(a[3][0][0]))),
             ("jan_cochain", cochains, lambda a: a[1])):
         original = getattr(ana_hyper, name)

@@ -10,6 +10,7 @@ from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_com
 from hypercurrent.graph_dynamics import evolve
 from hypercurrent.protocol import builtin_protocol, load_protocol
 
+from exact_cochain import chain_map_defect_oracle
 from protocol_ops import square_doc_without_last_edge
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "refs.json"
@@ -363,6 +364,33 @@ def test_quantize_residuals_from_the_sweep(monkeypatch, tmp_path, capsys):
     rows = [line.split(",") for line in out.read_text().strip().splitlines()[1:]]
     assert [float(r[0]) for r in rows] == [5.0, 15.0]
     assert all(0.0 <= float(r[-1]) <= 1e-6 for r in rows)
+
+
+@pytest.mark.parametrize("argv,defects", [
+    (["ana", "integrate", "builtin:cube_sphere:2", "--beta", "10"], 1),
+    (["quantize", "builtin:cube_wedge:2", "--betas", "2.5,4", "--residuals"], 2),
+], ids=["integrate", "quantize"])
+def test_residual_outputs_match_the_cell_by_cell_oracle(argv, defects, monkeypatch, tmp_path,
+                                                        capsys):
+    # the report and CSV bytes are those of the defect computed cell by cell
+    from hypercurrent import ana_hyper, cli
+
+    out = tmp_path / "out"
+    written = []
+    calls = []
+
+    def oracle(coch):
+        calls.append(1)
+        return chain_map_defect_oracle(coch)
+
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(cli, "cochain_chain_map_defect", oracle)
+            monkeypatch.setattr(ana_hyper, "cochain_chain_map_defect", oracle)
+        assert main(argv + ["--out", str(out)]) == 0
+        written.append((out.read_bytes(), capsys.readouterr().out))
+    assert len(calls) == defects
+    assert written[0] == written[1]
 
 
 def test_quantize_rejects_descending_betas(capsys):

@@ -12,8 +12,8 @@ from hypercurrent.complex_core import (
     contraction,
     dumps_complex,
     eth,
+    _homology_data,
     gap_complex,
-    homology_data,
     loads_complex,
     sphere_complex,
     sphere_wedge_complex,
@@ -30,6 +30,11 @@ from hypercurrent.errors import (
 )
 from hypercurrent.forests import enumerate_dtrees
 from hypercurrent.ratlin import QMat
+
+
+def homology_data(x: CwComplex, j):
+    """Cycle, boundary and homology bases of one degree of a complex."""
+    return _homology_data(x.n_cells(j), x.d(j + 1), x.d(j) if j >= 1 else None)
 
 
 def rose_complex(n):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import pathlib
 import pkgutil
 
@@ -11,6 +12,9 @@ MODULES = [hypercurrent] + [importlib.import_module(f"hypercurrent.{info.name}")
 # exported names without a caller in the package: the benchmark's input
 # recorder writes protocol files with dumps_protocol
 TEST_ONLY_FEATURES = {"dumps_protocol"}
+
+# module.name of every function the benchmark traces, read and never edited
+PREDICTIONS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "predictions.json"
 
 
 def test_every_exported_name_resolves():
@@ -71,6 +75,23 @@ def test_every_exported_name_has_a_caller_in_the_package():
                      for name in getattr(module, "__all__", ())
                      if name not in used and name not in TEST_ONLY_FEATURES})
     assert not unused, f"exported but never used in the package: {unused}"
+
+
+def _public_definitions():
+    """module.name of every public function and class defined at the top
+    level of a module of the package."""
+    src = pathlib.Path(hypercurrent.__file__).parent
+    return {f"{path.stem}.{node.name}" for path in src.glob("*.py")
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    reach = set(json.loads(PREDICTIONS.read_text(encoding="utf-8"))["reach"])
+    used = _package_reads()
+    unused = sorted(name for name in _public_definitions() - reach
+                    if name.split(".")[1] not in used | TEST_ONLY_FEATURES)
+    assert not unused, f"defined but never used in the package: {unused}"
 
 
 def test_no_stale_test_only_exemption():

@@ -27,13 +27,13 @@ from hypercurrent.protocol import (
 from hypercurrent.topo_hyper import (
     _tree_aux,
     build_lift_cache,
-    cochain_chain_map_defect,
     hypercurrent_homology,
     tree_functor,
 )
 
 from eager_lift import build_lift_cache_eager
-from exact_cochain import addendum_predicts_trivial, cube_cellular_cochain, hypercurrent_cochain
+from exact_cochain import (addendum_predicts_trivial, chain_map_defect_oracle, cube_cellular_cochain,
+                           hypercurrent_cochain)
 from protocol_ops import scale, subdivide
 
 
@@ -242,7 +242,7 @@ def test_square_top_edge_support():
 def test_lift_cache_chain_identity_exact():
     for proto in (square_protocol(), cube_sphere_protocol(2)):
         coch = hypercurrent_cochain(proto)
-        assert cochain_chain_map_defect(coch) == 0
+        assert chain_map_defect_oracle(coch) == 0
 
 
 # --- the cochain and its pairing ------------------------------------------------
@@ -357,7 +357,7 @@ def test_representative_independence():
     def pair(vec):
         out = [Fraction(0)] * gap.dim_at(gap.top)
         for key, coeff in proto.fundamental_cycle.items():
-            img = coch.values[key].block(gap, 0) @ vec
+            img = coch.values[key].blocks[0] @ vec
             out = [a + coeff * b for a, b in zip(out, img)]
         return gap.homology[gap.top].class_of(out)
 
