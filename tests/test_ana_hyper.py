@@ -1107,7 +1107,7 @@ def triangle_sphere():
     return transversal_sphere(TRIANGLE, enumerate_top_discriminant_cells(TRIANGLE.parent, 0, 1)[0])
 
 
-# builtin name or maker -> (betas, tol); q = 3 at the benchmark's tol
+# protocol name -> (betas, tol); cube_sphere:3 at the benchmark's tol
 DEFECT_CASES = {
     "square": ((5.0, 30.0), 1e-8),
     "cube_sphere:1": ((2.0, 8.0), 1e-8),
