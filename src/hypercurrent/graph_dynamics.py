@@ -6,15 +6,16 @@ rates e^(E_source - W_edge).  `rates` and `master_operator` take one
 weight point or a stack of them along leading axes.
 
 `evolve` integrates the probability flow with a classical 4th-order step
-checked against two half steps.  The three 4th-order calls of one step
-read the field at six distinct times, so the field is built per block of
-steps from one batched `master_operator` call over the block's six
-times per step; each RK4 stage is then one matrix-vector product.  The
-chain of half steps carries the state; once it has covered a block, the
-block's full steps and error estimates are one stacked 4th-order pass.  The
-stationary (Boltzmann) distribution and its current one-form live in the
-tests, as independent routes checked against this machinery and the
-analytical current.
+checked against two half steps.  The master equation is linear, so a
+4th-order step is a matrix polynomial in the operators it reads.  The
+three steps of one grid step read the field at six distinct times, so
+per block of steps one batched `master_operator` call builds the field,
+and stacked matrix products turn it into each grid step's two-half-step
+matrix and full-step matrix.  The state then moves by one small
+matrix-vector product per step, and the block's error estimates are one
+stacked pass; `evolve` states the cost of this route.  The stationary (Boltzmann) distribution and its current
+one-form live in the tests, as independent routes checked against this
+machinery and the analytical current.
 """
 
 from dataclasses import dataclass
@@ -130,15 +131,16 @@ def _check_start(p, n_states):
         raise ValueError(f"initial state sums to {p.sum()!r}, not 1")
 
 
-def _rk4(y, h, a, b, c):
-    """One 4th-order step with the operators at its start, middle and end;
-    a stack of steps when y is (k, n, 1), h is (k, 1, 1) and the operators
-    are (k, n, n), with the same arithmetic per step."""
-    k1 = a @ y
-    k2 = b @ (y + h / 2 * k1)
-    k3 = b @ (y + h / 2 * k2)
-    k4 = c @ (y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_matrices(h, a, b, c):
+    """The 4th-order steps of lengths h (k, 1, 1) with operators a, b, c
+    (k, n, n) at their start, middle and end, one matrix per step:
+    I + (h/6)(a + 2 K2 + 2 K3 + K4), where K2 = b (I + (h/2) a),
+    K3 = b (I + (h/2) K2) and K4 = c (I + h K3)."""
+    eye = np.eye(a.shape[-1])
+    k2 = b @ (eye + h / 2 * a)
+    k3 = b @ (eye + h / 2 * k2)
+    k4 = c @ (eye + h * k3)
+    return eye + (h / 6) * (a + 2 * k2 + 2 * k3 + k4)
 
 
 def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
@@ -147,9 +149,15 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
     The path parameter is mapped affinely onto [t0, t1].  Each grid step
     is two half 4th-order steps, which carry the state, checked against
     one full step: max|full - half| / 15 is the local error estimate
-    (StepTooLarge when it exceeds tol or is NaN).  The full steps of a
-    block of steps are one stacked pass after its half steps, and the
-    first failing step raises, as if each step were checked in turn.
+    (StepTooLarge when it exceeds tol or is NaN).  Per block of steps,
+    stacked products build every step's half-step product H and full-step
+    matrix F; the state moves by one H @ p per step, the estimates are one
+    stacked pass of F over the block's trajectory, and the first failing
+    step raises, as if each step were checked in turn.  This costs
+    O(steps n^3) flops against O(steps n^2) for applying the stages to
+    the state, but one matrix-vector product per step replaces about
+    thirty numpy calls on n-vectors: on path graphs at 400 steps on a
+    2-core Xeon it is faster up to 16 states and slower from 24 on.
     Returns (times, trajectory) with one row per grid point.  ValueError
     unless p0 is a finite probability vector with one entry per state,
     t0 <= t1 are finite, steps >= 1 and tol is finite and positive, and
@@ -194,18 +202,22 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
             ops = master_operator(sd, e, w).matrix
         finite = np.isfinite(ops).all(axis=(-3, -2, -1))
         k = len(ops) if finite.all() else int(np.argmin(finite))
+        ops, h = ops[:k], h[:k, None, None]
         # the chain may run on past a failing step; the first one is raised below
         with np.errstate(over="ignore", invalid="ignore"):
-            for j, op in enumerate(ops[:k]):
-                p = _rk4(_rk4(p, h[j] / 2, op[0], op[1], op[2]), h[j] / 2, op[2], op[4], op[5])
+            half = (_rk4_matrices(h / 2, ops[:, 2], ops[:, 4], ops[:, 5])
+                    @ _rk4_matrices(h / 2, ops[:, 0], ops[:, 1], ops[:, 2]))
+            full = _rk4_matrices(h, ops[:, 0], ops[:, 2], ops[:, 3])
+            for j, step in enumerate(half):
+                p = step @ p
                 traj[lo + j + 1] = p
-            full = _rk4(traj[lo:lo + k, :, None], h[:k, None, None], ops[:k, 0], ops[:k, 2], ops[:k, 3])
+            full = full @ traj[lo:lo + k, :, None]
             err = np.max(np.abs(full[..., 0] - traj[lo + 1:lo + k + 1]), axis=1) / 15.0
         # a NaN estimate fails the step too
         failed = np.flatnonzero(~(err <= tol))
         if failed.size:
             j = failed[0]
             raise StepTooLarge(f"estimated error {err[j]:.2e} > {tol:.2e} at t = {times[lo + j]}")
-        if k < len(ops):
+        if k < len(finite):
             raise ValueError(f"jump rates overflow at t = {times[lo + k]}")
     return times, traj

@@ -38,12 +38,11 @@ class QMat:
     ``num`` is a 2-d numpy object array of Python ints and ``den`` a
     positive int with gcd(den, *num) == 1, so zero has den == 1 and
     equal matrices have equal fields.  Instances are treated as
-    read-only.  Against a float array an exact matrix acts as its float
-    value, as an int would.
+    read-only.
     """
 
     __slots__ = ("num", "den", "_memo")
-    __array_ufunc__ = None   # ndarray operands defer to the reflected methods
+    __array_ufunc__ = None   # an ndarray operand raises TypeError; to_float() is the float copy
     __hash__ = None
 
     def __init__(self, num, den=1):
@@ -91,9 +90,6 @@ class QMat:
         """Float copy of the same shape, each entry correctly rounded."""
         return (self.num / self.den).astype(float)
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.to_rows(), dtype=object).reshape(self.shape).astype(dtype or object)
-
     @property
     def shape(self):
         return self.num.shape
@@ -129,21 +125,14 @@ class QMat:
         return f"QMat({self.num.tolist()!r}, {self.den})"
 
     def __matmul__(self, other):
-        """Product with a QMat, a float array, or a vector of rationals (a
-        list of Fractions comes back)."""
+        """Product with a QMat, or a vector of rationals (a list of
+        Fractions comes back)."""
         if isinstance(other, QMat):
             return matmul(self, other)
-        if isinstance(other, np.ndarray):
-            return self.to_float() @ other
         vec = list(other)
         den = math.lcm(1, *(x.denominator for x in vec))
         col = np.array([x.numerator * (den // x.denominator) for x in vec], dtype=object)
         return [Fraction(v, self.den * den) for v in (self.num @ col).tolist()]
-
-    def __rmatmul__(self, other):
-        if isinstance(other, np.ndarray):
-            return other @ self.to_float()
-        return NotImplemented
 
     def _combine(self, other, sign):
         if self.shape != other.shape:
@@ -154,24 +143,10 @@ class QMat:
         return QMat(self.num * (den // self.den) + sign * (den // other.den) * other.num, den)
 
     def __add__(self, other):
-        if isinstance(other, np.ndarray):
-            return self.to_float() + other
         return self._combine(other, 1)
 
     def __sub__(self, other):
-        if isinstance(other, np.ndarray):
-            return self.to_float() - other
         return self._combine(other, -1)
-
-    def __radd__(self, other):
-        if isinstance(other, np.ndarray):
-            return other + self.to_float()
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, np.ndarray):
-            return other - self.to_float()
-        return NotImplemented
 
     def __neg__(self):
         return QMat._raw(-self.num, self.den)

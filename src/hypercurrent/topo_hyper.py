@@ -16,10 +16,9 @@ below through the domain's face rows (row indices and signs) and runs
 every product and check on the whole stack: on int64 numerators when a
 bound from its operands' largest entries keeps every product and sum of
 the degree below _INT64_BOUND, else on Python ints.  What leaves the
-module holds Python ints: a cell's lowest-terms QMats, built when
-LiftCache.values is read there, and the pairing, which checks the
-cycles' boundaries on the same face rows and contracts the top stack's
-degree-0 numerators (Koszul sign +1) with their coefficients.
+module holds Python ints: the pairing, which checks the cycles'
+boundaries on the same face rows and contracts the top stack's degree-0
+numerators (Koszul sign +1) with their coefficients.
 
 Errors are those a cell-by-cell pass in (dim, repr) order meets first:
 earliest cell, then degree, then check (support, class or cycle, top
@@ -125,42 +124,15 @@ class _Stack(NamedTuple):
     blocks: list    # (num, den) per input degree
 
 
-class _CellBlocks(Mapping):
-    """Read-only view of the stacks by cell: a cell's lowest-terms QMats,
-    one per input degree, built when the cell is first read."""
-
-    def __init__(self, stacks):
-        self._stacks = stacks
-        self._built = {}
-
-    def __getitem__(self, key):
-        if key in self._built:
-            return self._built[key]
-        for stack in self._stacks:
-            i = stack.row.get(key)
-            if i is not None:
-                out = tuple(QMat(num[i].astype(object), den) for num, den in stack.blocks)
-                self._built[key] = out
-                return out
-        raise KeyError(key)
-
-    def __iter__(self):
-        for stack in self._stacks:
-            yield from stack.keys
-
-    def __len__(self):
-        return sum(len(stack.keys) for stack in self._stacks)
-
-
 @dataclass
 class LiftCache:
     """Per-cell chain maps m(x (x) [cell]) in ambient coordinates: stacks[d]
-    is the lift of the d-cells, and values[key][g] maps degree-g basis
-    chains to degree g+dim(cell) chains on the cell's tree subcomplex."""
+    is the lift of the d-cells, and the degree-g block of a cell's row
+    maps degree-g basis chains to degree g+dim(cell) chains on the cell's
+    tree subcomplex."""
 
     gap: GapComplex
     trees: dict       # cell key -> DTree
-    values: Mapping   # cell key -> tuple of QMat, one per input degree
     stacks: list = field(default_factory=list, repr=False, compare=False)
 
 
@@ -197,8 +169,7 @@ def build_lift_cache(proto) -> LiftCache:
         if a not in found:
             found[a] = tree_functor(proto, key)
     trees = dict(zip(keys, map(found.__getitem__, at)))
-    stacks = []
-    cache = LiftCache(gap=gap, trees=trees, values=_CellBlocks(stacks), stacks=stacks)
+    cache = LiftCache(gap=gap, trees=trees)
     vertices = keys[cells.offsets[0]:cells.offsets[1]]
     distinct, tree_of = _tree_positions(trees, vertices)
     phis = [_tree_aux(gap, tree).phi for tree in distinct]
@@ -206,7 +177,7 @@ def build_lift_cache(proto) -> LiftCache:
     for g in range(gap.top + 1):
         num, den = _stacked([phi[g] for phi in phis])
         blocks.append((num[tree_of], den))
-    stacks.append(_Stack(vertices, dict(zip(vertices, range(len(vertices)))), blocks))
+    cache.stacks.append(_Stack(vertices, dict(zip(vertices, range(len(vertices)))), blocks))
     for a, b in zip(cells.offsets[1:], cells.offsets[2:]):
         lift_simplex(proto, keys[a:b], cache)
     return cache

@@ -1,8 +1,8 @@
 """The lift as it stood before the stacks were kept: each dimension is
 lifted as one stack, then unpacked eagerly into one lowest-terms QMat per
 cell and degree, and the next dimension gathers its faces from those
-values or from the last stack.  Kept as the oracle for the lazily built
-blocks of topo_hyper.LiftCache.values."""
+values or from the last stack.  Kept as the oracle for the cell blocks
+read from topo_hyper.LiftCache.stacks."""
 
 import math
 from dataclasses import dataclass, field

@@ -7,6 +7,7 @@ sign, so the exact cochain is a chain map with defect exactly zero; the
 library's pairing reads only the degree-0 blocks, whose sign is +1.
 chain_map_defect_oracle walks a cochain cell by cell through
 boundary_of, the route the library's stacked defect is checked against.
+cell_blocks reads a lift cache's stacks by cell.
 CubeCwDomain runs the same lift over the face poset of the cube's cells
 instead of a triangulation.
 """
@@ -56,18 +57,32 @@ def chain_map_defect_oracle(cochain):
         # a missing block is an exact zero
         return op.blocks.get(g, QMat.zeros(gap.dim_at(g + op.degree), gap.dim_at(g)))
 
+    def minus(a, b):
+        # exact between QMats; a QMat meets a float block as its float copy
+        if isinstance(a, QMat) and isinstance(b, QMat):
+            return a - b
+        return (a.to_float() if isinstance(a, QMat) else a) - (b.to_float() if isinstance(b, QMat) else b)
+
     peaks = [0]
     for key, op in cochain.values.items():
         lhs = eth(op, gap)
         blocks = [block(lhs, g) for g in range(gap.top + 1)]
         for fsign, fkey in cochain.domain.boundary_of(key):
             fop = cochain.values[fkey]
-            blocks = [blk - fsign * block(fop, g) for g, blk in enumerate(blocks)]
-        entries = [np.abs(np.asarray(blk)) for blk in blocks]
+            blocks = [minus(blk, fsign * block(fop, g)) for g, blk in enumerate(blocks)]
+        entries = [np.abs(np.array(blk.to_rows(), dtype=object).reshape(blk.shape))
+                   if isinstance(blk, QMat) else np.abs(blk) for blk in blocks]
         peaks += [e.max() for e in entries if e.size]
     if any(p != p for p in peaks):
         return math.nan
     return max(peaks)
+
+
+def cell_blocks(cache):
+    """The lift cache's stacks by cell: a cell key -> its lowest-terms
+    QMats, one per input degree."""
+    return {key: tuple(QMat(num[i].astype(object), den) for num, den in stack.blocks)
+            for stack in cache.stacks for i, key in enumerate(stack.keys)}
 
 
 def hypercurrent_cochain(proto) -> CellCochain:
@@ -78,7 +93,7 @@ def hypercurrent_cochain(proto) -> CellCochain:
     cache = build_lift_cache(proto)
     gap = cache.gap
     values = {}
-    for key, mats in cache.values.items():
+    for key, mats in cell_blocks(cache).items():
         jdim = proto.dim_of(key)
         blocks = {g: mats[g] * (-1) ** (jdim * g) for g in range(gap.top + 1)}
         values[key] = GradedOperator(degree=jdim, blocks=blocks)

@@ -24,6 +24,7 @@ from hypercurrent.protocol import (
     square_protocol,
     weights_at,
 )
+from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 from stationary import boltzmann, current_form
 
@@ -269,14 +270,25 @@ def _weights_on_path(proto, tau):
     return weights_at(proto, (seg, seg + 1), [1.0 - local, local])
 
 
+def rk4_matrix(h, a, b, c):
+    """The 4th-order step of length h with operators a, b, c at its start,
+    middle and end, as the matrix it applies to a state."""
+    eye = np.eye(len(a))
+    k2 = b @ (eye + h / 2 * a)
+    k3 = b @ (eye + h / 2 * k2)
+    k4 = c @ (eye + h * k3)
+    return eye + (h / 6) * (a + 2 * k2 + 2 * k3 + k4)
+
+
 def per_call_evolve(proto, p0, t0, t1, steps, tol=1e-8):
     """Integrate the probability flow along a one-dimensional protocol.
 
     The path parameter is mapped affinely onto [t0, t1].  Each grid step
-    is one full 4th-order step checked against two half steps; the pair
-    also provides the local error estimate (StepTooLarge when it exceeds
-    tol or is NaN).  Returns (times, trajectory) with one row per grid
-    point.
+    builds its two half steps' product and its full step as matrices from
+    the field read one time at a time; the product carries the state and
+    the full step gives the local error estimate (StepTooLarge when it
+    exceeds tol or is NaN).  Returns (times, trajectory) with one row per
+    grid point.
     """
     if proto.gap.p != 0 or proto.gap.q != 1:
         raise ValueError("dynamics requires weights at levels 0 and 1")
@@ -286,31 +298,76 @@ def per_call_evolve(proto, p0, t0, t1, steps, tol=1e-8):
     if p.min() < 0 or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("initial state must be a probability distribution")
 
-    def field(t, y):
+    def field(t):
         tau = (t - t0) / (t1 - t0) * m if t1 > t0 else 0.0
         wp = _weights_on_path(proto, min(max(tau, 0.0), m))
-        op = loop_master_operator(sd, wp.level(0), wp.level(1))
-        return op.matrix @ y
+        return loop_master_operator(sd, wp.level(0), wp.level(1)).matrix
 
-    def rk4(t, y, h):
-        k1 = field(t, y)
-        k2 = field(t + h / 2, y + h / 2 * k1)
-        k3 = field(t + h / 2, y + h / 2 * k2)
-        k4 = field(t + h, y + h * k3)
-        return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    def step(t, h):
+        return rk4_matrix(h, field(t), field(t + h / 2), field(t + h))
 
     times = np.linspace(t0, t1, steps + 1)
     traj = np.zeros((steps + 1, len(p)))
     traj[0] = p
     for n in range(steps):
         h = times[n + 1] - times[n]
-        full = rk4(times[n], p, h)
-        half = rk4(times[n] + h / 2, rk4(times[n], p, h / 2), h / 2)
-        err = float(np.max(np.abs(full - half))) / 15.0
+        full = step(times[n], h)
+        half = step(times[n] + h / 2, h / 2) @ step(times[n], h / 2)
+        q = half @ p
+        err = float(np.max(np.abs(full @ p - q))) / 15.0
         if not err <= tol:
             raise StepTooLarge(f"estimated error {err:.2e} > {tol:.2e} at t = {times[n]}")
-        p = half
+        p = q
         traj[n + 1] = p
+    return times, traj
+
+
+def staged_rk4(y, h, a, b, c):
+    """One 4th-order step with the operators at its start, middle and end,
+    stage by stage on the state; a stack of steps when y is (k, n, 1), h is
+    (k, 1, 1) and the operators are (k, n, n)."""
+    k1 = a @ y
+    k2 = b @ (y + h / 2 * k1)
+    k3 = b @ (y + h / 2 * k2)
+    k4 = c @ (y + h * k3)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def staged_evolve(proto, p0, t0, t1, steps, tol=1e-8):
+    """evolve with the stages applied to the state: the same batched field
+    per block, the half steps chained stage by stage and the full steps
+    as one stacked staged pass.  It rounds differently from the step
+    matrices, so evolve agrees with it to rounding, not bit for bit."""
+    sd = state_diagram(proto.gap.parent)
+    m = _path_times(proto)
+    p = np.asarray(p0, dtype=float)
+    first = [weights_at(proto, (i, i + 1), [1.0, 0.0]) for i in range(m)]
+    last = [weights_at(proto, (i, i + 1), [0.0, 1.0]) for i in range(m)]
+    e0, e1 = (np.array([wp.level(0) for wp in pts]) for pts in (first, last))
+    w0, w1 = (np.array([wp.level(1) for wp in pts]) for pts in (first, last))
+    times = np.linspace(t0, t1, steps + 1)
+    traj = np.zeros((steps + 1, len(p)))
+    traj[0] = p
+    for lo in range(0, steps, graph_dynamics._BLOCK):
+        t = times[lo:lo + graph_dynamics._BLOCK + 1]
+        h, t = t[1:] - t[:-1], t[:-1]
+        mid = t + h / 2
+        at = np.stack([t, t + (h / 2) / 2, mid, t + h, mid + (h / 2) / 2, mid + h / 2], axis=1)
+        tau = (at - t0) / (t1 - t0) * m if t1 > t0 else np.zeros_like(at)
+        tau = np.minimum(np.maximum(tau, 0.0), m)
+        seg = np.minimum(tau.astype(np.intp), m - 1)
+        local = (tau - seg)[..., None]
+        ops = master_operator(sd, (1.0 - local) * e0[seg] + local * e1[seg],
+                              (1.0 - local) * w0[seg] + local * w1[seg]).matrix
+        for j, op in enumerate(ops):
+            p = staged_rk4(staged_rk4(p, h[j] / 2, op[0], op[1], op[2]), h[j] / 2, op[2], op[4], op[5])
+            traj[lo + j + 1] = p
+        full = staged_rk4(traj[lo:lo + len(ops), :, None], h[:, None, None], ops[:, 0], ops[:, 2], ops[:, 3])
+        err = np.max(np.abs(full[..., 0] - traj[lo + 1:lo + len(ops) + 1]), axis=1) / 15.0
+        failed = np.flatnonzero(~(err <= tol))
+        if failed.size:
+            j = failed[0]
+            raise StepTooLarge(f"estimated error {err[j]:.2e} > {tol:.2e} at t = {times[lo + j]}")
     return times, traj
 
 
@@ -363,24 +420,21 @@ def assert_same_as_oracle(proto, p0, t0, t1, steps, tol=1e-8):
     assert np.array_equal(traj, ref_traj)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("name", sorted(GRAPHS))
-def test_evolve_equals_per_call_field_on_graph_protocols(name, seed):
+def graph_case(name, seed):
     rng = random.Random(f"{name}-{seed}")
     proto, p0 = seeded_graph_protocol(name, rng)
-    assert_same_as_oracle(proto, p0, 0.0, rng.uniform(2.0, 8.0), 200, tol=1e-6)
+    return proto, p0, 0.0, rng.uniform(2.0, 8.0), 200, 1e-6
 
 
-def test_evolve_equals_per_call_field_across_blocks():
+def blocks_case():
     # a step count above one block and not a multiple of it, on a path of
     # three segments, so segment ends and block ends both fall inside the run
     rng = random.Random("blocks")
     proto, p0 = seeded_graph_protocol("path4", rng, segments=3)
-    steps = 2 * graph_dynamics._BLOCK + 357
-    assert_same_as_oracle(proto, p0, 0.25, 9.0, steps, tol=1e-6)
+    return proto, p0, 0.25, 9.0, 2 * graph_dynamics._BLOCK + 357, 1e-6
 
 
-def test_evolve_equals_per_call_field_on_criterion_10_protocol():
+def criterion_10_cases():
     wp = WeightPoint(0, 1, ((0.0, math.log(2)), (0.1,)))
     proto = SimplicialProtocol(
         gap=gap_complex(segment_complex(), 0, 1),
@@ -388,9 +442,39 @@ def test_evolve_equals_per_call_field_on_criterion_10_protocol():
         vertex_weights=(wp, wp),
         simplices=((0,), (1,), (0, 1)),
     )
-    assert_same_as_oracle(proto, [1.0, 0.0], 0.0, 10.0, graph_dynamics._BLOCK + 1)
     # t1 == t0 is allowed: every step has length zero
-    assert_same_as_oracle(proto, [0.25, 0.75], 3.0, 3.0, 3)
+    return [(proto, [1.0, 0.0], 0.0, 10.0, graph_dynamics._BLOCK + 1, 1e-8),
+            (proto, [0.25, 0.75], 3.0, 3.0, 3, 1e-8)]
+
+
+def oracle_cases():
+    return ([graph_case(name, seed) for name in sorted(GRAPHS) for seed in (0, 1, 2)]
+            + [blocks_case()] + criterion_10_cases())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(GRAPHS))
+def test_evolve_equals_per_call_field_on_graph_protocols(name, seed):
+    assert_same_as_oracle(*graph_case(name, seed))
+
+
+def test_evolve_equals_per_call_field_across_blocks():
+    assert_same_as_oracle(*blocks_case())
+
+
+def test_evolve_equals_per_call_field_on_criterion_10_protocol():
+    for case in criterion_10_cases():
+        assert_same_as_oracle(*case)
+
+
+def test_step_matrices_agree_with_the_staged_chain():
+    # a step matrix applied to the state rounds differently from its
+    # stages applied one after another; the bound is absolute
+    for proto, p0, t0, t1, steps, tol in oracle_cases():
+        times, traj = evolve(proto, p0, t0, t1, steps, tol=tol)
+        ref_times, ref_traj = staged_evolve(proto, p0, t0, t1, steps, tol=tol)
+        assert np.array_equal(times, ref_times)
+        assert np.max(np.abs(traj - ref_traj)) <= 1e-14
 
 
 def test_step_too_large_matches_oracle():
@@ -514,38 +598,39 @@ def test_current_form_constant_protocol_zero():
 # --- pumping: the flux per period tends to the analytical class ---------------------
 
 
-def unrolled_square(beta):
-    """square_protocol's loop as a five-vertex path protocol, weights
-    scaled by beta, walked along the fundamental cycle from its first
-    corner back to it."""
-    square = square_protocol()
+def unrolled_loop(loop, beta):
+    """A one-dimensional protocol whose fundamental cycle is one closed
+    walk, as a path protocol with weights scaled by beta, walked along the
+    cycle from its lowest vertex back to it."""
     succ = {}
-    for (a, b), coeff in square.fundamental_cycle.items():
+    for (a, b), coeff in loop.fundamental_cycle.items():
         if coeff > 0:
             succ[a] = b
         else:
             succ[b] = a
-    loop = [0]
-    while len(loop) < 5:
-        loop.append(succ[loop[-1]])
+    walk = [min(succ)]
+    while len(walk) <= len(succ):
+        walk.append(succ[walk[-1]])
     pts = tuple(
         WeightPoint(0, 1, tuple(tuple(beta * v for v in level) for level in wp.values))
-        for wp in (square.vertex_weights[c] for c in loop)
+        for wp in (loop.vertex_weights[c] for c in walk)
     )
+    m = len(succ)
     proto = SimplicialProtocol(
-        gap=square.gap,
-        vertex_ids=tuple(f"t{i}" for i in range(5)),
+        gap=loop.gap,
+        vertex_ids=tuple(f"t{i}" for i in range(m + 1)),
         vertex_weights=pts,
-        simplices=tuple((i,) for i in range(5)) + tuple((i, i + 1) for i in range(4)),
+        simplices=tuple((i,) for i in range(m + 1)) + tuple((i, i + 1) for i in range(m)),
     )
     return proto, pts
 
 
-def pumped_flux(beta, period, steps=4000, periods=4):
+def pumped_flux(loop, beta, period, steps=4000, periods=4):
     """Net probability current through each edge, along its orientation,
-    integrated over the last of `periods` periods (Simpson's rule; segment
-    ends fall on even grid points)."""
-    proto, pts = unrolled_square(beta)
+    integrated over the last of `periods` periods of the loop protocol
+    (Simpson's rule; segment ends must fall on even grid points)."""
+    proto, pts = unrolled_loop(loop, beta)
+    m = len(pts) - 1
     sd = state_diagram(proto.gap.parent)
     p = np.full(sd.graph.n_cells(0), 1.0 / sd.graph.n_cells(0))
     for _ in range(periods):
@@ -553,8 +638,8 @@ def pumped_flux(beta, period, steps=4000, periods=4):
         p = traj[-1]
     e = np.array([wp.level(0) for wp in pts])
     w = np.array([wp.level(1) for wp in pts])
-    tau = times / period * 4
-    seg = np.minimum(tau.astype(np.intp), 3)
+    tau = times / period * m
+    seg = np.minimum(tau.astype(np.intp), m - 1)
     local = (tau - seg)[:, None]
     k = rates(sd, (1 - local) * e[seg] + local * e[seg + 1],
               (1 - local) * w[seg] + local * w[seg + 1])
@@ -567,12 +652,31 @@ def pumped_flux(beta, period, steps=4000, periods=4):
     return simpson @ flux * (times[1] - times[0]) / 3
 
 
+def pumping_errors(loop):
+    """Largest distance per edge between the flux pumped per period at
+    beta 1 and the analytical class on the degree-1 homology basis, at
+    periods 10 and 100."""
+    (cls,) = quantization_sweep(loop, [1.0], loop.fundamental_cycle, [1]).rows[0].coords
+    expected = cls * loop.gap.parent_hq.hbasis.to_float()[:, 0]
+    return {period: np.max(np.abs(pumped_flux(loop, 1.0, period) - expected))
+            for period in (10.0, 100.0)}
+
+
 def test_pumped_flux_tends_to_the_analytical_class():
     # Sinitsyn & Nemenman, EPL 77 (2007) 58001: under slow periodic driving
     # the current per period tends to the loop integral of the adiabatic
     # current form, with an O(1/T) error
-    square = square_protocol()
-    (cls,) = quantization_sweep(square, [1.0], square.fundamental_cycle, [1]).rows[0].coords
-    err = {period: np.max(np.abs(pumped_flux(1.0, period) - cls)) for period in (10.0, 100.0)}
+    err = pumping_errors(square_protocol())
+    assert err[100.0] <= 2e-4
+    assert err[10.0] >= 10 * err[100.0]
+
+
+def test_pumped_flux_on_a_triangle_transversal_sphere():
+    # the loop around an essential top cell of the triangle's weight space
+    # pumps its class around the triangle's one cycle
+    x = loads_complex(json.dumps({"name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ca"]],
+                                  "boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]}))
+    loop = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[1])
+    err = pumping_errors(loop)
     assert err[100.0] <= 2e-4
     assert err[10.0] >= 10 * err[100.0]

@@ -5,6 +5,7 @@ products run on the Fraction row kernel of ``row_kernel``."""
 
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -28,11 +29,11 @@ from hypercurrent.protocol import (
     square_protocol,
 )
 from hypercurrent.ratlin import QMat
-from hypercurrent.topo_hyper import LiftCache, _tree_masks, build_lift_cache, tree_functor
+from hypercurrent.topo_hyper import _tree_masks, build_lift_cache, tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 import row_kernel
-from exact_cochain import cube_cw_domain
+from exact_cochain import cell_blocks, cube_cw_domain
 from protocol_ops import subdivide
 
 
@@ -152,7 +153,14 @@ def _tree_aux(gap, tree):
     return _AUX[key]
 
 
-def build_lift_cache_oracle(proto) -> LiftCache:
+@dataclass
+class OracleLiftCache:
+    gap: object
+    trees: dict     # cell key -> DTree
+    values: dict    # cell key -> list of Fraction row lists, one per input degree
+
+
+def build_lift_cache_oracle(proto) -> OracleLiftCache:
     gap = proto.gap
     cert = smallness(proto)
     cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
@@ -160,7 +168,7 @@ def build_lift_cache_oracle(proto) -> LiftCache:
         if cert.k[key] is None:
             raise NotGood(f"cell {key} is not small")
     trees = {key: tree_functor(proto, key) for key in cells}
-    cache = LiftCache(gap=gap, trees=trees, values={})
+    cache = OracleLiftCache(gap=gap, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
             cache.values[key] = [[row[:] for row in m] for m in _tree_aux(gap, trees[key]).phi]
@@ -169,7 +177,7 @@ def build_lift_cache_oracle(proto) -> LiftCache:
     return cache
 
 
-def lift_simplex_oracle(proto, key, cache: LiftCache):
+def lift_simplex_oracle(proto, key, cache: OracleLiftCache):
     gap = cache.gap
     jdim = proto.dim_of(key)
     aux = _tree_aux(gap, cache.trees[key])
@@ -290,12 +298,13 @@ DOMAINS = (
 @pytest.mark.parametrize("make", [m for _, m in DOMAINS], ids=[n for n, _ in DOMAINS])
 def test_lift_matches_fraction_oracle(make):
     proto = make()
-    new = build_lift_cache(proto)
+    cache = build_lift_cache(proto)
+    new = cell_blocks(cache)
     old = build_lift_cache_oracle(proto)
     gap = proto.gap
-    assert new.trees == old.trees
-    assert new.values.keys() == old.values.keys()
-    for key, mats in new.values.items():
+    assert cache.trees == old.trees
+    assert new.keys() == old.values.keys()
+    for key, mats in new.items():
         jdim = proto.dim_of(key)
         assert len(mats) == len(old.values[key]) == gap.top + 1
         for g, mat in enumerate(mats):
@@ -391,10 +400,11 @@ def _steep_circle_protocol():
 
 def test_lift_past_the_int64_bound_matches_fraction_oracle():
     proto = _steep_circle_protocol()
-    new = build_lift_cache(proto)
-    assert new.stacks[1].blocks[0][0].dtype == object
-    assert max(m.den for mats in new.values.values() for m in mats) >= 2 ** 40
+    cache = build_lift_cache(proto)
+    assert cache.stacks[1].blocks[0][0].dtype == object
+    new = cell_blocks(cache)
+    assert max(m.den for mats in new.values() for m in mats) >= 2 ** 40
     old = build_lift_cache_oracle(proto)
-    assert new.values.keys() == old.values.keys()
-    for key, mats in new.values.items():
+    assert new.keys() == old.values.keys()
+    for key, mats in new.items():
         assert [m.to_rows() for m in mats] == [list(map(list, m)) for m in old.values[key]]

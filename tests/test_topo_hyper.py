@@ -32,8 +32,8 @@ from hypercurrent.topo_hyper import (
 )
 
 from eager_lift import build_lift_cache_eager
-from exact_cochain import (addendum_predicts_trivial, chain_map_defect_oracle, cube_cellular_cochain,
-                           hypercurrent_cochain)
+from exact_cochain import (addendum_predicts_trivial, cell_blocks, chain_map_defect_oracle,
+                           cube_cellular_cochain, hypercurrent_cochain)
 from protocol_ops import scale, subdivide
 
 
@@ -217,7 +217,7 @@ def test_constant_tree_edge_lifts_to_zero():
     for s in proto.simplices_of_dim(1):
         if cert.k[s] == 0:
             # both endpoints share the edge's co-tree, so the lift vanishes
-            for g, mat in enumerate(cache.values[s]):
+            for g, mat in enumerate(cell_blocks(cache)[s]):
                 assert mat.is_zero()
                 assert mat.shape == (proto.gap.dim_at(g + 1), proto.gap.dim_at(g))
 
@@ -232,7 +232,7 @@ def test_square_top_edge_support():
         if cert.k[s] != 1:
             continue
         tree = cache.trees[s]
-        val = cache.values[s][0] @ gen
+        val = cell_blocks(cache)[s][0] @ gen
         support = {proto.gap.cells_at(1)[i] for i, v in enumerate(val) if v != 0}
         assert support <= set(tree.cells)
         seen |= support
@@ -498,14 +498,14 @@ LAZY_DOMAINS = {
 @pytest.mark.parametrize("name", list(LAZY_DOMAINS))
 def test_lazy_blocks_equal_eager_unpack(name):
     proto = LAZY_DOMAINS[name]()
-    lazy = build_lift_cache(proto)
+    cache = build_lift_cache(proto)
+    lazy = cell_blocks(cache)
     eager = build_lift_cache_eager(proto)
-    assert lazy.trees == eager.trees
-    assert len(lazy.values) == len(eager.values) == len(proto.all_cells())
-    assert set(lazy.values) == set(eager.values)
+    assert cache.trees == eager.trees
+    assert len(lazy) == len(eager.values) == len(proto.all_cells())
+    assert set(lazy) == set(eager.values)
     for key, mats in eager.values.items():
-        assert lazy.values[key] == mats
-        assert lazy.values[key] is lazy.values[key]
+        assert lazy[key] == mats
 
 
 def test_first_obstruction_follows_repr_order(monkeypatch):
@@ -571,8 +571,8 @@ def test_python_int_steps_equal_int64_steps(monkeypatch, name):
         assert a.keys == b.keys
         for (anum, aden), (bnum, bden) in zip(a.blocks, b.blocks, strict=True):
             assert aden == bden and anum.shape == bnum.shape and (anum == bnum).all()
-    assert dict(fast.values) == dict(slow.values)
-    assert all(m.num.dtype == object for mats in fast.values.values() for m in mats)
+    assert cell_blocks(fast) == cell_blocks(slow)
+    assert all(m.num.dtype == object for mats in cell_blocks(fast).values() for m in mats)
     assert fast_pair == slow_pair
     assert all(type(v) is Fraction for v in fast_pair[0] + fast_pair[1])
 
