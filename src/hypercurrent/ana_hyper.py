@@ -54,7 +54,7 @@ from . import ratlin
 from .complex_core import GapComplex
 from .errors import BadFrame, NonfiniteBeta, NonpositiveBeta, QuadratureNoConvergence
 from .forests import enumerate_dtrees
-from .protocol import _perm_sign
+from .protocol import _permutation_signs
 from .topo_hyper import HyperCochain, cochain_chain_map_defect, hypercurrent_homology
 
 __all__ = [
@@ -377,7 +377,8 @@ def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
 @functools.lru_cache(maxsize=8)
 def _signed_permutations(ell):
     """The permutations of range(ell), each with its sign."""
-    return tuple((perm, _perm_sign(perm)) for perm in itertools.permutations(range(ell)))
+    perms = np.array(list(itertools.permutations(range(ell))), dtype=np.intp)
+    return tuple(zip(map(tuple, perms.tolist()), _permutation_signs(perms).tolist()))
 
 
 # --- quadrature -----------------------------------------------------------------

@@ -15,18 +15,24 @@ of the dimension below with their signs; and level_weights, one
 (n_vertices, n_cells) array per level.  The tests also run them on a
 regular-CW cube domain.
 
+A protocol's cells are one array of sorted vertex rows per dimension.
+One np.unique pass over row codes closes a dimension under faces and
+places every face (_cells_and_faces): it closes a loaded file's
+simplices and, once per cube dimension, the Freudenthal triangulation of
+the cube's boundary, and checks a hand-built protocol's face_rows.
+
 A protocol may be a disjoint union of equal parts, numbered part by
 part: cube_boundary_protocol builds one from many corner maps, one cube
-each, from a triangulation made once per cube dimension.  part_of names
-a cell by its part and its vertices within that part, which is how the
-lift reports a failing cell, and part_cycles cuts the fundamental cycle
-into the parts' cycles.
+each, offsetting the cube's arrays.  part_of names a cell by its part
+and its vertices within that part, which is how the lift reports a
+failing cell, and part_cycles cuts the fundamental cycle into the
+parts' cycles.
 """
 
 import itertools
 import json
 import math
-from bisect import bisect_left
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -95,21 +101,54 @@ def simplex_faces(key):
     return list(zip(itertools.cycle((1, -1)), faces))
 
 
-def _closure(simplices):
-    """Every face of the given sorted vertex tuples, themselves included,
-    sorted by (length, tuple): one set of simplices per length, whose
-    faces one length down are their sub-tuples of that length."""
-    by_len = {}
-    for s in simplices:
-        by_len.setdefault(len(s), []).append(tuple(s))
-    closed = []
-    level = set()
-    for n in range(max(by_len, default=0), 0, -1):
-        level.update(by_len.get(n, ()))
-        closed.append(sorted(level))
-        level = set(itertools.chain.from_iterable(map(itertools.combinations, level,
-                                                      itertools.repeat(n - 1))))
-    return list(itertools.chain.from_iterable(reversed(closed)))
+def _cells_and_faces(lower, upper, base):
+    """One np.unique pass over the codes of the rows lower and of the faces
+    of the rows upper, one column wider, face m of a row dropping its
+    column m: the sorted distinct rows, the place among them of each row
+    of lower, and of each face as an array (rows of upper, faces).  A row
+    is coded as one number in base the vertex count, in Python ints where
+    int64 could overflow."""
+    n, width = upper.shape
+    drop = np.nonzero(~np.eye(width, dtype=bool))[1].reshape(width, width - 1)
+    rows = np.concatenate([lower, upper[:, drop].reshape(n * width, width - 1)])
+    place = np.array([base ** e for e in range(width - 2, -1, -1)],
+                     dtype=np.int64 if base ** (width - 1) < 2 ** 63 else object)
+    _, first, places = np.unique(rows @ place, return_index=True, return_inverse=True)
+    return rows[first], places[:len(lower)], places[len(lower):].reshape(n, width)
+
+
+def _by_dim(simplices):
+    """Vertex tuples as one row array per dimension, in the given order."""
+    return [np.array([s for s in simplices if len(s) == n], dtype=np.intp).reshape(-1, n)
+            for n in range(1, max(map(len, simplices), default=1) + 1)]
+
+
+def _close(groups, base):
+    """The closure under faces of the simplices groups[d] (rows of d + 1
+    vertices), from the top down: the d-cells as sorted distinct rows, and
+    for d > 0 the place among the (d-1)-cells of face m of each d-cell."""
+    cells, places = [np.empty((0, len(groups) + 1), dtype=np.intp)], []
+    for lower in reversed(groups):
+        rows, _, faces = _cells_and_faces(lower, cells[0], base)
+        cells.insert(0, rows)
+        places.insert(0, faces)
+    return cells[:-1], places[:-1]
+
+
+def _cell_index(cells):
+    """The CellIndex of the d-cells cells[d], sorted rows of vertices."""
+    keys = tuple(itertools.chain.from_iterable(map(tuple, c.tolist()) for c in cells))
+    vertices = np.concatenate([np.concatenate([c, np.repeat(c[:, :1], len(cells) - 1 - d, axis=1)],
+                                              axis=1) for d, c in enumerate(cells)])
+    return CellIndex(keys, tuple(itertools.accumulate(map(len, cells), initial=0)), vertices,
+                     dict(zip(keys, range(len(keys)))))
+
+
+def _face_rows(index, places):
+    """face_rows from each dimension's face places: face m has sign (-1)**m."""
+    none = np.zeros((index.offsets[1], 0), dtype=np.intp)
+    return ((none, none),) + tuple((rows, np.broadcast_to((-1) ** np.arange(rows.shape[1]), rows.shape))
+                                   for rows in places)
 
 
 class CellIndex(NamedTuple):
@@ -141,7 +180,7 @@ class SimplicialProtocol:
     # -- the parameter-domain interface read by smallness and the lift --
 
     def all_cells(self):
-        return self.simplices
+        return self.cell_index.keys
 
     def dim_of(self, key):
         return len(key) - 1
@@ -172,17 +211,11 @@ class SimplicialProtocol:
 
     @cached_property
     def cell_index(self):
-        """The simplices by dimension; a simplex's vertices are its keys'
-        entries, which index vertex_weights."""
-        keys = tuple(sorted(self.simplices, key=len))
-        sizes = list(map(len, keys))
-        width = sizes[-1] if sizes else 0
-        offsets = tuple(bisect_left(sizes, n) for n in range(1, width + 2))
-        vertices = np.empty((len(keys), width), dtype=np.intp)
-        for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1):
-            vertices[a:b, :n] = np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
-            vertices[a:b, n:] = vertices[a:b, :1]
-        return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
+        """The simplices by dimension, each dimension sorted; a simplex's
+        vertices are its keys' entries, which index vertex_weights."""
+        return _cell_index([_cells_and_faces(rows, np.empty((0, rows.shape[1] + 1), dtype=np.intp),
+                                             len(self.vertex_ids))[0]
+                            for rows in _by_dim(self.simplices)])
 
     @cached_property
     def face_rows(self):
@@ -190,24 +223,18 @@ class SimplicialProtocol:
         face, in boundary_of order, of the i-th d-cell of cell_index is the
         (d-1)-cell in place rows[i, m], with sign signs[i, m] (a read-only
         view).  A face outside the protocol raises."""
-        cells, base = self.cell_index, len(self.vertex_ids)
-        out = [(np.zeros((cells.offsets[1], 0), dtype=np.intp),) * 2]
-        for d in range(1, len(cells.offsets) - 1):
-            lo, a, b = cells.offsets[d - 1:d + 2]
-            # a vertex row as one number, in base the vertex count
-            place = np.array([base ** e for e in range(d - 1, -1, -1)],
-                             dtype=np.int64 if base ** d < 2 ** 63 else object)
-            codes = cells.vertices[lo:a, :d] @ place
-            order = np.argsort(codes, kind="stable").astype(np.int32)
-            faces = [np.delete(cells.vertices[a:b, :d + 1], m, axis=1) for m in range(d + 1)]
-            wanted = np.stack([face @ place for face in faces], axis=1)
-            rows = order[np.minimum(np.searchsorted(codes, wanted, sorter=order), a - lo - 1)]
-            if (codes[rows] != wanted).any():
-                i, m = np.argwhere(codes[rows] != wanted)[0]
-                raise NotClosedUnderFaces(f"face {tuple(faces[m][i].tolist())} of simplex "
-                                          f"{cells.keys[a + i]} is not in the protocol")
-            out.append((rows, np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)))
-        return tuple(out)
+        index, base = self.cell_index, len(self.vertex_ids)
+        cells = [index.vertices[a:b, :d + 1]
+                 for d, (a, b) in enumerate(zip(index.offsets, index.offsets[1:]))]
+        places = []
+        for d in range(1, len(cells)):
+            rows, known, faces = _cells_and_faces(cells[d - 1], cells[d], base)
+            if len(rows) > len(cells[d - 1]):
+                i, m = np.argwhere(~np.isin(faces, known))[0]
+                raise NotClosedUnderFaces(f"face {tuple(rows[faces[i, m]].tolist())} of simplex "
+                                          f"{index.keys[index.offsets[d] + i]} is not in the protocol")
+            places.append(faces)
+        return _face_rows(index, places)
 
     @cached_property
     def level_weights(self):
@@ -261,34 +288,33 @@ def _validate_weights(gap, vertex_weights):
                 raise LevelMismatch("non-finite weight entry")
 
 
-def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
+def _protocol(gap, vertex_ids, vertex_weights, index, places, orientation, cycle, parts=1):
+    """The protocol over closed cells with their cell_index and face
+    places already made, which it keeps rather than derive again."""
+    proto = SimplicialProtocol(gap, tuple(vertex_ids), tuple(vertex_weights), index.keys,
+                               dict(orientation), dict(cycle), parts)
+    proto.__dict__.update(cell_index=index, face_rows=_face_rows(index, places))
+    return proto
+
+
+def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle):
+    """The protocol closing the given sorted vertex tuples and every vertex
+    under faces, once its weights, simplices, signs and cycle are checked."""
     _validate_weights(gap, vertex_weights)
-    nv = len(vertex_ids)
-    for s in simplices:
-        for v in s:
-            if not (0 <= v < nv):
-                raise NotClosedUnderFaces(f"simplex {s} references unknown vertex {v}")
-        if list(s) != sorted(set(s)):
-            raise ParseError(f"simplex {s} is not a strictly sorted vertex tuple")
-    closed = _closure(list(simplices) + [(v,) for v in range(nv)])
-    for sign in orientation.values():
-        if sign not in (1, -1):
-            raise ParseError("orientation signs must be +-1")
-    proto = SimplicialProtocol(
-        gap=gap,
-        vertex_ids=tuple(vertex_ids),
-        vertex_weights=tuple(vertex_weights),
-        simplices=tuple(closed),
-        orientation=dict(orientation),
-        fundamental_cycle=dict(cycle),
-        parts=parts,
-    )
-    position = proto.cell_index.position
-    for key in proto.fundamental_cycle:
-        if key not in position:
+    groups = _by_dim(simplices)
+    if not all((np.diff(rows, axis=1) > 0).all() for rows in groups):
+        bad = next(s for s in simplices if list(s) != sorted(set(s)))
+        raise ParseError(f"simplex {bad} is not a strictly sorted vertex tuple")
+    if any(sign not in (1, -1) for sign in orientation.values()):
+        raise ParseError("orientation signs must be +-1")
+    groups[0] = np.concatenate([groups[0], np.arange(len(vertex_ids))[:, None]])
+    cells, places = _close(groups, len(vertex_ids))
+    index = _cell_index(cells)
+    for key in cycle:
+        if key not in index.position:
             raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
                             "which is not a simplex of the protocol")
-    return proto
+    return _protocol(gap, vertex_ids, vertex_weights, index, places, orientation, cycle)
 
 
 # --- documents --------------------------------------------------------------
@@ -302,8 +328,6 @@ _BUILTIN_COMPLEXES = {
 
 def _resolve_complex(spec, base_dir=None):
     if isinstance(spec, str):
-        import os
-
         path = spec if base_dir is None else os.path.join(base_dir, spec)
         return load_complex(path)
     if isinstance(spec, dict):
@@ -331,15 +355,11 @@ def loads_protocol(text, base_dir=None):
         x = _resolve_complex(doc["complex"], base_dir)
         p, q = int(doc["p"]), int(doc["q"])
         gap = gap_complex(x, p, q)
-        ids = []
-        weights = []
+        ids, weights = [], []
         for v in doc["vertices"]:
             ids.append(v["id"])
-            vals = []
-            for j in range(p, q + 1):
-                row = v["weights"][str(j)]
-                vals.append(tuple(float(t) for t in row))
-            weights.append(WeightPoint(p, q, tuple(vals)))
+            weights.append(WeightPoint(p, q, tuple(tuple(float(t) for t in v["weights"][str(j)])
+                                                   for j in range(p, q + 1))))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad protocol document: {exc}") from exc
     id_index = {vid: k for k, vid in enumerate(ids)}
@@ -365,8 +385,6 @@ def loads_protocol(text, base_dir=None):
 
 
 def load_protocol(path):
-    import os
-
     with open(path, "r", encoding="utf-8") as fh:
         return loads_protocol(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
@@ -491,40 +509,11 @@ def is_good(domain):
 # --- cube protocols ----------------------------------------------------------
 
 
-def _perm_sign(perm):
-    """Sign of the permutation that sorts a sequence of distinct items:
+def _permutation_signs(perms):
+    """The sign of each row of perms, an integer array of permutations:
     -1 to the number of inversions."""
-    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
-
-
-def _ordered_to_sorted(chain):
-    """Convert ordered-simplex chains [(coeff, ordered_tuple)] to a dict
-    over sorted tuples with permutation signs."""
-    out = {}
-    for coeff, ordered in chain:
-        srt = tuple(sorted(ordered))
-        out[srt] = out.get(srt, 0) + coeff * _perm_sign(ordered)
-    return {k: v for k, v in out.items() if v}
-
-
-def _freudenthal_facet(axis, side, naxes):
-    """Ordered-simplex triangulation of the cube facet {x_axis = side}.
-
-    Yields (sign, ordered corner tuple); corners are +-1 vectors of length
-    naxes.  The chain walks from the facet's lowest corner raising the free
-    axes in the order perm, so its edges span the facet with the sign of
-    perm, and the facet sits in the cube's boundary with the sign of
-    side * (-1)**axis.
-    """
-    free = [a for a in range(naxes) if a != axis]
-    for perm in itertools.permutations(free):
-        corner = [-1] * naxes
-        corner[axis] = side
-        chain = [tuple(corner)]
-        for a in perm:
-            corner[a] = 1
-            chain.append(tuple(corner))
-        yield side * (-1) ** axis * _perm_sign(perm), tuple(chain)
+    inversions = np.triu(perms[:, :, None] > perms[:, None, :], 1).sum(axis=(1, 2))
+    return 1 - 2 * (inversions % 2)
 
 
 def _corner_weight(gap, corner, signs):
@@ -540,54 +529,55 @@ def _corner_weight(gap, corner, signs):
 
 @lru_cache(maxsize=8)
 def _cube_boundary(n):
-    """The triangulated boundary of [-1,1]^n, built once per n: the
-    corners in sorted order, the top simplices as an array of sorted
-    corner-index rows, and each top simplex's coefficient in the
-    fundamental cycle."""
-    corners = sorted(itertools.product((-1, 1), repeat=n))
-    corner_index = {c: i for i, c in enumerate(corners)}
-    signed = _ordered_to_sorted(
-        (sign, tuple(corner_index[c] for c in chain))
-        for axis in range(n)
-        for side in (-1, 1)
-        for sign, chain in _freudenthal_facet(axis, side, n)
-    )
-    tops = sorted(signed)
-    coeffs = tuple(signed[tops[0]] * signed[t] for t in tops)
-    return tuple(corners), np.array(tops, dtype=np.intp).reshape(len(tops), n), coeffs
+    """The triangulated boundary of [-1,1]^n, built once per n: the sorted
+    corners, the cells and face places as _close gives them, and each top
+    cell's coefficient in the fundamental cycle.
 
-
-def cube_boundary_protocol(gap: GapComplex, corner_weight):
-    """Boundary-of-cube protocol with an arbitrary corner-to-weights map.
-
-    The parameter space is the boundary of [-1,1]^(q-p+1), each facet
-    triangulated into (q-p)! ordered simplices; corner_weight maps a
-    +-1 corner tuple to a WeightPoint.  The fundamental cycle is the sum
-    of the simplices, each signed as part of the cube's boundary and
-    then as a sorted vertex tuple; the overall sign makes the first
-    simplex +1.
-
-    corner_weight may also be a sequence of such maps, one per cube.
-    The protocol is then the disjoint union of the cubes, one part each
-    (parts == number of maps): cube i's vertices are numbered from
-    i * 2^(q-p+1), its vertex ids carry the prefix "i." when there are
-    several, and the fundamental cycle is the sum of the cubes' cycles
-    (part_cycles() gives them one by one).  The cube's triangulation is
-    built once per dimension and offset per cube.
+    The facet {x_axis = side} holds one top cell per order perm of its
+    free axes (Freudenthal): the walk from its lowest corner raising them
+    in that order.  Raising axis a adds 2^(n-1-a) to a corner's index, so
+    the walk is a sorted row.  Its sign is that of perm times side *
+    (-1)**axis, the facet's sign in the boundary; the first top cell's is +1.
     """
+    corners = sorted(itertools.product((-1, 1), repeat=n))
+    perms = np.array(list(itertools.permutations(range(n - 1))), dtype=np.intp)
+    bit = 1 << np.arange(n - 1, -1, -1)
+    free = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    shape = (n, 2, len(perms))                                 # (axis, side, perm)
+    start = np.broadcast_to(np.outer(bit, (0, 1))[:, :, None, None], shape + (1,))
+    raised = np.broadcast_to(bit[free[:, perms]][:, None], shape + (n - 1,))
+    tops = np.concatenate([start, raised], axis=3).cumsum(axis=3).reshape(-1, n)
+    signs = (np.outer((-1) ** np.arange(n), (-1, 1))[:, :, None]
+             * _permutation_signs(perms)).reshape(-1)
+    coeffs = signs[np.lexsort(tops.T[::-1])]                   # in sorted row order
+    cells, places = _close([np.empty((0, d + 1), dtype=np.intp) for d in range(n - 1)] + [tops], 2 ** n)
+    return tuple(corners), cells, places, tuple((coeffs[0] * coeffs).tolist())
+
+
+def cube_boundary_protocol(gap: GapComplex, corner_maps):
+    """The disjoint union of boundary-of-cube protocols, one cube and one
+    part per corner map, which takes a +-1 corner tuple to a WeightPoint.
+
+    A cube is the boundary of [-1,1]^(q-p+1) as _cube_boundary makes it,
+    offset per cube: cube i's vertices are numbered from i * 2^(q-p+1),
+    with the id prefix "i." when there are several.  The fundamental
+    cycle is the sum of the cubes' cycles (part_cycles() parts them)."""
     n = gap.q - gap.p + 1
-    corners, tops, coeffs = _cube_boundary(n)
-    maps = [corner_weight] if callable(corner_weight) else list(corner_weight)
+    corners, cube_cells, cube_places, coeffs = _cube_boundary(n)
+    maps = list(corner_maps)
     if not maps:
         raise ValueError("no cube to build: an empty sequence of corner maps (top cells)")
     ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
     if len(maps) > 1:
         ids = [f"{i}.{cid}" for i in range(len(maps)) for cid in ids]
     weights = [cw(c) for cw in maps for c in corners]
-    offsets = np.arange(len(maps), dtype=np.intp) * len(corners)
-    keys = list(map(tuple, (offsets[:, None, None] + tops).reshape(-1, n).tolist()))
-    cycle = dict(zip(keys, coeffs * len(maps)))
-    return _validate_protocol(gap, ids, weights, keys, cycle, cycle, parts=len(maps))
+    _validate_weights(gap, weights)
+    cube = np.arange(len(maps), dtype=np.intp)[:, None, None]
+    index = _cell_index([(cube * len(corners) + c).reshape(-1, c.shape[1]) for c in cube_cells])
+    places = [(cube * len(lower) + f).reshape(-1, f.shape[1])
+              for lower, f in zip(cube_cells, cube_places)]
+    cycle = dict(zip(index.keys[index.offsets[-2]:], coeffs * len(maps)))
+    return _protocol(gap, ids, weights, index, places, cycle, cycle, parts=len(maps))
 
 
 def cube_protocol(gap: GapComplex, signs=None):
@@ -599,7 +589,7 @@ def cube_protocol(gap: GapComplex, signs=None):
         raise ValueError("cube protocol needs exactly two cells per gap level")
     if signs is None:
         signs = [1] * n
-    return cube_boundary_protocol(gap, lambda c: _corner_weight(gap, c, signs))
+    return cube_boundary_protocol(gap, [lambda c: _corner_weight(gap, c, signs)])
 
 
 def cube_sphere_protocol(q):

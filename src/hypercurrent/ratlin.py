@@ -126,15 +126,19 @@ class QMat:
 
     def __matmul__(self, other):
         """Product with a QMat, or a vector of rationals (a list of
-        Fractions comes back)."""
+        Fractions comes back); an ndarray raises TypeError."""
         if isinstance(other, QMat):
             return matmul(self, other)
+        if isinstance(other, np.ndarray):
+            return NotImplemented
         vec = list(other)
         den = math.lcm(1, *(x.denominator for x in vec))
         col = np.array([x.numerator * (den // x.denominator) for x in vec], dtype=object)
         return [Fraction(v, self.den * den) for v in (self.num @ col).tolist()]
 
     def _combine(self, other, sign):
+        if not isinstance(other, QMat):
+            return NotImplemented
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         if self.den == other.den:

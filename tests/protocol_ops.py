@@ -4,16 +4,30 @@ exact lift must not change under them; the tests check that it does not.
 Also the face closure one face at a time, the oracle for the library's
 closure over index arrays, and a document whose stored cycle leaves the
 protocol.
+
+The earlier build of a protocol is kept here as the oracle for the
+array build: the closure over vertex tuples (_closure), the cube's
+triangulation signed one simplex at a time (_freudenthal_facet,
+_perm_sign, _ordered_to_sorted, _cube_boundary), and OracleProtocol,
+whose cell_index sorts by length and bisects and whose face_rows finds
+faces by a searchsorted over base-vertex-count row codes.
 """
 
+import itertools
 import json
+from bisect import bisect_left
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from hypercurrent.ana_hyper import _check_beta
+from hypercurrent.errors import NotACycle, NotClosedUnderFaces, ParseError
 from hypercurrent.protocol import (
+    CellIndex,
     SimplicialProtocol,
     WeightPoint,
-    _ordered_to_sorted,
     _validate_protocol,
+    _validate_weights,
     dumps_protocol,
     simplex_faces,
     square_protocol,
@@ -34,6 +48,184 @@ def closure_by_faces(simplices):
             for _, f in simplex_faces(s):
                 stack.append(f)
     return sorted(seen, key=lambda s: (len(s), s))
+
+
+def _closure(simplices):
+    """Every face of the given sorted vertex tuples, themselves included,
+    sorted by (length, tuple): one set of simplices per length, whose
+    faces one length down are their sub-tuples of that length."""
+    by_len = {}
+    for s in simplices:
+        by_len.setdefault(len(s), []).append(tuple(s))
+    closed = []
+    level = set()
+    for n in range(max(by_len, default=0), 0, -1):
+        level.update(by_len.get(n, ()))
+        closed.append(sorted(level))
+        level = set(itertools.chain.from_iterable(map(itertools.combinations, level,
+                                                      itertools.repeat(n - 1))))
+    return list(itertools.chain.from_iterable(reversed(closed)))
+
+
+class OracleProtocol(SimplicialProtocol):
+    """A protocol with the earlier cell_index and face_rows."""
+
+    @cached_property
+    def cell_index(self):
+        """The simplices by dimension; a simplex's vertices are its keys'
+        entries, which index vertex_weights."""
+        keys = tuple(sorted(self.simplices, key=len))
+        sizes = list(map(len, keys))
+        width = sizes[-1] if sizes else 0
+        offsets = tuple(bisect_left(sizes, n) for n in range(1, width + 2))
+        vertices = np.empty((len(keys), width), dtype=np.intp)
+        for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1):
+            vertices[a:b, :n] = np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
+            vertices[a:b, n:] = vertices[a:b, :1]
+        return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
+
+    @cached_property
+    def face_rows(self):
+        """Per dimension d, (rows, signs) of shape (d-cells, d + 1): the m-th
+        face, in boundary_of order, of the i-th d-cell of cell_index is the
+        (d-1)-cell in place rows[i, m], with sign signs[i, m] (a read-only
+        view).  A face outside the protocol raises."""
+        cells, base = self.cell_index, len(self.vertex_ids)
+        out = [(np.zeros((cells.offsets[1], 0), dtype=np.intp),) * 2]
+        for d in range(1, len(cells.offsets) - 1):
+            lo, a, b = cells.offsets[d - 1:d + 2]
+            # a vertex row as one number, in base the vertex count
+            place = np.array([base ** e for e in range(d - 1, -1, -1)],
+                             dtype=np.int64 if base ** d < 2 ** 63 else object)
+            codes = cells.vertices[lo:a, :d] @ place
+            order = np.argsort(codes, kind="stable").astype(np.int32)
+            faces = [np.delete(cells.vertices[a:b, :d + 1], m, axis=1) for m in range(d + 1)]
+            wanted = np.stack([face @ place for face in faces], axis=1)
+            rows = order[np.minimum(np.searchsorted(codes, wanted, sorter=order), a - lo - 1)]
+            if (codes[rows] != wanted).any():
+                i, m = np.argwhere(codes[rows] != wanted)[0]
+                raise NotClosedUnderFaces(f"face {tuple(faces[m][i].tolist())} of simplex "
+                                          f"{cells.keys[a + i]} is not in the protocol")
+            out.append((rows, np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)))
+        return tuple(out)
+
+
+def oracle_validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
+    _validate_weights(gap, vertex_weights)
+    nv = len(vertex_ids)
+    for s in simplices:
+        for v in s:
+            if not (0 <= v < nv):
+                raise NotClosedUnderFaces(f"simplex {s} references unknown vertex {v}")
+        if list(s) != sorted(set(s)):
+            raise ParseError(f"simplex {s} is not a strictly sorted vertex tuple")
+    closed = _closure(list(simplices) + [(v,) for v in range(nv)])
+    for sign in orientation.values():
+        if sign not in (1, -1):
+            raise ParseError("orientation signs must be +-1")
+    proto = OracleProtocol(
+        gap=gap,
+        vertex_ids=tuple(vertex_ids),
+        vertex_weights=tuple(vertex_weights),
+        simplices=tuple(closed),
+        orientation=dict(orientation),
+        fundamental_cycle=dict(cycle),
+        parts=parts,
+    )
+    position = proto.cell_index.position
+    for key in proto.fundamental_cycle:
+        if key not in position:
+            raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
+                            "which is not a simplex of the protocol")
+    return proto
+
+
+def _perm_sign(perm):
+    """Sign of the permutation that sorts a sequence of distinct items:
+    -1 to the number of inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2))
+
+
+def _ordered_to_sorted(chain):
+    """Convert ordered-simplex chains [(coeff, ordered_tuple)] to a dict
+    over sorted tuples with permutation signs."""
+    out = {}
+    for coeff, ordered in chain:
+        srt = tuple(sorted(ordered))
+        out[srt] = out.get(srt, 0) + coeff * _perm_sign(ordered)
+    return {k: v for k, v in out.items() if v}
+
+
+def _freudenthal_facet(axis, side, naxes):
+    """Ordered-simplex triangulation of the cube facet {x_axis = side}.
+
+    Yields (sign, ordered corner tuple); corners are +-1 vectors of length
+    naxes.  The chain walks from the facet's lowest corner raising the free
+    axes in the order perm, so its edges span the facet with the sign of
+    perm, and the facet sits in the cube's boundary with the sign of
+    side * (-1)**axis.
+    """
+    free = [a for a in range(naxes) if a != axis]
+    for perm in itertools.permutations(free):
+        corner = [-1] * naxes
+        corner[axis] = side
+        chain = [tuple(corner)]
+        for a in perm:
+            corner[a] = 1
+            chain.append(tuple(corner))
+        yield side * (-1) ** axis * _perm_sign(perm), tuple(chain)
+
+
+@lru_cache(maxsize=8)
+def _cube_boundary(n):
+    """The triangulated boundary of [-1,1]^n, built once per n: the
+    corners in sorted order, the top simplices as an array of sorted
+    corner-index rows, and each top simplex's coefficient in the
+    fundamental cycle."""
+    corners = sorted(itertools.product((-1, 1), repeat=n))
+    corner_index = {c: i for i, c in enumerate(corners)}
+    signed = _ordered_to_sorted(
+        (sign, tuple(corner_index[c] for c in chain))
+        for axis in range(n)
+        for side in (-1, 1)
+        for sign, chain in _freudenthal_facet(axis, side, n)
+    )
+    tops = sorted(signed)
+    coeffs = tuple(signed[tops[0]] * signed[t] for t in tops)
+    return tuple(corners), np.array(tops, dtype=np.intp).reshape(len(tops), n), coeffs
+
+
+def oracle_cube_boundary_protocol(gap, corner_weight):
+    """Boundary-of-cube protocol with an arbitrary corner-to-weights map.
+
+    The parameter space is the boundary of [-1,1]^(q-p+1), each facet
+    triangulated into (q-p)! ordered simplices; corner_weight maps a
+    +-1 corner tuple to a WeightPoint.  The fundamental cycle is the sum
+    of the simplices, each signed as part of the cube's boundary and
+    then as a sorted vertex tuple; the overall sign makes the first
+    simplex +1.
+
+    corner_weight may also be a sequence of such maps, one per cube.
+    The protocol is then the disjoint union of the cubes, one part each
+    (parts == number of maps): cube i's vertices are numbered from
+    i * 2^(q-p+1), its vertex ids carry the prefix "i." when there are
+    several, and the fundamental cycle is the sum of the cubes' cycles
+    (part_cycles() gives them one by one).  The cube's triangulation is
+    built once per dimension and offset per cube.
+    """
+    n = gap.q - gap.p + 1
+    corners, tops, coeffs = _cube_boundary(n)
+    maps = [corner_weight] if callable(corner_weight) else list(corner_weight)
+    if not maps:
+        raise ValueError("no cube to build: an empty sequence of corner maps (top cells)")
+    ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
+    if len(maps) > 1:
+        ids = [f"{i}.{cid}" for i in range(len(maps)) for cid in ids]
+    weights = [cw(c) for cw in maps for c in corners]
+    offsets = np.arange(len(maps), dtype=np.intp) * len(corners)
+    keys = list(map(tuple, (offsets[:, None, None] + tops).reshape(-1, n).tolist()))
+    cycle = dict(zip(keys, coeffs * len(maps)))
+    return oracle_validate_protocol(gap, ids, weights, keys, cycle, cycle, parts=len(maps))
 
 
 def _combine(a: WeightPoint, b: WeightPoint, t):

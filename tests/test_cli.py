@@ -8,7 +8,7 @@ from hypercurrent import ratlin, topo_hyper
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
 from hypercurrent.graph_dynamics import evolve
-from hypercurrent.protocol import builtin_protocol, load_protocol
+from hypercurrent.protocol import builtin_protocol, dumps_protocol, load_protocol
 
 from exact_cochain import chain_map_defect_oracle
 from protocol_ops import square_doc_without_last_edge
@@ -608,3 +608,14 @@ def test_float_context_eliminates_no_more_than_a_call_per_use(monkeypatch):
     calls = _count_calls(monkeypatch, ["ratlin.rref"])
     ana_hyper._context(gap)
     assert 0 < calls["ratlin.rref"] <= 1221
+
+
+def test_protocol_check_of_a_simplex_repeating_a_vertex_is_validation_error(tmp_path, capsys):
+    doc = json.loads(dumps_protocol(builtin_protocol("square", 1)))
+    doc["simplices"].append({"vertices": ["cmm", "cmm"]})
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(doc))
+    assert main(["protocol", "check", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: ParseError: simplex (0, 0) is not a strictly sorted vertex tuple" in captured.err
+    assert captured.out == ""

@@ -19,14 +19,12 @@ from hypercurrent.errors import (
     NonpositiveBeta,
     NotACycle,
     NotClosedUnderFaces,
+    ParseError,
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
     SmallnessCertificate,
     WeightPoint,
-    _closure,
-    _ordered_to_sorted,
-    _perm_sign,
     cube_protocol,
     cube_sphere_protocol,
     dumps_protocol,
@@ -38,10 +36,12 @@ from hypercurrent.protocol import (
     weights_at,
 )
 from hypercurrent.ratlin import QMat
-from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+from hypercurrent.weight_space import _corner_weights, enumerate_top_discriminant_cells, \
+    transversal_sphere
 
 from exact_cochain import cube_cw_domain
-from protocol_ops import closure_by_faces, scale, square_doc_without_last_edge, subdivide
+from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
+    closure_by_faces, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, subdivide
 
 
 def cycle_boundary(proto, cycle):
@@ -135,7 +135,12 @@ simplex_lists = st.lists(
 @example([(2, 9, 11), (10, 12), (1,)])
 @given(simplex_lists)
 def test_closure_matches_closure_by_faces(simplices):
-    assert _closure(simplices) == closure_by_faces(simplices)
+    cells, places = protocol._close(protocol._by_dim(simplices), 14)
+    assert list(protocol._cell_index(cells).keys) == closure_by_faces(simplices)
+    for d, faces in enumerate(places, start=1):
+        for row, at in zip(cells[d].tolist(), faces.tolist()):
+            assert [tuple(cells[d - 1][r].tolist()) for r in at] == \
+                [f for _, f in simplex_faces(tuple(row))]
 
 
 def test_cell_index_and_level_weights_match_per_cell_reads():
@@ -442,6 +447,9 @@ def cycle_walk_sign(perm):
 def test_perm_sign_equals_cycle_walk():
     labels = (3, 7, 8, 12, 20, 31)
     for n in range(7):
+        perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+        assert protocol._permutation_signs(perms).tolist() == list(map(cycle_walk_sign, perms.tolist()))
+        # the oracles the tests sign simplices with
         for perm in itertools.permutations(range(n)):
             assert _perm_sign(perm) == cycle_walk_sign(perm)
             # an ordered simplex on arbitrary labels, signed as its sort
@@ -628,3 +636,110 @@ def test_empty_sequence_of_corner_maps_is_rejected():
     gap = gap_complex(sphere_complex(1), 0, 1)
     with pytest.raises(ValueError, match="empty sequence"):
         protocol.cube_boundary_protocol(gap, [])
+
+
+# --- the array build against the simplex-by-simplex build ---------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_cube_boundary_equals_the_simplex_by_simplex_build(n):
+    corners, cells, places, coeffs = protocol._cube_boundary(n)
+    oracle_corners, tops, oracle_coeffs = _cube_boundary(n)
+    assert corners == oracle_corners
+    assert coeffs == oracle_coeffs
+    assert np.array_equal(cells[-1], tops)
+    keys = [key for rows in cells for key in map(tuple, rows.tolist())]
+    assert keys == _closure(list(map(tuple, tops.tolist())))
+    for d, faces in enumerate(places, start=1):
+        for m in range(d + 1):
+            assert np.array_equal(cells[d - 1][faces[:, m]], np.delete(cells[d], m, axis=1))
+
+
+def _same_build(new, old):
+    """The array build and the earlier build agree on every array view,
+    the orientation, the cycle and the certificate."""
+    assert (new.vertex_ids, new.vertex_weights, new.simplices, new.parts) == \
+        (old.vertex_ids, old.vertex_weights, old.simplices, old.parts)
+    a, b = new.cell_index, old.cell_index
+    assert (a.keys, a.offsets, a.position) == (b.keys, b.offsets, b.position)
+    assert np.array_equal(a.vertices, b.vertices)
+    assert len(new.face_rows) == len(old.face_rows)
+    for (rows, signs), (old_rows, old_signs) in zip(new.face_rows, old.face_rows):
+        assert np.array_equal(rows, old_rows) and np.array_equal(signs, old_signs)
+    assert new.orientation == old.orientation
+    assert list(new.fundamental_cycle.items()) == list(old.fundamental_cycle.items())
+    assert np.array_equal(new.certificate.least, old.certificate.least)
+    if len(a.keys) < 20000:     # a mapping of frozensets: 2 s at q = 6
+        assert new.certificate == old.certificate
+
+
+@pytest.mark.parametrize("kind,q", [(kind, q) for kind in ("cube_sphere", "cube_wedge")
+                                    for q in range(1, 7)] + [("square", 1)])
+def test_builtins_equal_the_earlier_build(kind, q):
+    make = sphere_wedge_complex if kind == "cube_wedge" else sphere_complex
+    gap = gap_complex(make(q), 0, q)
+    signs = [1, -1] if kind == "square" else [1] * (q + 1)
+    proto = protocol.builtin_protocol(kind, q)
+    oracle = oracle_cube_boundary_protocol(gap, lambda c: protocol._corner_weight(gap, c, signs))
+    _same_build(proto, oracle)
+    if q <= 4:
+        _same_build(loads_protocol(dumps_protocol(proto)), oracle)
+
+
+GRAPHS = {
+    "triangle": ([["a", "b", "c"], ["ab", "bc", "ca"]], [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]),
+    "path3": ([["x", "y", "z"], ["xy", "yz"]], [[[-1, 0], [1, -1], [0, 1]]]),
+    "path4": ([["w", "x", "y", "z"], ["wx", "xy", "yz"]],
+              [[[-1, 0, 0], [1, -1, 0], [0, 1, -1], [0, 0, 1]]]),
+}
+
+
+@pytest.mark.parametrize("name,count", [("triangle", 1024), ("path3", None), ("path4", None)])
+def test_cube_unions_equal_the_earlier_build(name, count):
+    x = _graph(name, *GRAPHS[name])
+    gap = gap_complex(x, 0, 1)
+    cells = enumerate_top_discriminant_cells(x, 0, 1)
+    if count:
+        cells = (cells * -(-count // len(cells)))[:count]
+    proto = transversal_sphere(gap, cells)
+    assert proto.parts == len(cells) > 1
+    _same_build(proto, oracle_cube_boundary_protocol(gap, [_corner_weights(gap, c, 0.25)
+                                                           for c in cells]))
+
+
+@pytest.mark.parametrize("top", [(0, 1, 2, 3, 65535), (0, 40000, 50000, 60000, 65535)])
+def test_face_codes_beyond_int64(top):
+    # in base 65536 the codes of four vertices go up to 2**64, past int64,
+    # so they are Python ints; the face (40000, 50000, 60000, 65535) has a
+    # code above 2**63, which int64 would wrap
+    nv = 2 ** 16
+    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    proto = SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1),
+                               vertex_ids=tuple(map(str, range(nv))), vertex_weights=(wp,) * nv,
+                               simplices=tuple(closure_by_faces([top])))
+    cells = proto.cell_index
+    assert cells.keys == proto.simplices
+    for d, (rows, signs) in enumerate(proto.face_rows):
+        lo, a, b = (cells.offsets[d - 1] if d else 0), cells.offsets[d], cells.offsets[d + 1]
+        for i, key in enumerate(cells.keys[a:b]):
+            assert [(int(s), cells.keys[lo + r]) for r, s in zip(rows[i], signs[i])] == \
+                proto.boundary_of(key)
+
+
+def _square_doc_with(*repeated):
+    """The square protocol's document with simplices that repeat a vertex
+    put first, each given by its vertex ids."""
+    doc = json.loads(dumps_protocol(square_protocol()))
+    doc["simplices"][:0] = [{"vertices": list(ids)} for ids in repeated]
+    return doc
+
+
+@pytest.mark.parametrize("repeated,named", [
+    ([("cmm", "cmm")], "(0, 0)"),
+    # the first in the document, not the first by dimension
+    ([("cpp", "cpm", "cpp"), ("cmm", "cmm")], "(2, 3, 3)"),
+])
+def test_a_simplex_repeating_a_vertex_is_rejected(repeated, named):
+    with pytest.raises(ParseError, match=re.escape(f"simplex {named} is not a strictly sorted "
+                                                   "vertex tuple")):
+        loads_protocol(json.dumps(_square_doc_with(*repeated)))

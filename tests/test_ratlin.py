@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -317,3 +318,14 @@ def test_qmat_against_floats_and_vectors():
         with pytest.raises(TypeError):
             op()
     assert q @ [Fraction(3), Fraction(2)] == [Fraction(5), Fraction(-1)]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.matmul])
+@pytest.mark.parametrize("other", [np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 2.0]), 1,
+                                   Fraction(1, 2)], ids=["matrix", "vector", "int", "fraction"])
+def test_qmat_rejects_an_operand_that_is_not_a_qmat(op, other):
+    # with the QMat on the left as well as on the right
+    q = QMat.from_rows([[Fraction(1, 3), 2], [0, Fraction(-1, 2)]], (2, 2))
+    for left, right in ((q, other), (other, q)):
+        with pytest.raises(TypeError):
+            op(left, right)

@@ -18,7 +18,6 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
     SimplicialProtocol,
     WeightPoint,
-    _closure,
     cube_protocol,
     cube_sphere_protocol,
     smallness,
@@ -34,7 +33,7 @@ from hypercurrent.topo_hyper import (
 from eager_lift import build_lift_cache_eager
 from exact_cochain import (addendum_predicts_trivial, cell_blocks, chain_map_defect_oracle,
                            cube_cellular_cochain, hypercurrent_cochain)
-from protocol_ops import scale, subdivide
+from protocol_ops import _closure, scale, subdivide
 
 
 def lift_vertex(proto, vertex_key):
