@@ -5,10 +5,13 @@ matrices D_j (rows indexed by (j-1)-cells, columns by j-cells).  All
 homology here is rational and computed by exact elimination; integer
 torsion goes through Smith normal form.  The gap machinery produces the
 shifted complex whose degree-j piece is the span of the (j+p)-cells of
-the pair (q-skeleton, (p-1)-skeleton).
+the pair (q-skeleton, (p-1)-skeleton).  A process builds one gap per
+distinct (complex content, p, q) and keeps the 16 most recently used,
+least recently used out first, so every caller shares its memo.
 """
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -102,6 +105,8 @@ def _from_doc(doc):
         raw = doc["boundary"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
+    if any(isinstance(v, (list, dict)) for v in [name] + [nm for c in cells for nm in c]):
+        raise ParseError("complex and cell names must be JSON strings or numbers")
     dim = len(cells) - 1
     if len(raw) != max(dim, 0):
         raise ParseError(f"{name}: expected {dim} boundary matrices, got {len(raw)}")
@@ -260,11 +265,15 @@ class GapComplex:
     Degree j holds the (j+p)-cells of the parent for 0 <= j <= q-p;
     dbar[j] is the boundary from degree j to degree j-1.
 
-    Data that depends on the gap alone (the float context of the
-    analytical route, trees, greedy trees per order type, tree
-    contractions) is kept in one memo, read through derived(): each
-    entry is built on first use and dropped with the gap.  The boundaries
-    are the gap's own kept QMats, whose eliminations every tree shares.
+    Data that depends on the gap alone is kept in one memo, read through
+    derived(): each entry is built on first use and dropped with the gap.
+    Every key names a function of the gap: "float_context" and
+    "float_dbar" (float copies and the tree tables), ("dtree", level,
+    cells) and ("tree_aux", tree key) (a tree and its contraction),
+    ("tree", level, order type) (the greedy tree, which reads the order
+    of the weights only), "restricted" (the last cell subset's kept
+    matrix), "boundary_peak" and "state_diagram".  The boundaries are the
+    gap's own kept QMats, whose eliminations every tree shares.
     """
 
     parent: CwComplex
@@ -304,7 +313,22 @@ class GapComplex:
         return self.parent.cells[j + self.p] if 0 <= j <= self.top else ()
 
 
+_GAPS = OrderedDict()   # content key -> GapComplex, least recently used first
+_GAPS_KEPT = 16
+
+
 def gap_complex(x: CwComplex, p, q):
+    """The gap complex of x at (p, q), shared by every call on equal
+    content; a build that raises is not kept."""
+    key = (x.name, x.cells, tuple((b.num.shape, b.den, tuple(b.num.flat)) for b in x.boundary),
+           p, q)
+    gap = _GAPS[key] = _GAPS.pop(key) if key in _GAPS else _build_gap(x, p, q)
+    if len(_GAPS) > _GAPS_KEPT:
+        _GAPS.popitem(last=False)
+    return gap
+
+
+def _build_gap(x: CwComplex, p, q):
     ok, j = verify_gap(x, p, q)
     if not ok:
         raise GapViolated(f"beta_{j}({x.name}) != 0 inside [{p},{q}]")

@@ -167,7 +167,7 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if proto.gap.p != 0 or proto.gap.q != 1:
         raise ValueError("dynamics requires weights at levels 0 and 1")
-    sd = state_diagram(proto.gap.parent)
+    sd = proto.gap.derived("state_diagram", lambda: state_diagram(proto.gap.parent))
     m = _path_times(proto)
     p = np.asarray(p0, dtype=float)
     _check_start(p, sd.graph.n_cells(0))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import json
@@ -900,15 +901,30 @@ def test_node_batches_cached_read_only(monkeypatch):
 
 
 def test_context_dropped_with_its_gap():
-    # the gap's memo holds tree contractions that point back at the gap;
-    # the cycle must not keep the gap alive
-    gap = gap_complex(sphere_complex(1), 0, 1)
+    # the process keeps the 16 most recently used gaps; an evicted gap goes
+    # with its memo, whose tree contractions point back at the gap: the
+    # cycle must not keep either alive
+    x = sphere_complex(1)
+    gap = gap_complex(x, 0, 1)
     assert _context(gap) is _context(gap)
     cochain = hypercurrent_cochain(cube_protocol(gap))
-    ref = weakref.ref(gap)
+    refs = weakref.ref(gap), weakref.ref(_context(gap))
     del gap, cochain
+
+    def newer(i):
+        return weakref.ref(gap_complex(dataclasses.replace(x, name=f"copy{i}"), 0, 1))
+
+    first = [newer(i) for i in range(15)]
     gc.collect()
-    assert ref() is None
+    assert all(r() is not None for r in refs + tuple(first))
+    # a use makes x's gap the most recent, so the next 15 evict the first 15
+    assert gap_complex(x, 0, 1) is refs[0]()
+    later = [newer(i) for i in range(15, 30)]
+    gc.collect()
+    assert all(r() is None for r in first) and all(r() is not None for r in refs + tuple(later))
+    newer(30)
+    gc.collect()
+    assert all(r() is None for r in refs)
 
 
 @pytest.mark.parametrize("gap", [SPHERE1, SPHERE2, TOR,

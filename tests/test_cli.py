@@ -4,11 +4,11 @@ import pathlib
 import numpy as np
 import pytest
 
-from hypercurrent import ratlin, topo_hyper
+from hypercurrent import complex_core, ratlin, topo_hyper
 from hypercurrent.cli import main
-from hypercurrent.complex_core import dumps_complex, sphere_complex, torsion_complex
+from hypercurrent.complex_core import dumps_complex, gap_complex, sphere_complex, torsion_complex
 from hypercurrent.graph_dynamics import evolve
-from hypercurrent.protocol import builtin_protocol, dumps_protocol, load_protocol
+from hypercurrent.protocol import builtin_protocol, cube_protocol, dumps_protocol, load_protocol
 
 from exact_cochain import chain_map_defect_oracle
 from protocol_ops import square_doc_without_last_edge
@@ -594,6 +594,72 @@ def test_topo_current_eliminates_each_matrix_once(monkeypatch, capsys):
     calls = _count_calls(monkeypatch, ["ratlin.rref"])
     assert main(["topo", "current", "builtin:cube_sphere:2"]) == 0
     assert calls["ratlin.rref"] <= 32
+
+
+def test_outputs_do_not_depend_on_the_shared_gaps(monkeypatch, tmp_path, capsys):
+    # a sequence of ops run twice in one process, sharing gaps, and once per
+    # op from no gaps gives the same bytes; 18 more complexes evict gaps
+    # between the ops that share them
+    gap = gap_complex(sphere_complex(2), 0, 2)
+    for signs in ("++-", "-+-"):
+        proto = cube_protocol(gap, signs=[1 if c == "+" else -1 for c in signs])
+        (tmp_path / f"cube{signs}.json").write_text(dumps_protocol(proto))
+    graphs = {"path3": ([["x", "y", "z"], ["xy", "yz"]], [[-1, 0], [1, -1], [0, 1]]),
+              "sphere1": ([["e0+", "e0-"], ["e1+", "e1-"]], [[1, -1], [-1, 1]])}
+    for name, (cells, d1) in graphs.items():
+        doc = {"name": name, "cells": cells, "boundary": [d1]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    for i in range(18):
+        doc = json.loads(dumps_complex(sphere_complex(1)))
+        (tmp_path / f"circle{i}.json").write_text(json.dumps(dict(doc, name=f"circle{i}")))
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"e1+": 2.0, "e1-": 1.0}))
+    out = str(tmp_path / "out")
+    ops = [["topo", "current", f"builtin:{kind}:{q}"]
+           for kind in ("cube_sphere", "cube_wedge") for q in (1, 2, 3)]
+    ops += [["topo", "current", "builtin:square"]]
+    ops += [["topo", "current", str(tmp_path / f"cube{signs}.json"), "--out", out]
+            for signs in ("++-", "-+-")]
+    ops += [["trees", "enumerate", str(tmp_path / f"circle{i}.json"), "--p", "0", "--q", "1",
+             "--level", "1"] for i in range(9)]
+    ops += [["quantize", f"builtin:{spec}", "--betas", "3,5", "--tol", "1e-4", "--residuals",
+             "--out", out] for spec in ("square", "cube_sphere:2")]
+    ops += [["ana", "axioms", "builtin:cube_sphere:2", "--beta", "3", "--samples", "5",
+             "--tol", "1e-5"]]
+    ops += [["trees", "greedy", str(tmp_path / f"circle{i}.json"), "--p", "0", "--q", "1",
+             "--level", "1", "--weights", str(weights)] for i in range(9, 18)]
+    ops += [["weightspace", "report", str(tmp_path / f"{name}.json"), "--p", "0", "--q", "1",
+             "--out", out] for name in graphs]
+    ops += [["topo", "current", "builtin:cube_sphere:2"],
+            ["ana", "axioms", "builtin:cube_sphere:2", "--beta", "3", "--samples", "5",
+             "--tol", "1e-5"]]
+
+    def run(argv):
+        pathlib.Path(out).unlink(missing_ok=True)
+        assert main(argv) == 0, argv
+        written = pathlib.Path(out).read_bytes() if "--out" in argv else None
+        return capsys.readouterr().out, written
+
+    complex_core._GAPS.clear()
+    warm = [run(argv) for argv in ops * 2]
+    assert len(complex_core._GAPS) == 16
+    cold = []
+    for argv in ops:
+        complex_core._GAPS.clear()
+        cold.append(run(argv))
+    assert warm == cold * 2
+    # a second topo current and a second ana axioms skip every elimination
+    # and tree choice: the one rref left is the builtin complex's own
+    # connectivity check
+    assert run(ops[-2]) == cold[-2]
+    calls = _count_calls(monkeypatch, ["ratlin.rref", "forests.greedy_dtree",
+                                       "forests.enumerate_dtrees"])
+    sphere_complex(2)
+    assert calls["ratlin.rref"] == 1
+    assert run(ops[-2]) == cold[-2]
+    assert calls == {"ratlin.rref": 2, "forests.greedy_dtree": 0, "forests.enumerate_dtrees": 0}
+    assert run(ops[-1]) == cold[-1]
+    assert calls == {"ratlin.rref": 3, "forests.greedy_dtree": 0, "forests.enumerate_dtrees": 0}
 
 
 def test_float_context_eliminates_no_more_than_a_call_per_use(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercurrent import ratlin
+from hypercurrent import complex_core, ratlin
 from hypercurrent.complex_core import (
     CwComplex,
     betti,
@@ -88,6 +88,17 @@ def test_parse_errors():
     bad = {"name": "x", "cells": [["v", "w"], ["a"]], "boundary": [[[0.5], [0.5]]]}
     with pytest.raises(ParseError):
         loads_complex(json.dumps(bad))
+
+
+def test_names_that_are_arrays_or_objects_are_rejected():
+    # a gap is shared by the complex's content, names included, so names must
+    # be hashable; numbers are kept as they were
+    good = {"name": "edge", "cells": [[1, 2], [3]], "boundary": [[[-1], [1]]]}
+    assert loads_complex(json.dumps(good)).cells == ((1, 2), (3,))
+    for bad in (dict(good, cells=[[["a"], "b"], ["ab"]]), dict(good, cells=[["a", "b"], [{}]]),
+                dict(good, name=["edge"])):
+        with pytest.raises(ParseError, match="names must be JSON strings or numbers"):
+            loads_complex(json.dumps(bad))
 
 
 def test_torsion_fixture_betti():
@@ -227,6 +238,30 @@ def test_gap_complex_rejects_violation():
     x = CwComplex("tube", tuple(cells), (QMat.zeros(1, 2), QMat.from_rows([[1], [-1]], (2, 1))))
     with pytest.raises(GapViolated):
         gap_complex(x, 0, 2)
+
+
+def test_a_failed_gap_build_is_not_kept(monkeypatch):
+    # a build that raises is not shared: every call checks the gap again
+    # and raises the same error, and nothing is kept
+    checked = []
+    original = complex_core.verify_gap
+    monkeypatch.setattr(complex_core, "verify_gap",
+                        lambda x, p, q: checked.append((x.name, p, q)) or original(x, p, q))
+    tube = CwComplex("tube", (("v",), ("a", "b"), ("f",)),
+                     (QMat.zeros(1, 2), QMat.from_rows([[1], [-1]], (2, 1))))
+    cases = [(tube, 0, 2, GapViolated, "beta_1(tube) != 0 inside [0,2]"),
+             (sphere_complex(2), 2, 3, GapViolated, "q=3 exceeds dim sphere2 = 2"),
+             (sphere_complex(2), 2, 1, ValueError, "need 0 <= p <= q")]
+    for x, p, q, error, text in cases:
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                gap_complex(x, p, q)
+            assert str(info.value) == text
+        assert checked[-2:] == [(x.name, p, q)] * 2
+    assert not complex_core._GAPS
+    # the complex's good gaps still build, and are then shared
+    assert gap_complex(tube, 0, 1) is gap_complex(tube, 0, 1)
+    assert len(complex_core._GAPS) == 1
 
 
 def test_hq_project_sphere_generator():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -295,4 +296,10 @@ def test_make_dtree_kept_per_gap(monkeypatch):
         with pytest.raises(NotATree):
             make_dtree(gap, 2, gap.parent.cells[2])
     assert checks.count(tuple(gap.parent.cells[2])) == 2
-    assert make_dtree(gap_complex(sphere_wedge_complex(2), 0, 2), 1, tree.cells) is not tree
+    # equal content is one gap with one tree; a new name is another complex
+    again = gap_complex(sphere_wedge_complex(2), 0, 2)
+    assert again is gap and make_dtree(again, 1, tree.cells) is tree
+    assert checks.count(tree.cells) == 1
+    renamed = gap_complex(dataclasses.replace(gap.parent, name="renamed"), 0, 2)
+    assert renamed is not gap and make_dtree(renamed, 1, tree.cells) is not tree
+    assert checks.count(tree.cells) == 2
