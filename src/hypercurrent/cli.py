@@ -98,6 +98,22 @@ def _load_protocol_arg(path):
     return load_protocol(path)
 
 
+def _side_file(path, valid, shape):
+    """The JSON document of a side file, which valid(doc) accepts; any
+    other document is a validation error naming the expected shape."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not valid(doc):
+        raise HclError(f"{path} must hold {shape}")
+    return doc
+
+
+def _numbers(values):
+    """Are values a JSON list of numbers or strings, which float() and
+    Fraction() read?"""
+    return isinstance(values, list) and all(isinstance(v, (int, float, str)) for v in values)
+
+
 def _hash_or_builtin(paths):
     real = [p for p in paths if not p.startswith("builtin:")]
     if real:
@@ -136,8 +152,9 @@ def cmd_trees(args):
     else:
         if args.weights is None:
             raise HclError("trees greedy needs --weights")
-        with open(args.weights, "r", encoding="utf-8") as fh:
-            weights = {k: float(v) for k, v in json.load(fh).items()}
+        doc = _side_file(args.weights, lambda d: isinstance(d, dict) and _numbers(list(d.values())),
+                         "a JSON object of numbers keyed by cell name")
+        weights = {k: float(v) for k, v in doc.items()}
         t = greedy_dtree(gap, args.level, weights)
         report["tree"] = {
             "cells": list(t.cells),
@@ -183,8 +200,10 @@ def cmd_topo(args):
     else:
         raise HclError(f"unknown cycle choice {args.cycle!r}")
     if args.class_file:
-        with open(args.class_file, "r", encoding="utf-8") as fh:
-            class_p = [Fraction(s) for s in json.load(fh)]
+        doc = _side_file(args.class_file, lambda d: _numbers(d) and all(
+            math.isfinite(v) for v in d if isinstance(v, float)),
+            "a JSON list of finite numbers or rational strings")
+        class_p = [Fraction(s) for s in doc]
     else:
         class_p = [Fraction(1)] + [Fraction(0)] * (gap.parent_hp.betti - 1)
     coords, chain = hypercurrent_homology(proto, cycle, class_p)
@@ -316,16 +335,15 @@ def cmd_dyn(args):
     cfg = RunConfig("dyn.evolve", inputs=[args.file, args.p0], tol=args.tol,
                     out=args.out).validate()
     proto = _load_protocol_arg(args.file)
-    with open(args.p0, "r", encoding="utf-8") as fh:
-        p0 = json.load(fh)
+    p0 = _side_file(args.p0, _numbers, "a JSON list of probabilities, one per state")
     times, traj = evolve(proto, p0, args.t0, args.t1, args.steps, tol=args.tol)
     out = args.out or "traj.csv"
     names = proto.gap.parent.cells[0]
     with open(out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + list(names))
-        # csv writes a Python float as its repr
-        writer.writerows([t] + row for t, row in zip(times.tolist(), traj.tolist()))
+        csv.writer(fh).writerow(["t"] + list(names))
+        # a float row as csv writes it: the reprs, comma separated, CRLF
+        fh.writelines(",".join(map(repr, row)) + "\r\n"
+                      for row in np.column_stack([times, traj]).tolist())
     print(json.dumps({"config": cfg.as_dict(), "csv": out, "mass_drift":
                       float(np.max(np.abs(traj.sum(axis=1) - 1.0)))}, indent=1))
     return 0

@@ -272,7 +272,9 @@ class GapComplex:
     cells) and ("tree_aux", tree key) (a tree and its contraction),
     ("tree", level, order type) (the greedy tree, which reads the order
     of the weights only), "restricted" (the last cell subset's kept
-    matrix), "boundary_peak" and "state_diagram".  The boundaries are the
+    matrix), "boundary_peak", "state_diagram" and "lifts" (the exact lift
+    of every cell signature seen: a tree key, then the faces' signatures
+    and signs, which fix the lift with no weight).  The boundaries are the
     gap's own kept QMats, whose eliminations every tree shares.
     """
 

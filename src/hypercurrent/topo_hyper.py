@@ -20,6 +20,15 @@ module holds Python ints: the pairing, which checks the cycles'
 boundaries on the same face rows and contracts the top stack's degree-0
 numerators (Koszul sign +1) with their coefficients.
 
+A cell's lift depends on its domain only through its signature: its
+tree, then each face's signature and sign in face_rows order (Kirchhoff:
+the weights enter only through the tree choice).  build_lift_cache
+numbers the signatures, with the trees from one argsort of the level
+weights per level and one tree_functor call per distinct (level, order
+type); lift_simplex runs only on the first cell of each signature the
+gap has not seen, the gap keeps that lift, and every stack is gathered
+from the gap's lifts, so domains over one gap share them.
+
 Errors are those a cell-by-cell pass in (dim, repr) order meets first:
 earliest cell, then degree, then check (support, class or cycle, top
 degree, chain-map identity); a cycle with nonzero boundary is rejected
@@ -28,7 +37,9 @@ disjoint union of parts (the transversal spheres of a chunk of
 weight-space cells) is lifted as one domain; failures are then ordered
 by dimension, part, and repr of the cell in its part's own vertex
 numbering, and the LiftObstruction names the cell that way and carries
-its part.  hypercurrent_homology pairs many cycles over one lift.
+its part.  A dimension that fails keeps no lift, and every cell of a
+new signature is then lifted to name the failure.  hypercurrent_homology
+pairs many cycles over one lift.
 """
 
 import math
@@ -152,7 +163,23 @@ def tree_functor(proto, key):
                        lambda: _tree_aux(gap, greedy_dtree(gap, k, weights)).tree)
 
 
+class _Lifts:
+    """The lifts a gap has seen, by signature.  trees numbers the trees by
+    key; per cell dimension, index maps a signature (the cell's tree
+    number, then each face's signature number and sign in face_rows
+    order) to its number, and blocks holds per input degree the lifts of
+    the signatures in number order, numerators over one denominator,
+    reduced."""
+
+    def __init__(self):
+        self.trees, self.index, self.blocks = {}, {}, {}
+
+
 def build_lift_cache(proto) -> LiftCache:
+    """The lift of every cell of a small domain, one stack per dimension
+    in cell_index order.  A cell's lift is a function of its signature, so
+    lift_simplex runs only on the first cell of each signature the gap
+    has not seen, and every stack is gathered from the gap's lifts."""
     gap = proto.gap
     cert = proto.certificate
     cells = proto.cell_index
@@ -162,25 +189,102 @@ def build_lift_cache(proto) -> LiftCache:
         bad = (keys[i] for i in np.flatnonzero(cert.least < 0))
         first = min(bad, key=lambda c: (proto.dim_of(c), repr(c)))
         raise NotGood(f"cell {first} is not small")
-    # the tree depends only on the cell's first vertex and its level
-    at = list(zip(cells.vertices[:, 0].tolist(), cert.least.tolist()))
-    found = {}
-    for a, key in zip(at, keys):
-        if a not in found:
-            found[a] = tree_functor(proto, key)
-    trees = dict(zip(keys, map(found.__getitem__, at)))
-    cache = LiftCache(gap=gap, trees=trees)
-    vertices = keys[cells.offsets[0]:cells.offsets[1]]
-    distinct, tree_of = _tree_positions(trees, vertices)
-    phis = [_tree_aux(gap, tree).phi for tree in distinct]
-    blocks = []
-    for g in range(gap.top + 1):
-        num, den = _stacked([phi[g] for phi in phis])
-        blocks.append((num[tree_of], den))
-    cache.stacks.append(_Stack(vertices, dict(zip(vertices, range(len(vertices)))), blocks))
-    for a, b in zip(cells.offsets[1:], cells.offsets[2:]):
-        lift_simplex(proto, keys[a:b], cache)
+    trees, tree_of = _cell_trees(proto)
+    cache = LiftCache(gap=gap, trees=dict(zip(keys, map(trees.__getitem__, tree_of.tolist()))))
+    seen = gap.derived("lifts", _Lifts)
+    sig = np.array([seen.trees.setdefault(t.key, len(seen.trees)) for t in trees],
+                   dtype=np.int64)[tree_of]
+    for j, (a, b) in enumerate(zip(cells.offsets, cells.offsets[1:])):
+        rows = sig[a:b, None]
+        if j:
+            faces, signs = proto.face_rows[j]
+            pairs = np.stack([sig[faces + cells.offsets[j - 1]], signs], axis=2)
+            rows = np.concatenate([rows, pairs.reshape(b - a, -1)], axis=1)
+        sig[a:b] = _lift_dimension(proto, j, rows, cache, seen)
     return cache
+
+
+def _cell_trees(proto):
+    """The distinct trees of a domain's cells and each cell's place among
+    them: one row per cell, its least level and that level's order type
+    at its first vertex (from one argsort of each level's weights), and
+    one tree_functor call per distinct row."""
+    cells = proto.cell_index
+    least = proto.certificate.least
+    weights = proto.level_weights
+    rows = np.full((len(least), 1 + max(w.shape[1] for w in weights)), -1, dtype=np.intp)
+    rows[:, 0] = least
+    for k, w in enumerate(weights, start=proto.gap.p):
+        at = least == k
+        rows[at, 1:1 + w.shape[1]] = np.argsort(w, axis=1, kind="stable")[cells.vertices[at, 0]]
+    first, tree_of = _distinct(rows)
+    return [tree_functor(proto, cells.keys[i]) for i in first], tree_of
+
+
+def _lift_dimension(proto, j, rows, cache, seen):
+    """Append the stack of the j-cells, whose signatures are rows, to
+    cache.stacks, lifting the first cell of each signature seen has not
+    kept and keeping its lift there; returns the cells' signature
+    numbers.  A failure keeps nothing and is named as a pass over every
+    cell of a new signature names it."""
+    gap = cache.gap
+    cells = proto.cell_index
+    keys = cells.keys[cells.offsets[j]:cells.offsets[j + 1]]
+    index = seen.index.setdefault(j, {})
+    first, inverse = _distinct(rows)
+    distinct = list(map(tuple, rows[first].tolist()))
+    new = np.sort(first[[r not in index for r in distinct]])
+    if len(new):
+        if j == 0:
+            phis = [_tree_aux(gap, cache.trees[keys[i]]).phi for i in new]
+            blocks = [_narrowed(*_stacked([phi[g] for phi in phis])) for g in range(gap.top + 1)]
+        else:
+            try:
+                lift_simplex(proto, [keys[i] for i in new], cache)
+            except LiftObstruction:
+                fresh = np.isin(inverse, inverse[new])
+                lift_simplex(proto, [keys[i] for i in np.flatnonzero(fresh)], cache)
+                raise
+            blocks = cache.stacks.pop().blocks
+        old = seen.blocks.get(j)
+        seen.blocks[j] = blocks if old is None else list(map(_grown, old, blocks))
+        for i in new.tolist():
+            index[tuple(rows[i].tolist())] = len(index)
+    sigs = np.array([index[r] for r in distinct], dtype=np.int64)[inverse]
+    # a gather of every kept lift is reduced as the kept stack is
+    stack = [(num[sigs], den) if len(distinct) == len(index) else _reduced(num[sigs], den)
+             for num, den in seen.blocks[j]]
+    del cache.stacks[j:]
+    cache.stacks.append(_Stack(keys, dict(zip(keys, range(len(keys)))), stack))
+    return sigs
+
+
+def _distinct(rows):
+    """The place of the first of each distinct row of an integer array,
+    and the number of each row among the distinct rows in lexicographic
+    order.  The constant last key sorts rows of no entries too."""
+    order = np.lexsort((*rows.T[::-1], np.zeros(len(rows), dtype=np.intp)))
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    number = np.empty(len(rows), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return order[new], number
+
+
+def _narrowed(num, den):
+    """A stack of Python ints on int64 when its entries stay below the
+    bound."""
+    return (num.astype(np.int64) if _peak(num) < _INT64_BOUND else num), den
+
+
+def _grown(old, new):
+    """The stack old with the rows of the stack new appended, over their
+    common denominator, reduced."""
+    (onum, oden), (nnum, nden) = old, new
+    den = math.lcm(oden, nden)
+    return _narrowed(*_reduced(np.concatenate([onum.astype(object) * (den // oden),
+                                               nnum.astype(object) * (den // nden)]), den))
 
 
 def _tree_positions(trees, keys):

@@ -41,8 +41,8 @@ __all__ = [
 
 # top cells classified over one union and one lift.  Memory grows with
 # the chunk, time hardly falls past a few hundred cells: on K4 at (0, 1),
-# 64 800 cells on a 2-core Xeon, chunks of 1024, 2048 and 4096 cells
-# peaked at 93, 103 and 134 MB, each run taking 17-20 s
+# 64 800 cells on a 2-core Xeon, chunks of 256, 1024, 2048 and 4096 cells
+# peaked at 101, 102, 103 and 125 MB, each run taking 10-11.5 s
 _CHUNK = 1024
 
 
@@ -172,46 +172,39 @@ def _corner_weights(gap: GapComplex, cell: HeightData, eps):
     return corner_weight
 
 
-def transversal_sphere(gap: GapComplex, cell, eps=0.25):
-    """A good protocol over gap on the boundary of the transversal cube
-    around a center realizing the height data: the later member of each
-    level's tied pair is perturbed by +-eps along that level's cube axis.
-
-    cell may also be a sequence of top cells: the protocol is then the
-    disjoint union of their transversal spheres, one part per cell in
-    the given order.  The cells are checked in order as one-cell calls
-    check them; a union that is not good names the first offending cell
-    in cell_index order by its top cell and its place in that cube."""
-    one = isinstance(cell, HeightData)
-    cells = [cell] if one else list(cell)
+def transversal_sphere(gap: GapComplex, cells, eps=0.25):
+    """A good protocol over gap on the boundary of the transversal cubes
+    of a sequence of top cells, the disjoint union of their transversal
+    spheres, one part per cell in the given order.  A cell's cube is
+    centered at a point realizing its height data, and the later member
+    of each level's tied pair is perturbed by +-eps along that level's
+    cube axis.  The cells are checked in order; a union that is not good
+    names the first offending cell in cell_index order by its top cell
+    and its place in that cube."""
+    cells = list(cells)
     proto = cube_boundary_protocol(gap, [_corner_weights(gap, c, eps) for c in cells])
     ok, offender = is_good(proto)
     if not ok:
-        if one:
-            raise EpsilonTooLarge(f"resolved protocol is not good at {offender}")
         part, local = proto.part_of(offender)
         raise EpsilonTooLarge(f"resolved protocol of top cell {cells[part].blocks} "
                               f"is not good at {local}")
     return proto
 
 
-def classify_cell(gap: GapComplex, cell, eps=0.25):
-    """Pair the transversal sphere against every degree-p class at once;
-    the cell is essential iff some value is nonzero.
-
-    cell may also be a sequence of top cells, classified over one union
-    of their transversal spheres; the result is then one report per
-    cell, and a lift failure is named as the module docstring says."""
-    one = isinstance(cell, HeightData)
-    cells = [cell] if one else list(cell)
+def classify_cell(gap: GapComplex, cells, eps=0.25):
+    """Pair the transversal spheres of a sequence of top cells, over one
+    union of them, against every degree-p class at once; a cell is
+    essential iff some value is nonzero.  Returns one report per cell; a
+    lift failure is named as the module docstring says."""
+    cells = list(cells)
     if not cells:
         return []
-    proto = transversal_sphere(gap, cell if one else cells, eps)
+    proto = transversal_sphere(gap, cells, eps)
     units = QMat.identity(gap.parent_hp.betti)
     try:
         pairs = hypercurrent_homology(proto, proto.part_cycles(), units)
     except LiftObstruction as exc:
-        if one or exc.part is None:
+        if exc.part is None:
             raise
         raise LiftObstruction(f"transversal sphere of top cell {cells[exc.part].blocks}: {exc}",
                               part=exc.part) from exc
@@ -224,7 +217,7 @@ def classify_cell(gap: GapComplex, cell, eps=0.25):
             current_matrix=current,
             essential=any(v != 0 for row in current for v in row),
         ))
-    return reports[0] if one else reports
+    return reports
 
 
 def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:

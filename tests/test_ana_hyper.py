@@ -1120,7 +1120,7 @@ def test_constant_protocol_residual_zero():
 
 def triangle_sphere():
     """The transversal sphere of the triangle graph's first top cell."""
-    return transversal_sphere(TRIANGLE, enumerate_top_discriminant_cells(TRIANGLE.parent, 0, 1)[0])
+    return transversal_sphere(TRIANGLE, enumerate_top_discriminant_cells(TRIANGLE.parent, 0, 1)[:1])
 
 
 # protocol name -> (betas, tol); cube_sphere:3 at the benchmark's tol

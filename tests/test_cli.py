@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pathlib
 
@@ -538,6 +540,57 @@ def test_dyn_evolve_csv_cells_are_float_reprs(tmp_path):
     rows = [",".join(repr(float(x)) for x in [t, *row]) for t, row in zip(times, traj)]
     assert out.read_bytes() == ("\r\n".join(["t,e0+,e0-"] + rows) + "\r\n").encode()
     assert "e-05" in rows[-1].split(",")[0]
+
+
+def test_dyn_evolve_csv_is_what_csv_writer_writes(tmp_path):
+    # the float rows are joined by hand; the header, whose names may need
+    # quoting, still goes through csv.writer
+    doc = dict(DYN_PROTOCOL, complex={"inline": {
+        "name": "quoted", "cells": [["x,1", 'y"2'], ["e1+", "e1-"]],
+        "boundary": [[[1, -1], [-1, 1]]]}})
+    pfile = tmp_path / "proto.json"
+    pfile.write_text(json.dumps(doc))
+    p0file = tmp_path / "p0.json"
+    p0file.write_text(json.dumps([0.25, 0.75]))
+    out = tmp_path / "traj.csv"
+    assert main(["dyn", "evolve", str(pfile), "--p0", str(p0file), "--steps", "20",
+                 "--out", str(out)]) == 0
+    times, traj = evolve(load_protocol(str(pfile)), [0.25, 0.75], 0.0, 1.0, 20, tol=1e-6)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["t", "x,1", 'y"2'])
+    writer.writerows([t] + row for t, row in zip(times.tolist(), traj.tolist()))
+    assert out.read_bytes() == expected.getvalue().encode()
+    assert out.read_bytes().startswith(b't,"x,1","y""2"\r\n')
+
+
+@pytest.mark.parametrize(
+    "command, option, doc, shape",
+    [(["topo", "current", "builtin:cube_sphere:2"], "--class", "5", "a JSON list of finite numbers"),
+     (["topo", "current", "builtin:cube_sphere:2"], "--class", "[null]",
+      "a JSON list of finite numbers"),
+     (["topo", "current", "builtin:cube_sphere:2"], "--class", "[1.5e400]",
+      "a JSON list of finite numbers"),
+     (["trees", "greedy", "TRIANGLE", "--p", "0", "--q", "1", "--level", "1"], "--weights",
+      "[1, 2]", "a JSON object of numbers keyed by cell name"),
+     (["trees", "greedy", "TRIANGLE", "--p", "0", "--q", "1", "--level", "1"], "--weights",
+      '{"ab": null}', "a JSON object of numbers keyed by cell name"),
+     (["dyn", "evolve", "DYN"], "--p0", '{"a": 1}', "a JSON list of probabilities")],
+    ids=["class-number", "class-null", "class-overflow", "weights-list", "weights-null",
+         "p0-object"])
+def test_side_file_of_the_wrong_shape_is_validation_error(command, option, doc, shape,
+                                                          triangle_file, tmp_path, capsys):
+    pfile = tmp_path / "proto.json"
+    pfile.write_text(json.dumps(DYN_PROTOCOL))
+    side = tmp_path / "side.json"
+    side.write_text(doc)
+    argv = [{"TRIANGLE": triangle_file, "DYN": str(pfile)}.get(a, a) for a in command]
+    out = tmp_path / "out"
+    assert main(argv + [option, str(side), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: HclError: {side} must hold {shape}" in captured.err
+    assert "internal error" not in captured.err and captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

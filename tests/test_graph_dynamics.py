@@ -676,7 +676,7 @@ def test_pumped_flux_on_a_triangle_transversal_sphere():
     # pumps its class around the triangle's one cycle
     x = loads_complex(json.dumps({"name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ca"]],
                                   "boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]}))
-    loop = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[1])
+    loop = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[1:2])
     err = pumping_errors(loop)
     assert err[100.0] <= 2e-4
     assert err[10.0] >= 10 * err[100.0]

@@ -228,7 +228,7 @@ def _path3_transversal_sphere():
         "boundary": [[[-1, 0], [1, -1], [0, 1]]],
     }))
     gap = gap_complex(x, 0, 1)
-    return transversal_sphere(gap, enumerate_top_discriminant_cells(x, 0, 1)[0])
+    return transversal_sphere(gap, enumerate_top_discriminant_cells(x, 0, 1)[:1])
 
 
 # the q = 3 cube template of the benchmark's generated protocol files: the

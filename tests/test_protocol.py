@@ -317,7 +317,7 @@ def _smallness_domains():
     for x in (path3, triangle):
         gap = gap_complex(x, 0, 1)
         for cell in enumerate_top_discriminant_cells(x, 0, 1):
-            yield transversal_sphere(gap, cell)
+            yield transversal_sphere(gap, [cell])
 
 
 def test_smallness_matches_pair_loop():

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypercurrent import ratlin, topo_hyper
+from hypercurrent import complex_core, ratlin, topo_hyper
 from hypercurrent.complex_core import (
     collapsed_sphere_complex,
     gap_complex,
@@ -133,9 +133,10 @@ def test_tree_functor_shared_over_the_gap():
         assert tree_functor(scaled, s) is tree_functor(proto, s)
 
 
-def test_lift_cache_one_tree_per_first_vertex_and_level(monkeypatch):
-    # the tree depends only on the cell's first vertex and its level, so
-    # build_lift_cache asks for it once per such pair, not once per cell
+def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
+    # the tree depends only on the cell's level and the order type of that
+    # level at the cell's first vertex, so build_lift_cache asks for it once
+    # per such pair, not once per first vertex and level
     proto = cube_sphere_protocol(3)
     cert = proto.certificate
     calls = []
@@ -147,8 +148,15 @@ def test_lift_cache_one_tree_per_first_vertex_and_level(monkeypatch):
 
     monkeypatch.setattr(topo_hyper, "tree_functor", counted)
     cache = build_lift_cache(proto)
+
+    def order_type(key):
+        k = cert.k[key]
+        weights = proto.weight_of(proto.vertices_of(key)[0]).level(k)
+        return k, tuple(sorted(range(len(weights)), key=weights.__getitem__))
+
     pairs = {(proto.vertices_of(key)[0], cert.k[key]) for key in proto.all_cells()}
-    assert len(calls) == len(pairs) < len(proto.all_cells())
+    assert len(calls) == len(set(map(order_type, proto.all_cells()))) < len(pairs)
+    assert len({order_type(key) for key in calls}) == len(calls)
     for key in proto.all_cells():
         assert cache.trees[key] is original(proto, key)
 
@@ -555,10 +563,12 @@ INT64_DOMAINS = {
 def test_python_int_steps_equal_int64_steps(monkeypatch, name):
     # with the bound lowered to 1 every step runs on Python ints; stacks,
     # values and pairings are those of the int64 run, and every value a
-    # caller reads holds Python ints
+    # caller reads holds Python ints.  Each run starts from no gaps, so
+    # neither reads lifts the other kept
     runs = []
     for bound in (topo_hyper._INT64_BOUND, 1):
         monkeypatch.setattr(topo_hyper, "_INT64_BOUND", bound)
+        complex_core._GAPS.clear()
         proto = INT64_DOMAINS[name]()
         cache = build_lift_cache(proto)
         pairing = hypercurrent_homology(proto, _fundamental_cycle(proto), [1])

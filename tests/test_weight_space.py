@@ -17,7 +17,9 @@ from hypercurrent.complex_core import (
     torsion_complex,
 )
 from hypercurrent.errors import EpsilonTooLarge, GapViolated, LiftObstruction
+from hypercurrent.forests import make_dtree
 from hypercurrent.protocol import WeightPoint, is_good, smallness
+from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.weight_space import (
     DiscriminantCellReport,
@@ -124,7 +126,7 @@ def test_dimension_formula():
 def test_transversal_sphere_is_good_and_square_shaped():
     x = sphere_complex(1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
-    proto = transversal_sphere(gap_complex(x, 0, 1), cell)
+    proto = transversal_sphere(gap_complex(x, 0, 1), [cell])
     assert is_good(proto)[0]
     assert len(proto.simplices_of_dim(1)) == 4
     cert = smallness(proto)
@@ -135,7 +137,7 @@ def test_transversal_sphere_is_good_and_square_shaped():
 def test_transversal_sphere_cube_pattern():
     x = sphere_complex(2)
     cell = enumerate_top_discriminant_cells(x, 0, 2)[0]
-    proto = transversal_sphere(gap_complex(x, 0, 2), cell)
+    proto = transversal_sphere(gap_complex(x, 0, 2), [cell])
     assert is_good(proto)[0]
     assert len(proto.simplices_of_dim(2)) == 12
     cert = smallness(proto)
@@ -148,16 +150,16 @@ def test_eps_too_large():
     gap = gap_complex(x, 0, 1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
     with pytest.raises(EpsilonTooLarge):
-        transversal_sphere(gap, cell, eps=0.5)
+        transversal_sphere(gap, [cell], eps=0.5)
     with pytest.raises(EpsilonTooLarge):
-        transversal_sphere(gap, cell, eps=0.0)
+        transversal_sphere(gap, [cell], eps=0.0)
 
 
 def test_transversal_good_for_all_fixture_cells():
     for x, p, q in [(sphere_complex(1), 0, 1), (sphere_wedge_complex(2), 0, 2), (path_complex(), 0, 1)]:
         gap = gap_complex(x, p, q)
         for cell in enumerate_top_discriminant_cells(x, p, q):
-            proto = transversal_sphere(gap, cell)
+            proto = transversal_sphere(gap, [cell])
             assert is_good(proto)[0]
 
 
@@ -193,7 +195,7 @@ def test_counts_outside_a_gap_raise(make, q):
 def test_classification_report_matrix():
     x = sphere_complex(2)
     cell = enumerate_top_discriminant_cells(x, 0, 2)[0]
-    report = classify_cell(gap_complex(x, 0, 2), cell)
+    report, = classify_cell(gap_complex(x, 0, 2), [cell])
     assert isinstance(report, DiscriminantCellReport)
     assert report.essential
     assert len(report.current_matrix) == 1 and len(report.current_matrix[0]) == 1
@@ -204,8 +206,8 @@ def test_classification_eps_independent():
     x = sphere_complex(1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
     gap = gap_complex(x, 0, 1)
-    r1 = classify_cell(gap, cell, eps=0.25)
-    r2 = classify_cell(gap, cell, eps=0.125)
+    r1, = classify_cell(gap, [cell], eps=0.25)
+    r2, = classify_cell(gap, [cell], eps=0.125)
     assert r1.current_matrix == r2.current_matrix
 
 
@@ -231,7 +233,7 @@ def test_classification_center_choice_independent():
     for x, q, cells in ((sphere_complex(2), 2, slice(0, 1)), (triangle_complex(), 1, slice(None))):
         gap = gap_complex(x, 0, q)
         for cell in enumerate_top_discriminant_cells(x, 0, q)[cells]:
-            proto = transversal_sphere(gap, cell)
+            proto = transversal_sphere(gap, [cell])
             base = _pairing(proto)
             essential += any(v != 0 for col in base for v in col)
             for a, b in ((3, 1), (2, 0), (0.5, -7)):
@@ -268,7 +270,7 @@ def test_one_gap_classification_matches_fresh_gaps(make, q):
     cells = enumerate_top_discriminant_cells(x, 0, q)
     assert [r.height for r in report.cells] == cells
     for shared, cell in zip(report.cells, cells):
-        assert shared == classify_cell(gap_complex(x, 0, q), cell)
+        assert [shared] == classify_cell(gap_complex(x, 0, q), [cell])
 
 
 def test_smallness_certified_once_per_cell(monkeypatch):
@@ -282,7 +284,7 @@ def test_smallness_certified_once_per_cell(monkeypatch):
     gap = gap_complex(x, 0, 1)
     cells = enumerate_top_discriminant_cells(x, 0, 1)
     for cell in cells:
-        classify_cell(gap, cell)
+        classify_cell(gap, [cell])
     assert len(calls) == len(cells) == len({id(dom) for dom in calls})
     assert calls[0].certificate is calls[0].certificate
 
@@ -332,7 +334,7 @@ def test_union_of_transversal_spheres_is_their_disjoint_union():
     cycles = union.part_cycles()
     assert sum(map(len, cycles)) == len(union.fundamental_cycle)
     for i, (cell, cycle) in enumerate(zip(cells, cycles)):
-        alone = transversal_sphere(gap, cell)
+        alone = transversal_sphere(gap, [cell])
         assert union.vertex_weights[i * size:(i + 1) * size] == alone.vertex_weights
         assert union.vertex_ids[i * size:(i + 1) * size] == tuple(f"{i}.{v}" for v in alone.vertex_ids)
         assert dict(map(lambda kc: (union.part_of(kc[0]), kc[1]), cycle.items())) == \
@@ -368,7 +370,7 @@ def test_batch_eps_error_is_the_first_cells():
     gap = gap_complex(x, 0, 1)
     first = enumerate_top_discriminant_cells(x, 0, 1)[0]
     with pytest.raises(EpsilonTooLarge) as alone:
-        classify_cell(gap, first, eps=0.5)
+        classify_cell(gap, [first], eps=0.5)
     with pytest.raises(EpsilonTooLarge) as batch:
         classify_top_cells(x, 0, 1, eps=0.5)
     assert str(batch.value) == str(alone.value) == "eps = 0.5 is not below half the center gap 1.0"
@@ -381,47 +383,45 @@ def test_nonfinite_eps_is_rejected(eps):
     x = sphere_complex(1)
     gap = gap_complex(x, 0, 1)
     cell = enumerate_top_discriminant_cells(x, 0, 1)[0]
-    for call in (lambda: classify_cell(gap, cell, eps=eps), lambda: classify_cell(gap, [cell], eps),
+    for call in (lambda: classify_cell(gap, [cell], eps=eps), lambda: classify_cell(gap, [cell] * 2, eps),
                  lambda: classify_top_cells(x, 0, 1, eps=eps)):
         with pytest.raises(EpsilonTooLarge, match="eps must be finite and positive"):
             call()
 
 
-def corrupt_vertex_lifts(monkeypatch, vertices):
-    """Raise entry (0, 0) of the degree-0 vertex lift at each of the given
-    vertices of the domain, between the vertex stack and the edges."""
-    real = topo_hyper.lift_simplex
-
-    def corrupted(proto, keys, cache):
-        if len(cache.stacks) == 1:
-            stack = cache.stacks[0]
-            num, den = stack.blocks[0]
-            num = num.copy()
-            for v in vertices:
-                num[stack.row[(v,)], 0, 0] += den
-            stack.blocks[0] = (num, den)
-        return real(proto, keys, cache)
-
-    monkeypatch.setattr(topo_hyper, "lift_simplex", corrupted)
+def corrupt_cotree(monkeypatch, gap, cell):
+    """Raise entry (0, 0) of the degree-0 vertex lift of the gap's co-tree
+    {cell}: every vertex whose tree it is lifts wrongly, and so does every
+    cell whose faces read such a vertex."""
+    aux = topo_hyper._tree_aux(gap, make_dtree(gap, gap.p, (cell,)))
+    phi = list(aux.phi)
+    num = phi[0].num.copy()
+    num[0, 0] += phi[0].den
+    phi[0] = QMat(num, phi[0].den)
+    monkeypatch.setattr(aux, "phi", tuple(phi))
 
 
 def test_lift_fault_in_a_batch_names_its_cube(monkeypatch):
     # the one-cell classification with the same fault is the oracle for the
-    # message; of two faulty cubes the earlier one is named
+    # message; of the faulty cubes the earliest is named
     x = triangle_complex()
     gap = gap_complex(x, 0, 1)
     cells = enumerate_top_discriminant_cells(x, 0, 1)
-    size = 4    # corners of a square
-    with monkeypatch.context() as m:
-        corrupt_vertex_lifts(m, [1])
-        with pytest.raises(LiftObstruction) as alone:
-            classify_cell(gap, cells[5])
-    assert alone.value.part == 0 and "at (" in str(alone.value)
-    corrupt_vertex_lifts(monkeypatch, [9 * size + 3, 5 * size + 1])
+    corrupt_cotree(monkeypatch, gap, "c")
+    alone = {}
+    for i, cell in enumerate(cells):
+        try:
+            classify_cell(gap, [cell])
+        except LiftObstruction as exc:
+            alone[i] = exc
+    first = min(alone)
+    assert first > 0 and len(alone) > 1
+    assert alone[first].part == 0 and "at (" in str(alone[first])
+    assert str(alone[first]).startswith(f"transversal sphere of top cell {cells[first].blocks}: ")
     with pytest.raises(LiftObstruction) as batch:
         classify_cell(gap, cells)
-    assert batch.value.part == 5
-    assert str(batch.value) == f"transversal sphere of top cell {cells[5].blocks}: {alone.value}"
+    assert batch.value.part == first
+    assert str(batch.value) == str(alone[first])
     with pytest.raises(LiftObstruction) as report:
         classify_top_cells(x, 0, 1)
     assert str(report.value) == str(batch.value)
@@ -430,7 +430,7 @@ def test_lift_fault_in_a_batch_names_its_cube(monkeypatch):
 def test_lift_fault_in_a_batch_exits_1(monkeypatch, tmp_path, capsys):
     path = tmp_path / "path3.json"
     path.write_text(dumps_complex(path_complex()))
-    corrupt_vertex_lifts(monkeypatch, [2 * 4 + 1])
+    corrupt_cotree(monkeypatch, gap_complex(path_complex(), 0, 1), "z")
     assert main(["weightspace", "report", str(path), "--p", "0", "--q", "1"]) == 1
     captured = capsys.readouterr()
     assert "internal error: LiftObstruction: transversal sphere of top cell" in captured.err
