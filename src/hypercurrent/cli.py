@@ -98,20 +98,23 @@ def _load_protocol_arg(path):
     return load_protocol(path)
 
 
-def _side_file(path, valid, shape):
-    """The JSON document of a side file, which valid(doc) accepts; any
-    other document is a validation error naming the expected shape."""
+def _side_file(path, read, shape):
+    """The JSON document of a side file as read(doc) converts it; a
+    document read rejects, by raising, is a validation error naming the
+    expected shape."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not valid(doc):
-        raise HclError(f"{path} must hold {shape}")
+    try:
+        return read(doc)
+    except (AttributeError, TypeError, ValueError, OverflowError):
+        raise HclError(f"{path} must hold {shape}") from None
+
+
+def _listed(doc):
+    """doc, which must be a JSON list."""
+    if not isinstance(doc, list):
+        raise TypeError(f"not a JSON list: {doc!r}")
     return doc
-
-
-def _numbers(values):
-    """Are values a JSON list of numbers or strings, which float() and
-    Fraction() read?"""
-    return isinstance(values, list) and all(isinstance(v, (int, float, str)) for v in values)
 
 
 def _hash_or_builtin(paths):
@@ -152,9 +155,8 @@ def cmd_trees(args):
     else:
         if args.weights is None:
             raise HclError("trees greedy needs --weights")
-        doc = _side_file(args.weights, lambda d: isinstance(d, dict) and _numbers(list(d.values())),
-                         "a JSON object of numbers keyed by cell name")
-        weights = {k: float(v) for k, v in doc.items()}
+        weights = _side_file(args.weights, lambda d: {k: float(v) for k, v in d.items()},
+                             "a JSON object of numbers keyed by cell name")
         t = greedy_dtree(gap, args.level, weights)
         report["tree"] = {
             "cells": list(t.cells),
@@ -200,10 +202,8 @@ def cmd_topo(args):
     else:
         raise HclError(f"unknown cycle choice {args.cycle!r}")
     if args.class_file:
-        doc = _side_file(args.class_file, lambda d: _numbers(d) and all(
-            math.isfinite(v) for v in d if isinstance(v, float)),
-            "a JSON list of finite numbers or rational strings")
-        class_p = [Fraction(s) for s in doc]
+        class_p = _side_file(args.class_file, lambda d: [Fraction(v) for v in _listed(d)],
+                             "a JSON list of finite numbers or rational strings")
     else:
         class_p = [Fraction(1)] + [Fraction(0)] * (gap.parent_hp.betti - 1)
     coords, chain = hypercurrent_homology(proto, cycle, class_p)
@@ -316,12 +316,15 @@ def cmd_weightspace(args):
         "contractible": robust.contractible,
     }
     if not robust.contractible:
+        # cells of one current share its matrix, and so its rows of _rat
+        distinct = {id(rep.current_matrix): rep.current_matrix for rep in robust.cells}
+        rats = {i: [[_rat(v) for v in row] for row in m] for i, m in distinct.items()}
         report["cells"] = [
             {
                 "height": [[list(b) for b in lvl] for lvl in rep.height.blocks],
                 "dimension": rep.dimension,
                 "essential": rep.essential,
-                "current_matrix": [[_rat(v) for v in row] for row in rep.current_matrix],
+                "current_matrix": rats[id(rep.current_matrix)],
             }
             for rep in robust.cells
         ]
@@ -335,7 +338,8 @@ def cmd_dyn(args):
     cfg = RunConfig("dyn.evolve", inputs=[args.file, args.p0], tol=args.tol,
                     out=args.out).validate()
     proto = _load_protocol_arg(args.file)
-    p0 = _side_file(args.p0, _numbers, "a JSON list of probabilities, one per state")
+    p0 = _side_file(args.p0, lambda d: [float(v) for v in _listed(d)],
+                    "a JSON list of probabilities, one per state")
     times, traj = evolve(proto, p0, args.t0, args.t1, args.steps, tol=args.tol)
     out = args.out or "traj.csv"
     names = proto.gap.parent.cells[0]

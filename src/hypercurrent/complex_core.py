@@ -98,22 +98,44 @@ def loads_complex(text):
     return _from_doc(doc)
 
 
+def _typed(value, kind, what):
+    """value read as kind: a dict or list as it is, an integer as int()
+    reads it; any other value is a ParseError naming what."""
+    if kind is int:
+        try:
+            return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif isinstance(value, kind):
+        return value
+    raise ParseError(f"{what} must be {_KINDS[kind]}, got {value!r}")
+
+
+_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
+
+
 def _from_doc(doc):
+    _typed(doc, dict, "a complex document")
     try:
         name = doc["name"]
-        cells = [list(c) for c in doc["cells"]]
-        raw = doc["boundary"]
-    except (KeyError, TypeError) as exc:
+        cells = [_typed(c, list, "an entry of complex field cells")
+                 for c in _typed(doc["cells"], list, "complex field cells")]
+        raw = [_typed(m, list, "an entry of complex field boundary")
+               for m in _typed(doc["boundary"], list, "complex field boundary")]
+    except KeyError as exc:
         raise ParseError(f"bad complex document: {exc}") from exc
-    if any(isinstance(v, (list, dict)) for v in [name] + [nm for c in cells for nm in c]):
+    names = [name] + [nm for c in cells for nm in c]
+    if not all(isinstance(v, (str, int, float)) and not isinstance(v, bool) for v in names):
         raise ParseError("complex and cell names must be JSON strings or numbers")
+    if len({isinstance(nm, str) for nm in names[1:]}) > 1:
+        raise ParseError("cell names must be all JSON strings or all numbers")
     dim = len(cells) - 1
     if len(raw) != max(dim, 0):
         raise ParseError(f"{name}: expected {dim} boundary matrices, got {len(raw)}")
     boundary = []
     for j, mat in enumerate(raw, start=1):
         for row in mat:
-            for v in row:
+            for v in _typed(row, list, f"a row of boundary matrix D_{j}"):
                 if not isinstance(v, int) or isinstance(v, bool):
                     raise ParseError(f"non-integer boundary entry {v!r}")
         shape = (len(cells[j - 1]), len(cells[j]))

@@ -5,15 +5,17 @@ levels) to every vertex of an oriented simplicial parameter space and
 interpolates affinely over simplices.  Because the data is affine per
 simplex, injectivity of a level over a closed simplex is decided
 exactly by strict sign agreement of pairwise differences at vertices;
-no sampling is involved.
+no sampling is involved.  The weights are stored as level_weights, one
+(n_vertices, n_cells) float array per level; vertex_weights and
+weight_of are WeightPoint views of their rows, built when read, for
+documents, weights_at and the tree choice.
 
 Smallness and the exact lift read a parameter domain only through
 dim_of, vertices_of, weight_of, part_of, its cached certificate and
-three cached array views: cell_index, the cells by dimension with their
-vertices as one index array; face_rows, each dimension's faces as rows
-of the dimension below with their signs; and level_weights, one
-(n_vertices, n_cells) array per level.  The tests also run them on a
-regular-CW cube domain.
+lift, and three array views: cell_index, the cells by dimension with
+their vertices as one index array; face_rows, each dimension's faces as
+rows of the dimension below with their signs; and level_weights.  The
+tests also run them on a regular-CW cube domain.
 
 A protocol's cells are one array of sorted vertex rows per dimension.
 One np.unique pass over row codes closes a dimension under faces and
@@ -22,13 +24,14 @@ simplices and, once per cube dimension, the Freudenthal triangulation of
 the cube's boundary, and checks a hand-built protocol's face_rows.
 
 A protocol may be a disjoint union of equal parts, numbered part by
-part: cube_boundary_protocol builds one from many corner maps, one cube
-each, offsetting the cube's arrays.  part_of names a cell by its part
-and its vertices within that part, which is how the lift reports a
-failing cell, and part_cycles cuts the fundamental cycle into the
-parts' cycles.
+part: cube_boundary_protocol builds one from stacked corner weights, one
+cube each, offsetting the cube's cells and taking each cube's corner
+weights as rows (weight space builds a chunk of transversal cubes so,
+and the builtins their one cube).  part_of names a cell by its part and
+its vertices within that part, which is how the lift reports a failing
+cell, and part_cycles cuts the fundamental cycle into the parts'
+cycles.
 """
-
 import itertools
 import json
 import math
@@ -40,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .complex_core import GapComplex, dumps_complex, gap_complex, load_complex, \
+from . import topo_hyper
+from .complex_core import GapComplex, _typed, dumps_complex, gap_complex, load_complex, \
     loads_complex, sphere_complex, sphere_wedge_complex, collapsed_sphere_complex, \
     torsion_complex
 from .errors import (
@@ -62,6 +66,7 @@ __all__ = [
     "weights_at",
     "smallness",
     "is_good",
+    "cube_corners",
     "cube_protocol",
     "cube_sphere_protocol",
     "square_protocol",
@@ -165,13 +170,13 @@ class CellIndex(NamedTuple):
     position: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplicialProtocol:
     """Oriented simplicial parameter space with a weight point per vertex."""
 
     gap: GapComplex
     vertex_ids: tuple            # vertex index -> id string
-    vertex_weights: tuple        # vertex index -> WeightPoint
+    level_weights: tuple         # per level p..q, (n_vertices, n_cells) float array
     simplices: tuple             # all faces, sorted vertex-index tuples
     orientation: dict = field(default_factory=dict)        # top key -> +-1
     fundamental_cycle: dict = field(default_factory=dict)  # key -> int coeff
@@ -194,7 +199,16 @@ class SimplicialProtocol:
         return [(v,) for v in key]
 
     def weight_of(self, vertex_key):
-        return self.vertex_weights[vertex_key[0]]
+        gap, v = self.gap, vertex_key[0]
+        return WeightPoint(gap.p, gap.q, tuple(tuple(w[v].tolist()) for w in self.level_weights))
+
+    @cached_property
+    def vertex_weights(self):
+        """vertex index -> WeightPoint: level_weights by vertex, built on
+        first read."""
+        gap = self.gap
+        rows = zip(*(map(tuple, w.tolist()) for w in self.level_weights))
+        return tuple(WeightPoint(gap.p, gap.q, values) for values in rows)
 
     def part_of(self, key):
         """The part holding a cell, and the cell in that part's own vertex
@@ -210,9 +224,15 @@ class SimplicialProtocol:
         return smallness(self)
 
     @cached_property
+    def lift(self):
+        """The exact lift of every cell (topo_hyper.build_lift_cache),
+        built on first use and then kept with the protocol."""
+        return topo_hyper.build_lift_cache(self)
+
+    @cached_property
     def cell_index(self):
         """The simplices by dimension, each dimension sorted; a simplex's
-        vertices are its keys' entries, which index vertex_weights."""
+        vertices are its keys' entries, which index level_weights' rows."""
         return _cell_index([_cells_and_faces(rows, np.empty((0, rows.shape[1] + 1), dtype=np.intp),
                                              len(self.vertex_ids))[0]
                             for rows in _by_dim(self.simplices)])
@@ -236,15 +256,6 @@ class SimplicialProtocol:
             places.append(faces)
         return _face_rows(index, places)
 
-    @cached_property
-    def level_weights(self):
-        """Per level p..q, the vertex weights as an (n_vertices, n_cells)
-        float array."""
-        gap = self.gap
-        return tuple(np.array([wp.values[j - gap.p] for wp in self.vertex_weights], dtype=float)
-                     .reshape(len(self.vertex_weights), gap.parent.n_cells(j))
-                     for j in range(gap.p, gap.q + 1))
-
     # -- conveniences --
 
     @property
@@ -264,8 +275,9 @@ class SimplicialProtocol:
 
 
 def _validate_weights(gap, vertex_weights):
-    """Raise the first fault of the vertex weights in vertex, level order;
-    when all are well shaped real numbers, by one test of the stacked weights."""
+    """The WeightPoints vertex_weights as level_weights, once the first fault
+    in vertex, level order is raised; when all are well shaped real
+    numbers, by one test of the stacked weights."""
     levels = range(gap.p, gap.q + 1)
     if all((wp.p, wp.q, len(wp.values)) == (gap.p, gap.q, len(levels)) for wp in vertex_weights):
         try:
@@ -276,7 +288,7 @@ def _validate_weights(gap, vertex_weights):
                           and a.dtype.kind in "biuf" for a, j in zip(stacks, levels)):
             if not all(np.isfinite(a).all() for a in stacks):
                 raise LevelMismatch("non-finite weight entry")
-            return
+            return tuple(a.astype(float) for a in stacks)
     for wp in vertex_weights:
         if wp.p != gap.p or wp.q != gap.q:
             raise LevelMismatch("weight point levels do not match the gap")
@@ -286,12 +298,14 @@ def _validate_weights(gap, vertex_weights):
                                     f"expected {gap.parent.n_cells(j)}")
             if not all(map(math.isfinite, wp.level(j))):
                 raise LevelMismatch("non-finite weight entry")
+    return tuple(np.array([wp.values[j - gap.p] for wp in vertex_weights], dtype=float)
+                 .reshape(len(vertex_weights), gap.parent.n_cells(j)) for j in levels)
 
 
-def _protocol(gap, vertex_ids, vertex_weights, index, places, orientation, cycle, parts=1):
+def _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle, parts=1):
     """The protocol over closed cells with their cell_index and face
     places already made, which it keeps rather than derive again."""
-    proto = SimplicialProtocol(gap, tuple(vertex_ids), tuple(vertex_weights), index.keys,
+    proto = SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index.keys,
                                dict(orientation), dict(cycle), parts)
     proto.__dict__.update(cell_index=index, face_rows=_face_rows(index, places))
     return proto
@@ -299,8 +313,9 @@ def _protocol(gap, vertex_ids, vertex_weights, index, places, orientation, cycle
 
 def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle):
     """The protocol closing the given sorted vertex tuples and every vertex
-    under faces, once its weights, simplices, signs and cycle are checked."""
-    _validate_weights(gap, vertex_weights)
+    under faces, once its weights (WeightPoints), simplices, signs and cycle
+    are checked."""
+    levels = _validate_weights(gap, vertex_weights)
     groups = _by_dim(simplices)
     if not all((np.diff(rows, axis=1) > 0).all() for rows in groups):
         bad = next(s for s in simplices if list(s) != sorted(set(s)))
@@ -314,7 +329,7 @@ def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, 
         if key not in index.position:
             raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
                             "which is not a simplex of the protocol")
-    return _protocol(gap, vertex_ids, vertex_weights, index, places, orientation, cycle)
+    return _protocol(gap, vertex_ids, levels, index, places, orientation, cycle)
 
 
 # --- documents --------------------------------------------------------------
@@ -338,49 +353,70 @@ def _resolve_complex(spec, base_dir=None):
         kind = spec.get("builtin")
         if kind == "torsion":
             return torsion_complex()
-        if kind in _BUILTIN_COMPLEXES:
-            return _BUILTIN_COMPLEXES[kind](int(spec["q"]))
+        if isinstance(kind, str) and kind in _BUILTIN_COMPLEXES:
+            return _BUILTIN_COMPLEXES[kind](_typed(spec["q"], int, "complex field q"))
     raise ParseError(f"cannot resolve complex spec {spec!r}")
 
 
+def _floats(values, what):
+    """A JSON list of numbers (or strings float() reads) as a tuple of floats."""
+    try:
+        return tuple(map(float, _typed(values, list, what)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{what} must hold numbers: {exc}") from exc
+
+
+def _vertex(index, vid, where):
+    """The number of the vertex named vid, which where references."""
+    if isinstance(vid, (list, dict)) or vid not in index:
+        raise NotClosedUnderFaces(f"{where} references unknown vertex {vid!r}")
+    return index[vid]
+
+
 def loads_protocol(text, base_dir=None):
+    """The protocol a JSON document describes.  Each field's JSON type is
+    checked where it is read; one of the wrong type is a ParseError
+    naming it."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(str(exc)) from exc
+    _typed(doc, dict, "a protocol document")
     if "builtin" in doc:
-        b = doc["builtin"]
-        return builtin_protocol(b.get("type"), int(b.get("q", 2)))
+        b = _typed(doc["builtin"], dict, "protocol field builtin")
+        return builtin_protocol(b.get("type"), _typed(b.get("q", 2), int, "builtin field q"))
     try:
         x = _resolve_complex(doc["complex"], base_dir)
-        p, q = int(doc["p"]), int(doc["q"])
+        p, q = (_typed(doc[f], int, f"protocol field {f}") for f in "pq")
         gap = gap_complex(x, p, q)
         ids, weights = [], []
-        for v in doc["vertices"]:
+        for v in _typed(doc["vertices"], list, "protocol field vertices"):
+            v = _typed(v, dict, "a protocol vertex")
             ids.append(v["id"])
-            weights.append(WeightPoint(p, q, tuple(tuple(float(t) for t in v["weights"][str(j)])
-                                                   for j in range(p, q + 1))))
+            w = _typed(v["weights"], dict, f"the weights of vertex {v['id']!r}")
+            weights.append(WeightPoint(p, q, tuple(
+                _floats(w[str(j)], f"level {j} of vertex {v['id']!r}") for j in range(p, q + 1))))
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad protocol document: {exc}") from exc
+    if any(isinstance(vid, (list, dict)) for vid in ids):
+        raise ParseError("protocol vertex ids must be JSON strings or numbers")
     id_index = {vid: k for k, vid in enumerate(ids)}
     simplices = []
     orientation = {}
-    for s in doc.get("simplices", []):
+    for s in _typed(doc.get("simplices", []), list, "protocol field simplices"):
+        s = _typed(s, dict, "a protocol simplex")
         try:
-            key = tuple(sorted(id_index[v] for v in s["vertices"]))
+            vids = _typed(s["vertices"], list, "a simplex's vertices")
         except KeyError as exc:
             raise NotClosedUnderFaces(f"simplex references unknown vertex {exc}") from exc
+        key = tuple(sorted(_vertex(id_index, v, "simplex") for v in vids))
         simplices.append(key)
         if "orientation" in s:
-            orientation[key] = int(s["orientation"])
+            orientation[key] = _typed(s["orientation"], int, "a simplex's orientation")
     cycle = {}
-    for ckey, coeff in doc.get("cycle", {}).items():
-        ids_c = tuple(ckey.split(","))
-        try:
-            key = tuple(sorted(id_index[v] for v in ids_c))
-        except KeyError as exc:
-            raise NotClosedUnderFaces(f"cycle references unknown vertex {exc}") from exc
-        cycle[key] = int(coeff)
+    for ckey, coeff in _typed(doc.get("cycle", {}), dict, "protocol field cycle").items():
+        key = tuple(sorted(_vertex(id_index, v, "cycle") for v in ckey.split(",")))
+        cycle[key] = _typed(coeff, int, f"the cycle coefficient of {ckey}")
     return _validate_protocol(gap, ids, weights, simplices, orientation, cycle)
 
 
@@ -516,15 +552,10 @@ def _permutation_signs(perms):
     return 1 - 2 * (inversions % 2)
 
 
-def _corner_weight(gap, corner, signs):
-    p, q = gap.p, gap.q
-    vals = []
-    for j in range(p, q + 1):
-        n = gap.parent.n_cells(j)
-        row = [0.0] * n
-        row[0] = float(signs[j - p] * corner[j - p])
-        vals.append(tuple(row))
-    return WeightPoint(p, q, tuple(vals))
+def cube_corners(n):
+    """The corners of [-1,1]^n in sorted order, as a (2^n, n) array of
+    +-1: corner k has +1 on axis a iff bit n-1-a of k is set."""
+    return 2 * (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1) & 1) - 1
 
 
 @lru_cache(maxsize=8)
@@ -554,30 +585,38 @@ def _cube_boundary(n):
     return tuple(corners), cells, places, tuple((coeffs[0] * coeffs).tolist())
 
 
-def cube_boundary_protocol(gap: GapComplex, corner_maps):
+def cube_boundary_protocol(gap: GapComplex, corner_weights):
     """The disjoint union of boundary-of-cube protocols, one cube and one
-    part per corner map, which takes a +-1 corner tuple to a WeightPoint.
+    part per row of corner_weights: per level p..q, an array (cubes,
+    2^(q-p+1), n_cells) of each cube's corner weights, corner k being row
+    k of cube_corners.
 
     A cube is the boundary of [-1,1]^(q-p+1) as _cube_boundary makes it,
     offset per cube: cube i's vertices are numbered from i * 2^(q-p+1),
-    with the id prefix "i." when there are several.  The fundamental
+    with the id prefix "i." when there are several, and its corners'
+    weights are rows of level_weights from there on.  The fundamental
     cycle is the sum of the cubes' cycles (part_cycles() parts them)."""
     n = gap.q - gap.p + 1
     corners, cube_cells, cube_places, coeffs = _cube_boundary(n)
-    maps = list(corner_maps)
-    if not maps:
-        raise ValueError("no cube to build: an empty sequence of corner maps (top cells)")
+    weights = [np.asarray(w, dtype=float) for w in corner_weights]
+    cubes = len(weights[0]) if weights else 0
+    if not cubes:
+        raise ValueError("no cube to build: an empty sequence of cubes (top cells)")
+    if [w.shape for w in weights] != [(cubes, len(corners), gap.parent.n_cells(j))
+                                      for j in range(gap.p, gap.q + 1)]:
+        raise LevelMismatch("corner weights do not match the gap's levels")
+    if not all(np.isfinite(w).all() for w in weights):
+        raise LevelMismatch("non-finite weight entry")
     ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
-    if len(maps) > 1:
-        ids = [f"{i}.{cid}" for i in range(len(maps)) for cid in ids]
-    weights = [cw(c) for cw in maps for c in corners]
-    _validate_weights(gap, weights)
-    cube = np.arange(len(maps), dtype=np.intp)[:, None, None]
+    if cubes > 1:
+        ids = [f"{i}.{cid}" for i in range(cubes) for cid in ids]
+    cube = np.arange(cubes, dtype=np.intp)[:, None, None]
     index = _cell_index([(cube * len(corners) + c).reshape(-1, c.shape[1]) for c in cube_cells])
     places = [(cube * len(lower) + f).reshape(-1, f.shape[1])
               for lower, f in zip(cube_cells, cube_places)]
-    cycle = dict(zip(index.keys[index.offsets[-2]:], coeffs * len(maps)))
-    return _protocol(gap, ids, weights, index, places, cycle, cycle, parts=len(maps))
+    cycle = dict(zip(index.keys[index.offsets[-2]:], coeffs * cubes))
+    return _protocol(gap, ids, [w.reshape(-1, w.shape[2]) for w in weights], index, places,
+                     cycle, cycle, parts=cubes)
 
 
 def cube_protocol(gap: GapComplex, signs=None):
@@ -587,9 +626,9 @@ def cube_protocol(gap: GapComplex, signs=None):
     n = gap.q - gap.p + 1
     if any(gap.parent.n_cells(j) != 2 for j in range(gap.p, gap.q + 1)):
         raise ValueError("cube protocol needs exactly two cells per gap level")
-    if signs is None:
-        signs = [1] * n
-    return cube_boundary_protocol(gap, [lambda c: _corner_weight(gap, c, signs)])
+    weights = np.zeros((n, 1, 2 ** n, 2))
+    weights[:, 0, :, 0] = (cube_corners(n) * (1 if signs is None else np.asarray(signs))).T
+    return cube_boundary_protocol(gap, weights)
 
 
 def cube_sphere_protocol(q):

@@ -39,7 +39,9 @@ by dimension, part, and repr of the cell in its part's own vertex
 numbering, and the LiftObstruction names the cell that way and carries
 its part.  A dimension that fails keeps no lift, and every cell of a
 new signature is then lifted to name the failure.  hypercurrent_homology
-pairs many cycles over one lift.
+pairs many cycles over one lift, the domain's lift property, which a
+protocol builds with build_lift_cache once and keeps; the LiftCache's
+signatures number its top cells' signatures.
 """
 
 import math
@@ -140,11 +142,13 @@ class LiftCache:
     """Per-cell chain maps m(x (x) [cell]) in ambient coordinates: stacks[d]
     is the lift of the d-cells, and the degree-g block of a cell's row
     maps degree-g basis chains to degree g+dim(cell) chains on the cell's
-    tree subcomplex."""
+    tree subcomplex.  signatures numbers the top cells' signatures, in
+    cell_index order: two top cells of one number have one lift."""
 
     gap: GapComplex
     trees: dict       # cell key -> DTree
     stacks: list = field(default_factory=list, repr=False, compare=False)
+    signatures: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def tree_functor(proto, key):
@@ -201,6 +205,7 @@ def build_lift_cache(proto) -> LiftCache:
             pairs = np.stack([sig[faces + cells.offsets[j - 1]], signs], axis=2)
             rows = np.concatenate([rows, pairs.reshape(b - a, -1)], axis=1)
         sig[a:b] = _lift_dimension(proto, j, rows, cache, seen)
+    cache.signatures = sig[cells.offsets[-2]:]
     return cache
 
 
@@ -501,7 +506,7 @@ def hypercurrent_homology(proto, cycle, class_p):
         broken = set((at[bnd.astype(bool)] // stride).tolist())
         if any(i in broken and stray is None for i, stray in enumerate(strays)):
             raise NotACycle("parameter chain has nonzero boundary")
-    stacks = build_lift_cache(proto).stacks
+    stacks = proto.lift.stacks
     # the degree-p representative is a chain in degree 0 of the shifted complex
     as_list = not isinstance(class_p, QMat)
     if as_list:

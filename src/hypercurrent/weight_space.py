@@ -9,22 +9,30 @@ good protocol whose pairing decides whether the cell is essential.
 
 The top cells of one gap are classified in chunks of _CHUNK cells.  A
 chunk's transversal spheres form one protocol, the disjoint union of
-their cubes, which is certified once, lifted once (one stacked pass per
-cell dimension) and paired once with every cube's cycle; the results
-equal those of one cell at a time.  A lift failure in a chunk names the
-cube's top cell and the failing cell in the cube's own vertex
-numbering; of several, the lowest dimension, then the earliest cube,
-then repr order within the cube decides.
+their cubes, built from arrays: each level's ordered partitions become
+rows of block ranks (kept by the gap), checked as arrays, and every
+cube's corner weights are one stacked array per level.  The union is
+certified once and lifted once (one stacked pass per cell dimension).
+Every cube's cycle has the same coefficients, so its current is a
+function of its top cells' signature numbers in order: one cube per
+distinct tuple is paired, and the cubes of a tuple share its current
+matrix, converted to Fractions once.  The results equal those of one
+cell at a time.  A lift failure in a chunk names the cube's top cell and
+the failing cell in the cube's own vertex numbering; of several, the
+lowest dimension, then the earliest cube, then repr order within the
+cube decides.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import ratlin
 from .complex_core import CwComplex, GapComplex, gap_complex
 from .errors import EpsilonTooLarge, LiftObstruction
-from .protocol import WeightPoint, cube_boundary_protocol, is_good
+from .protocol import cube_boundary_protocol, cube_corners, is_good
 from .ratlin import QMat
 from .topo_hyper import hypercurrent_homology
 
@@ -61,14 +69,6 @@ class HeightData:
     @property
     def dimension(self):
         return sum(len(lvl) for lvl in self.blocks)
-
-    @property
-    def is_top(self):
-        for lvl in self.blocks:
-            sizes = sorted(len(b) for b in lvl)
-            if sizes != [1] * (len(lvl) - 1) + [2]:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -126,50 +126,55 @@ def enumerate_top_discriminant_cells(x: CwComplex, p, q):
     return out
 
 
-def _center_weights(x: CwComplex, cell: HeightData):
-    """Block ranks as weights; tied pair equal."""
-    centers = []
-    for j in range(cell.p, cell.q + 1):
-        vals = {}
-        for rank, block in enumerate(cell.level(j)):
-            for nm in block:
-                vals[nm] = float(rank)
-        centers.append(tuple(vals[nm] for nm in x.cells[j]))
-    return centers
+def _partition(x: CwComplex, j, lvl):
+    """An ordered partition of level j's cells as one row: 1 if it is one
+    tied pair and singletons (else 0 and no more), the least gap between
+    its blocks' ranks 0, 1, ... (inf for one block), the cell_index of the
+    later member of the tied pair, and the block ranks as cell weights."""
+    if sorted(map(len, lvl)) != [1] * (len(lvl) - 1) + [2]:
+        return (0.0, math.inf, 0.0) + (0.0,) * x.n_cells(j)
+    ranks = [0.0] * x.n_cells(j)
+    for rank, block in enumerate(lvl):
+        for nm in block:
+            ranks[x.cell_index(j, nm)] = float(rank)
+    later = max(x.cell_index(j, nm) for nm in next(b for b in lvl if len(b) == 2))
+    return (1.0, 1.0 if len(lvl) > 1 else math.inf, float(later), *ranks)
 
 
-def _corner_weights(gap: GapComplex, cell: HeightData, eps):
-    """The corner-to-weights map of one top cell's transversal cube, after
-    the checks a transversal sphere makes on the cell and eps."""
-    if not cell.is_top:
-        raise ValueError("transversal spheres are built over top cells only")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise EpsilonTooLarge(f"eps must be finite and positive, got {eps}")
+def _corner_weights(gap: GapComplex, cells, eps):
+    """Per level p..q, the corner weights of the cells' transversal cubes
+    as one array (cells, 2^(q-p+1), n_cells): block ranks as the center,
+    and the later member of the level's tied pair moved by eps times the
+    corner's coordinate on the level's axis.  Each level's partitions are
+    rows of _partition, kept by the gap, and the checks run on them
+    first: of the cells that fail one, the earliest raises, not top before
+    eps that is not finite and positive before eps not below half the
+    least gap between block ranks."""
     x, p, q = gap.parent, gap.p, gap.q
-    centers = _center_weights(x, cell)
-    min_gap = None
+    levels = []
     for j in range(p, q + 1):
-        ranks = sorted(set(centers[j - p]))
-        for a, b in zip(ranks, ranks[1:]):
-            d = b - a
-            min_gap = d if min_gap is None else min(min_gap, d)
-    if min_gap is not None and not eps < min_gap / 2:
-        raise EpsilonTooLarge(f"eps = {eps} is not below half the center gap {min_gap}")
-    perturbed = []
-    for j in range(p, q + 1):
-        pair = next(b for b in cell.level(j) if len(b) == 2)
-        later = max(pair, key=lambda nm: x.cell_index(j, nm))
-        perturbed.append(x.cell_index(j, later))
-
-    def corner_weight(corner):
-        vals = []
-        for j in range(p, q + 1):
-            row = list(centers[j - p])
-            row[perturbed[j - p]] += eps * corner[j - p]
-            vals.append(tuple(row))
-        return WeightPoint(p, q, tuple(vals))
-
-    return corner_weight
+        seen = gap.derived(("partitions", j), dict)
+        rows = [seen.get(lvl) or seen.setdefault(lvl, _partition(x, j, lvl))
+                for lvl in (c.level(j) for c in cells)]
+        levels.append(np.array(rows).reshape(len(cells), 3 + x.n_cells(j)))
+    top = np.logical_and.reduce([rows[:, 0] == 1 for rows in levels])
+    least = np.min([rows[:, 1] for rows in levels], axis=0)
+    finite = eps > 0 and math.isfinite(eps)
+    fails = ~top | (not finite) | ~(eps < least / 2)
+    if fails.any():
+        first = fails.argmax()
+        if not top[first]:
+            raise ValueError("transversal spheres are built over top cells only")
+        if not finite:
+            raise EpsilonTooLarge(f"eps must be finite and positive, got {eps}")
+        raise EpsilonTooLarge(f"eps = {eps} is not below half the center gap {least[first]}")
+    corners = cube_corners(q - p + 1)
+    out = []
+    for axis, rows in enumerate(levels):
+        weights = np.repeat(rows[:, None, 3:], len(corners), axis=1)
+        weights[np.arange(len(cells)), :, rows[:, 2].astype(np.intp)] += eps * corners[:, axis]
+        out.append(weights)
+    return out
 
 
 def transversal_sphere(gap: GapComplex, cells, eps=0.25):
@@ -182,7 +187,7 @@ def transversal_sphere(gap: GapComplex, cells, eps=0.25):
     names the first offending cell in cell_index order by its top cell
     and its place in that cube."""
     cells = list(cells)
-    proto = cube_boundary_protocol(gap, [_corner_weights(gap, c, eps) for c in cells])
+    proto = cube_boundary_protocol(gap, _corner_weights(gap, cells, eps))
     ok, offender = is_good(proto)
     if not ok:
         part, local = proto.part_of(offender)
@@ -200,24 +205,26 @@ def classify_cell(gap: GapComplex, cells, eps=0.25):
     if not cells:
         return []
     proto = transversal_sphere(gap, cells, eps)
-    units = QMat.identity(gap.parent_hp.betti)
     try:
-        pairs = hypercurrent_homology(proto, proto.part_cycles(), units)
+        tops = proto.lift.signatures.reshape(len(cells), -1)
     except LiftObstruction as exc:
         if exc.part is None:
             raise
         raise LiftObstruction(f"transversal sphere of top cell {cells[exc.part].blocks}: {exc}",
                               part=exc.part) from exc
-    reports = []
-    for c, (coords, _) in zip(cells, pairs):
-        current = tuple(map(tuple, coords.to_rows()))
-        reports.append(DiscriminantCellReport(
-            height=c,
-            dimension=c.dimension,
-            current_matrix=current,
-            essential=any(v != 0 for row in current for v in row),
-        ))
-    return reports
+    # each cube's current is a function of its top cells' signatures, in
+    # order, as every cube's cycle has the same coefficients: pair the
+    # first cube of each tuple, and share its current and its Fractions
+    first = {}
+    group = [first.setdefault(sigs, i) for i, sigs in enumerate(map(tuple, tops.tolist()))]
+    cycles = proto.part_cycles()
+    pairs = hypercurrent_homology(proto, [cycles[i] for i in first.values()],
+                                  QMat.identity(gap.parent_hp.betti))
+    current = {i: tuple(map(tuple, coords.to_rows()))
+               for i, (coords, _) in zip(first.values(), pairs)}
+    essential = {i: any(v != 0 for row in m for v in row) for i, m in current.items()}
+    return [DiscriminantCellReport(height=c, dimension=c.dimension, current_matrix=current[i],
+                                   essential=essential[i]) for c, i in zip(cells, group)]
 
 
 def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
@@ -233,7 +240,9 @@ def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
     cells = []
     for a in range(0, len(tops), _CHUNK):
         cells.extend(classify_cell(gap, tops[a:a + _CHUNK], eps))
+    # the rank of the distinct matrices, which chunks share by identity
     width = gap.parent_hq.betti * gap.parent_hp.betti
-    flat = [[v for row in rep.current_matrix for v in row] for rep in cells]
-    d = ratlin.rank(QMat.from_rows(flat, (len(cells), width)))
+    distinct = dict.fromkeys({id(rep.current_matrix): rep.current_matrix for rep in cells}.values())
+    flat = [[v for row in m for v in row] for m in distinct]
+    d = ratlin.rank(QMat.from_rows(flat, (len(flat), width)))
     return RobustReport(summands=c, contractible=False, cells=tuple(cells), robust_summands=d)

@@ -20,9 +20,11 @@ from functools import cached_property
 import numpy as np
 
 from hypercurrent.complex_core import GapComplex, GradedOperator, eth
-from hypercurrent.protocol import CellIndex, _corner_weight, smallness
+from hypercurrent.protocol import CellIndex, smallness
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import HyperCochain, build_lift_cache
+
+from cell_weights import cube_corner_weight
 
 
 @dataclass
@@ -117,6 +119,10 @@ class CubeCwDomain:
         return smallness(self)
 
     @cached_property
+    def lift(self):
+        return build_lift_cache(self)
+
+    @cached_property
     def cell_index(self):
         """The cells by dimension; the vertices are the 0-cells, the
         corners, in their all_cells order."""
@@ -190,7 +196,7 @@ class CubeCwDomain:
         return corners
 
     def weight_of(self, vertex_key):
-        return _corner_weight(self.gap, vertex_key, (1,) * self.n)
+        return cube_corner_weight(self.gap, vertex_key, (1,) * self.n)
 
     def part_of(self, key):
         return 0, key

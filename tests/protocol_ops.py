@@ -34,6 +34,13 @@ from hypercurrent.protocol import (
 )
 
 
+def levels_of(points):
+    """WeightPoints as a protocol's level_weights: per level, one float
+    array with a row per point."""
+    return tuple(np.array([wp.values[k] for wp in points], dtype=float)
+                 for k in range(len(points[0].values)))
+
+
 def closure_by_faces(simplices):
     """Every face of the given sorted vertex tuples, themselves included,
     found by walking codimension-one faces; sorted by (length, tuple)."""
@@ -111,7 +118,7 @@ class OracleProtocol(SimplicialProtocol):
 
 
 def oracle_validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
-    _validate_weights(gap, vertex_weights)
+    levels = _validate_weights(gap, vertex_weights)
     nv = len(vertex_ids)
     for s in simplices:
         for v in s:
@@ -126,7 +133,7 @@ def oracle_validate_protocol(gap, vertex_ids, vertex_weights, simplices, orienta
     proto = OracleProtocol(
         gap=gap,
         vertex_ids=tuple(vertex_ids),
-        vertex_weights=tuple(vertex_weights),
+        level_weights=levels,
         simplices=tuple(closed),
         orientation=dict(orientation),
         fundamental_cycle=dict(cycle),
@@ -237,17 +244,13 @@ def _combine(a: WeightPoint, b: WeightPoint, t):
     return WeightPoint(a.p, a.q, vals)
 
 
-def _scaled(wp: WeightPoint, c):
-    return WeightPoint(wp.p, wp.q, tuple(tuple(c * v for v in row) for row in wp.values))
-
-
 def scale(proto: SimplicialProtocol, beta):
     """Pointwise scalar multiple of all weights; order types unchanged."""
     _check_beta(beta)
     return SimplicialProtocol(
         gap=proto.gap,
         vertex_ids=proto.vertex_ids,
-        vertex_weights=tuple(_scaled(wp, float(beta)) for wp in proto.vertex_weights),
+        level_weights=tuple(w * float(beta) for w in proto.level_weights),
         simplices=proto.simplices,
         orientation=dict(proto.orientation),
         fundamental_cycle=dict(proto.fundamental_cycle),

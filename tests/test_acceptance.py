@@ -32,6 +32,7 @@ from hypercurrent.weight_space import classify_top_cells, good_summand_count
 from hypercurrent.graph_dynamics import evolve
 from hypercurrent.protocol import SimplicialProtocol, WeightPoint
 from normal_equations import weighted_pseudoinverse_boundary, weighted_pseudoinverse_inclusion
+from protocol_ops import levels_of
 from stationary import boltzmann, current_form
 
 
@@ -211,7 +212,7 @@ def test_criterion_10_dynamics():
         proto = SimplicialProtocol(
             gap=gap,
             vertex_ids=("t0", "t1"),
-            vertex_weights=(wp, wp),
+            level_weights=levels_of((wp, wp)),
             simplices=((0,), (1,), (0, 1)),
         )
         _, traj = evolve(proto, [1.0, 0.0], 0.0, 10.0, 10_000)

@@ -48,6 +48,7 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 from exact_cochain import chain_map_defect_oracle, hypercurrent_cochain
 from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
     weighted_pseudoinverse_inclusion
+from protocol_ops import levels_of
 from stationary import current_form
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
@@ -66,7 +67,7 @@ def constant_protocol(gap, wp):
     return SimplicialProtocol(
         gap=gap,
         vertex_ids=("A", "B"),
-        vertex_weights=(wp, wp),
+        level_weights=levels_of((wp, wp)),
         simplices=((0,), (1,), (0, 1)),
     )
 
@@ -643,7 +644,7 @@ def k4_protocol():
     return SimplicialProtocol(
         gap=gap_complex(x, 0, 1),
         vertex_ids=("A", "B", "C"),
-        vertex_weights=tuple(WeightPoint(0, 1, (level(4), level(6))) for _ in range(3)),
+        level_weights=levels_of([WeightPoint(0, 1, (level(4), level(6)))] * 3),
         simplices=((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)),
     )
 
@@ -1368,7 +1369,7 @@ def test_nonfinite_residual_is_a_violation():
     # used to drop it, reporting zero residuals and no violations
     bad = WeightPoint(0, 1, ((0.0, math.nan), (0.0, 1.0)))
     proto = SimplicialProtocol(gap=SPHERE1, vertex_ids=("A", "B"),
-                               vertex_weights=(WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0))), bad),
+                               level_weights=levels_of((WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0))), bad)),
                                simplices=((0,), (1,), (0, 1)))
     with np.errstate(invalid="ignore"):
         rep = axioms_check(proto, 3.0, [((0, 1), (0.5,))])
@@ -1575,8 +1576,8 @@ def triangle_protocol():
     gap between weights of one level stays at least 1."""
     return SimplicialProtocol(
         gap=TRIANGLE, vertex_ids=("A", "B"),
-        vertex_weights=(WeightPoint(0, 1, (LEVEL_WEIGHTS, LEVEL_WEIGHTS)),
-                        WeightPoint(0, 1, ((0.0, 1.5, 3.0), (0.0, 1.0, 2.5)))),
+        level_weights=levels_of((WeightPoint(0, 1, (LEVEL_WEIGHTS, LEVEL_WEIGHTS)),
+                                 WeightPoint(0, 1, ((0.0, 1.5, 3.0), (0.0, 1.0, 2.5))))),
         simplices=((0,), (1,), (0, 1)))
 
 

@@ -26,6 +26,7 @@ from hypercurrent.protocol import (
 )
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
+from protocol_ops import levels_of
 from stationary import boltzmann, current_form
 
 
@@ -48,7 +49,7 @@ def constant_path_protocol(x, e_vals, w_vals, nverts=2):
     return SimplicialProtocol(
         gap=gap,
         vertex_ids=tuple(f"t{i}" for i in range(nverts)),
-        vertex_weights=tuple(wp for _ in range(nverts)),
+        level_weights=levels_of([wp] * nverts),
         simplices=tuple(sorted(simplices, key=lambda s: (len(s), s))),
     )
 
@@ -439,7 +440,7 @@ def criterion_10_cases():
     proto = SimplicialProtocol(
         gap=gap_complex(segment_complex(), 0, 1),
         vertex_ids=("t0", "t1"),
-        vertex_weights=(wp, wp),
+        level_weights=levels_of((wp, wp)),
         simplices=((0,), (1,), (0, 1)),
     )
     # t1 == t0 is allowed: every step has length zero
@@ -494,7 +495,7 @@ def ramp_protocol(end_energy):
     return SimplicialProtocol(
         gap=gap_complex(segment_complex(), 0, 1),
         vertex_ids=("t0", "t1", "t2"),
-        vertex_weights=(flat, flat, WeightPoint(0, 1, ((end_energy, 0.0), (0.0,)))),
+        level_weights=levels_of((flat, flat, WeightPoint(0, 1, ((end_energy, 0.0), (0.0,))))),
         simplices=((0,), (1,), (2,), (0, 1), (1, 2)),
     )
 
@@ -619,7 +620,7 @@ def unrolled_loop(loop, beta):
     proto = SimplicialProtocol(
         gap=loop.gap,
         vertex_ids=tuple(f"t{i}" for i in range(m + 1)),
-        vertex_weights=pts,
+        level_weights=levels_of(pts),
         simplices=tuple((i,) for i in range(m + 1)) + tuple((i, i + 1) for i in range(m)),
     )
     return proto, pts

@@ -36,12 +36,13 @@ from hypercurrent.protocol import (
     weights_at,
 )
 from hypercurrent.ratlin import QMat
-from hypercurrent.weight_space import _corner_weights, enumerate_top_discriminant_cells, \
-    transversal_sphere
+from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
+from cell_weights import corner_weights, cube_corner_weight
 from exact_cochain import cube_cw_domain
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
-    closure_by_faces, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, subdivide
+    closure_by_faces, levels_of, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, \
+    subdivide
 
 
 def cycle_boundary(proto, cycle):
@@ -216,7 +217,7 @@ def test_constant_injective_protocol_all_k_p():
     proto = SimplicialProtocol(
         gap=gap,
         vertex_ids=("A", "B"),
-        vertex_weights=(wp, wp),
+        level_weights=levels_of((wp, wp)),
         simplices=((0,), (1,), (0, 1)),
     )
     cert = smallness(proto)
@@ -246,7 +247,7 @@ def test_tie_straddling_simplex_has_no_k():
     proto = SimplicialProtocol(
         gap=gap,
         vertex_ids=("A", "B"),
-        vertex_weights=(up, down),
+        level_weights=levels_of((up, down)),
         simplices=((0,), (1,), (0, 1)),
     )
     cert = smallness(proto)
@@ -309,7 +310,8 @@ def _smallness_domains():
     tied = ((0.0, 1.0), (0.0, 0.0))
     for other in (tied, ((0.0, 1.0), (2.0, 0.0))):
         yield SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1), vertex_ids=("A", "B"),
-                                 vertex_weights=(WeightPoint(0, 1, tied), WeightPoint(0, 1, other)),
+                                 level_weights=levels_of((WeightPoint(0, 1, tied),
+                                                          WeightPoint(0, 1, other))),
                                  simplices=((0,), (1,), (0, 1)))
     path3 = _graph("path3", [["x", "y", "z"], ["xy", "yz"]], [[[-1, 0], [1, -1], [0, 1]]])
     triangle = _graph("triangle", [["a", "b", "c"], ["ab", "bc", "ca"]],
@@ -333,7 +335,7 @@ def test_all_zero_weights_bad():
     gap = gap_complex(sphere_complex(1), 0, 1)
     zero = WeightPoint(0, 1, ((0.0, 0.0), (0.0, 0.0)))
     proto = SimplicialProtocol(
-        gap=gap, vertex_ids=("A",), vertex_weights=(zero,), simplices=((0,),)
+        gap=gap, vertex_ids=("A",), level_weights=levels_of((zero,)), simplices=((0,),)
     )
     assert not is_good(proto)[0]
 
@@ -626,7 +628,7 @@ def test_a_face_outside_the_protocol_raises():
     proto = cube_sphere_protocol(2)
     tops = proto.simplices_of_dim(2)
     open_proto = SimplicialProtocol(gap=proto.gap, vertex_ids=proto.vertex_ids,
-                                    vertex_weights=proto.vertex_weights,
+                                    level_weights=proto.level_weights,
                                     simplices=tuple(s for s in proto.simplices if s != tops[0][1:]))
     with pytest.raises(NotClosedUnderFaces, match=re.escape(f"face {tops[0][1:]} of simplex")):
         open_proto.face_rows
@@ -680,7 +682,7 @@ def test_builtins_equal_the_earlier_build(kind, q):
     gap = gap_complex(make(q), 0, q)
     signs = [1, -1] if kind == "square" else [1] * (q + 1)
     proto = protocol.builtin_protocol(kind, q)
-    oracle = oracle_cube_boundary_protocol(gap, lambda c: protocol._corner_weight(gap, c, signs))
+    oracle = oracle_cube_boundary_protocol(gap, lambda c: cube_corner_weight(gap, c, signs))
     _same_build(proto, oracle)
     if q <= 4:
         _same_build(loads_protocol(dumps_protocol(proto)), oracle)
@@ -703,7 +705,7 @@ def test_cube_unions_equal_the_earlier_build(name, count):
         cells = (cells * -(-count // len(cells)))[:count]
     proto = transversal_sphere(gap, cells)
     assert proto.parts == len(cells) > 1
-    _same_build(proto, oracle_cube_boundary_protocol(gap, [_corner_weights(gap, c, 0.25)
+    _same_build(proto, oracle_cube_boundary_protocol(gap, [corner_weights(gap, c, 0.25)
                                                            for c in cells]))
 
 
@@ -715,7 +717,7 @@ def test_face_codes_beyond_int64(top):
     nv = 2 ** 16
     wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
     proto = SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1),
-                               vertex_ids=tuple(map(str, range(nv))), vertex_weights=(wp,) * nv,
+                               vertex_ids=tuple(map(str, range(nv))), level_weights=levels_of((wp,) * nv),
                                simplices=tuple(closure_by_faces([top])))
     cells = proto.cell_index
     assert cells.keys == proto.simplices

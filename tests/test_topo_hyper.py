@@ -33,7 +33,7 @@ from hypercurrent.topo_hyper import (
 from eager_lift import build_lift_cache_eager
 from exact_cochain import (addendum_predicts_trivial, cell_blocks, chain_map_defect_oracle,
                            cube_cellular_cochain, hypercurrent_cochain)
-from protocol_ops import _closure, scale, subdivide
+from protocol_ops import _closure, levels_of, scale, subdivide
 
 
 def lift_vertex(proto, vertex_key):
@@ -52,7 +52,7 @@ def restrict(proto, keys):
     return SimplicialProtocol(
         gap=proto.gap,
         vertex_ids=proto.vertex_ids,
-        vertex_weights=proto.vertex_weights,
+        level_weights=proto.level_weights,
         simplices=tuple(closed),
         orientation={k: v for k, v in proto.orientation.items() if k in present},
         fundamental_cycle={k: v for k, v in proto.fundamental_cycle.items() if k in present},
@@ -65,7 +65,7 @@ def constant_protocol(gap, weight_point, nvertices=3):
     return SimplicialProtocol(
         gap=gap,
         vertex_ids=tuple(f"v{i}" for i in range(nvertices)),
-        vertex_weights=tuple(weight_point for _ in range(nvertices)),
+        level_weights=levels_of([weight_point] * nvertices),
         simplices=tuple(
             sorted([(i,) for i in range(nvertices)] + simplices, key=lambda s: (len(s), s))
         ),
@@ -104,7 +104,7 @@ def test_tree_functor_not_small():
     up = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
     down = WeightPoint(0, 1, ((1.0, 0.0), (1.0, 0.0)))
     proto = SimplicialProtocol(
-        gap=gap, vertex_ids=("A", "B"), vertex_weights=(up, down),
+        gap=gap, vertex_ids=("A", "B"), level_weights=levels_of((up, down)),
         simplices=((0,), (1,), (0, 1)),
     )
     with pytest.raises(NotSmall):

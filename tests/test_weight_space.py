@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hypercurrent import topo_hyper, weight_space
@@ -18,7 +20,7 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.errors import EpsilonTooLarge, GapViolated, LiftObstruction
 from hypercurrent.forests import make_dtree
-from hypercurrent.protocol import WeightPoint, is_good, smallness
+from hypercurrent.protocol import is_good, smallness
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.weight_space import (
@@ -29,6 +31,8 @@ from hypercurrent.weight_space import (
     good_summand_count,
     transversal_sphere,
 )
+
+from cell_weights import corner_weights, is_top, stacked
 
 
 def path_complex():
@@ -99,7 +103,7 @@ def test_sphere_single_top_cell():
     cells = enumerate_top_discriminant_cells(sphere_complex(2), 0, 2)
     assert len(cells) == 1
     cell = cells[0]
-    assert cell.is_top
+    assert is_top(cell)
     assert cell.dimension == 3  # one block per level
     for j in range(3):
         assert cell.level(j) == ((f"e{j}+", f"e{j}-"),)
@@ -110,7 +114,7 @@ def test_path_graph_top_cells():
     # 3 pairs x 2 block orders at level 0, 1 x 1 at level 1
     assert len(cells) == 6
     for cell in cells:
-        assert cell.is_top
+        assert is_top(cell)
         assert cell.dimension == 2 + 1
 
 
@@ -213,10 +217,7 @@ def test_classification_eps_independent():
 
 def _affine_weights(proto, a, b):
     """The protocol with every vertex weight mapped through w -> a w + b."""
-    weights = tuple(
-        WeightPoint(wp.p, wp.q, tuple(tuple(a * v + b for v in row) for row in wp.values))
-        for wp in proto.vertex_weights)
-    return dataclasses.replace(proto, vertex_weights=weights)
+    return dataclasses.replace(proto, level_weights=tuple(a * w + b for w in proto.level_weights))
 
 
 def _pairing(proto):
@@ -463,3 +464,95 @@ def test_empty_sequence_of_top_cells():
     assert classify_cell(gap, iter([])) == []
     with pytest.raises(ValueError, match="empty sequence"):
         transversal_sphere(gap, [])
+
+
+# --- the chunk arrays and the pairing per signature tuple, against oracles ---------------
+
+
+K4 = list(itertools.combinations(range(4), 2))
+
+CHUNKS = {
+    "path3": (path_complex, 1), "triangle": (triangle_complex, 1),
+    "star4": (lambda: graph_complex("star4", STAR4), 1),
+    "sphere1": (lambda: sphere_complex(1), 1), "sphere2": (lambda: sphere_complex(2), 2),
+    "wedge1": (lambda: sphere_wedge_complex(1), 1), "wedge2": (lambda: sphere_wedge_complex(2), 2),
+    "K4": (lambda: graph_complex("K4", K4), 1),
+}
+
+
+def _chunk(name):
+    """The gap of a fixture and its first chunk of top cells."""
+    make, q = CHUNKS[name]
+    x = make()
+    return gap_complex(x, 0, q), enumerate_top_discriminant_cells(x, 0, q)[:weight_space._CHUNK]
+
+
+@pytest.mark.parametrize("name", list(CHUNKS))
+@pytest.mark.parametrize("eps", [0.25, 0.1])
+def test_chunk_corner_weights_equal_the_per_cell_oracle(name, eps):
+    # bit for bit: one corner map and one WeightPoint per corner of each cube
+    gap, cells = _chunk(name)
+    proto = transversal_sphere(gap, cells, eps)
+    oracle = stacked(gap, [corner_weights(gap, c, eps) for c in cells])
+    assert len(proto.level_weights) == len(oracle)
+    for got, want in zip(proto.level_weights, oracle):
+        assert got.dtype == want.dtype and got.shape == (want.shape[0] * want.shape[1], want.shape[2])
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", list(CHUNKS))
+def test_one_pairing_per_signature_tuple(name, monkeypatch):
+    # the reports equal one pairing per cube over the same union, and the
+    # chunk pairs one cycle per distinct tuple of its cubes' top signatures
+    gap, cells = _chunk(name)
+    paired = []
+    real = weight_space.hypercurrent_homology
+    monkeypatch.setattr(weight_space, "hypercurrent_homology",
+                        lambda proto, cycles, units: paired.append((proto, len(cycles)))
+                        or real(proto, cycles, units))
+    reports = classify_cell(gap, cells)
+    (proto, count), = paired
+    tuples = set(map(tuple, proto.lift.signatures.reshape(len(cells), -1).tolist()))
+    assert count == len(tuples) <= len(cells)
+    per_cube = real(proto, proto.part_cycles(), QMat.identity(gap.parent_hp.betti))
+    assert [r.height for r in reports] == cells
+    for report, (coords, _) in zip(reports, per_cube):
+        current = tuple(map(tuple, coords.to_rows()))
+        assert report.current_matrix == current
+        assert report.essential == any(v != 0 for row in current for v in row)
+    if name == "K4":
+        assert count < len(cells) // 10
+
+
+def _first_error(call):
+    try:
+        call()
+    except Exception as exc:    # compared by type and text
+        return type(exc), str(exc)
+    return None
+
+
+def _not_top(cell):
+    """The height data with level p's two-block split into singletons."""
+    lvl = cell.blocks[0]
+    split = tuple(b for block in lvl for b in ([block] if len(block) == 1 else [(nm,) for nm in block]))
+    return dataclasses.replace(cell, blocks=(split,) + cell.blocks[1:])
+
+
+@pytest.mark.parametrize("eps", [0.25, 0.5, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("make", [path_complex, lambda: sphere_complex(1)], ids=["path3", "sphere1"])
+def test_check_order_is_the_per_cell_order(make, eps):
+    # not top, then eps not finite and positive, then eps not below half the
+    # center gap, each for the earliest cell that fails one, as the per-cell
+    # oracle meets them cell by cell
+    x = make()
+    gap = gap_complex(x, 0, 1)
+    top = enumerate_top_discriminant_cells(x, 0, 1)
+    bad = _not_top(top[0])
+    assert not is_top(bad)
+    seen = set()
+    for cells in ([top[0]], top[:2], [bad], [top[0], bad], [bad, top[0]], top[:1] + [bad] * 2):
+        want = _first_error(lambda: [corner_weights(gap, c, eps) for c in cells])
+        assert _first_error(lambda: transversal_sphere(gap, cells, eps)) == want
+        seen.add(want and want[0])
+    assert ValueError in seen
