@@ -83,7 +83,9 @@ def _rat(x):
 
 
 def _emit(report, out):
-    text = json.dumps(report, indent=1, sort_keys=True)
+    # a report is a tree the command builds, never circular: skipping the
+    # check halves the encoding of a weightspace report's cell rows
+    text = json.dumps(report, indent=1, sort_keys=True, check_circular=False)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -321,7 +323,7 @@ def cmd_weightspace(args):
         rats = {i: [[_rat(v) for v in row] for row in m] for i, m in distinct.items()}
         report["cells"] = [
             {
-                "height": [[list(b) for b in lvl] for lvl in rep.height.blocks],
+                "height": rep.height.blocks,    # tuples, written as JSON arrays
                 "dimension": rep.dimension,
                 "essential": rep.essential,
                 "current_matrix": rats[id(rep.current_matrix)],

@@ -172,7 +172,8 @@ class CellIndex(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimplicialProtocol:
-    """Oriented simplicial parameter space with a weight point per vertex."""
+    """Oriented simplicial parameter space with a weight point per vertex.
+    Protocols compare by identity: their weights are arrays."""
 
     gap: GapComplex
     vertex_ids: tuple            # vertex index -> id string
@@ -366,11 +367,14 @@ def _floats(values, what):
         raise ParseError(f"{what} must hold numbers: {exc}") from exc
 
 
-def _vertex(index, vid, where):
-    """The number of the vertex named vid, which where references."""
-    if isinstance(vid, (list, dict)) or vid not in index:
-        raise NotClosedUnderFaces(f"{where} references unknown vertex {vid!r}")
-    return index[vid]
+def _vertex_key(index, vids, where):
+    """The sorted numbers of the vertices named vids, which where
+    references; the first unknown name raises."""
+    try:
+        return tuple(sorted(index[v] for v in vids))
+    except (KeyError, TypeError):   # a name of no vertex, or one of no JSON string or number
+        bad = next(v for v in vids if isinstance(v, (list, dict)) or v not in index)
+        raise NotClosedUnderFaces(f"{where} references unknown vertex {bad!r}") from None
 
 
 def loads_protocol(text, base_dir=None):
@@ -409,13 +413,13 @@ def loads_protocol(text, base_dir=None):
             vids = _typed(s["vertices"], list, "a simplex's vertices")
         except KeyError as exc:
             raise NotClosedUnderFaces(f"simplex references unknown vertex {exc}") from exc
-        key = tuple(sorted(_vertex(id_index, v, "simplex") for v in vids))
+        key = _vertex_key(id_index, vids, "simplex")
         simplices.append(key)
         if "orientation" in s:
             orientation[key] = _typed(s["orientation"], int, "a simplex's orientation")
     cycle = {}
     for ckey, coeff in _typed(doc.get("cycle", {}), dict, "protocol field cycle").items():
-        key = tuple(sorted(_vertex(id_index, v, "cycle") for v in ckey.split(",")))
+        key = _vertex_key(id_index, ckey.split(","), "cycle")
         cycle[key] = _typed(coeff, int, f"the cycle coefficient of {ckey}")
     return _validate_protocol(gap, ids, weights, simplices, orientation, cycle)
 

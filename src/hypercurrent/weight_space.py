@@ -240,7 +240,7 @@ def classify_top_cells(x: CwComplex, p, q, eps=0.25) -> RobustReport:
     cells = []
     for a in range(0, len(tops), _CHUNK):
         cells.extend(classify_cell(gap, tops[a:a + _CHUNK], eps))
-    # the rank of the distinct matrices, which chunks share by identity
+    # the rank over the distinct matrices: the cubes of one tuple share theirs
     width = gap.parent_hq.betti * gap.parent_hp.betti
     distinct = dict.fromkeys({id(rep.current_matrix): rep.current_matrix for rep in cells}.values())
     flat = [[v for row in m for v in row] for m in distinct]
