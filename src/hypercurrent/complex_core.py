@@ -294,10 +294,10 @@ class GapComplex:
     cells) and ("tree_aux", tree key) (a tree and its contraction),
     ("tree", level, order type) (the greedy tree, which reads the order
     of the weights only), "restricted" (the last cell subset's kept
-    matrix), "boundary_peak", "state_diagram" and "lifts" (the exact lift
-    of every cell signature seen: a tree key, then the faces' signatures
-    and signs, which fix the lift with no weight).  The boundaries are the
-    gap's own kept QMats, whose eliminations every tree shares.
+    matrix), "state_diagram" and "lifts" (the exact lift of every cell
+    signature seen: a tree key, then the faces' signatures and signs,
+    which fix the lift with no weight).  The boundaries are the gap's
+    own kept QMats, whose eliminations every tree shares.
     """
 
     parent: CwComplex
@@ -338,6 +338,8 @@ class GapComplex:
 
 
 _GAPS = OrderedDict()   # content key -> GapComplex, least recently used first
+# a one-shot hcl call never revisits a gap: only a process that cycles
+# through more complexes than this misses, and pays what a fresh call pays
 _GAPS_KEPT = 16
 
 

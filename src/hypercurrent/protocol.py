@@ -8,14 +8,14 @@ exactly by strict sign agreement of pairwise differences at vertices;
 no sampling is involved.  The weights are stored as level_weights, one
 (n_vertices, n_cells) float array per level; vertex_weights and
 weight_of are WeightPoint views of their rows, built when read, for
-documents, weights_at and the tree choice.
+documents and weights_at.
 
 Smallness and the exact lift read a parameter domain only through
-dim_of, vertices_of, weight_of, part_of, its cached certificate and
-lift, and three array views: cell_index, the cells by dimension with
-their vertices as one index array; face_rows, each dimension's faces as
-rows of the dimension below with their signs; and level_weights.  The
-tests also run them on a regular-CW cube domain.
+dim_of, part_of, its cached certificate and lift, and three array views:
+cell_index, the cells by dimension with their vertices as one index
+array; face_rows, each dimension's faces as rows of the dimension below
+with their signs; and level_weights, which also fix each cell's tree.
+The tests also run them on a regular-CW cube domain.
 
 A protocol's cells are one array of sorted vertex rows per dimension.
 One np.unique pass over row codes closes a dimension under faces and
@@ -44,8 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import topo_hyper
-from .complex_core import GapComplex, _typed, dumps_complex, gap_complex, load_complex, \
-    loads_complex, sphere_complex, sphere_wedge_complex, collapsed_sphere_complex, \
+from .complex_core import GapComplex, _from_doc, _typed, dumps_complex, gap_complex, \
+    load_complex, sphere_complex, sphere_wedge_complex, collapsed_sphere_complex, \
     torsion_complex
 from .errors import (
     BadCoordinates,
@@ -350,7 +350,7 @@ def _resolve_complex(spec, base_dir=None):
         if "path" in spec:
             return _resolve_complex(spec["path"], base_dir)
         if "inline" in spec:
-            return loads_complex(json.dumps(spec["inline"]))
+            return _from_doc(spec["inline"])
         kind = spec.get("builtin")
         if kind == "torsion":
             return torsion_complex()
@@ -647,9 +647,15 @@ def square_protocol():
     return cube_protocol(gap, signs=[1, -1])
 
 
+# the largest q of a cube builtin (1 637 504 cells; q = 9 needs 554 MiB of rows)
+_BUILTIN_Q_MAX = 7
+
+
 def builtin_protocol(kind, q):
     """The builtin protocol named kind: "cube_sphere" or "cube_wedge" at
-    top level q, or "square" (which ignores q)."""
+    top level q (at most _BUILTIN_Q_MAX), or "square" (which ignores q)."""
+    if kind in ("cube_sphere", "cube_wedge") and q > _BUILTIN_Q_MAX:
+        raise ParseError(f"builtin {kind} takes q at most {_BUILTIN_Q_MAX}, got {q}")
     if kind == "cube_sphere":
         return cube_sphere_protocol(q)
     if kind == "cube_wedge":

@@ -11,14 +11,12 @@ map cochain_chain_map_defect measures in one pass per dimension.
 
 The lift is stacked: each dimension, vertices included, is one stack
 per degree of numerators over one denominator, with a cell key -> row
-index.  lift_simplex gathers a dimension's face values from the stack
-below through the domain's face rows (row indices and signs) and runs
-every product and check on the whole stack: on int64 numerators when a
-bound from its operands' largest entries keeps every product and sum of
-the degree below _INT64_BOUND, else on Python ints.  What leaves the
-module holds Python ints: the pairing, which checks the cycles'
-boundaries on the same face rows and contracts the top stack's degree-0
-numerators (Koszul sign +1) with their coefficients.
+index.  Every numerator is a Python int.  lift_simplex gathers a
+dimension's face values from the stack below through the domain's face
+rows (row indices and signs) and runs every product and check on the
+whole stack.  The pairing checks the cycles' boundaries on the same face
+rows and contracts the top stack's degree-0 numerators (Koszul sign +1)
+with their coefficients.
 
 A cell's lift depends on its domain only through its signature: its
 tree, then each face's signature and sign in face_rows order (Kirchhoff:
@@ -27,7 +25,9 @@ numbers the signatures, with the trees from one argsort of the level
 weights per level and one tree_functor call per distinct (level, order
 type); lift_simplex runs only on the first cell of each signature the
 gap has not seen, the gap keeps that lift, and every stack is gathered
-from the gap's lifts, so domains over one gap share them.
+from the gap's lifts over their denominator, so domains over one gap
+share them.  lift_simplex and QMat reduce what they make, so no output
+depends on which lifts the gap kept.
 
 Errors are those a cell-by-cell pass in (dim, repr) order meets first:
 earliest cell, then degree, then check (support, class or cycle, top
@@ -153,18 +153,21 @@ class LiftCache:
 
 def tree_functor(proto, key):
     """The preferred tree of a small cell: greedy at its least injective
-    level, using the order type certified on the whole closed cell; kept
-    in the gap's memo by (level, order type), so protocols share it, with
-    its contraction, built while the gap holds the tree's elimination."""
+    level, using the order type certified on the whole closed cell (read
+    at its first vertex's row of level_weights); kept in the gap's memo
+    by (level, order type), so protocols share it, with its contraction,
+    built while the gap holds the tree's elimination."""
     gap = proto.gap
-    k = proto.certificate.k[tuple(key)]
-    if k is None:
+    cells = proto.cell_index
+    row = cells.position[tuple(key)]
+    k = int(proto.certificate.least[row])
+    if k < 0:
         raise NotSmall(f"cell {key} has no injective level")
-    vertex = proto.vertices_of(key)[0]
-    weights = dict(zip(gap.parent.cells[k], proto.weight_of(vertex).level(k)))
-    order = tuple(sorted(weights, key=weights.get))
-    return gap.derived(("tree", k, order),
-                       lambda: _tree_aux(gap, greedy_dtree(gap, k, weights)).tree)
+    names = gap.parent.cells[k]
+    w = proto.level_weights[k - gap.p][cells.vertices[row, 0]]
+    order = tuple(names[i] for i in np.argsort(w, kind="stable"))
+    return gap.derived(("tree", k, order), lambda: _tree_aux(
+        gap, greedy_dtree(gap, k, dict(zip(names, w.tolist())))).tree)
 
 
 class _Lifts:
@@ -173,7 +176,7 @@ class _Lifts:
     number, then each face's signature number and sign in face_rows
     order) to its number, and blocks holds per input degree the lifts of
     the signatures in number order, numerators over one denominator,
-    reduced."""
+    reduced; a gather of some of them keeps that denominator."""
 
     def __init__(self):
         self.trees, self.index, self.blocks = {}, {}, {}
@@ -242,7 +245,7 @@ def _lift_dimension(proto, j, rows, cache, seen):
     if len(new):
         if j == 0:
             phis = [_tree_aux(gap, cache.trees[keys[i]]).phi for i in new]
-            blocks = [_narrowed(*_stacked([phi[g] for phi in phis])) for g in range(gap.top + 1)]
+            blocks = [_stacked([phi[g] for phi in phis]) for g in range(gap.top + 1)]
         else:
             try:
                 lift_simplex(proto, [keys[i] for i in new], cache)
@@ -256,9 +259,7 @@ def _lift_dimension(proto, j, rows, cache, seen):
         for i in new.tolist():
             index[tuple(rows[i].tolist())] = len(index)
     sigs = np.array([index[r] for r in distinct], dtype=np.int64)[inverse]
-    # a gather of every kept lift is reduced as the kept stack is
-    stack = [(num[sigs], den) if len(distinct) == len(index) else _reduced(num[sigs], den)
-             for num, den in seen.blocks[j]]
+    stack = [(num[sigs], den) for num, den in seen.blocks[j]]
     del cache.stacks[j:]
     cache.stacks.append(_Stack(keys, dict(zip(keys, range(len(keys)))), stack))
     return sigs
@@ -277,19 +278,12 @@ def _distinct(rows):
     return order[new], number
 
 
-def _narrowed(num, den):
-    """A stack of Python ints on int64 when its entries stay below the
-    bound."""
-    return (num.astype(np.int64) if _peak(num) < _INT64_BOUND else num), den
-
-
 def _grown(old, new):
     """The stack old with the rows of the stack new appended, over their
     common denominator, reduced."""
     (onum, oden), (nnum, nden) = old, new
     den = math.lcm(oden, nden)
-    return _narrowed(*_reduced(np.concatenate([onum.astype(object) * (den // oden),
-                                               nnum.astype(object) * (den // nden)]), den))
+    return _reduced(np.concatenate([onum * (den // oden), nnum * (den // nden)]), den)
 
 
 def _tree_positions(trees, keys):
@@ -321,15 +315,6 @@ def _nonzero(num):
     return num.astype(bool).any(axis=(1, 2))
 
 
-def _peak(num):
-    """Largest absolute entry of an array of integers, and at least 1."""
-    return max(int(np.abs(num).max()), 1) if num.size else 1
-
-
-# a lift degree runs on int64 when its bound stays below this
-_INT64_BOUND = 2 ** 62
-
-
 # the checks of one lift step in the order they are made
 _OBSTRUCTIONS = (
     "face values escape the tree subcomplex at {key}",
@@ -355,8 +340,8 @@ def lift_simplex(proto, keys, cache: LiftCache):
     the contracting homotopy applied to
         m(dx (x) [cell]) + (-1)^{|x|} m(x (x) d[cell]);
     the argument is asserted to be an exact cycle (a boundary) before
-    and after the solve.  Stacks, face rows, int64 steps and the order
-    of errors are as the module docstring says.
+    and after the solve.  Stacks, face rows and the order of errors are
+    as the module docstring says; the stack stored is reduced.
     """
     gap = cache.gap
     top = gap.top
@@ -373,7 +358,6 @@ def lift_simplex(proto, keys, cache: LiftCache):
     trees, tree_of = _tree_positions(cache.trees, keys)
     auxes = [_tree_aux(gap, tree) for tree in trees]
     n = len(keys)
-    bpeak = gap.derived("boundary_peak", lambda: max(_peak(m.num) for m in gap.dbar))
     out = []
     failed = []     # (failing cells, degree, check) of each check that fails
 
@@ -382,44 +366,32 @@ def lift_simplex(proto, keys, cache: LiftCache):
             failed.append((bad, g, which))
 
     for g in range(top + 1):
-        ng = gap.dim_at(g)
         zdeg = g + jdim - 1
-        rows = gap.dim_at(zdeg)
         fnum, zden = fstack.blocks[g]
-        # bounds on |z|, on |pi0 z|, |d z| and |h z|, and on the step's largest term
-        zmax = _peak(fnum) * faces.shape[1]
+        z = (fnum[faces] * ((-1) ** g * signs[..., None, None])).sum(1)
         if g >= 1:
             pnum, pden = out[g - 1]
             d = gap.d(g)
             bden = pden * d.den
             den = math.lcm(zden, bden)
-            zmax = zmax * (den // zden) \
-                + _peak(pnum) * bpeak * max(gap.dim_at(g - 1), 1) * (den // bden)
-        dz, dt = gap.d(zdeg).num, gap.d(g + jdim)
-        hnum, hden = _stacked([aux.h[zdeg] for aux in auxes]) if g + jdim <= top else (dz, 1)
-        pi0 = np.stack([aux.pi0.num for aux in auxes]) if zdeg == 0 else dz
-        mmax = zmax * max(rows, 1) * max(_peak(hnum), _peak(pi0), bpeak)
-        step = max(mmax * bpeak * max(gap.dim_at(g + jdim), 1) * zden, zmax * dt.den * hden * zden)
-        dtype = np.int64 if step < _INT64_BOUND else object
-        z = (fnum.astype(dtype, copy=False)[faces] * ((-1) ** g * signs[..., None, None])).sum(1)
-        if g >= 1:
-            z = z * (den // zden) + (pnum.astype(dtype, copy=False) @ d.num.astype(dtype)) \
-                * (den // bden)
+            z = z * (den // zden) + (pnum @ d.num) * (den // bden)
             zden = den
-        if rows:
+        if gap.dim_at(zdeg):
             off = np.stack([aux.outside[zdeg] for aux in auxes])[tree_of]
             check((z.astype(bool) & off[:, :, None]).any(axis=(1, 2)), g, 0)
             if zdeg == 0:
-                check(_nonzero(pi0.astype(dtype)[tree_of] @ z), g, 1)
+                check(_nonzero(np.stack([aux.pi0.num for aux in auxes])[tree_of] @ z), g, 1)
             else:
-                check(_nonzero(dz.astype(dtype) @ z), g, 2)
+                check(_nonzero(gap.d(zdeg).num @ z), g, 2)
         if g + jdim > top:
             check(_nonzero(z), g, 3)
-            out.append((np.zeros((n, 0, ng), dtype=dtype), 1))
+            out.append((np.zeros((n, 0, gap.dim_at(g)), dtype=object), 1))
             continue
-        m, mden = _reduced(hnum.astype(dtype)[tree_of] @ z, hden * zden)
+        hnum, hden = _stacked([aux.h[zdeg] for aux in auxes])
+        m, mden = _reduced(hnum[tree_of] @ z, hden * zden)
         # d m == z, cross-multiplied: (d.num @ m) / (d.den mden) == z / zden
-        check(_nonzero((dt.num.astype(dtype) @ m) * zden - z * (dt.den * mden)), g, 4)
+        dt = gap.d(g + jdim)
+        check(_nonzero((dt.num @ m) * zden - z * (dt.den * mden)), g, 4)
         out.append((m, mden))
     if failed:
         part, _, local, g, which = min((*_located(proto, keys[i]), g, which)
@@ -523,7 +495,7 @@ def hypercurrent_homology(proto, cycle, class_p):
     shape = (gap.dim_at(gap.top), gap.dim_at(0))
     if width:
         num, den = stacks[gap.top].blocks[0]
-        total = (weights[:, :, None, None] * num[gather].astype(object)).sum(axis=1)
+        total = (weights[:, :, None, None] * num[gather]).sum(axis=1)
     else:
         total, den = np.zeros((len(cycles),) + shape, dtype=object), 1
     # the paired chains side by side, one block of columns per cycle

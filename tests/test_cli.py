@@ -333,6 +333,23 @@ def test_unknown_builtin_is_validation_error(capsys):
     assert main(["topo", "current", "builtin:nonesuch:2"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["protocol", "check", "DOC"],
+                                  ["topo", "current", "builtin:cube_sphere:8"]])
+def test_builtin_degree_above_the_bound_exits_2_before_building(argv, tmp_path, monkeypatch,
+                                                                 capsys):
+    from hypercurrent import protocol
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps({"builtin": {"type": "cube_sphere", "q": 1000000000}}))
+
+    def refused(*args):
+        raise AssertionError("the bound is checked before anything is built")
+
+    monkeypatch.setattr(protocol, "gap_complex", refused)
+    monkeypatch.setattr(protocol, "cube_boundary_protocol", refused)
+    assert main([str(doc) if a == "DOC" else a for a in argv]) == 2
+    assert "ParseError: builtin cube_sphere takes q at most 7" in capsys.readouterr().err
+
+
 def test_quantize_writes_csv(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert main(

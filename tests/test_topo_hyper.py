@@ -34,6 +34,7 @@ from eager_lift import build_lift_cache_eager
 from exact_cochain import (addendum_predicts_trivial, cell_blocks, chain_map_defect_oracle,
                            cube_cellular_cochain, hypercurrent_cochain)
 from protocol_ops import _closure, levels_of, scale, subdivide
+from test_lift_oracle import build_lift_cache_oracle
 
 
 def lift_vertex(proto, vertex_key):
@@ -131,6 +132,22 @@ def test_tree_functor_shared_over_the_gap():
     assert scaled.gap is proto.gap
     for s in proto.all_cells():
         assert tree_functor(scaled, s) is tree_functor(proto, s)
+
+
+def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
+    # the trees come from the certificate and level_weights: a protocol
+    # whose weight_of and vertices_of raise lifts and pairs to the same class
+    first = cube_sphere_protocol(3)
+    expected = hypercurrent_homology(first, first.fundamental_cycle, [1])
+    complex_core._GAPS.clear()
+    proto = cube_sphere_protocol(3)
+
+    def refused(self, key):
+        raise AssertionError("the lift reads the domain's arrays only")
+
+    monkeypatch.setattr(type(proto), "weight_of", refused)
+    monkeypatch.setattr(type(proto), "vertices_of", refused)
+    assert hypercurrent_homology(proto, proto.fundamental_cycle, [1]) == expected
 
 
 def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
@@ -544,7 +561,7 @@ def test_first_obstruction_follows_repr_order(monkeypatch):
     assert str(lazy.value) == str(eager.value)
 
 
-# --- the lift's int64 steps and the cycle check on face rows ------------------------
+# --- the lift's Python-int stacks and the cycle check on face rows -----------
 
 
 def _fundamental_cycle(domain):
@@ -560,30 +577,24 @@ INT64_DOMAINS = {
 
 
 @pytest.mark.parametrize("name", list(INT64_DOMAINS))
-def test_python_int_steps_equal_int64_steps(monkeypatch, name):
-    # with the bound lowered to 1 every step runs on Python ints; stacks,
-    # values and pairings are those of the int64 run, and every value a
-    # caller reads holds Python ints.  Each run starts from no gaps, so
-    # neither reads lifts the other kept
-    runs = []
-    for bound in (topo_hyper._INT64_BOUND, 1):
-        monkeypatch.setattr(topo_hyper, "_INT64_BOUND", bound)
-        complex_core._GAPS.clear()
-        proto = INT64_DOMAINS[name]()
-        cache = build_lift_cache(proto)
-        pairing = hypercurrent_homology(proto, _fundamental_cycle(proto), [1])
-        runs.append((cache, pairing))
-    (fast, fast_pair), (slow, slow_pair) = runs
-    assert all(num.dtype == np.int64 for stack in fast.stacks[1:] for num, _ in stack.blocks)
-    assert all(num.dtype == object for stack in slow.stacks for num, _ in stack.blocks)
-    for a, b in zip(fast.stacks, slow.stacks, strict=True):
-        assert a.keys == b.keys
-        for (anum, aden), (bnum, bden) in zip(a.blocks, b.blocks, strict=True):
-            assert aden == bden and anum.shape == bnum.shape and (anum == bnum).all()
-    assert cell_blocks(fast) == cell_blocks(slow)
-    assert all(m.num.dtype == object for mats in cell_blocks(fast).values() for m in mats)
-    assert fast_pair == slow_pair
-    assert all(type(v) is Fraction for v in fast_pair[0] + fast_pair[1])
+def test_lift_holds_python_ints_and_matches_fraction_oracle(name):
+    # every stack, every QMat read from it and the pairing hold Python ints,
+    # on domains whose entries would fit int64, and each cell's blocks are
+    # the cell-by-cell Fraction lift's
+    proto = INT64_DOMAINS[name]()
+    cache = build_lift_cache(proto)
+    pairing = hypercurrent_homology(proto, _fundamental_cycle(proto), [1])
+    assert all(num.dtype == object and type(den) is int
+               for stack in cache.stacks for num, den in stack.blocks)
+    assert all(type(v) is int for stack in cache.stacks for num, _ in stack.blocks
+               for v in num.flat)
+    blocks = cell_blocks(cache)
+    assert all(m.num.dtype == object for mats in blocks.values() for m in mats)
+    old = build_lift_cache_oracle(proto)
+    assert blocks.keys() == old.values.keys()
+    for key, mats in blocks.items():
+        assert [m.to_rows() for m in mats] == [list(map(list, m)) for m in old.values[key]]
+    assert all(type(v) is Fraction for v in pairing[0] + pairing[1])
 
 
 def test_cycle_check_reads_the_face_rows():
