@@ -344,8 +344,8 @@ def test_builtin_degree_above_the_bound_exits_2_before_building(argv, tmp_path, 
     def refused(*args):
         raise AssertionError("the bound is checked before anything is built")
 
-    monkeypatch.setattr(protocol, "gap_complex", refused)
-    monkeypatch.setattr(protocol, "cube_boundary_protocol", refused)
+    for name in ("sphere_complex", "gap_complex", "cube_boundary_protocol"):
+        monkeypatch.setattr(protocol, name, refused)
     assert main([str(doc) if a == "DOC" else a for a in argv]) == 2
     assert "ParseError: builtin cube_sphere takes q at most 7" in capsys.readouterr().err
 
