@@ -181,13 +181,14 @@ def cmd_protocol(args):
     if offender is not None:
         report["first_offender"] = list(offender)
     if args.action == "strata":
+        p = proto.gap.p
         report["simplices"] = [
             {
                 "vertices": [proto.vertex_ids[v] for v in key],
-                "levels": sorted(cert.levels[key]),
-                "k": cert.k[key],
+                "levels": (np.flatnonzero(ok) + p).tolist(),
+                "k": None if k < 0 else k,
             }
-            for key in proto.all_cells()
+            for key, ok, k in zip(proto.cell_index.keys, cert.levels, cert.least.tolist())
         ]
     _emit(report, args.out)
     return 0

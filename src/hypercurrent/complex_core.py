@@ -211,10 +211,11 @@ def betti(x: CwComplex, j):
 
 def verify_gap(x: CwComplex, p, q):
     """True iff beta_j(X) = 0 strictly between p and q; on failure the
-    second component is the smallest violating degree."""
+    second component is the smallest violating degree.  beta_j is 0
+    above dim(X), so no degree past it is read."""
     if not (0 <= p <= q):
         raise ValueError("need 0 <= p <= q")
-    for j in range(p + 1, q):
+    for j in range(p + 1, min(q, x.dim + 1)):
         if betti(x, j) != 0:
             return False, j
     return True, None

@@ -11,11 +11,14 @@ weight_of are WeightPoint views of their rows, built when read, for
 documents and weights_at.
 
 Smallness and the exact lift read a parameter domain only through
-dim_of, part_of, its cached certificate and lift, and three array views:
-cell_index, the cells by dimension with their vertices as one index
-array; face_rows, each dimension's faces as rows of the dimension below
-with their signs; and level_weights, which also fix each cell's tree.
-The tests also run them on a regular-CW cube domain.
+dim_of and part_of, which name a failing cell, its cached certificate
+and lift, and three array views: cell_index, the cells by dimension with
+their vertices as one index array; face_rows, each dimension's faces as
+rows of the dimension below with their signs; and level_weights, which
+also fix each cell's tree.  The certificate and the lift hold cells as
+cell_index rows: the certificate is two arrays in that order, and the
+lift reads a cell's key only to name it.  The tests also run them on a
+regular-CW cube domain.
 
 A protocol's cells are one array of sorted vertex rows per dimension.
 One np.unique pass over row codes closes a dimension under faces and
@@ -36,7 +39,6 @@ import itertools
 import json
 import math
 import os
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -355,7 +357,10 @@ def _resolve_complex(spec, base_dir=None):
         if kind == "torsion":
             return torsion_complex()
         if isinstance(kind, str) and kind in _BUILTIN_COMPLEXES:
-            return _BUILTIN_COMPLEXES[kind](_typed(spec["q"], int, "complex field q"))
+            q = _typed(spec["q"], int, "complex field q")
+            if q > _BUILTIN_Q_MAX:
+                raise ParseError(f"builtin complex {kind} takes q at most {_BUILTIN_Q_MAX}, got {q}")
+            return _BUILTIN_COMPLEXES[kind](q)
     raise ParseError(f"cannot resolve complex spec {spec!r}")
 
 
@@ -407,12 +412,14 @@ def loads_protocol(text, base_dir=None):
     id_index = {vid: k for k, vid in enumerate(ids)}
     simplices = []
     orientation = {}
-    for s in _typed(doc.get("simplices", []), list, "protocol field simplices"):
+    for i, s in enumerate(_typed(doc.get("simplices", []), list, "protocol field simplices")):
         s = _typed(s, dict, "a protocol simplex")
         try:
             vids = _typed(s["vertices"], list, "a simplex's vertices")
         except KeyError as exc:
             raise NotClosedUnderFaces(f"simplex references unknown vertex {exc}") from exc
+        if not vids:
+            raise ParseError(f"simplex {i} of protocol field simplices has no vertices")
         key = _vertex_key(id_index, vids, "simplex")
         simplices.append(key)
         if "orientation" in s:
@@ -480,32 +487,14 @@ def weights_at(proto: SimplicialProtocol, simplex, coords):
     return _affine(pts, coords)
 
 
-class _PerCell(Mapping):
-    """A read-only map from a domain's cells to one row each of per-cell
-    data, converted when read."""
-
-    def __init__(self, position, rows, convert):
-        self._position, self._rows, self._convert = position, rows, convert
-
-    def __getitem__(self, key):
-        return self._convert(self._rows[self._position[key]])
-
-    def __iter__(self):
-        return iter(self._position)
-
-    def __len__(self):
-        return len(self._position)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SmallnessCertificate:
-    """Per cell: the set of levels injective on the whole closed cell, and
-    the least such level when one exists.  least holds the latter for the
-    cells in cell_index order, -1 where there is none."""
+    """Per cell, in cell_index order: levels[i, k - p] is whether level k
+    is injective on the whole closed cell i, and least[i] the least such
+    level, -1 where there is none."""
 
-    levels: Mapping   # key -> frozenset of certified levels
-    k: Mapping        # key -> least certified level or None
-    least: np.ndarray = field(default=None, compare=False, repr=False)
+    levels: np.ndarray    # bool (cells, q - p + 1)
+    least: np.ndarray     # int (cells,)
 
 
 def smallness(domain) -> SmallnessCertificate:
@@ -529,12 +518,7 @@ def smallness(domain) -> SmallnessCertificate:
         strict = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
         ranks = rank[cells.vertices]
         ok[:, col] = (ranks == ranks[:, :1]).all(axis=(1, 2)) & strict[cells.vertices].all(axis=1)
-    least = np.where(ok.any(axis=1), ok.argmax(axis=1) + gap.p, -1)
-    return SmallnessCertificate(
-        levels=_PerCell(cells.position, ok,
-                        lambda row: frozenset((np.flatnonzero(row) + gap.p).tolist())),
-        k=_PerCell(cells.position, least.tolist(), lambda k: None if k < 0 else k),
-        least=least)
+    return SmallnessCertificate(ok, np.where(ok.any(axis=1), ok.argmax(axis=1) + gap.p, -1))
 
 
 def is_good(domain):
@@ -647,7 +631,8 @@ def square_protocol():
     return cube_protocol(gap, signs=[1, -1])
 
 
-# the largest q of a cube builtin (1 637 504 cells; q = 9 needs 554 MiB of rows)
+# the largest q of a builtin protocol or complex (cube_sphere:7 has 1 637 504
+# cells; q = 9 needs 554 MiB of rows)
 _BUILTIN_Q_MAX = 7
 
 

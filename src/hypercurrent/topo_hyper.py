@@ -10,8 +10,9 @@ cochain, one float stack per cell dimension, whose distance from a chain
 map cochain_chain_map_defect measures in one pass per dimension.
 
 The lift is stacked: each dimension, vertices included, is one stack
-per degree of numerators over one denominator, with a cell key -> row
-index.  Every numerator is a Python int.  lift_simplex gathers a
+per degree of numerators over one denominator, its cells in cell_index
+order.  Every numerator is a Python int.  The lift reads cells by their
+cell_index rows only; keys name a failing cell.  lift_simplex gathers a
 dimension's face values from the stack below through the domain's face
 rows (row indices and signs) and runs every product and check on the
 whole stack.  The pairing checks the cycles' boundaries on the same face
@@ -48,7 +49,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,42 +127,36 @@ def _tree_aux(gap: GapComplex, tree: DTree) -> _TreeAux:
     return gap.derived(("tree_aux", tree.key), lambda: _TreeAux(gap, tree))
 
 
-class _Stack(NamedTuple):
-    """The lift of cells of one dimension: per input degree, numerators
-    (cell, rows, cols) over one denominator; row maps a cell key to its
-    place in keys."""
-
-    keys: tuple
-    row: dict
-    blocks: list    # (num, den) per input degree
-
-
 @dataclass
 class LiftCache:
     """Per-cell chain maps m(x (x) [cell]) in ambient coordinates: stacks[d]
-    is the lift of the d-cells, and the degree-g block of a cell's row
+    is the lift of the d-cells, per input degree numerators (cell, rows,
+    cols) over one denominator, and the degree-g block of a cell's row
     maps degree-g basis chains to degree g+dim(cell) chains on the cell's
-    tree subcomplex.  signatures numbers the top cells' signatures, in
-    cell_index order: two top cells of one number have one lift."""
+    tree subcomplex.  trees holds a tree per distinct (level, order type)
+    of the cells, and tree_of each cell's place in it, in cell_index
+    order.  signatures numbers the top cells' signatures, in cell_index
+    order: two top cells of one number have one lift."""
 
     gap: GapComplex
-    trees: dict       # cell key -> DTree
+    trees: list
+    tree_of: np.ndarray = field(repr=False, compare=False)
     stacks: list = field(default_factory=list, repr=False, compare=False)
     signatures: np.ndarray = field(default=None, repr=False, compare=False)
 
 
-def tree_functor(proto, key):
-    """The preferred tree of a small cell: greedy at its least injective
-    level, using the order type certified on the whole closed cell (read
-    at its first vertex's row of level_weights); kept in the gap's memo
-    by (level, order type), so protocols share it, with its contraction,
-    built while the gap holds the tree's elimination."""
+def tree_functor(proto, row):
+    """The preferred tree of a small cell, given by its cell_index row:
+    greedy at its least injective level, using the order type certified
+    on the whole closed cell (read at its first vertex's row of
+    level_weights); kept in the gap's memo by (level, order type), so
+    protocols share it, with its contraction, built while the gap holds
+    the tree's elimination."""
     gap = proto.gap
     cells = proto.cell_index
-    row = cells.position[tuple(key)]
     k = int(proto.certificate.least[row])
     if k < 0:
-        raise NotSmall(f"cell {key} has no injective level")
+        raise NotSmall(f"cell {cells.keys[row]} has no injective level")
     names = gap.parent.cells[k]
     w = proto.level_weights[k - gap.p][cells.vertices[row, 0]]
     order = tuple(names[i] for i in np.argsort(w, kind="stable"))
@@ -196,11 +190,10 @@ def build_lift_cache(proto) -> LiftCache:
         bad = (keys[i] for i in np.flatnonzero(cert.least < 0))
         first = min(bad, key=lambda c: (proto.dim_of(c), repr(c)))
         raise NotGood(f"cell {first} is not small")
-    trees, tree_of = _cell_trees(proto)
-    cache = LiftCache(gap=gap, trees=dict(zip(keys, map(trees.__getitem__, tree_of.tolist()))))
+    cache = LiftCache(gap, *_cell_trees(proto))
     seen = gap.derived("lifts", _Lifts)
-    sig = np.array([seen.trees.setdefault(t.key, len(seen.trees)) for t in trees],
-                   dtype=np.int64)[tree_of]
+    sig = np.array([seen.trees.setdefault(t.key, len(seen.trees)) for t in cache.trees],
+                   dtype=np.int64)[cache.tree_of]
     for j, (a, b) in enumerate(zip(cells.offsets, cells.offsets[1:])):
         rows = sig[a:b, None]
         if j:
@@ -213,10 +206,11 @@ def build_lift_cache(proto) -> LiftCache:
 
 
 def _cell_trees(proto):
-    """The distinct trees of a domain's cells and each cell's place among
-    them: one row per cell, its least level and that level's order type
-    at its first vertex (from one argsort of each level's weights), and
-    one tree_functor call per distinct row."""
+    """A tree per distinct row of a domain's cells, and each cell's place
+    among them (LiftCache.trees and tree_of): one row per cell, its least
+    level and that level's order type at its first vertex (from one
+    argsort of each level's weights), and one tree_functor call, by its
+    first cell's row, per distinct row."""
     cells = proto.cell_index
     least = proto.certificate.least
     weights = proto.level_weights
@@ -226,7 +220,7 @@ def _cell_trees(proto):
         at = least == k
         rows[at, 1:1 + w.shape[1]] = np.argsort(w, axis=1, kind="stable")[cells.vertices[at, 0]]
     first, tree_of = _distinct(rows)
-    return [tree_functor(proto, cells.keys[i]) for i in first], tree_of
+    return [tree_functor(proto, i) for i in first.tolist()], tree_of
 
 
 def _lift_dimension(proto, j, rows, cache, seen):
@@ -236,32 +230,29 @@ def _lift_dimension(proto, j, rows, cache, seen):
     numbers.  A failure keeps nothing and is named as a pass over every
     cell of a new signature names it."""
     gap = cache.gap
-    cells = proto.cell_index
-    keys = cells.keys[cells.offsets[j]:cells.offsets[j + 1]]
     index = seen.index.setdefault(j, {})
     first, inverse = _distinct(rows)
     distinct = list(map(tuple, rows[first].tolist()))
     new = np.sort(first[[r not in index for r in distinct]])
     if len(new):
         if j == 0:
-            phis = [_tree_aux(gap, cache.trees[keys[i]]).phi for i in new]
+            # the vertices are the first cells of cell_index
+            phis = [_tree_aux(gap, cache.trees[t]).phi for t in cache.tree_of[new].tolist()]
             blocks = [_stacked([phi[g] for phi in phis]) for g in range(gap.top + 1)]
         else:
             try:
-                lift_simplex(proto, [keys[i] for i in new], cache)
+                lift_simplex(proto, j, new, cache)
             except LiftObstruction:
-                fresh = np.isin(inverse, inverse[new])
-                lift_simplex(proto, [keys[i] for i in np.flatnonzero(fresh)], cache)
+                lift_simplex(proto, j, np.flatnonzero(np.isin(inverse, inverse[new])), cache)
                 raise
-            blocks = cache.stacks.pop().blocks
+            blocks = cache.stacks.pop()
         old = seen.blocks.get(j)
         seen.blocks[j] = blocks if old is None else list(map(_grown, old, blocks))
         for i in new.tolist():
             index[tuple(rows[i].tolist())] = len(index)
     sigs = np.array([index[r] for r in distinct], dtype=np.int64)[inverse]
-    stack = [(num[sigs], den) for num, den in seen.blocks[j]]
     del cache.stacks[j:]
-    cache.stacks.append(_Stack(keys, dict(zip(keys, range(len(keys)))), stack))
+    cache.stacks.append([(num[sigs], den) for num, den in seen.blocks[j]])
     return sigs
 
 
@@ -284,16 +275,6 @@ def _grown(old, new):
     (onum, oden), (nnum, nden) = old, new
     den = math.lcm(oden, nden)
     return _reduced(np.concatenate([onum * (den // oden), nnum * (den // nden)]), den)
-
-
-def _tree_positions(trees, keys):
-    """The distinct trees of the cells keys, in order of first appearance,
-    and each cell's position among them."""
-    per_key = list(map(trees.__getitem__, keys))
-    ids = list(map(id, per_key))
-    distinct = dict(zip(ids, per_key))
-    pos = dict(zip(distinct, range(len(distinct))))
-    return list(distinct.values()), np.fromiter(map(pos.__getitem__, ids), np.intp, len(ids))
 
 
 def _stacked(mats):
@@ -325,16 +306,18 @@ _OBSTRUCTIONS = (
 )
 
 
-def _located(proto, key):
-    """A cell as lift failures are ordered and named: its part, its repr in
-    that part's own vertex numbering, and that cell."""
-    part, local = proto.part_of(key)
+def _located(proto, row):
+    """A cell, given by its cell_index row, as lift failures are ordered
+    and named: its part, its repr in that part's own vertex numbering,
+    and that cell."""
+    part, local = proto.part_of(proto.cell_index.keys[row])
     return part, repr(local), local
 
 
-def lift_simplex(proto, keys, cache: LiftCache):
-    """Extend the lift over the cells keys, all of one dimension j, all
-    lower dimensions being done; stores their stack as cache.stacks[j].
+def lift_simplex(proto, jdim, rows, cache: LiftCache):
+    """Extend the lift over the jdim-cells in places rows among the
+    jdim-cells of cell_index, every lower dimension being lifted; stores
+    their stack as cache.stacks[jdim].
 
     For each basis chain x in increasing degree the defining value is
     the contracting homotopy applied to
@@ -345,19 +328,13 @@ def lift_simplex(proto, keys, cache: LiftCache):
     """
     gap = cache.gap
     top = gap.top
-    keys = tuple(keys)
-    jdim = proto.dim_of(keys[0])
-    if set(map(proto.dim_of, keys)) != {jdim}:
-        raise ValueError("lift_simplex takes cells of one dimension")
-    fstack = cache.stacks[jdim - 1]
-    cells = proto.cell_index
-    if fstack.keys != cells.keys[cells.offsets[jdim - 1]:cells.offsets[jdim]]:
-        raise ValueError("lift_simplex reads the lift of every lower cell, in cell_index order")
-    at = np.fromiter(map(cells.position.__getitem__, keys), np.intp, len(keys))
-    faces, signs = (view[at - cells.offsets[jdim]] for view in proto.face_rows[jdim])
-    trees, tree_of = _tree_positions(cache.trees, keys)
-    auxes = [_tree_aux(gap, tree) for tree in trees]
-    n = len(keys)
+    if not 0 < jdim <= len(cache.stacks):
+        raise ValueError("lift_simplex reads the lift of every lower dimension")
+    faces, signs = (view[rows] for view in proto.face_rows[jdim])
+    at = np.asarray(rows, dtype=np.intp) + proto.cell_index.offsets[jdim]
+    trees, tree_of = np.unique(cache.tree_of[at], return_inverse=True)
+    auxes = [_tree_aux(gap, cache.trees[t]) for t in trees.tolist()]
+    n = len(at)
     out = []
     failed = []     # (failing cells, degree, check) of each check that fails
 
@@ -367,7 +344,7 @@ def lift_simplex(proto, keys, cache: LiftCache):
 
     for g in range(top + 1):
         zdeg = g + jdim - 1
-        fnum, zden = fstack.blocks[g]
+        fnum, zden = cache.stacks[jdim - 1][g]
         z = (fnum[faces] * ((-1) ** g * signs[..., None, None])).sum(1)
         if g >= 1:
             pnum, pden = out[g - 1]
@@ -394,12 +371,12 @@ def lift_simplex(proto, keys, cache: LiftCache):
         check(_nonzero((dt.num @ m) * zden - z * (dt.den * mden)), g, 4)
         out.append((m, mden))
     if failed:
-        part, _, local, g, which = min((*_located(proto, keys[i]), g, which)
+        part, _, local, g, which = min((*_located(proto, at[i]), g, which)
                                        for bad, g, which in failed
                                        for i in np.flatnonzero(bad).tolist())
         raise LiftObstruction(_OBSTRUCTIONS[which].format(key=local, g=g), part=part)
     del cache.stacks[jdim:]
-    cache.stacks.append(_Stack(keys, dict(zip(keys, range(n))), out))
+    cache.stacks.append(out)
 
 
 @dataclass
@@ -494,7 +471,7 @@ def hypercurrent_homology(proto, cycle, class_p):
     # cycle's coefficients, over the product of the denominators
     shape = (gap.dim_at(gap.top), gap.dim_at(0))
     if width:
-        num, den = stacks[gap.top].blocks[0]
+        num, den = stacks[gap.top][0]
         total = (weights[:, :, None, None] * num[gather]).sum(axis=1)
     else:
         total, den = np.zeros((len(cycles),) + shape, dtype=object), 1

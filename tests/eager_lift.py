@@ -14,6 +14,8 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import _OBSTRUCTIONS, _nonzero, _reduced, _stacked, _tree_aux, \
     tree_functor
 
+from protocol_ops import least_levels
+
 
 @dataclass
 class EagerLiftCache:
@@ -25,15 +27,16 @@ class EagerLiftCache:
 
 def build_lift_cache_eager(proto) -> EagerLiftCache:
     gap = proto.gap
-    cert = proto.certificate
+    least = least_levels(proto, proto.certificate)
+    position = proto.cell_index.position
     cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
     trees, shared = {}, {}
     for key in cells:
-        if cert.k[key] is None:
+        if least[key] is None:
             raise NotGood(f"cell {key} is not small")
-        at = (proto.vertices_of(key)[0], cert.k[key])
+        at = (proto.vertices_of(key)[0], least[key])
         if at not in shared:
-            shared[at] = tree_functor(proto, key)
+            shared[at] = tree_functor(proto, position[key])
         trees[key] = shared[at]
     cache = EagerLiftCache(gap=gap, trees=trees, values={})
     by_dim = {}

@@ -7,7 +7,7 @@ sign, so the exact cochain is a chain map with defect exactly zero; the
 library's pairing reads only the degree-0 blocks, whose sign is +1.
 chain_map_defect_oracle walks a cochain cell by cell through
 boundary_of, the route the library's stacked defect is checked against.
-cell_blocks reads a lift cache's stacks by cell.
+cell_blocks and cell_trees read a lift cache's stacks and trees by cell.
 CubeCwDomain runs the same lift over the face poset of the cube's cells
 instead of a triangulation.
 """
@@ -80,11 +80,18 @@ def chain_map_defect_oracle(cochain):
     return max(peaks)
 
 
-def cell_blocks(cache):
+def cell_blocks(proto, cache):
     """The lift cache's stacks by cell: a cell key -> its lowest-terms
     QMats, one per input degree."""
-    return {key: tuple(QMat(num[i].astype(object), den) for num, den in stack.blocks)
-            for stack in cache.stacks for i, key in enumerate(stack.keys)}
+    cells = proto.cell_index
+    return {cells.keys[cells.offsets[d] + i]: tuple(QMat(num[i].astype(object), den)
+                                                   for num, den in stack)
+            for d, stack in enumerate(cache.stacks) for i in range(len(stack[0][0]))}
+
+
+def cell_trees(proto, cache):
+    """The lift cache's trees by cell: a cell key -> its tree."""
+    return dict(zip(proto.cell_index.keys, map(cache.trees.__getitem__, cache.tree_of.tolist())))
 
 
 def hypercurrent_cochain(proto) -> CellCochain:
@@ -95,7 +102,7 @@ def hypercurrent_cochain(proto) -> CellCochain:
     cache = build_lift_cache(proto)
     gap = cache.gap
     values = {}
-    for key, mats in cell_blocks(cache).items():
+    for key, mats in cell_blocks(proto, cache).items():
         jdim = proto.dim_of(key)
         blocks = {g: mats[g] * (-1) ** (jdim * g) for g in range(gap.top + 1)}
         values[key] = GradedOperator(degree=jdim, blocks=blocks)

@@ -1,9 +1,9 @@
 """Operations on protocols that only the tests use: midpoint subdivision
 and scaling of all weights.  Both keep a protocol's order types, so the
 exact lift must not change under them; the tests check that it does not.
-Also the face closure one face at a time, the oracle for the library's
-closure over index arrays, and a document whose stored cycle leaves the
-protocol.
+Also a certificate's least levels by cell, the face closure one face at
+a time, the oracle for the library's closure over index arrays, and a
+document whose stored cycle leaves the protocol.
 
 The earlier build of a protocol is kept here as the oracle for the
 array build: the closure over vertex tuples (_closure), the cube's
@@ -39,6 +39,12 @@ def levels_of(points):
     array with a row per point."""
     return tuple(np.array([wp.values[k] for wp in points], dtype=float)
                  for k in range(len(points[0].values)))
+
+
+def least_levels(domain, cert):
+    """A certificate's least levels by cell: a cell key -> its least
+    certified level, or None where it has none."""
+    return {key: None if k < 0 else k for key, k in zip(domain.cell_index.keys, cert.least.tolist())}
 
 
 def closure_by_faces(simplices):

@@ -7,8 +7,7 @@ obstruction it names."""
 import numpy as np
 
 from hypercurrent.errors import NotGood
-from hypercurrent.topo_hyper import LiftCache, _Stack, _stacked, _tree_aux, _tree_positions, \
-    lift_simplex, tree_functor
+from hypercurrent.topo_hyper import LiftCache, _stacked, _tree_aux, lift_simplex, tree_functor
 
 
 def build_lift_cache_stacked(proto) -> LiftCache:
@@ -24,19 +23,18 @@ def build_lift_cache_stacked(proto) -> LiftCache:
     # the tree depends only on the cell's first vertex and its level
     at = list(zip(cells.vertices[:, 0].tolist(), cert.least.tolist()))
     found = {}
-    for a, key in zip(at, keys):
+    for row, a in enumerate(at):
         if a not in found:
-            found[a] = tree_functor(proto, key)
-    trees = dict(zip(keys, map(found.__getitem__, at)))
-    cache = LiftCache(gap=gap, trees=trees)
-    vertices = keys[cells.offsets[0]:cells.offsets[1]]
-    distinct, tree_of = _tree_positions(trees, vertices)
-    phis = [_tree_aux(gap, tree).phi for tree in distinct]
+            found[a] = len(found), tree_functor(proto, row)
+    trees = [tree for _, tree in found.values()]
+    cache = LiftCache(gap, trees, np.array([found[a][0] for a in at], dtype=np.intp))
+    distinct, tree_of = np.unique(cache.tree_of[:cells.offsets[1]], return_inverse=True)
+    phis = [_tree_aux(gap, trees[t]).phi for t in distinct.tolist()]
     blocks = []
     for g in range(gap.top + 1):
         num, den = _stacked([phi[g] for phi in phis])
         blocks.append((num[tree_of], den))
-    cache.stacks.append(_Stack(vertices, dict(zip(vertices, range(len(vertices)))), blocks))
-    for a, b in zip(cells.offsets[1:], cells.offsets[2:]):
-        lift_simplex(proto, keys[a:b], cache)
+    cache.stacks.append(blocks)
+    for j, (a, b) in enumerate(zip(cells.offsets[1:], cells.offsets[2:]), start=1):
+        lift_simplex(proto, j, np.arange(b - a), cache)
     return cache

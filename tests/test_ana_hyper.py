@@ -48,7 +48,7 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 from exact_cochain import chain_map_defect_oracle, hypercurrent_cochain
 from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
     weighted_pseudoinverse_inclusion
-from protocol_ops import levels_of
+from protocol_ops import least_levels, levels_of
 from stationary import current_form
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
@@ -219,8 +219,8 @@ def test_rho_frozen_value_at_facet_barycenter():
     proto = cube_sphere_protocol(2)
     from hypercurrent.protocol import smallness
 
-    cert = smallness(proto)
-    tri = next(s for s in proto.simplices_of_dim(2) if cert.k[s] == 0)
+    least = least_levels(proto, smallness(proto))
+    tri = next(s for s in proto.simplices_of_dim(2) if least[s] == 0)
     corner = proto.vertex_ids[tri[0]]
     ctx = _context(proto.gap)
     lighter = ("e0-",) if corner[1] == "p" else ("e0+",)
@@ -1440,7 +1440,7 @@ def test_quantization_square():
 
 def test_context_and_tree_functor_share_trees():
     proto = cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2))
-    chosen = {tree_functor(proto, key) for key in proto.all_cells()}
+    chosen = {tree_functor(proto, row) for row in range(len(proto.all_cells()))}
     tables = _context(proto.gap).trees
     for tree in chosen:
         assert any(t is tree for t in tables[tree.level].trees)

@@ -316,10 +316,11 @@ def test_paired_non_cycle_is_broken_invariant(monkeypatch, capsys):
     def corrupted(proto):
         cache = original(proto)
         top = cache.stacks[proto.gap.top]
-        num, den = top.blocks[0]
+        num, den = top[0]
         num = num.copy()
-        num[top.row[next(iter(proto.fundamental_cycle))], 0, 0] += den
-        top.blocks[0] = (num, den)
+        cells = proto.cell_index
+        num[cells.position[next(iter(proto.fundamental_cycle))] - cells.offsets[-2], 0, 0] += den
+        top[0] = (num, den)
         return cache
 
     monkeypatch.setattr(topo_hyper, "build_lift_cache", corrupted)

@@ -195,6 +195,26 @@ def test_verify_gap_examples():
     assert not ok and witness == 1
 
 
+def test_verify_gap_reads_no_degree_past_the_dimension(monkeypatch):
+    # beta_j is 0 above dim, so a q far past it reads no more Betti numbers
+    # than q = dim + 1 does, and the gap is refused at once
+    x = path_complex()
+    calls = []
+    real = complex_core.betti
+
+    def counted(x, j):
+        calls.append(j)
+        if len(calls) > x.dim + 1:
+            raise AssertionError(f"beta_{j} read past dim {x.dim}")
+        return real(x, j)
+
+    monkeypatch.setattr(complex_core, "betti", counted)
+    assert verify_gap(x, 0, 2 ** 70) == (True, None)
+    del calls[:]
+    with pytest.raises(GapViolated, match="exceeds dim"):
+        gap_complex(x, 0, 2 ** 70)
+
+
 def test_gap_complex_sphere2():
     gap = gap_complex(sphere_complex(2), 0, 2)
     assert [gap.dim_at(j) for j in range(3)] == [2, 2, 2]

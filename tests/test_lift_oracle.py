@@ -33,8 +33,8 @@ from hypercurrent.topo_hyper import _tree_masks, build_lift_cache, tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 import row_kernel
-from exact_cochain import cell_blocks, cube_cw_domain
-from protocol_ops import subdivide
+from exact_cochain import cell_blocks, cell_trees, cube_cw_domain
+from protocol_ops import least_levels, subdivide
 
 
 def _zeros(m, n):
@@ -162,12 +162,12 @@ class OracleLiftCache:
 
 def build_lift_cache_oracle(proto) -> OracleLiftCache:
     gap = proto.gap
-    cert = smallness(proto)
+    least = least_levels(proto, smallness(proto))
     cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
     for key in cells:
-        if cert.k[key] is None:
+        if least[key] is None:
             raise NotGood(f"cell {key} is not small")
-    trees = {key: tree_functor(proto, key) for key in cells}
+    trees = {key: tree_functor(proto, proto.cell_index.position[key]) for key in cells}
     cache = OracleLiftCache(gap=gap, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
@@ -299,10 +299,10 @@ DOMAINS = (
 def test_lift_matches_fraction_oracle(make):
     proto = make()
     cache = build_lift_cache(proto)
-    new = cell_blocks(cache)
+    new = cell_blocks(proto, cache)
     old = build_lift_cache_oracle(proto)
     gap = proto.gap
-    assert cache.trees == old.trees
+    assert cell_trees(proto, cache) == old.trees
     assert new.keys() == old.values.keys()
     for key, mats in new.items():
         jdim = proto.dim_of(key)
@@ -357,7 +357,7 @@ def test_first_obstruction_matches_oracle(monkeypatch, case):
     bumps, flip, expected = FIRST_OBSTRUCTIONS[case]
     proto = cube_sphere_protocol(2)
     gap = proto.gap
-    trees = {t.key: t for t in (tree_functor(proto, k) for k in proto.all_cells())}
+    trees = {t.key: t for t in (tree_functor(proto, row) for row in range(len(proto.all_cells())))}
     for tree_key, field, g, r, c in bumps:
         for aux in (topo_hyper._tree_aux(gap, trees[tree_key]), _tree_aux(gap, trees[tree_key])):
             monkeypatch.setattr(aux, field, _bumped(getattr(aux, field), g, r, c))
@@ -401,8 +401,8 @@ def _steep_circle_protocol():
 def test_lift_past_the_int64_bound_matches_fraction_oracle():
     proto = _steep_circle_protocol()
     cache = build_lift_cache(proto)
-    assert cache.stacks[1].blocks[0][0].dtype == object
-    new = cell_blocks(cache)
+    assert cache.stacks[1][0][0].dtype == object
+    new = cell_blocks(proto, cache)
     assert max(m.den for mats in new.values() for m in mats) >= 2 ** 40
     old = build_lift_cache_oracle(proto)
     assert new.keys() == old.values.keys()

@@ -47,6 +47,7 @@ KINDS = {
                 [["trees", "greedy", "SPHERE2", "--p", "0", "--q", "2", "--level", "0",
                   "--weights", "FILE"]]),
     "p0": ([1.0, 0.0], [["dyn", "evolve", "DYN", "--p0", "FILE", "--out", "OUT"]]),
+    "dyn_protocol": (DYN_PROTOCOL, [["protocol", "check", "FILE"]]),
 }
 
 

@@ -23,7 +23,6 @@ from hypercurrent.errors import (
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
-    SmallnessCertificate,
     WeightPoint,
     cube_protocol,
     cube_sphere_protocol,
@@ -41,7 +40,7 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 from cell_weights import corner_weights, cube_corner_weight
 from exact_cochain import cube_cw_domain
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
-    closure_by_faces, levels_of, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, \
+    closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, \
     subdivide
 
 
@@ -201,8 +200,8 @@ def test_weights_at_rejects_nonfinite_coords(coords):
 
 def test_cube2_facet_barycenter_gap():
     proto = cube_sphere_protocol(2)
-    cert = smallness(proto)
-    tri = next(s for s in proto.simplices_of_dim(2) if cert.k[s] == 2)
+    least = least_levels(proto, smallness(proto))
+    tri = next(s for s in proto.simplices_of_dim(2) if least[s] == 2)
     wp = weights_at(proto, tri, [1 / 3] * 3)
     w2 = wp.level(2)
     assert abs(abs(w2[0] - w2[1]) - 1.0) < 1e-12
@@ -220,14 +219,14 @@ def test_constant_injective_protocol_all_k_p():
         level_weights=levels_of((wp, wp)),
         simplices=((0,), (1,), (0, 1)),
     )
-    cert = smallness(proto)
-    assert all(cert.k[s] == 0 for s in proto.simplices)
+    least = least_levels(proto, smallness(proto))
+    assert all(least[s] == 0 for s in proto.simplices)
 
 
 def test_cube_facet_levels():
     for q in (1, 2):
         proto = cube_sphere_protocol(q)
-        cert = smallness(proto)
+        least = least_levels(proto, smallness(proto))
         corners = {v: c for v, c in enumerate(proto.vertex_ids)}
         for s in proto.simplices_of_dim(q):
             # the facet a top simplex lives in is the axis where all its
@@ -237,7 +236,7 @@ def test_cube_facet_levels():
                 vals = {1 if corners[v][1 + i] == "p" else -1 for v in s}
                 if len(vals) == 1:
                     axes.append(i)
-            assert cert.k[s] == min(axes)
+            assert least[s] == min(axes)
 
 
 def test_tie_straddling_simplex_has_no_k():
@@ -250,8 +249,7 @@ def test_tie_straddling_simplex_has_no_k():
         level_weights=levels_of((up, down)),
         simplices=((0,), (1,), (0, 1)),
     )
-    cert = smallness(proto)
-    assert cert.k[(0, 1)] is None
+    assert least_levels(proto, smallness(proto))[(0, 1)] is None
     ok, offender = is_good(proto)
     assert not ok and offender == (0, 1)
 
@@ -283,13 +281,18 @@ def loop_certified_levels(gap, weight_points):
 
 
 def loop_smallness(domain):
-    # the per-pair loop the certificate used to run, as the oracle
-    levels, ks = {}, {}
-    for key in domain.all_cells():
-        cert = loop_certified_levels(domain.gap, [domain.weight_of(v) for v in domain.vertices_of(key)])
-        levels[key] = frozenset(cert)
-        ks[key] = min(cert) if cert else None
-    return SmallnessCertificate(levels=levels, k=ks)
+    # the per-pair loop the certificate used to run, as the oracle: per
+    # cell in cell_index order, whether each level is certified, and the
+    # least certified level, -1 where there is none
+    gap = domain.gap
+    keys = domain.cell_index.keys
+    levels = np.zeros((len(keys), gap.q - gap.p + 1), dtype=bool)
+    least = np.full(len(keys), -1)
+    for i, key in enumerate(keys):
+        cert = loop_certified_levels(gap, [domain.weight_of(v) for v in domain.vertices_of(key)])
+        levels[i, [j - gap.p for j in cert]] = True
+        least[i] = min(cert, default=-1)
+    return levels, least
 
 
 def _graph(name, cells, boundary):
@@ -326,8 +329,9 @@ def test_smallness_matches_pair_loop():
     uncertified = 0
     for domain in _smallness_domains():
         cert = smallness(domain)
-        assert cert == loop_smallness(domain)
-        uncertified += sum(len(lv) < domain.gap.top + 1 for lv in cert.levels.values())
+        levels, least = loop_smallness(domain)
+        assert np.array_equal(cert.levels, levels) and np.array_equal(cert.least, least)
+        uncertified += (~cert.levels).any(axis=1).sum()
     assert uncertified    # some cell pair changes sign, so both outcomes are compared
 
 
@@ -342,10 +346,8 @@ def test_all_zero_weights_bad():
 
 def test_scale_preserves_certificate():
     proto = cube_sphere_protocol(2)
-    cert = smallness(proto)
     scaled = scale(proto, 7.5)
-    cert2 = smallness(scaled)
-    assert cert.k == cert2.k
+    assert np.array_equal(smallness(proto).least, smallness(scaled).least)
     with pytest.raises(NonpositiveBeta):
         scale(proto, 0.0)
 
@@ -369,15 +371,15 @@ def test_scale_identity():
 
 def test_square_protocol_fig_pattern():
     proto = square_protocol()
-    cert = smallness(proto)
+    least = least_levels(proto, smallness(proto))
     for s in proto.simplices_of_dim(1):
         ws = [proto.vertex_weights[v] for v in s]
         ys = [wp.level(1)[0] for wp in ws]  # level-1 weight of e1+ is -y
         xs = [wp.level(0)[0] for wp in ws]  # level-0 weight of e0+ is +x
         if all(y < 0 for y in ys):  # top edge: W+ < W-
-            assert cert.k[s] == 1
+            assert least[s] == 1
         if all(x > 0 for x in xs):  # right edge: E+ > E-
-            assert cert.k[s] == 0
+            assert least[s] == 0
 
 
 def test_square_cycle_boundary_zero():
@@ -515,20 +517,20 @@ def test_cube_cw_goodness_and_k():
     dom = cube_cw_domain(gap)
     ok, _ = is_good(dom)
     assert ok
-    cert = smallness(dom)
+    least = least_levels(dom, smallness(dom))
     for cell in dom.all_cells():
         if dom.dim_of(cell) == 2:
             axis = next(a for a, v in enumerate(cell) if v is not None)
-            assert cert.k[cell] == axis
+            assert least[cell] == axis
 
 
 def test_order_type_constant_on_certified_levels():
     # on any simplex with a certified level, the ranking of that level is
     # the same at every vertex and at the barycenter
     proto = cube_sphere_protocol(2)
-    cert = smallness(proto)
+    least = least_levels(proto, smallness(proto))
     for s in proto.simplices_of_dim(2):
-        k = cert.k[s]
+        k = least[s]
         n = len(s)
         rankings = []
         for v in s:
@@ -671,8 +673,7 @@ def _same_build(new, old):
     assert new.orientation == old.orientation
     assert list(new.fundamental_cycle.items()) == list(old.fundamental_cycle.items())
     assert np.array_equal(new.certificate.least, old.certificate.least)
-    if len(a.keys) < 20000:     # a mapping of frozensets: 2 s at q = 6
-        assert new.certificate == old.certificate
+    assert np.array_equal(new.certificate.levels, old.certificate.levels)
 
 
 @pytest.mark.parametrize("kind,q", [(kind, q) for kind in ("cube_sphere", "cube_wedge")

@@ -21,20 +21,19 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import build_lift_cache
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
-from exact_cochain import cube_cw_domain
+from exact_cochain import cell_trees, cube_cw_domain
 from stacked_lift import build_lift_cache_stacked
 from test_forests import complete_graph
 from test_weight_space import STAR4, graph_complex, path_complex, triangle_complex
 
 
-def assert_same_lift(cache, oracle):
-    """Equal trees, and per dimension the same cells and, per degree, the
-    same rationals."""
-    assert cache.trees == oracle.trees
+def assert_same_lift(proto, cache, oracle):
+    """Equal trees by cell, and per dimension and degree the same
+    rationals for the same number of cells."""
+    assert cell_trees(proto, cache) == cell_trees(proto, oracle)
     assert len(cache.stacks) == len(oracle.stacks)
     for new, old in zip(cache.stacks, oracle.stacks):
-        assert new.keys == old.keys and new.row == old.row
-        for (num, den), (onum, oden) in zip(new.blocks, old.blocks, strict=True):
+        for (num, den), (onum, oden) in zip(new, old, strict=True):
             assert num.shape == onum.shape
             assert (num.astype(object) * oden == onum.astype(object) * den).all()
 
@@ -44,9 +43,9 @@ def count_lifts(monkeypatch):
     calls = []
     real = topo_hyper.lift_simplex
 
-    def counted(proto, keys, cache):
-        calls.append(list(keys))
-        return real(proto, keys, cache)
+    def counted(proto, jdim, rows, cache):
+        calls.append(list(rows))
+        return real(proto, jdim, rows, cache)
 
     monkeypatch.setattr(topo_hyper, "lift_simplex", counted)
     return calls
@@ -106,7 +105,8 @@ def test_signature_lift_equals_the_lift_of_every_cell(group, monkeypatch):
         for passes in range(2):
             del calls[:]
             for make, oracle in zip(order, expected):
-                assert_same_lift(build_lift_cache(make()), oracle)
+                proto = make()
+                assert_same_lift(proto, build_lift_cache(proto), oracle)
             assert bool(calls) != bool(passes)
 
 
@@ -121,7 +121,31 @@ def test_the_gap_keeps_one_lift_per_signature(monkeypatch):
     assert sum(map(len, seen.index.values())) == 64
     assert [len(keys) for keys in calls] == [len(seen.index[j]) for j in (1, 2, 3)]
     for j, stack in enumerate(cache.stacks):
-        assert len(stack.keys) > len(seen.index[j]) == len(seen.blocks[j][0][0])
+        assert len(stack[0][0]) > len(seen.index[j]) == len(seen.blocks[j][0][0])
+
+
+def test_the_lift_reads_cells_by_row_only():
+    # build_lift_cache, lift_simplex and tree_functor read cells by their
+    # cell_index rows: with no key -> row map, and no lift kept by the
+    # gap, the lift has the same signatures and stacks
+    makers = [lambda: builtin_protocol("cube_sphere", 3), unions()[2]]
+    for make in makers:
+        proto = make()
+        expected = build_lift_cache(proto)
+        complex_core._GAPS.clear()
+        blind = make()
+        blind.__dict__["cell_index"] = blind.cell_index._replace(position={})
+        cache = build_lift_cache(blind)
+        assert (cache.signatures == expected.signatures).all()
+        assert_same_lift(proto, cache, expected)
+
+
+def test_lift_simplex_needs_every_lower_dimension():
+    proto = builtin_protocol("cube_sphere", 2)
+    cache = build_lift_cache(proto)
+    del cache.stacks[1:]
+    with pytest.raises(ValueError, match="every lower dimension"):
+        topo_hyper.lift_simplex(proto, 2, [0], cache)
 
 
 def cube3_file_doc(rng, signs):
@@ -145,9 +169,9 @@ def test_two_files_in_one_chamber_lift_once(monkeypatch):
     calls = count_lifts(monkeypatch)
     first, second = (loads_protocol(json.dumps(doc)) for doc in docs)
     assert first.gap is second.gap
-    assert_same_lift(build_lift_cache(first), oracles[0])
+    assert_same_lift(first, build_lift_cache(first), oracles[0])
     assert len(calls) == 3
-    assert_same_lift(build_lift_cache(second), oracles[1])
+    assert_same_lift(second, build_lift_cache(second), oracles[1])
     assert len(calls) == 3
 
 
@@ -174,7 +198,7 @@ def test_a_failing_signature_is_named_at_its_first_cell_in_repr_order(monkeypatc
     # the failing 2-cell (0, 10, 14) shares its signature with (0, 8, 14),
     # which comes first in cell_index order and later in repr order
     proto = builtin_protocol("cube_sphere", 3)
-    trees = dict(build_lift_cache(proto).trees)
+    trees = cell_trees(proto, build_lift_cache(proto))
     complex_core._GAPS.clear()
     proto = builtin_protocol("cube_sphere", 3)
     bump_homotopy(monkeypatch, proto.gap, 3, "e3+", 1)

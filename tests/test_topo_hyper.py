@@ -31,9 +31,9 @@ from hypercurrent.topo_hyper import (
 )
 
 from eager_lift import build_lift_cache_eager
-from exact_cochain import (addendum_predicts_trivial, cell_blocks, chain_map_defect_oracle,
-                           cube_cellular_cochain, hypercurrent_cochain)
-from protocol_ops import _closure, levels_of, scale, subdivide
+from exact_cochain import (addendum_predicts_trivial, cell_blocks, cell_trees,
+                           chain_map_defect_oracle, cube_cellular_cochain, hypercurrent_cochain)
+from protocol_ops import _closure, least_levels, levels_of, scale, subdivide
 from test_lift_oracle import build_lift_cache_oracle
 
 
@@ -42,7 +42,7 @@ def lift_vertex(proto, vertex_key):
     degree 0 for trees above the bottom level, projection along the
     boundary space onto the co-tree span at the bottom; higher degrees
     via the contracting homotopy."""
-    tree = tree_functor(proto, vertex_key)
+    tree = tree_functor(proto, proto.cell_index.position[vertex_key])
     return tree, _tree_aux(proto.gap, tree).phi
 
 
@@ -78,10 +78,10 @@ def constant_protocol(gap, weight_point, nvertices=3):
 
 def test_tree_functor_cube2_facets():
     proto = cube_sphere_protocol(2)
-    cert = smallness(proto)
+    least = least_levels(proto, smallness(proto))
     for s in proto.simplices_of_dim(2):
-        k = cert.k[s]
-        t = tree_functor(proto, s)
+        k = least[s]
+        t = tree_functor(proto, proto.cell_index.position[s])
         assert t.level == k
         corner = proto.vertex_ids[s[0]]
         side = corner[1 + k]
@@ -94,10 +94,10 @@ def test_tree_functor_cube2_facets():
 def test_tree_functor_wedge_top():
     for q in (1, 2, 3):
         proto = cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
-        cert = smallness(proto)
+        least = least_levels(proto, smallness(proto))
         for s in proto.simplices_of_dim(q):
-            if cert.k[s] == q:
-                assert tree_functor(proto, s).cells == (f"e{q}id",)
+            if least[s] == q:
+                assert tree_functor(proto, proto.cell_index.position[s]).cells == (f"e{q}id",)
 
 
 def test_tree_functor_not_small():
@@ -109,16 +109,17 @@ def test_tree_functor_not_small():
         simplices=((0,), (1,), (0, 1)),
     )
     with pytest.raises(NotSmall):
-        tree_functor(proto, (0, 1))
+        tree_functor(proto, proto.cell_index.position[(0, 1)])
 
 
 def test_tree_functor_face_inclusion():
     # the face's tree sits inside the cell's tree as a subcomplex
     for proto in (square_protocol(), cube_sphere_protocol(2)):
+        position = proto.cell_index.position
         for s in proto.all_cells():
-            t = tree_functor(proto, s)
+            t = tree_functor(proto, position[s])
             for _, f in proto.boundary_of(s):
-                tf = tree_functor(proto, f)
+                tf = tree_functor(proto, position[f])
                 assert tf.level <= t.level
                 if tf.level == t.level:
                     assert tf.cells == t.cells
@@ -130,8 +131,8 @@ def test_tree_functor_shared_over_the_gap():
     proto = cube_sphere_protocol(2)
     scaled = scale(proto, 3.0)
     assert scaled.gap is proto.gap
-    for s in proto.all_cells():
-        assert tree_functor(scaled, s) is tree_functor(proto, s)
+    for row in range(len(proto.all_cells())):
+        assert tree_functor(scaled, row) is tree_functor(proto, row)
 
 
 def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
@@ -155,27 +156,29 @@ def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
     # level at the cell's first vertex, so build_lift_cache asks for it once
     # per such pair, not once per first vertex and level
     proto = cube_sphere_protocol(3)
-    cert = proto.certificate
+    least = least_levels(proto, proto.certificate)
+    keys = proto.cell_index.keys
     calls = []
     original = topo_hyper.tree_functor
 
-    def counted(proto, key):
-        calls.append(key)
-        return original(proto, key)
+    def counted(proto, row):
+        calls.append(keys[row])
+        return original(proto, row)
 
     monkeypatch.setattr(topo_hyper, "tree_functor", counted)
     cache = build_lift_cache(proto)
 
     def order_type(key):
-        k = cert.k[key]
+        k = least[key]
         weights = proto.weight_of(proto.vertices_of(key)[0]).level(k)
         return k, tuple(sorted(range(len(weights)), key=weights.__getitem__))
 
-    pairs = {(proto.vertices_of(key)[0], cert.k[key]) for key in proto.all_cells()}
+    pairs = {(proto.vertices_of(key)[0], least[key]) for key in proto.all_cells()}
     assert len(calls) == len(set(map(order_type, proto.all_cells()))) < len(pairs)
     assert len({order_type(key) for key in calls}) == len(calls)
-    for key in proto.all_cells():
-        assert cache.trees[key] is original(proto, key)
+    trees = cell_trees(proto, cache)
+    for row, key in enumerate(keys):
+        assert trees[key] is original(proto, row)
 
 
 # --- vertex lifts -------------------------------------------------------------
@@ -213,7 +216,7 @@ def test_lift_vertex_cotree_explicit_value():
     proto = square_protocol()
     target = None
     for v in range(len(proto.vertex_ids)):
-        t = tree_functor(proto, (v,))
+        t = tree_functor(proto, proto.cell_index.position[(v,)])
         if t.cells == ("e0+",):
             target = v
             break
@@ -237,11 +240,11 @@ def test_lift_vertex_chain_identity():
 def test_constant_tree_edge_lifts_to_zero():
     proto = square_protocol()
     cache = build_lift_cache(proto)
-    cert = proto.certificate
+    least = least_levels(proto, proto.certificate)
     for s in proto.simplices_of_dim(1):
-        if cert.k[s] == 0:
+        if least[s] == 0:
             # both endpoints share the edge's co-tree, so the lift vanishes
-            for g, mat in enumerate(cell_blocks(cache)[s]):
+            for g, mat in enumerate(cell_blocks(proto, cache)[s]):
                 assert mat.is_zero()
                 assert mat.shape == (proto.gap.dim_at(g + 1), proto.gap.dim_at(g))
 
@@ -249,14 +252,14 @@ def test_constant_tree_edge_lifts_to_zero():
 def test_square_top_edge_support():
     proto = square_protocol()
     cache = build_lift_cache(proto)
-    cert = proto.certificate
+    least = least_levels(proto, proto.certificate)
     gen = [Fraction(1), Fraction(0)]  # e0+ generates degree-0 homology
     seen = set()
     for s in proto.simplices_of_dim(1):
-        if cert.k[s] != 1:
+        if least[s] != 1:
             continue
-        tree = cache.trees[s]
-        val = cell_blocks(cache)[s][0] @ gen
+        tree = cell_trees(proto, cache)[s]
+        val = cell_blocks(proto, cache)[s][0] @ gen
         support = {proto.gap.cells_at(1)[i] for i, v in enumerate(val) if v != 0}
         assert support <= set(tree.cells)
         seen |= support
@@ -401,8 +404,8 @@ def test_functoriality_restriction():
     proto = cube_sphere_protocol(2)
     full = hypercurrent_cochain(proto)
     # restrict to the closed star of one facet: all faces of its triangles
-    cert = smallness(proto)
-    tris = [s for s in proto.simplices_of_dim(2) if cert.k[s] == 2][:2]
+    least = least_levels(proto, smallness(proto))
+    tris = [s for s in proto.simplices_of_dim(2) if least[s] == 2][:2]
     part = hypercurrent_cochain(restrict(proto, tris))
     for key in part.values:
         for g in range(proto.gap.top + 1):
@@ -431,7 +434,7 @@ def test_positively_acyclic_trees():
     proto = cube_sphere_protocol(2)
     cache = build_lift_cache(proto)
     gap = proto.gap
-    for aux in {_tree_aux(gap, t) for t in cache.trees.values()}:
+    for aux in {_tree_aux(gap, t) for t in cache.trees}:
         dims = [len(m) for m in aux.masks]
         for j in range(1, gap.top + 1):
             sub = gap.d(j)[np.ix_(aux.masks[j - 1], aux.masks[j])]
@@ -523,9 +526,9 @@ LAZY_DOMAINS = {
 def test_lazy_blocks_equal_eager_unpack(name):
     proto = LAZY_DOMAINS[name]()
     cache = build_lift_cache(proto)
-    lazy = cell_blocks(cache)
+    lazy = cell_blocks(proto, cache)
     eager = build_lift_cache_eager(proto)
-    assert cache.trees == eager.trees
+    assert cell_trees(proto, cache) == eager.trees
     assert len(lazy) == len(eager.values) == len(proto.all_cells())
     assert set(lazy) == set(eager.values)
     for key, mats in eager.values.items():
@@ -585,10 +588,9 @@ def test_lift_holds_python_ints_and_matches_fraction_oracle(name):
     cache = build_lift_cache(proto)
     pairing = hypercurrent_homology(proto, _fundamental_cycle(proto), [1])
     assert all(num.dtype == object and type(den) is int
-               for stack in cache.stacks for num, den in stack.blocks)
-    assert all(type(v) is int for stack in cache.stacks for num, _ in stack.blocks
-               for v in num.flat)
-    blocks = cell_blocks(cache)
+               for stack in cache.stacks for num, den in stack)
+    assert all(type(v) is int for stack in cache.stacks for num, _ in stack for v in num.flat)
+    blocks = cell_blocks(proto, cache)
     assert all(m.num.dtype == object for mats in blocks.values() for m in mats)
     old = build_lift_cache_oracle(proto)
     assert blocks.keys() == old.values.keys()

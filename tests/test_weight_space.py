@@ -33,6 +33,7 @@ from hypercurrent.weight_space import (
 )
 
 from cell_weights import corner_weights, is_top, stacked
+from protocol_ops import least_levels
 
 
 def path_complex():
@@ -133,8 +134,8 @@ def test_transversal_sphere_is_good_and_square_shaped():
     proto = transversal_sphere(gap_complex(x, 0, 1), [cell])
     assert is_good(proto)[0]
     assert len(proto.simplices_of_dim(1)) == 4
-    cert = smallness(proto)
-    ks = sorted(cert.k[s] for s in proto.simplices_of_dim(1))
+    least = least_levels(proto, smallness(proto))
+    ks = sorted(least[s] for s in proto.simplices_of_dim(1))
     assert ks == [0, 0, 1, 1]  # opposite pairs of edges pin opposite levels
 
 
@@ -144,8 +145,8 @@ def test_transversal_sphere_cube_pattern():
     proto = transversal_sphere(gap_complex(x, 0, 2), [cell])
     assert is_good(proto)[0]
     assert len(proto.simplices_of_dim(2)) == 12
-    cert = smallness(proto)
-    assert sorted({cert.k[s] for s in proto.simplices_of_dim(2)}) == [0, 1, 2]
+    least = least_levels(proto, smallness(proto))
+    assert sorted({least[s] for s in proto.simplices_of_dim(2)}) == [0, 1, 2]
 
 
 def test_eps_too_large():
