@@ -31,9 +31,14 @@ the simplex dimension and the depth and is cached per process.  The
 integration is stacked: all simplices of one dimension at one beta share
 the depth loop, their vertex tree weights are computed once, and each
 depth is one form evaluation over the still-unconverged simplices, in
-blocks of at most _BLOCK simplices times nodes (or of one simplex whose
-nodes alone exceed it).  A simplex leaves the stack when its own two
-last depths agree.  The point form takes a stack of points: each is its
+blocks of at most _BLOCK simplices times nodes, or of one simplex whose
+nodes alone exceed it.  A block's per-node passes (rho, drho and the
+orchard's tree contractions) run on chunks of at most _BLOCK simplices
+times nodes and write node-axis buffers; each node sum is one matmul
+over all of the block's nodes, so the chunks leave every bit as it is.
+A simplex leaves the stack when its own two last depths agree, and the
+depth loop stops short of a batch of more than _NODE_BUDGET nodes per
+simplex.  The point form takes a stack of points: each is its
 simplex's vertex geometry moved to it, so the stack is the one-node case
 of the same evaluator, and each point rounds as it does alone.  The axiom
 check makes one such call per degree, frame and zeta over its samples.
@@ -284,17 +289,42 @@ def _drho(rho, grads, beta):
 
 def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
     """Weighted node sum of the degree-ell form on a stack of simplices of
-    one dimension, (I, rows, cols): rho at the top level, its differential
-    along the frame columns `along` (the coordinate axes when None) below
-    it, then the orchard sum.  geos[j] is the simplices' vertex geometry
-    at level p + j, for j = 0 .. ell."""
+    one dimension, (I, rows, cols).  geos[j] is the simplices' vertex
+    geometry at level p + j, for j = 0 .. ell.  The per-node passes run on
+    chunks of whole rule pieces, at most _BLOCK simplices times nodes each:
+    rho at the top level, its differential along the frame columns `along`
+    (the coordinate axes when None) below it, and the orchard's per-node
+    factors (_orchard_sum), which each chunk writes into node-axis
+    buffers of the stack.  Each node sum is then one matmul per simplex
+    over all of its nodes, so the chunking leaves every bit as it is."""
     ell = len(geos) - 1
-    rho_top = _rho_at_nodes(ctx.trees[p + ell], geos[ell], beta, nodes)
-    drhos = []
-    for j in range(ell):
-        drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, nodes), geos[j][1], beta)
-        drhos.append(drho if along is None else drho @ along)
-    return _orchard_sum(ctx, p, zeta, rho_top, drhos, wts)
+    factors = (ctx.factors_std if zeta == "standard" else ctx.factors_alt)[:ell]
+    top = ctx.trees[p + ell]
+    signed = _signed_permutations(ell)
+    items, n = len(geos[0][0]), len(nodes)
+    _, rows, inner = top.rinv.shape
+    kirch = np.empty((items, n, rows, inner))
+    chains = np.empty((len(signed), items, n, inner, factors[0].shape[2]))
+    # a multiple of the rule's nodes, so no chunk holds one node (a
+    # one-node tree sum rounds as gemv, not as gemm)
+    piece = _rule_size(nodes.shape[1])
+    size = max(1, _BLOCK // (items * piece)) * piece
+    for lo in range(0, n, size):
+        at = slice(lo, lo + size)
+        chunk = nodes[at]
+        drhos = []
+        for j in range(ell):
+            drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, chunk), geos[j][1], beta)
+            drhos.append(drho if along is None else drho @ along)
+        rho_top = _rho_at_nodes(top, geos[ell], beta, chunk)
+        _orchard_sum(top, factors, signed, rho_top, drhos, wts[at], kirch[:, at], chains[:, :, at])
+    # a view when inner is 1: a matmul rounds by its operands' layout, and
+    # the per-simplex oracles pin this one
+    kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
+    value = np.zeros((items, rows, factors[0].shape[2]))
+    for (_, sign), chain in zip(signed, chains):
+        value += sign * (kirch @ chain.reshape(items, n * inner, -1))
+    return value
 
 
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
@@ -342,36 +372,33 @@ def _tree_sum(coeffs, ops):
     return out.reshape(coeffs.shape[:-1] + ops.shape[1:])
 
 
-def _orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
-    """Weighted node sum of the degree-ell orchard form, factored per level,
-    for each simplex of a stack.
+def _orchard_sum(top, factors, signed, rho_top, drhos, wts, kirch, chains):
+    """The degree-ell orchard sum, factored per level, at each node of one
+    chunk of a stack of simplices, written into kirch (I, N, rows, inner)
+    and chains (ell!, I, N, inner, cols).
 
-    rho_top: (ntrees, I, N) at level p + ell; drhos[j]: (I, N, ntrees, ell),
-    the tree-weight differentials at level p + j along the ell frame
-    vectors; wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z ...
-    R_0 is multilinear in the tree chosen per level, so the sum over
+    rho_top: (ntrees, I, N) at the top level; drhos[j]: (I, N, ntrees,
+    ell), the tree-weight differentials j levels above the bottom along
+    the ell frame vectors; wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z
+    ... R_0 is multilinear in the tree chosen per level, so the sum over
     orchards is
     sum_sigma sgn(sigma) K Z D_{ell-1}(v_sigma(0)) ... Z D_1 D_0(v_sigma(ell-1))
     with K = sum_T rho_T R_T and D_j(v) = sum_T (drho_T . v) R_T per node.
-    The node sum of each permutation's product is one matmul per simplex.
+    kirch receives the node-weighted K, chains[s] the chain product of
+    the permutation signed[s]; _form sums them over the nodes.
     """
     ell = len(drhos)
-    factors = ctx.factors_std if zeta == "standard" else ctx.factors_alt
     # node weights times rho, computed over the nodes and written tree-last
-    # for the matmul (the name is reused so the product is freed after it)
-    kirch = np.empty(rho_top.shape[1:] + rho_top.shape[:1])
-    np.multiply(rho_top, wts, out=kirch.transpose(2, 0, 1))
-    kirch = _tree_sum(kirch, ctx.trees[p + ell].rinv)
+    # for the matmul
+    weighted = np.empty(rho_top.shape[1:] + rho_top.shape[:1])
+    np.multiply(rho_top, wts, out=weighted.transpose(2, 0, 1))
+    kirch[...] = _tree_sum(weighted, top.rinv)
     derivs = [_tree_sum(dr.swapaxes(2, 3), f) for dr, f in zip(drhos, factors)]
-    items, n, rows, inner = kirch.shape
-    kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
-    value = np.zeros((items, rows, factors[0].shape[2]))
-    for perm, sign in _signed_permutations(ell):
-        chain = derivs[0][:, :, perm[-1]]
+    for (perm, _), chain in zip(signed, chains):
+        product = derivs[0][:, :, perm[-1]]
         for j in range(1, ell):
-            chain = derivs[j][:, :, perm[ell - 1 - j]] @ chain
-        value += sign * (kirch @ chain.reshape(items, n * inner, -1))
-    return value
+            product = derivs[j][:, :, perm[ell - 1 - j]] @ product
+        chain[...] = product
 
 
 @functools.lru_cache(maxsize=8)
@@ -463,27 +490,45 @@ def _node_batches(jdim, depth):
     return nodes, weights
 
 
-# Simplices times nodes in one stacked form evaluation.  Every array of a
-# block then holds at most _BLOCK times a per-node size fixed by the gap
-# (trees, frame vectors, operator shape), whatever the depth.  A simplex
-# whose nodes alone exceed it is evaluated by itself: splitting its node
-# sum would change the float result.
-_BLOCK = 16384
+@functools.lru_cache(maxsize=8)
+def _rule_size(jdim):
+    """Nodes of simplex_rule on the jdim-simplex, one rule piece."""
+    return len(simplex_rule(jdim)[1])
+
+
+# Simplices times nodes in one per-node pass of a form evaluation: every
+# array of a pass then holds at most _BLOCK times a per-node size fixed by
+# the gap (trees, frame vectors, operator shape), whatever the depth.  A
+# simplex whose nodes alone exceed it is evaluated by itself and its passes
+# run over chunks of its nodes; only the node-sum buffers, a few floats per
+# node, span all of its nodes, since splitting a node sum would change the
+# float result.
+_BLOCK = 4096
+# Nodes per simplex in one depth's batch, beyond which the depth loop stops
+# rather than build the batch: 2^22 admits the 3-simplex at depth 6
+# (3 932 160 nodes, about 0.5 GB of node-sum buffers on the cube spheres).
+_NODE_BUDGET = 2 ** 22
 
 
 def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     """Dyadic Stokes integrals of simplices of one dimension, stacked: one
     form evaluation per depth and block of still-active simplices.  Each
     simplex leaves once two depths agree within tol; returns the blocks
-    as one array (simplices, rows, cols) and the places of the simplices
-    that never converged, whose blocks are NaN."""
+    as one array (simplices, rows, cols), the places of the simplices
+    that never converged, whose blocks are NaN, and the deepest depth
+    tried, short of max_depth when the next one's batch would exceed
+    _NODE_BUDGET nodes."""
     p = proto.gap.p
     jdim = proto.dim_of(keys[0])
     geos = _vertex_geometry(ctx, proto, keys, range(p, p + jdim + 1))
     out = np.full((len(keys), proto.gap.dim_at(jdim), proto.gap.dim_at(0)), np.nan)
     active = np.arange(len(keys))
     prev = None
+    deepest = max_depth
     for depth in range(max_depth + 1):
+        if _rule_size(jdim) * 2 ** (depth * jdim) > _NODE_BUDGET:
+            deepest = depth - 1
+            break
         nodes, wts = _node_batches(jdim, depth)
         step = max(1, _BLOCK // len(wts))
         est = np.concatenate([
@@ -498,7 +543,7 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
             if not len(active):
                 break
         prev = est
-    return out, active
+    return out, active, deepest
 
 
 def _integrate_by_dim(proto, beta, keys, tol, max_depth):
@@ -512,18 +557,22 @@ def _integrate_by_dim(proto, beta, keys, tol, max_depth):
     dims = [proto.dim_of(key) for key in keys]
     if any(jdim > gap.top for jdim in dims):
         raise ValueError("simplex dimension exceeds the gap width")
-    out, missed = [], []
+    out, missed = [], []     # missed: (place, deepest depth tried)
     for jdim in sorted(set(dims)):
         pos = [i for i, d in enumerate(dims) if d == jdim]
         if jdim == 0:
             stack = _alpha0(gap, _vertex_rows(proto, [keys[i] for i in pos], gap.p)[:, 0], beta)
         else:
-            stack, left = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos], tol, max_depth)
-            missed += [pos[i] for i in left]
+            stack, left, deepest = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos],
+                                                    tol, max_depth)
+            missed += [(pos[i], deepest) for i in left]
         out.append((pos, stack))
     if missed:
+        first, deepest = min(missed)
+        budget = "" if deepest == max_depth else (
+            f": depth {deepest + 1} would exceed the budget of {_NODE_BUDGET} nodes per simplex")
         raise QuadratureNoConvergence(
-            f"simplex {keys[min(missed)]}: no convergence within depth {max_depth} at tol {tol}")
+            f"simplex {keys[first]}: no convergence within depth {deepest} at tol {tol}{budget}")
     return out
 
 

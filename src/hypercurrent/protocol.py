@@ -409,6 +409,7 @@ def loads_protocol(text, base_dir=None):
         raise ParseError(f"bad protocol document: {exc}") from exc
     if any(isinstance(vid, (list, dict)) for vid in ids):
         raise ParseError("protocol vertex ids must be JSON strings or numbers")
+    _refuse_comma_ids(ids, ParseError)
     id_index = {vid: k for k, vid in enumerate(ids)}
     simplices = []
     orientation = {}
@@ -436,7 +437,16 @@ def load_protocol(path):
         return loads_protocol(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
+def _refuse_comma_ids(ids, error):
+    """Raises error naming the first vertex id that holds a comma: a stored
+    cycle key joins vertex ids with commas, so no document can hold it."""
+    bad = next((vid for vid in ids if isinstance(vid, str) and "," in vid), None)
+    if bad is not None:
+        raise error(f"vertex id {bad!r} holds a comma, the separator of cycle keys")
+
+
 def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
+    _refuse_comma_ids(proto.vertex_ids, ValueError)
     gap = proto.gap
     doc = {
         "complex": complex_ref

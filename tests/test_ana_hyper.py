@@ -1523,6 +1523,146 @@ def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     assert {(b, d) for b, d, _ in groups} == {(b, d) for b in betas for d in (1, 2)}
 
 
+# --- streamed per-node passes ---------------------------------------------------------
+
+STREAMED_CASES = {
+    # builtin, (beta, tol, max_depth) runs: the q=3 cells at the benchmark's
+    # coarse tolerance
+    "square": (square_protocol, [(b, 1e-8, 8) for b in (2.0, 7.5, 12.5, 40.0)]),
+    "sphere1": (lambda: cube_sphere_protocol(1), [(b, 1e-8, 8) for b in (2.0, 7.5, 12.5, 40.0)]),
+    "sphere2": (lambda: cube_sphere_protocol(2), [(b, 1e-8, 8) for b in (2.0, 7.5, 12.5, 40.0)]),
+    "sphere3": (lambda: cube_sphere_protocol(3), [(b, 1e-4, 6) for b in (2.0, 5.0)]),
+    "wedge2": (lambda: builtin_protocol("cube_wedge", 2),
+               [(b, 1e-8, 8) for b in (2.0, 7.5, 12.5, 40.0)]),
+    "k4": (k4_protocol, [(b, 1e-8, 8) for b in (2.0, 12.5)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED_CASES))
+def test_cochain_bits_do_not_depend_on_the_block(name, monkeypatch):
+    # the block bounds the per-node passes only; the node sums span every
+    # node of a block whatever it is, so the cochain keeps its bytes
+    # (beta 40 takes depth 8, 655 360 nodes per 2-simplex, too slow for a
+    # test in chunks of 300 or 64 nodes; it runs chunked at 4096)
+    make, runs = STREAMED_CASES[name]
+    proto = make()
+    stacks = {}
+    for block in (16384, 4096, 300, 64):
+        monkeypatch.setattr(ana_hyper, "_BLOCK", block)
+        for beta, tol, depth in runs:
+            if block >= 4096 or beta < 40:
+                coch = jan_cochain(proto, beta, tol=tol, max_depth=depth)
+                stacks[block, beta] = [s.tobytes() for s in coch.stacks]
+    for (block, beta), got in stacks.items():
+        assert got == stacks[16384, beta], (block, beta)
+    assert len(stacks) == 4 * len(runs) - 2 * sum(beta >= 40 for beta, _, _ in runs)
+
+
+def _record_passes(monkeypatch):
+    """(simplices, nodes) of every per-node pass, one per _rho_at_nodes call."""
+    passes = []
+    original = ana_hyper._rho_at_nodes
+
+    def recorded(table, geo, beta, nodes):
+        passes.append((len(geo[0]), len(nodes)))
+        return original(table, geo, beta, nodes)
+
+    monkeypatch.setattr(ana_hyper, "_rho_at_nodes", recorded)
+    return passes
+
+
+def test_no_per_node_pass_exceeds_the_block(monkeypatch):
+    # at beta 12.5 some cycle simplices of the cube sphere reach depth 6,
+    # 40 960 nodes each: their passes run on chunks of whole rule pieces
+    proto = cube_sphere_protocol(2)
+    passes = _record_passes(monkeypatch)
+    jan_integrate(proto, 12.5, list(proto.fundamental_cycle))
+    piece = len(simplex_rule(2)[1])
+    assert len(_node_batches(2, 6)[1]) == 40960 > ana_hyper._BLOCK
+    assert max(items * nodes for items, nodes in passes) <= ana_hyper._BLOCK
+    assert all(nodes % piece == 0 for _, nodes in passes)
+    assert (1, ana_hyper._BLOCK // piece * piece) in passes
+    # the one-node point form runs in one pass whatever the stack's size
+    passes.clear()
+    keys = proto.simplices_of_dim(2)
+    jan_form(proto, 12.5, keys * 500, np.full((len(keys) * 500, 2), 0.25), np.eye(2), 2)
+    assert passes == [(len(keys) * 500, 1)] * 3
+
+
+def test_stacked_integrate_memory_is_bounded():
+    """The traced peak of integrating the cube sphere's cycle at beta 12.5
+    is bounded by the node-sum buffers plus one chunk's working set.
+
+    The deepest simplices take depth 6, N = 40 960 nodes, and run alone.
+    Their node-sum buffers hold per node the weighted K (rows x inner =
+    2 x 1) and one chain product per permutation of the 2-frame (2 x inner
+    x cols = 2 x 1 x 2): 6 floats, 8 N * 6 bytes = 1.97 MB.  A chunk holds
+    at most _BLOCK nodes; at the peak of _drho it keeps rho, beta rho, the
+    differences and drho (ntrees (2 + 2 jdim) = 12 floats per node) next to
+    the lower level's drho and the top level's rho (4 + 2 more): 18
+    floats, bounded here by 24, 8 * 24 * _BLOCK bytes = 0.79 MB.  A
+    quarter MB covers the node batches' indices, the block's estimates and
+    the interpreter.  Before the per-node passes were chunked the peak was
+    6.6 MB, over this bound."""
+    import tracemalloc
+
+    proto = cube_sphere_protocol(2)
+    keys = list(proto.fundamental_cycle)
+    jan_integrate(proto, 12.5, keys)        # node batches and the context built
+    nodes = 40960
+    bound = 8 * nodes * 6 + 8 * 24 * ana_hyper._BLOCK + 2 ** 18
+    tracemalloc.start()
+    try:
+        jan_integrate(proto, 12.5, keys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
+
+
+def test_node_counts_are_the_batch_sizes():
+    # the node budget is checked from this count before a batch is built
+    for jdim in (1, 2, 3):
+        for depth in (0, 1, 2):
+            count = ana_hyper._rule_size(jdim) * 2 ** (depth * jdim)
+            assert count == len(_node_batches(jdim, depth)[1]) == len(_node_batches(jdim, depth)[0])
+    # the 3-simplex at depth 6, as deep sweeps on the cube spheres reach
+    assert ana_hyper._rule_size(3) * 2 ** 18 <= ana_hyper._NODE_BUDGET
+
+
+def test_node_budget_stops_the_depth_loop(monkeypatch):
+    # a budget of 700 nodes admits the 2-simplex up to depth 3 (640 nodes)
+    # and not depth 4 (2560): the integration stops there, before building
+    # the depth-4 batch, and names the first simplex left, the depth and
+    # the budget
+    proto = cube_sphere_protocol(2)
+    keys = list(proto.fundamental_cycle)
+    fails = []
+    for key in keys:
+        try:
+            single_jan_integrate(proto, 12.5, key, max_depth=3)
+        except QuadratureNoConvergence as exc:
+            fails.append(str(exc))
+    assert fails
+    monkeypatch.setattr(ana_hyper, "_NODE_BUDGET", 700)
+    built = []
+    original = ana_hyper._node_batches
+
+    def recorded(jdim, depth):
+        built.append(depth)
+        return original(jdim, depth)
+
+    monkeypatch.setattr(ana_hyper, "_node_batches", recorded)
+    with pytest.raises(QuadratureNoConvergence) as err:
+        jan_integrate(proto, 12.5, keys)
+    assert str(err.value) == fails[0] + ": depth 4 would exceed the budget of 700 nodes per simplex"
+    assert max(built) == 3
+    # the budget leaves a depth limit that stops first as it was
+    with pytest.raises(QuadratureNoConvergence) as err:
+        jan_integrate(proto, 12.5, keys, max_depth=2)
+    assert "budget" not in str(err.value) and "within depth 2 at" in str(err.value)
+
+
 def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):
     proto = cube_sphere_protocol(2)
     rng = np.random.default_rng(5)

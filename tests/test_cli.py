@@ -408,6 +408,22 @@ def test_residual_outputs_match_the_cell_by_cell_oracle(argv, defects, monkeypat
     assert written[0] == written[1]
 
 
+def test_quantize_over_the_node_budget_exits_2(monkeypatch, tmp_path, capsys):
+    # a depth whose batch would exceed the node budget is not built: the
+    # sweep stops with a validation error naming the budget
+    from hypercurrent import ana_hyper
+
+    monkeypatch.setattr(ana_hyper, "_NODE_BUDGET", 700)
+    out = tmp_path / "q.csv"
+    assert main(["quantize", "builtin:cube_sphere:2", "--betas", "12.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: QuadratureNoConvergence: simplex ")
+    assert line.endswith(": no convergence within depth 3 at tol 1e-08: "
+                         "depth 4 would exceed the budget of 700 nodes per simplex")
+
+
 def test_quantize_rejects_descending_betas(capsys):
     assert main(["quantize", "builtin:square", "--betas", "10,5"]) == 2
 

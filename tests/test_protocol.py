@@ -123,6 +123,68 @@ def test_stored_cycle_outside_the_protocol_is_rejected():
         loads_protocol(json.dumps(doc))
 
 
+def test_comma_in_a_vertex_id_is_refused_both_ways():
+    # a stored cycle key joins vertex ids with commas, so an id holding one
+    # can be neither read nor written
+    doc = json.loads(dumps_protocol(square_protocol()))
+    doc["vertices"][1]["id"] = "c,m"
+    with pytest.raises(ParseError, match=r"vertex id 'c,m' holds a comma"):
+        loads_protocol(json.dumps(doc))
+    proto = subdivide(square_protocol())
+    bad = next(vid for vid in proto.vertex_ids if "," in vid)
+    with pytest.raises(ValueError, match=f"vertex id {re.escape(repr(bad))} holds a comma"):
+        dumps_protocol(proto)
+
+
+def _graph_transversal_sphere(name, cells, edges, count):
+    """The transversal spheres of the first count top discriminant cells
+    of a graph at (0, 1), as one protocol."""
+    bnd = [[0] * len(edges) for _ in cells]
+    for k, (a, b) in enumerate(edges):
+        bnd[a][k], bnd[b][k] = -1, 1
+    x = loads_complex(json.dumps({
+        "name": name, "cells": [cells, [cells[a] + cells[b] for a, b in edges]],
+        "boundary": [bnd]}))
+    return transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[:count])
+
+
+WRITTEN_DOMAINS = (
+    [(f"{kind}{q}", lambda kind=kind, q=q: protocol.builtin_protocol(kind, q))
+     for kind in ("cube_sphere", "cube_wedge") for q in (1, 2, 3, 4)]
+    + [("square", square_protocol),
+       ("path3", lambda: _graph_transversal_sphere("path3", list("xyz"), [(0, 1), (1, 2)], 1)),
+       ("triangle", lambda: _graph_transversal_sphere(
+           "triangle", list("abc"), [(0, 1), (1, 2), (0, 2)], 2)),
+       ("k4_chunk", lambda: _graph_transversal_sphere(
+           "k4", list("abcd"), list(itertools.combinations(range(4), 2)), 3))]
+)
+
+
+@pytest.mark.parametrize("make", [m for _, m in WRITTEN_DOMAINS], ids=[n for n, _ in WRITTEN_DOMAINS])
+def test_every_written_protocol_reads_back(make, monkeypatch, tmp_path, capsys):
+    from hypercurrent import cli
+
+    proto = make()
+    text = dumps_protocol(proto)
+    back = loads_protocol(text)
+    assert back.vertex_ids == proto.vertex_ids
+    assert back.cell_index.keys == proto.cell_index.keys
+    assert [w.tobytes() for w in back.level_weights] == [w.tobytes() for w in proto.level_weights]
+    assert back.fundamental_cycle == proto.fundamental_cycle and proto.fundamental_cycle
+    assert back.orientation == proto.orientation
+    assert dumps_protocol(back) == text
+    # the report of the read-back file is the report of the protocol itself
+    path = tmp_path / "proto.json"
+    path.write_text(text)
+    reports = []
+    for loaded in (False, True):
+        if loaded:
+            monkeypatch.setattr(cli, "_load_protocol_arg", lambda _: proto)
+        assert cli.main(["topo", "current", str(path)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 simplex_lists = st.lists(
     st.lists(st.integers(0, 13), min_size=1, max_size=4, unique=True).map(lambda s: tuple(sorted(s))),
     max_size=8)
