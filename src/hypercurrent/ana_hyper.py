@@ -298,7 +298,7 @@ def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
     buffers of the stack.  Each node sum is then one matmul per simplex
     over all of its nodes, so the chunking leaves every bit as it is."""
     ell = len(geos) - 1
-    factors = (ctx.factors_std if zeta == "standard" else ctx.factors_alt)[:ell]
+    factors = ctx.factors_std if zeta == "standard" else ctx.factors_alt
     top = ctx.trees[p + ell]
     signed = _signed_permutations(ell)
     items, n = len(geos[0][0]), len(nodes)
