@@ -51,6 +51,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -749,8 +750,8 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
     if len(betas) == 0:
         raise ValueError("quantization sweep needs at least one beta: the beta list is empty")
     gap = proto.gap
-    topo_coords, _ = hypercurrent_homology(proto, cycle, class_p)
-    topo = np.array([float(c) for c in topo_coords])
+    col = ratlin.QMat.from_rows([[Fraction(c)] for c in class_p], (len(class_p), 1))
+    topo = hypercurrent_homology(proto, [cycle], col)[0][0].to_float()[:, 0]
     hp = gap.parent_hp
     hbasis = hp.hbasis.to_float()
     rep = hbasis @ np.asarray(class_p, dtype=float)

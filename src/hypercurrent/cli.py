@@ -22,6 +22,7 @@ from .complex_core import betti, gap_complex, load_complex
 from .errors import HclError
 from .forests import enumerate_dtrees, greedy_dtree
 from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol
+from .ratlin import QMat
 from .topo_hyper import cochain_chain_map_defect, hypercurrent_homology
 from .ana_hyper import axioms_check, interior_samples, jan_cochain, quantization_sweep
 from .weight_space import classify_top_cells
@@ -205,18 +206,19 @@ def cmd_topo(args):
     else:
         raise HclError(f"unknown cycle choice {args.cycle!r}")
     if args.class_file:
-        class_p = _side_file(args.class_file, lambda d: [Fraction(v) for v in _listed(d)],
+        class_p = _side_file(args.class_file, lambda d: [[Fraction(v)] for v in _listed(d)],
                              "a JSON list of finite numbers or rational strings")
     else:
-        class_p = [Fraction(1)] + [Fraction(0)] * (gap.parent_hp.betti - 1)
-    coords, chain = hypercurrent_homology(proto, cycle, class_p)
+        class_p = [[1]] + [[0]] * (gap.parent_hp.betti - 1)
+    [(coords, chain)] = hypercurrent_homology(proto, [cycle],
+                                              QMat.from_rows(class_p, (len(class_p), 1)))
     report = {
         "config": cfg.as_dict(),
         "input_hash": _hash_or_builtin([args.file]),
         "chain": {
-            gap.cells_at(gap.top)[i]: _rat(v) for i, v in enumerate(chain) if v
+            gap.cells_at(gap.top)[i]: _rat(v) for i, (v,) in enumerate(chain.to_rows()) if v
         },
-        "class": [_rat(c) for c in coords],
+        "class": [_rat(c) for (c,) in coords.to_rows()],
     }
     _emit(report, args.out)
     return 0
@@ -367,15 +369,16 @@ def cmd_demo(args):
     for name, x in [("sphere", sphere_complex(q)), ("wedge", sphere_wedge_complex(q))]:
         gap = gap_complex(x, 0, q)
         proto = cube_protocol(gap)
-        coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+        [(coords, chain)] = hypercurrent_homology(proto, [proto.fundamental_cycle],
+                                                  QMat.identity(1))
         sweep = quantization_sweep(
             proto, betas, proto.fundamental_cycle, [1], tol=args.tol,
             max_depth=args.quad_depth,
         )
         chain_desc = " + ".join(
-            f"{_rat(v)}*{gap.cells_at(gap.top)[i]}" for i, v in enumerate(chain) if v
+            f"{_rat(v)}*{gap.cells_at(gap.top)[i]}" for i, (v,) in enumerate(chain.to_rows()) if v
         ) or "0"
-        rows.append((name, chain_desc, [_rat(c) for c in coords], sweep))
+        rows.append((name, chain_desc, [_rat(c) for (c,) in coords.to_rows()], sweep))
     print(f"degree-{q} comparison (identical cell counts, different attachments)")
     print(f"{'complex':<8} {'pairing chain':<24} class")
     for name, chain_desc, coords, _ in rows:

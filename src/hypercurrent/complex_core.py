@@ -257,17 +257,17 @@ class HomologyData:
         return self.cycles.shape[1] - self.bounds.shape[1]
 
     def class_of(self, chain):
-        """Coordinates of a cycle's class in the chosen homology basis: a
-        list of rationals for a list, a QMat of columns for a QMat."""
+        """Coordinates in the chosen homology basis of the class of each
+        cycle, a column of the QMat chain: a QMat of columns."""
         coeffs = self.class_map @ chain
         if ratlin.hstack(self.bounds, self.hbasis) @ coeffs != chain:
             raise ValueError("chain is not a cycle (class undefined)")
         return coeffs[self.bounds.shape[1]:]
 
     def representative(self, coords):
-        """The cycle with the given coordinates in the homology basis: a
-        list of rationals for a list, a QMat of columns for a QMat."""
-        n = coords.shape[0] if isinstance(coords, QMat) else len(coords)
+        """The cycles whose coordinates in the homology basis are the
+        columns of the QMat coords: a QMat of columns."""
+        n = coords.shape[0]
         if n != self.betti:
             raise ValueError(f"class has {n} coordinates, homology has dimension {self.betti}")
         return self.hbasis @ coords

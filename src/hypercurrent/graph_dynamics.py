@@ -47,7 +47,7 @@ class StateDiagram:
 def state_diagram(x: CwComplex) -> StateDiagram:
     if x.dim != 1:
         raise ValueError("state diagrams are built over one-dimensional complexes")
-    d1 = x.d(1)
+    d1 = x.d(1).num
     edges = []
     for e in range(x.n_cells(1)):
         col = d1[:, e]

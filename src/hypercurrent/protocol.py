@@ -409,7 +409,7 @@ def loads_protocol(text, base_dir=None):
         raise ParseError(f"bad protocol document: {exc}") from exc
     if any(isinstance(vid, (list, dict)) for vid in ids):
         raise ParseError("protocol vertex ids must be JSON strings or numbers")
-    _refuse_comma_ids(ids, ParseError)
+    _refuse_unnamable_ids(ids, bool(doc.get("cycle")), ParseError)
     id_index = {vid: k for k, vid in enumerate(ids)}
     simplices = []
     orientation = {}
@@ -437,16 +437,21 @@ def load_protocol(path):
         return loads_protocol(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def _refuse_comma_ids(ids, error):
-    """Raises error naming the first vertex id that holds a comma: a stored
-    cycle key joins vertex ids with commas, so no document can hold it."""
+def _refuse_unnamable_ids(ids, cycle, error):
+    """Raises error naming the first vertex id that a stored cycle key
+    cannot name.  A key joins vertex ids with commas into one string, so
+    no id may hold a comma, and with a cycle every id must be a string."""
     bad = next((vid for vid in ids if isinstance(vid, str) and "," in vid), None)
     if bad is not None:
         raise error(f"vertex id {bad!r} holds a comma, the separator of cycle keys")
+    bad = next((vid for vid in ids if not isinstance(vid, str)), None) if cycle else None
+    if bad is not None:
+        raise error(f"vertex id {bad!r} is not a string, and the stored cycle names vertices "
+                    "by string")
 
 
 def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
-    _refuse_comma_ids(proto.vertex_ids, ValueError)
+    _refuse_unnamable_ids(proto.vertex_ids, bool(proto.fundamental_cycle), ValueError)
     gap = proto.gap
     doc = {
         "complex": complex_ref

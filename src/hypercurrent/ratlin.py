@@ -103,14 +103,14 @@ class QMat:
         return QMat._raw(self.num.T, self.den)
 
     def __getitem__(self, key):
-        """numpy indexing: a 2-d result is a QMat, a row or column a list
-        of Fractions, an entry a Fraction."""
+        """numpy indexing: a 2-d result is a QMat, an entry a Fraction; a
+        row or column is read with a slice, ``a[i:i + 1]`` or ``a[:, j:j + 1]``."""
         num = self.num[key]
         if not isinstance(num, np.ndarray):
             return Fraction(num, self.den)
-        if num.ndim == 2:
-            return QMat(num, self.den)
-        return [Fraction(x, self.den) for x in num.tolist()]
+        if num.ndim != 2:
+            raise IndexError("a QMat index keeps both axes or picks one entry")
+        return QMat(num, self.den)
 
     def is_zero(self):
         return not self.num.any()
@@ -125,16 +125,8 @@ class QMat:
         return f"QMat({self.num.tolist()!r}, {self.den})"
 
     def __matmul__(self, other):
-        """Product with a QMat, or a vector of rationals (a list of
-        Fractions comes back); an ndarray raises TypeError."""
-        if isinstance(other, QMat):
-            return matmul(self, other)
-        if isinstance(other, np.ndarray):
-            return NotImplemented
-        vec = list(other)
-        den = math.lcm(1, *(x.denominator for x in vec))
-        col = np.array([x.numerator * (den // x.denominator) for x in vec], dtype=object)
-        return [Fraction(v, self.den * den) for v in (self.num @ col).tolist()]
+        """Product with a QMat; any other operand raises TypeError."""
+        return matmul(self, other) if isinstance(other, QMat) else NotImplemented
 
     def _combine(self, other, sign):
         if not isinstance(other, QMat):

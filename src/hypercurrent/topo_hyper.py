@@ -46,7 +46,6 @@ signatures number its top cells' signatures.
 """
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -416,19 +415,18 @@ def cochain_chain_map_defect(cochain: HyperCochain):
     return float(worst) if worst else 0
 
 
-def hypercurrent_homology(proto, cycle, class_p):
-    """Pair a top cycle of the parameter domain with degree-p homology:
-    class_p is one class (a list of coordinates) or a QMat whose columns
-    are classes.  Returns their coordinates in the chosen degree-q
-    homology basis of the parent complex (a list, or a QMat of columns)
-    and the paired chain.  The pairing reads the degree-0 block of each
-    cycle cell's lift, whose Koszul sign is +1.
+def hypercurrent_homology(proto, cycles, classes):
+    """Pair top cycles of the parameter domain with degree-p homology.
 
-    cycle may also be a sequence of cycles, all paired over one lift;
-    the result is then a list of (coordinates, chain), one per cycle."""
+    cycles is a sequence of top cycles (each a mapping from a cell key to
+    its coefficient), all paired over one lift; classes is a QMat whose
+    columns are degree-p classes in the chosen basis.  Returns one
+    (coordinates, chain) pair of QMats per cycle, one column per class:
+    the paired chain, and the coordinates of its class in the chosen
+    degree-q homology basis of the parent complex.  The pairing reads the
+    degree-0 block of each cycle cell's lift, whose Koszul sign is +1."""
     gap = proto.gap
-    one = isinstance(cycle, Mapping)
-    cycles = [cycle] if one else list(cycle)
+    cycles = list(cycles)
     cells = proto.cell_index
     # per cycle, its first cell outside the top cells, else (row, coefficient) per cell
     strays = [next((k for k in map(tuple, c) if proto.dim_of(k) != gap.top
@@ -457,12 +455,7 @@ def hypercurrent_homology(proto, cycle, class_p):
             raise NotACycle("parameter chain has nonzero boundary")
     stacks = proto.lift.stacks
     # the degree-p representative is a chain in degree 0 of the shifted complex
-    as_list = not isinstance(class_p, QMat)
-    if as_list:
-        class_p = [Fraction(c) for c in class_p]
-    rep = gap.parent_hp.representative(class_p)
-    if as_list:
-        rep = QMat.from_rows([[v] for v in rep], (len(rep), 1))
+    rep = gap.parent_hp.representative(classes)
     for stray in (k for k in strays if k is not None):
         if proto.dim_of(stray) != gap.top:
             raise NotACycle("cycle has support outside the top dimension")
@@ -489,8 +482,4 @@ def hypercurrent_homology(proto, cycle, class_p):
         raise InvariantBroken(f"paired chain: {exc}") from exc
     if gap.top != 0:
         cls = gap.hq_project @ cls
-    out = []
-    for i in range(len(cycles)):
-        pair = cls[:, i * k:(i + 1) * k], chains[:, i * k:(i + 1) * k]
-        out.append(tuple(m[:, 0] for m in pair) if as_list else pair)
-    return out[0] if one else out
+    return [(cls[:, i * k:(i + 1) * k], chains[:, i * k:(i + 1) * k]) for i in range(len(cycles))]

@@ -2,8 +2,9 @@
 and scaling of all weights.  Both keep a protocol's order types, so the
 exact lift must not change under them; the tests check that it does not.
 Also a certificate's least levels by cell, the face closure one face at
-a time, the oracle for the library's closure over index arrays, and a
-document whose stored cycle leaves the protocol.
+a time, the oracle for the library's closure over index arrays, a
+document whose stored cycle leaves the protocol, and one cycle's pairing
+with the one degree-p class read as lists.
 
 The earlier build of a protocol is kept here as the oracle for the
 array build: the closure over vertex tuples (_closure), the cube's
@@ -22,6 +23,8 @@ import numpy as np
 
 from hypercurrent.ana_hyper import _check_beta
 from hypercurrent.errors import NotACycle, NotClosedUnderFaces, ParseError
+from hypercurrent.ratlin import QMat
+from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.protocol import (
     CellIndex,
     SimplicialProtocol,
@@ -321,3 +324,10 @@ def square_doc_without_last_edge():
     name = ",".join(dropped["vertices"])
     assert name in doc["cycle"]
     return doc, name
+
+
+def pair_one(domain, cycle):
+    """One cycle of the domain paired with the one degree-p class (b_p must
+    be 1): its coordinates and its chain, each a list of Fractions."""
+    [(coords, chain)] = hypercurrent_homology(domain, [cycle], QMat.identity(1))
+    return [c for (c,) in coords.to_rows()], [v for (v,) in chain.to_rows()]

@@ -20,7 +20,7 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.forests import enumerate_dtrees, greedy_dtree, is_dtree, matroid_is_dtree
 from hypercurrent.protocol import cube_protocol, cube_sphere_protocol, square_protocol
-from hypercurrent.topo_hyper import cochain_chain_map_defect, hypercurrent_homology
+from hypercurrent.topo_hyper import cochain_chain_map_defect
 from hypercurrent.ana_hyper import (
     axioms_check,
     interior_samples,
@@ -32,7 +32,7 @@ from hypercurrent.weight_space import classify_top_cells, good_summand_count
 from hypercurrent.graph_dynamics import evolve
 from hypercurrent.protocol import SimplicialProtocol, WeightPoint
 from normal_equations import weighted_pseudoinverse_boundary, weighted_pseudoinverse_inclusion
-from protocol_ops import levels_of
+from protocol_ops import levels_of, pair_one
 from stationary import boltzmann, current_form
 
 
@@ -66,7 +66,7 @@ def path_complex():
 def test_criterion_1_square_protocol_exact_value():
     with criterion(1, "degree-1 sphere: square protocol pairs to +-(e1+ + e1-)", 1.0):
         proto = square_protocol()
-        coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+        coords, chain = pair_one(proto, proto.fundamental_cycle)
         assert chain in (
             [Fraction(1), Fraction(1)],
             [Fraction(-1), Fraction(-1)],
@@ -77,14 +77,14 @@ def test_criterion_1_square_protocol_exact_value():
 def test_criterion_2_sphere_pairings_exact():
     with criterion(2, "degree-2 and degree-3 spheres pair onto a generator", 5.0):
         proto2 = cube_sphere_protocol(2)
-        coords2, chain2 = hypercurrent_homology(proto2, proto2.fundamental_cycle, [1])
+        coords2, chain2 = pair_one(proto2, proto2.fundamental_cycle)
         assert chain2 in (
             [Fraction(-1), Fraction(1)],   # e2- - e2+
             [Fraction(1), Fraction(-1)],
         )
         assert abs(coords2[0]) == 1
         proto3 = cube_sphere_protocol(3)
-        coords3, _ = hypercurrent_homology(proto3, proto3.fundamental_cycle, [1])
+        coords3, _ = pair_one(proto3, proto3.fundamental_cycle)
         assert len(coords3) == 1 and abs(coords3[0]) == 1
 
 
@@ -93,7 +93,7 @@ def test_criterion_3_wedge_trivial():
         for q in (1, 2, 3):
             gap = gap_complex(sphere_wedge_complex(q), 0, q)
             proto = cube_protocol(gap)
-            coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+            coords, chain = pair_one(proto, proto.fundamental_cycle)
             assert all(c == 0 for c in coords)
             assert all(c == 0 for c in chain)
 

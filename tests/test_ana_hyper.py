@@ -109,12 +109,13 @@ def test_alpha0_explicit_and_projection():
         assert np.allclose(a0 @ a0, a0, atol=1e-12)
         # induces the identity on degree-0 homology
         h0 = SPHERE1.homology[0]
-        rep = np.array([float(v) for v in h0.hbasis[:, 0]])
+        rep = h0.hbasis.to_float()[:, 0]
         out = a0 @ rep
-        cls_in = h0.class_of([ratlin.Fraction(v).limit_denominator(10**12) for v in rep])
+        cls_in = h0.class_of(ratlin.QMat.from_rows(
+            [[ratlin.Fraction(v).limit_denominator(10**12)] for v in rep], (len(rep), 1)))
         solve = ratlin.pinv(ratlin.hstack(h0.bounds, h0.hbasis)).to_float()
         coeffs = solve @ out
-        assert coeffs[-1] == pytest.approx(float(cls_in[0]), abs=1e-12)
+        assert coeffs[-1] == pytest.approx(float(cls_in[0, 0]), abs=1e-12)
 
 
 def test_pseudoinverse_defining_identities():
@@ -608,8 +609,9 @@ def two_pass_sweep_rows(proto, betas, tol, max_depth):
     the class, then the whole cochain integrated again for the residual."""
     gap = proto.gap
     ctx = _context(gap)
-    topo_coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
-    topo = np.array([float(c) for c in topo_coords])
+    [(topo_coords, _)] = hypercurrent_homology(proto, [proto.fundamental_cycle],
+                                               ratlin.QMat.identity(1))
+    topo = np.array([float(c) for (c,) in topo_coords.to_rows()])
     hp = gap.parent_hp
     rep = hp.hbasis.to_float() @ np.array([1.0])
     rows = []
@@ -1005,8 +1007,8 @@ def test_integrate_constant_protocol_zero():
 
 def test_square_cycle_integral_matches_topology():
     proto = square_protocol()
-    coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
-    target = np.array([float(c) for c in chain])
+    [(_, chain)] = hypercurrent_homology(proto, [proto.fundamental_cycle], ratlin.QMat.identity(1))
+    target = np.array([float(c) for (c,) in chain.to_rows()])
     total = np.zeros((2, 2))
     keys = list(proto.fundamental_cycle)
     for key, mat in zip(keys, jan_integrate(proto, 30.0, keys)):

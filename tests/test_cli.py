@@ -169,10 +169,11 @@ def test_topo_current_matches_library(capsys):
     assert main(["topo", "current", "builtin:cube_sphere:2"]) == 0
     report = json.loads(capsys.readouterr().out)
     proto = cube_sphere_protocol(2)
-    coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    [(coords, chain)] = hypercurrent_homology(proto, [proto.fundamental_cycle],
+                                              ratlin.QMat.identity(1))
     expected = {
         proto.gap.cells_at(2)[i]: f"{v.numerator}/{v.denominator}"
-        for i, v in enumerate(chain)
+        for i, (v,) in enumerate(chain.to_rows())
         if v
     }
     assert report["chain"] == expected

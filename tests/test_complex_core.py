@@ -128,16 +128,16 @@ def test_sphere_homology(q):
 def test_sphere_top_generator():
     x = sphere_complex(1)
     h = homology_data(x, 1)
-    assert x.d(1) @ [Fraction(1), Fraction(1)] == [Fraction(0)] * 2
+    assert x.d(1) @ QMat.from_rows([[1], [1]], (2, 1)) == QMat.zeros(2, 1)
     assert h.betti == 1
-    gen = h.hbasis[:, 0]
+    gen = h.hbasis
     # generator of H_1 is e1+ + e1- up to scale
-    assert gen[0] == gen[1] != 0
+    assert gen[0, 0] == gen[1, 0] != 0
 
     x2 = sphere_complex(2)
     h2 = homology_data(x2, 2)
-    gen2 = h2.hbasis[:, 0]
-    assert gen2[0] == -gen2[1] != 0
+    gen2 = h2.hbasis
+    assert gen2[0, 0] == -gen2[1, 0] != 0
 
 
 @pytest.mark.parametrize("coords", [[1, 2], [], [0, 0, 1]])
@@ -146,8 +146,8 @@ def test_representative_rejects_wrong_length(coords):
     assert h.betti == 1
     with pytest.raises(ValueError, match=f"class has {len(coords)} coordinates, "
                                          "homology has dimension 1"):
-        h.representative(coords)
-    assert h.representative([Fraction(3)]) == [3 * x for x in h.hbasis[:, 0]]
+        h.representative(QMat.from_rows([[c] for c in coords], (len(coords), 1)))
+    assert h.representative(QMat.from_rows([[3]], (1, 1))) == 3 * h.hbasis
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
@@ -160,8 +160,8 @@ def test_wedge_homology(q):
     assert verify_gap(y, 0, q) == (True, None)
     # top homology generated by the constant-attached cell
     h = homology_data(y, q)
-    gen = h.hbasis[:, 0]
-    assert gen[0] == 0 and gen[1] != 0
+    gen = h.hbasis
+    assert gen[0, 0] == 0 and gen[1, 0] != 0
 
 
 def test_wedge_q1_cell_counts_match_sphere():
@@ -287,9 +287,9 @@ def test_a_failed_gap_build_is_not_kept(monkeypatch):
 def test_hq_project_sphere_generator():
     for q in (1, 2, 3):
         gap = gap_complex(sphere_complex(q), 0, q)
-        cyc = [Fraction(1), Fraction(-((-1) ** q))]  # e^q_+ - (-1)^q e^q_-
+        cyc = QMat.from_rows([[1], [-((-1) ** q)]], (2, 1))  # e^q_+ - (-1)^q e^q_-
         cls = gap.parent_hq.class_of(cyc)
-        assert len(cls) == 1 and cls[0] != 0
+        assert cls.shape == (1, 1) and cls[0, 0] != 0
 
 
 def test_hp_embed_injective():
@@ -377,10 +377,10 @@ def test_hq_project_composed_path():
     # hits a generator of the parent's degree-q homology
     for q in (1, 2, 3):
         gap = gap_complex(sphere_complex(q), 0, q)
-        cyc = [Fraction(1), Fraction(-((-1) ** q))]
+        cyc = QMat.from_rows([[1], [-((-1) ** q)]], (2, 1))
         top_cls = gap.homology[gap.top].class_of(cyc)
         out = gap.hq_project @ top_cls
-        assert len(out) == 1 and out[0] != 0
+        assert out.shape == (1, 1) and out[0, 0] != 0
 
 
 # --- class maps -------------------------------------------------------------
@@ -441,7 +441,7 @@ def test_class_of_matrix_equals_columns(make, p, q):
                 [[Fraction(i - 2 * k, 3) for k in range(2)] for i in range(h.cycles.shape[1])],
                 (h.cycles.shape[1], 2))):
             k = chains.shape[1]
-            cols = [h.class_of(chains[:, c]) for c in range(k)]
+            cols = [h.class_of(chains[:, c:c + 1]).T.to_rows()[0] for c in range(k)]
             assert h.class_of(chains) == QMat.from_rows(cols, (k, h.betti)).T
 
 
@@ -454,8 +454,6 @@ def test_class_of_rejects_non_cycles(make, p, q):
             unit = QMat.identity(h.dim)[:, [k]]
             if ratlin.rank(ratlin.hstack(h.cycles, unit)) == z:
                 continue
-            with pytest.raises(ValueError):
-                h.class_of(unit[:, 0])
             with pytest.raises(ValueError):
                 h.class_of(unit)
             checked += 1

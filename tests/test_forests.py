@@ -241,17 +241,17 @@ def test_right_inverse_sphere1():
     rinv = tree_right_inverse(SPHERE1, 1, ("e1+",))
     bounds = SPHERE1.homology[0].bounds  # canonical basis of the boundary space
     # bounds is the echelon basis, spanned by e0+ - e0-
-    assert bounds[:, 0] == [Fraction(1), Fraction(-1)]
-    sol = rinv @ [Fraction(1)]
-    assert sol == [Fraction(1), Fraction(0)]  # e1+ solves the boundary equation
+    assert bounds == QMat.from_rows([[1], [-1]], (2, 1))
+    sol = rinv @ QMat.identity(1)
+    assert sol == QMat.from_rows([[1], [0]], (2, 1))  # e1+ solves the boundary equation
 
 
 def test_right_inverse_tor():
     rinv = tree_right_inverse(TOR, 2, ("u",))
     bounds = TOR.homology[1].bounds
-    assert bounds[:, 0] == [Fraction(1)]  # normalized span of the edge
-    sol = rinv @ [Fraction(1)]
-    assert sol == [Fraction(1, 2), Fraction(0)]  # solves 2x = 1 on the u column
+    assert bounds == QMat.identity(1)  # normalized span of the edge
+    sol = rinv @ QMat.identity(1)
+    assert sol == QMat.from_rows([[Fraction(1, 2)], [0]], (2, 1))  # solves 2x = 1 on the u column
 
 
 def test_right_inverse_identity_on_bounds():
@@ -271,9 +271,7 @@ def test_cotree_projection_properties():
         assert proj @ bounds == QMat.identity(1)
         # kernel contains the co-tree cell
         i = SPHERE2.parent.cell_index(0, t.cells[0])
-        vec = [Fraction(0), Fraction(0)]
-        vec[i] = Fraction(1)
-        assert proj @ vec == [Fraction(0)]
+        assert proj @ QMat.identity(2)[:, i:i + 1] == QMat.zeros(1, 1)
 
 
 def test_make_dtree_rejects_nontree():

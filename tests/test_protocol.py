@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -63,7 +64,7 @@ def _normalized_kernel_cycle(tops, boundary_of):
     kernel = ratlin.nullspace(QMat.from_rows(mat, (len(faces), len(tops))))
     if kernel.shape[1] != 1:
         raise ValueError("top-dimensional cycle is not one-dimensional")
-    coeffs = kernel[:, 0]
+    coeffs = [c for (c,) in kernel.to_rows()]
     lead = next(c for c in coeffs if c != 0)
     coeffs = [c / abs(lead) for c in coeffs]
     if any(abs(c) != 1 for c in coeffs):
@@ -134,6 +135,49 @@ def test_comma_in_a_vertex_id_is_refused_both_ways():
     bad = next(vid for vid in proto.vertex_ids if "," in vid)
     with pytest.raises(ValueError, match=f"vertex id {re.escape(repr(bad))} holds a comma"):
         dumps_protocol(proto)
+
+
+def _numbered_square_doc():
+    """The square protocol's document with its vertex ids 0..3 as JSON
+    numbers, in its simplices and vertices; its cycle keys name them as the
+    strings "0,1" and so on."""
+    doc = json.loads(dumps_protocol(square_protocol()))
+    number = {v["id"]: k for k, v in enumerate(doc["vertices"])}
+    for v in doc["vertices"]:
+        v["id"] = number[v["id"]]
+    for s in doc["simplices"]:
+        s["vertices"] = [number[v] for v in s["vertices"]]
+    doc["cycle"] = {",".join(str(number[v]) for v in key.split(",")): c
+                    for key, c in doc["cycle"].items()}
+    return doc
+
+
+def test_numeric_vertex_ids_with_a_cycle_are_refused_both_ways(tmp_path, capsys):
+    # a stored cycle key is a string of vertex ids, so with a cycle every id
+    # must be a string: reading refuses a number, and so does writing
+    from hypercurrent import cli
+
+    doc = _numbered_square_doc()
+    with pytest.raises(ParseError, match="vertex id 0 is not a string"):
+        loads_protocol(json.dumps(doc))
+    path = tmp_path / "numbered.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["topo", "current", str(path)]) == 2
+    assert "vertex id 0 is not a string" in capsys.readouterr().err
+    numbered = dataclasses.replace(square_protocol(), vertex_ids=(0, 1, 2, 3))
+    with pytest.raises(ValueError, match="vertex id 0 is not a string"):
+        dumps_protocol(numbered)
+
+
+def test_numeric_vertex_ids_without_a_cycle_read_and_write_back():
+    doc = _numbered_square_doc()
+    del doc["cycle"]
+    proto = loads_protocol(json.dumps(doc))
+    assert proto.vertex_ids == (0, 1, 2, 3) and not proto.fundamental_cycle
+    text = dumps_protocol(proto)
+    again = loads_protocol(text)
+    assert again.vertex_ids == proto.vertex_ids and again.simplices == proto.simplices
+    assert dumps_protocol(again) == text
 
 
 def _graph_transversal_sphere(name, cells, edges, count):

@@ -33,7 +33,7 @@ from hypercurrent.topo_hyper import (
 from eager_lift import build_lift_cache_eager
 from exact_cochain import (addendum_predicts_trivial, cell_blocks, cell_trees,
                            chain_map_defect_oracle, cube_cellular_cochain, hypercurrent_cochain)
-from protocol_ops import _closure, least_levels, levels_of, scale, subdivide
+from protocol_ops import _closure, least_levels, levels_of, pair_one, scale, subdivide
 from test_lift_oracle import build_lift_cache_oracle
 
 
@@ -139,7 +139,7 @@ def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
     # the trees come from the certificate and level_weights: a protocol
     # whose weight_of and vertices_of raise lifts and pairs to the same class
     first = cube_sphere_protocol(3)
-    expected = hypercurrent_homology(first, first.fundamental_cycle, [1])
+    expected = hypercurrent_homology(first, [first.fundamental_cycle], QMat.identity(1))
     complex_core._GAPS.clear()
     proto = cube_sphere_protocol(3)
 
@@ -148,7 +148,7 @@ def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
 
     monkeypatch.setattr(type(proto), "weight_of", refused)
     monkeypatch.setattr(type(proto), "vertices_of", refused)
-    assert hypercurrent_homology(proto, proto.fundamental_cycle, [1]) == expected
+    assert hypercurrent_homology(proto, [proto.fundamental_cycle], QMat.identity(1)) == expected
 
 
 def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
@@ -205,8 +205,7 @@ def test_lift_vertex_cotree_class():
         assert tree.level == 0
         h0 = gap.homology[0]
         for col in range(2):
-            vec = [Fraction(0), Fraction(0)]
-            vec[col] = Fraction(1)
+            vec = QMat.identity(2)[:, col:col + 1]
             image = phi[0] @ vec
             assert h0.class_of(image) == h0.class_of(vec)
 
@@ -221,8 +220,8 @@ def test_lift_vertex_cotree_explicit_value():
             target = v
             break
     tree, phi = lift_vertex(proto, (target,))
-    image = phi[0] @ [Fraction(0), Fraction(1)]
-    assert image == [Fraction(1), Fraction(0)]
+    image = phi[0] @ QMat.from_rows([[0], [1]], (2, 1))
+    assert image == QMat.from_rows([[1], [0]], (2, 1))
 
 
 def test_lift_vertex_chain_identity():
@@ -253,14 +252,14 @@ def test_square_top_edge_support():
     proto = square_protocol()
     cache = build_lift_cache(proto)
     least = least_levels(proto, proto.certificate)
-    gen = [Fraction(1), Fraction(0)]  # e0+ generates degree-0 homology
+    gen = QMat.from_rows([[1], [0]], (2, 1))  # e0+ generates degree-0 homology
     seen = set()
     for s in proto.simplices_of_dim(1):
         if least[s] != 1:
             continue
         tree = cell_trees(proto, cache)[s]
         val = cell_blocks(proto, cache)[s][0] @ gen
-        support = {proto.gap.cells_at(1)[i] for i, v in enumerate(val) if v != 0}
+        support = {proto.gap.cells_at(1)[i] for i, (v,) in enumerate(val.to_rows()) if v != 0}
         assert support <= set(tree.cells)
         seen |= support
     assert seen == {"e1+", "e1-"}
@@ -288,21 +287,20 @@ def test_constant_protocol_cochain():
             assert blk @ blk == blk
             h0 = gap.homology[0]
             for c in range(2):
-                vec = [Fraction(0), Fraction(0)]
-                vec[c] = Fraction(1)
+                vec = QMat.identity(2)[:, c:c + 1]
                 assert h0.class_of(blk @ vec) == h0.class_of(vec)
 
 
 def test_square_pairing_value():
     proto = square_protocol()
-    coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    coords, chain = pair_one(proto, proto.fundamental_cycle)
     assert chain in ([Fraction(1), Fraction(1)], [Fraction(-1), Fraction(-1)])
     assert coords in ([Fraction(1)], [Fraction(-1)])
 
 
 def test_cube2_pairing_value():
     proto = cube_sphere_protocol(2)
-    coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    coords, chain = pair_one(proto, proto.fundamental_cycle)
     assert chain in ([Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(1)])
     assert coords in ([Fraction(1)], [Fraction(-1)])
 
@@ -310,14 +308,14 @@ def test_cube2_pairing_value():
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_sphere_pairing_is_isomorphism(q):
     proto = cube_sphere_protocol(q)
-    coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    coords, _ = pair_one(proto, proto.fundamental_cycle)
     assert len(coords) == 1 and abs(coords[0]) == 1
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_wedge_pairing_trivial(q):
     proto = cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
-    coords, chain = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    coords, chain = pair_one(proto, proto.fundamental_cycle)
     assert all(c == 0 for c in coords)
     assert all(c == 0 for c in chain)
 
@@ -325,13 +323,13 @@ def test_wedge_pairing_trivial(q):
 def test_collapsed_sphere_nontrivial_pairing():
     gap = gap_complex(collapsed_sphere_complex(3), 1, 3)
     proto = cube_protocol(gap)
-    coords, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+    coords, _ = pair_one(proto, proto.fundamental_cycle)
     assert len(coords) == 1 and abs(coords[0]) == 1
 
 
 def test_zero_cycle_gives_zero():
     proto = square_protocol()
-    coords, chain = hypercurrent_homology(proto, {}, [1])
+    coords, chain = pair_one(proto, {})
     assert coords == [Fraction(0)] and all(c == 0 for c in chain)
 
 
@@ -339,7 +337,7 @@ def test_not_a_cycle_rejected():
     proto = square_protocol()
     edge = proto.simplices_of_dim(1)[0]
     with pytest.raises(NotACycle):
-        hypercurrent_homology(proto, {edge: 1}, [1])
+        hypercurrent_homology(proto, [{edge: 1}], QMat.identity(1))
 
 
 def test_cycle_outside_the_domain_is_not_a_cycle():
@@ -348,7 +346,7 @@ def test_cycle_outside_the_domain_is_not_a_cycle():
     edges = proto.simplices_of_dim(1)
     path = restrict(proto, edges[:-1])
     with pytest.raises(NotACycle, match=re.escape(f"cycle names {edges[-1]}, which is not a cell")):
-        hypercurrent_homology(path, proto.fundamental_cycle, [1])
+        hypercurrent_homology(path, [proto.fundamental_cycle], QMat.identity(1))
 
 
 def test_many_cycles_pair_as_each_alone():
@@ -362,30 +360,31 @@ def test_many_cycles_pair_as_each_alone():
     union = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[:3])
     a, b, c = union.part_cycles()
     cycles = [a, {}, {k: Fraction(-3, 2) * v for k, v in {**b, **c}.items()}, c]
-    for class_p in ([1], [Fraction(2, 3)], QMat.identity(1)):
-        many = hypercurrent_homology(union, cycles, class_p)
-        assert many == [hypercurrent_homology(union, cycle, class_p) for cycle in cycles]
-        assert isinstance(many[0][0], list) != isinstance(class_p, QMat)
-    assert any(coords != [0] for coords, _ in hypercurrent_homology(union, cycles, [1]))
-    assert hypercurrent_homology(union, [], [1]) == []
+    for classes in ([[1]], [[Fraction(2, 3)]], [[1, Fraction(2, 3), 0]]):
+        classes = QMat.from_rows(classes, (1, len(classes[0])))
+        many = hypercurrent_homology(union, cycles, classes)
+        assert many == [hypercurrent_homology(union, [cycle], classes)[0] for cycle in cycles]
+        assert all(m.shape[1] == classes.shape[1] for pair in many for m in pair)
+    one = QMat.identity(1)
+    assert any(not coords.is_zero() for coords, _ in hypercurrent_homology(union, cycles, one))
+    assert hypercurrent_homology(union, [], one) == []
     with pytest.raises(NotACycle, match="nonzero boundary"):
-        hypercurrent_homology(union, [a, {next(iter(b)): 1}], [1])
+        hypercurrent_homology(union, [a, {next(iter(b)): 1}], one)
 
 
 def test_representative_independence():
     proto = cube_sphere_protocol(2)
     gap = proto.gap
     coch = hypercurrent_cochain(proto)
-    rep = gap.parent_hp.representative([Fraction(1)])
+    rep = gap.parent_hp.representative(QMat.identity(1))
     rng = random.Random(5)
-    shift = [Fraction(rng.randint(-2, 2)) for _ in range(gap.dim_at(1))]
-    rep2 = [a + b for a, b in zip(rep, gap.d(1) @ shift)]
+    shift = QMat.from_rows([[rng.randint(-2, 2)] for _ in range(gap.dim_at(1))], (gap.dim_at(1), 1))
+    rep2 = rep + gap.d(1) @ shift
 
     def pair(vec):
-        out = [Fraction(0)] * gap.dim_at(gap.top)
+        out = QMat.zeros(gap.dim_at(gap.top), 1)
         for key, coeff in proto.fundamental_cycle.items():
-            img = coch.values[key].blocks[0] @ vec
-            out = [a + coeff * b for a, b in zip(out, img)]
+            out = out + coeff * (coch.values[key].blocks[0] @ vec)
         return gap.homology[gap.top].class_of(out)
 
     assert pair(rep) == pair(rep2)
@@ -415,8 +414,8 @@ def test_functoriality_restriction():
 def test_homotopy_invariance_under_subdivision():
     for proto in (square_protocol(), cube_sphere_protocol(2)):
         sub = subdivide(proto)
-        c1, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
-        c2, _ = hypercurrent_homology(sub, sub.fundamental_cycle, [1])
+        c1, _ = pair_one(proto, proto.fundamental_cycle)
+        c2, _ = pair_one(sub, sub.fundamental_cycle)
         assert c1 == c2
 
 
@@ -426,7 +425,7 @@ def test_initial_condition_identity():
     gap = gap_complex(x, 1, 1)
     wp = WeightPoint(1, 1, ((0.0, 1.0),))
     proto = constant_protocol(gap, wp)
-    coords, _ = hypercurrent_homology(proto, {(0,): 1}, [1])
+    coords, _ = pair_one(proto, {(0,): 1})
     assert coords == [Fraction(1)]
 
 
@@ -488,9 +487,9 @@ def test_cellular_variant_agrees_on_homology():
     for q in (1, 2):
         gap = gap_complex(sphere_complex(q), 0, q)
         dom, _ = cube_cellular_cochain(gap)
-        coords_cw, _ = hypercurrent_homology(dom, dom.fundamental_cycle(), [1])
+        coords_cw, _ = pair_one(dom, dom.fundamental_cycle())
         proto = cube_sphere_protocol(q)
-        coords_tri, _ = hypercurrent_homology(proto, proto.fundamental_cycle, [1])
+        coords_tri, _ = pair_one(proto, proto.fundamental_cycle)
         assert abs(coords_cw[0]) == abs(coords_tri[0]) == 1
 
 
@@ -586,7 +585,7 @@ def test_lift_holds_python_ints_and_matches_fraction_oracle(name):
     # the cell-by-cell Fraction lift's
     proto = INT64_DOMAINS[name]()
     cache = build_lift_cache(proto)
-    pairing = hypercurrent_homology(proto, _fundamental_cycle(proto), [1])
+    [pairing] = hypercurrent_homology(proto, [_fundamental_cycle(proto)], QMat.identity(1))
     assert all(num.dtype == object and type(den) is int
                for stack in cache.stacks for num, den in stack)
     assert all(type(v) is int for stack in cache.stacks for num, _ in stack for v in num.flat)
@@ -596,7 +595,7 @@ def test_lift_holds_python_ints_and_matches_fraction_oracle(name):
     assert blocks.keys() == old.values.keys()
     for key, mats in blocks.items():
         assert [m.to_rows() for m in mats] == [list(map(list, m)) for m in old.values[key]]
-    assert all(type(v) is Fraction for v in pairing[0] + pairing[1])
+    assert all(type(m.den) is int and all(type(v) is int for v in m.num.flat) for m in pairing)
 
 
 def test_cycle_check_reads_the_face_rows():
@@ -615,12 +614,12 @@ def test_cycle_check_reads_the_face_rows():
                 bnd[face] = bnd.get(face, 0) + sign * c
         if any(bnd.values()):
             with pytest.raises(NotACycle, match="nonzero boundary"):
-                hypercurrent_homology(proto, chain, [1])
+                hypercurrent_homology(proto, [chain], QMat.identity(1))
             with pytest.raises(NotACycle, match="nonzero boundary"):
-                hypercurrent_homology(proto, [cycle, chain, cycle], [1])
+                hypercurrent_homology(proto, [cycle, chain, cycle], QMat.identity(1))
         else:
-            assert hypercurrent_homology(proto, [chain], [1])[0] == \
-                hypercurrent_homology(proto, chain, [1])
+            assert hypercurrent_homology(proto, [cycle, chain], QMat.identity(1))[1] == \
+                hypercurrent_homology(proto, [chain], QMat.identity(1))[0]
 
 
 def test_nonzero_boundary_is_raised_before_a_cell_outside_the_domain():
@@ -630,10 +629,10 @@ def test_nonzero_boundary_is_raised_before_a_cell_outside_the_domain():
     outside = re.escape(f"cycle names {edges[-1]}, which is not a cell of the domain")
     # the square's cycle names an edge the path does not hold
     with pytest.raises(NotACycle, match="nonzero boundary"):
-        hypercurrent_homology(path, [proto.fundamental_cycle, {edges[0]: 1}], [1])
+        hypercurrent_homology(path, [proto.fundamental_cycle, {edges[0]: 1}], QMat.identity(1))
     with pytest.raises(NotACycle, match=outside):
-        hypercurrent_homology(path, [{}, proto.fundamental_cycle], [1])
+        hypercurrent_homology(path, [{}, proto.fundamental_cycle], QMat.identity(1))
     with pytest.raises(NotACycle, match=outside):
-        hypercurrent_homology(path, {edges[-1]: 1}, [1])
+        hypercurrent_homology(path, [{edges[-1]: 1}], QMat.identity(1))
     with pytest.raises(NotACycle, match="support outside the top dimension"):
-        hypercurrent_homology(proto, [{}, {edges[0][:1]: 1}], [1])
+        hypercurrent_homology(proto, [{}, {edges[0][:1]: 1}], QMat.identity(1))

@@ -223,9 +223,9 @@ def _affine_weights(proto, a, b):
 
 def _pairing(proto):
     nclasses = proto.gap.parent_hp.betti
-    return [hypercurrent_homology(proto, proto.fundamental_cycle,
-                                  [int(i == k) for i in range(nclasses)])[0]
-            for k in range(nclasses)]
+    [(coords, _)] = hypercurrent_homology(proto, [proto.fundamental_cycle],
+                                          QMat.identity(nclasses))
+    return coords.T.to_rows()
 
 
 def test_classification_center_choice_independent():
