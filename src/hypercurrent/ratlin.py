@@ -103,14 +103,12 @@ class QMat:
         return QMat._raw(self.num.T, self.den)
 
     def __getitem__(self, key):
-        """numpy indexing: a 2-d result is a QMat, an entry a Fraction; a
-        row or column is read with a slice, ``a[i:i + 1]`` or ``a[:, j:j + 1]``."""
+        """numpy indexing: an entry is a Fraction and any other result a
+        QMat; a row or a column comes back as a vector, a one-column QMat."""
         num = self.num[key]
         if not isinstance(num, np.ndarray):
             return Fraction(num, self.den)
-        if num.ndim != 2:
-            raise IndexError("a QMat index keeps both axes or picks one entry")
-        return QMat(num, self.den)
+        return QMat(num[:, None] if num.ndim == 1 else num, self.den)
 
     def is_zero(self):
         return not self.num.any()

@@ -15,6 +15,7 @@ TEST_ONLY_FEATURES = {"dumps_protocol"}
 
 # module.name of every function the benchmark traces, read and never edited
 PREDICTIONS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "predictions.json"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -106,3 +107,12 @@ def test_a_shadowing_local_is_not_a_use():
                      "def g():\n    rank = 1\n    return rank + gap\n"
                      "def h():\n    return other.rank(nullspace)\n")
     assert _reads(tree) == {"gap", "other", "rank", "nullspace"}
+
+
+def test_readme_quick_example_runs():
+    # the example states what it returns in its own asserts, so it cannot
+    # drift from the API unnoticed
+    text = README.read_text(encoding="utf-8")
+    example = text.split("Quick example:", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "hypercurrent_homology" in example
+    exec(compile(example, "README.md quick example", "exec"), {})
