@@ -422,9 +422,10 @@ def hypercurrent_homology(proto, cycles, classes):
     its coefficient), all paired over one lift; classes is a QMat whose
     columns are degree-p classes in the chosen basis.  Returns one
     (coordinates, chain) pair of QMats per cycle, one column per class:
-    the paired chain, and the coordinates of its class in the chosen
-    degree-q homology basis of the parent complex.  The pairing reads the
-    degree-0 block of each cycle cell's lift, whose Koszul sign is +1."""
+    the coordinates of the paired chain's class in the chosen degree-q
+    homology basis of the parent complex, and the paired chain.  The
+    pairing reads the degree-0 block of each cycle cell's lift, whose
+    Koszul sign is +1."""
     gap = proto.gap
     cycles = list(cycles)
     cells = proto.cell_index
