@@ -25,7 +25,6 @@ from .complex_core import (
 from .forests import DTree, enumerate_dtrees, greedy_dtree, is_dtree, torsion_of, tree_right_inverse
 from .protocol import (
     SimplicialProtocol,
-    WeightPoint,
     cube_sphere_protocol,
     is_good,
     load_protocol,
@@ -53,7 +52,7 @@ __all__ = [
     "sphere_wedge_complex", "torsion_order", "verify_gap",
     "DTree", "enumerate_dtrees", "greedy_dtree", "is_dtree", "torsion_of",
     "tree_right_inverse",
-    "SimplicialProtocol", "WeightPoint", "cube_sphere_protocol", "is_good",
+    "SimplicialProtocol", "cube_sphere_protocol", "is_good",
     "load_protocol", "smallness", "square_protocol", "weights_at",
     "HyperCochain", "hypercurrent_homology",
     "axioms_check", "jan_cochain", "jan_form", "jan_integrate",

@@ -2,8 +2,8 @@
 
 A connected simple graph with vertex energies E and edge barriers W
 drives a continuous-time chain on the double of the graph with jump
-rates e^(E_source - W_edge).  `rates` and `master_operator` take one
-weight point or a stack of them along leading axes.
+rates e^(E_source - W_edge).  `rates` and `master_operator` take the
+weights at one point or stacks of them along leading axes.
 
 `evolve` integrates the probability flow with a classical 4th-order step
 checked against two half steps.  The master equation is linear, so a
@@ -180,8 +180,8 @@ def evolve(proto: SimplicialProtocol, p0, t0, t1, steps, tol=1e-8):
     # weights at both ends of each segment; they are affine in between
     first = [weights_at(proto, (i, i + 1), [1.0, 0.0]) for i in range(m)]
     last = [weights_at(proto, (i, i + 1), [0.0, 1.0]) for i in range(m)]
-    e0, e1 = (np.array([wp.level(0) for wp in pts]) for pts in (first, last))
-    w0, w1 = (np.array([wp.level(1) for wp in pts]) for pts in (first, last))
+    e0, e1 = (np.array([wp[0] for wp in pts]) for pts in (first, last))
+    w0, w1 = (np.array([wp[1] for wp in pts]) for pts in (first, last))
 
     times = np.linspace(t0, t1, steps + 1)
     traj = np.zeros((steps + 1, len(p)))

@@ -1,14 +1,13 @@
 """Parameter spaces and piecewise-affine weight protocols.
 
-A protocol assigns a weight point (one real number per cell in the gap
-levels) to every vertex of an oriented simplicial parameter space and
-interpolates affinely over simplices.  Because the data is affine per
-simplex, injectivity of a level over a closed simplex is decided
-exactly by strict sign agreement of pairwise differences at vertices;
-no sampling is involved.  The weights are stored as level_weights, one
-(n_vertices, n_cells) float array per level; vertex_weights and
-weight_of are WeightPoint views of their rows, built when read, for
-documents and weights_at.
+A protocol assigns real weights, one per cell of each gap level, to
+every vertex of an oriented simplicial parameter space and interpolates
+affinely over simplices.  Because the data is affine per simplex,
+injectivity of a level over a closed simplex is decided exactly by
+strict sign agreement of pairwise differences at vertices; no sampling
+is involved.  The weights are level_weights, one (n_vertices, n_cells)
+float array per level: a document lists a vertex's rows, and weights_at
+returns one row per level.
 
 Smallness and the exact lift read a parameter domain only through
 dim_of and part_of, which name a failing cell, its cached certificate
@@ -58,7 +57,6 @@ from .errors import (
 )
 
 __all__ = [
-    "WeightPoint",
     "SimplicialProtocol",
     "CellIndex",
     "SmallnessCertificate",
@@ -75,29 +73,6 @@ __all__ = [
     "builtin_protocol",
     "simplex_faces",
 ]
-
-
-@dataclass(frozen=True)
-class WeightPoint:
-    """One point of the weight space: a real vector per level p..q."""
-
-    p: int
-    q: int
-    values: tuple  # values[j-p] = tuple of floats indexed like the j-cells
-
-    def level(self, j):
-        if not (self.p <= j <= self.q):
-            raise LevelMismatch(f"level {j} outside [{self.p},{self.q}]")
-        return self.values[j - self.p]
-
-
-def _affine(points, coeffs):
-    p, q = points[0].p, points[0].q
-    vals = []
-    for lvl in range(q - p + 1):
-        n = len(points[0].values[lvl])
-        vals.append(tuple(sum(c * pt.values[lvl][k] for c, pt in zip(coeffs, points)) for k in range(n)))
-    return WeightPoint(p, q, tuple(vals))
 
 
 def simplex_faces(key):
@@ -174,8 +149,9 @@ class CellIndex(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SimplicialProtocol:
-    """Oriented simplicial parameter space with a weight point per vertex.
-    Protocols compare by identity: their weights are arrays."""
+    """Oriented simplicial parameter space with one row of weights per
+    vertex and level.  Protocols compare by identity: their weights are
+    arrays."""
 
     gap: GapComplex
     vertex_ids: tuple            # vertex index -> id string
@@ -200,18 +176,6 @@ class SimplicialProtocol:
 
     def vertices_of(self, key):
         return [(v,) for v in key]
-
-    def weight_of(self, vertex_key):
-        gap, v = self.gap, vertex_key[0]
-        return WeightPoint(gap.p, gap.q, tuple(tuple(w[v].tolist()) for w in self.level_weights))
-
-    @cached_property
-    def vertex_weights(self):
-        """vertex index -> WeightPoint: level_weights by vertex, built on
-        first read."""
-        gap = self.gap
-        rows = zip(*(map(tuple, w.tolist()) for w in self.level_weights))
-        return tuple(WeightPoint(gap.p, gap.q, values) for values in rows)
 
     def part_of(self, key):
         """The part holding a cell, and the cell in that part's own vertex
@@ -263,10 +227,11 @@ class SimplicialProtocol:
 
     @property
     def dim(self):
-        return max(len(s) for s in self.simplices) - 1
+        return len(self.cell_index.offsets) - 2
 
     def simplices_of_dim(self, k):
-        return [s for s in self.simplices if len(s) == k + 1]
+        index = self.cell_index
+        return list(index.keys[index.offsets[k]:index.offsets[k + 1]]) if 0 <= k <= self.dim else []
 
     def part_cycles(self):
         """The fundamental cycle cut into one cycle per part, in part order."""
@@ -275,34 +240,6 @@ class SimplicialProtocol:
         for key, coeff in self.fundamental_cycle.items():
             out[key[0] // size][key] = coeff
         return out
-
-
-def _validate_weights(gap, vertex_weights):
-    """The WeightPoints vertex_weights as level_weights, once the first fault
-    in vertex, level order is raised; when all are well shaped real
-    numbers, by one test of the stacked weights."""
-    levels = range(gap.p, gap.q + 1)
-    if all((wp.p, wp.q, len(wp.values)) == (gap.p, gap.q, len(levels)) for wp in vertex_weights):
-        try:
-            stacks = [np.array([wp.values[j - gap.p] for wp in vertex_weights]) for j in levels]
-        except ValueError:     # ragged: some length is wrong
-            stacks = []
-        if stacks and all(a.shape == (len(vertex_weights), gap.parent.n_cells(j))
-                          and a.dtype.kind in "biuf" for a, j in zip(stacks, levels)):
-            if not all(np.isfinite(a).all() for a in stacks):
-                raise LevelMismatch("non-finite weight entry")
-            return tuple(a.astype(float) for a in stacks)
-    for wp in vertex_weights:
-        if wp.p != gap.p or wp.q != gap.q:
-            raise LevelMismatch("weight point levels do not match the gap")
-        for j in levels:
-            if len(wp.level(j)) != gap.parent.n_cells(j):
-                raise LevelMismatch(f"level {j} weight vector has length {len(wp.level(j))}, "
-                                    f"expected {gap.parent.n_cells(j)}")
-            if not all(map(math.isfinite, wp.level(j))):
-                raise LevelMismatch("non-finite weight entry")
-    return tuple(np.array([wp.values[j - gap.p] for wp in vertex_weights], dtype=float)
-                 .reshape(len(vertex_weights), gap.parent.n_cells(j)) for j in levels)
 
 
 def _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle, parts=1):
@@ -314,11 +251,10 @@ def _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle,
     return proto
 
 
-def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle):
-    """The protocol closing the given sorted vertex tuples and every vertex
-    under faces, once its weights (WeightPoints), simplices, signs and cycle
-    are checked."""
-    levels = _validate_weights(gap, vertex_weights)
+def _validate_protocol(gap, vertex_ids, level_weights, simplices, orientation, cycle):
+    """The protocol with the given level arrays, closing the given sorted
+    vertex tuples and every vertex under faces, once its simplices, signs
+    and cycle are checked."""
     groups = _by_dim(simplices)
     if not all((np.diff(rows, axis=1) > 0).all() for rows in groups):
         bad = next(s for s in simplices if list(s) != sorted(set(s)))
@@ -332,7 +268,7 @@ def _validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, 
         if key not in index.position:
             raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
                             "which is not a simplex of the protocol")
-    return _protocol(gap, vertex_ids, levels, index, places, orientation, cycle)
+    return _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle)
 
 
 # --- documents --------------------------------------------------------------
@@ -398,13 +334,13 @@ def loads_protocol(text, base_dir=None):
         x = _resolve_complex(doc["complex"], base_dir)
         p, q = (_typed(doc[f], int, f"protocol field {f}") for f in "pq")
         gap = gap_complex(x, p, q)
-        ids, weights = [], []
+        ids, rows = [], []
         for v in _typed(doc["vertices"], list, "protocol field vertices"):
             v = _typed(v, dict, "a protocol vertex")
             ids.append(v["id"])
             w = _typed(v["weights"], dict, f"the weights of vertex {v['id']!r}")
-            weights.append(WeightPoint(p, q, tuple(
-                _floats(w[str(j)], f"level {j} of vertex {v['id']!r}") for j in range(p, q + 1))))
+            rows.append([_floats(w[str(j)], f"level {j} of vertex {v['id']!r}")
+                         for j in range(p, q + 1)])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad protocol document: {exc}") from exc
     if any(isinstance(vid, (list, dict)) for vid in ids):
@@ -429,6 +365,15 @@ def loads_protocol(text, base_dir=None):
     for ckey, coeff in _typed(doc.get("cycle", {}), dict, "protocol field cycle").items():
         key = _vertex_key(id_index, ckey.split(","), "cycle")
         cycle[key] = _typed(coeff, int, f"the cycle coefficient of {ckey}")
+    sizes = [gap.parent.n_cells(j) for j in range(p, q + 1)]
+    for levels in rows:     # the first fault in vertex, then level order
+        for j, row, size in zip(range(p, q + 1), levels, sizes):
+            if len(row) != size:
+                raise LevelMismatch(f"level {j} weight vector has length {len(row)}, expected {size}")
+            if not all(map(math.isfinite, row)):
+                raise LevelMismatch("non-finite weight entry")
+    weights = [np.array([levels[k] for levels in rows], dtype=float).reshape(len(rows), size)
+               for k, size in enumerate(sizes)]
     return _validate_protocol(gap, ids, weights, simplices, orientation, cycle)
 
 
@@ -452,7 +397,7 @@ def _refuse_unnamable_ids(ids, cycle, error):
 
 def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
     _refuse_unnamable_ids(proto.vertex_ids, bool(proto.fundamental_cycle), ValueError)
-    gap = proto.gap
+    gap, top = proto.gap, proto.dim
     doc = {
         "complex": complex_ref
         if complex_ref is not None
@@ -463,7 +408,7 @@ def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
             {
                 "id": proto.vertex_ids[k],
                 "weights": {
-                    str(j): list(proto.vertex_weights[k].level(j))
+                    str(j): proto.level_weights[j - gap.p][k].tolist()
                     for j in range(gap.p, gap.q + 1)
                 },
             }
@@ -475,7 +420,7 @@ def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
                 **({"orientation": proto.orientation[s]} if s in proto.orientation else {}),
             }
             for s in proto.simplices
-            if len(s) - 1 == proto.dim
+            if len(s) - 1 == top
         ],
         "cycle": {
             ",".join(proto.vertex_ids[v] for v in key): coeff
@@ -489,8 +434,11 @@ def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
 
 
 def weights_at(proto: SimplicialProtocol, simplex, coords):
-    """Affine weight point at barycentric coordinates of a simplex."""
+    """The weights at barycentric coordinates of a simplex of the protocol,
+    one float array per level p..q, affine in the vertices' rows."""
     key = tuple(simplex)
+    if key not in proto.cell_index.position:
+        raise BadCoordinates(f"{key} is not a simplex of the protocol")
     coords = [float(c) for c in coords]
     if len(coords) != len(key):
         raise BadCoordinates("coordinate count does not match the simplex")
@@ -498,8 +446,7 @@ def weights_at(proto: SimplicialProtocol, simplex, coords):
         raise BadCoordinates(f"barycentric coordinates must be finite, got {coords}")
     if any(c < -1e-12 for c in coords) or abs(sum(coords) - 1.0) > 1e-9:
         raise BadCoordinates("barycentric coordinates must be nonnegative and sum to 1")
-    pts = [proto.vertex_weights[v] for v in key]
-    return _affine(pts, coords)
+    return tuple(sum(c * w[v] for c, v in zip(coords, key)) for w in proto.level_weights)
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,9 +3,9 @@ time: the oracle for weight space's chunk arrays (_corner_weights) and
 for cube_protocol's array build.
 
 is_top, center_weights and corner_weights check a top cell and build the
-map from a +-1 corner tuple to its WeightPoint, as transversal spheres
-were built before the chunk arrays; cube_corner_weight is the builtins'
-corner map.  stacked turns a sequence of corner maps, one per cube, into
+map from a +-1 corner tuple to its weights, one row per level, as
+transversal spheres were built before the chunk arrays;
+cube_corner_weight is the builtins' corner map.  stacked turns a sequence of corner maps, one per cube, into
 cube_boundary_protocol's stacked corner weights.
 """
 
@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from hypercurrent.errors import EpsilonTooLarge
-from hypercurrent.protocol import WeightPoint, _cube_boundary
+from hypercurrent.protocol import _cube_boundary
 
 
 def is_top(cell):
@@ -67,7 +67,7 @@ def corner_weights(gap, cell, eps):
             row = list(centers[j - p])
             row[perturbed[j - p]] += eps * corner[j - p]
             vals.append(tuple(row))
-        return WeightPoint(p, q, tuple(vals))
+        return tuple(vals)
 
     return corner_weight
 
@@ -82,7 +82,7 @@ def cube_corner_weight(gap, corner, signs):
         row = [0.0] * n
         row[0] = float(signs[j - p] * corner[j - p])
         vals.append(tuple(row))
-    return WeightPoint(p, q, tuple(vals))
+    return tuple(vals)
 
 
 def stacked(gap, maps):
@@ -90,6 +90,6 @@ def stacked(gap, maps):
     weights: per level, an array (cubes, corners, cells)."""
     corners = _cube_boundary(gap.q - gap.p + 1)[0]
     points = [[cw(c) for c in corners] for cw in maps]
-    return [np.array([[wp.level(j) for wp in cube] for cube in points], dtype=float)
+    return [np.array([[point[j - gap.p] for point in cube] for cube in points], dtype=float)
             .reshape(len(maps), len(corners), gap.parent.n_cells(j))
             for j in range(gap.p, gap.q + 1)]

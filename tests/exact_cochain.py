@@ -25,6 +25,7 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import HyperCochain, build_lift_cache
 
 from cell_weights import cube_corner_weight
+from protocol_ops import levels_of
 
 
 @dataclass
@@ -158,10 +159,10 @@ class CubeCwDomain:
 
     @cached_property
     def level_weights(self):
+        """The corners' weights, in their cell_index order."""
         index = self.cell_index
-        corners = [self.weight_of(c) for c in index.keys[:index.offsets[1]]]
-        return tuple(np.array([wp.level(j) for wp in corners], dtype=float)
-                     for j in range(self.gap.p, self.gap.q + 1))
+        return levels_of([cube_corner_weight(self.gap, c, (1,) * self.n)
+                          for c in index.keys[:index.offsets[1]]])
 
     def all_cells(self):
         cells = []
@@ -201,9 +202,6 @@ class CubeCwDomain:
                 c[a] = v
             corners.append(tuple(c))
         return corners
-
-    def weight_of(self, vertex_key):
-        return cube_corner_weight(self.gap, vertex_key, (1,) * self.n)
 
     def part_of(self, key):
         return 0, key

@@ -1,10 +1,11 @@
 """Operations on protocols that only the tests use: midpoint subdivision
 and scaling of all weights.  Both keep a protocol's order types, so the
 exact lift must not change under them; the tests check that it does not.
-Also a certificate's least levels by cell, the face closure one face at
-a time, the oracle for the library's closure over index arrays, a
-document whose stored cycle leaves the protocol, and one cycle's pairing
-with the one degree-p class read as lists.
+Also points as level arrays and a vertex's rows of them (levels_of,
+vertex_levels), a certificate's least levels by cell, the face closure
+one face at a time, the oracle for the library's closure over index
+arrays, a document whose stored cycle leaves the protocol, and one
+cycle's pairing with the one degree-p class read as lists.
 
 The earlier build of a protocol is kept here as the oracle for the
 array build: the closure over vertex tuples (_closure), the cube's
@@ -28,9 +29,7 @@ from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.protocol import (
     CellIndex,
     SimplicialProtocol,
-    WeightPoint,
     _validate_protocol,
-    _validate_weights,
     dumps_protocol,
     simplex_faces,
     square_protocol,
@@ -38,10 +37,17 @@ from hypercurrent.protocol import (
 
 
 def levels_of(points):
-    """WeightPoints as a protocol's level_weights: per level, one float
-    array with a row per point."""
-    return tuple(np.array([wp.values[k] for wp in points], dtype=float)
-                 for k in range(len(points[0].values)))
+    """Points, each its weights as one row per level p..q, as a protocol's
+    level_weights: per level, one float array with a row per point."""
+    return tuple(np.array([point[k] for point in points], dtype=float)
+                 for k in range(len(points[0])))
+
+
+def vertex_levels(domain, vertex):
+    """A vertex's weights, one row per level p..q: the rows of the
+    domain's level_weights at the vertex's place among its 0-cells."""
+    row = domain.cell_index.position[vertex]
+    return tuple(w[row] for w in domain.level_weights)
 
 
 def least_levels(domain, cert):
@@ -89,7 +95,7 @@ class OracleProtocol(SimplicialProtocol):
     @cached_property
     def cell_index(self):
         """The simplices by dimension; a simplex's vertices are its keys'
-        entries, which index vertex_weights."""
+        entries, which index level_weights' rows."""
         keys = tuple(sorted(self.simplices, key=len))
         sizes = list(map(len, keys))
         width = sizes[-1] if sizes else 0
@@ -126,8 +132,9 @@ class OracleProtocol(SimplicialProtocol):
         return tuple(out)
 
 
-def oracle_validate_protocol(gap, vertex_ids, vertex_weights, simplices, orientation, cycle, parts=1):
-    levels = _validate_weights(gap, vertex_weights)
+def oracle_validate_protocol(gap, vertex_ids, points, simplices, orientation, cycle, parts=1):
+    """The protocol of the given vertices, each point its weights as one
+    row per level, closed under faces one simplex length at a time."""
     nv = len(vertex_ids)
     for s in simplices:
         for v in s:
@@ -142,7 +149,7 @@ def oracle_validate_protocol(gap, vertex_ids, vertex_weights, simplices, orienta
     proto = OracleProtocol(
         gap=gap,
         vertex_ids=tuple(vertex_ids),
-        level_weights=levels,
+        level_weights=levels_of(points),
         simplices=tuple(closed),
         orientation=dict(orientation),
         fundamental_cycle=dict(cycle),
@@ -216,7 +223,7 @@ def oracle_cube_boundary_protocol(gap, corner_weight):
 
     The parameter space is the boundary of [-1,1]^(q-p+1), each facet
     triangulated into (q-p)! ordered simplices; corner_weight maps a
-    +-1 corner tuple to a WeightPoint.  The fundamental cycle is the sum
+    +-1 corner tuple to its weights, one row per level p..q.  The fundamental cycle is the sum
     of the simplices, each signed as part of the cube's boundary and
     then as a sorted vertex tuple; the overall sign makes the first
     simplex +1.
@@ -244,15 +251,6 @@ def oracle_cube_boundary_protocol(gap, corner_weight):
     return oracle_validate_protocol(gap, ids, weights, keys, cycle, cycle, parts=len(maps))
 
 
-def _combine(a: WeightPoint, b: WeightPoint, t):
-    """Affine combination (1-t)*a + t*b."""
-    vals = tuple(
-        tuple((1 - t) * x + t * y for x, y in zip(va, vb))
-        for va, vb in zip(a.values, b.values)
-    )
-    return WeightPoint(a.p, a.q, vals)
-
-
 def scale(proto: SimplicialProtocol, beta):
     """Pointwise scalar multiple of all weights; order types unchanged."""
     _check_beta(beta)
@@ -273,14 +271,14 @@ def subdivide(proto: SimplicialProtocol):
     if proto.dim > 2:
         raise NotImplementedError("subdivision implemented through dimension 2")
     ids = list(proto.vertex_ids)
-    weights = list(proto.vertex_weights)
+    weights = [tuple(w[v] for w in proto.level_weights) for v in range(len(ids))]
     mid = {}
 
     def midpoint(a, b):
         key = (min(a, b), max(a, b))
         if key not in mid:
             ids.append(f"m({ids[key[0]]},{ids[key[1]]})")
-            weights.append(_combine(weights[key[0]], weights[key[1]], 0.5))
+            weights.append(tuple(0.5 * a + 0.5 * b for a, b in zip(weights[key[0]], weights[key[1]])))
             mid[key] = len(ids) - 1
         return mid[key]
 
@@ -313,7 +311,7 @@ def subdivide(proto: SimplicialProtocol):
                 new_cycle[skey] = new_cycle.get(skey, 0) + proto.fundamental_cycle[key] * sgn
             if key in proto.orientation:
                 new_orient[skey] = proto.orientation[key] * sgn
-    return _validate_protocol(proto.gap, ids, weights, new_tops, new_orient, new_cycle)
+    return _validate_protocol(proto.gap, ids, levels_of(weights), new_tops, new_orient, new_cycle)
 
 
 def square_doc_without_last_edge():

@@ -43,9 +43,7 @@ def current_form(proto: SimplicialProtocol, point, tangent, beta=1.0):
         raise ValueError("current forms require weights at levels 0 and 1")
     key, coords = tuple(point[0]), np.asarray(point[1], dtype=float)
     tangent = np.asarray(tangent, dtype=float)
-    pts = [proto.weight_of(v) for v in proto.vertices_of(key)]
-    e_rows = np.array([pt.level(0) for pt in pts])
-    w_rows = np.array([pt.level(1) for pt in pts])
+    e_rows, w_rows = (w[list(key)] for w in proto.level_weights)
     base_e, grad_e = e_rows[0], e_rows[1:] - e_rows[0][None, :]
     base_w = w_rows[0]
     e_here = base_e + coords @ grad_e

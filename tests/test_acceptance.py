@@ -30,7 +30,7 @@ from hypercurrent.ana_hyper import (
 )
 from hypercurrent.weight_space import classify_top_cells, good_summand_count
 from hypercurrent.graph_dynamics import evolve
-from hypercurrent.protocol import SimplicialProtocol, WeightPoint
+from hypercurrent.protocol import SimplicialProtocol
 from normal_equations import weighted_pseudoinverse_boundary, weighted_pseudoinverse_inclusion
 from protocol_ops import levels_of, pair_one
 from stationary import boltzmann, current_form
@@ -208,7 +208,7 @@ def test_criterion_10_dynamics():
             )
         )
         gap = gap_complex(seg, 0, 1)
-        wp = WeightPoint(0, 1, ((0.0, math.log(2)), (0.1,)))
+        wp = ((0.0, math.log(2)), (0.1,))
         proto = SimplicialProtocol(
             gap=gap,
             vertex_ids=("t0", "t1"),

@@ -35,7 +35,6 @@ from hypercurrent.ana_hyper import (
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
-    WeightPoint,
     builtin_protocol,
     cube_protocol,
     cube_sphere_protocol,
@@ -58,9 +57,9 @@ TOR = gap_complex(torsion_complex(), 0, 2)
 
 def simplex_vertex_weights(proto, key, level):
     """Per-vertex weight vectors of one level over a simplex, as rows, read
-    point by point: the oracle for the library's gather."""
-    pts = [proto.weight_of(v) for v in proto.vertices_of(key)]
-    return np.array([pt.level(level) for pt in pts], dtype=float)
+    vertex by vertex: the oracle for the library's gather."""
+    return np.array([proto.level_weights[level - proto.gap.p][v] for (v,) in proto.vertices_of(key)],
+                    dtype=float)
 
 
 def constant_protocol(gap, wp):
@@ -260,7 +259,7 @@ def test_rho_fd_oracle_and_eta_bound():
 
 def test_constant_protocol_drho_zero():
     gap = SPHERE1
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     ctx = _context(gap)
     tree = ctx.trees[0].trees[0]
@@ -273,7 +272,7 @@ def test_constant_protocol_drho_zero():
 
 def test_jan_form_constant_protocol_zero():
     gap = SPHERE1
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     ev = jan_form(proto, 2.0, (0, 1), [0.3], [np.array([1.0])], 1)
     assert np.allclose(ev, 0.0)
@@ -328,7 +327,7 @@ def test_jan_form_level1_fd_oracle():
     from hypercurrent.protocol import weights_at
 
     wp = weights_at(proto, edge, [0.6, 0.4])
-    dag = weighted_pseudoinverse_boundary(gap, np.array(wp.level(1)), beta, 1)
+    dag = weighted_pseudoinverse_boundary(gap, wp[1], beta, 1)
     oracle = dag @ bcoords
     denom = max(np.max(np.abs(oracle)), 1e-12)
     assert float(np.max(np.abs(val - oracle))) / denom <= 1e-6
@@ -646,7 +645,7 @@ def k4_protocol():
     return SimplicialProtocol(
         gap=gap_complex(x, 0, 1),
         vertex_ids=("A", "B", "C"),
-        level_weights=levels_of([WeightPoint(0, 1, (level(4), level(6)))] * 3),
+        level_weights=levels_of([(level(4), level(6))] * 3),
         simplices=((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)),
     )
 
@@ -992,14 +991,13 @@ def test_integrate_dim0_is_alpha0():
     proto = square_protocol()
     v = proto.simplices_of_dim(0)[0]
     out, = jan_integrate(proto, 4.0, [v])
-    wp = proto.vertex_weights[v[0]]
-    _, alpha0 = weighted_pseudoinverse_inclusion(proto.gap, np.array(wp.level(0)), 4.0)
+    _, alpha0 = weighted_pseudoinverse_inclusion(proto.gap, proto.level_weights[0][v[0]], 4.0)
     assert np.allclose(out, alpha0)
 
 
 def test_integrate_constant_protocol_zero():
     gap = SPHERE1
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     out, = jan_integrate(proto, 4.0, [(0, 1)])
     assert np.allclose(out, 0.0)
@@ -1115,7 +1113,7 @@ def test_jan_cochain_residual_cube():
 
 def test_constant_protocol_residual_zero():
     gap = SPHERE1
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     coch = jan_cochain(proto, 3.0)
     assert cochain_chain_map_defect(coch) <= 1e-14
@@ -1204,7 +1202,7 @@ def test_axioms_on_cube():
 
 def test_axioms_constant_protocol_zero_residuals():
     gap = SPHERE1
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     rep = axioms_check(proto, 3.0, [((0, 1), (0.5,))])
     assert rep.continuity <= 1e-12
@@ -1222,7 +1220,7 @@ def test_axioms_constant_protocol_zero_residuals():
                                   lambda: cube_protocol(gap_complex(sphere_wedge_complex(3), 0, 3))])
 def test_vertex_rows_gather_equals_point_by_point(make):
     # one fancy index into the protocol's weight arrays gives the same
-    # floats as reading each vertex's weight point
+    # floats as reading each vertex's row
     proto = make()
     gap = proto.gap
     for jdim in range(proto.dim + 1):
@@ -1369,9 +1367,9 @@ def test_axioms_check_rejects_bad_tol(tol):
 def test_nonfinite_residual_is_a_violation():
     # a NaN weight makes every residual NaN; max() and "resid > tol" both
     # used to drop it, reporting zero residuals and no violations
-    bad = WeightPoint(0, 1, ((0.0, math.nan), (0.0, 1.0)))
+    bad = ((0.0, math.nan), (0.0, 1.0))
     proto = SimplicialProtocol(gap=SPHERE1, vertex_ids=("A", "B"),
-                               level_weights=levels_of((WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0))), bad)),
+                               level_weights=levels_of((((0.0, 1.0), (0.0, 1.0)), bad)),
                                simplices=((0,), (1,), (0, 1)))
     with np.errstate(invalid="ignore"):
         rep = axioms_check(proto, 3.0, [((0, 1), (0.5,))])
@@ -1718,8 +1716,8 @@ def triangle_protocol():
     gap between weights of one level stays at least 1."""
     return SimplicialProtocol(
         gap=TRIANGLE, vertex_ids=("A", "B"),
-        level_weights=levels_of((WeightPoint(0, 1, (LEVEL_WEIGHTS, LEVEL_WEIGHTS)),
-                                 WeightPoint(0, 1, ((0.0, 1.5, 3.0), (0.0, 1.0, 2.5))))),
+        level_weights=levels_of(((LEVEL_WEIGHTS, LEVEL_WEIGHTS),
+                                 ((0.0, 1.5, 3.0), (0.0, 1.0, 2.5)))),
         simplices=((0,), (1,), (0, 1)))
 
 

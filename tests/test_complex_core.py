@@ -59,9 +59,18 @@ def path_complex():
 
 
 def test_round_trip_identity():
-    x = sphere_complex(1)
-    y = loads_complex(dumps_complex(x))
-    assert y == x
+    # string, int and float cell names and numeric complex names read back
+    # with their JSON types
+    boundary = [[[1, -1], [-1, 1]], [[1, 1], [1, 1]]]     # the 2-sphere's
+    ints = loads_complex(json.dumps({"name": 7, "cells": [[1, 2], [-3, 4], [0, 5]],
+                                     "boundary": boundary}))
+    floats = loads_complex(json.dumps({"name": 2.5, "cells": [[0.5, 1.5], [-2.5, 3.25], [0.0, 5.5]],
+                                       "boundary": boundary}))
+    for x in (sphere_complex(1), sphere_complex(2), ints, floats):
+        y = loads_complex(dumps_complex(x))
+        assert y == x and y.name == x.name and y.cells == x.cells
+        assert [type(c) for level in y.cells for c in level] == \
+            [type(c) for level in x.cells for c in level]
 
 
 def test_boundary_square_nonzero():

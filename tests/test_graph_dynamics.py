@@ -19,7 +19,6 @@ from hypercurrent.graph_dynamics import (
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
-    WeightPoint,
     loads_protocol,
     square_protocol,
     weights_at,
@@ -44,7 +43,7 @@ def segment_complex():
 
 def constant_path_protocol(x, e_vals, w_vals, nverts=2):
     gap = gap_complex(x, 0, 1)
-    wp = WeightPoint(0, 1, (tuple(e_vals), tuple(w_vals)))
+    wp = (tuple(e_vals), tuple(w_vals))
     simplices = [(i,) for i in range(nverts)] + [(i, i + 1) for i in range(nverts - 1)]
     return SimplicialProtocol(
         gap=gap,
@@ -302,7 +301,7 @@ def per_call_evolve(proto, p0, t0, t1, steps, tol=1e-8):
     def field(t):
         tau = (t - t0) / (t1 - t0) * m if t1 > t0 else 0.0
         wp = _weights_on_path(proto, min(max(tau, 0.0), m))
-        return loop_master_operator(sd, wp.level(0), wp.level(1)).matrix
+        return loop_master_operator(sd, wp[0], wp[1]).matrix
 
     def step(t, h):
         return rk4_matrix(h, field(t), field(t + h / 2), field(t + h))
@@ -344,8 +343,8 @@ def staged_evolve(proto, p0, t0, t1, steps, tol=1e-8):
     p = np.asarray(p0, dtype=float)
     first = [weights_at(proto, (i, i + 1), [1.0, 0.0]) for i in range(m)]
     last = [weights_at(proto, (i, i + 1), [0.0, 1.0]) for i in range(m)]
-    e0, e1 = (np.array([wp.level(0) for wp in pts]) for pts in (first, last))
-    w0, w1 = (np.array([wp.level(1) for wp in pts]) for pts in (first, last))
+    e0, e1 = (np.array([wp[0] for wp in pts]) for pts in (first, last))
+    w0, w1 = (np.array([wp[1] for wp in pts]) for pts in (first, last))
     times = np.linspace(t0, t1, steps + 1)
     traj = np.zeros((steps + 1, len(p)))
     traj[0] = p
@@ -436,7 +435,7 @@ def blocks_case():
 
 
 def criterion_10_cases():
-    wp = WeightPoint(0, 1, ((0.0, math.log(2)), (0.1,)))
+    wp = ((0.0, math.log(2)), (0.1,))
     proto = SimplicialProtocol(
         gap=gap_complex(segment_complex(), 0, 1),
         vertex_ids=("t0", "t1"),
@@ -491,11 +490,11 @@ def ramp_protocol(end_energy):
     """Three path vertices on the segment: level-0 energies (0, 0), (0, 0)
     and (end_energy, 0), barriers 0.  The field is constant over the first
     half of the run and ramps up over the second."""
-    flat = WeightPoint(0, 1, ((0.0, 0.0), (0.0,)))
+    flat = ((0.0, 0.0), (0.0,))
     return SimplicialProtocol(
         gap=gap_complex(segment_complex(), 0, 1),
         vertex_ids=("t0", "t1", "t2"),
-        level_weights=levels_of((flat, flat, WeightPoint(0, 1, ((end_energy, 0.0), (0.0,))))),
+        level_weights=levels_of((flat, flat, ((end_energy, 0.0), (0.0,)))),
         simplices=((0,), (1,), (2,), (0, 1), (1, 2)),
     )
 
@@ -613,8 +612,8 @@ def unrolled_loop(loop, beta):
     while len(walk) <= len(succ):
         walk.append(succ[walk[-1]])
     pts = tuple(
-        WeightPoint(0, 1, tuple(tuple(beta * v for v in level) for level in wp.values))
-        for wp in (loop.vertex_weights[c] for c in walk)
+        tuple(tuple(beta * v for v in w[c].tolist()) for w in loop.level_weights)
+        for c in walk
     )
     m = len(succ)
     proto = SimplicialProtocol(
@@ -637,8 +636,8 @@ def pumped_flux(loop, beta, period, steps=4000, periods=4):
     for _ in range(periods):
         times, traj = evolve(proto, p, 0.0, period, steps, tol=1e-6)
         p = traj[-1]
-    e = np.array([wp.level(0) for wp in pts])
-    w = np.array([wp.level(1) for wp in pts])
+    e = np.array([wp[0] for wp in pts])
+    w = np.array([wp[1] for wp in pts])
     tau = times / period * m
     seg = np.minimum(tau.astype(np.intp), m - 1)
     local = (tau - seg)[:, None]

@@ -24,7 +24,6 @@ from hypercurrent.errors import (
 )
 from hypercurrent.protocol import (
     SimplicialProtocol,
-    WeightPoint,
     cube_protocol,
     cube_sphere_protocol,
     dumps_protocol,
@@ -40,9 +39,10 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 
 from cell_weights import corner_weights, cube_corner_weight
 from exact_cochain import cube_cw_domain
+from generic import AMPLITUDE, SEEDS, generic_protocol
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
     closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, \
-    subdivide
+    subdivide, vertex_levels
 
 
 def cycle_boundary(proto, cycle):
@@ -84,8 +84,8 @@ def test_round_trip_square():
     assert back.vertex_ids == proto.vertex_ids
     assert back.simplices == proto.simplices
     assert back.fundamental_cycle == proto.fundamental_cycle
-    for a, b in zip(back.vertex_weights, proto.vertex_weights):
-        assert a == b
+    for a, b in zip(back.level_weights, proto.level_weights, strict=True):
+        assert np.array_equal(a, b)
 
 
 def test_missing_vertex_is_not_closed():
@@ -194,8 +194,13 @@ def _graph_transversal_sphere(name, cells, edges, count):
 
 WRITTEN_DOMAINS = (
     [(f"{kind}{q}", lambda kind=kind, q=q: protocol.builtin_protocol(kind, q))
-     for kind in ("cube_sphere", "cube_wedge") for q in (1, 2, 3, 4)]
+     for kind in ("cube_sphere", "cube_wedge") for q in (1, 2, 3, 4, 5)]
+    + [(f"generic{q}_seed{seed}", lambda q=q, seed=seed: generic_protocol(q, seed))
+       for q in AMPLITUDE for seed in SEEDS]
     + [("square", square_protocol),
+       # int and float cell names and a numeric complex name
+       ("numeric_names", lambda: cube_protocol(gap_complex(_graph(
+           2.5, [[1, 2.5], [-3, 4], [0.25, 6]], [[[1, -1], [-1, 1]], [[1, 1], [1, 1]]]), 0, 2))),
        ("path3", lambda: _graph_transversal_sphere("path3", list("xyz"), [(0, 1), (1, 2)], 1)),
        ("triangle", lambda: _graph_transversal_sphere(
            "triangle", list("abc"), [(0, 1), (1, 2), (0, 2)], 2)),
@@ -262,8 +267,10 @@ def test_cell_index_and_level_weights_match_per_cell_reads():
         assert rows == [[v for (v,) in proto.vertices_of(key)] + [key[0]] * (width - d - 1)
                         for key in keys]
     assert all(cells.keys[i] == key for key, i in cells.position.items())
-    for j, w in enumerate(proto.level_weights, start=proto.gap.p):
-        assert np.array_equal(w, [proto.weight_of((v,)).level(j) for v in range(len(proto.vertex_ids))])
+    # row v of each level is vertex v's corner weights
+    corners = [tuple(1 if s == "p" else -1 for s in vid[1:]) for vid in proto.vertex_ids]
+    for k, w in enumerate(proto.level_weights):
+        assert np.array_equal(w, [cube_corner_weight(proto.gap, c, (1,) * width)[k] for c in corners])
 
 
 # --- evaluation ----------------------------------------------------------------
@@ -273,17 +280,23 @@ def test_weights_at_vertex_indicator():
     proto = square_protocol()
     edge = proto.simplices_of_dim(1)[0]
     wp = weights_at(proto, edge, [1.0, 0.0])
-    assert wp == proto.vertex_weights[edge[0]]
+    assert len(wp) == len(proto.level_weights)
+    for got, w in zip(wp, proto.level_weights):
+        assert got.dtype == float and np.array_equal(got, w[edge[0]])
 
 
 def test_weights_at_barycenter():
     proto = square_protocol()
     edge = proto.simplices_of_dim(1)[0]
     wp = weights_at(proto, edge, [0.5, 0.5])
-    w0, w1 = proto.vertex_weights[edge[0]], proto.vertex_weights[edge[1]]
-    for j in (0, 1):
-        for a, b, c in zip(wp.level(j), w0.level(j), w1.level(j)):
+    for got, w in zip(wp, proto.level_weights, strict=True):
+        for a, b, c in zip(got, w[edge[0]], w[edge[1]]):
             assert a == pytest.approx((b + c) / 2)
+    # bit for bit the sum over the vertices, entry by entry in Python floats
+    coords = [0.3, 0.7]
+    for got, w in zip(weights_at(proto, edge, coords), proto.level_weights):
+        want = [sum(c * w[v].tolist()[i] for c, v in zip(coords, edge)) for i in range(w.shape[1])]
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_weights_at_bad_coords():
@@ -293,6 +306,11 @@ def test_weights_at_bad_coords():
         weights_at(proto, edge, [0.7, 0.7])
     with pytest.raises(BadCoordinates):
         weights_at(proto, edge, [-0.5, 1.5])
+    # a vertex tuple that is no simplex: a diagonal, an index from the end
+    # and one past the vertices
+    for key in ((0, 3), (-1, 0), (0, 99)):
+        with pytest.raises(BadCoordinates, match=re.escape(f"{key} is not a simplex of the protocol")):
+            weights_at(proto, key, [0.5, 0.5])
 
 
 @pytest.mark.parametrize("coords", [[math.nan, math.nan], [math.inf, -math.inf], [math.nan, 1.0]])
@@ -309,7 +327,7 @@ def test_cube2_facet_barycenter_gap():
     least = least_levels(proto, smallness(proto))
     tri = next(s for s in proto.simplices_of_dim(2) if least[s] == 2)
     wp = weights_at(proto, tri, [1 / 3] * 3)
-    w2 = wp.level(2)
+    w2 = wp[2]
     assert abs(abs(w2[0] - w2[1]) - 1.0) < 1e-12
 
 
@@ -318,7 +336,7 @@ def test_cube2_facet_barycenter_gap():
 
 def test_constant_injective_protocol_all_k_p():
     gap = gap_complex(sphere_complex(1), 0, 1)
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 0.0)))
+    wp = ((0.0, 1.0), (0.0, 0.0))
     proto = SimplicialProtocol(
         gap=gap,
         vertex_ids=("A", "B"),
@@ -347,8 +365,8 @@ def test_cube_facet_levels():
 
 def test_tie_straddling_simplex_has_no_k():
     gap = gap_complex(sphere_complex(1), 0, 1)
-    up = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
-    down = WeightPoint(0, 1, ((1.0, 0.0), (1.0, 0.0)))
+    up = ((0.0, 1.0), (0.0, 1.0))
+    down = ((1.0, 0.0), (1.0, 0.0))
     proto = SimplicialProtocol(
         gap=gap,
         vertex_ids=("A", "B"),
@@ -366,16 +384,17 @@ def test_good_protocols():
         assert is_good(cube_sphere_protocol(q))[0]
 
 
-def loop_certified_levels(gap, weight_points):
+def loop_certified_levels(gap, points):
     """Levels whose weight functions separate every cell pair with one
-    strict sign across all the given weight points."""
+    strict sign across all the given points, each its weights as one row
+    per level."""
     out = set()
     for j in range(gap.p, gap.q + 1):
         n = gap.parent.n_cells(j)
         ok = True
         for a in range(n):
             for b in range(a + 1, n):
-                diffs = [wp.level(j)[a] - wp.level(j)[b] for wp in weight_points]
+                diffs = [wp[j - gap.p][a] - wp[j - gap.p][b] for wp in points]
                 if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
                     ok = False
                     break
@@ -395,7 +414,7 @@ def loop_smallness(domain):
     levels = np.zeros((len(keys), gap.q - gap.p + 1), dtype=bool)
     least = np.full(len(keys), -1)
     for i, key in enumerate(keys):
-        cert = loop_certified_levels(gap, [domain.weight_of(v) for v in domain.vertices_of(key)])
+        cert = loop_certified_levels(gap, [vertex_levels(domain, v) for v in domain.vertices_of(key)])
         levels[i, [j - gap.p for j in cert]] = True
         least[i] = min(cert, default=-1)
     return levels, least
@@ -419,8 +438,7 @@ def _smallness_domains():
     tied = ((0.0, 1.0), (0.0, 0.0))
     for other in (tied, ((0.0, 1.0), (2.0, 0.0))):
         yield SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1), vertex_ids=("A", "B"),
-                                 level_weights=levels_of((WeightPoint(0, 1, tied),
-                                                          WeightPoint(0, 1, other))),
+                                 level_weights=levels_of((tied, other)),
                                  simplices=((0,), (1,), (0, 1)))
     path3 = _graph("path3", [["x", "y", "z"], ["xy", "yz"]], [[[-1, 0], [1, -1], [0, 1]]])
     triangle = _graph("triangle", [["a", "b", "c"], ["ab", "bc", "ca"]],
@@ -443,7 +461,7 @@ def test_smallness_matches_pair_loop():
 
 def test_all_zero_weights_bad():
     gap = gap_complex(sphere_complex(1), 0, 1)
-    zero = WeightPoint(0, 1, ((0.0, 0.0), (0.0, 0.0)))
+    zero = ((0.0, 0.0), (0.0, 0.0))
     proto = SimplicialProtocol(
         gap=gap, vertex_ids=("A",), level_weights=levels_of((zero,)), simplices=((0,),)
     )
@@ -469,7 +487,7 @@ def test_scale_rejects_nonfinite_beta(beta):
 def test_scale_identity():
     proto = square_protocol()
     same = scale(proto, 1.0)
-    assert same.vertex_weights == proto.vertex_weights
+    assert all(np.array_equal(a, b) for a, b in zip(same.level_weights, proto.level_weights, strict=True))
 
 
 # --- cube protocols ---------------------------------------------------------------
@@ -479,9 +497,8 @@ def test_square_protocol_fig_pattern():
     proto = square_protocol()
     least = least_levels(proto, smallness(proto))
     for s in proto.simplices_of_dim(1):
-        ws = [proto.vertex_weights[v] for v in s]
-        ys = [wp.level(1)[0] for wp in ws]  # level-1 weight of e1+ is -y
-        xs = [wp.level(0)[0] for wp in ws]  # level-0 weight of e0+ is +x
+        ys = proto.level_weights[1][list(s), 0]  # level-1 weight of e1+ is -y
+        xs = proto.level_weights[0][list(s), 0]  # level-0 weight of e0+ is +x
         if all(y < 0 for y in ys):  # top edge: W+ < W-
             assert least[s] == 1
         if all(x > 0 for x in xs):  # right edge: E+ > E-
@@ -524,7 +541,7 @@ def test_cube_facet_weights_constant():
     # facet x_0 = +1 has constant level-0 weights (1, 0)
     plus_corners = [v for v, cid in enumerate(proto.vertex_ids) if cid[1] == "p"]
     for v in plus_corners:
-        assert proto.vertex_weights[v].level(0) == (1.0, 0.0)
+        assert proto.level_weights[0][v].tolist() == [1.0, 0.0]
 
 
 def test_wedge_cube_protocol_good():
@@ -640,44 +657,56 @@ def test_order_type_constant_on_certified_levels():
         n = len(s)
         rankings = []
         for v in s:
-            w = proto.vertex_weights[v].level(k)
+            w = proto.level_weights[k][v]
             rankings.append(tuple(sorted(range(len(w)), key=lambda i: w[i])))
-        bary = weights_at(proto, s, [1.0 / n] * n).level(k)
+        bary = weights_at(proto, s, [1.0 / n] * n)[k]
         rankings.append(tuple(sorted(range(len(bary)), key=lambda i: bary[i])))
         assert len(set(rankings)) == 1
 
 
-# --- the stacked weight checks and the face view -----------------------------------
+# --- the weight checks of a document and the face view -----------------------------
 
 
-def _weights_oracle(gap, vertex_weights):
-    """The weight checks one entry at a time, in vertex then level order."""
-    for wp in vertex_weights:
-        if wp.p != gap.p or wp.q != gap.q:
-            raise LevelMismatch("weight point levels do not match the gap")
-        for j in range(gap.p, gap.q + 1):
-            if len(wp.level(j)) != gap.parent.n_cells(j):
-                raise LevelMismatch(f"level {j} weight vector has length {len(wp.level(j))}, "
+def _weights_oracle(gap, doc):
+    """A document's weight checks one entry at a time: every vertex's
+    levels read in vertex then level order (a missing level or an entry
+    that is no number is a ParseError), then each level's length and its
+    entries' finiteness, in vertex then level order."""
+    levels = range(gap.p, gap.q + 1)
+    for vertex in doc["vertices"]:
+        for j in levels:
+            if str(j) not in vertex["weights"]:
+                raise ParseError(f"bad protocol document: '{j}'")
+            for v in vertex["weights"][str(j)]:
+                try:
+                    float(v)
+                except ValueError as exc:
+                    raise ParseError(f"level {j} of vertex {vertex['id']!r} must hold numbers: {exc}")
+    for vertex in doc["vertices"]:
+        for j in levels:
+            row = vertex["weights"][str(j)]
+            if len(row) != gap.parent.n_cells(j):
+                raise LevelMismatch(f"level {j} weight vector has length {len(row)}, "
                                     f"expected {gap.parent.n_cells(j)}")
-            for v in wp.level(j):
-                if not math.isfinite(v):
+            for v in row:
+                if not math.isfinite(float(v)):
                     raise LevelMismatch("non-finite weight entry")
 
 
 def _faulty(proto, faults):
-    """The protocol's vertex weights with (vertex, level, values) replaced."""
-    points = list(proto.vertex_weights)
+    """The protocol's document with the weights of (vertex, level index)
+    replaced by a row, or dropped where the row is MISSING."""
+    doc = json.loads(dumps_protocol(proto))
     for v, k, row in faults:
-        values = list(points[v].values)
-        if k is None:
-            points[v] = WeightPoint(points[v].p + 1, points[v].q + 1, points[v].values)
-            continue
-        values[k] = row
-        points[v] = WeightPoint(points[v].p, points[v].q, tuple(values))
-    return points
+        weights = doc["vertices"][v]["weights"]
+        if row is MISSING:
+            del weights[str(proto.gap.p + k)]
+        else:
+            weights[str(proto.gap.p + k)] = list(row)
+    return doc
 
 
-NAN, SHORT = (math.nan, 0.0), (0.0,)
+NAN, SHORT, MISSING = (math.nan, 0.0), (0.0,), None
 WEIGHT_FAULTS = {
     "nan_then_length": [(1, 0, NAN), (2, 1, SHORT)],
     "length_then_nan": [(1, 1, SHORT), (2, 0, NAN)],
@@ -685,8 +714,9 @@ WEIGHT_FAULTS = {
     "length_below_nan_on_one_vertex": [(3, 0, SHORT), (3, 1, NAN)],
     "nan_after_length_on_one_vertex": [(3, 1, NAN), (3, 0, SHORT)],
     "inf_only": [(2, 1, (0.0, -math.inf))],
-    "levels_then_nan": [(0, None, None), (1, 0, NAN)],
-    "nan_then_levels": [(1, 0, NAN), (2, None, None)],
+    # a missing level key, then and after a NaN
+    "levels_then_nan": [(0, 1, MISSING), (1, 0, NAN)],
+    "nan_then_levels": [(1, 0, NAN), (2, 1, MISSING)],
     "string_then_nan": [(0, 1, ("x", 0.0)), (1, 0, NAN)],
     "nan_then_string": [(0, 1, NAN), (1, 0, ("x", 0.0))],
     "clean": [],
@@ -696,14 +726,14 @@ WEIGHT_FAULTS = {
 @pytest.mark.parametrize("case", list(WEIGHT_FAULTS))
 def test_weight_faults_raise_as_one_entry_at_a_time(case):
     # a NaN on one vertex and a length mismatch on another, in both orders,
-    # and their neighbours: the stacked test raises what the entry-by-entry
-    # loop raises first, with the same text
+    # and their neighbours, written into the square's document: loading it
+    # raises what the entry-by-entry checks raise first, with the same text
     proto = square_protocol()
-    points = _faulty(proto, WEIGHT_FAULTS[case])
+    doc = _faulty(proto, WEIGHT_FAULTS[case])
     errors = []
-    for check in (_weights_oracle, protocol._validate_weights):
+    for check in (lambda: _weights_oracle(proto.gap, doc), lambda: loads_protocol(json.dumps(doc))):
         try:
-            check(proto.gap, points)
+            check()
             errors.append(None)
         except Exception as exc:    # compared by type and text
             errors.append((type(exc), str(exc)))
@@ -768,8 +798,8 @@ def test_cube_boundary_equals_the_simplex_by_simplex_build(n):
 def _same_build(new, old):
     """The array build and the earlier build agree on every array view,
     the orientation, the cycle and the certificate."""
-    assert (new.vertex_ids, new.vertex_weights, new.simplices, new.parts) == \
-        (old.vertex_ids, old.vertex_weights, old.simplices, old.parts)
+    assert (new.vertex_ids, new.simplices, new.parts) == (old.vertex_ids, old.simplices, old.parts)
+    assert [w.tobytes() for w in new.level_weights] == [w.tobytes() for w in old.level_weights]
     a, b = new.cell_index, old.cell_index
     assert (a.keys, a.offsets, a.position) == (b.keys, b.offsets, b.position)
     assert np.array_equal(a.vertices, b.vertices)
@@ -822,7 +852,7 @@ def test_face_codes_beyond_int64(top):
     # so they are Python ints; the face (40000, 50000, 60000, 65535) has a
     # code above 2**63, which int64 would wrap
     nv = 2 ** 16
-    wp = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0))
     proto = SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1),
                                vertex_ids=tuple(map(str, range(nv))), level_weights=levels_of((wp,) * nv),
                                simplices=tuple(closure_by_faces([top])))

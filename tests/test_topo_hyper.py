@@ -17,7 +17,6 @@ from hypercurrent.errors import LiftObstruction, NotACycle, NotSmall
 from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
     SimplicialProtocol,
-    WeightPoint,
     cube_protocol,
     cube_sphere_protocol,
     smallness,
@@ -60,13 +59,14 @@ def restrict(proto, keys):
     )
 
 
-def constant_protocol(gap, weight_point, nvertices=3):
-    """A path of nvertices vertices, all carrying the same weights."""
+def constant_protocol(gap, point, nvertices=3):
+    """A path of nvertices vertices, all carrying the same weights: point,
+    one row per level."""
     simplices = [(i, i + 1) for i in range(nvertices - 1)]
     return SimplicialProtocol(
         gap=gap,
         vertex_ids=tuple(f"v{i}" for i in range(nvertices)),
-        level_weights=levels_of([weight_point] * nvertices),
+        level_weights=levels_of([point] * nvertices),
         simplices=tuple(
             sorted([(i,) for i in range(nvertices)] + simplices, key=lambda s: (len(s), s))
         ),
@@ -102,8 +102,8 @@ def test_tree_functor_wedge_top():
 
 def test_tree_functor_not_small():
     gap = gap_complex(sphere_complex(1), 0, 1)
-    up = WeightPoint(0, 1, ((0.0, 1.0), (0.0, 1.0)))
-    down = WeightPoint(0, 1, ((1.0, 0.0), (1.0, 0.0)))
+    up = ((0.0, 1.0), (0.0, 1.0))
+    down = ((1.0, 0.0), (1.0, 0.0))
     proto = SimplicialProtocol(
         gap=gap, vertex_ids=("A", "B"), level_weights=levels_of((up, down)),
         simplices=((0,), (1,), (0, 1)),
@@ -137,7 +137,7 @@ def test_tree_functor_shared_over_the_gap():
 
 def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
     # the trees come from the certificate and level_weights: a protocol
-    # whose weight_of and vertices_of raise lifts and pairs to the same class
+    # whose vertices_of raises lifts and pairs to the same class
     first = cube_sphere_protocol(3)
     expected = hypercurrent_homology(first, [first.fundamental_cycle], QMat.identity(1))
     complex_core._GAPS.clear()
@@ -146,7 +146,6 @@ def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
     def refused(self, key):
         raise AssertionError("the lift reads the domain's arrays only")
 
-    monkeypatch.setattr(type(proto), "weight_of", refused)
     monkeypatch.setattr(type(proto), "vertices_of", refused)
     assert hypercurrent_homology(proto, [proto.fundamental_cycle], QMat.identity(1)) == expected
 
@@ -170,7 +169,7 @@ def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
 
     def order_type(key):
         k = least[key]
-        weights = proto.weight_of(proto.vertices_of(key)[0]).level(k)
+        weights = proto.level_weights[k - proto.gap.p][proto.vertices_of(key)[0][0]].tolist()
         return k, tuple(sorted(range(len(weights)), key=weights.__getitem__))
 
     pairs = {(proto.vertices_of(key)[0], least[key]) for key in proto.all_cells()}
@@ -190,7 +189,7 @@ def test_lift_vertex_tree_level_identity():
     # a vertex with k=0 lives at co-tree level; build a level-1 vertex via
     # a constant protocol whose level-0 weights tie
     gap = proto.gap
-    wp = WeightPoint(0, 1, ((0.0, 0.0), (0.0, 1.0)))
+    wp = ((0.0, 0.0), (0.0, 1.0))
     cproto = constant_protocol(gap, wp, nvertices=2)
     tree, phi = lift_vertex(cproto, (0,))
     assert tree.level == 1
@@ -276,7 +275,7 @@ def test_lift_cache_chain_identity_exact():
 
 def test_constant_protocol_cochain():
     gap = gap_complex(sphere_complex(2), 0, 2)
-    wp = WeightPoint(0, 2, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+    wp = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     coch = hypercurrent_cochain(proto)
     for key, op in coch.values.items():
@@ -423,7 +422,7 @@ def test_initial_condition_identity():
     # q = p: the pairing of a vertex with a class is the class itself
     x = sphere_complex(1)
     gap = gap_complex(x, 1, 1)
-    wp = WeightPoint(1, 1, ((0.0, 1.0),))
+    wp = ((0.0, 1.0),)
     proto = constant_protocol(gap, wp)
     coords, _ = pair_one(proto, {(0,): 1})
     assert coords == [Fraction(1)]
@@ -471,7 +470,7 @@ def test_addendum_trivial_boundary():
 def test_addendum_cross_check_pairing_zero():
     # whenever the structural conditions hold, every pairing vanishes
     gap = gap_complex(torsion_complex(), 0, 2)
-    wp = WeightPoint(0, 2, ((0.0,), (0.0,), (0.0, 1.0)))
+    wp = ((0.0,), (0.0,), (0.0, 1.0))
     proto = constant_protocol(gap, wp)
     coch = hypercurrent_cochain(proto)
     # closed path is not a cycle; use single vertices against all classes

@@ -337,7 +337,8 @@ def test_union_of_transversal_spheres_is_their_disjoint_union():
     assert sum(map(len, cycles)) == len(union.fundamental_cycle)
     for i, (cell, cycle) in enumerate(zip(cells, cycles)):
         alone = transversal_sphere(gap, [cell])
-        assert union.vertex_weights[i * size:(i + 1) * size] == alone.vertex_weights
+        assert all(np.array_equal(w[i * size:(i + 1) * size], a)
+                   for w, a in zip(union.level_weights, alone.level_weights, strict=True))
         assert union.vertex_ids[i * size:(i + 1) * size] == tuple(f"{i}.{v}" for v in alone.vertex_ids)
         assert dict(map(lambda kc: (union.part_of(kc[0]), kc[1]), cycle.items())) == \
             {(i, key): c for key, c in alone.fundamental_cycle.items()}
@@ -491,7 +492,7 @@ def _chunk(name):
 @pytest.mark.parametrize("name", list(CHUNKS))
 @pytest.mark.parametrize("eps", [0.25, 0.1])
 def test_chunk_corner_weights_equal_the_per_cell_oracle(name, eps):
-    # bit for bit: one corner map and one WeightPoint per corner of each cube
+    # bit for bit: one corner map and one row per level and corner of each cube
     gap, cells = _chunk(name)
     proto = transversal_sphere(gap, cells, eps)
     oracle = stacked(gap, [corner_weights(gap, c, eps) for c in cells])
