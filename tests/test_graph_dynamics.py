@@ -263,7 +263,7 @@ def loop_master_operator(sd, energies, barriers):
 
 
 def _weights_on_path(proto, tau):
-    """Weight point at path coordinate tau in [0, nedges]."""
+    """The weights, one array per level, at path coordinate tau in [0, nedges]."""
     m = _path_times(proto)
     seg = min(int(tau), m - 1)
     local = tau - seg
