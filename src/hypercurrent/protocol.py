@@ -14,10 +14,10 @@ dim_of and part_of, which name a failing cell, its cached certificate
 and lift, and three array views: cell_index, the cells by dimension with
 their vertices as one index array; face_rows, each dimension's faces as
 rows of the dimension below with their signs; and level_weights, which
-also fix each cell's tree.  The certificate and the lift hold cells as
-cell_index rows: the certificate is two arrays in that order, and the
-lift reads a cell's key only to name it.  The tests also run them on a
-regular-CW cube domain.
+smallness alone reads.  Both hold cells as cell_index rows: the
+certificate numbers each cell's order type at its least level, which
+fixes the cell's tree, and the lift reads a key only to name a cell.
+The tests also run them on a regular-CW cube domain.
 
 A protocol's cells are one array of sorted vertex rows per dimension.
 One np.unique pass over row codes closes a dimension under faces and
@@ -83,19 +83,24 @@ def simplex_faces(key):
     return list(zip(itertools.cycle((1, -1)), faces))
 
 
+def _codes(rows, base):
+    """Rows of entries below base as numbers in base base, in the rows'
+    lexicographic order; Python ints where int64 could overflow."""
+    width = rows.shape[1]
+    place = np.array([base ** e for e in range(width - 1, -1, -1)],
+                     dtype=np.int64 if base ** width < 2 ** 63 else object)
+    return rows @ place
+
+
 def _cells_and_faces(lower, upper, base):
     """One np.unique pass over the codes of the rows lower and of the faces
     of the rows upper, one column wider, face m of a row dropping its
     column m: the sorted distinct rows, the place among them of each row
-    of lower, and of each face as an array (rows of upper, faces).  A row
-    is coded as one number in base the vertex count, in Python ints where
-    int64 could overflow."""
+    of lower, and of each face as an array (rows of upper, faces)."""
     n, width = upper.shape
     drop = np.nonzero(~np.eye(width, dtype=bool))[1].reshape(width, width - 1)
     rows = np.concatenate([lower, upper[:, drop].reshape(n * width, width - 1)])
-    place = np.array([base ** e for e in range(width - 2, -1, -1)],
-                     dtype=np.int64 if base ** (width - 1) < 2 ** 63 else object)
-    _, first, places = np.unique(rows @ place, return_index=True, return_inverse=True)
+    _, first, places = np.unique(_codes(rows, base), return_index=True, return_inverse=True)
     return rows[first], places[:len(lower)], places[len(lower):].reshape(n, width)
 
 
@@ -200,8 +205,7 @@ class SimplicialProtocol:
     def cell_index(self):
         """The simplices by dimension, each dimension sorted; a simplex's
         vertices are its keys' entries, which index level_weights' rows."""
-        return _cell_index([_cells_and_faces(rows, np.empty((0, rows.shape[1] + 1), dtype=np.intp),
-                                             len(self.vertex_ids))[0]
+        return _cell_index([rows[np.unique(_codes(rows, len(self.vertex_ids)), return_index=True)[1]]
                             for rows in _by_dim(self.simplices)])
 
     @cached_property
@@ -252,15 +256,10 @@ def _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle,
 
 
 def _validate_protocol(gap, vertex_ids, level_weights, simplices, orientation, cycle):
-    """The protocol with the given level arrays, closing the given sorted
-    vertex tuples and every vertex under faces, once its simplices, signs
-    and cycle are checked."""
+    """The protocol with the given level arrays, closing the given strictly
+    sorted vertex tuples and every vertex under faces, once its cycle is
+    checked."""
     groups = _by_dim(simplices)
-    if not all((np.diff(rows, axis=1) > 0).all() for rows in groups):
-        bad = next(s for s in simplices if list(s) != sorted(set(s)))
-        raise ParseError(f"simplex {bad} is not a strictly sorted vertex tuple")
-    if any(sign not in (1, -1) for sign in orientation.values()):
-        raise ParseError("orientation signs must be +-1")
     groups[0] = np.concatenate([groups[0], np.arange(len(vertex_ids))[:, None]])
     cells, places = _close(groups, len(vertex_ids))
     index = _cell_index(cells)
@@ -301,10 +300,13 @@ def _resolve_complex(spec, base_dir=None):
 
 
 def _floats(values, what):
-    """A JSON list of numbers (or strings float() reads) as a tuple of floats."""
+    """A JSON list of numbers, none of them a bool, as a tuple of floats."""
+    for v in _typed(values, list, what):
+        if type(v) not in (int, float):
+            raise ParseError(f"{what} must hold JSON numbers, got {v!r}")
     try:
-        return tuple(map(float, _typed(values, list, what)))
-    except (TypeError, ValueError, OverflowError) as exc:
+        return tuple(map(float, values))
+    except OverflowError as exc:
         raise ParseError(f"{what} must hold numbers: {exc}") from exc
 
 
@@ -321,7 +323,7 @@ def _vertex_key(index, vids, where):
 def loads_protocol(text, base_dir=None):
     """The protocol a JSON document describes.  Each field's JSON type is
     checked where it is read; one of the wrong type is a ParseError
-    naming it."""
+    naming it.  A weight entry is a JSON number and not a bool."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -365,6 +367,11 @@ def loads_protocol(text, base_dir=None):
     for ckey, coeff in _typed(doc.get("cycle", {}), dict, "protocol field cycle").items():
         key = _vertex_key(id_index, ckey.split(","), "cycle")
         cycle[key] = _typed(coeff, int, f"the cycle coefficient of {ckey}")
+    bad = next((s for s in simplices if len(set(s)) < len(s)), None)
+    if bad is not None:
+        raise ParseError(f"simplex {bad} is not a strictly sorted vertex tuple")
+    if any(sign not in (1, -1) for sign in orientation.values()):
+        raise ParseError("orientation signs must be +-1")
     sizes = [gap.parent.n_cells(j) for j in range(p, q + 1)]
     for levels in rows:     # the first fault in vertex, then level order
         for j, row, size in zip(range(p, q + 1), levels, sizes):
@@ -452,11 +459,15 @@ def weights_at(proto: SimplicialProtocol, simplex, coords):
 @dataclass(frozen=True, eq=False)
 class SmallnessCertificate:
     """Per cell, in cell_index order: levels[i, k - p] is whether level k
-    is injective on the whole closed cell i, and least[i] the least such
-    level, -1 where there is none."""
+    is injective on the whole closed cell i, least[i] the least such level
+    and order[i] its order type's number, both -1 where there is none.
+    rankings[k - p] holds level k's distinct strict rankings, sorted: row
+    order[i] of rankings[least[i] - p] ranks that level's cells on cell i."""
 
     levels: np.ndarray    # bool (cells, q - p + 1)
     least: np.ndarray     # int (cells,)
+    order: np.ndarray     # int (cells,)
+    rankings: tuple       # per level p..q, int (rankings, n_cells)
 
 
 def smallness(domain) -> SmallnessCertificate:
@@ -466,21 +477,26 @@ def smallness(domain) -> SmallnessCertificate:
     has one strict sign at all vertices of the closure; affine functions
     on convex cells attain extrema at vertices, so this is not a
     sampling test.  That holds iff every vertex of the cell ranks the
-    level's cells strictly (no ties) and all of them rank them alike, so
-    each level is one ranking per vertex, gathered over all cells at once
-    through their vertex index array; a padded entry repeats a vertex,
-    which changes neither test.
+    level's cells strictly (no ties) and all of them rank them alike: a
+    vertex's stable argsort of a level is numbered by its row code among
+    the level's distinct strict rankings (lexicographic order), -1 where
+    it ties, and a cell is certified iff its vertices carry one number
+    >= 0, read in one gather through their vertex index array (whose
+    padding repeats a vertex).
     """
-    gap = domain.gap
-    cells = domain.cell_index
-    ok = np.empty((len(cells.keys), gap.q - gap.p + 1), dtype=bool)
-    for col, w in enumerate(domain.level_weights):
-        rank = np.argsort(w, axis=1)
-        ranked = np.sort(w, axis=1)
-        strict = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-        ranks = rank[cells.vertices]
-        ok[:, col] = (ranks == ranks[:, :1]).all(axis=(1, 2)) & strict[cells.vertices].all(axis=1)
-    return SmallnessCertificate(ok, np.where(ok.any(axis=1), ok.argmax(axis=1) + gap.p, -1))
+    rankings, numbers = [], []
+    for w in domain.level_weights:
+        rank = np.argsort(w, axis=1, kind="stable")
+        strict = (np.diff(np.sort(w, axis=1), axis=1) > 0).all(axis=1)
+        numbers.append(np.full(len(w), -1))
+        _, first, numbers[-1][strict] = np.unique(_codes(rank[strict], w.shape[1]),
+                                                  return_index=True, return_inverse=True)
+        rankings.append(rank[strict][first])
+    at = np.stack(numbers, axis=1)[domain.cell_index.vertices]     # (cells, vertices, levels)
+    ok = (at == at[:, :1]).all(axis=1) & (at[:, 0] >= 0)
+    col = ok.argmax(axis=1)
+    order = np.where(ok.any(axis=1), at[np.arange(len(ok)), 0, col], -1)
+    return SmallnessCertificate(ok, np.where(order >= 0, col + domain.gap.p, -1), order, tuple(rankings))
 
 
 def is_good(domain):

@@ -22,13 +22,13 @@ with their coefficients.
 A cell's lift depends on its domain only through its signature: its
 tree, then each face's signature and sign in face_rows order (Kirchhoff:
 the weights enter only through the tree choice).  build_lift_cache
-numbers the signatures, with the trees from one argsort of the level
-weights per level and one tree_functor call per distinct (level, order
-type); lift_simplex runs only on the first cell of each signature the
-gap has not seen, the gap keeps that lift, and every stack is gathered
-from the gap's lifts over their denominator, so domains over one gap
-share them.  lift_simplex and QMat reduce what they make, so no output
-depends on which lifts the gap kept.
+numbers the signatures, with one tree_functor call per distinct (least
+level, order type) that the smallness certificate numbers; lift_simplex
+runs only on the first cell of each signature the gap has not seen, the
+gap keeps that lift, and every stack is gathered from the gap's lifts
+over their denominator, so domains over one gap share them.  lift_simplex
+and QMat reduce what they make, so no output depends on which lifts the
+gap kept.
 
 Errors are those a cell-by-cell pass in (dim, repr) order meets first:
 earliest cell, then degree, then check (support, class or cycle, top
@@ -146,21 +146,20 @@ class LiftCache:
 
 def tree_functor(proto, row):
     """The preferred tree of a small cell, given by its cell_index row:
-    greedy at its least injective level, using the order type certified
-    on the whole closed cell (read at its first vertex's row of
-    level_weights); kept in the gap's memo by (level, order type), so
-    protocols share it, with its contraction, built while the gap holds
-    the tree's elimination."""
+    greedy at its least injective level, on the order type the
+    certificate holds for the whole closed cell (greedy reads weights only
+    as an order, so it is given the rank positions); kept in the gap's
+    memo by (level, order type), so protocols share it, with its
+    contraction, built while the gap holds the tree's elimination."""
     gap = proto.gap
-    cells = proto.cell_index
-    k = int(proto.certificate.least[row])
+    cert = proto.certificate
+    k = int(cert.least[row])
     if k < 0:
-        raise NotSmall(f"cell {cells.keys[row]} has no injective level")
+        raise NotSmall(f"cell {proto.cell_index.keys[row]} has no injective level")
     names = gap.parent.cells[k]
-    w = proto.level_weights[k - gap.p][cells.vertices[row, 0]]
-    order = tuple(names[i] for i in np.argsort(w, kind="stable"))
+    order = tuple(names[i] for i in cert.rankings[k - gap.p][cert.order[row]].tolist())
     return gap.derived(("tree", k, order), lambda: _tree_aux(
-        gap, greedy_dtree(gap, k, dict(zip(names, w.tolist())))).tree)
+        gap, greedy_dtree(gap, k, dict(zip(order, range(len(order)))))).tree)
 
 
 class _Lifts:
@@ -183,13 +182,14 @@ def build_lift_cache(proto) -> LiftCache:
     gap = proto.gap
     cert = proto.certificate
     cells = proto.cell_index
-    keys = cells.keys
     if cert.least.min() < 0:
         # the cell a cell-by-cell pass in (dim, repr) order meets first
-        bad = (keys[i] for i in np.flatnonzero(cert.least < 0))
+        bad = (cells.keys[i] for i in np.flatnonzero(cert.least < 0))
         first = min(bad, key=lambda c: (proto.dim_of(c), repr(c)))
         raise NotGood(f"cell {first} is not small")
-    cache = LiftCache(gap, *_cell_trees(proto))
+    # a tree per distinct (least level, order type number), by its first cell
+    first, tree_of = _distinct(np.stack([cert.least, cert.order], axis=1))
+    cache = LiftCache(gap, [tree_functor(proto, i) for i in first.tolist()], tree_of)
     seen = gap.derived("lifts", _Lifts)
     sig = np.array([seen.trees.setdefault(t.key, len(seen.trees)) for t in cache.trees],
                    dtype=np.int64)[cache.tree_of]
@@ -202,24 +202,6 @@ def build_lift_cache(proto) -> LiftCache:
         sig[a:b] = _lift_dimension(proto, j, rows, cache, seen)
     cache.signatures = sig[cells.offsets[-2]:]
     return cache
-
-
-def _cell_trees(proto):
-    """A tree per distinct row of a domain's cells, and each cell's place
-    among them (LiftCache.trees and tree_of): one row per cell, its least
-    level and that level's order type at its first vertex (from one
-    argsort of each level's weights), and one tree_functor call, by its
-    first cell's row, per distinct row."""
-    cells = proto.cell_index
-    least = proto.certificate.least
-    weights = proto.level_weights
-    rows = np.full((len(least), 1 + max(w.shape[1] for w in weights)), -1, dtype=np.intp)
-    rows[:, 0] = least
-    for k, w in enumerate(weights, start=proto.gap.p):
-        at = least == k
-        rows[at, 1:1 + w.shape[1]] = np.argsort(w, axis=1, kind="stable")[cells.vertices[at, 0]]
-    first, tree_of = _distinct(rows)
-    return [tree_functor(proto, i) for i in first.tolist()], tree_of
 
 
 def _lift_dimension(proto, j, rows, cache, seen):
@@ -428,6 +410,8 @@ def hypercurrent_homology(proto, cycles, classes):
     Koszul sign is +1."""
     gap = proto.gap
     cycles = list(cycles)
+    if not isinstance(classes, QMat) or not all(hasattr(c, "items") for c in cycles):
+        raise TypeError("expected a sequence of cycle mappings and a QMat of class columns")
     cells = proto.cell_index
     # per cycle, its first cell outside the top cells, else (row, coefficient) per cell
     strays = [next((k for k in map(tuple, c) if proto.dim_of(k) != gap.top

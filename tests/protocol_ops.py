@@ -1,8 +1,12 @@
 """Operations on protocols that only the tests use: midpoint subdivision
 and scaling of all weights.  Both keep a protocol's order types, so the
 exact lift must not change under them; the tests check that it does not.
-Also points as level arrays and a vertex's rows of them (levels_of,
-vertex_levels), a certificate's least levels by cell, the face closure
+The certificate as it was made one level and one whole ranking at a
+time (smallness_by_level), the reference for the certificate's order
+type numbers, and seeded protocols whose vertices tie or swap a pair of
+cells (tied_protocol).  Also points as level arrays and a vertex's rows
+of them (levels_of, vertex_levels), a certificate's least levels by
+cell, the face closure
 one face at a time, the oracle for the library's closure over index
 arrays, a document whose stored cycle leaves the protocol, and one
 cycle's pairing with the one degree-p class read as lists.
@@ -15,6 +19,7 @@ whose cell_index sorts by length and bisects and whose face_rows finds
 faces by a searchsorted over base-vertex-count row codes.
 """
 
+import dataclasses
 import itertools
 import json
 from bisect import bisect_left
@@ -54,6 +59,43 @@ def least_levels(domain, cert):
     """A certificate's least levels by cell: a cell key -> its least
     certified level, or None where it has none."""
     return {key: None if k < 0 else k for key, k in zip(domain.cell_index.keys, cert.least.tolist())}
+
+
+def smallness_by_level(domain):
+    """The certificate's levels and least levels as the library made them
+    before it numbered order types: per level, every vertex's whole
+    ranking gathered over each cell's vertices, an array (cells, vertices,
+    cells of the level), compared, with a tie check per vertex."""
+    gap = domain.gap
+    cells = domain.cell_index
+    ok = np.empty((len(cells.keys), gap.q - gap.p + 1), dtype=bool)
+    for col, w in enumerate(domain.level_weights):
+        rank = np.argsort(w, axis=1)
+        ranked = np.sort(w, axis=1)
+        strict = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+        ranks = rank[cells.vertices]
+        ok[:, col] = (ranks == ranks[:, :1]).all(axis=(1, 2)) & strict[cells.vertices].all(axis=1)
+    return ok, np.where(ok.any(axis=1), ok.argmax(axis=1) + gap.p, -1)
+
+
+def tied_protocol(domain, gap, seed):
+    """domain's cells and cycle over gap, whose levels' cell counts may
+    differ from domain's: each level has one seeded ranking of its cells,
+    as weights 0, 1, ..., at every vertex but those that, seeded, swap or
+    tie (the later takes the earlier's weight) one pair of cells adjacent
+    in it."""
+    rng = np.random.default_rng(seed)
+    nv = len(domain.vertex_ids)
+    levels = []
+    for j in range(gap.p, gap.q + 1):
+        n = gap.parent.n_cells(j)
+        w = np.tile(rng.permutation(n).astype(float), (nv, 1))
+        for v, change, r in zip(range(nv), rng.integers(3, size=nv), rng.integers(max(n - 1, 1), size=nv)):
+            a, b = np.flatnonzero(w[v] == r)[0], np.flatnonzero(w[v] == r + 1)
+            if change and len(b):
+                w[v, a], w[v, b[0]] = (r + 1, r) if change == 1 else (r, r)
+        levels.append(w)
+    return dataclasses.replace(domain, gap=gap, level_weights=tuple(levels))
 
 
 def closure_by_faces(simplices):

@@ -34,15 +34,17 @@ from hypercurrent.protocol import (
     square_protocol,
     weights_at,
 )
+from hypercurrent.forests import greedy_dtree
 from hypercurrent.ratlin import QMat
+from hypercurrent.topo_hyper import tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 from cell_weights import corner_weights, cube_corner_weight
 from exact_cochain import cube_cw_domain
 from generic import AMPLITUDE, SEEDS, generic_protocol
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
-    closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, scale, square_doc_without_last_edge, \
-    subdivide, vertex_levels
+    closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, scale, smallness_by_level, \
+    square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
 
 
 def cycle_boundary(proto, cycle):
@@ -459,6 +461,60 @@ def test_smallness_matches_pair_loop():
     assert uncertified    # some cell pair changes sign, so both outcomes are compared
 
 
+def _cycle_graph(n):
+    """The n-cycle graph: n vertices, n edges, all cells at levels 0 and 1."""
+    bnd = [[(k == v + 1) - (k == v) if v < n - 1 else (k == 0) - (k == v) for v in range(n)]
+           for k in range(n)]
+    return _graph(f"cycle{n}", [[f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)]], [bnd])
+
+
+def _three_disc_triangle():
+    """The triangle graph with three discs glued along it: b_1 = 0, b_2 = 2."""
+    return _graph("three_discs", [["a", "b", "c"], ["ab", "bc", "ca"], ["f0", "f1", "f2"]],
+                  [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]], [[1, 1, 1]] * 3])
+
+
+def _ranked_domains():
+    """Domains whose certificate tests compare with the by-level reference:
+    the smallness domains, and seeded protocols with ties and swaps at some
+    vertices, among them levels of 17 cells, whose rankings are coded in
+    Python ints (17^17 >= 2^63)."""
+    yield from _smallness_domains()
+    for seed in range(4):
+        yield tied_protocol(square_protocol(), gap_complex(_cycle_graph(17), 0, 1), seed)
+        yield tied_protocol(subdivide(square_protocol()), gap_complex(_cycle_graph(5), 0, 1), seed)
+        yield tied_protocol(cube_sphere_protocol(2), gap_complex(_three_disc_triangle(), 0, 2), seed)
+        yield tied_protocol(cube_sphere_protocol(3), gap_complex(sphere_complex(3), 0, 3), seed)
+
+
+def test_certificate_matches_the_by_level_reference():
+    # levels and least as one whole-ranking gather per level made them;
+    # order and rankings give each certified cell's argsort at its first
+    # vertex, and its tree is greedy's on that vertex's weights
+    widest, uncertified, tied, trees = 0, 0, 0, set()
+    for domain in _ranked_domains():
+        gap, cert = domain.gap, smallness(domain)
+        levels, least = smallness_by_level(domain)
+        assert np.array_equal(cert.levels, levels) and np.array_equal(cert.least, least)
+        assert np.array_equal(cert.order < 0, cert.least < 0)
+        for ranked in cert.rankings:
+            assert list(map(tuple, ranked.tolist())) == sorted(set(map(tuple, ranked.tolist())))
+        first = domain.cell_index.vertices[:, 0]
+        for row in np.flatnonzero(cert.least >= 0).tolist():
+            k = int(cert.least[row])
+            w = domain.level_weights[k - gap.p][first[row]]
+            ranking = cert.rankings[k - gap.p][cert.order[row]]
+            assert ranking.tolist() == np.argsort(w, kind="stable").tolist()
+            tree = greedy_dtree(gap, k, dict(zip(gap.parent.cells[k], w.tolist())))
+            assert tree_functor(domain, row).key == tree.key
+            trees.add(tree.key)
+        widest = max(widest, *(w.shape[1] for w in domain.level_weights))
+        uncertified += (cert.least < 0).sum()
+        tied += sum((np.diff(np.sort(w, axis=1), axis=1) == 0).any(axis=1).sum()
+                    for w in domain.level_weights)
+    assert widest >= 16 and uncertified and tied and len(trees) > 20
+
+
 def test_all_zero_weights_bad():
     gap = gap_complex(sphere_complex(1), 0, 1)
     zero = ((0.0, 0.0), (0.0, 0.0))
@@ -670,18 +726,18 @@ def test_order_type_constant_on_certified_levels():
 def _weights_oracle(gap, doc):
     """A document's weight checks one entry at a time: every vertex's
     levels read in vertex then level order (a missing level or an entry
-    that is no number is a ParseError), then each level's length and its
-    entries' finiteness, in vertex then level order."""
+    that is no JSON number, a bool included, is a ParseError), then each
+    level's length and its entries' finiteness, in vertex then level
+    order."""
     levels = range(gap.p, gap.q + 1)
     for vertex in doc["vertices"]:
         for j in levels:
             if str(j) not in vertex["weights"]:
                 raise ParseError(f"bad protocol document: '{j}'")
             for v in vertex["weights"][str(j)]:
-                try:
-                    float(v)
-                except ValueError as exc:
-                    raise ParseError(f"level {j} of vertex {vertex['id']!r} must hold numbers: {exc}")
+                if isinstance(v, bool) or not isinstance(v, (int, float)):
+                    raise ParseError(f"level {j} of vertex {vertex['id']!r} must hold JSON numbers, "
+                                     f"got {v!r}")
     for vertex in doc["vertices"]:
         for j in levels:
             row = vertex["weights"][str(j)]
@@ -719,6 +775,10 @@ WEIGHT_FAULTS = {
     "nan_then_levels": [(1, 0, NAN), (2, 1, MISSING)],
     "string_then_nan": [(0, 1, ("x", 0.0)), (1, 0, NAN)],
     "nan_then_string": [(0, 1, NAN), (1, 0, ("x", 0.0))],
+    # float() reads these, but they are no JSON numbers
+    "bool_then_nan": [(0, 1, (True, 0.0)), (1, 0, NAN)],
+    "nan_then_numeric_string": [(0, 1, NAN), (2, 0, (0.0, "1_0"))],
+    "null": [(3, 1, (None, 0.0))],
     "clean": [],
 }
 
@@ -882,3 +942,34 @@ def test_a_simplex_repeating_a_vertex_is_rejected(repeated, named):
     with pytest.raises(ParseError, match=re.escape(f"simplex {named} is not a strictly sorted "
                                                    "vertex tuple")):
         loads_protocol(json.dumps(_square_doc_with(*repeated)))
+
+
+@pytest.mark.parametrize("entry", [True, False, "1_0", "1.0", None])
+def test_a_weight_entry_is_a_json_number(entry):
+    # float() reads True as 1.0 and "1_0" as 10.0; a document's weights are
+    # JSON numbers, and the error names the vertex and the level
+    doc = _faulty(square_protocol(), [(2, 1, (0.0, entry))])
+    with pytest.raises(ParseError, match=re.escape(f"level 1 of vertex 'cpm' must hold JSON numbers, "
+                                                   f"got {entry!r}")):
+        loads_protocol(json.dumps(doc))
+    # an integer is a JSON number
+    back = loads_protocol(json.dumps(_faulty(square_protocol(), [(2, 1, (0, 1))])))
+    assert back.level_weights[1][2].tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("fault,error", [
+    ({"simplices": [{"vertices": ["cmm", "cmm"]}]}, "simplex (0, 0) is not a strictly sorted"),
+    ({"orientation": 2}, "orientation signs must be +-1"),
+])
+def test_parse_errors_come_before_level_mismatch(fault, error):
+    # a NaN weight is a LevelMismatch, which a simplex that repeats a vertex
+    # or a bad orientation sign, both ParseErrors, comes before
+    doc = _faulty(square_protocol(), [(1, 0, NAN)])
+    if "simplices" in fault:
+        doc["simplices"][:0] = fault["simplices"]
+    else:
+        doc["simplices"][-1]["orientation"] = fault["orientation"]
+    with pytest.raises(ParseError, match=re.escape(error)):
+        loads_protocol(json.dumps(doc))
+    with pytest.raises(LevelMismatch, match="non-finite weight entry"):
+        loads_protocol(json.dumps(_faulty(square_protocol(), [(1, 0, NAN)])))

@@ -136,17 +136,22 @@ def test_tree_functor_shared_over_the_gap():
 
 
 def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
-    # the trees come from the certificate and level_weights: a protocol
-    # whose vertices_of raises lifts and pairs to the same class
+    # the trees come from the certificate alone: once it is made, a
+    # protocol whose vertices_of and level_weights raise lifts and pairs
+    # to the same class, on a gap that has kept no tree
     first = cube_sphere_protocol(3)
     expected = hypercurrent_homology(first, [first.fundamental_cycle], QMat.identity(1))
     complex_core._GAPS.clear()
     proto = cube_sphere_protocol(3)
+    proto.certificate
 
-    def refused(self, key):
-        raise AssertionError("the lift reads the domain's arrays only")
+    def refused(self, key=None):
+        raise AssertionError("the lift reads the domain's arrays and certificate only")
 
     monkeypatch.setattr(type(proto), "vertices_of", refused)
+    monkeypatch.setattr(type(proto), "level_weights", property(refused), raising=False)
+    with pytest.raises(AssertionError, match="certificate only"):
+        proto.level_weights
     assert hypercurrent_homology(proto, [proto.fundamental_cycle], QMat.identity(1)) == expected
 
 
@@ -635,3 +640,17 @@ def test_nonzero_boundary_is_raised_before_a_cell_outside_the_domain():
         hypercurrent_homology(path, [{edges[-1]: 1}], QMat.identity(1))
     with pytest.raises(NotACycle, match="support outside the top dimension"):
         hypercurrent_homology(proto, [{}, {edges[0][:1]: 1}], QMat.identity(1))
+
+
+def test_pairing_names_its_forms_when_given_another():
+    # a single cycle mapping in place of a sequence of them, and a list of
+    # classes in place of a QMat of class columns, are TypeErrors naming both
+    proto = square_protocol()
+    cycle = proto.fundamental_cycle
+    forms = "expected a sequence of cycle mappings and a QMat of class columns"
+    with pytest.raises(TypeError, match=re.escape(forms)):
+        hypercurrent_homology(proto, cycle, QMat.identity(1))
+    with pytest.raises(TypeError, match=re.escape(forms)):
+        hypercurrent_homology(proto, [cycle], [[1]])
+    [(coords, _)] = hypercurrent_homology(proto, [cycle], QMat.identity(1))
+    assert coords.shape == (1, 1)

@@ -11,6 +11,7 @@ from hypercurrent.cli import main
 
 from hypercurrent.complex_core import (
     betti,
+    collapsed_sphere_complex,
     dumps_complex,
     gap_complex,
     loads_complex,
@@ -33,7 +34,7 @@ from hypercurrent.weight_space import (
 )
 
 from cell_weights import corner_weights, is_top, stacked
-from protocol_ops import least_levels
+from protocol_ops import least_levels, oracle_cube_boundary_protocol
 
 
 def path_complex():
@@ -558,3 +559,75 @@ def test_check_order_is_the_per_cell_order(make, eps):
         assert _first_error(lambda: transversal_sphere(gap, cells, eps)) == want
         seen.add(want and want[0])
     assert ValueError in seen
+
+
+# --- weight space in degree >= 2 -------------------------------------------------
+
+
+def ngon_sphere(n, names=None):
+    """The n-gon 2-sphere: n vertices and n edges on the equator, two discs
+    bounding it; names, if given, maps a cell's default name to its own."""
+    bnd = [[(k == v + 1) - (k == v) if v < n - 1 else (k == 0) - (k == v) for v in range(n)]
+           for k in range(n)]
+    cells = [[f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)], ["north", "south"]]
+    return loads_complex(json.dumps({
+        "name": f"{n}-gon sphere", "cells": [[(names or {}).get(c, c) for c in lvl] for lvl in cells],
+        "boundary": [bnd, [[1, 1]] * n]}))
+
+
+def three_disc_triangle(names=None):
+    """The triangle graph with three discs glued along it: b_2 = 2."""
+    cells = [["a", "b", "c"], ["ab", "bc", "ca"], ["f0", "f1", "f2"]]
+    return loads_complex(json.dumps({
+        "name": "three discs", "cells": [[(names or {}).get(c, c) for c in lvl] for lvl in cells],
+        "boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]], [[1, 1, 1]] * 3]}))
+
+
+DEGREE_TWO = {
+    "3-gon": (lambda names=None: ngon_sphere(3, names), 0, 2),
+    "4-gon": (lambda names=None: ngon_sphere(4, names), 0, 2),
+    "three_discs": (three_disc_triangle, 0, 2),
+    "collapsed3": (lambda names=None: collapsed_sphere_complex(3), 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(DEGREE_TWO))
+def test_degree_two_chunks_equal_the_per_cell_oracle(name):
+    # every top cell's report equals its own transversal cube, built from the
+    # per-cell corner map and paired alone; the robust rank is at most b_p b_q
+    make, p, q = DEGREE_TWO[name]
+    x = make()
+    gap = gap_complex(x, p, q)
+    report = classify_top_cells(x, p, q)
+    cells = enumerate_top_discriminant_cells(x, p, q)
+    assert [r.height for r in report.cells] == cells
+    units = QMat.identity(gap.parent_hp.betti)
+    for rep, cell in zip(report.cells, cells):
+        proto = oracle_cube_boundary_protocol(gap, corner_weights(gap, cell, 0.25))
+        [(coords, _)] = hypercurrent_homology(proto, [proto.fundamental_cycle], units)
+        current = tuple(map(tuple, coords.to_rows()))
+        assert rep.current_matrix == current
+        assert rep.essential == any(v != 0 for row in current for v in row)
+    assert 1 <= report.robust_summands <= betti(x, p) * betti(x, q)
+    if name == "three_discs":
+        # the discs' permutations act on H_2 (x) H_0 as S3's irreducible
+        # two-dimensional representation and permute the top cells, so the
+        # currents span 0 or all of it
+        assert report.robust_summands == 2
+
+
+@pytest.mark.parametrize("name", [n for n in DEGREE_TWO if n != "collapsed3"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_degree_two_currents_keep_their_multiset_when_a_level_is_renamed(name, level):
+    # the names of one level's cells, renamed so that they sort the other
+    # way round, change which top cell is which but not the multiset of
+    # current matrices, nor the robust rank
+    make, p, q = DEGREE_TWO[name]
+    x = make()
+    cells = x.cells[level]
+    renamed = make({c: f"z{len(cells) - k}" for k, c in enumerate(cells)})
+    assert sorted(renamed.cells[level]) == list(renamed.cells[level][::-1])
+    before, after = classify_top_cells(x, p, q), classify_top_cells(renamed, p, q)
+    assert sorted(r.current_matrix for r in before.cells) == \
+        sorted(r.current_matrix for r in after.cells)
+    assert before.robust_summands == after.robust_summands
