@@ -22,6 +22,7 @@ from hypercurrent.errors import (
     NotClosedUnderFaces,
     ParseError,
 )
+from hypercurrent.forests import greedy_dtree
 from hypercurrent.protocol import (
     SimplicialProtocol,
     cube_protocol,
@@ -34,7 +35,6 @@ from hypercurrent.protocol import (
     square_protocol,
     weights_at,
 )
-from hypercurrent.forests import greedy_dtree
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import tree_functor
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
@@ -45,6 +45,7 @@ from generic import AMPLITUDE, SEEDS, generic_protocol
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
     closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, scale, smallness_by_level, \
     square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
+from test_weight_space import graph_complex, three_disc_triangle
 
 
 def cycle_boundary(proto, cycle):
@@ -461,17 +462,9 @@ def test_smallness_matches_pair_loop():
     assert uncertified    # some cell pair changes sign, so both outcomes are compared
 
 
-def _cycle_graph(n):
-    """The n-cycle graph: n vertices, n edges, all cells at levels 0 and 1."""
-    bnd = [[(k == v + 1) - (k == v) if v < n - 1 else (k == 0) - (k == v) for v in range(n)]
-           for k in range(n)]
-    return _graph(f"cycle{n}", [[f"v{k}" for k in range(n)], [f"e{k}" for k in range(n)]], [bnd])
-
-
-def _three_disc_triangle():
-    """The triangle graph with three discs glued along it: b_1 = 0, b_2 = 2."""
-    return _graph("three_discs", [["a", "b", "c"], ["ab", "bc", "ca"], ["f0", "f1", "f2"]],
-                  [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]], [[1, 1, 1]] * 3])
+def _cycle(n):
+    """The n-cycle graph: n vertices and n edges, all cells at levels 0 and 1."""
+    return graph_complex(f"cycle{n}", [(k, k + 1) for k in range(n - 1)] + [(0, n - 1)])
 
 
 def _ranked_domains():
@@ -481,9 +474,9 @@ def _ranked_domains():
     Python ints (17^17 >= 2^63)."""
     yield from _smallness_domains()
     for seed in range(4):
-        yield tied_protocol(square_protocol(), gap_complex(_cycle_graph(17), 0, 1), seed)
-        yield tied_protocol(subdivide(square_protocol()), gap_complex(_cycle_graph(5), 0, 1), seed)
-        yield tied_protocol(cube_sphere_protocol(2), gap_complex(_three_disc_triangle(), 0, 2), seed)
+        yield tied_protocol(square_protocol(), gap_complex(_cycle(17), 0, 1), seed)
+        yield tied_protocol(subdivide(square_protocol()), gap_complex(_cycle(5), 0, 1), seed)
+        yield tied_protocol(cube_sphere_protocol(2), gap_complex(three_disc_triangle(), 0, 2), seed)
         yield tied_protocol(cube_sphere_protocol(3), gap_complex(sphere_complex(3), 0, 3), seed)
 
 
