@@ -99,19 +99,15 @@ def loads_complex(text):
 
 
 def _typed(value, kind, what):
-    """value read as kind: a dict or list as it is, an integer as int()
-    reads it; any other value is a ParseError naming what."""
-    if kind is int:
-        try:
-            return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    elif isinstance(value, kind):
+    """value, which must be of kind: a JSON object, a JSON list or a JSON
+    integer (int and not bool); any other value is a ParseError naming
+    what."""
+    if isinstance(value, kind) and not isinstance(value, bool):
         return value
     raise ParseError(f"{what} must be {_KINDS[kind]}, got {value!r}")
 
 
-_KINDS = {dict: "a JSON object", list: "a JSON list", int: "an integer"}
+_KINDS = {dict: "a JSON object", list: "a JSON list", int: "a JSON integer"}
 
 
 def _from_doc(doc):

@@ -51,8 +51,12 @@ class DTree:
         return (self.level, self.cells)
 
 
-def _cell_indices(gap: GapComplex, d, names):
-    return [gap.parent.cell_index(d, nm) for nm in names]
+def _sorted_cells(gap: GapComplex, d, cells):
+    """The distinct cells in the parent's cell order: the parent's names
+    for them, as a tuple, and their indices."""
+    x = gap.parent
+    idx = sorted([x.cell_index(d, nm) for nm in set(cells)])
+    return tuple([x.cells[d][i] for i in idx]), idx
 
 
 def _check_level(gap: GapComplex, d):
@@ -70,8 +74,7 @@ def is_dtree(gap: GapComplex, d, cells):
     the one co-tree is every p-cell, as the matroid test finds."""
     x = gap.parent
     _check_level(gap, d)
-    names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
-    idx = _cell_indices(gap, d, names)
+    idx = _sorted_cells(gap, d, cells)[1]
     if d > gap.p:
         # spanning tree: top homology of the subcomplex dies, next Betti
         # number matches the ambient one
@@ -96,10 +99,8 @@ def matroid_is_dtree(gap: GapComplex, d, cells):
     """Basis test: column independence in the boundary matrix (trees) or
     independence modulo the boundary space (co-trees), with the right
     cardinality."""
-    x = gap.parent
     _check_level(gap, d)
-    names = sorted(set(cells), key=lambda nm: x.cell_index(d, nm))
-    idx = _cell_indices(gap, d, names)
+    idx = _sorted_cells(gap, d, cells)[1]
     return len(idx) == _target_size(gap, d) and _independent(gap, d, idx)
 
 
@@ -201,7 +202,7 @@ def torsion_of(gap: GapComplex, d, cells):
     if not is_dtree(gap, d, cells):
         raise NotATree(f"{cells} is not a degree-{d} tree")
     x = gap.parent
-    idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
+    idx = _sorted_cells(gap, d, cells)[1]
     if d > gap.p:
         return ratlin.torsion_order(_restricted(gap, d, idx))
     # co-tree: finite part of the degree-p chain lattice modulo the gap's
@@ -221,7 +222,7 @@ def tree_right_inverse(gap: GapComplex, d, cells):
     """
     x = gap.parent
     _check_level(gap, d)
-    idx = _cell_indices(gap, d, sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
+    idx = _sorted_cells(gap, d, cells)[1]
     if d > gap.p:
         tree_cells = QMat.identity(x.n_cells(d))[:, idx]
         bounds = gap.homology[d - gap.p - 1].bounds
@@ -235,8 +236,7 @@ def make_dtree(gap: GapComplex, d, cells):
     A tree is built once per gap and kept in the gap's memo by its level
     and cells, so enumeration and greedy selection share one object; a
     set that is not a tree raises every time and is not kept."""
-    x = gap.parent
-    names = tuple(sorted(set(cells), key=lambda nm: x.cell_index(d, nm)))
+    names = _sorted_cells(gap, d, cells)[0]
     return gap.derived(("dtree", d, names), lambda: _build_dtree(gap, d, cells, names))
 
 

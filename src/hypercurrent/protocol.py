@@ -19,11 +19,12 @@ certificate numbers each cell's order type at its least level, which
 fixes the cell's tree, and the lift reads a key only to name a cell.
 The tests also run them on a regular-CW cube domain.
 
-A protocol's cells are one array of sorted vertex rows per dimension.
-One np.unique pass over row codes closes a dimension under faces and
-places every face (_cells_and_faces): it closes a loaded file's
-simplices and, once per cube dimension, the Freudenthal triangulation of
-the cube's boundary, and checks a hand-built protocol's face_rows.
+A protocol's cells are one array of sorted vertex rows per dimension,
+closed under faces by its builder, simplicial_protocol or
+cube_boundary_protocol.  One np.unique pass over row codes closes a
+dimension under faces and places every face (_cells_and_faces): it
+closes a document's simplices and, once per cube dimension, the
+Freudenthal triangulation of the cube's boundary.
 
 A protocol may be a disjoint union of equal parts, numbered part by
 part: cube_boundary_protocol builds one from stacked corner weights, one
@@ -38,7 +39,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -58,6 +59,7 @@ from .errors import (
 
 __all__ = [
     "SimplicialProtocol",
+    "simplicial_protocol",
     "CellIndex",
     "SmallnessCertificate",
     "load_protocol",
@@ -155,15 +157,22 @@ class CellIndex(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class SimplicialProtocol:
     """Oriented simplicial parameter space with one row of weights per
-    vertex and level.  Protocols compare by identity: their weights are
-    arrays."""
+    vertex and level, over cells closed under faces: simplicial_protocol
+    and cube_boundary_protocol build it.  cell_index holds the cells by
+    dimension, each dimension sorted; a cell's vertices are its key's
+    entries, which index level_weights' rows.  face_rows holds per
+    dimension d (rows, signs) of shape (d-cells, d + 1): the m-th face,
+    in boundary_of order, of the i-th d-cell is the (d-1)-cell in place
+    rows[i, m], with sign signs[i, m] (a read-only view).  Protocols
+    compare by identity: their weights are arrays."""
 
     gap: GapComplex
     vertex_ids: tuple            # vertex index -> id string
     level_weights: tuple         # per level p..q, (n_vertices, n_cells) float array
-    simplices: tuple             # all faces, sorted vertex-index tuples
-    orientation: dict = field(default_factory=dict)        # top key -> +-1
-    fundamental_cycle: dict = field(default_factory=dict)  # key -> int coeff
+    cell_index: CellIndex
+    face_rows: tuple             # per dimension, (rows, signs)
+    orientation: dict            # top key -> +-1
+    fundamental_cycle: dict      # key -> int coeff
     parts: int = 1               # equal parts, vertices numbered part by part
 
     # -- the parameter-domain interface read by smallness and the lift --
@@ -201,32 +210,6 @@ class SimplicialProtocol:
         built on first use and then kept with the protocol."""
         return topo_hyper.build_lift_cache(self)
 
-    @cached_property
-    def cell_index(self):
-        """The simplices by dimension, each dimension sorted; a simplex's
-        vertices are its keys' entries, which index level_weights' rows."""
-        return _cell_index([rows[np.unique(_codes(rows, len(self.vertex_ids)), return_index=True)[1]]
-                            for rows in _by_dim(self.simplices)])
-
-    @cached_property
-    def face_rows(self):
-        """Per dimension d, (rows, signs) of shape (d-cells, d + 1): the m-th
-        face, in boundary_of order, of the i-th d-cell of cell_index is the
-        (d-1)-cell in place rows[i, m], with sign signs[i, m] (a read-only
-        view).  A face outside the protocol raises."""
-        index, base = self.cell_index, len(self.vertex_ids)
-        cells = [index.vertices[a:b, :d + 1]
-                 for d, (a, b) in enumerate(zip(index.offsets, index.offsets[1:]))]
-        places = []
-        for d in range(1, len(cells)):
-            rows, known, faces = _cells_and_faces(cells[d - 1], cells[d], base)
-            if len(rows) > len(cells[d - 1]):
-                i, m = np.argwhere(~np.isin(faces, known))[0]
-                raise NotClosedUnderFaces(f"face {tuple(rows[faces[i, m]].tolist())} of simplex "
-                                          f"{index.keys[index.offsets[d] + i]} is not in the protocol")
-            places.append(faces)
-        return _face_rows(index, places)
-
     # -- conveniences --
 
     @property
@@ -246,19 +229,11 @@ class SimplicialProtocol:
         return out
 
 
-def _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle, parts=1):
-    """The protocol over closed cells with their cell_index and face
-    places already made, which it keeps rather than derive again."""
-    proto = SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index.keys,
-                               dict(orientation), dict(cycle), parts)
-    proto.__dict__.update(cell_index=index, face_rows=_face_rows(index, places))
-    return proto
-
-
-def _validate_protocol(gap, vertex_ids, level_weights, simplices, orientation, cycle):
-    """The protocol with the given level arrays, closing the given strictly
-    sorted vertex tuples and every vertex under faces, once its cycle is
-    checked."""
+def simplicial_protocol(gap, vertex_ids, level_weights, simplices, orientation=(), cycle=()):
+    """The protocol with the given level arrays over the closure under
+    faces of the given strictly sorted vertex tuples and every vertex,
+    once its cycle is checked.  orientation maps top keys to +-1 and
+    cycle keys to integer coefficients; both are empty by default."""
     groups = _by_dim(simplices)
     groups[0] = np.concatenate([groups[0], np.arange(len(vertex_ids))[:, None]])
     cells, places = _close(groups, len(vertex_ids))
@@ -267,7 +242,8 @@ def _validate_protocol(gap, vertex_ids, level_weights, simplices, orientation, c
         if key not in index.position:
             raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
                             "which is not a simplex of the protocol")
-    return _protocol(gap, vertex_ids, level_weights, index, places, orientation, cycle)
+    return SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index,
+                              _face_rows(index, places), dict(orientation), dict(cycle))
 
 
 # --- documents --------------------------------------------------------------
@@ -323,7 +299,8 @@ def _vertex_key(index, vids, where):
 def loads_protocol(text, base_dir=None):
     """The protocol a JSON document describes.  Each field's JSON type is
     checked where it is read; one of the wrong type is a ParseError
-    naming it.  A weight entry is a JSON number and not a bool."""
+    naming it.  A weight entry is a JSON number and an integer field a
+    JSON integer, neither of them a bool."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -381,7 +358,7 @@ def loads_protocol(text, base_dir=None):
                 raise LevelMismatch("non-finite weight entry")
     weights = [np.array([levels[k] for levels in rows], dtype=float).reshape(len(rows), size)
                for k, size in enumerate(sizes)]
-    return _validate_protocol(gap, ids, weights, simplices, orientation, cycle)
+    return simplicial_protocol(gap, ids, weights, simplices, orientation, cycle)
 
 
 def load_protocol(path):
@@ -426,8 +403,7 @@ def dumps_protocol(proto: SimplicialProtocol, complex_ref=None):
                 "vertices": [proto.vertex_ids[v] for v in s],
                 **({"orientation": proto.orientation[s]} if s in proto.orientation else {}),
             }
-            for s in proto.simplices
-            if len(s) - 1 == top
+            for s in proto.simplices_of_dim(top)
         ],
         "cycle": {
             ",".join(proto.vertex_ids[v] for v in key): coeff
@@ -581,8 +557,8 @@ def cube_boundary_protocol(gap: GapComplex, corner_weights):
     places = [(cube * len(lower) + f).reshape(-1, f.shape[1])
               for lower, f in zip(cube_cells, cube_places)]
     cycle = dict(zip(index.keys[index.offsets[-2]:], coeffs * cubes))
-    return _protocol(gap, ids, [w.reshape(-1, w.shape[2]) for w in weights], index, places,
-                     cycle, cycle, parts=cubes)
+    return SimplicialProtocol(gap, tuple(ids), tuple(w.reshape(-1, w.shape[2]) for w in weights), index,
+                              _face_rows(index, places), cycle, dict(cycle), cubes)
 
 
 def cube_protocol(gap: GapComplex, signs=None):

@@ -14,16 +14,17 @@ cycle's pairing with the one degree-p class read as lists.
 The earlier build of a protocol is kept here as the oracle for the
 array build: the closure over vertex tuples (_closure), the cube's
 triangulation signed one simplex at a time (_freudenthal_facet,
-_perm_sign, _ordered_to_sorted, _cube_boundary), and OracleProtocol,
-whose cell_index sorts by length and bisects and whose face_rows finds
-faces by a searchsorted over base-vertex-count row codes.
+_perm_sign, _ordered_to_sorted, _cube_boundary), and the arrays
+oracle_validate_protocol hands the protocol: a cell_index sorted by
+length and bisected (oracle_cell_index), and face_rows found by a
+searchsorted over base-vertex-count row codes (oracle_face_rows).
 """
 
 import dataclasses
 import itertools
 import json
 from bisect import bisect_left
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,9 +35,9 @@ from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.protocol import (
     CellIndex,
     SimplicialProtocol,
-    _validate_protocol,
     dumps_protocol,
     simplex_faces,
+    simplicial_protocol,
     square_protocol,
 )
 
@@ -131,52 +132,47 @@ def _closure(simplices):
     return list(itertools.chain.from_iterable(reversed(closed)))
 
 
-class OracleProtocol(SimplicialProtocol):
-    """A protocol with the earlier cell_index and face_rows."""
+def oracle_cell_index(keys):
+    """The earlier cell_index of closed simplices: sorted by length, each
+    dimension's offsets found by bisection."""
+    keys = tuple(sorted(keys, key=len))
+    sizes = list(map(len, keys))
+    width = sizes[-1] if sizes else 0
+    offsets = tuple(bisect_left(sizes, n) for n in range(1, width + 2))
+    vertices = np.empty((len(keys), width), dtype=np.intp)
+    for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1):
+        vertices[a:b, :n] = np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
+        vertices[a:b, n:] = vertices[a:b, :1]
+    return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
 
-    @cached_property
-    def cell_index(self):
-        """The simplices by dimension; a simplex's vertices are its keys'
-        entries, which index level_weights' rows."""
-        keys = tuple(sorted(self.simplices, key=len))
-        sizes = list(map(len, keys))
-        width = sizes[-1] if sizes else 0
-        offsets = tuple(bisect_left(sizes, n) for n in range(1, width + 2))
-        vertices = np.empty((len(keys), width), dtype=np.intp)
-        for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1):
-            vertices[a:b, :n] = np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
-            vertices[a:b, n:] = vertices[a:b, :1]
-        return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
 
-    @cached_property
-    def face_rows(self):
-        """Per dimension d, (rows, signs) of shape (d-cells, d + 1): the m-th
-        face, in boundary_of order, of the i-th d-cell of cell_index is the
-        (d-1)-cell in place rows[i, m], with sign signs[i, m] (a read-only
-        view).  A face outside the protocol raises."""
-        cells, base = self.cell_index, len(self.vertex_ids)
-        out = [(np.zeros((cells.offsets[1], 0), dtype=np.intp),) * 2]
-        for d in range(1, len(cells.offsets) - 1):
-            lo, a, b = cells.offsets[d - 1:d + 2]
-            # a vertex row as one number, in base the vertex count
-            place = np.array([base ** e for e in range(d - 1, -1, -1)],
-                             dtype=np.int64 if base ** d < 2 ** 63 else object)
-            codes = cells.vertices[lo:a, :d] @ place
-            order = np.argsort(codes, kind="stable").astype(np.int32)
-            faces = [np.delete(cells.vertices[a:b, :d + 1], m, axis=1) for m in range(d + 1)]
-            wanted = np.stack([face @ place for face in faces], axis=1)
-            rows = order[np.minimum(np.searchsorted(codes, wanted, sorter=order), a - lo - 1)]
-            if (codes[rows] != wanted).any():
-                i, m = np.argwhere(codes[rows] != wanted)[0]
-                raise NotClosedUnderFaces(f"face {tuple(faces[m][i].tolist())} of simplex "
-                                          f"{cells.keys[a + i]} is not in the protocol")
-            out.append((rows, np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)))
-        return tuple(out)
+def oracle_face_rows(cells, base):
+    """The earlier face_rows of a cell_index over base vertices: each
+    face found by a searchsorted over base-vertex-count row codes.  A
+    face outside the cells raises."""
+    out = [(np.zeros((cells.offsets[1], 0), dtype=np.intp),) * 2]
+    for d in range(1, len(cells.offsets) - 1):
+        lo, a, b = cells.offsets[d - 1:d + 2]
+        # a vertex row as one number, in base the vertex count
+        place = np.array([base ** e for e in range(d - 1, -1, -1)],
+                         dtype=np.int64 if base ** d < 2 ** 63 else object)
+        codes = cells.vertices[lo:a, :d] @ place
+        order = np.argsort(codes, kind="stable").astype(np.int32)
+        faces = [np.delete(cells.vertices[a:b, :d + 1], m, axis=1) for m in range(d + 1)]
+        wanted = np.stack([face @ place for face in faces], axis=1)
+        rows = order[np.minimum(np.searchsorted(codes, wanted, sorter=order), a - lo - 1)]
+        if (codes[rows] != wanted).any():
+            i, m = np.argwhere(codes[rows] != wanted)[0]
+            raise NotClosedUnderFaces(f"face {tuple(faces[m][i].tolist())} of simplex "
+                                      f"{cells.keys[a + i]} is not in the protocol")
+        out.append((rows, np.broadcast_to((-1) ** np.arange(d + 1), rows.shape)))
+    return tuple(out)
 
 
 def oracle_validate_protocol(gap, vertex_ids, points, simplices, orientation, cycle, parts=1):
     """The protocol of the given vertices, each point its weights as one
-    row per level, closed under faces one simplex length at a time."""
+    row per level, closed under faces one simplex length at a time, with
+    the earlier cell_index and face_rows."""
     nv = len(vertex_ids)
     for s in simplices:
         for v in s:
@@ -184,25 +180,16 @@ def oracle_validate_protocol(gap, vertex_ids, points, simplices, orientation, cy
                 raise NotClosedUnderFaces(f"simplex {s} references unknown vertex {v}")
         if list(s) != sorted(set(s)):
             raise ParseError(f"simplex {s} is not a strictly sorted vertex tuple")
-    closed = _closure(list(simplices) + [(v,) for v in range(nv)])
+    cells = oracle_cell_index(_closure(list(simplices) + [(v,) for v in range(nv)]))
     for sign in orientation.values():
         if sign not in (1, -1):
             raise ParseError("orientation signs must be +-1")
-    proto = OracleProtocol(
-        gap=gap,
-        vertex_ids=tuple(vertex_ids),
-        level_weights=levels_of(points),
-        simplices=tuple(closed),
-        orientation=dict(orientation),
-        fundamental_cycle=dict(cycle),
-        parts=parts,
-    )
-    position = proto.cell_index.position
-    for key in proto.fundamental_cycle:
-        if key not in position:
+    for key in cycle:
+        if key not in cells.position:
             raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
                             "which is not a simplex of the protocol")
-    return proto
+    return SimplicialProtocol(gap, tuple(vertex_ids), levels_of(points), cells,
+                              oracle_face_rows(cells, nv), dict(orientation), dict(cycle), parts)
 
 
 def _perm_sign(perm):
@@ -296,14 +283,7 @@ def oracle_cube_boundary_protocol(gap, corner_weight):
 def scale(proto: SimplicialProtocol, beta):
     """Pointwise scalar multiple of all weights; order types unchanged."""
     _check_beta(beta)
-    return SimplicialProtocol(
-        gap=proto.gap,
-        vertex_ids=proto.vertex_ids,
-        level_weights=tuple(w * float(beta) for w in proto.level_weights),
-        simplices=proto.simplices,
-        orientation=dict(proto.orientation),
-        fundamental_cycle=dict(proto.fundamental_cycle),
-    )
+    return dataclasses.replace(proto, level_weights=tuple(w * float(beta) for w in proto.level_weights))
 
 
 def subdivide(proto: SimplicialProtocol):
@@ -353,7 +333,7 @@ def subdivide(proto: SimplicialProtocol):
                 new_cycle[skey] = new_cycle.get(skey, 0) + proto.fundamental_cycle[key] * sgn
             if key in proto.orientation:
                 new_orient[skey] = proto.orientation[key] * sgn
-    return _validate_protocol(proto.gap, ids, levels_of(weights), new_tops, new_orient, new_cycle)
+    return simplicial_protocol(proto.gap, ids, levels_of(weights), new_tops, new_orient, new_cycle)
 
 
 def square_doc_without_last_edge():

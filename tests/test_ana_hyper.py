@@ -34,10 +34,10 @@ from hypercurrent.ana_hyper import (
     simplex_rule,
 )
 from hypercurrent.protocol import (
-    SimplicialProtocol,
     builtin_protocol,
     cube_protocol,
     cube_sphere_protocol,
+    simplicial_protocol,
     square_protocol,
 )
 from hypercurrent.forests import enumerate_dtrees
@@ -63,7 +63,7 @@ def simplex_vertex_weights(proto, key, level):
 
 
 def constant_protocol(gap, wp):
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=gap,
         vertex_ids=("A", "B"),
         level_weights=levels_of((wp, wp)),
@@ -642,7 +642,7 @@ def k4_protocol():
     def level(n):
         return tuple(float(v) for v in rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1, size=n))
 
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=gap_complex(x, 0, 1),
         vertex_ids=("A", "B", "C"),
         level_weights=levels_of([(level(4), level(6))] * 3),
@@ -1368,9 +1368,9 @@ def test_nonfinite_residual_is_a_violation():
     # a NaN weight makes every residual NaN; max() and "resid > tol" both
     # used to drop it, reporting zero residuals and no violations
     bad = ((0.0, math.nan), (0.0, 1.0))
-    proto = SimplicialProtocol(gap=SPHERE1, vertex_ids=("A", "B"),
-                               level_weights=levels_of((((0.0, 1.0), (0.0, 1.0)), bad)),
-                               simplices=((0,), (1,), (0, 1)))
+    proto = simplicial_protocol(gap=SPHERE1, vertex_ids=("A", "B"),
+                                level_weights=levels_of((((0.0, 1.0), (0.0, 1.0)), bad)),
+                                simplices=((0,), (1,), (0, 1)))
     with np.errstate(invalid="ignore"):
         rep = axioms_check(proto, 3.0, [((0, 1), (0.5,))])
     for field in RESIDUAL_FIELDS:
@@ -1714,7 +1714,7 @@ LARGE_BETAS = (37.0, 100.0, 1000.0)
 def triangle_protocol():
     """Level weights (0, 1, 2) at the first vertex; along the edge every
     gap between weights of one level stays at least 1."""
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=TRIANGLE, vertex_ids=("A", "B"),
         level_weights=levels_of(((LEVEL_WEIGHTS, LEVEL_WEIGHTS),
                                  ((0.0, 1.5, 3.0), (0.0, 1.0, 2.5)))),

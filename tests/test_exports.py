@@ -109,6 +109,37 @@ def test_a_shadowing_local_is_not_a_use():
     assert _reads(tree) == {"gap", "other", "rank", "nullspace"}
 
 
+def _callers_of(tree, name):
+    """The functions of a module that call name(...) or x.name(...), by the
+    name of the innermost function around the call; a call outside any
+    function counts as "<module>"."""
+    found = set()
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                                      getattr(node.func, "attr", None)):
+            found.add(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_only_the_builders_construct_a_protocol():
+    # a protocol's builder closes its cells under faces, so its cell_index
+    # and face_rows are never derived or checked again
+    tree = ast.parse("def f():\n    def g():\n        return m.SimplicialProtocol(1)\n    return g\n"
+                     "x = SimplicialProtocol(2)\n")
+    assert _callers_of(tree, "SimplicialProtocol") == {"g", "<module>"}
+    src = pathlib.Path(hypercurrent.__file__).parent
+    callers = {f"{path.stem}.{where}" for path in src.glob("*.py")
+               for where in _callers_of(ast.parse(path.read_text(encoding="utf-8")), "SimplicialProtocol")}
+    assert callers == {"protocol.simplicial_protocol", "protocol.cube_boundary_protocol"}
+
+
 def test_readme_quick_example_runs():
     # the example states what it returns in its own asserts, so it cannot
     # drift from the API unnoticed

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -18,15 +19,17 @@ from hypercurrent.graph_dynamics import (
     state_diagram,
 )
 from hypercurrent.protocol import (
-    SimplicialProtocol,
     loads_protocol,
+    simplicial_protocol,
     square_protocol,
     weights_at,
 )
-from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
+from hypercurrent.weight_space import classify_cell, enumerate_top_discriminant_cells, transversal_sphere
 
 from protocol_ops import levels_of
 from stationary import boltzmann, current_form
+from test_forests import complete_graph
+from test_weight_space import STAR4, graph_complex, triangle_complex
 
 
 def segment_complex():
@@ -45,7 +48,7 @@ def constant_path_protocol(x, e_vals, w_vals, nverts=2):
     gap = gap_complex(x, 0, 1)
     wp = (tuple(e_vals), tuple(w_vals))
     simplices = [(i,) for i in range(nverts)] + [(i, i + 1) for i in range(nverts - 1)]
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=gap,
         vertex_ids=tuple(f"t{i}" for i in range(nverts)),
         level_weights=levels_of([wp] * nverts),
@@ -436,7 +439,7 @@ def blocks_case():
 
 def criterion_10_cases():
     wp = ((0.0, math.log(2)), (0.1,))
-    proto = SimplicialProtocol(
+    proto = simplicial_protocol(
         gap=gap_complex(segment_complex(), 0, 1),
         vertex_ids=("t0", "t1"),
         level_weights=levels_of((wp, wp)),
@@ -491,7 +494,7 @@ def ramp_protocol(end_energy):
     and (end_energy, 0), barriers 0.  The field is constant over the first
     half of the run and ramps up over the second."""
     flat = ((0.0, 0.0), (0.0,))
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=gap_complex(segment_complex(), 0, 1),
         vertex_ids=("t0", "t1", "t2"),
         level_weights=levels_of((flat, flat, ((end_energy, 0.0), (0.0,)))),
@@ -616,7 +619,7 @@ def unrolled_loop(loop, beta):
         for c in walk
     )
     m = len(succ)
-    proto = SimplicialProtocol(
+    proto = simplicial_protocol(
         gap=loop.gap,
         vertex_ids=tuple(f"t{i}" for i in range(m + 1)),
         level_weights=levels_of(pts),
@@ -654,10 +657,10 @@ def pumped_flux(loop, beta, period, steps=4000, periods=4):
 
 def pumping_errors(loop):
     """Largest distance per edge between the flux pumped per period at
-    beta 1 and the analytical class on the degree-1 homology basis, at
-    periods 10 and 100."""
-    (cls,) = quantization_sweep(loop, [1.0], loop.fundamental_cycle, [1]).rows[0].coords
-    expected = cls * loop.gap.parent_hq.hbasis.to_float()[:, 0]
+    beta 1 and the analytical class mapped through every column of the
+    degree-1 homology basis (zero where b_1 = 0), at periods 10 and 100."""
+    coords = quantization_sweep(loop, [1.0], loop.fundamental_cycle, [1]).rows[0].coords
+    expected = loop.gap.parent_hq.hbasis.to_float() @ np.asarray(coords)
     return {period: np.max(np.abs(pumped_flux(loop, 1.0, period) - expected))
             for period in (10.0, 100.0)}
 
@@ -680,3 +683,40 @@ def test_pumped_flux_on_a_triangle_transversal_sphere():
     err = pumping_errors(loop)
     assert err[100.0] <= 2e-4
     assert err[10.0] >= 10 * err[100.0]
+
+
+# graph -> (complex, number of distinct current matrices among its first
+# 1024 top cells at (0, 1))
+PUMPED_GRAPHS = {
+    "triangle": (triangle_complex, 3),
+    "star4": (lambda: graph_complex("star4", STAR4), 1),
+    "k4": (lambda: complete_graph(4), 7),
+}
+
+
+@lru_cache(maxsize=len(PUMPED_GRAPHS))
+def distinct_current_loops(name):
+    """The transversal loop of the first cell of each distinct current
+    matrix among the graph's first 1024 top cells (one weight-space chunk)."""
+    x = PUMPED_GRAPHS[name][0]()
+    gap = gap_complex(x, 0, 1)
+    cells = enumerate_top_discriminant_cells(x, 0, 1)[:1024]
+    first = {}
+    for cell, report in zip(cells, classify_cell(gap, cells)):
+        first.setdefault(report.current_matrix, cell)
+    return [transversal_sphere(gap, [cell]) for cell in first.values()]
+
+
+@pytest.mark.parametrize("name,i", [(name, i) for name, (_, n) in PUMPED_GRAPHS.items()
+                                    for i in range(n)])
+def test_every_distinct_current_is_pumped(name, i):
+    # K4 has b_1 = 3, so its class is mapped through all three homology
+    # columns; star4 is a tree, with no degree-1 homology to pump
+    loops = distinct_current_loops(name)
+    assert len(loops) == PUMPED_GRAPHS[name][1]
+    err = pumping_errors(loops[i])
+    if loops[i].gap.parent_hq.betti:
+        assert err[100.0] <= 2e-4
+        assert err[10.0] >= 10 * err[100.0]
+    else:
+        assert max(err.values()) <= 1e-9

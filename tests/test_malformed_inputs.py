@@ -104,3 +104,34 @@ def test_every_mutation_exits_0_or_2_naming_a_field(kind, tmp_path):
                     assert out.getvalue() == "", case
     # the fuzz reaches both outcomes
     assert 0 in runs and 2 in runs
+
+
+SQUARE = json.loads(dumps_protocol(builtin_protocol("square", 1)))
+FIRST_CYCLE_KEY = next(iter(SQUARE["cycle"]))
+
+# one case per kind of integer field: a float, a bool or a numeric string
+# there used to load as the integer int() reads from it.  Each case puts
+# value at a path of the square's document and names the field and the
+# wrong entry
+INTEGER_FIELDS = {
+    "p": (("p",), 0.0, "protocol field p", 0.0),
+    "q_float": (("q",), 1.7, "protocol field q", 1.7),
+    "q_bool": (("q",), True, "protocol field q", True),
+    "q_string": (("q",), "1", "protocol field q", "1"),
+    "builtin_complex": (("complex",), {"builtin": "sphere", "q": True}, "complex field q", True),
+    "builtin_protocol": ((), {"builtin": {"type": "cube_sphere", "q": 2.5}}, "builtin field q", 2.5),
+    "cycle": (("cycle", FIRST_CYCLE_KEY), 1.9, f"the cycle coefficient of {FIRST_CYCLE_KEY}", 1.9),
+    "orientation": (("simplices", 0, "orientation"), 1.5, "a simplex's orientation", 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(INTEGER_FIELDS))
+def test_an_integer_field_must_be_a_json_integer(case, tmp_path):
+    at, value, named, bad = INTEGER_FIELDS[case]
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(mutated(SQUARE, at, value)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["protocol", "check", str(path)])
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue() == f"error: ParseError: {named} must be a JSON integer, got {bad!r}\n"

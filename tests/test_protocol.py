@@ -24,13 +24,13 @@ from hypercurrent.errors import (
 )
 from hypercurrent.forests import greedy_dtree
 from hypercurrent.protocol import (
-    SimplicialProtocol,
     cube_protocol,
     cube_sphere_protocol,
     dumps_protocol,
     is_good,
     loads_protocol,
     simplex_faces,
+    simplicial_protocol,
     smallness,
     square_protocol,
     weights_at,
@@ -85,7 +85,7 @@ def test_round_trip_square():
     text = dumps_protocol(proto)
     back = loads_protocol(text)
     assert back.vertex_ids == proto.vertex_ids
-    assert back.simplices == proto.simplices
+    assert back.cell_index.keys == proto.cell_index.keys
     assert back.fundamental_cycle == proto.fundamental_cycle
     for a, b in zip(back.level_weights, proto.level_weights, strict=True):
         assert np.array_equal(a, b)
@@ -179,7 +179,7 @@ def test_numeric_vertex_ids_without_a_cycle_read_and_write_back():
     assert proto.vertex_ids == (0, 1, 2, 3) and not proto.fundamental_cycle
     text = dumps_protocol(proto)
     again = loads_protocol(text)
-    assert again.vertex_ids == proto.vertex_ids and again.simplices == proto.simplices
+    assert again.vertex_ids == proto.vertex_ids and again.cell_index.keys == proto.cell_index.keys
     assert dumps_protocol(again) == text
 
 
@@ -260,7 +260,6 @@ def test_closure_matches_closure_by_faces(simplices):
 def test_cell_index_and_level_weights_match_per_cell_reads():
     proto = cube_sphere_protocol(3)   # 16 vertices
     cells = proto.cell_index
-    assert cells.keys == proto.simplices
     width = proto.dim + 1
     for d in range(width):
         keys = cells.keys[cells.offsets[d]:cells.offsets[d + 1]]
@@ -340,14 +339,14 @@ def test_cube2_facet_barycenter_gap():
 def test_constant_injective_protocol_all_k_p():
     gap = gap_complex(sphere_complex(1), 0, 1)
     wp = ((0.0, 1.0), (0.0, 0.0))
-    proto = SimplicialProtocol(
+    proto = simplicial_protocol(
         gap=gap,
         vertex_ids=("A", "B"),
         level_weights=levels_of((wp, wp)),
         simplices=((0,), (1,), (0, 1)),
     )
     least = least_levels(proto, smallness(proto))
-    assert all(least[s] == 0 for s in proto.simplices)
+    assert all(least[s] == 0 for s in proto.all_cells())
 
 
 def test_cube_facet_levels():
@@ -370,7 +369,7 @@ def test_tie_straddling_simplex_has_no_k():
     gap = gap_complex(sphere_complex(1), 0, 1)
     up = ((0.0, 1.0), (0.0, 1.0))
     down = ((1.0, 0.0), (1.0, 0.0))
-    proto = SimplicialProtocol(
+    proto = simplicial_protocol(
         gap=gap,
         vertex_ids=("A", "B"),
         level_weights=levels_of((up, down)),
@@ -440,9 +439,9 @@ def _smallness_domains():
     # level 1 tied at both vertices, then at one of them
     tied = ((0.0, 1.0), (0.0, 0.0))
     for other in (tied, ((0.0, 1.0), (2.0, 0.0))):
-        yield SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1), vertex_ids=("A", "B"),
-                                 level_weights=levels_of((tied, other)),
-                                 simplices=((0,), (1,), (0, 1)))
+        yield simplicial_protocol(gap=gap_complex(sphere_complex(1), 0, 1), vertex_ids=("A", "B"),
+                                  level_weights=levels_of((tied, other)),
+                                  simplices=((0,), (1,), (0, 1)))
     path3 = _graph("path3", [["x", "y", "z"], ["xy", "yz"]], [[[-1, 0], [1, -1], [0, 1]]])
     triangle = _graph("triangle", [["a", "b", "c"], ["ab", "bc", "ca"]],
                       [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]])
@@ -511,7 +510,7 @@ def test_certificate_matches_the_by_level_reference():
 def test_all_zero_weights_bad():
     gap = gap_complex(sphere_complex(1), 0, 1)
     zero = ((0.0, 0.0), (0.0, 0.0))
-    proto = SimplicialProtocol(
+    proto = simplicial_protocol(
         gap=gap, vertex_ids=("A",), level_weights=levels_of((zero,)), simplices=((0,),)
     )
     assert not is_good(proto)[0]
@@ -815,14 +814,15 @@ def _triangle_gap_and_cells():
     return gap, enumerate_top_discriminant_cells(x, 0, 1)[:5]
 
 
-def test_a_face_outside_the_protocol_raises():
+def test_the_builder_closes_an_open_simplex_set():
+    # the top cells alone, and every cell but one face, close to the
+    # cell_index and face_rows of the closed set
     proto = cube_sphere_protocol(2)
     tops = proto.simplices_of_dim(2)
-    open_proto = SimplicialProtocol(gap=proto.gap, vertex_ids=proto.vertex_ids,
-                                    level_weights=proto.level_weights,
-                                    simplices=tuple(s for s in proto.simplices if s != tops[0][1:]))
-    with pytest.raises(NotClosedUnderFaces, match=re.escape(f"face {tops[0][1:]} of simplex")):
-        open_proto.face_rows
+    args = proto.gap, proto.vertex_ids, proto.level_weights
+    closed = simplicial_protocol(*args, closure_by_faces(tops))
+    for simplices in (tops, [s for s in proto.all_cells() if s != tops[0][1:]]):
+        _same_build(simplicial_protocol(*args, simplices), closed)
 
 
 def test_empty_sequence_of_corner_maps_is_rejected():
@@ -851,7 +851,7 @@ def test_cube_boundary_equals_the_simplex_by_simplex_build(n):
 def _same_build(new, old):
     """The array build and the earlier build agree on every array view,
     the orientation, the cycle and the certificate."""
-    assert (new.vertex_ids, new.simplices, new.parts) == (old.vertex_ids, old.simplices, old.parts)
+    assert (new.vertex_ids, new.parts) == (old.vertex_ids, old.parts)
     assert [w.tobytes() for w in new.level_weights] == [w.tobytes() for w in old.level_weights]
     a, b = new.cell_index, old.cell_index
     assert (a.keys, a.offsets, a.position) == (b.keys, b.offsets, b.position)
@@ -906,11 +906,11 @@ def test_face_codes_beyond_int64(top):
     # code above 2**63, which int64 would wrap
     nv = 2 ** 16
     wp = ((0.0, 1.0), (0.0, 1.0))
-    proto = SimplicialProtocol(gap=gap_complex(sphere_complex(1), 0, 1),
-                               vertex_ids=tuple(map(str, range(nv))), level_weights=levels_of((wp,) * nv),
-                               simplices=tuple(closure_by_faces([top])))
+    proto = simplicial_protocol(gap=gap_complex(sphere_complex(1), 0, 1),
+                                vertex_ids=tuple(map(str, range(nv))), level_weights=levels_of((wp,) * nv),
+                                simplices=(top,))
     cells = proto.cell_index
-    assert cells.keys == proto.simplices
+    assert list(cells.keys) == closure_by_faces([top] + [(v,) for v in range(nv)])
     for d, (rows, signs) in enumerate(proto.face_rows):
         lo, a, b = (cells.offsets[d - 1] if d else 0), cells.offsets[d], cells.offsets[d + 1]
         for i, key in enumerate(cells.keys[a:b]):

@@ -5,6 +5,7 @@ not seen and gathers every stack from the gap's lifts; the stacked lift
 of every cell (stacked_lift.build_lift_cache_stacked) is the oracle for
 its stacks, its trees and the first obstruction it names."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -133,8 +134,8 @@ def test_the_lift_reads_cells_by_row_only():
         proto = make()
         expected = build_lift_cache(proto)
         complex_core._GAPS.clear()
-        blind = make()
-        blind.__dict__["cell_index"] = blind.cell_index._replace(position={})
+        built = make()
+        blind = dataclasses.replace(built, cell_index=built.cell_index._replace(position={}))
         cache = build_lift_cache(blind)
         assert (cache.signatures == expected.signatures).all()
         assert_same_lift(proto, cache, expected)

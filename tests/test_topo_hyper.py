@@ -16,9 +16,9 @@ from hypercurrent.complex_core import (
 from hypercurrent.errors import LiftObstruction, NotACycle, NotSmall
 from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
-    SimplicialProtocol,
     cube_protocol,
     cube_sphere_protocol,
+    simplicial_protocol,
     smallness,
     square_protocol,
 )
@@ -46,16 +46,17 @@ def lift_vertex(proto, vertex_key):
 
 
 def restrict(proto, keys):
-    """Face-closed sub-protocol generated by the given simplices."""
+    """Face-closed sub-protocol generated by the given simplices and every
+    vertex."""
     closed = _closure([tuple(k) for k in keys])
     present = set(closed)
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=proto.gap,
         vertex_ids=proto.vertex_ids,
         level_weights=proto.level_weights,
         simplices=tuple(closed),
         orientation={k: v for k, v in proto.orientation.items() if k in present},
-        fundamental_cycle={k: v for k, v in proto.fundamental_cycle.items() if k in present},
+        cycle={k: v for k, v in proto.fundamental_cycle.items() if k in present},
     )
 
 
@@ -63,7 +64,7 @@ def constant_protocol(gap, point, nvertices=3):
     """A path of nvertices vertices, all carrying the same weights: point,
     one row per level."""
     simplices = [(i, i + 1) for i in range(nvertices - 1)]
-    return SimplicialProtocol(
+    return simplicial_protocol(
         gap=gap,
         vertex_ids=tuple(f"v{i}" for i in range(nvertices)),
         level_weights=levels_of([point] * nvertices),
@@ -104,7 +105,7 @@ def test_tree_functor_not_small():
     gap = gap_complex(sphere_complex(1), 0, 1)
     up = ((0.0, 1.0), (0.0, 1.0))
     down = ((1.0, 0.0), (1.0, 0.0))
-    proto = SimplicialProtocol(
+    proto = simplicial_protocol(
         gap=gap, vertex_ids=("A", "B"), level_weights=levels_of((up, down)),
         simplices=((0,), (1,), (0, 1)),
     )
