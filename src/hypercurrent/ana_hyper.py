@@ -40,8 +40,8 @@ A simplex leaves the stack when its own two last depths agree, and the
 depth loop stops short of a batch of more than _NODE_BUDGET nodes per
 simplex.  The point form takes a stack of points: each is its
 simplex's vertex geometry moved to it, so the stack is the one-node case
-of the same evaluator, and each point rounds as it does alone.  The axiom
-check makes one such call per degree, frame and zeta over its samples.
+of the same evaluator, and each point rounds as it does alone on its frame.
+The axiom check makes one such call per degree and zeta over its samples.
 Exponentials are always shifted by the per-level extremum before
 exponentiation so large beta stays finite.
 """
@@ -224,7 +224,7 @@ def _vertex_rows(proto, keys, level):
     """One level's weight vectors at the vertices of each simplex of a
     stack of one dimension, (M, nv, ncells): one gather from the
     protocol's weight array of that level."""
-    return proto.level_weights[level - proto.gap.p][np.array(keys, dtype=np.intp)]
+    return proto.level_weights[level - proto.gap.p][np.asarray(keys, dtype=np.intp)]
 
 
 def _at_points(base, grads, points):
@@ -294,7 +294,8 @@ def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
     geometry at level p + j, for j = 0 .. ell.  The per-node passes run on
     chunks of whole rule pieces, at most _BLOCK simplices times nodes each:
     rho at the top level, its differential along the frame columns `along`
-    (the coordinate axes when None) below it, and the orchard's per-node
+    (jdim, ell), or (I, jdim, ell) one frame per simplex (the coordinate
+    axes when None), below it, and the orchard's per-node
     factors (_orchard_sum), which each chunk writes into node-axis
     buffers of the stack.  Each node sum is then one matmul per simplex
     over all of its nodes, so the chunking leaves every bit as it is."""
@@ -316,7 +317,7 @@ def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
         drhos = []
         for j in range(ell):
             drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, chunk), geos[j][1], beta)
-            drhos.append(drho if along is None else drho @ along)
+            drhos.append(drho if along is None else drho @ along[..., None, :, :])
         rho_top = _rho_at_nodes(top, geos[ell], beta, chunk)
         _orchard_sum(top, factors, signed, rho_top, drhos, wts[at], kirch[:, at], chains[:, :, at])
     # a view when inner is 1: a matmul rounds by its operands' layout, and
@@ -335,30 +336,33 @@ def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
     of M simplices of one dimension, gives values with a leading axis M:
     tree weights are affine on a simplex, so each point is its simplex's
     vertex geometry moved there, and the stack is one form evaluation at
-    one node.  Returns the value, (rows, cols) for one point and
+    one node.  The frame is shared, or an array (M, ell, jdim) gives each
+    point its own.  Returns the value, (rows, cols) for one point and
     (M, rows, cols) for a stack."""
     _check_beta(beta)
     gap = proto.gap
     ctx = _context(gap)
     coords = np.asarray(coords, dtype=float)
     points = np.atleast_2d(coords)
-    keys = [tuple(k) for k in key] if len(key) and np.ndim(key[0]) else [tuple(key)] * len(points)
-    if len(keys) != len(points) or len({proto.dim_of(k) for k in keys}) != 1:
-        raise ValueError("need one point per simplex, all simplices of one dimension")
-    jdim = proto.dim_of(keys[0])
-    frame = [np.asarray(v, dtype=float) for v in frame]
-    if len(frame) != ell:
-        raise BadFrame(f"need {ell} frame vectors, got {len(frame)}")
-    for v in frame:
-        if v.shape != (jdim,):
-            raise BadFrame("frame vectors must live in the simplex coordinates")
+    try:    # one simplex for every point, or one per point
+        keys = np.array(key, dtype=np.intp)
+        keys = np.broadcast_to(keys, (len(points), keys.shape[-1]))
+    except ValueError:
+        raise ValueError("need one point per simplex, all simplices of one dimension") from None
+    jdim = keys.shape[1] - 1
+    try:    # ell vectors for every point, or one frame per point
+        frames = np.asarray(frame, dtype=float) if len(frame) else np.empty((0, jdim))
+    except ValueError:      # vectors of unequal lengths
+        frames = np.empty(0)
+    if frames.shape[-2:] != (ell, jdim) or frames.shape[:-2] not in ((), (len(points),)):
+        raise BadFrame(f"need {ell} frame vectors of {jdim} coordinates, or such a frame per point")
     if ell == 0:
         value = _alpha0(gap, _point_weights(proto, keys, gap.p, points), beta)
     else:
         geos = [(_at_points(base, grads, points), grads) for base, grads in
                 _vertex_geometry(ctx, proto, keys, range(gap.p, gap.p + ell + 1))]
         value = _form(ctx, gap.p, beta, geos, np.zeros((1, jdim)), np.ones(1), zeta,
-                      along=np.array(frame).T)
+                      along=frames.swapaxes(-1, -2))
     return value[0] if coords.ndim == 1 else value
 
 
@@ -632,7 +636,7 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
     """Continuity / orthogonality / initial-value residuals at sample
     points, plus independence of the orchard sums from the choice of the
     bounds left-inverse.  The samples of one dimension are checked
-    together, with one stacked jan_form per degree, frame and zeta; a
+    together, with one stacked jan_form per degree and zeta; a
     residual that is not finite is a violation and its report field's
     value.  fd_step and tol must be finite and positive."""
     if not (math.isfinite(fd_step) and fd_step > 0):
@@ -646,10 +650,10 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
     dims = [proto.dim_of(key) for key, _ in samples]
     for jdim in sorted(set(dims)):
         pos = [i for i, d in enumerate(dims) if d == jdim]
-        keys = [tuple(samples[i][0]) for i in pos]
+        keys = np.array([samples[i][0] for i in pos], dtype=np.intp)
         x = np.array([samples[i][1] for i in pos], dtype=float)
         eye = np.eye(jdim)
-        degrees = range(1, min(jdim, gap.top) + 1)
+        top = min(jdim, gap.top)
 
         def check(axiom, name, ell, resid):
             resids[name].append(resid)
@@ -657,49 +661,52 @@ def axioms_check(proto, beta, samples, fd_step=1e-5, tol=1e-5):
                 if not r <= tol:
                     found[i].append((axiom, *samples[i], ell, float(r)))
 
+        # one standard-zeta stack per degree ell: the values on each frame
+        # of ell coordinate axes at x, then the finite-difference points of
+        # degree ell + 1, x moved up and down each axis a frame drops
+        values, diffs = {}, {}
+        for ell in range(top + 1):
+            frames = list(itertools.combinations(range(jdim), ell))
+            moves = [(axes, drop) for axes in itertools.combinations(range(jdim), ell + 1)
+                     for drop in axes] if ell < top else []
+            pts = [x] * len(frames) + [x + step * eye[drop] for _, drop in moves
+                                       for step in (fd_step, -fd_step)]
+            subs = frames + [tuple(a for a in axes if a != drop) for axes, drop in moves
+                             for _ in ("up", "down")]
+            stack = jan_form(proto, beta, np.tile(keys, (len(pts), 1)), np.concatenate(pts),
+                             np.repeat(eye[np.array(subs, dtype=np.intp)], len(x), axis=0), ell)
+            stack = stack.reshape(len(pts), len(x), *stack.shape[1:])
+            values.update(zip(frames, stack))
+            up, dn = stack[len(frames)::2], stack[len(frames) + 1::2]
+            diffs.update(zip(moves, (up - dn) / (2 * fd_step)))
         # A1: boundary of the degree-l value equals the exterior
         # derivative of the degree-(l-1) value, componentwise
-        values = {}
-        for ell in degrees:
+        for ell in range(1, top + 1):
             for axes in itertools.combinations(range(jdim), ell):
-                values[axes] = jan_form(proto, beta, keys, x, eye[list(axes)], ell)
                 lhs = ctx.d[ell] @ values[axes]
                 rhs = np.zeros_like(lhs)
                 for m, drop in enumerate(axes):
-                    up, dn = x.copy(), x.copy()
-                    up[:, drop] += fd_step
-                    dn[:, drop] -= fd_step
-                    both = jan_form(proto, beta, keys * 2, np.concatenate([up, dn]),
-                                    eye[[a for a in axes if a != drop]], ell - 1)
-                    rhs = rhs + (-1) ** m * ((both[:len(x)] - both[len(x):]) / (2 * fd_step))
+                    rhs = rhs + (-1) ** m * diffs[axes, drop]
                 check("A1", "continuity", ell, np.max(np.abs(lhs - rhs), axis=(1, 2)))
         # A2: values are orthogonal to cycles (bounds in degree 0) in the
         # modified metric
-        w0 = _point_weights(proto, keys, gap.p, x)
-        g0 = np.exp(beta * (w0 - w0.max(axis=1, keepdims=True)))
-        alpha0 = _alpha0(gap, w0, beta)
-        b0 = ctx.bounds[0]
-        if b0.shape[1]:
-            pair = b0.T @ (g0[:, :, None] * alpha0)
-            scale = np.maximum(np.max(np.abs(alpha0), axis=(1, 2)), 1.0) * g0.max(axis=1)
-            check("A2", "orthogonality", 0, np.max(np.abs(pair), axis=(1, 2)) / scale)
-        for ell in degrees:
-            zmat = ctx.cycles[ell]
+        for ell in range(top + 1):
+            zmat, floor = (ctx.bounds[0], 1.0) if ell == 0 else (ctx.cycles[ell], 1e-30)
             if not zmat.shape[1]:
                 continue
             wl = _point_weights(proto, keys, gap.p + ell, x)
             gl = np.exp(beta * (wl - wl.max(axis=1, keepdims=True)))
             val = values[tuple(range(ell))]
             pair = zmat.T @ (gl[:, :, None] * val)
-            scale = np.maximum(np.max(np.abs(val), axis=(1, 2)), 1e-30) * gl.max(axis=1)
+            scale = np.maximum(np.max(np.abs(val), axis=(1, 2)), floor) * gl.max(axis=1)
             check("A2", "orthogonality", ell, np.max(np.abs(pair), axis=(1, 2)) / scale)
         # A3: the degree-0 value induces the identity on homology
         if ctx.h0_basis.shape[1]:
-            cls = ctx.h0_class @ (alpha0 @ ctx.h0_basis)
+            cls = ctx.h0_class @ (values[()] @ ctx.h0_basis)
             check("A3", "initial_value", 0, np.max(
                 np.abs(cls[:, ctx.nb[0]:, :] - np.eye(ctx.h0_basis.shape[1])), axis=(1, 2)))
         # independence of the bounds left-inverse choice
-        for ell in degrees:
+        for ell in range(1, top + 1):
             alt = jan_form(proto, beta, keys, x, eye[:ell], ell, zeta="alternative")
             resids["zeta_independence"].append(
                 np.max(np.abs(values[tuple(range(ell))] - alt), axis=(1, 2)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .complex_core import betti, gap_complex, load_complex
-from .errors import HclError
+from .errors import HclError, ParseError
 from .forests import enumerate_dtrees, greedy_dtree
 from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol
 from .ratlin import QMat
@@ -97,6 +97,8 @@ def _emit(report, out):
 def _load_protocol_arg(path):
     if path.startswith("builtin:"):
         kind, _, qs = path.split(":", 1)[1].partition(":")
+        if qs and not (qs.isascii() and qs.isdigit()):
+            raise ParseError(f"{path}: the Q of builtin:KIND:Q must be ASCII decimal digits")
         return builtin_protocol(kind, int(qs) if qs else 2)
     return load_protocol(path)
 

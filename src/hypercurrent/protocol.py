@@ -253,6 +253,15 @@ _BUILTIN_COMPLEXES = {
     "sphere_wedge": sphere_wedge_complex,
     "collapsed_sphere": collapsed_sphere_complex,
 }
+# the largest q of a builtin protocol or complex (cube_sphere:7 has 1 637 504
+# cells; q = 9 needs 554 MiB of rows)
+_BUILTIN_Q_MAX = 7
+
+
+@lru_cache(maxsize=len(_BUILTIN_COMPLEXES) * _BUILTIN_Q_MAX)
+def _builtin_complex(kind, q):
+    """The builtin complex kind at q, built and validated once per process."""
+    return _BUILTIN_COMPLEXES[kind](q)
 
 
 def _resolve_complex(spec, base_dir=None):
@@ -271,7 +280,7 @@ def _resolve_complex(spec, base_dir=None):
             q = _typed(spec["q"], int, "complex field q")
             if q > _BUILTIN_Q_MAX:
                 raise ParseError(f"builtin complex {kind} takes q at most {_BUILTIN_Q_MAX}, got {q}")
-            return _BUILTIN_COMPLEXES[kind](q)
+            return _builtin_complex(kind, q)
     raise ParseError(f"cannot resolve complex spec {spec!r}")
 
 
@@ -575,19 +584,14 @@ def cube_protocol(gap: GapComplex, signs=None):
 
 def cube_sphere_protocol(q):
     """The boundary-of-cube protocol over the two-cell q-sphere."""
-    return cube_protocol(gap_complex(sphere_complex(q), 0, q))
+    return cube_protocol(gap_complex(_builtin_complex("sphere", q), 0, q))
 
 
 def square_protocol():
     """The square-boundary protocol over the circle, with the level-1
     weight flipped so the top edge prefers the first 1-cell."""
-    gap = gap_complex(sphere_complex(1), 0, 1)
+    gap = gap_complex(_builtin_complex("sphere", 1), 0, 1)
     return cube_protocol(gap, signs=[1, -1])
-
-
-# the largest q of a builtin protocol or complex (cube_sphere:7 has 1 637 504
-# cells; q = 9 needs 554 MiB of rows)
-_BUILTIN_Q_MAX = 7
 
 
 def builtin_protocol(kind, q):
@@ -598,7 +602,7 @@ def builtin_protocol(kind, q):
     if kind == "cube_sphere":
         return cube_sphere_protocol(q)
     if kind == "cube_wedge":
-        return cube_protocol(gap_complex(sphere_wedge_complex(q), 0, q))
+        return cube_protocol(gap_complex(_builtin_complex("sphere_wedge", q), 0, q))
     if kind == "square":
         return square_protocol()
     raise ParseError(f"unknown builtin protocol {kind!r}")

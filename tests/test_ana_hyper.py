@@ -1393,15 +1393,34 @@ def test_stacked_jan_form_equals_one_point_calls(name, seed, count, beta):
         coords = rng.random((count, jdim)) / (jdim + 1)
         for ell in range(jdim + 1):
             frame = [rng.normal(size=jdim) for _ in range(ell)]
+            # one frame per point, each a random one or a coordinate frame
+            frames = rng.normal(size=(count, ell, jdim))
+            frames[::2] = np.eye(jdim)[:ell]
             for zeta in ("standard", "alternative"):
-                # mixed keys, and one key for every point
-                for stack in (keys, keys[0]):
-                    value = jan_form(proto, beta, stack, coords, frame, ell, zeta=zeta)
+                # mixed keys, and one key for every point; one frame for
+                # every point, and one per point
+                for stack, shared in itertools.product((keys, keys[0]), (True, False)):
+                    value = jan_form(proto, beta, stack, coords, frame if shared else frames,
+                                     ell, zeta=zeta)
                     assert value.shape[0] == count
                     for i, pt in enumerate(coords):
                         one = jan_form(proto, beta, keys[i] if stack is keys else stack, pt,
-                                       frame, ell, zeta=zeta)
-                        assert np.array_equal(value[i], one), (jdim, ell, zeta, i)
+                                       frame if shared else list(frames[i]), ell, zeta=zeta)
+                        assert np.array_equal(value[i], one), (jdim, ell, zeta, shared, i)
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2), (2, 1, 2), (2, 2, 1), (1, 2, 2), (2, 2, 2, 1)])
+def test_per_point_frames_of_the_wrong_shape_raise(shape):
+    # two points on triangles at degree 2 need frames (2, 2, 2) or one
+    # frame (2, 2) for both
+    proto = cube_sphere_protocol(2)
+    tris = proto.simplices_of_dim(2)[:2]
+    coords = np.full((2, 2), 0.25)
+    jan_form(proto, 3.0, tris, coords, np.ones((2, 2, 2)), 2)
+    with pytest.raises(BadFrame, match="need 2 frame vectors of 2 coordinates, or such a frame per point"):
+        jan_form(proto, 3.0, tris, coords, np.ones(shape), 2)
+    with pytest.raises(BadFrame):
+        jan_form(proto, 3.0, tris, coords, [np.ones(2), np.ones(1)], 2)
 
 
 def test_stacked_jan_form_rejects_mismatched_stacks():
@@ -1414,17 +1433,26 @@ def test_stacked_jan_form_rejects_mismatched_stacks():
 
 
 def test_axioms_check_forms_flat_in_samples(monkeypatch):
-    proto = cube_sphere_protocol(2)
+    # one jan_form per degree and zeta, whatever the sample count, and so
+    # one form evaluation at one node per degree >= 1 and zeta: the
+    # standard one stacks the degree's values on every coordinate frame
+    # with the finite-difference points of the degree above
     rng = np.random.default_rng(5)
     calls = _item_counts(monkeypatch)
-    counts = {}
-    for count in (1, 6):
-        calls.clear()
-        axioms_check(proto, 3.0, interior_samples(proto, count, rng))
-        counts[count] = len(calls)
-        # one node per call; a call holds at most the up and down points
-        assert all(nodes == 1 and 0 < items <= 2 * count for items, nodes in calls)
-    assert counts[1] == counts[6] > 0
+    points = []
+    real = ana_hyper.jan_form
+    monkeypatch.setattr(ana_hyper, "jan_form",
+                        lambda proto, beta, key, coords, *rest, **kw:
+                        points.append(len(coords)) or real(proto, beta, key, coords, *rest, **kw))
+    for name, forms in (("square", 2), ("sphere2", 4), ("sphere3", 6)):
+        proto = AXIOM_PROTOCOLS[name]()
+        for count in (1, 6):
+            calls.clear()
+            points.clear()
+            axioms_check(proto, 3.0, interior_samples(proto, count, rng))
+            assert len(calls) == forms and len(points) == forms + 1, (name, count)
+            assert all(nodes == 1 and items % count == 0 for items, nodes in calls)
+            assert all(n % count == 0 for n in points)
 
 
 # --- quantization ----------------------------------------------------------------------

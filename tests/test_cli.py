@@ -335,6 +335,25 @@ def test_unknown_builtin_is_validation_error(capsys):
     assert main(["topo", "current", "builtin:nonesuch:2"]) == 2
 
 
+@pytest.mark.parametrize("arg", ["builtin:cube_sphere:0_2", "builtin:cube_sphere: 2",
+                                 "builtin:cube_sphere:+2", "builtin:cube_sphere:\u0662"])
+def test_builtin_degree_must_be_ascii_digits(arg, capsys):
+    # int() reads each of these as 2
+    assert main(["topo", "current", arg]) == 2
+    captured = capsys.readouterr()
+    assert f"error: ParseError: {arg}: the Q of builtin:KIND:Q must be ASCII decimal digits" \
+        in captured.err
+    assert captured.out == ""
+
+
+def test_builtin_degree_defaults_to_2(capsys):
+    assert main(["protocol", "strata", "builtin:cube_sphere:"]) == 0
+    empty = capsys.readouterr().out
+    assert main(["protocol", "strata", "builtin:cube_sphere:2"]) == 0
+    two = json.loads(capsys.readouterr().out)
+    assert json.loads(empty)["simplices"] == two["simplices"]
+
+
 @pytest.mark.parametrize("argv", [["protocol", "check", "DOC"],
                                   ["topo", "current", "builtin:cube_sphere:8"]])
 def test_builtin_degree_above_the_bound_exits_2_before_building(argv, tmp_path, monkeypatch,
@@ -737,17 +756,28 @@ def test_outputs_do_not_depend_on_the_shared_gaps(monkeypatch, tmp_path, capsys)
         cold.append(run(argv))
     assert warm == cold * 2
     # a second topo current and a second ana axioms skip every elimination
-    # and tree choice: the one rref left is the builtin complex's own
-    # connectivity check
+    # and tree choice, the builtin complex's connectivity check included:
+    # it is built once per process, and only a direct build checks again
     assert run(ops[-2]) == cold[-2]
     calls = _count_calls(monkeypatch, ["ratlin.rref", "forests.greedy_dtree",
                                        "forests.enumerate_dtrees"])
     sphere_complex(2)
     assert calls["ratlin.rref"] == 1
     assert run(ops[-2]) == cold[-2]
-    assert calls == {"ratlin.rref": 2, "forests.greedy_dtree": 0, "forests.enumerate_dtrees": 0}
+    assert calls == {"ratlin.rref": 1, "forests.greedy_dtree": 0, "forests.enumerate_dtrees": 0}
     assert run(ops[-1]) == cold[-1]
-    assert calls == {"ratlin.rref": 3, "forests.greedy_dtree": 0, "forests.enumerate_dtrees": 0}
+    assert calls == {"ratlin.rref": 1, "forests.greedy_dtree": 0, "forests.enumerate_dtrees": 0}
+
+
+@pytest.mark.parametrize("kind", ["cube_sphere", "cube_wedge", "square"])
+def test_a_second_builtin_load_runs_no_elimination(monkeypatch, kind):
+    # the builtin complex is built and validated (an exact betti_0, one
+    # rref) once per process; so is the gap over it
+    first = builtin_protocol(kind, 3)
+    calls = _count_calls(monkeypatch, ["ratlin.rref"])
+    second = builtin_protocol(kind, 3)
+    assert calls["ratlin.rref"] == 0
+    assert second.gap is first.gap
 
 
 def test_float_context_eliminates_no_more_than_a_call_per_use(monkeypatch):
