@@ -1417,7 +1417,8 @@ def test_per_point_frames_of_the_wrong_shape_raise(shape):
     tris = proto.simplices_of_dim(2)[:2]
     coords = np.full((2, 2), 0.25)
     jan_form(proto, 3.0, tris, coords, np.ones((2, 2, 2)), 2)
-    with pytest.raises(BadFrame, match="need 2 frame vectors of 2 coordinates, or such a frame per point"):
+    with pytest.raises(BadFrame,
+                       match="need 2 frame vectors of 2 coordinates, or such a frame per point"):
         jan_form(proto, 3.0, tris, coords, np.ones(shape), 2)
     with pytest.raises(BadFrame):
         jan_form(proto, 3.0, tris, coords, [np.ones(2), np.ones(1)], 2)
