@@ -21,7 +21,7 @@ import numpy as np
 from .complex_core import betti, gap_complex, load_complex
 from .errors import HclError, ParseError
 from .forests import enumerate_dtrees, greedy_dtree
-from .protocol import builtin_protocol, cube_protocol, is_good, load_protocol
+from .protocol import builtin_protocol, is_good, load_protocol
 from .ratlin import QMat
 from .topo_hyper import cochain_chain_map_defect, hypercurrent_homology
 from .ana_hyper import axioms_check, interior_samples, jan_cochain, quantization_sweep
@@ -242,9 +242,8 @@ def cmd_ana(args):
         coch = jan_cochain(proto, args.beta, tol=args.tol, max_depth=args.quad_depth)
         report["residual"] = cochain_chain_map_defect(coch)
         report["simplices"] = [
-            {"vertices": [proto.vertex_ids[v] for v in key], "block": coch.block(key).tolist()}
-            for key in sorted(proto.cell_index.keys[:sum(map(len, coch.stacks))],
-                              key=lambda key: (len(key), key))
+            {"vertices": [proto.vertex_ids[v] for v in key], "block": block.tolist()}
+            for key, block in zip(proto.cell_index.keys, (b for stack in coch.stacks for b in stack))
         ]
     else:
         if args.samples < 1:
@@ -361,16 +360,13 @@ def cmd_dyn(args):
 
 
 def cmd_demo(args):
-    from .complex_core import sphere_complex, sphere_wedge_complex
-
     betas = [float(b) for b in args.betas.split(",")]
     cfg = RunConfig("demo", q=args.q, betas=betas, tol=args.tol,
                     quad_depth=args.quad_depth, out=args.out).validate()
     q = args.q
     rows = []
-    for name, x in [("sphere", sphere_complex(q)), ("wedge", sphere_wedge_complex(q))]:
-        gap = gap_complex(x, 0, q)
-        proto = cube_protocol(gap)
+    for name, kind in [("sphere", "cube_sphere"), ("wedge", "cube_wedge")]:
+        proto = builtin_protocol(kind, q)
         [(coords, chain)] = hypercurrent_homology(proto, [proto.fundamental_cycle],
                                                   QMat.identity(1))
         sweep = quantization_sweep(
@@ -378,7 +374,7 @@ def cmd_demo(args):
             max_depth=args.quad_depth,
         )
         chain_desc = " + ".join(
-            f"{_rat(v)}*{gap.cells_at(gap.top)[i]}" for i, (v,) in enumerate(chain.to_rows()) if v
+            f"{_rat(v)}*{proto.gap.cells_at(q)[i]}" for i, (v,) in enumerate(chain.to_rows()) if v
         ) or "0"
         rows.append((name, chain_desc, [_rat(c) for (c,) in coords.to_rows()], sweep))
     print(f"degree-{q} comparison (identical cell counts, different attachments)")

@@ -9,39 +9,26 @@ is involved.  The weights are level_weights, one (n_vertices, n_cells)
 float array per level: a document lists a vertex's rows, and weights_at
 returns one row per level.
 
-Smallness and the exact lift read a parameter domain only through
-dim_of and part_of, which name a failing cell, its cached certificate
-and lift, and three array views: cell_index, the cells by dimension with
-their vertices as one index array; face_rows, each dimension's faces as
-rows of the dimension below with their signs; and level_weights, which
-smallness alone reads.  Both hold cells as cell_index rows: the
-certificate numbers each cell's order type at its least level, which
-fixes the cell's tree, and the lift reads a key only to name a cell.
-The tests also run them on a regular-CW cube domain.
-
-A protocol's cells are one array of sorted vertex rows per dimension,
-closed under faces by its builder, simplicial_protocol or
-cube_boundary_protocol.  One np.unique pass over row codes closes a
-dimension under faces and places every face (_cells_and_faces): it
-closes a document's simplices and, once per cube dimension, the
-Freudenthal triangulation of the cube's boundary.
-
-A protocol may be a disjoint union of equal parts, numbered part by
-part: cube_boundary_protocol builds one from stacked corner weights, one
-cube each, offsetting the cube's cells and taking each cube's corner
-weights as rows (weight space builds a chunk of transversal cubes so,
-and the builtins their one cube).  part_of names a cell by its part and
-its vertices within that part, which is how the lift reports a failing
-cell, and part_cycles cuts the fundamental cycle into the parts'
-cycles.
+A protocol's cells are one array of sorted vertex rows per dimension
+(cell_index), closed under faces by simplicial_protocol or
+cube_boundary_protocol in one np.unique pass over row codes per
+dimension (_cells_and_faces).  Smallness and the exact lift read these
+rows, face_rows (each dimension's faces as rows of the dimension below,
+with their signs), level_weights, and dim_of and part_of to name a
+failing cell; the tests also run them on a regular-CW cube domain.  A
+cell's key, its row as a tuple, is built only where a cell is named:
+in a report, an error, or a dict by key.  A protocol may be a disjoint
+union of equal parts, numbered part by part (cube_boundary_protocol
+builds one cube per part: a weight-space chunk, or a builtin's one
+cube); part_of names a cell by its part and its vertices there, and
+place_of finds a key among the first part's cells.
 """
 import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -124,15 +111,6 @@ def _close(groups, base):
     return cells[:-1], places[:-1]
 
 
-def _cell_index(cells):
-    """The CellIndex of the d-cells cells[d], sorted rows of vertices."""
-    keys = tuple(itertools.chain.from_iterable(map(tuple, c.tolist()) for c in cells))
-    vertices = np.concatenate([np.concatenate([c, np.repeat(c[:, :1], len(cells) - 1 - d, axis=1)],
-                                              axis=1) for d, c in enumerate(cells)])
-    return CellIndex(keys, tuple(itertools.accumulate(map(len, cells), initial=0)), vertices,
-                     dict(zip(keys, range(len(keys)))))
-
-
 def _face_rows(index, places):
     """face_rows from each dimension's face places: face m has sign (-1)**m."""
     none = np.zeros((index.offsets[1], 0), dtype=np.intp)
@@ -140,45 +118,52 @@ def _face_rows(index, places):
                                    for rows in places)
 
 
-class CellIndex(NamedTuple):
-    """A parameter domain's cells grouped by dimension, each dimension in
-    all_cells order: the d-cells are keys[offsets[d]:offsets[d + 1]].
-    Row i of vertices holds the vertices of cell keys[i] (in vertices_of
-    order) as rows of the domain's level_weights, padded to the widest
-    cell with the cell's first vertex.  position maps a cell to its place
-    in keys."""
+class CellIndex:
+    """A parameter domain's cells by dimension: rows[d] holds each d-cell's
+    vertices (in vertices_of order, rows of level_weights), the places
+    offsets[d]:offsets[d + 1] of cell_index order.  Keys, the cells' rows
+    as tuples, are built on first read, each row once."""
 
-    keys: tuple
-    offsets: tuple
-    vertices: np.ndarray    # int array (number of cells, most vertices of a cell)
-    position: dict
+    def __init__(self, rows):
+        self.rows = tuple(rows)
+        self.offsets = tuple(itertools.accumulate(map(len, self.rows), initial=0))
+        self._first = {}
+
+    @cached_property
+    def keys(self):
+        return tuple(self.first_part(1))
+
+    def first_part(self, parts):
+        """The first of parts equal parts' cells by key, with their places."""
+        if parts not in self._first:
+            first = [rows[:len(rows) // parts] for rows in self.rows]
+            keys = itertools.chain.from_iterable(map(tuple, rows.tolist()) for rows in first)
+            places = (range(a, a + len(rows)) for a, rows in zip(self.offsets, first))
+            self._first[parts] = dict(zip(keys, itertools.chain.from_iterable(places)))
+        return self._first[parts]
 
 
 @dataclass(frozen=True, eq=False)
 class SimplicialProtocol:
     """Oriented simplicial parameter space with one row of weights per
-    vertex and level, over cells closed under faces: simplicial_protocol
-    and cube_boundary_protocol build it.  cell_index holds the cells by
-    dimension, each dimension sorted; a cell's vertices are its key's
-    entries, which index level_weights' rows.  face_rows holds per
-    dimension d (rows, signs) of shape (d-cells, d + 1): the m-th face,
-    in boundary_of order, of the i-th d-cell is the (d-1)-cell in place
-    rows[i, m], with sign signs[i, m] (a read-only view).  Protocols
-    compare by identity: their weights are arrays."""
+    vertex and level over sorted cell rows closed under faces, built by
+    simplicial_protocol or cube_boundary_protocol.  face_rows[d] is
+    (rows, signs), each (d-cells, d + 1): face m, in boundary_of order,
+    of d-cell i is the (d-1)-cell rows[i, m], with sign signs[i, m].
+    The orientation and the cycle are stored by place, (places, values)
+    in the order given, and read by key as dicts built on first read.
+    Protocols compare by identity: their weights are arrays."""
 
     gap: GapComplex
     vertex_ids: tuple            # vertex index -> id string
     level_weights: tuple         # per level p..q, (n_vertices, n_cells) float array
     cell_index: CellIndex
     face_rows: tuple             # per dimension, (rows, signs)
-    orientation: dict            # top key -> +-1
-    fundamental_cycle: dict      # key -> int coeff
+    orientation_by_place: tuple = ((), ())    # (places, +-1)
+    cycle_by_place: tuple = ((), ())          # (places, int coefficients)
     parts: int = 1               # equal parts, vertices numbered part by part
 
     # -- the parameter-domain interface read by smallness and the lift --
-
-    def all_cells(self):
-        return self.cell_index.keys
 
     def dim_of(self, key):
         return len(key) - 1
@@ -198,6 +183,21 @@ class SimplicialProtocol:
         part = key[0] // size
         return part, tuple(v - part * size for v in key)
 
+    def place_of(self, key):
+        """The place of the cell key in cell_index order, None if key names
+        no cell: its place in the first part, moved to its own part."""
+        first, size = self.cell_index.first_part(self.parts), len(self.vertex_ids) // self.parts
+        try:
+            part = key[0] // size
+            if not part:
+                return first.get(key)
+            at = first.get(tuple(v - part * size for v in key))
+        except (IndexError, TypeError, ZeroDivisionError):     # no vertex or no number
+            return None
+        if at is not None and 0 < part < self.parts:
+            start, end = self.cell_index.offsets[len(key) - 1:len(key) + 1]
+            return at + int(part) * ((end - start) // self.parts)
+
     @cached_property
     def certificate(self):
         """The smallness certificate, computed on first use and then kept
@@ -212,21 +212,23 @@ class SimplicialProtocol:
 
     # -- conveniences --
 
+    @cached_property
+    def orientation(self):
+        return self._by_key(*self.orientation_by_place)
+
+    @cached_property
+    def fundamental_cycle(self):
+        return self._by_key(*self.cycle_by_place)
+
+    def _by_key(self, places, values):
+        return dict(zip(map(self.cell_index.keys.__getitem__, places), values))
+
     @property
     def dim(self):
-        return len(self.cell_index.offsets) - 2
+        return len(self.cell_index.rows) - 1
 
     def simplices_of_dim(self, k):
-        index = self.cell_index
-        return list(index.keys[index.offsets[k]:index.offsets[k + 1]]) if 0 <= k <= self.dim else []
-
-    def part_cycles(self):
-        """The fundamental cycle cut into one cycle per part, in part order."""
-        size = len(self.vertex_ids) // self.parts
-        out = [{} for _ in range(self.parts)]
-        for key, coeff in self.fundamental_cycle.items():
-            out[key[0] // size][key] = coeff
-        return out
+        return list(map(tuple, self.cell_index.rows[k].tolist())) if 0 <= k <= self.dim else []
 
 
 def simplicial_protocol(gap, vertex_ids, level_weights, simplices, orientation=(), cycle=()):
@@ -237,13 +239,16 @@ def simplicial_protocol(gap, vertex_ids, level_weights, simplices, orientation=(
     groups = _by_dim(simplices)
     groups[0] = np.concatenate([groups[0], np.arange(len(vertex_ids))[:, None]])
     cells, places = _close(groups, len(vertex_ids))
-    index = _cell_index(cells)
-    for key in cycle:
-        if key not in index.position:
-            raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
-                            "which is not a simplex of the protocol")
-    return SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index,
-                              _face_rows(index, places), dict(orientation), dict(cycle))
+    index = CellIndex(cells)
+    bare = SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index, _face_rows(index, places))
+    oriented, cyc = [(list(map(bare.place_of, m)), list(m.values())) for m in map(dict, (orientation, cycle))]
+    bad = next((key for key, at in zip(cycle, cyc[0]) if at is None), None)
+    if bad is not None:
+        raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in bad)}, "
+                        "which is not a simplex of the protocol")
+    if None in oriented[0]:
+        raise ValueError("orientation names a key that is not a simplex of the protocol")
+    return replace(bare, orientation_by_place=oriented, cycle_by_place=cyc)
 
 
 # --- documents --------------------------------------------------------------
@@ -429,7 +434,7 @@ def weights_at(proto: SimplicialProtocol, simplex, coords):
     """The weights at barycentric coordinates of a simplex of the protocol,
     one float array per level p..q, affine in the vertices' rows."""
     key = tuple(simplex)
-    if key not in proto.cell_index.position:
+    if proto.place_of(key) is None:
         raise BadCoordinates(f"{key} is not a simplex of the protocol")
     coords = [float(c) for c in coords]
     if len(coords) != len(key):
@@ -466,8 +471,7 @@ def smallness(domain) -> SmallnessCertificate:
     vertex's stable argsort of a level is numbered by its row code among
     the level's distinct strict rankings (lexicographic order), -1 where
     it ties, and a cell is certified iff its vertices carry one number
-    >= 0, read in one gather through their vertex index array (whose
-    padding repeats a vertex).
+    >= 0, read in one gather per dimension through its vertex rows.
     """
     rankings, numbers = [], []
     for w in domain.level_weights:
@@ -477,10 +481,11 @@ def smallness(domain) -> SmallnessCertificate:
         _, first, numbers[-1][strict] = np.unique(_codes(rank[strict], w.shape[1]),
                                                   return_index=True, return_inverse=True)
         rankings.append(rank[strict][first])
-    at = np.stack(numbers, axis=1)[domain.cell_index.vertices]     # (cells, vertices, levels)
-    ok = (at == at[:, :1]).all(axis=1) & (at[:, 0] >= 0)
+    numbers = np.stack(numbers, axis=1)
+    at = [numbers[rows] for rows in domain.cell_index.rows]     # (d-cells, vertices, levels)
+    ok = np.concatenate([(a == a[:, :1]).all(axis=1) & (a[:, 0] >= 0) for a in at])
     col = ok.argmax(axis=1)
-    order = np.where(ok.any(axis=1), at[np.arange(len(ok)), 0, col], -1)
+    order = np.where(ok.any(axis=1), np.concatenate([a[:, 0] for a in at])[np.arange(len(ok)), col], -1)
     return SmallnessCertificate(ok, np.where(order >= 0, col + domain.gap.p, -1), order, tuple(rankings))
 
 
@@ -511,9 +516,9 @@ def cube_corners(n):
 
 @lru_cache(maxsize=8)
 def _cube_boundary(n):
-    """The triangulated boundary of [-1,1]^n, built once per n: the sorted
-    corners, the cells and face places as _close gives them, and each top
-    cell's coefficient in the fundamental cycle.
+    """The triangulated boundary of [-1,1]^n, built once per n: the cells
+    and face places as _close gives them over the cube_corners, and each
+    top cell's coefficient in the fundamental cycle.
 
     The facet {x_axis = side} holds one top cell per order perm of its
     free axes (Freudenthal): the walk from its lowest corner raising them
@@ -521,7 +526,6 @@ def _cube_boundary(n):
     the walk is a sorted row.  Its sign is that of perm times side *
     (-1)**axis, the facet's sign in the boundary; the first top cell's is +1.
     """
-    corners = sorted(itertools.product((-1, 1), repeat=n))
     perms = np.array(list(itertools.permutations(range(n - 1))), dtype=np.intp)
     bit = 1 << np.arange(n - 1, -1, -1)
     free = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
@@ -533,7 +537,7 @@ def _cube_boundary(n):
              * _permutation_signs(perms)).reshape(-1)
     coeffs = signs[np.lexsort(tops.T[::-1])]                   # in sorted row order
     cells, places = _close([np.empty((0, d + 1), dtype=np.intp) for d in range(n - 1)] + [tops], 2 ** n)
-    return tuple(corners), cells, places, tuple((coeffs[0] * coeffs).tolist())
+    return cells, places, tuple((coeffs[0] * coeffs).tolist())
 
 
 def cube_boundary_protocol(gap: GapComplex, corner_weights):
@@ -546,28 +550,28 @@ def cube_boundary_protocol(gap: GapComplex, corner_weights):
     offset per cube: cube i's vertices are numbered from i * 2^(q-p+1),
     with the id prefix "i." when there are several, and its corners'
     weights are rows of level_weights from there on.  The fundamental
-    cycle is the sum of the cubes' cycles (part_cycles() parts them)."""
+    cycle is the sum of the cubes' cycles, all with the same coefficients."""
     n = gap.q - gap.p + 1
-    corners, cube_cells, cube_places, coeffs = _cube_boundary(n)
+    cube_cells, cube_places, coeffs = _cube_boundary(n)
     weights = [np.asarray(w, dtype=float) for w in corner_weights]
     cubes = len(weights[0]) if weights else 0
     if not cubes:
         raise ValueError("no cube to build: an empty sequence of cubes (top cells)")
-    if [w.shape for w in weights] != [(cubes, len(corners), gap.parent.n_cells(j))
+    if [w.shape for w in weights] != [(cubes, 2 ** n, gap.parent.n_cells(j))
                                       for j in range(gap.p, gap.q + 1)]:
         raise LevelMismatch("corner weights do not match the gap's levels")
     if not all(np.isfinite(w).all() for w in weights):
         raise LevelMismatch("non-finite weight entry")
-    ids = ["c" + "".join("p" if s > 0 else "m" for s in c) for c in corners]
+    ids = ["c" + "".join(c) for c in np.where(cube_corners(n) > 0, "p", "m").tolist()]
     if cubes > 1:
         ids = [f"{i}.{cid}" for i in range(cubes) for cid in ids]
     cube = np.arange(cubes, dtype=np.intp)[:, None, None]
-    index = _cell_index([(cube * len(corners) + c).reshape(-1, c.shape[1]) for c in cube_cells])
+    index = CellIndex((cube * 2 ** n + c).reshape(-1, c.shape[1]) for c in cube_cells)
     places = [(cube * len(lower) + f).reshape(-1, f.shape[1])
               for lower, f in zip(cube_cells, cube_places)]
-    cycle = dict(zip(index.keys[index.offsets[-2]:], coeffs * cubes))
+    cycle = (range(index.offsets[-2], index.offsets[-1]), coeffs * cubes)
     return SimplicialProtocol(gap, tuple(ids), tuple(w.reshape(-1, w.shape[2]) for w in weights), index,
-                              _face_rows(index, places), cycle, dict(cycle), cubes)
+                              _face_rows(index, places), cycle, cycle, cubes)
 
 
 def cube_protocol(gap: GapComplex, signs=None):

@@ -371,9 +371,8 @@ class HyperCochain:
     stacks: list
 
     def block(self, key):
-        cells = self.domain.cell_index
         dim = self.domain.dim_of(key)
-        return self.stacks[dim][cells.position[key] - cells.offsets[dim]]
+        return self.stacks[dim][self.domain.place_of(key) - self.domain.cell_index.offsets[dim]]
 
 
 def cochain_chain_map_defect(cochain: HyperCochain):
@@ -414,11 +413,11 @@ def hypercurrent_homology(proto, cycles, classes):
         raise TypeError("expected a sequence of cycle mappings and a QMat of class columns")
     cells = proto.cell_index
     # per cycle, its first cell outside the top cells, else (row, coefficient) per cell
-    strays = [next((k for k in map(tuple, c) if proto.dim_of(k) != gap.top
-                    or k not in cells.position), None) for c in cycles]
-    entries = [[] if stray is not None else [(cells.position[tuple(k)] - cells.offsets[gap.top],
-                                              Fraction(v)) for k, v in c.items()]
-               for c, stray in zip(cycles, strays)]
+    found = [[(k, proto.place_of(k), v) for k, v in zip(map(tuple, c), c.values())] for c in cycles]
+    strays = [next((k for k, at, _ in f if proto.dim_of(k) != gap.top or at is None), None)
+              for f in found]
+    entries = [[] if stray is not None else [(at - cells.offsets[gap.top], Fraction(v)) for _, at, v in f]
+               for f, stray in zip(found, strays)]
     # the coefficients as integers over one denominator, zeros padding
     width = max(map(len, entries), default=0)
     cden = math.lcm(1, *(f.denominator for e in entries for _, f in e))

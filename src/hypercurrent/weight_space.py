@@ -217,9 +217,10 @@ def classify_cell(gap: GapComplex, cells, eps=0.25):
     # first cube of each tuple, and share its current and its Fractions
     first = {}
     group = [first.setdefault(sigs, i) for i, sigs in enumerate(map(tuple, tops.tolist()))]
-    cycles = proto.part_cycles()
-    pairs = hypercurrent_homology(proto, [cycles[i] for i in first.values()],
-                                  QMat.identity(gap.parent_hp.betti))
+    top = proto.cell_index.rows[-1].reshape(tops.shape + (-1,))
+    coeffs = proto.cycle_by_place[1][:tops.shape[1]]
+    cycles = [dict(zip(map(tuple, top[i].tolist()), coeffs)) for i in first.values()]
+    pairs = hypercurrent_homology(proto, cycles, QMat.identity(gap.parent_hp.betti))
     current = {i: tuple(map(tuple, coords.to_rows()))
                for i, (coords, _) in zip(first.values(), pairs)}
     essential = {i: any(v != 0 for row in m for v in row) for i, m in current.items()}

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from hypercurrent.errors import EpsilonTooLarge
-from hypercurrent.protocol import _cube_boundary
+from hypercurrent.protocol import cube_corners
 
 
 def is_top(cell):
@@ -88,7 +88,7 @@ def cube_corner_weight(gap, corner, signs):
 def stacked(gap, maps):
     """Corner maps, one per cube, as cube_boundary_protocol's corner
     weights: per level, an array (cubes, corners, cells)."""
-    corners = _cube_boundary(gap.q - gap.p + 1)[0]
+    corners = list(map(tuple, cube_corners(gap.q - gap.p + 1).tolist()))
     points = [[cw(c) for c in corners] for cw in maps]
     return [np.array([[point[j - gap.p] for point in cube] for cube in points], dtype=float)
             .reshape(len(maps), len(corners), gap.parent.n_cells(j))

@@ -28,15 +28,14 @@ class EagerLiftCache:
 def build_lift_cache_eager(proto) -> EagerLiftCache:
     gap = proto.gap
     least = least_levels(proto, proto.certificate)
-    position = proto.cell_index.position
-    cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
+    cells = sorted(proto.cell_index.keys, key=lambda c: (proto.dim_of(c), repr(c)))
     trees, shared = {}, {}
     for key in cells:
         if least[key] is None:
             raise NotGood(f"cell {key} is not small")
         at = (proto.vertices_of(key)[0], least[key])
         if at not in shared:
-            shared[at] = tree_functor(proto, position[key])
+            shared[at] = tree_functor(proto, proto.place_of(key))
         trees[key] = shared[at]
     cache = EagerLiftCache(gap=gap, trees=trees, values={})
     by_dim = {}

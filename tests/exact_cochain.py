@@ -132,16 +132,23 @@ class CubeCwDomain:
 
     @cached_property
     def cell_index(self):
-        """The cells by dimension; the vertices are the 0-cells, the
-        corners, in their all_cells order."""
+        """The cells by dimension, each cell's corners (in vertices_of order)
+        as a row; the vertices are the 0-cells, the corners, in their
+        all_cells order.  Its keys are the cells' patterns."""
         keys = tuple(self.all_cells())
-        dims = [self.dim_of(c) for c in keys]
-        offsets = tuple(dims.index(d) for d in range(self.n)) + (len(keys),)
-        corner = {c: i for i, c in enumerate(keys[:offsets[1]])}
-        width = 2 ** (self.n - 1)
-        rows = [[corner[v] for v in self.vertices_of(c)] for c in keys]
-        vertices = np.array([r + r[:1] * (width - len(r)) for r in rows], dtype=np.intp)
-        return CellIndex(keys, offsets, vertices, {c: i for i, c in enumerate(keys)})
+        corner = {c: i for i, c in enumerate(c for c in keys if self.dim_of(c) == 0)}
+        index = CellIndex(np.array([[corner[v] for v in self.vertices_of(c)] for c in keys
+                                    if self.dim_of(c) == d], dtype=np.intp).reshape(-1, 2 ** d)
+                          for d in range(self.n))
+        index.keys = keys
+        return index
+
+    def place_of(self, key):
+        return self._places.get(key)
+
+    @cached_property
+    def _places(self):
+        return dict(zip(self.cell_index.keys, itertools.count()))
 
     @cached_property
     def face_rows(self):
@@ -152,7 +159,7 @@ class CubeCwDomain:
         for d in range(1, self.n):
             lo, a, b = index.offsets[d - 1:d + 2]
             bnd = [self.boundary_of(c) for c in index.keys[a:b]]
-            out.append((np.array([[index.position[f] - lo for _, f in faces] for faces in bnd],
+            out.append((np.array([[self.place_of(f) - lo for _, f in faces] for faces in bnd],
                                  dtype=np.intp),
                         np.array([[s for s, _ in faces] for faces in bnd], dtype=np.intp)))
         return tuple(out)

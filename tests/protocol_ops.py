@@ -16,8 +16,14 @@ array build: the closure over vertex tuples (_closure), the cube's
 triangulation signed one simplex at a time (_freudenthal_facet,
 _perm_sign, _ordered_to_sorted, _cube_boundary), and the arrays
 oracle_validate_protocol hands the protocol: a cell_index sorted by
-length and bisected (oracle_cell_index), and face_rows found by a
-searchsorted over base-vertex-count row codes (oracle_face_rows).
+length and bisected (oracle_cell_index), face_rows found by a
+searchsorted over base-vertex-count row codes (oracle_face_rows), and
+the orientation and cycle placed through a dict of every cell's key.
+The library's removed conveniences are kept here as oracles too: the
+padded vertex index array the certificate gathered through
+(padded_vertices), and the fundamental cycle cut into its parts'
+cycles (part_cycles); no_keys stands in for CellIndex.keys where a
+route must not read a cell key.
 """
 
 import dataclasses
@@ -52,7 +58,7 @@ def levels_of(points):
 def vertex_levels(domain, vertex):
     """A vertex's weights, one row per level p..q: the rows of the
     domain's level_weights at the vertex's place among its 0-cells."""
-    row = domain.cell_index.position[vertex]
+    row = domain.place_of(vertex)
     return tuple(w[row] for w in domain.level_weights)
 
 
@@ -68,14 +74,14 @@ def smallness_by_level(domain):
     ranking gathered over each cell's vertices, an array (cells, vertices,
     cells of the level), compared, with a tie check per vertex."""
     gap = domain.gap
-    cells = domain.cell_index
-    ok = np.empty((len(cells.keys), gap.q - gap.p + 1), dtype=bool)
+    vertices = padded_vertices(domain.cell_index)
+    ok = np.empty((len(vertices), gap.q - gap.p + 1), dtype=bool)
     for col, w in enumerate(domain.level_weights):
         rank = np.argsort(w, axis=1)
         ranked = np.sort(w, axis=1)
         strict = (ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
-        ranks = rank[cells.vertices]
-        ok[:, col] = (ranks == ranks[:, :1]).all(axis=(1, 2)) & strict[cells.vertices].all(axis=1)
+        ranks = rank[vertices]
+        ok[:, col] = (ranks == ranks[:, :1]).all(axis=(1, 2)) & strict[vertices].all(axis=1)
     return ok, np.where(ok.any(axis=1), ok.argmax(axis=1) + gap.p, -1)
 
 
@@ -134,16 +140,36 @@ def _closure(simplices):
 
 def oracle_cell_index(keys):
     """The earlier cell_index of closed simplices: sorted by length, each
-    dimension's offsets found by bisection."""
+    dimension's rows found by bisection."""
     keys = tuple(sorted(keys, key=len))
     sizes = list(map(len, keys))
-    width = sizes[-1] if sizes else 0
-    offsets = tuple(bisect_left(sizes, n) for n in range(1, width + 2))
-    vertices = np.empty((len(keys), width), dtype=np.intp)
-    for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1):
-        vertices[a:b, :n] = np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
-        vertices[a:b, n:] = vertices[a:b, :1]
-    return CellIndex(keys, offsets, vertices, dict(zip(keys, range(len(keys)))))
+    offsets = [bisect_left(sizes, n) for n in range(1, (sizes[-1] if sizes else 0) + 2)]
+    return CellIndex(np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
+                     for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1))
+
+
+def padded_vertices(cells):
+    """Every cell's vertex row in cell_index order, padded to the widest
+    cell with the cell's first vertex: the one index array the
+    certificate gathered through before it gathered per dimension."""
+    width = max(rows.shape[1] for rows in cells.rows)
+    return np.concatenate([np.concatenate([rows, np.repeat(rows[:, :1], width - rows.shape[1], axis=1)],
+                                          axis=1) for rows in cells.rows])
+
+
+def no_keys(cells):
+    """A CellIndex.keys that refuses to be read: patched in, it shows that
+    a route reads cells by their rows only."""
+    raise AssertionError("a cell key was read")
+
+
+def part_cycles(proto):
+    """The fundamental cycle cut into one cycle per part, in part order."""
+    size = len(proto.vertex_ids) // proto.parts
+    out = [{} for _ in range(proto.parts)]
+    for key, coeff in proto.fundamental_cycle.items():
+        out[key[0] // size][key] = coeff
+    return out
 
 
 def oracle_face_rows(cells, base):
@@ -156,9 +182,9 @@ def oracle_face_rows(cells, base):
         # a vertex row as one number, in base the vertex count
         place = np.array([base ** e for e in range(d - 1, -1, -1)],
                          dtype=np.int64 if base ** d < 2 ** 63 else object)
-        codes = cells.vertices[lo:a, :d] @ place
+        codes = cells.rows[d - 1] @ place
         order = np.argsort(codes, kind="stable").astype(np.int32)
-        faces = [np.delete(cells.vertices[a:b, :d + 1], m, axis=1) for m in range(d + 1)]
+        faces = [np.delete(cells.rows[d], m, axis=1) for m in range(d + 1)]
         wanted = np.stack([face @ place for face in faces], axis=1)
         rows = order[np.minimum(np.searchsorted(codes, wanted, sorter=order), a - lo - 1)]
         if (codes[rows] != wanted).any():
@@ -181,15 +207,17 @@ def oracle_validate_protocol(gap, vertex_ids, points, simplices, orientation, cy
         if list(s) != sorted(set(s)):
             raise ParseError(f"simplex {s} is not a strictly sorted vertex tuple")
     cells = oracle_cell_index(_closure(list(simplices) + [(v,) for v in range(nv)]))
+    position = dict(zip(cells.keys, itertools.count()))
     for sign in orientation.values():
         if sign not in (1, -1):
             raise ParseError("orientation signs must be +-1")
     for key in cycle:
-        if key not in cells.position:
+        if key not in position:
             raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in key)}, "
                             "which is not a simplex of the protocol")
-    return SimplicialProtocol(gap, tuple(vertex_ids), levels_of(points), cells,
-                              oracle_face_rows(cells, nv), dict(orientation), dict(cycle), parts)
+    return SimplicialProtocol(gap, tuple(vertex_ids), levels_of(points), cells, oracle_face_rows(cells, nv),
+                              ([position[k] for k in orientation], list(orientation.values())),
+                              ([position[k] for k in cycle], list(cycle.values())), parts)
 
 
 def _perm_sign(perm):
@@ -262,7 +290,7 @@ def oracle_cube_boundary_protocol(gap, corner_weight):
     (parts == number of maps): cube i's vertices are numbered from
     i * 2^(q-p+1), its vertex ids carry the prefix "i." when there are
     several, and the fundamental cycle is the sum of the cubes' cycles
-    (part_cycles() gives them one by one).  The cube's triangulation is
+    (part_cycles gives them one by one).  The cube's triangulation is
     built once per dimension and offset per cube.
     """
     n = gap.q - gap.p + 1

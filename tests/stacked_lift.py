@@ -21,7 +21,7 @@ def build_lift_cache_stacked(proto) -> LiftCache:
         first = min(bad, key=lambda c: (proto.dim_of(c), repr(c)))
         raise NotGood(f"cell {first} is not small")
     # the tree depends only on the cell's first vertex and its level
-    at = list(zip(cells.vertices[:, 0].tolist(), cert.least.tolist()))
+    at = list(zip(np.concatenate([rows[:, 0] for rows in cells.rows]).tolist(), cert.least.tolist()))
     found = {}
     for row, a in enumerate(at):
         if a not in found:

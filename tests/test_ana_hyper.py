@@ -682,7 +682,7 @@ def test_kirchhoff_and_rho_equal_dict_route(name):
             w = rng.normal(size=gap.dim_at(j))
             assert np.array_equal(kirchhoff_pseudoinverse(gap, w, beta, j),
                                   dict_kirchhoff(gap, w, beta, j))
-        for key in proto.all_cells():
+        for key in proto.cell_index.keys:
             coords = rng.random(proto.dim_of(key)) / (len(key) + 1)
             for table in _context(gap).trees.values():
                 for tree in table.trees:
@@ -802,7 +802,7 @@ STACKED_CASES = {
 
 
 def integrable_cells(proto):
-    return [key for key in proto.all_cells() if proto.dim_of(key) <= proto.gap.top]
+    return [key for key in proto.cell_index.keys if proto.dim_of(key) <= proto.gap.top]
 
 
 @pytest.mark.parametrize("name", sorted(STACKED_CASES))
@@ -1469,7 +1469,7 @@ def test_quantization_square():
 
 def test_context_and_tree_functor_share_trees():
     proto = cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2))
-    chosen = {tree_functor(proto, row) for row in range(len(proto.all_cells()))}
+    chosen = {tree_functor(proto, row) for row in range(proto.cell_index.offsets[-1])}
     tables = _context(proto.gap).trees
     for tree in chosen:
         assert any(t is tree for t in tables[tree.level].trees)

@@ -234,7 +234,7 @@ def test_topo_current_materialises_no_cell_qmat(monkeypatch, capsys):
     monkeypatch.setattr(ratlin.QMat, "__init__", counted)
     assert main(["topo", "current", "builtin:cube_sphere:3"]) == 0
     proto = builtin_protocol("cube_sphere", 3)
-    assert len(made) < len(proto.all_cells()) * (proto.gap.top + 1)
+    assert len(made) < proto.cell_index.offsets[-1] * (proto.gap.top + 1)
 
 
 def test_topo_current_cycle_outside_the_protocol_is_validation_error(tmp_path, capsys):
@@ -319,8 +319,7 @@ def test_paired_non_cycle_is_broken_invariant(monkeypatch, capsys):
         top = cache.stacks[proto.gap.top]
         num, den = top[0]
         num = num.copy()
-        cells = proto.cell_index
-        num[cells.position[next(iter(proto.fundamental_cycle))] - cells.offsets[-2], 0, 0] += den
+        num[proto.place_of(next(iter(proto.fundamental_cycle))) - proto.cell_index.offsets[-2], 0, 0] += den
         top[0] = (num, den)
         return cache
 

@@ -163,11 +163,11 @@ class OracleLiftCache:
 def build_lift_cache_oracle(proto) -> OracleLiftCache:
     gap = proto.gap
     least = least_levels(proto, smallness(proto))
-    cells = sorted(proto.all_cells(), key=lambda c: (proto.dim_of(c), repr(c)))
+    cells = sorted(proto.cell_index.keys, key=lambda c: (proto.dim_of(c), repr(c)))
     for key in cells:
         if least[key] is None:
             raise NotGood(f"cell {key} is not small")
-    trees = {key: tree_functor(proto, proto.cell_index.position[key]) for key in cells}
+    trees = {key: tree_functor(proto, proto.place_of(key)) for key in cells}
     cache = OracleLiftCache(gap=gap, trees=trees, values={})
     for key in cells:
         if proto.dim_of(key) == 0:
@@ -357,7 +357,7 @@ def test_first_obstruction_matches_oracle(monkeypatch, case):
     bumps, flip, expected = FIRST_OBSTRUCTIONS[case]
     proto = cube_sphere_protocol(2)
     gap = proto.gap
-    trees = {t.key: t for t in (tree_functor(proto, row) for row in range(len(proto.all_cells())))}
+    trees = {t.key: t for t in (tree_functor(proto, row) for row in range(proto.cell_index.offsets[-1]))}
     for tree_key, field, g, r, c in bumps:
         for aux in (topo_hyper._tree_aux(gap, trees[tree_key]), _tree_aux(gap, trees[tree_key])):
             monkeypatch.setattr(aux, field, _bumped(getattr(aux, field), g, r, c))
@@ -374,7 +374,7 @@ def test_first_obstruction_matches_oracle(monkeypatch, case):
         dim = len(flip) - 1
         rows, signs = views[dim]
         signs = signs.copy()
-        signs[index.position[flip] - index.offsets[dim], 0] *= -1
+        signs[proto.place_of(flip) - index.offsets[dim], 0] *= -1
         views[dim] = (rows, signs)
         monkeypatch.setitem(proto.__dict__, "face_rows", tuple(views))
     with pytest.raises(LiftObstruction) as old:

@@ -43,8 +43,8 @@ from cell_weights import corner_weights, cube_corner_weight
 from exact_cochain import cube_cw_domain
 from generic import AMPLITUDE, SEEDS, generic_protocol
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
-    closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, scale, smallness_by_level, \
-    square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
+    closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, padded_vertices, scale, \
+    smallness_by_level, square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
 from test_weight_space import graph_complex, three_disc_triangle
 
 
@@ -250,7 +250,7 @@ simplex_lists = st.lists(
 @given(simplex_lists)
 def test_closure_matches_closure_by_faces(simplices):
     cells, places = protocol._close(protocol._by_dim(simplices), 14)
-    assert list(protocol._cell_index(cells).keys) == closure_by_faces(simplices)
+    assert list(protocol.CellIndex(cells).keys) == closure_by_faces(simplices)
     for d, faces in enumerate(places, start=1):
         for row, at in zip(cells[d].tolist(), faces.tolist()):
             assert [tuple(cells[d - 1][r].tolist()) for r in at] == \
@@ -264,11 +264,9 @@ def test_cell_index_and_level_weights_match_per_cell_reads():
     for d in range(width):
         keys = cells.keys[cells.offsets[d]:cells.offsets[d + 1]]
         assert keys == tuple(proto.simplices_of_dim(d))
-        rows = cells.vertices[cells.offsets[d]:cells.offsets[d + 1]].tolist()
-        # each cell's vertices, padded with its first one
-        assert rows == [[v for (v,) in proto.vertices_of(key)] + [key[0]] * (width - d - 1)
-                        for key in keys]
-    assert all(cells.keys[i] == key for key, i in cells.position.items())
+        # each cell's vertices, one row per cell
+        assert cells.rows[d].tolist() == [[v for (v,) in proto.vertices_of(key)] for key in keys]
+    assert [proto.place_of(key) for key in cells.keys] == list(range(cells.offsets[-1]))
     # row v of each level is vertex v's corner weights
     corners = [tuple(1 if s == "p" else -1 for s in vid[1:]) for vid in proto.vertex_ids]
     for k, w in enumerate(proto.level_weights):
@@ -346,7 +344,7 @@ def test_constant_injective_protocol_all_k_p():
         simplices=((0,), (1,), (0, 1)),
     )
     least = least_levels(proto, smallness(proto))
-    assert all(least[s] == 0 for s in proto.all_cells())
+    assert all(least[s] == 0 for s in proto.cell_index.keys)
 
 
 def test_cube_facet_levels():
@@ -491,7 +489,7 @@ def test_certificate_matches_the_by_level_reference():
         assert np.array_equal(cert.order < 0, cert.least < 0)
         for ranked in cert.rankings:
             assert list(map(tuple, ranked.tolist())) == sorted(set(map(tuple, ranked.tolist())))
-        first = domain.cell_index.vertices[:, 0]
+        first = padded_vertices(domain.cell_index)[:, 0]
         for row in np.flatnonzero(cert.least >= 0).tolist():
             k = int(cert.least[row])
             w = domain.level_weights[k - gap.p][first[row]]
@@ -821,7 +819,7 @@ def test_the_builder_closes_an_open_simplex_set():
     tops = proto.simplices_of_dim(2)
     args = proto.gap, proto.vertex_ids, proto.level_weights
     closed = simplicial_protocol(*args, closure_by_faces(tops))
-    for simplices in (tops, [s for s in proto.all_cells() if s != tops[0][1:]]):
+    for simplices in (tops, [s for s in proto.cell_index.keys if s != tops[0][1:]]):
         _same_build(simplicial_protocol(*args, simplices), closed)
 
 
@@ -836,9 +834,9 @@ def test_empty_sequence_of_corner_maps_is_rejected():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_cube_boundary_equals_the_simplex_by_simplex_build(n):
-    corners, cells, places, coeffs = protocol._cube_boundary(n)
+    cells, places, coeffs = protocol._cube_boundary(n)
     oracle_corners, tops, oracle_coeffs = _cube_boundary(n)
-    assert corners == oracle_corners
+    assert list(map(tuple, protocol.cube_corners(n).tolist())) == list(oracle_corners)
     assert coeffs == oracle_coeffs
     assert np.array_equal(cells[-1], tops)
     keys = [key for rows in cells for key in map(tuple, rows.tolist())]
@@ -854,8 +852,10 @@ def _same_build(new, old):
     assert (new.vertex_ids, new.parts) == (old.vertex_ids, old.parts)
     assert [w.tobytes() for w in new.level_weights] == [w.tobytes() for w in old.level_weights]
     a, b = new.cell_index, old.cell_index
-    assert (a.keys, a.offsets, a.position) == (b.keys, b.offsets, b.position)
-    assert np.array_equal(a.vertices, b.vertices)
+    assert (a.keys, a.offsets) == (b.keys, b.offsets)
+    assert len(a.rows) == len(b.rows) and all(map(np.array_equal, a.rows, b.rows))
+    # the lookup through the first part finds every cell where the earlier build's dict did
+    assert [new.place_of(key) for key in b.keys] == list(range(b.offsets[-1]))
     assert len(new.face_rows) == len(old.face_rows)
     for (rows, signs), (old_rows, old_signs) in zip(new.face_rows, old.face_rows):
         assert np.array_equal(rows, old_rows) and np.array_equal(signs, old_signs)

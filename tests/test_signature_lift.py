@@ -5,7 +5,6 @@ not seen and gathers every stack from the gap's lifts; the stacked lift
 of every cell (stacked_lift.build_lift_cache_stacked) is the oracle for
 its stacks, its trees and the first obstruction it names."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -17,12 +16,13 @@ from hypercurrent import complex_core, topo_hyper
 from hypercurrent.complex_core import gap_complex, sphere_complex, sphere_wedge_complex
 from hypercurrent.errors import LiftObstruction
 from hypercurrent.forests import make_dtree
-from hypercurrent.protocol import builtin_protocol, cube_protocol, dumps_protocol, loads_protocol
+from hypercurrent.protocol import CellIndex, builtin_protocol, cube_protocol, dumps_protocol, loads_protocol
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import build_lift_cache
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 from exact_cochain import cell_trees, cube_cw_domain
+from protocol_ops import no_keys
 from stacked_lift import build_lift_cache_stacked
 from test_forests import complete_graph
 from test_weight_space import STAR4, graph_complex, path_complex, triangle_complex
@@ -118,16 +118,16 @@ def test_the_gap_keeps_one_lift_per_signature(monkeypatch):
     proto = builtin_protocol("cube_sphere", 3)
     cache = build_lift_cache(proto)
     seen = proto.gap.derived("lifts", topo_hyper._Lifts)
-    assert len(proto.all_cells()) == 224
+    assert proto.cell_index.offsets[-1] == 224
     assert sum(map(len, seen.index.values())) == 64
     assert [len(keys) for keys in calls] == [len(seen.index[j]) for j in (1, 2, 3)]
     for j, stack in enumerate(cache.stacks):
         assert len(stack[0][0]) > len(seen.index[j]) == len(seen.blocks[j][0][0])
 
 
-def test_the_lift_reads_cells_by_row_only():
+def test_the_lift_reads_cells_by_row_only(monkeypatch):
     # build_lift_cache, lift_simplex and tree_functor read cells by their
-    # cell_index rows: with no key -> row map, and no lift kept by the
+    # cell_index rows: with no cell key to read, and no lift kept by the
     # gap, the lift has the same signatures and stacks
     makers = [lambda: builtin_protocol("cube_sphere", 3), unions()[2]]
     for make in makers:
@@ -135,8 +135,9 @@ def test_the_lift_reads_cells_by_row_only():
         expected = build_lift_cache(proto)
         complex_core._GAPS.clear()
         built = make()
-        blind = dataclasses.replace(built, cell_index=built.cell_index._replace(position={}))
-        cache = build_lift_cache(blind)
+        with monkeypatch.context() as blind:
+            blind.setattr(CellIndex, "keys", property(no_keys))
+            cache = build_lift_cache(built)
         assert (cache.signatures == expected.signatures).all()
         assert_same_lift(proto, cache, expected)
 
@@ -190,7 +191,7 @@ def signatures(proto, trees):
     """Each cell's signature as nested tuples: its tree, then each face's
     signature and sign."""
     out = {}
-    for key in proto.all_cells():
+    for key in proto.cell_index.keys:
         out[key] = (trees[key].key,) + tuple((out[f], s) for s, f in proto.boundary_of(key))
     return out
 
@@ -207,8 +208,7 @@ def test_a_failing_signature_is_named_at_its_first_cell_in_repr_order(monkeypatc
         build_lift_cache_stacked(proto)
     assert str(oracle.value) == "chain-map identity fails at (0, 10, 14), degree 0"
     sig = signatures(proto, trees)
-    position = proto.cell_index.position
-    assert sig[(0, 8, 14)] == sig[(0, 10, 14)] and position[(0, 8, 14)] < position[(0, 10, 14)]
+    assert sig[(0, 8, 14)] == sig[(0, 10, 14)] and proto.place_of((0, 8, 14)) < proto.place_of((0, 10, 14))
     calls = count_lifts(monkeypatch)
     seen = proto.gap.derived("lifts", topo_hyper._Lifts)
     for _ in range(2):

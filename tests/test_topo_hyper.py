@@ -32,7 +32,7 @@ from hypercurrent.topo_hyper import (
 from eager_lift import build_lift_cache_eager
 from exact_cochain import (addendum_predicts_trivial, cell_blocks, cell_trees,
                            chain_map_defect_oracle, cube_cellular_cochain, hypercurrent_cochain)
-from protocol_ops import _closure, least_levels, levels_of, pair_one, scale, subdivide
+from protocol_ops import _closure, least_levels, levels_of, pair_one, part_cycles, scale, subdivide
 from test_lift_oracle import build_lift_cache_oracle
 
 
@@ -41,7 +41,7 @@ def lift_vertex(proto, vertex_key):
     degree 0 for trees above the bottom level, projection along the
     boundary space onto the co-tree span at the bottom; higher degrees
     via the contracting homotopy."""
-    tree = tree_functor(proto, proto.cell_index.position[vertex_key])
+    tree = tree_functor(proto, proto.place_of(vertex_key))
     return tree, _tree_aux(proto.gap, tree).phi
 
 
@@ -82,7 +82,7 @@ def test_tree_functor_cube2_facets():
     least = least_levels(proto, smallness(proto))
     for s in proto.simplices_of_dim(2):
         k = least[s]
-        t = tree_functor(proto, proto.cell_index.position[s])
+        t = tree_functor(proto, proto.place_of(s))
         assert t.level == k
         corner = proto.vertex_ids[s[0]]
         side = corner[1 + k]
@@ -98,7 +98,7 @@ def test_tree_functor_wedge_top():
         least = least_levels(proto, smallness(proto))
         for s in proto.simplices_of_dim(q):
             if least[s] == q:
-                assert tree_functor(proto, proto.cell_index.position[s]).cells == (f"e{q}id",)
+                assert tree_functor(proto, proto.place_of(s)).cells == (f"e{q}id",)
 
 
 def test_tree_functor_not_small():
@@ -110,17 +110,16 @@ def test_tree_functor_not_small():
         simplices=((0,), (1,), (0, 1)),
     )
     with pytest.raises(NotSmall):
-        tree_functor(proto, proto.cell_index.position[(0, 1)])
+        tree_functor(proto, proto.place_of((0, 1)))
 
 
 def test_tree_functor_face_inclusion():
     # the face's tree sits inside the cell's tree as a subcomplex
     for proto in (square_protocol(), cube_sphere_protocol(2)):
-        position = proto.cell_index.position
-        for s in proto.all_cells():
-            t = tree_functor(proto, position[s])
+        for s in proto.cell_index.keys:
+            t = tree_functor(proto, proto.place_of(s))
             for _, f in proto.boundary_of(s):
-                tf = tree_functor(proto, position[f])
+                tf = tree_functor(proto, proto.place_of(f))
                 assert tf.level <= t.level
                 if tf.level == t.level:
                     assert tf.cells == t.cells
@@ -132,7 +131,7 @@ def test_tree_functor_shared_over_the_gap():
     proto = cube_sphere_protocol(2)
     scaled = scale(proto, 3.0)
     assert scaled.gap is proto.gap
-    for row in range(len(proto.all_cells())):
+    for row in range(proto.cell_index.offsets[-1]):
         assert tree_functor(scaled, row) is tree_functor(proto, row)
 
 
@@ -178,8 +177,8 @@ def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
         weights = proto.level_weights[k - proto.gap.p][proto.vertices_of(key)[0][0]].tolist()
         return k, tuple(sorted(range(len(weights)), key=weights.__getitem__))
 
-    pairs = {(proto.vertices_of(key)[0], least[key]) for key in proto.all_cells()}
-    assert len(calls) == len(set(map(order_type, proto.all_cells()))) < len(pairs)
+    pairs = {(proto.vertices_of(key)[0], least[key]) for key in proto.cell_index.keys}
+    assert len(calls) == len(set(map(order_type, proto.cell_index.keys))) < len(pairs)
     assert len({order_type(key) for key in calls}) == len(calls)
     trees = cell_trees(proto, cache)
     for row, key in enumerate(keys):
@@ -220,7 +219,7 @@ def test_lift_vertex_cotree_explicit_value():
     proto = square_protocol()
     target = None
     for v in range(len(proto.vertex_ids)):
-        t = tree_functor(proto, proto.cell_index.position[(v,)])
+        t = tree_functor(proto, proto.place_of((v,)))
         if t.cells == ("e0+",):
             target = v
             break
@@ -363,7 +362,7 @@ def test_many_cycles_pair_as_each_alone():
     x = loads_complex('{"name": "triangle", "cells": [["a", "b", "c"], ["ab", "bc", "ca"]], '
                       '"boundary": [[[-1, 0, 1], [1, -1, 0], [0, 1, -1]]]}')
     union = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[:3])
-    a, b, c = union.part_cycles()
+    a, b, c = part_cycles(union)
     cycles = [a, {}, {k: Fraction(-3, 2) * v for k, v in {**b, **c}.items()}, c]
     for classes in ([[1]], [[Fraction(2, 3)]], [[1, Fraction(2, 3), 0]]):
         classes = QMat.from_rows(classes, (1, len(classes[0])))
@@ -533,7 +532,7 @@ def test_lazy_blocks_equal_eager_unpack(name):
     lazy = cell_blocks(proto, cache)
     eager = build_lift_cache_eager(proto)
     assert cell_trees(proto, cache) == eager.trees
-    assert len(lazy) == len(eager.values) == len(proto.all_cells())
+    assert len(lazy) == len(eager.values) == proto.cell_index.offsets[-1]
     assert set(lazy) == set(eager.values)
     for key, mats in eager.values.items():
         assert lazy[key] == mats
@@ -557,7 +556,7 @@ def test_first_obstruction_follows_repr_order(monkeypatch):
     index, views = proto.cell_index, list(proto.face_rows)
     rows, signs = views[1]
     signs = signs.copy()
-    signs[[index.position[e] - index.offsets[1] for e in (a, b)], 0] *= -1
+    signs[[proto.place_of(e) - index.offsets[1] for e in (a, b)], 0] *= -1
     views[1] = (rows, signs)
     monkeypatch.setitem(proto.__dict__, "face_rows", tuple(views))
     with pytest.raises(LiftObstruction) as eager:

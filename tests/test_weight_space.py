@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hypercurrent import topo_hyper, weight_space
+from hypercurrent import complex_core, topo_hyper, weight_space
 from hypercurrent.cli import main
 
 from hypercurrent.complex_core import (
@@ -21,7 +21,7 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.errors import EpsilonTooLarge, GapViolated, LiftObstruction
 from hypercurrent.forests import make_dtree
-from hypercurrent.protocol import is_good, smallness
+from hypercurrent.protocol import CellIndex, is_good, smallness
 from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import hypercurrent_homology
 from hypercurrent.weight_space import (
@@ -34,7 +34,7 @@ from hypercurrent.weight_space import (
 )
 
 from cell_weights import corner_weights, is_top, stacked
-from protocol_ops import least_levels, oracle_cube_boundary_protocol
+from protocol_ops import least_levels, no_keys, oracle_cube_boundary_protocol, part_cycles
 
 
 def path_complex():
@@ -334,7 +334,7 @@ def test_union_of_transversal_spheres_is_their_disjoint_union():
     union = transversal_sphere(gap, cells)
     assert union.parts == 3 and is_good(union)[0]
     size = len(union.vertex_ids) // 3
-    cycles = union.part_cycles()
+    cycles = part_cycles(union)
     assert sum(map(len, cycles)) == len(union.fundamental_cycle)
     for i, (cell, cycle) in enumerate(zip(cells, cycles)):
         alone = transversal_sphere(gap, [cell])
@@ -343,7 +343,7 @@ def test_union_of_transversal_spheres_is_their_disjoint_union():
         assert union.vertex_ids[i * size:(i + 1) * size] == tuple(f"{i}.{v}" for v in alone.vertex_ids)
         assert dict(map(lambda kc: (union.part_of(kc[0]), kc[1]), cycle.items())) == \
             {(i, key): c for key, c in alone.fundamental_cycle.items()}
-    assert len(union.all_cells()) == 3 * len(alone.all_cells())
+    assert union.cell_index.offsets[-1] == 3 * alone.cell_index.offsets[-1]
 
 
 def test_uneven_chunks_keep_the_report(monkeypatch):
@@ -517,7 +517,7 @@ def test_one_pairing_per_signature_tuple(name, monkeypatch):
     (proto, count), = paired
     tuples = set(map(tuple, proto.lift.signatures.reshape(len(cells), -1).tolist()))
     assert count == len(tuples) <= len(cells)
-    per_cube = real(proto, proto.part_cycles(), QMat.identity(gap.parent_hp.betti))
+    per_cube = real(proto, part_cycles(proto), QMat.identity(gap.parent_hp.betti))
     assert [r.height for r in reports] == cells
     for report, (coords, _) in zip(reports, per_cube):
         current = tuple(map(tuple, coords.to_rows()))
@@ -525,6 +525,18 @@ def test_one_pairing_per_signature_tuple(name, monkeypatch):
         assert report.essential == any(v != 0 for row in current for v in row)
     if name == "K4":
         assert count < len(cells) // 10
+
+
+@pytest.mark.parametrize("name", ["K4", "sphere2"])
+def test_a_chunk_reads_no_cell_key(name, monkeypatch):
+    # a chunk's union is built, certified, lifted and paired from its
+    # cell_index rows: from no kept lift and with every cell key unreadable,
+    # it reports as with them
+    expected = classify_cell(*_chunk(name))
+    complex_core._GAPS.clear()
+    gap, cells = _chunk(name)
+    monkeypatch.setattr(CellIndex, "keys", property(no_keys))
+    assert classify_cell(gap, cells) == expected
 
 
 def _first_error(call):
