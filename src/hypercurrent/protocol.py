@@ -27,7 +27,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -119,28 +119,28 @@ def _face_rows(index, places):
 
 
 class CellIndex:
-    """A parameter domain's cells by dimension: rows[d] holds each d-cell's
-    vertices (in vertices_of order, rows of level_weights), the places
-    offsets[d]:offsets[d + 1] of cell_index order.  Keys, the cells' rows
-    as tuples, are built on first read, each row once."""
+    """A domain's cells by dimension in parts equal parts, numbered part by
+    part: rows[d] holds each d-cell's vertices (vertices_of order, rows of
+    level_weights), the places offsets[d]:offsets[d + 1].  first_part maps
+    the first part's keys (rows as tuples) to places, and keys holds every
+    cell's; both are built on first read, each row once."""
 
-    def __init__(self, rows):
+    def __init__(self, rows, parts=1):
         self.rows = tuple(rows)
         self.offsets = tuple(itertools.accumulate(map(len, self.rows), initial=0))
-        self._first = {}
+        self.parts = parts
 
     @cached_property
     def keys(self):
-        return tuple(self.first_part(1))
+        return tuple(self.first_part) if self.parts == 1 else \
+            tuple(itertools.chain.from_iterable(map(tuple, rows.tolist()) for rows in self.rows))
 
-    def first_part(self, parts):
-        """The first of parts equal parts' cells by key, with their places."""
-        if parts not in self._first:
-            first = [rows[:len(rows) // parts] for rows in self.rows]
-            keys = itertools.chain.from_iterable(map(tuple, rows.tolist()) for rows in first)
-            places = (range(a, a + len(rows)) for a, rows in zip(self.offsets, first))
-            self._first[parts] = dict(zip(keys, itertools.chain.from_iterable(places)))
-        return self._first[parts]
+    @cached_property
+    def first_part(self):
+        first = [rows[:len(rows) // self.parts] for rows in self.rows]
+        keys = itertools.chain.from_iterable(map(tuple, rows.tolist()) for rows in first)
+        places = (range(a, a + len(rows)) for a, rows in zip(self.offsets, first))
+        return dict(zip(keys, itertools.chain.from_iterable(places)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,7 +161,6 @@ class SimplicialProtocol:
     face_rows: tuple             # per dimension, (rows, signs)
     orientation_by_place: tuple = ((), ())    # (places, +-1)
     cycle_by_place: tuple = ((), ())          # (places, int coefficients)
-    parts: int = 1               # equal parts, vertices numbered part by part
 
     # -- the parameter-domain interface read by smallness and the lift --
 
@@ -179,24 +178,24 @@ class SimplicialProtocol:
     def part_of(self, key):
         """The part holding a cell, and the cell in that part's own vertex
         numbering."""
-        size = len(self.vertex_ids) // self.parts
+        size = len(self.vertex_ids) // self.cell_index.parts
         part = key[0] // size
         return part, tuple(v - part * size for v in key)
 
     def place_of(self, key):
         """The place of the cell key in cell_index order, None if key names
         no cell: its place in the first part, moved to its own part."""
-        first, size = self.cell_index.first_part(self.parts), len(self.vertex_ids) // self.parts
+        cells = self.cell_index
         try:
-            part = key[0] // size
-            if not part:
-                return first.get(key)
-            at = first.get(tuple(v - part * size for v in key))
-        except (IndexError, TypeError, ZeroDivisionError):     # no vertex or no number
+            at = cells.first_part.get(key)
+            if at is not None or cells.parts == 1:
+                return at
+            part, local = self.part_of(key)
+            at = cells.first_part.get(local)
+        except (IndexError, TypeError):     # no vertex, or one that is no number
             return None
-        if at is not None and 0 < part < self.parts:
-            start, end = self.cell_index.offsets[len(key) - 1:len(key) + 1]
-            return at + int(part) * ((end - start) // self.parts)
+        if at is not None and 0 < part < cells.parts:   # the same place in its part's dimension
+            return at + int(part) * ((cells.offsets[len(key)] - cells.offsets[len(key) - 1]) // cells.parts)
 
     @cached_property
     def certificate(self):
@@ -240,15 +239,16 @@ def simplicial_protocol(gap, vertex_ids, level_weights, simplices, orientation=(
     groups[0] = np.concatenate([groups[0], np.arange(len(vertex_ids))[:, None]])
     cells, places = _close(groups, len(vertex_ids))
     index = CellIndex(cells)
-    bare = SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index, _face_rows(index, places))
-    oriented, cyc = [(list(map(bare.place_of, m)), list(m.values())) for m in map(dict, (orientation, cycle))]
+    place = index.first_part.get        # of one part, so every cell's place
+    oriented, cyc = [(list(map(place, m)), list(m.values())) for m in map(dict, (orientation, cycle))]
     bad = next((key for key, at in zip(cycle, cyc[0]) if at is None), None)
     if bad is not None:
         raise NotACycle(f"cycle names simplex {','.join(vertex_ids[v] for v in bad)}, "
                         "which is not a simplex of the protocol")
     if None in oriented[0]:
         raise ValueError("orientation names a key that is not a simplex of the protocol")
-    return replace(bare, orientation_by_place=oriented, cycle_by_place=cyc)
+    return SimplicialProtocol(gap, tuple(vertex_ids), tuple(level_weights), index, _face_rows(index, places),
+                              oriented, cyc)
 
 
 # --- documents --------------------------------------------------------------
@@ -566,12 +566,12 @@ def cube_boundary_protocol(gap: GapComplex, corner_weights):
     if cubes > 1:
         ids = [f"{i}.{cid}" for i in range(cubes) for cid in ids]
     cube = np.arange(cubes, dtype=np.intp)[:, None, None]
-    index = CellIndex((cube * 2 ** n + c).reshape(-1, c.shape[1]) for c in cube_cells)
+    index = CellIndex(((cube * 2 ** n + c).reshape(-1, c.shape[1]) for c in cube_cells), cubes)
     places = [(cube * len(lower) + f).reshape(-1, f.shape[1])
               for lower, f in zip(cube_cells, cube_places)]
     cycle = (range(index.offsets[-2], index.offsets[-1]), coeffs * cubes)
     return SimplicialProtocol(gap, tuple(ids), tuple(w.reshape(-1, w.shape[2]) for w in weights), index,
-                              _face_rows(index, places), cycle, cycle, cubes)
+                              _face_rows(index, places), cycle, cycle)
 
 
 def cube_protocol(gap: GapComplex, signs=None):

@@ -9,7 +9,8 @@ of them (levels_of, vertex_levels), a certificate's least levels by
 cell, the face closure
 one face at a time, the oracle for the library's closure over index
 arrays, a document whose stored cycle leaves the protocol, and one
-cycle's pairing with the one degree-p class read as lists.
+cycle's pairing with the one degree-p class read as lists, and a
+protocol's document listed out of order (shuffled_doc).
 
 The earlier build of a protocol is kept here as the oracle for the
 array build: the closure over vertex tuples (_closure), the cube's
@@ -138,14 +139,14 @@ def _closure(simplices):
     return list(itertools.chain.from_iterable(reversed(closed)))
 
 
-def oracle_cell_index(keys):
-    """The earlier cell_index of closed simplices: sorted by length, each
-    dimension's rows found by bisection."""
+def oracle_cell_index(keys, parts=1):
+    """The earlier cell_index of closed simplices in parts equal parts:
+    sorted by length, each dimension's rows found by bisection."""
     keys = tuple(sorted(keys, key=len))
     sizes = list(map(len, keys))
     offsets = [bisect_left(sizes, n) for n in range(1, (sizes[-1] if sizes else 0) + 2)]
-    return CellIndex(np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
-                     for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1))
+    return CellIndex((np.array(keys[a:b], dtype=np.intp).reshape(b - a, n)
+                      for n, (a, b) in enumerate(zip(offsets, offsets[1:]), start=1)), parts)
 
 
 def padded_vertices(cells):
@@ -165,8 +166,8 @@ def no_keys(cells):
 
 def part_cycles(proto):
     """The fundamental cycle cut into one cycle per part, in part order."""
-    size = len(proto.vertex_ids) // proto.parts
-    out = [{} for _ in range(proto.parts)]
+    size = len(proto.vertex_ids) // proto.cell_index.parts
+    out = [{} for _ in range(proto.cell_index.parts)]
     for key, coeff in proto.fundamental_cycle.items():
         out[key[0] // size][key] = coeff
     return out
@@ -206,7 +207,7 @@ def oracle_validate_protocol(gap, vertex_ids, points, simplices, orientation, cy
                 raise NotClosedUnderFaces(f"simplex {s} references unknown vertex {v}")
         if list(s) != sorted(set(s)):
             raise ParseError(f"simplex {s} is not a strictly sorted vertex tuple")
-    cells = oracle_cell_index(_closure(list(simplices) + [(v,) for v in range(nv)]))
+    cells = oracle_cell_index(_closure(list(simplices) + [(v,) for v in range(nv)]), parts)
     position = dict(zip(cells.keys, itertools.count()))
     for sign in orientation.values():
         if sign not in (1, -1):
@@ -217,7 +218,7 @@ def oracle_validate_protocol(gap, vertex_ids, points, simplices, orientation, cy
                             "which is not a simplex of the protocol")
     return SimplicialProtocol(gap, tuple(vertex_ids), levels_of(points), cells, oracle_face_rows(cells, nv),
                               ([position[k] for k in orientation], list(orientation.values())),
-                              ([position[k] for k in cycle], list(cycle.values())), parts)
+                              ([position[k] for k in cycle], list(cycle.values())))
 
 
 def _perm_sign(perm):
@@ -372,6 +373,17 @@ def square_doc_without_last_edge():
     name = ",".join(dropped["vertices"])
     assert name in doc["cycle"]
     return doc, name
+
+
+def shuffled_doc(proto, seed):
+    """proto's document with its simplices and its cycle's entries listed
+    in a seeded order, out of cell_index order."""
+    doc = json.loads(dumps_protocol(proto))
+    rng = np.random.default_rng(seed)
+    doc["simplices"] = [doc["simplices"][i] for i in rng.permutation(len(doc["simplices"]))]
+    items = list(doc["cycle"].items())
+    doc["cycle"] = dict(items[i] for i in rng.permutation(len(items)))
+    return doc
 
 
 def pair_one(domain, cycle):

@@ -6,14 +6,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from hypercurrent import complex_core, ratlin, topo_hyper
+from hypercurrent import cli, complex_core, ratlin, topo_hyper
 from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, gap_complex, sphere_complex, torsion_complex
+from hypercurrent.ana_hyper import jan_cochain
 from hypercurrent.graph_dynamics import evolve
 from hypercurrent.protocol import builtin_protocol, cube_protocol, dumps_protocol, load_protocol
 
 from exact_cochain import chain_map_defect_oracle
-from protocol_ops import square_doc_without_last_edge
+from protocol_ops import shuffled_doc, square_doc_without_last_edge
 
 REFS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "data" / "refs.json"
 
@@ -294,6 +295,24 @@ def test_ana_integrate(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["residual"] <= 1e-6
     assert any(len(s["vertices"]) == 2 for s in report["simplices"])
+
+
+@pytest.mark.parametrize("spec", ["builtin:square", "builtin:cube_sphere:2", "shuffled"])
+def test_integrate_lists_cells_in_cell_index_order(spec, tmp_path, capsys):
+    # cell_index order is (length, key) order, even for a file that lists
+    # its simplices out of order, so the report zips the keys with the
+    # stacks: the rows of the keys sorted so, each with its block
+    if spec == "shuffled":
+        spec = str(tmp_path / "shuffled.json")
+        pathlib.Path(spec).write_text(json.dumps(shuffled_doc(builtin_protocol("cube_sphere", 2), 5)))
+    proto = cli._load_protocol_arg(spec)
+    keys = proto.cell_index.keys
+    assert list(keys) == sorted(keys, key=lambda key: (len(key), key))
+    assert main(["ana", "integrate", spec, "--beta", "5"]) == 0
+    coch = jan_cochain(proto, 5.0)
+    assert json.loads(capsys.readouterr().out)["simplices"] == [
+        {"vertices": [proto.vertex_ids[v] for v in key], "block": coch.block(key).tolist()}
+        for key in sorted(keys[:sum(map(len, coch.stacks))], key=lambda key: (len(key), key))]
 
 
 def test_broken_invariant_exits_1(monkeypatch, capsys):
@@ -677,6 +696,16 @@ def test_dyn_evolve_bad_input_exits_2(tmp_path, capsys, p0, extra, energy, fault
     assert "NaN" not in captured.out and "nan" not in captured.out
     assert fault in captured.err
     assert not out.exists()
+
+
+def test_demo_beyond_the_builtin_bound_is_a_validation_error(tmp_path, capsys):
+    # the demo builds the cube builtins, whose q is at most 7: q = 8 is
+    # refused before any cube is built
+    out = tmp_path / "demo.csv"
+    assert main(["demo", "--q", "8", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "ParseError: builtin cube_sphere takes q at most 7, got 8" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_demo_q1(tmp_path, capsys):

@@ -44,8 +44,8 @@ from exact_cochain import cube_cw_domain
 from generic import AMPLITUDE, SEEDS, generic_protocol
 from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
     closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, padded_vertices, scale, \
-    smallness_by_level, square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
-from test_weight_space import graph_complex, three_disc_triangle
+    shuffled_doc, smallness_by_level, square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
+from test_weight_space import graph_complex, ngon_sphere, three_disc_triangle
 
 
 def cycle_boundary(proto, cycle):
@@ -255,6 +255,45 @@ def test_closure_matches_closure_by_faces(simplices):
         for row, at in zip(cells[d].tolist(), faces.tolist()):
             assert [tuple(cells[d - 1][r].tolist()) for r in at] == \
                 [f for _, f in simplex_faces(tuple(row))]
+
+
+def _lookup_domain(name):
+    # a file listing its simplices out of order, a union of three squares
+    # (the triangle's transversal spheres) and one of three 3-cubes (the
+    # 3-gon sphere's)
+    if name == "file":
+        return loads_protocol(json.dumps(shuffled_doc(cube_sphere_protocol(2), 11)))
+    x, q = (_graph("triangle", *GRAPHS["triangle"]), 1) if name == "squares" else (ngon_sphere(3), 2)
+    return transversal_sphere(gap_complex(x, 0, q), enumerate_top_discriminant_cells(x, 0, q)[:3])
+
+
+@pytest.mark.parametrize("name", ["file", "squares", "cubes"])
+def test_place_of_equals_a_dict_of_every_cell(name):
+    # the oracle: every cell, closed by faces from the top cells and the
+    # vertices, numbered in (length, key) order
+    proto = _lookup_domain(name)
+    nv, dim = len(proto.vertex_ids), proto.dim
+    oracle = {key: i for i, key in enumerate(closure_by_faces(
+        proto.simplices_of_dim(dim) + [(v,) for v in range(nv)]))}
+    assert len(oracle) == proto.cell_index.offsets[-1]
+    # the place the dict gives, as an int, for the key in any spelling equal to it
+    for key, at in oracle.items():
+        for same in (key, tuple(map(np.int64, key)), tuple(map(np.int32, key)), tuple(map(float, key))):
+            got = proto.place_of(same)
+            assert got == at and type(got) is int
+        if dim and len(key) > 1:
+            assert proto.place_of(key[::-1]) is None
+    assert proto.place_of((False,)) == oracle[(0,)] and proto.place_of((True,)) == oracle[(1,)]
+    assert proto.place_of((False, True)) == oracle.get((0, 1))
+    # every tuple of up to dim + 2 entries from -1 to nv, as the dict has it
+    for n in range(1, dim + 3):
+        for key in itertools.combinations(range(-1, nv + 1), n):
+            assert proto.place_of(key) == oracle.get(key)
+    # none for what names no cell
+    size = nv // proto.cell_index.parts
+    for key in [(), ("0",), ("a", "b"), (0, "1"), (None,), (0.5,), (math.nan,), (-1,), (-size,), (nv,),
+                (nv + size,), (10 ** 30,), tuple(range(dim + 2)), (size - 1, size), (0, size)]:
+        assert proto.place_of(key) is None
 
 
 def test_cell_index_and_level_weights_match_per_cell_reads():
@@ -849,7 +888,7 @@ def test_cube_boundary_equals_the_simplex_by_simplex_build(n):
 def _same_build(new, old):
     """The array build and the earlier build agree on every array view,
     the orientation, the cycle and the certificate."""
-    assert (new.vertex_ids, new.parts) == (old.vertex_ids, old.parts)
+    assert (new.vertex_ids, new.cell_index.parts) == (old.vertex_ids, old.cell_index.parts)
     assert [w.tobytes() for w in new.level_weights] == [w.tobytes() for w in old.level_weights]
     a, b = new.cell_index, old.cell_index
     assert (a.keys, a.offsets) == (b.keys, b.offsets)
@@ -894,7 +933,7 @@ def test_cube_unions_equal_the_earlier_build(name, count):
     if count:
         cells = (cells * -(-count // len(cells)))[:count]
     proto = transversal_sphere(gap, cells)
-    assert proto.parts == len(cells) > 1
+    assert proto.cell_index.parts == len(cells) > 1
     _same_build(proto, oracle_cube_boundary_protocol(gap, [corner_weights(gap, c, 0.25)
                                                            for c in cells]))
 

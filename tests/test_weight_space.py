@@ -332,7 +332,7 @@ def test_union_of_transversal_spheres_is_their_disjoint_union():
     gap = gap_complex(x, 0, 1)
     cells = enumerate_top_discriminant_cells(x, 0, 1)[:3]
     union = transversal_sphere(gap, cells)
-    assert union.parts == 3 and is_good(union)[0]
+    assert union.cell_index.parts == 3 and is_good(union)[0]
     size = len(union.vertex_ids) // 3
     cycles = part_cycles(union)
     assert sum(map(len, cycles)) == len(union.fundamental_cycle)
@@ -366,7 +366,7 @@ def test_smallness_certified_once_per_chunk(monkeypatch):
     real = protocol.smallness
     monkeypatch.setattr(protocol, "smallness", lambda dom: calls.append(dom) or real(dom))
     report = classify_top_cells(path_complex(), 0, 1)
-    assert len(report.cells) == 6 and len(calls) == 1 and calls[0].parts == 6
+    assert len(report.cells) == 6 and len(calls) == 1 and calls[0].cell_index.parts == 6
 
 
 def test_batch_eps_error_is_the_first_cells():
