@@ -551,33 +551,32 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     return out, active, deepest
 
 
-def _integrate_by_dim(proto, beta, keys, tol, max_depth):
-    """jan_integrate's checks and values: per dimension of keys, ascending,
-    the places of its keys and their blocks as one array."""
+def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
+    """jan_integrate's checks and blocks, one array per item of rows (the
+    simplices' vertex rows, one dimension each, ascending); of those that
+    never converge, the error names the first by places, in caller order."""
     _check_beta(beta)
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol}")
     gap = proto.gap
     ctx = _context(gap)
-    dims = [proto.dim_of(key) for key in keys]
-    if any(jdim > gap.top for jdim in dims):
+    if any(len(simplices[0]) - 1 > gap.top for simplices in rows):
         raise ValueError("simplex dimension exceeds the gap width")
-    out, missed = [], []     # missed: (place, deepest depth tried)
-    for jdim in sorted(set(dims)):
-        pos = [i for i, d in enumerate(dims) if d == jdim]
-        if jdim == 0:
-            stack = _alpha0(gap, _vertex_rows(proto, [keys[i] for i in pos], gap.p)[:, 0], beta)
+    out, missed = [], []     # missed: (place, deepest depth tried, vertex row)
+    for simplices, at in zip(rows, places):
+        if len(simplices[0]) == 1:
+            stack = _alpha0(gap, _vertex_rows(proto, simplices, gap.p)[:, 0], beta)
         else:
-            stack, left, deepest = _integrate_stack(ctx, proto, beta, [keys[i] for i in pos],
-                                                    tol, max_depth)
-            missed += [(pos[i], deepest) for i in left]
-        out.append((pos, stack))
+            stack, left, deepest = _integrate_stack(ctx, proto, beta, simplices, tol, max_depth)
+            missed += [(at[i], deepest, simplices[i]) for i in left]
+        out.append(stack)
     if missed:
-        first, deepest = min(missed)
+        _, deepest, row = min(missed)
         budget = "" if deepest == max_depth else (
             f": depth {deepest + 1} would exceed the budget of {_NODE_BUDGET} nodes per simplex")
+        key = tuple(row.tolist()) if isinstance(row, np.ndarray) else row
         raise QuadratureNoConvergence(
-            f"simplex {keys[first]}: no convergence within depth {deepest} at tol {tol}{budget}")
+            f"simplex {key}: no convergence within depth {deepest} at tol {tol}{budget}")
     return out
 
 
@@ -588,8 +587,10 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     and positive.  Simplices of one dimension are integrated together
     (see _integrate_stack)."""
     keys = [tuple(key) for key in keys]
-    got = {i: block for pos, stack in _integrate_by_dim(proto, beta, keys, tol, max_depth)
-           for i, block in zip(pos, stack)}
+    places = [[i for i, key in enumerate(keys) if len(key) == n] for n in sorted(set(map(len, keys)))]
+    stacks = _integrate_by_dim(proto, beta, [[keys[i] for i in at] for at in places], tol,
+                               max_depth, places)
+    got = {i: block for at, stack in zip(places, stacks) for i, block in zip(at, stack)}
     return [got[i] for i in range(len(keys))]
 
 
@@ -597,8 +598,9 @@ def jan_cochain(proto, beta, tol=1e-8, max_depth=8) -> HyperCochain:
     """The analytical cochain: every cell of dimension at most the gap
     width gets the Stokes-map integral as its operator block, one stack
     per dimension in cell_index order."""
-    keys = [key for key in proto.cell_index.keys if proto.dim_of(key) <= proto.gap.top]
-    stacks = [stack for _, stack in _integrate_by_dim(proto, beta, keys, tol, max_depth)]
+    rows = proto.cell_index.rows[:proto.gap.top + 1]
+    places = [range(a, a + len(r)) for a, r in zip(proto.cell_index.offsets, rows)]
+    stacks = _integrate_by_dim(proto, beta, rows, tol, max_depth, places)
     return HyperCochain(gap=proto.gap, domain=proto, stacks=stacks)
 
 

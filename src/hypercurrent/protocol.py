@@ -162,7 +162,7 @@ class SimplicialProtocol:
     orientation_by_place: tuple = ((), ())    # (places, +-1)
     cycle_by_place: tuple = ((), ())          # (places, int coefficients)
 
-    # -- the parameter-domain interface read by smallness and the lift --
+    # -- cells by key; only the tests' oracles call boundary_of and vertices_of --
 
     def dim_of(self, key):
         return len(key) - 1

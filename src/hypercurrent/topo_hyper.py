@@ -9,26 +9,27 @@ is reproducible bit for bit.  A HyperCochain holds the analytical
 cochain, one float stack per cell dimension, whose distance from a chain
 map cochain_chain_map_defect measures in one pass per dimension.
 
-The lift is stacked: each dimension, vertices included, is one stack
-per degree of numerators over one denominator, its cells in cell_index
-order.  Every numerator is a Python int.  The lift reads cells by their
-cell_index rows only; keys name a failing cell.  lift_simplex gathers a
-dimension's face values from the stack below through the domain's face
-rows (row indices and signs) and runs every product and check on the
-whole stack.  The pairing checks the cycles' boundaries on the same face
-rows and contracts the top stack's degree-0 numerators (Koszul sign +1)
-with their coefficients.
+The lift is kept by signature: each dimension, vertices included, is
+one stack per degree of numerators over one denominator, a row per
+signature, and each cell reads the row of its signature number.  Every
+numerator is a Python int.  The lift reads cells by their cell_index
+rows only; keys name a failing cell.  lift_simplex gathers a dimension's
+face values from the rows of the faces' signatures below through the
+domain's face rows (row indices and signs) and runs every product and
+check on the whole stack.  The pairing checks the cycles' boundaries on
+the same face rows and contracts the degree-0 numerators of its top
+cells' signatures (Koszul sign +1) with their coefficients.
 
 A cell's lift depends on its domain only through its signature: its
 tree, then each face's signature and sign in face_rows order (Kirchhoff:
 the weights enter only through the tree choice).  build_lift_cache
 numbers the signatures, with one tree_functor call per distinct (least
 level, order type) that the smallness certificate numbers; lift_simplex
-runs only on the first cell of each signature the gap has not seen, the
-gap keeps that lift, and every stack is gathered from the gap's lifts
-over their denominator, so domains over one gap share them.  lift_simplex
-and QMat reduce what they make, so no output depends on which lifts the
-gap kept.
+runs only on the first cell of each signature the gap has not seen, and
+the gap keeps that lift, so domains over one gap share them.  A
+LiftCache holds the gap's stacks as they were when it was built, and
+every reader gathers only the cells it names.  lift_simplex and QMat
+reduce what they make, so no output depends on which lifts the gap kept.
 
 Errors are those a cell-by-cell pass in (dim, repr) order meets first:
 earliest cell, then degree, then check (support, class or cycle, top
@@ -41,8 +42,7 @@ numbering, and the LiftObstruction names the cell that way and carries
 its part.  A dimension that fails keeps no lift, and every cell of a
 new signature is then lifted to name the failure.  hypercurrent_homology
 pairs many cycles over one lift, the domain's lift property, which a
-protocol builds with build_lift_cache once and keeps; the LiftCache's
-signatures number its top cells' signatures.
+protocol builds with build_lift_cache once and keeps.
 """
 
 import math
@@ -128,20 +128,20 @@ def _tree_aux(gap: GapComplex, tree: DTree) -> _TreeAux:
 
 @dataclass
 class LiftCache:
-    """Per-cell chain maps m(x (x) [cell]) in ambient coordinates: stacks[d]
-    is the lift of the d-cells, per input degree numerators (cell, rows,
-    cols) over one denominator, and the degree-g block of a cell's row
-    maps degree-g basis chains to degree g+dim(cell) chains on the cell's
-    tree subcomplex.  trees holds a tree per distinct (level, order type)
-    of the cells, and tree_of each cell's place in it, in cell_index
-    order.  signatures numbers the top cells' signatures, in cell_index
-    order: two top cells of one number have one lift."""
+    """Per-cell chain maps m(x (x) [cell]) in ambient coordinates, by
+    signature: blocks[d] is the gap's lift of the d-cell signatures when
+    this cache was built, per input degree numerators (signature, rows,
+    cols) over one denominator, and a cell's lift is the row signatures
+    gives it, in cell_index order.  The degree-g block of a row maps
+    degree-g basis chains to degree g+dim(cell) chains on the cell's tree
+    subcomplex.  trees holds a tree per distinct (level, order type) of
+    the cells, and tree_of each cell's place in it, in cell_index order."""
 
     gap: GapComplex
     trees: list
     tree_of: np.ndarray = field(repr=False, compare=False)
-    stacks: list = field(default_factory=list, repr=False, compare=False)
     signatures: np.ndarray = field(default=None, repr=False, compare=False)
+    blocks: list = field(default_factory=list, repr=False, compare=False)
 
 
 def tree_functor(proto, row):
@@ -175,10 +175,10 @@ class _Lifts:
 
 
 def build_lift_cache(proto) -> LiftCache:
-    """The lift of every cell of a small domain, one stack per dimension
-    in cell_index order.  A cell's lift is a function of its signature, so
-    lift_simplex runs only on the first cell of each signature the gap
-    has not seen, and every stack is gathered from the gap's lifts."""
+    """The lift of every cell of a small domain, by signature.  A cell's
+    lift is a function of its signature, so lift_simplex runs only on the
+    first cell of each signature the gap has not seen, and the cache
+    holds the gap's lifts with every cell's signature number."""
     gap = proto.gap
     cert = proto.certificate
     cells = proto.cell_index
@@ -191,8 +191,8 @@ def build_lift_cache(proto) -> LiftCache:
     first, tree_of = _distinct(np.stack([cert.least, cert.order], axis=1))
     cache = LiftCache(gap, [tree_functor(proto, i) for i in first.tolist()], tree_of)
     seen = gap.derived("lifts", _Lifts)
-    sig = np.array([seen.trees.setdefault(t.key, len(seen.trees)) for t in cache.trees],
-                   dtype=np.int64)[cache.tree_of]
+    cache.signatures = sig = np.array([seen.trees.setdefault(t.key, len(seen.trees))
+                                       for t in cache.trees], dtype=np.int64)[tree_of]
     for j, (a, b) in enumerate(zip(cells.offsets, cells.offsets[1:])):
         rows = sig[a:b, None]
         if j:
@@ -200,16 +200,16 @@ def build_lift_cache(proto) -> LiftCache:
             pairs = np.stack([sig[faces + cells.offsets[j - 1]], signs], axis=2)
             rows = np.concatenate([rows, pairs.reshape(b - a, -1)], axis=1)
         sig[a:b] = _lift_dimension(proto, j, rows, cache, seen)
-    cache.signatures = sig[cells.offsets[-2]:]
+        cache.blocks.append(seen.blocks[j])
     return cache
 
 
 def _lift_dimension(proto, j, rows, cache, seen):
-    """Append the stack of the j-cells, whose signatures are rows, to
-    cache.stacks, lifting the first cell of each signature seen has not
-    kept and keeping its lift there; returns the cells' signature
-    numbers.  A failure keeps nothing and is named as a pass over every
-    cell of a new signature names it."""
+    """The signature numbers of the j-cells, whose signatures are rows:
+    lifts the first cell of each signature seen has not kept and keeps
+    its lift there, every lower dimension being in cache.  A failure
+    keeps nothing and is named as a pass over every cell of a new
+    signature names it."""
     gap = cache.gap
     index = seen.index.setdefault(j, {})
     first, inverse = _distinct(rows)
@@ -222,19 +222,15 @@ def _lift_dimension(proto, j, rows, cache, seen):
             blocks = [_stacked([phi[g] for phi in phis]) for g in range(gap.top + 1)]
         else:
             try:
-                lift_simplex(proto, j, new, cache)
+                blocks = lift_simplex(proto, j, new, cache)
             except LiftObstruction:
                 lift_simplex(proto, j, np.flatnonzero(np.isin(inverse, inverse[new])), cache)
                 raise
-            blocks = cache.stacks.pop()
         old = seen.blocks.get(j)
         seen.blocks[j] = blocks if old is None else list(map(_grown, old, blocks))
         for i in new.tolist():
             index[tuple(rows[i].tolist())] = len(index)
-    sigs = np.array([index[r] for r in distinct], dtype=np.int64)[inverse]
-    del cache.stacks[j:]
-    cache.stacks.append([(num[sigs], den) for num, den in seen.blocks[j]])
-    return sigs
+    return np.array([index[r] for r in distinct], dtype=np.int64)[inverse]
 
 
 def _distinct(rows):
@@ -296,22 +292,23 @@ def _located(proto, row):
 
 
 def lift_simplex(proto, jdim, rows, cache: LiftCache):
-    """Extend the lift over the jdim-cells in places rows among the
-    jdim-cells of cell_index, every lower dimension being lifted; stores
-    their stack as cache.stacks[jdim].
+    """The lift of the jdim-cells in places rows among the jdim-cells of
+    cell_index, as a stack in the order of rows, every lower dimension
+    being in cache.blocks and cache.signatures.
 
     For each basis chain x in increasing degree the defining value is
     the contracting homotopy applied to
         m(dx (x) [cell]) + (-1)^{|x|} m(x (x) d[cell]);
     the argument is asserted to be an exact cycle (a boundary) before
     and after the solve.  Stacks, face rows and the order of errors are
-    as the module docstring says; the stack stored is reduced.
+    as the module docstring says; the stack returned is reduced.
     """
     gap = cache.gap
     top = gap.top
-    if not 0 < jdim <= len(cache.stacks):
+    if not 0 < jdim <= len(cache.blocks):
         raise ValueError("lift_simplex reads the lift of every lower dimension")
     faces, signs = (view[rows] for view in proto.face_rows[jdim])
+    faces = cache.signatures[faces + proto.cell_index.offsets[jdim - 1]]
     at = np.asarray(rows, dtype=np.intp) + proto.cell_index.offsets[jdim]
     trees, tree_of = np.unique(cache.tree_of[at], return_inverse=True)
     auxes = [_tree_aux(gap, cache.trees[t]) for t in trees.tolist()]
@@ -325,7 +322,7 @@ def lift_simplex(proto, jdim, rows, cache: LiftCache):
 
     for g in range(top + 1):
         zdeg = g + jdim - 1
-        fnum, zden = cache.stacks[jdim - 1][g]
+        fnum, zden = cache.blocks[jdim - 1][g]
         z = (fnum[faces] * ((-1) ** g * signs[..., None, None])).sum(1)
         if g >= 1:
             pnum, pden = out[g - 1]
@@ -356,8 +353,7 @@ def lift_simplex(proto, jdim, rows, cache: LiftCache):
                                        for bad, g, which in failed
                                        for i in np.flatnonzero(bad).tolist())
         raise LiftObstruction(_OBSTRUCTIONS[which].format(key=local, g=g), part=part)
-    del cache.stacks[jdim:]
-    cache.stacks.append(out)
+    return out
 
 
 @dataclass
@@ -437,19 +433,20 @@ def hypercurrent_homology(proto, cycles, classes):
         broken = set((at[bnd.astype(bool)] // stride).tolist())
         if any(i in broken and stray is None for i, stray in enumerate(strays)):
             raise NotACycle("parameter chain has nonzero boundary")
-    stacks = proto.lift.stacks
+    lift = proto.lift
     # the degree-p representative is a chain in degree 0 of the shifted complex
     rep = gap.parent_hp.representative(classes)
     for stray in (k for k in strays if k is not None):
         if proto.dim_of(stray) != gap.top:
             raise NotACycle("cycle has support outside the top dimension")
         raise NotACycle(f"cycle names {stray}, which is not a cell of the domain")
-    # one contraction of the top stack's degree-0 numerators with every
-    # cycle's coefficients, over the product of the denominators
+    # one contraction of the cycle cells' degree-0 numerators, by signature,
+    # with every cycle's coefficients, over the product of the denominators
     shape = (gap.dim_at(gap.top), gap.dim_at(0))
     if width:
-        num, den = stacks[gap.top][0]
-        total = (weights[:, :, None, None] * num[gather]).sum(axis=1)
+        num, den = lift.blocks[gap.top][0]
+        sigs = lift.signatures[gather + cells.offsets[gap.top]]
+        total = (weights[:, :, None, None] * num[sigs]).sum(axis=1)
     else:
         total, den = np.zeros((len(cycles),) + shape, dtype=object), 1
     # the paired chains side by side, one block of columns per cycle

@@ -206,7 +206,7 @@ def classify_cell(gap: GapComplex, cells, eps=0.25):
         return []
     proto = transversal_sphere(gap, cells, eps)
     try:
-        tops = proto.lift.signatures.reshape(len(cells), -1)
+        tops = proto.lift.signatures[proto.cell_index.offsets[-2]:].reshape(len(cells), -1)
     except LiftObstruction as exc:
         if exc.part is None:
             raise

@@ -2,7 +2,7 @@
 lifted as one stack, then unpacked eagerly into one lowest-terms QMat per
 cell and degree, and the next dimension gathers its faces from those
 values or from the last stack.  Kept as the oracle for the cell blocks
-read from topo_hyper.LiftCache.stacks."""
+read from topo_hyper.LiftCache's signature blocks."""
 
 import math
 from dataclasses import dataclass, field

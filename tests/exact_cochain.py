@@ -7,7 +7,8 @@ sign, so the exact cochain is a chain map with defect exactly zero; the
 library's pairing reads only the degree-0 blocks, whose sign is +1.
 chain_map_defect_oracle walks a cochain cell by cell through
 boundary_of, the route the library's stacked defect is checked against.
-cell_blocks and cell_trees read a lift cache's stacks and trees by cell.
+lift_stacks gathers a lift cache's signature blocks to every cell, and
+cell_blocks and cell_trees read its lift and trees by cell.
 CubeCwDomain runs the same lift over the face poset of the cube's cells
 instead of a triangulation.
 """
@@ -81,13 +82,22 @@ def chain_map_defect_oracle(cochain):
     return max(peaks)
 
 
+def lift_stacks(proto, cache):
+    """The lift cache's whole stacks: per cell dimension and input degree,
+    the numerators of every cell (cell, rows, cols), in cell_index order,
+    over their signatures' denominator."""
+    offsets = proto.cell_index.offsets
+    return [[(num[cache.signatures[a:b]], den) for num, den in blocks]
+            for blocks, a, b in zip(cache.blocks, offsets, offsets[1:])]
+
+
 def cell_blocks(proto, cache):
     """The lift cache's stacks by cell: a cell key -> its lowest-terms
     QMats, one per input degree."""
     cells = proto.cell_index
     return {cells.keys[cells.offsets[d] + i]: tuple(QMat(num[i].astype(object), den)
                                                    for num, den in stack)
-            for d, stack in enumerate(cache.stacks) for i in range(len(stack[0][0]))}
+            for d, stack in enumerate(lift_stacks(proto, cache)) for i in range(len(stack[0][0]))}
 
 
 def cell_trees(proto, cache):

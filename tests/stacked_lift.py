@@ -1,8 +1,8 @@
 """The lift as it stood before the gap kept lifts by signature: every
-cell of every dimension goes through lift_simplex, and the vertex stack
-is built from each vertex's tree.  Kept as the oracle for the stacks
-build_lift_cache gathers from the gap's signatures, and for the first
-obstruction it names."""
+cell is its own signature, every cell of every dimension goes through
+lift_simplex, and the vertex stack is built from each vertex's tree.
+Kept as the oracle for the lift build_lift_cache keeps by the gap's
+signatures, and for the first obstruction it names."""
 
 import numpy as np
 
@@ -27,14 +27,15 @@ def build_lift_cache_stacked(proto) -> LiftCache:
         if a not in found:
             found[a] = len(found), tree_functor(proto, row)
     trees = [tree for _, tree in found.values()]
-    cache = LiftCache(gap, trees, np.array([found[a][0] for a in at], dtype=np.intp))
+    own = np.concatenate([np.arange(len(rows)) for rows in cells.rows])
+    cache = LiftCache(gap, trees, np.array([found[a][0] for a in at], dtype=np.intp), own)
     distinct, tree_of = np.unique(cache.tree_of[:cells.offsets[1]], return_inverse=True)
     phis = [_tree_aux(gap, trees[t]).phi for t in distinct.tolist()]
     blocks = []
     for g in range(gap.top + 1):
         num, den = _stacked([phi[g] for phi in phis])
         blocks.append((num[tree_of], den))
-    cache.stacks.append(blocks)
+    cache.blocks.append(blocks)
     for j, (a, b) in enumerate(zip(cells.offsets[1:], cells.offsets[2:]), start=1):
-        lift_simplex(proto, j, np.arange(b - a), cache)
+        cache.blocks.append(lift_simplex(proto, j, np.arange(b - a), cache))
     return cache

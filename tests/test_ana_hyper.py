@@ -34,6 +34,7 @@ from hypercurrent.ana_hyper import (
     simplex_rule,
 )
 from hypercurrent.protocol import (
+    CellIndex,
     builtin_protocol,
     cube_protocol,
     cube_sphere_protocol,
@@ -47,7 +48,7 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 from exact_cochain import chain_map_defect_oracle, hypercurrent_cochain
 from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
     weighted_pseudoinverse_inclusion
-from protocol_ops import least_levels, levels_of
+from protocol_ops import least_levels, levels_of, no_keys
 from stationary import current_form
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
@@ -868,6 +869,24 @@ def test_stacked_integrate_raises_for_first_failure_in_input_order():
             assert str(err.value) == fails[0]
 
 
+def test_cochain_reads_cell_rows_only(monkeypatch):
+    # jan_cochain integrates the cell_index rows and builds no cell key:
+    # with none to read it gives the same stacks, and a cell that does not
+    # converge is named as jan_integrate names the first of them in
+    # cell_index order
+    proto = cube_sphere_protocol(2)
+    cells = integrable_cells(proto)
+    want = jan_cochain(proto, 12.5)
+    with pytest.raises(QuadratureNoConvergence) as first:
+        jan_integrate(proto, 12.5, cells, max_depth=3)
+    monkeypatch.setattr(CellIndex, "keys", property(no_keys))
+    got = jan_cochain(proto, 12.5)
+    assert [a.tobytes() for a in got.stacks] == [a.tobytes() for a in want.stacks]
+    with pytest.raises(QuadratureNoConvergence) as failed:
+        jan_cochain(proto, 12.5, max_depth=3)
+    assert str(failed.value) == str(first.value)
+
+
 def test_stacked_integrate_empty_and_bad_dimension():
     proto = square_protocol()
     assert jan_integrate(proto, 3.0, []) == []
@@ -1513,13 +1532,14 @@ def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     # a small block bound, so some depths need more than one block
     monkeypatch.setattr(ana_hyper, "_BLOCK", 64)
     calls, integrals, forms, cochains = [], [], [], []
-    # _integrate_by_dim(proto, beta, keys, ...), which every integration
+    # _integrate_by_dim(proto, beta, rows, ...), which every integration
     # goes through, _form(ctx, p, beta, geos, nodes, ...) and
     # jan_cochain(proto, beta): a form sum's nodes name its dimension
     # and depth, its vertex geometry the number of simplices in its block
     for name, log, rec in (
             ("_integrate_by_dim", calls, lambda a: a[1]),
-            ("_integrate_by_dim", integrals, lambda a: [(a[1], tuple(k)) for k in a[2]]),
+            ("_integrate_by_dim", integrals,
+             lambda a: [(a[1], tuple(k)) for rows in a[2] for k in np.asarray(rows).tolist()]),
             ("_form", forms, lambda a: ((a[2], a[4].shape[1], len(a[4])), len(a[3][0][0]))),
             ("jan_cochain", cochains, lambda a: a[1])):
         original = getattr(ana_hyper, name)

@@ -329,17 +329,21 @@ def test_broken_invariant_exits_1(monkeypatch, capsys):
 
 def test_paired_non_cycle_is_broken_invariant(monkeypatch, capsys):
     # the lift is a chain map, so the chain the pairing reads is a cycle;
-    # one corrupted entry of the data the pairing reads, a cycle cell's row
-    # in the top stack's degree-0 numerators, breaks that on valid input
+    # one corrupted entry of the data the pairing reads, a cycle cell's
+    # degree-0 numerators, breaks that on valid input.  The cell gets a
+    # signature of its own: corrupting a signature that cycle cells share
+    # would cancel across their coefficients +-1
     original = topo_hyper.build_lift_cache
 
     def corrupted(proto):
         cache = original(proto)
-        top = cache.stacks[proto.gap.top]
-        num, den = top[0]
-        num = num.copy()
-        num[proto.place_of(next(iter(proto.fundamental_cycle))) - proto.cell_index.offsets[-2], 0, 0] += den
-        top[0] = (num, den)
+        top = proto.gap.top
+        at = proto.place_of(next(iter(proto.fundamental_cycle)))
+        num, den = cache.blocks[top][0]
+        row = num[cache.signatures[at]].copy()
+        row[0, 0] += den
+        cache.blocks[top] = [(np.concatenate([num, row[None]]), den)] + cache.blocks[top][1:]
+        cache.signatures[at] = len(num)
         return cache
 
     monkeypatch.setattr(topo_hyper, "build_lift_cache", corrupted)

@@ -401,7 +401,7 @@ def _steep_circle_protocol():
 def test_lift_past_the_int64_bound_matches_fraction_oracle():
     proto = _steep_circle_protocol()
     cache = build_lift_cache(proto)
-    assert cache.stacks[1][0][0].dtype == object
+    assert cache.blocks[1][0][0].dtype == object
     new = cell_blocks(proto, cache)
     assert max(m.den for mats in new.values() for m in mats) >= 2 ** 40
     old = build_lift_cache_oracle(proto)

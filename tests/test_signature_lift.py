@@ -1,9 +1,10 @@
 """The lift kept by signature against the lift of every cell.
 
 build_lift_cache lifts only the first cell of each signature its gap has
-not seen and gathers every stack from the gap's lifts; the stacked lift
-of every cell (stacked_lift.build_lift_cache_stacked) is the oracle for
-its stacks, its trees and the first obstruction it names."""
+not seen and holds the gap's lifts with every cell's signature number;
+the stacked lift of every cell (stacked_lift.build_lift_cache_stacked)
+is the oracle for the stacks gathered from them, its trees and the first
+obstruction it names."""
 
 import itertools
 import json
@@ -21,7 +22,7 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import build_lift_cache
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
-from exact_cochain import cell_trees, cube_cw_domain
+from exact_cochain import cell_trees, cube_cw_domain, lift_stacks
 from protocol_ops import no_keys
 from stacked_lift import build_lift_cache_stacked
 from test_forests import complete_graph
@@ -32,8 +33,9 @@ def assert_same_lift(proto, cache, oracle):
     """Equal trees by cell, and per dimension and degree the same
     rationals for the same number of cells."""
     assert cell_trees(proto, cache) == cell_trees(proto, oracle)
-    assert len(cache.stacks) == len(oracle.stacks)
-    for new, old in zip(cache.stacks, oracle.stacks):
+    stacks, expected = lift_stacks(proto, cache), lift_stacks(proto, oracle)
+    assert len(stacks) == len(expected)
+    for new, old in zip(stacks, expected):
         for (num, den), (onum, oden) in zip(new, old, strict=True):
             assert num.shape == onum.shape
             assert (num.astype(object) * oden == onum.astype(object) * den).all()
@@ -109,6 +111,22 @@ def test_signature_lift_equals_the_lift_of_every_cell(group, monkeypatch):
                 proto = make()
                 assert_same_lift(proto, build_lift_cache(proto), oracle)
             assert bool(calls) != bool(passes)
+    # every domain lifted from no gaps before any is compared: a cache
+    # holds its gap's lifts as they were when it was built, however the
+    # gap grows after
+    complex_core._GAPS.clear()
+    built = []
+    for make in makers:
+        proto = make()
+        cache = build_lift_cache(proto)
+        seen = proto.gap.derived("lifts", topo_hyper._Lifts)
+        built.append((proto, cache, [[(num.copy(), den) for num, den in seen.blocks[j]]
+                                     for j in range(len(cache.blocks))]))
+    for (proto, cache, held), oracle in zip(built, oracles):
+        assert_same_lift(proto, cache, oracle)
+        for blocks, kept in zip(cache.blocks, held, strict=True):
+            for (num, den), (knum, kden) in zip(blocks, kept, strict=True):
+                assert den == kden and num.shape == knum.shape and (num == knum).all()
 
 
 def test_the_gap_keeps_one_lift_per_signature(monkeypatch):
@@ -121,8 +139,9 @@ def test_the_gap_keeps_one_lift_per_signature(monkeypatch):
     assert proto.cell_index.offsets[-1] == 224
     assert sum(map(len, seen.index.values())) == 64
     assert [len(keys) for keys in calls] == [len(seen.index[j]) for j in (1, 2, 3)]
-    for j, stack in enumerate(cache.stacks):
-        assert len(stack[0][0]) > len(seen.index[j]) == len(seen.blocks[j][0][0])
+    for j, stack in enumerate(lift_stacks(proto, cache)):
+        assert len(stack[0][0]) > len(seen.index[j]) == len(cache.blocks[j][0][0]) \
+            == len(seen.blocks[j][0][0])
 
 
 def test_the_lift_reads_cells_by_row_only(monkeypatch):
@@ -145,7 +164,7 @@ def test_the_lift_reads_cells_by_row_only(monkeypatch):
 def test_lift_simplex_needs_every_lower_dimension():
     proto = builtin_protocol("cube_sphere", 2)
     cache = build_lift_cache(proto)
-    del cache.stacks[1:]
+    del cache.blocks[1:]
     with pytest.raises(ValueError, match="every lower dimension"):
         topo_hyper.lift_simplex(proto, 2, [0], cache)
 

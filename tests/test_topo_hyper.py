@@ -584,15 +584,15 @@ INT64_DOMAINS = {
 
 @pytest.mark.parametrize("name", list(INT64_DOMAINS))
 def test_lift_holds_python_ints_and_matches_fraction_oracle(name):
-    # every stack, every QMat read from it and the pairing hold Python ints,
+    # every signature block, every QMat read from it and the pairing hold Python ints,
     # on domains whose entries would fit int64, and each cell's blocks are
     # the cell-by-cell Fraction lift's
     proto = INT64_DOMAINS[name]()
     cache = build_lift_cache(proto)
     [pairing] = hypercurrent_homology(proto, [_fundamental_cycle(proto)], QMat.identity(1))
     assert all(num.dtype == object and type(den) is int
-               for stack in cache.stacks for num, den in stack)
-    assert all(type(v) is int for stack in cache.stacks for num, _ in stack for v in num.flat)
+               for blocks in cache.blocks for num, den in blocks)
+    assert all(type(v) is int for blocks in cache.blocks for num, _ in blocks for v in num.flat)
     blocks = cell_blocks(proto, cache)
     assert all(m.num.dtype == object for mats in blocks.values() for m in mats)
     old = build_lift_cache_oracle(proto)
