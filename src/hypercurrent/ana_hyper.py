@@ -36,9 +36,10 @@ nodes alone exceed it.  A block's per-node passes (rho, drho and the
 orchard's tree contractions) run on chunks of at most _BLOCK simplices
 times nodes and write node-axis buffers; each node sum is one matmul
 over all of the block's nodes, so the chunks leave every bit as it is.
-A simplex leaves the stack when its own two last depths agree, and the
-depth loop stops short of a batch of more than _NODE_BUDGET nodes per
-simplex.  The point form takes a stack of points: each is its
+A simplex leaves the stack when its own two last depths agree at or past
+its tie floor (_tie_depths), and the depth loop stops short of a batch of
+more than _NODE_BUDGET nodes per simplex; a floor past the depth the loop
+can reach raises before any form is evaluated.  The point form takes a stack of points: each is its
 simplex's vertex geometry moved to it, so the stack is the one-node case
 of the same evaluator, and each point rounds as it does alone on its frame.
 The axiom check makes one such call per degree and zeta over its samples.
@@ -61,7 +62,7 @@ from .complex_core import GapComplex
 from .errors import BadFrame, NonfiniteBeta, NonpositiveBeta, QuadratureNoConvergence
 from .forests import enumerate_dtrees
 from .protocol import _permutation_signs
-from .topo_hyper import HyperCochain, cochain_chain_map_defect, hypercurrent_homology
+from .topo_hyper import HyperCochain, _placed, cochain_chain_map_defect, hypercurrent_homology
 
 __all__ = [
     "kirchhoff_pseudoinverse",
@@ -515,25 +516,53 @@ _BLOCK = 4096
 _NODE_BUDGET = 2 ** 22
 
 
+def _tie_depths(geos, beta, tol):
+    """Each simplex's floor: the least depth d with R = beta 2^-d s at most
+    (tol / 1e-8)^(1/6), the e-folds of a tree ratio one piece edge may span
+    where the degree-5 rule still meets tol.  s is the largest steepness
+    (range over the vertices) of a level's tree-weight difference that
+    changes sign over the simplex's vertices: tree weights are affine, so
+    such a pair ties inside the simplex, in a layer of width 1/(beta s).
+    Where a level below the top has no such pair, the form is damped by
+    that level's Boltzmann gap and R is 0.  The floor bounds a tie's slope
+    as the vertices see it, not the quadrature error: it misses a pair that
+    comes within a few 1/beta of a tie at a vertex without crossing, and
+    it counts crossings of trees that never lead, which costs depth."""
+    steep = []
+    for base, grads in geos:
+        wt = np.concatenate([base[:, None], base[:, None] + grads], axis=1)
+        diff = wt[:, :, :, None] - wt[:, :, None, :]      # (simplices, vertices, trees, trees)
+        lo, hi = diff.min(axis=1), diff.max(axis=1)
+        steep.append(((hi - lo) * (lo * hi < 0)).max(axis=(1, 2)))
+    ratio = beta * np.max(steep, axis=0) * np.all(steep[:-1], axis=0) / (tol / 1e-8) ** (1 / 6)
+    return np.ceil(np.log2(np.maximum(ratio, 1))).astype(int)
+
+
 def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     """Dyadic Stokes integrals of simplices of one dimension, stacked: one
     form evaluation per depth and block of still-active simplices.  Each
-    simplex leaves once two depths agree within tol; returns the blocks
-    as one array (simplices, rows, cols), the places of the simplices
-    that never converged, whose blocks are NaN, and the deepest depth
-    tried, short of max_depth when the next one's batch would exceed
-    _NODE_BUDGET nodes."""
+    simplex leaves once two depths agree within tol, at a depth no less
+    than its floor (_tie_depths); returns the blocks as one array
+    (simplices, rows, cols), NaN for the simplices that never converged,
+    and why each of those failed, by its place in keys.  The depth loop
+    stops short of max_depth where the next batch would exceed
+    _NODE_BUDGET nodes per simplex; where some floor lies deeper than the
+    loop can reach, the stack returns those simplices as failed before any
+    form is evaluated."""
     p = proto.gap.p
     jdim = proto.dim_of(keys[0])
     geos = _vertex_geometry(ctx, proto, keys, range(p, p + jdim + 1))
     out = np.full((len(keys), proto.gap.dim_at(jdim), proto.gap.dim_at(0)), np.nan)
+    deepest = max_depth
+    while _rule_size(jdim) * 2 ** (deepest * jdim) > _NODE_BUDGET:
+        deepest -= 1
+    floors = _tie_depths(geos, beta, tol)
+    if (floors > deepest).any():
+        return out, {i: f" at beta {beta}: tie layer needs depth {floors[i]}, budget allows {deepest}"
+                     for i in np.flatnonzero(floors > deepest).tolist()}
     active = np.arange(len(keys))
     prev = None
-    deepest = max_depth
-    for depth in range(max_depth + 1):
-        if _rule_size(jdim) * 2 ** (depth * jdim) > _NODE_BUDGET:
-            deepest = depth - 1
-            break
+    for depth in range(deepest + 1):
         nodes, wts = _node_batches(jdim, depth)
         step = max(1, _BLOCK // len(wts))
         est = np.concatenate([
@@ -541,14 +570,17 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
                   nodes, wts, "standard")
             for lo in range(0, len(active), step)])
         if prev is not None:
-            done = np.max(np.abs(est - prev), axis=(1, 2)) < tol
+            done = (np.max(np.abs(est - prev), axis=(1, 2)) < tol) & (floors[active] <= depth)
             out[active[done]] = est[done]
             active, est = active[~done], est[~done]
             geos = [(base[~done], grads[~done]) for base, grads in geos]
             if not len(active):
                 break
         prev = est
-    return out, active, deepest
+    budget = "" if deepest == max_depth else (
+        f": depth {deepest + 1} would exceed the budget of {_NODE_BUDGET} nodes per simplex")
+    why = f": no convergence within depth {deepest} at tol {tol}{budget}"
+    return out, dict.fromkeys(active.tolist(), why)
 
 
 def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
@@ -562,21 +594,18 @@ def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
     ctx = _context(gap)
     if any(len(simplices[0]) - 1 > gap.top for simplices in rows):
         raise ValueError("simplex dimension exceeds the gap width")
-    out, missed = [], []     # missed: (place, deepest depth tried, vertex row)
+    out, missed = [], []     # missed: (place, vertex row, why)
     for simplices, at in zip(rows, places):
         if len(simplices[0]) == 1:
             stack = _alpha0(gap, _vertex_rows(proto, simplices, gap.p)[:, 0], beta)
         else:
-            stack, left, deepest = _integrate_stack(ctx, proto, beta, simplices, tol, max_depth)
-            missed += [(at[i], deepest, simplices[i]) for i in left]
+            stack, left = _integrate_stack(ctx, proto, beta, simplices, tol, max_depth)
+            missed += [(at[i], simplices[i], why) for i, why in left.items()]
         out.append(stack)
     if missed:
-        _, deepest, row = min(missed)
-        budget = "" if deepest == max_depth else (
-            f": depth {deepest + 1} would exceed the budget of {_NODE_BUDGET} nodes per simplex")
+        _, row, why = min(missed, key=lambda m: m[0])
         key = tuple(row.tolist()) if isinstance(row, np.ndarray) else row
-        raise QuadratureNoConvergence(
-            f"simplex {key}: no convergence within depth {deepest} at tol {tol}{budget}")
+        raise QuadratureNoConvergence(f"simplex {key}{why}")
     return out
 
 
@@ -584,9 +613,10 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     """Stokes-map values on a list of simplices, in their order: the
     integral of each one's pulled-back degree-(dim) form, refined
     dyadically until two depths agree within tol, which must be finite
-    and positive.  Simplices of one dimension are integrated together
-    (see _integrate_stack)."""
-    keys = [tuple(key) for key in keys]
+    and positive.  The simplices are vertex tuples, or an array of vertex
+    rows of one dimension.  Simplices of one dimension are integrated
+    together (see _integrate_stack)."""
+    keys = keys if isinstance(keys, np.ndarray) else [tuple(key) for key in keys]
     places = [[i for i, key in enumerate(keys) if len(key) == n] for n in sorted(set(map(len, keys)))]
     stacks = _integrate_by_dim(proto, beta, [[keys[i] for i in at] for at in places], tol,
                                max_depth, places)
@@ -736,48 +766,43 @@ class SweepReport:
     slope: float
 
 
-def _analytic_class(ctx, blocks, cycle, rep):
-    """Class of the analytical top chain: the sum over the cycle of each
-    simplex's block applied to the representative."""
-    chain = np.zeros(ctx.top_class.shape[1])
-    for key, coeff in cycle.items():
-        chain = chain + float(coeff) * (blocks[key] @ rep)
-    coeffs = ctx.top_class @ chain
-    cls = coeffs[ctx.top_nb:]
-    if ctx.hq_project is not None:
-        cls = ctx.hq_project @ cls
-    return cls
-
-
 def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
                        fit_range=None, residuals=False):
     """Analytical class per beta against the exact value, with a
     log-linear decay fit over the requested beta range (slope NaN unless
-    the range holds two distinct betas).  With residuals, each beta
-    integrates the whole analytical cochain once: its blocks give the
-    class and its chain-map defect the row's residual."""
+    the range holds two distinct betas).  cycle is a top cycle in either
+    form hypercurrent_homology takes; a mapping is read by place once,
+    here.  With residuals, each beta integrates the whole analytical
+    cochain once: its blocks give the class and its chain-map defect the
+    row's residual."""
     if len(betas) == 0:
         raise ValueError("quantization sweep needs at least one beta: the beta list is empty")
     gap = proto.gap
     col = ratlin.QMat.from_rows([[Fraction(c)] for c in class_p], (len(class_p), 1))
-    topo = hypercurrent_homology(proto, [cycle], col)[0][0].to_float()[:, 0]
-    hp = gap.parent_hp
-    hbasis = hp.hbasis.to_float()
-    rep = hbasis @ np.asarray(class_p, dtype=float)
+    at, coeffs, stray = _placed(proto, cycle)
+    cells = proto.cell_index
+    # the pairing names a cycle that is no top chain, and reads the others by place
+    paired = cycle if stray else (at + cells.offsets[gap.top], coeffs)
+    topo = hypercurrent_homology(proto, [paired], col)[0][0].to_float()[:, 0]
+    rep = gap.parent_hp.hbasis.to_float() @ np.asarray(class_p, dtype=float)
     ctx = _context(gap)
 
     def run(beta):
         beta = float(beta)
         if residuals:
             coch = jan_cochain(proto, beta, tol=tol, max_depth=max_depth)
-            blocks = {key: coch.block(key) for key in cycle}
+            blocks = coch.stacks[gap.top][at]
             resid = cochain_chain_map_defect(coch)
         else:
-            keys = list(cycle)
-            blocks = dict(zip(keys, jan_integrate(proto, beta, keys, tol=tol,
-                                                  max_depth=max_depth)))
+            blocks = jan_integrate(proto, beta, cells.rows[gap.top][at], tol=tol, max_depth=max_depth)
             resid = None
-        cls = _analytic_class(ctx, blocks, cycle, rep)
+        # the class of the analytical top chain, summed in the cycle's order
+        chain = np.zeros(ctx.top_class.shape[1])
+        for block, coeff in zip(blocks, coeffs):
+            chain = chain + float(coeff) * (block @ rep)
+        cls = (ctx.top_class @ chain)[ctx.top_nb:]
+        if ctx.hq_project is not None:
+            cls = ctx.hq_project @ cls
         return SweepRow(beta=beta, coords=tuple(float(c) for c in cls),
                         distance=float(np.linalg.norm(cls - topo)), residual=resid)
 

@@ -201,18 +201,14 @@ def cmd_topo(args):
     cfg = RunConfig("topo.current", inputs=[args.file], out=args.out).validate()
     proto = _load_protocol_arg(args.file)
     gap = proto.gap
-    if args.cycle == "fundamental":
-        cycle = proto.fundamental_cycle
-        if not cycle:
-            raise HclError("protocol has no stored fundamental cycle")
-    else:
-        raise HclError(f"unknown cycle choice {args.cycle!r}")
+    if not len(proto.cycle_by_place[0]):
+        raise HclError("protocol has no stored fundamental cycle")
     if args.class_file:
         class_p = _side_file(args.class_file, lambda d: [[Fraction(v)] for v in _listed(d)],
                              "a JSON list of finite numbers or rational strings")
     else:
         class_p = [[1]] + [[0]] * (gap.parent_hp.betti - 1)
-    [(coords, chain)] = hypercurrent_homology(proto, [cycle],
+    [(coords, chain)] = hypercurrent_homology(proto, [proto.cycle_by_place],
                                               QMat.from_rows(class_p, (len(class_p), 1)))
     report = {
         "config": cfg.as_dict(),
@@ -291,7 +287,7 @@ def cmd_quantize(args):
     sweep = quantization_sweep(
         proto,
         betas,
-        proto.fundamental_cycle,
+        proto.cycle_by_place,
         [1] + [0] * (proto.gap.parent_hp.betti - 1),
         tol=args.tol,
         max_depth=args.quad_depth,
@@ -367,10 +363,9 @@ def cmd_demo(args):
     rows = []
     for name, kind in [("sphere", "cube_sphere"), ("wedge", "cube_wedge")]:
         proto = builtin_protocol(kind, q)
-        [(coords, chain)] = hypercurrent_homology(proto, [proto.fundamental_cycle],
-                                                  QMat.identity(1))
+        [(coords, chain)] = hypercurrent_homology(proto, [proto.cycle_by_place], QMat.identity(1))
         sweep = quantization_sweep(
-            proto, betas, proto.fundamental_cycle, [1], tol=args.tol,
+            proto, betas, proto.cycle_by_place, [1], tol=args.tol,
             max_depth=args.quad_depth,
         )
         chain_desc = " + ".join(
@@ -427,7 +422,6 @@ def build_parser():
     po = sub.add_parser("topo", help="exact pairing of the stored cycle")
     po.add_argument("action", choices=["current"])
     po.add_argument("file")
-    po.add_argument("--cycle", default="fundamental")
     po.add_argument("--class", dest="class_file")
     po.add_argument("--out")
     po.set_defaults(func=cmd_topo)

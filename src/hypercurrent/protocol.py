@@ -60,16 +60,7 @@ __all__ = [
     "cube_sphere_protocol",
     "square_protocol",
     "builtin_protocol",
-    "simplex_faces",
 ]
-
-
-def simplex_faces(key):
-    """Codimension-one faces of a sorted vertex tuple with their signs: the
-    face without vertex m has sign (-1)**m."""
-    faces = list(itertools.combinations(key, len(key) - 1))
-    faces.reverse()     # combinations leave out the last vertex first
-    return list(zip(itertools.cycle((1, -1)), faces))
 
 
 def _codes(rows, base):
@@ -120,7 +111,7 @@ def _face_rows(index, places):
 
 class CellIndex:
     """A domain's cells by dimension in parts equal parts, numbered part by
-    part: rows[d] holds each d-cell's vertices (vertices_of order, rows of
+    part: rows[d] holds each d-cell's vertices (ascending, rows of
     level_weights), the places offsets[d]:offsets[d + 1].  first_part maps
     the first part's keys (rows as tuples) to places, and keys holds every
     cell's; both are built on first read, each row once."""
@@ -148,10 +139,11 @@ class SimplicialProtocol:
     """Oriented simplicial parameter space with one row of weights per
     vertex and level over sorted cell rows closed under faces, built by
     simplicial_protocol or cube_boundary_protocol.  face_rows[d] is
-    (rows, signs), each (d-cells, d + 1): face m, in boundary_of order,
-    of d-cell i is the (d-1)-cell rows[i, m], with sign signs[i, m].
-    The orientation and the cycle are stored by place, (places, values)
-    in the order given, and read by key as dicts built on first read.
+    (rows, signs), each (d-cells, d + 1): face m of d-cell i, the face
+    without its vertex m, is the (d-1)-cell rows[i, m], with sign
+    signs[i, m].  The orientation and the cycle are stored by place,
+    (places, values) in the order given, and read by key as dicts built
+    on first read, where a document names cells.
     Protocols compare by identity: their weights are arrays."""
 
     gap: GapComplex
@@ -162,18 +154,10 @@ class SimplicialProtocol:
     orientation_by_place: tuple = ((), ())    # (places, +-1)
     cycle_by_place: tuple = ((), ())          # (places, int coefficients)
 
-    # -- cells by key; only the tests' oracles call boundary_of and vertices_of --
+    # -- cells by key, to name them --
 
     def dim_of(self, key):
         return len(key) - 1
-
-    def boundary_of(self, key):
-        if len(key) == 1:
-            return []
-        return simplex_faces(key)
-
-    def vertices_of(self, key):
-        return [(v,) for v in key]
 
     def part_of(self, key):
         """The part holding a cell, and the cell in that part's own vertex

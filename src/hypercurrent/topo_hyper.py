@@ -16,9 +16,10 @@ numerator is a Python int.  The lift reads cells by their cell_index
 rows only; keys name a failing cell.  lift_simplex gathers a dimension's
 face values from the rows of the faces' signatures below through the
 domain's face rows (row indices and signs) and runs every product and
-check on the whole stack.  The pairing checks the cycles' boundaries on
-the same face rows and contracts the degree-0 numerators of its top
-cells' signatures (Koszul sign +1) with their coefficients.
+check on the whole stack.  The pairing reads its cycles by place (a
+mapping by key is looked up once), checks their boundaries on the same
+face rows and contracts the degree-0 numerators of their top cells'
+signatures (Koszul sign +1) with their coefficients.
 
 A cell's lift depends on its domain only through its signature: its
 tree, then each face's signature and sign in face_rows order (Kirchhoff:
@@ -366,16 +367,12 @@ class HyperCochain:
     domain: object
     stacks: list
 
-    def block(self, key):
-        dim = self.domain.dim_of(key)
-        return self.stacks[dim][self.domain.place_of(key) - self.domain.cell_index.offsets[dim]]
-
 
 def cochain_chain_map_defect(cochain: HyperCochain):
     """Largest entry of eth(value) - sum of signed face values over all
     cells (0 if all are zero; NaN if a block is not finite): per dimension
     one eth of the stack, less the faces gathered through the face rows,
-    one face at a time in boundary_of order, rounding as cell by cell."""
+    one face at a time in face_rows order, rounding as cell by cell."""
     stacks = cochain.stacks
     if not all(np.isfinite(stack).all() for stack in stacks):
         return math.nan
@@ -392,11 +389,43 @@ def cochain_chain_map_defect(cochain: HyperCochain):
     return float(worst) if worst else 0
 
 
+_FORMS = "expected a sequence of cycle mappings and a QMat of class columns"
+
+
+def _placed(proto, cycle):
+    """A top cycle as (places among the top cells, coefficients, None), or
+    ((), (), the text naming its first cell outside them): a mapping's keys
+    are looked up once, a (places, coefficients) pair of cell_index places
+    is read as it is."""
+    top = proto.gap.top
+    outside = (), (), "cycle has support outside the top dimension"
+    if hasattr(cycle, "items"):
+        keys = list(map(tuple, cycle))
+        places = list(map(proto.place_of, keys))
+        stray = next((k for k, at in zip(keys, places) if proto.dim_of(k) != top or at is None), None)
+        if stray is not None:
+            return outside if proto.dim_of(stray) != top else \
+                ((), (), f"cycle names {stray}, which is not a cell of the domain")
+        coeffs = list(cycle.values())
+    else:
+        try:
+            places, coeffs = cycle
+            if np.ndim(places) != 1 or len(places) != len(coeffs):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise TypeError(_FORMS) from None
+    at = np.asarray(places, dtype=np.intp)
+    span = proto.cell_index.offsets[top:top + 2]
+    lo, hi = span if len(span) == 2 else (0, 0)     # a domain of no top cells
+    return (at - lo, coeffs, None) if ((lo <= at) & (at < hi)).all() else outside
+
+
 def hypercurrent_homology(proto, cycles, classes):
     """Pair top cycles of the parameter domain with degree-p homology.
 
-    cycles is a sequence of top cycles (each a mapping from a cell key to
-    its coefficient), all paired over one lift; classes is a QMat whose
+    cycles is a sequence of top cycles, all paired over one lift: each a
+    mapping from a cell key to its coefficient or, as cycle_by_place, a
+    pair (cell_index places, coefficients).  classes is a QMat whose
     columns are degree-p classes in the chosen basis.  Returns one
     (coordinates, chain) pair of QMats per cycle, one column per class:
     the coordinates of the paired chain's class in the chosen degree-q
@@ -404,42 +433,35 @@ def hypercurrent_homology(proto, cycles, classes):
     pairing reads the degree-0 block of each cycle cell's lift, whose
     Koszul sign is +1."""
     gap = proto.gap
-    cycles = list(cycles)
-    if not isinstance(classes, QMat) or not all(hasattr(c, "items") for c in cycles):
-        raise TypeError("expected a sequence of cycle mappings and a QMat of class columns")
+    if not isinstance(classes, QMat):
+        raise TypeError(_FORMS)
+    placed = [_placed(proto, c) for c in cycles]
     cells = proto.cell_index
-    # per cycle, its first cell outside the top cells, else (row, coefficient) per cell
-    found = [[(k, proto.place_of(k), v) for k, v in zip(map(tuple, c), c.values())] for c in cycles]
-    strays = [next((k for k, at, _ in f if proto.dim_of(k) != gap.top or at is None), None)
-              for f in found]
-    entries = [[] if stray is not None else [(at - cells.offsets[gap.top], Fraction(v)) for _, at, v in f]
-               for f, stray in zip(found, strays)]
     # the coefficients as integers over one denominator, zeros padding
-    width = max(map(len, entries), default=0)
-    cden = math.lcm(1, *(f.denominator for e in entries for _, f in e))
-    gather = np.zeros((len(cycles), width), dtype=np.intp)
-    weights = np.zeros((len(cycles), width), dtype=object)
-    for i, e in enumerate(entries):
-        gather[i, :len(e)] = [row for row, _ in e]
-        weights[i, :len(e)] = [f.numerator * (cden // f.denominator) for _, f in e]
+    fracs = [list(map(Fraction, coeffs)) for _, coeffs, _ in placed]
+    width = max(map(len, fracs), default=0)
+    cden = math.lcm(1, *(f.denominator for e in fracs for f in e))
+    gather = np.zeros((len(placed), width), dtype=np.intp)
+    weights = np.zeros((len(placed), width), dtype=object)
+    for i, ((at, _, _), e) in enumerate(zip(placed, fracs)):
+        gather[i, :len(e)] = at
+        weights[i, :len(e)] = [f.numerator * (cden // f.denominator) for f in e]
     if width and gap.top:
         # one signed scatter over the face rows, cycle i's offset by i * stride
         rows, signs = proto.face_rows[gap.top]
         stride = cells.offsets[gap.top]
-        at, where = np.unique(rows[gather] + stride * np.arange(len(cycles))[:, None, None],
+        at, where = np.unique(rows[gather] + stride * np.arange(len(placed))[:, None, None],
                               return_inverse=True)
         bnd = np.zeros(len(at), dtype=object)
         np.add.at(bnd, where.ravel(), (weights[:, :, None] * signs[gather]).ravel())
-        broken = set((at[bnd.astype(bool)] // stride).tolist())
-        if any(i in broken and stray is None for i, stray in enumerate(strays)):
+        if bnd.any():
             raise NotACycle("parameter chain has nonzero boundary")
     lift = proto.lift
     # the degree-p representative is a chain in degree 0 of the shifted complex
     rep = gap.parent_hp.representative(classes)
-    for stray in (k for k in strays if k is not None):
-        if proto.dim_of(stray) != gap.top:
-            raise NotACycle("cycle has support outside the top dimension")
-        raise NotACycle(f"cycle names {stray}, which is not a cell of the domain")
+    stray = next(filter(None, (why for *_, why in placed)), None)
+    if stray:
+        raise NotACycle(stray)
     # one contraction of the cycle cells' degree-0 numerators, by signature,
     # with every cycle's coefficients, over the product of the denominators
     shape = (gap.dim_at(gap.top), gap.dim_at(0))
@@ -448,10 +470,10 @@ def hypercurrent_homology(proto, cycles, classes):
         sigs = lift.signatures[gather + cells.offsets[gap.top]]
         total = (weights[:, :, None, None] * num[sigs]).sum(axis=1)
     else:
-        total, den = np.zeros((len(cycles),) + shape, dtype=object), 1
+        total, den = np.zeros((len(placed),) + shape, dtype=object), 1
     # the paired chains side by side, one block of columns per cycle
     k = rep.shape[1]
-    chains = QMat((total @ rep.num).transpose(1, 0, 2).reshape(shape[0], len(cycles) * k),
+    chains = QMat((total @ rep.num).transpose(1, 0, 2).reshape(shape[0], len(placed) * k),
                   den * cden * rep.den)
     # with top 0 the output is a degree-p chain whose class lives in the
     # parent directly
@@ -463,4 +485,4 @@ def hypercurrent_homology(proto, cycles, classes):
         raise InvariantBroken(f"paired chain: {exc}") from exc
     if gap.top != 0:
         cls = gap.hq_project @ cls
-    return [(cls[:, i * k:(i + 1) * k], chains[:, i * k:(i + 1) * k]) for i in range(len(cycles))]
+    return [(cls[:, i * k:(i + 1) * k], chains[:, i * k:(i + 1) * k]) for i in range(len(placed))]

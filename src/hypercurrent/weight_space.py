@@ -15,12 +15,12 @@ cube's corner weights are one stacked array per level.  The union is
 certified once and lifted once (one stacked pass per cell dimension).
 Every cube's cycle has the same coefficients, so its current is a
 function of its top cells' signature numbers in order: one cube per
-distinct tuple is paired, and the cubes of a tuple share its current
-matrix, converted to Fractions once.  The results equal those of one
-cell at a time.  A lift failure in a chunk names the cube's top cell and
-the failing cell in the cube's own vertex numbering; of several, the
-lowest dimension, then the earliest cube, then repr order within the
-cube decides.
+distinct tuple is paired, its cycle given by its top cells' places, and
+the cubes of a tuple share its current matrix, converted to Fractions
+once.  The results equal those of one cell at a time.  A lift failure in
+a chunk names the cube's top cell and the failing cell in the cube's own
+vertex numbering; of several, the lowest dimension, then the earliest
+cube, then repr order within the cube decides.
 """
 
 import itertools
@@ -217,9 +217,8 @@ def classify_cell(gap: GapComplex, cells, eps=0.25):
     # first cube of each tuple, and share its current and its Fractions
     first = {}
     group = [first.setdefault(sigs, i) for i, sigs in enumerate(map(tuple, tops.tolist()))]
-    top = proto.cell_index.rows[-1].reshape(tops.shape + (-1,))
-    coeffs = proto.cycle_by_place[1][:tops.shape[1]]
-    cycles = [dict(zip(map(tuple, top[i].tolist()), coeffs)) for i in first.values()]
+    (places, coeffs), n = proto.cycle_by_place, tops.shape[1]
+    cycles = [(places[i * n:(i + 1) * n], coeffs[i * n:(i + 1) * n]) for i in first.values()]
     pairs = hypercurrent_homology(proto, cycles, QMat.identity(gap.parent_hp.betti))
     current = {i: tuple(map(tuple, coords.to_rows()))
                for i, (coords, _) in zip(first.values(), pairs)}

@@ -14,7 +14,7 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import _OBSTRUCTIONS, _nonzero, _reduced, _stacked, _tree_aux, \
     tree_functor
 
-from protocol_ops import least_levels
+from protocol_ops import boundary_of, least_levels, vertices_of
 
 
 @dataclass
@@ -33,7 +33,7 @@ def build_lift_cache_eager(proto) -> EagerLiftCache:
     for key in cells:
         if least[key] is None:
             raise NotGood(f"cell {key} is not small")
-        at = (proto.vertices_of(key)[0], least[key])
+        at = (vertices_of(proto, key)[0], least[key])
         if at not in shared:
             shared[at] = tree_functor(proto, proto.place_of(key))
         trees[key] = shared[at]
@@ -55,7 +55,7 @@ def lift_simplex_eager(proto, keys, cache: EagerLiftCache):
     jdim = proto.dim_of(keys[0])
     cells, faces, signs = [], [], []
     for i, key in enumerate(keys):
-        for fsign, fkey in proto.boundary_of(key):
+        for fsign, fkey in boundary_of(proto, key):
             cells.append(i)
             faces.append(fkey)
             signs.append(fsign)

@@ -26,7 +26,7 @@ from hypercurrent.ratlin import QMat
 from hypercurrent.topo_hyper import HyperCochain, build_lift_cache
 
 from cell_weights import cube_corner_weight
-from protocol_ops import levels_of
+from protocol_ops import boundary_of, levels_of
 
 
 @dataclass
@@ -40,12 +40,12 @@ class CellCochain:
 
 
 def cell_by_cell(coch: HyperCochain) -> CellCochain:
-    """The analytical cochain's stacks read by cell."""
-    cells = coch.domain.cell_index
-    keys = cells.keys[:sum(map(len, coch.stacks))]
+    """The analytical cochain's stacks read by cell: the blocks in place
+    order, each with the key of its place."""
+    blocks = (block for stack in coch.stacks for block in stack)
     return CellCochain(coch.gap, coch.domain, {
-        key: GradedOperator(degree=coch.domain.dim_of(key), blocks={0: coch.block(key)})
-        for key in keys})
+        key: GradedOperator(degree=coch.domain.dim_of(key), blocks={0: block})
+        for key, block in zip(coch.domain.cell_index.keys, blocks)})
 
 
 def chain_map_defect_oracle(cochain):
@@ -71,7 +71,7 @@ def chain_map_defect_oracle(cochain):
     for key, op in cochain.values.items():
         lhs = eth(op, gap)
         blocks = [block(lhs, g) for g in range(gap.top + 1)]
-        for fsign, fkey in cochain.domain.boundary_of(key):
+        for fsign, fkey in boundary_of(cochain.domain, key):
             fop = cochain.values[fkey]
             blocks = [minus(blk, fsign * block(fop, g)) for g, blk in enumerate(blocks)]
         entries = [np.abs(np.array(blk.to_rows(), dtype=object).reshape(blk.shape))

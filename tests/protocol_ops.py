@@ -24,7 +24,9 @@ The library's removed conveniences are kept here as oracles too: the
 padded vertex index array the certificate gathered through
 (padded_vertices), and the fundamental cycle cut into its parts'
 cycles (part_cycles); no_keys stands in for CellIndex.keys where a
-route must not read a cell key.
+route must not read a cell key.  A cell's faces and vertices by key
+(simplex_faces, boundary_of, vertices_of) are read here, by the oracles,
+and not by the library, which reads face_rows and cell_index rows.
 """
 
 import dataclasses
@@ -43,7 +45,6 @@ from hypercurrent.protocol import (
     CellIndex,
     SimplicialProtocol,
     dumps_protocol,
-    simplex_faces,
     simplicial_protocol,
     square_protocol,
 )
@@ -156,6 +157,30 @@ def padded_vertices(cells):
     width = max(rows.shape[1] for rows in cells.rows)
     return np.concatenate([np.concatenate([rows, np.repeat(rows[:, :1], width - rows.shape[1], axis=1)],
                                           axis=1) for rows in cells.rows])
+
+
+def simplex_faces(key):
+    """Codimension-one faces of a sorted vertex tuple with their signs: the
+    face without vertex m has sign (-1)**m."""
+    faces = list(itertools.combinations(key, len(key) - 1))
+    faces.reverse()     # combinations leave out the last vertex first
+    return list(zip(itertools.cycle((1, -1)), faces))
+
+
+def boundary_of(domain, key):
+    """A cell's codimension-one faces with their signs, in face_rows
+    order: a CW domain's own, else the simplex's (a vertex has none)."""
+    if hasattr(domain, "boundary_of"):
+        return domain.boundary_of(key)
+    return simplex_faces(key) if len(key) > 1 else []
+
+
+def vertices_of(domain, key):
+    """A cell's vertices, as 0-cell keys: a CW domain's own corners, else
+    the simplex's vertices as 1-tuples."""
+    if hasattr(domain, "vertices_of"):
+        return domain.vertices_of(key)
+    return [(v,) for v in key]
 
 
 def no_keys(cells):

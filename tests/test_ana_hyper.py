@@ -3,6 +3,7 @@ import gc
 import itertools
 import json
 import math
+import re
 import weakref
 
 import numpy as np
@@ -48,7 +49,7 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 from exact_cochain import chain_map_defect_oracle, hypercurrent_cochain
 from normal_equations import reduced_boundary, weighted_pseudoinverse_boundary, \
     weighted_pseudoinverse_inclusion
-from protocol_ops import least_levels, levels_of, no_keys
+from protocol_ops import least_levels, levels_of, no_keys, vertices_of
 from stationary import current_form
 
 SPHERE1 = gap_complex(sphere_complex(1), 0, 1)
@@ -59,7 +60,7 @@ TOR = gap_complex(torsion_complex(), 0, 2)
 def simplex_vertex_weights(proto, key, level):
     """Per-vertex weight vectors of one level over a simplex, as rows, read
     vertex by vertex: the oracle for the library's gather."""
-    return np.array([proto.level_weights[level - proto.gap.p][v] for (v,) in proto.vertices_of(key)],
+    return np.array([proto.level_weights[level - proto.gap.p][v] for (v,) in vertices_of(proto, key)],
                     dtype=float)
 
 
@@ -551,9 +552,33 @@ def single_orchard_sum(ctx, p, zeta, rho_top, drhos, wts):
     return value
 
 
+def single_tie_depth(proto, key, beta, tol):
+    """One simplex's tie floor, pair by pair: the least depth d with
+    beta 2^-d s <= (tol / 1e-8)^(1/6), s the largest range over the
+    vertices of a tree-weight difference that changes sign there, over the
+    form's levels; 0 where a level below the top has no such pair."""
+    gap = proto.gap
+    ctx = _context(gap)
+    steep = []
+    for level in range(gap.p, gap.p + proto.dim_of(key) + 1):
+        table = ctx.trees[level]
+        at = [[sum((w[c] for c in cells), 0.0) for cells in table.idx]
+              for w in simplex_vertex_weights(proto, key, level)]
+        diffs = [[wt[a] - wt[b] for wt in at] for a, b in itertools.combinations(range(len(table.idx)), 2)]
+        steep.append(max((max(d) - min(d) for d in diffs if min(d) < 0 < max(d)), default=0))
+    if not all(steep[:-1]):
+        return 0
+    depth = 0
+    while beta * 2.0 ** -depth * max(steep) > (tol / 1e-8) ** (1 / 6):
+        depth += 1
+    return depth
+
+
 def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8):
     """Stokes-map value on one simplex: the integral of the pulled-back
-    degree-(dim) form, refined dyadically until stable within tol."""
+    degree-(dim) form, refined dyadically until stable within tol at a
+    depth no less than its tie floor; a floor deeper than max_depth
+    raises before any form is evaluated."""
     if beta <= 0:
         raise NonpositiveBeta(f"beta = {beta}")
     gap = proto.gap
@@ -565,11 +590,15 @@ def single_jan_integrate(proto, beta, key, tol=1e-8, max_depth=8):
     if jdim == 0:
         vw = simplex_vertex_weights(proto, key, gap.p)
         return ana_hyper._alpha0(gap, vw[0], beta)
+    floor = single_tie_depth(proto, key, beta, tol)
+    if floor > max_depth:
+        raise QuadratureNoConvergence(
+            f"simplex {key} at beta {beta}: tie layer needs depth {floor}, budget allows {max_depth}")
     prev = None
     for depth in range(max_depth + 1):
         nodes, wts = _node_batches(jdim, depth)
         est = single_form(ctx, proto, key, beta, nodes, wts, jdim, "standard")
-        if prev is not None and np.max(np.abs(est - prev)) < tol:
+        if prev is not None and depth >= floor and np.max(np.abs(est - prev)) < tol:
             return est
         prev = est
     raise QuadratureNoConvergence(
@@ -814,6 +843,18 @@ def test_stacked_integrate_equals_per_simplex_route(name):
     # back in input order across the dimension groups
     keys = integrable_cells(proto)[::-1]
     for beta in betas:
+        if beta == 300.0:
+            # past the tie floor both routes raise, naming the same first cell
+            fails = []
+            for key in keys:
+                try:
+                    single_jan_integrate(proto, beta, key, tol=tol)
+                except QuadratureNoConvergence as exc:
+                    fails.append(str(exc))
+            assert fails
+            with pytest.raises(QuadratureNoConvergence, match=re.escape(fails[0])):
+                jan_integrate(proto, beta, keys, tol=tol)
+            continue
         values = jan_integrate(proto, beta, keys, tol=tol)
         assert len(values) == len(keys)
         for key, value in zip(keys, values):
@@ -1074,6 +1115,27 @@ def test_quantization_sweep_empty_betas():
     proto = square_protocol()
     with pytest.raises(ValueError, match="beta list is empty"):
         quantization_sweep(proto, [], proto.fundamental_cycle, [1])
+
+
+LARGE_BETA_PROBES = [("square", 2), ("cube_sphere", 1), ("cube_sphere", 2), ("cube_wedge", 2)]
+
+
+@pytest.mark.parametrize("kind, q", LARGE_BETA_PROBES)
+def test_large_beta_sweeps_raise_rather_than_answer(kind, q):
+    # past the depth their tie layers need, sweeps raise instead of
+    # returning an unresolved class (distance 1 on the spheres, 0 on the
+    # wedge at beta 300): from beta 150 before any form is evaluated,
+    # naming the floor; at 80 and 100 once depth 8 still disagrees
+    proto = builtin_protocol(kind, q)
+    for beta in (80.0, 100.0, 150.0, 300.0, 1000.0, 3000.0):
+        for residuals in (False, True):
+            with pytest.raises(QuadratureNoConvergence) as err:
+                quantization_sweep(proto, [beta], proto.cycle_by_place, [1], residuals=residuals)
+            floor = "" if beta < 150 else r"tie layer needs depth (9|1\d), budget allows 8"
+            assert re.search(floor or "no convergence within depth 8", str(err.value))
+    # beta 50 and 60 still converge to the exact class
+    rows = quantization_sweep(proto, [50.0, 60.0], proto.cycle_by_place, [1]).rows
+    assert all(row.distance < 1e-14 for row in rows)
 
 
 def test_quantization_sweep_repeated_betas_has_no_slope():
@@ -1681,15 +1743,15 @@ def test_node_counts_are_the_batch_sizes():
 
 def test_node_budget_stops_the_depth_loop(monkeypatch):
     # a budget of 700 nodes admits the 2-simplex up to depth 3 (640 nodes)
-    # and not depth 4 (2560): the integration stops there, before building
-    # the depth-4 batch, and names the first simplex left, the depth and
-    # the budget
+    # and not depth 4 (2560): at beta 2, whose tie floor (depth 2) fits,
+    # the integration stops there, before building the depth-4 batch, and
+    # names the first simplex left, the depth and the budget
     proto = cube_sphere_protocol(2)
     keys = list(proto.fundamental_cycle)
     fails = []
     for key in keys:
         try:
-            single_jan_integrate(proto, 12.5, key, max_depth=3)
+            single_jan_integrate(proto, 2.0, key, max_depth=3)
         except QuadratureNoConvergence as exc:
             fails.append(str(exc))
     assert fails
@@ -1703,13 +1765,21 @@ def test_node_budget_stops_the_depth_loop(monkeypatch):
 
     monkeypatch.setattr(ana_hyper, "_node_batches", recorded)
     with pytest.raises(QuadratureNoConvergence) as err:
-        jan_integrate(proto, 12.5, keys)
+        jan_integrate(proto, 2.0, keys)
     assert str(err.value) == fails[0] + ": depth 4 would exceed the budget of 700 nodes per simplex"
     assert max(built) == 3
     # the budget leaves a depth limit that stops first as it was
     with pytest.raises(QuadratureNoConvergence) as err:
-        jan_integrate(proto, 12.5, keys, max_depth=2)
+        jan_integrate(proto, 2.0, keys, max_depth=2)
     assert "budget" not in str(err.value) and "within depth 2 at" in str(err.value)
+    # at beta 12.5 the floor is depth 5, beyond the budget's depth 3: the
+    # stack raises before it builds any batch, naming the floor and the depth
+    first = next(key for key in keys if single_tie_depth(proto, key, 12.5, 1e-8) > 3)
+    built.clear()
+    with pytest.raises(QuadratureNoConvergence) as err:
+        jan_integrate(proto, 12.5, keys)
+    assert str(err.value) == f"simplex {first} at beta 12.5: tie layer needs depth 5, budget allows 3"
+    assert built == []
 
 
 def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):

@@ -310,8 +310,13 @@ def test_integrate_lists_cells_in_cell_index_order(spec, tmp_path, capsys):
     assert list(keys) == sorted(keys, key=lambda key: (len(key), key))
     assert main(["ana", "integrate", spec, "--beta", "5"]) == 0
     coch = jan_cochain(proto, 5.0)
+
+    def block(key):     # read from its dimension's stack by its place
+        dim = proto.dim_of(key)
+        return coch.stacks[dim][proto.place_of(key) - proto.cell_index.offsets[dim]]
+
     assert json.loads(capsys.readouterr().out)["simplices"] == [
-        {"vertices": [proto.vertex_ids[v] for v in key], "block": coch.block(key).tolist()}
+        {"vertices": [proto.vertex_ids[v] for v in key], "block": block(key).tolist()}
         for key in sorted(keys[:sum(map(len, coch.stacks))], key=lambda key: (len(key), key))]
 
 
@@ -452,18 +457,26 @@ def test_residual_outputs_match_the_cell_by_cell_oracle(argv, defects, monkeypat
 
 def test_quantize_over_the_node_budget_exits_2(monkeypatch, tmp_path, capsys):
     # a depth whose batch would exceed the node budget is not built: the
-    # sweep stops with a validation error naming the budget
+    # sweep stops with a validation error naming the budget, at beta 2,
+    # whose tie floor (depth 2) the budget admits, and at beta 12.5, whose
+    # floor (depth 5) it does not, before any batch
     from hypercurrent import ana_hyper
 
     monkeypatch.setattr(ana_hyper, "_NODE_BUDGET", 700)
     out = tmp_path / "q.csv"
-    assert main(["quantize", "builtin:cube_sphere:2", "--betas", "12.5", "--out", str(out)]) == 2
+    assert main(["quantize", "builtin:cube_sphere:2", "--betas", "2", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     [line] = captured.err.splitlines()
     assert line.startswith("error: QuadratureNoConvergence: simplex ")
     assert line.endswith(": no convergence within depth 3 at tol 1e-08: "
                          "depth 4 would exceed the budget of 700 nodes per simplex")
+    assert main(["quantize", "builtin:cube_sphere:2", "--betas", "12.5", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: QuadratureNoConvergence: simplex ")
+    assert line.endswith(" at beta 12.5: tie layer needs depth 5, budget allows 3")
 
 
 def test_quantize_rejects_descending_betas(capsys):

@@ -29,7 +29,6 @@ from hypercurrent.protocol import (
     dumps_protocol,
     is_good,
     loads_protocol,
-    simplex_faces,
     simplicial_protocol,
     smallness,
     square_protocol,
@@ -42,9 +41,10 @@ from hypercurrent.weight_space import enumerate_top_discriminant_cells, transver
 from cell_weights import corner_weights, cube_corner_weight
 from exact_cochain import cube_cw_domain
 from generic import AMPLITUDE, SEEDS, generic_protocol
-from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, \
+from protocol_ops import _closure, _cube_boundary, _ordered_to_sorted, _perm_sign, boundary_of, \
     closure_by_faces, least_levels, levels_of, oracle_cube_boundary_protocol, padded_vertices, scale, \
-    shuffled_doc, smallness_by_level, square_doc_without_last_edge, subdivide, tied_protocol, vertex_levels
+    shuffled_doc, simplex_faces, smallness_by_level, square_doc_without_last_edge, subdivide, tied_protocol, \
+    vertex_levels, vertices_of
 from test_weight_space import graph_complex, ngon_sphere, three_disc_triangle
 
 
@@ -304,7 +304,7 @@ def test_cell_index_and_level_weights_match_per_cell_reads():
         keys = cells.keys[cells.offsets[d]:cells.offsets[d + 1]]
         assert keys == tuple(proto.simplices_of_dim(d))
         # each cell's vertices, one row per cell
-        assert cells.rows[d].tolist() == [[v for (v,) in proto.vertices_of(key)] for key in keys]
+        assert cells.rows[d].tolist() == [[v for (v,) in vertices_of(proto, key)] for key in keys]
     assert [proto.place_of(key) for key in cells.keys] == list(range(cells.offsets[-1]))
     # row v of each level is vertex v's corner weights
     corners = [tuple(1 if s == "p" else -1 for s in vid[1:]) for vid in proto.vertex_ids]
@@ -453,7 +453,7 @@ def loop_smallness(domain):
     levels = np.zeros((len(keys), gap.q - gap.p + 1), dtype=bool)
     least = np.full(len(keys), -1)
     for i, key in enumerate(keys):
-        cert = loop_certified_levels(gap, [vertex_levels(domain, v) for v in domain.vertices_of(key)])
+        cert = loop_certified_levels(gap, [vertex_levels(domain, v) for v in vertices_of(domain, key)])
         levels[i, [j - gap.p for j in cert]] = True
         least[i] = min(cert, default=-1)
     return levels, least
@@ -841,7 +841,7 @@ def test_face_rows_are_boundary_of(make):
         lo, a, b = (cells.offsets[d - 1] if d else 0), cells.offsets[d], cells.offsets[d + 1]
         for i, key in enumerate(cells.keys[a:b]):
             got = [(int(s), cells.keys[lo + r]) for r, s in zip(rows[i], signs[i])]
-            assert got == proto.boundary_of(key)
+            assert got == boundary_of(proto, key)
 
 
 def _triangle_gap_and_cells():
@@ -954,7 +954,7 @@ def test_face_codes_beyond_int64(top):
         lo, a, b = (cells.offsets[d - 1] if d else 0), cells.offsets[d], cells.offsets[d + 1]
         for i, key in enumerate(cells.keys[a:b]):
             assert [(int(s), cells.keys[lo + r]) for r, s in zip(rows[i], signs[i])] == \
-                proto.boundary_of(key)
+                boundary_of(proto, key)
 
 
 def _square_doc_with(*repeated):

@@ -23,7 +23,7 @@ from hypercurrent.topo_hyper import build_lift_cache
 from hypercurrent.weight_space import enumerate_top_discriminant_cells, transversal_sphere
 
 from exact_cochain import cell_trees, cube_cw_domain, lift_stacks
-from protocol_ops import no_keys
+from protocol_ops import boundary_of, no_keys
 from stacked_lift import build_lift_cache_stacked
 from test_forests import complete_graph
 from test_weight_space import STAR4, graph_complex, path_complex, triangle_complex
@@ -211,7 +211,7 @@ def signatures(proto, trees):
     signature and sign."""
     out = {}
     for key in proto.cell_index.keys:
-        out[key] = (trees[key].key,) + tuple((out[f], s) for s, f in proto.boundary_of(key))
+        out[key] = (trees[key].key,) + tuple((out[f], s) for s, f in boundary_of(proto, key))
     return out
 
 

@@ -13,9 +13,12 @@ from hypercurrent.complex_core import (
     sphere_wedge_complex,
     torsion_complex,
 )
+from hypercurrent.ana_hyper import quantization_sweep
+from hypercurrent.cli import main
 from hypercurrent.errors import LiftObstruction, NotACycle, NotSmall
 from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
+    CellIndex,
     cube_protocol,
     cube_sphere_protocol,
     simplicial_protocol,
@@ -28,12 +31,16 @@ from hypercurrent.topo_hyper import (
     hypercurrent_homology,
     tree_functor,
 )
+from hypercurrent.weight_space import classify_top_cells, enumerate_top_discriminant_cells, transversal_sphere
 
+import eager_lift
 from eager_lift import build_lift_cache_eager
 from exact_cochain import (addendum_predicts_trivial, cell_blocks, cell_trees,
                            chain_map_defect_oracle, cube_cellular_cochain, hypercurrent_cochain)
-from protocol_ops import _closure, least_levels, levels_of, pair_one, part_cycles, scale, subdivide
+from protocol_ops import _closure, boundary_of, least_levels, levels_of, no_keys, pair_one, part_cycles, \
+    scale, subdivide, vertices_of
 from test_lift_oracle import build_lift_cache_oracle
+from test_weight_space import triangle_complex
 
 
 def lift_vertex(proto, vertex_key):
@@ -118,7 +125,7 @@ def test_tree_functor_face_inclusion():
     for proto in (square_protocol(), cube_sphere_protocol(2)):
         for s in proto.cell_index.keys:
             t = tree_functor(proto, proto.place_of(s))
-            for _, f in proto.boundary_of(s):
+            for _, f in boundary_of(proto, s):
                 tf = tree_functor(proto, proto.place_of(f))
                 assert tf.level <= t.level
                 if tf.level == t.level:
@@ -148,7 +155,7 @@ def test_lift_reads_no_weight_point_or_vertex_list(monkeypatch):
     def refused(self, key=None):
         raise AssertionError("the lift reads the domain's arrays and certificate only")
 
-    monkeypatch.setattr(type(proto), "vertices_of", refused)
+    monkeypatch.setattr(type(proto), "vertices_of", refused, raising=False)
     monkeypatch.setattr(type(proto), "level_weights", property(refused), raising=False)
     with pytest.raises(AssertionError, match="certificate only"):
         proto.level_weights
@@ -174,10 +181,10 @@ def test_lift_cache_one_tree_per_level_and_order_type(monkeypatch):
 
     def order_type(key):
         k = least[key]
-        weights = proto.level_weights[k - proto.gap.p][proto.vertices_of(key)[0][0]].tolist()
+        weights = proto.level_weights[k - proto.gap.p][vertices_of(proto, key)[0][0]].tolist()
         return k, tuple(sorted(range(len(weights)), key=weights.__getitem__))
 
-    pairs = {(proto.vertices_of(key)[0], least[key]) for key in proto.cell_index.keys}
+    pairs = {(vertices_of(proto, key)[0], least[key]) for key in proto.cell_index.keys}
     assert len(calls) == len(set(map(order_type, proto.cell_index.keys))) < len(pairs)
     assert len({order_type(key) for key in calls}) == len(calls)
     trees = cell_trees(proto, cache)
@@ -545,13 +552,12 @@ def test_first_obstruction_follows_repr_order(monkeypatch):
     edges = proto.simplices_of_dim(1)
     a, b = next((e, f) for e in edges for f in edges if e[0] == f[0] and 2 <= e[1] < 10 <= f[1])
     assert a < b and repr(b) < repr(a)
-    real = type(proto).boundary_of
 
-    def flipped(self, key):
-        (sign, face), *rest = real(self, key)
+    def flipped(domain, key):
+        (sign, face), *rest = boundary_of(domain, key)
         return [(-sign if key in (a, b) else sign, face)] + rest
 
-    monkeypatch.setattr(type(proto), "boundary_of", flipped)
+    monkeypatch.setattr(eager_lift, "boundary_of", flipped)
     # the library's lift reads the face view: the same flip there
     index, views = proto.cell_index, list(proto.face_rows)
     rows, signs = views[1]
@@ -614,7 +620,7 @@ def test_cycle_check_reads_the_face_rows():
             chain[key] += rng.choice((-1, 1))
         bnd = {}
         for key, c in chain.items():
-            for sign, face in proto.boundary_of(key):
+            for sign, face in boundary_of(proto, key):
                 bnd[face] = bnd.get(face, 0) + sign * c
         if any(bnd.values()):
             with pytest.raises(NotACycle, match="nonzero boundary"):
@@ -654,3 +660,83 @@ def test_pairing_names_its_forms_when_given_another():
         hypercurrent_homology(proto, [cycle], [[1]])
     [(coords, _)] = hypercurrent_homology(proto, [cycle], QMat.identity(1))
     assert coords.shape == (1, 1)
+    # the same for a cycle by place: a (places, coefficients) pair in place
+    # of a sequence, of a 2-sphere's cycle too, whose keys have three cells
+    for proto in (square_protocol(), cube_sphere_protocol(2)):
+        with pytest.raises(TypeError, match=re.escape(forms)):
+            hypercurrent_homology(proto, proto.cycle_by_place, QMat.identity(1))
+        with pytest.raises(TypeError, match=re.escape(forms)):
+            hypercurrent_homology(proto, proto.fundamental_cycle, QMat.identity(1))
+        with pytest.raises(TypeError, match=re.escape(forms)):
+            hypercurrent_homology(proto, [proto.cycle_by_place], [[1]])
+
+
+# --- cycles by place ----------------------------------------------------------
+
+
+def test_a_cycle_by_place_pairs_as_its_mapping():
+    # the (places, coefficients) pair a protocol stores pairs exactly as the
+    # mapping by key, alone and in a sequence with mappings, and sweeps so
+    x = triangle_complex()
+    union = transversal_sphere(gap_complex(x, 0, 1), enumerate_top_discriminant_cells(x, 0, 1)[:3])
+    for proto in (square_protocol(), cube_sphere_protocol(2), union):
+        by_key, by_place = proto.fundamental_cycle, proto.cycle_by_place
+        classes = QMat.identity(proto.gap.parent_hp.betti)
+        expected = hypercurrent_homology(proto, [by_key], classes)
+        assert hypercurrent_homology(proto, [by_place], classes) == expected
+        doubled = {key: 2 * c for key, c in by_key.items()}
+        mixed = hypercurrent_homology(proto, [doubled, by_place, by_key], classes)
+        assert mixed == hypercurrent_homology(proto, [doubled], classes) + expected * 2
+    proto = cube_sphere_protocol(2)
+    assert quantization_sweep(proto, [2.5, 3.5], proto.cycle_by_place, [1], residuals=True) == \
+        quantization_sweep(proto, [2.5, 3.5], proto.fundamental_cycle, [1], residuals=True)
+
+
+def test_places_outside_the_top_cells_are_no_cycle():
+    # a place below the top dimension or past the last cell: as a mapping
+    # naming a cell of another dimension, after a broken cycle's boundary
+    proto = cube_sphere_protocol(2)
+    top = proto.cell_index.offsets[-2]
+    one = QMat.identity(1)
+    places, coeffs = proto.cycle_by_place
+    for stray in (0, top - 1, proto.cell_index.offsets[-1], -1):
+        for cycle in ((list(places[1:]) + [stray], coeffs), ([stray], [1])):
+            with pytest.raises(NotACycle, match="support outside the top dimension"):
+                hypercurrent_homology(proto, [cycle], one)
+            with pytest.raises(NotACycle, match="support outside the top dimension"):
+                hypercurrent_homology(proto, [proto.cycle_by_place, cycle], one)
+            with pytest.raises(NotACycle, match="support outside the top dimension"):
+                quantization_sweep(proto, [2.5], cycle, [1])
+            with pytest.raises(NotACycle, match="nonzero boundary"):
+                hypercurrent_homology(proto, [cycle, ([top], [1])], one)
+
+
+def test_a_sweep_names_a_stray_cell_as_the_pairing_does():
+    # quantization_sweep places a mapping once and leaves the naming of a
+    # cell outside the domain to the pairing, in its order and text
+    proto = square_protocol()
+    edges = proto.simplices_of_dim(1)
+    path = restrict(proto, edges[:-1])
+    outside = re.escape(f"cycle names {edges[-1]}, which is not a cell of the domain")
+    with pytest.raises(NotACycle, match=outside):
+        quantization_sweep(path, [2.0], proto.fundamental_cycle, [1])
+    with pytest.raises(NotACycle, match="support outside the top dimension"):
+        quantization_sweep(proto, [2.0], {edges[0][:1]: 1}, [1])
+
+
+def test_the_pairing_reads_no_cell_key(monkeypatch, tmp_path, capsys):
+    # topo current, a residual sweep and a weight-space classification pair
+    # their cycles by place: with no cell key and no first-part dict to
+    # read, and no lift kept by a gap, their outputs are the same bytes
+    def outputs():
+        out = tmp_path / "sweep.csv"
+        assert main(["topo", "current", "builtin:cube_sphere:3"]) == 0
+        assert main(["quantize", "builtin:cube_sphere:2", "--betas", "2.5,3.5", "--residuals",
+                     "--out", str(out)]) == 0
+        return capsys.readouterr(), out.read_bytes(), classify_top_cells(triangle_complex(), 0, 1)
+
+    expected = outputs()
+    complex_core._GAPS.clear()
+    monkeypatch.setattr(CellIndex, "keys", property(no_keys))
+    monkeypatch.setattr(CellIndex, "first_part", property(no_keys))
+    assert outputs() == expected
