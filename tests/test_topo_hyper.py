@@ -15,7 +15,7 @@ from hypercurrent.complex_core import (
 )
 from hypercurrent.ana_hyper import quantization_sweep
 from hypercurrent.cli import main
-from hypercurrent.errors import LiftObstruction, NotACycle, NotSmall
+from hypercurrent.errors import LiftObstruction, NotACycle, NotGood, NotSmall
 from hypercurrent.ratlin import QMat
 from hypercurrent.protocol import (
     CellIndex,
@@ -709,6 +709,20 @@ def test_places_outside_the_top_cells_are_no_cycle():
                 quantization_sweep(proto, [2.5], cycle, [1])
             with pytest.raises(NotACycle, match="nonzero boundary"):
                 hypercurrent_homology(proto, [cycle, ([top], [1])], one)
+
+
+def test_a_lift_failure_comes_before_a_stray_cell():
+    # the pairing lifts the domain before it names a cycle's cell outside
+    # the top cells, a mapping's or a place's, and a sweep pairs so
+    gap = gap_complex(sphere_complex(1), 0, 1)
+    up, down = ((0.0, 1.0), (0.0, 1.0)), ((1.0, 0.0), (1.0, 0.0))
+    proto = simplicial_protocol(gap=gap, vertex_ids=("A", "B"), level_weights=levels_of((up, down)),
+                                simplices=((0,), (1,), (0, 1)))
+    for cycle in ({(0, 5): 1}, {(0,): 1}, ([0], [1])):
+        with pytest.raises(NotGood, match=re.escape("cell (0, 1) is not small")):
+            hypercurrent_homology(proto, [cycle], QMat.identity(1))
+        with pytest.raises(NotGood, match=re.escape("cell (0, 1) is not small")):
+            quantization_sweep(proto, [2.0], cycle, [1])
 
 
 def test_a_sweep_names_a_stray_cell_as_the_pairing_does():
