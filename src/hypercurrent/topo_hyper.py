@@ -389,9 +389,6 @@ def cochain_chain_map_defect(cochain: HyperCochain):
     return float(worst) if worst else 0
 
 
-_FORMS = "expected a sequence of cycle mappings and a QMat of class columns"
-
-
 def _placed(proto, cycle):
     """A top cycle as (places among the top cells, coefficients, None), or
     ((), (), the text naming its first cell outside them): a mapping's keys
@@ -413,7 +410,7 @@ def _placed(proto, cycle):
             if np.ndim(places) != 1 or len(places) != len(coeffs):
                 raise ValueError
         except (TypeError, ValueError):
-            raise TypeError(_FORMS) from None
+            raise TypeError("expected a sequence of cycle mappings and a QMat of class columns") from None
     at = np.asarray(places, dtype=np.intp)
     span = proto.cell_index.offsets[top:top + 2]
     lo, hi = span if len(span) == 2 else (0, 0)     # a domain of no top cells
@@ -434,7 +431,7 @@ def hypercurrent_homology(proto, cycles, classes):
     Koszul sign is +1."""
     gap = proto.gap
     if not isinstance(classes, QMat):
-        raise TypeError(_FORMS)
+        raise TypeError("expected a sequence of cycle mappings and a QMat of class columns")
     placed = [_placed(proto, c) for c in cycles]
     cells = proto.cell_index
     # the coefficients as integers over one denominator, zeros padding
