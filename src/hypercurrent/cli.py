@@ -1,9 +1,12 @@
 """Command-line entry point (installed as ``hcl``).
 
-Every report is JSON (or CSV for sweeps and trajectories) and carries
-the resolved configuration plus a content hash of the input files, so
-identical invocations produce identical outputs.  Validation problems
-exit with status 2, internal errors with 1.
+Every report is JSON (or CSV for sweeps and trajectories, with a JSON
+summary on stdout).  Each JSON report and summary carries the resolved
+configuration, whose ``inputs`` lists every file the command reads in
+argument order, side files included, and ``input_hash``, the SHA-256 of
+those inputs in that order: a file's bytes, or a ``builtin:`` argument's
+text.  Identical invocations produce identical outputs.  Validation
+problems exit with status 2, internal errors with 1.
 """
 
 import argparse
@@ -13,7 +16,6 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -29,52 +31,36 @@ from .weight_space import classify_top_cells
 from .graph_dynamics import evolve
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    inputs: list = field(default_factory=list)
-    p: int = None
-    q: int = None
-    betas: list = field(default_factory=list)
-    tol: float = 1e-8
-    quad_depth: int = 8
-    out: str = None
-    seed: int = 0
-
-    def validate(self):
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol > 0):
-            raise HclError(f"tolerances must be finite and positive, got {self.tol}")
-        if self.quad_depth is not None and self.quad_depth < 0:
-            raise HclError(f"quadrature depth must be non-negative, got {self.quad_depth}")
-        if self.betas:
-            if any(not math.isfinite(b) for b in self.betas):
-                raise HclError("beta values must be finite")
-            if any(not b > 0 for b in self.betas):
-                raise HclError("beta values must be positive")
-            if list(self.betas) != sorted(self.betas):
-                raise HclError("beta values must be ascending")
-        return self
-
-    def as_dict(self):
-        return {
-            "subcommand": self.subcommand,
-            "inputs": list(self.inputs),
-            "p": self.p,
-            "q": self.q,
-            "betas": list(self.betas),
-            "tol": self.tol,
-            "quad_depth": self.quad_depth,
+def _config(subcommand, inputs, p=None, q=None, betas=(), tol=1e-8, quad_depth=8, seed=0):
+    """A report's config: the settings, checked (a bad one raises an
+    HclError), and inputs, the files the command reads in the order it
+    reads them."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise HclError(f"tolerances must be finite and positive, got {tol}")
+    if quad_depth < 0:
+        raise HclError(f"quadrature depth must be non-negative, got {quad_depth}")
+    if any(not math.isfinite(b) for b in betas):
+        raise HclError("beta values must be finite")
+    if any(not b > 0 for b in betas):
+        raise HclError("beta values must be positive")
+    if list(betas) != sorted(betas):
+        raise HclError("beta values must be ascending")
+    return {"subcommand": subcommand, "inputs": list(inputs), "p": p, "q": q,
+            "betas": list(betas), "tol": tol, "quad_depth": quad_depth,
             # the library runs on one thread; reports keep the key they always carried
-            "workers": 1,
-            "seed": self.seed,
-        }
+            "workers": 1, "seed": seed}
 
 
-def _hash_inputs(paths):
+def _input_hash(inputs):
+    """The SHA-256 of the inputs in order: a file's bytes, or the text of
+    a builtin: argument."""
     h = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as fh:
-            h.update(fh.read())
+    for arg in inputs:
+        if arg.startswith("builtin:"):
+            h.update(arg.encode())
+        else:
+            with open(arg, "rb") as fh:
+                h.update(fh.read())
     return h.hexdigest()
 
 
@@ -83,7 +69,11 @@ def _rat(x):
     return f"{f.numerator}/{f.denominator}"
 
 
-def _emit(report, out):
+def _emit(config, report, out=None):
+    """Write report as sorted JSON to out, or to stdout, under its header:
+    config and the hash of the inputs config lists, read after the
+    command has read them."""
+    report = {"config": config, "input_hash": _input_hash(config["inputs"]), **report}
     # a report is a tree the command builds, never circular: skipping the
     # check halves the encoding of a weightspace report's cell rows
     text = json.dumps(report, indent=1, sort_keys=True, check_circular=False)
@@ -122,65 +112,59 @@ def _listed(doc):
     return doc
 
 
-def _hash_or_builtin(paths):
-    real = [p for p in paths if not p.startswith("builtin:")]
-    if real:
-        return _hash_inputs(real)
-    return hashlib.sha256(",".join(paths).encode()).hexdigest()
+def _no_bool(value):
+    """value, which must not be a JSON boolean: Python counts true as 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"a JSON boolean, not a number: {value!r}")
+    return value
 
 
 # --- subcommands ----------------------------------------------------------------
 
 
 def cmd_complex(args):
-    cfg = RunConfig("complex." + args.action, inputs=[args.file], out=args.out).validate()
+    cfg = _config("complex." + args.action, [args.file])
     x = load_complex(args.file)
-    report = {"config": cfg.as_dict(), "input_hash": _hash_inputs([args.file]), "name": x.name}
+    report = {"name": x.name}
     if args.action == "validate":
         report["cells"] = [len(c) for c in x.cells]
         report["valid"] = True
     else:
         report["betti"] = [betti(x, j) for j in range(x.dim + 1)]
-    _emit(report, args.out)
+    _emit(cfg, report, args.out)
     return 0
 
 
 def cmd_trees(args):
-    cfg = RunConfig(
-        "trees." + args.action, inputs=[args.file], p=args.p, q=args.q, out=args.out
-    ).validate()
+    greedy = args.action == "greedy"
+    inputs = [args.file, args.weights] if greedy else [args.file]
+    cfg = _config("trees." + args.action, inputs, p=args.p, q=args.q)
     x = load_complex(args.file)
     gap = gap_complex(x, args.p, args.q)
-    report = {"config": cfg.as_dict(), "input_hash": _hash_inputs([args.file])}
-    if args.action == "enumerate":
-        report["trees"] = [
-            {"cells": list(t.cells), "torsion": t.torsion}
-            for t in enumerate_dtrees(gap, args.level)
-        ]
+    if not greedy:
+        report = {"trees": [{"cells": list(t.cells), "torsion": t.torsion}
+                            for t in enumerate_dtrees(gap, args.level)]}
     else:
         if args.weights is None:
             raise HclError("trees greedy needs --weights")
-        weights = _side_file(args.weights, lambda d: {k: float(v) for k, v in d.items()},
+        weights = _side_file(args.weights, lambda d: {k: float(_no_bool(v)) for k, v in d.items()},
                              "a JSON object of numbers keyed by cell name")
         t = greedy_dtree(gap, args.level, weights)
-        report["tree"] = {
+        report = {"tree": {
             "cells": list(t.cells),
             "torsion": t.torsion,
             "total_weight": sum(weights[nm] for nm in t.cells),
-        }
-        cfg.inputs.append(args.weights)
-        report["input_hash"] = _hash_inputs([args.file, args.weights])
-    _emit(report, args.out)
+        }}
+    _emit(cfg, report, args.out)
     return 0
 
 
 def cmd_protocol(args):
-    cfg = RunConfig("protocol." + args.action, inputs=[args.file], out=args.out).validate()
+    cfg = _config("protocol." + args.action, [args.file])
     proto = _load_protocol_arg(args.file)
     cert = proto.certificate
-    report = {"config": cfg.as_dict(), "input_hash": _hash_or_builtin([args.file])}
     good, offender = is_good(proto)
-    report["good"] = good
+    report = {"good": good}
     if offender is not None:
         report["first_offender"] = list(offender)
     if args.action == "strata":
@@ -193,130 +177,93 @@ def cmd_protocol(args):
             }
             for key, ok, k in zip(proto.cell_index.keys, cert.levels, cert.least.tolist())
         ]
-    _emit(report, args.out)
+    _emit(cfg, report, args.out)
     return 0
 
 
 def cmd_topo(args):
-    cfg = RunConfig("topo.current", inputs=[args.file], out=args.out).validate()
+    cfg = _config("topo.current", filter(None, [args.file, args.class_file]))
     proto = _load_protocol_arg(args.file)
     gap = proto.gap
     if not len(proto.cycle_by_place[0]):
         raise HclError("protocol has no stored fundamental cycle")
     if args.class_file:
-        class_p = _side_file(args.class_file, lambda d: [[Fraction(v)] for v in _listed(d)],
+        class_p = _side_file(args.class_file,
+                             lambda d: [[Fraction(_no_bool(v))] for v in _listed(d)],
                              "a JSON list of finite numbers or rational strings")
     else:
         class_p = [[1]] + [[0]] * (gap.parent_hp.betti - 1)
     [(coords, chain)] = hypercurrent_homology(proto, [proto.cycle_by_place],
                                               QMat.from_rows(class_p, (len(class_p), 1)))
     report = {
-        "config": cfg.as_dict(),
-        "input_hash": _hash_or_builtin([args.file]),
         "chain": {
             gap.cells_at(gap.top)[i]: _rat(v) for i, (v,) in enumerate(chain.to_rows()) if v
         },
         "class": [_rat(c) for (c,) in coords.to_rows()],
     }
-    _emit(report, args.out)
+    _emit(cfg, report, args.out)
     return 0
 
 
 def cmd_ana(args):
-    cfg = RunConfig(
-        "ana." + args.action,
-        inputs=[args.file],
-        betas=[args.beta],
-        tol=args.tol,
-        quad_depth=args.quad_depth,
-        out=args.out,
-        seed=args.seed,
-    ).validate()
+    cfg = _config("ana." + args.action, [args.file], betas=[args.beta], tol=args.tol,
+                  quad_depth=args.quad_depth, seed=args.seed)
     proto = _load_protocol_arg(args.file)
-    report = {"config": cfg.as_dict(), "input_hash": _hash_or_builtin([args.file])}
     if args.action == "integrate":
         coch = jan_cochain(proto, args.beta, tol=args.tol, max_depth=args.quad_depth)
-        report["residual"] = cochain_chain_map_defect(coch)
-        report["simplices"] = [
-            {"vertices": [proto.vertex_ids[v] for v in key], "block": block.tolist()}
-            for key, block in zip(proto.cell_index.keys, (b for stack in coch.stacks for b in stack))
-        ]
+        report = {
+            "residual": cochain_chain_map_defect(coch),
+            "simplices": [
+                {"vertices": [proto.vertex_ids[v] for v in key], "block": block.tolist()}
+                for key, block in zip(proto.cell_index.keys,
+                                      (b for stack in coch.stacks for b in stack))
+            ],
+        }
     else:
         if args.samples < 1:
             raise HclError(f"samples must be at least 1, got {args.samples}")
         rng = np.random.default_rng(args.seed)
         samples = interior_samples(proto, args.samples, rng)
         rep = axioms_check(proto, args.beta, samples, fd_step=args.fd_step, tol=args.tol)
-        report["samples"] = rep.samples
-        report["continuity"] = rep.continuity
-        report["orthogonality"] = rep.orthogonality
-        report["initial_value"] = rep.initial_value
-        report["zeta_independence"] = rep.zeta_independence
-        report["violations"] = len(rep.violations)
-    _emit(report, args.out)
+        report = {
+            "samples": rep.samples,
+            "continuity": rep.continuity,
+            "orthogonality": rep.orthogonality,
+            "initial_value": rep.initial_value,
+            "zeta_independence": rep.zeta_independence,
+            "violations": len(rep.violations),
+        }
+    _emit(cfg, report, args.out)
     return 0
 
 
 def _write_sweep_csv(path, sweep):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        ncoords = len(sweep.topological)
-        writer.writerow(
-            ["beta"]
-            + [f"class_{i}" for i in range(ncoords)]
-            + ["distance", "max_residual"]
-        )
+        writer.writerow(["beta"] + [f"class_{i}" for i in range(len(sweep.topological))]
+                        + ["distance", "max_residual"])
         for row in sweep.rows:
             resid = "" if row.residual is None else row.residual
-            writer.writerow(
-                [row.beta] + [f"{c!r}" for c in row.coords] + [row.distance, resid]
-            )
+            writer.writerow([row.beta] + [f"{c!r}" for c in row.coords] + [row.distance, resid])
 
 
 def cmd_quantize(args):
     betas = [float(b) for b in args.betas.split(",")]
-    cfg = RunConfig(
-        "quantize",
-        inputs=[args.file],
-        betas=betas,
-        tol=args.tol,
-        quad_depth=args.quad_depth,
-        out=args.out,
-    ).validate()
+    cfg = _config("quantize", [args.file], betas=betas, tol=args.tol, quad_depth=args.quad_depth)
     proto = _load_protocol_arg(args.file)
-    sweep = quantization_sweep(
-        proto,
-        betas,
-        proto.cycle_by_place,
-        [1] + [0] * (proto.gap.parent_hp.betti - 1),
-        tol=args.tol,
-        max_depth=args.quad_depth,
-        residuals=args.residuals,
-    )
+    sweep = quantization_sweep(proto, betas, proto.cycle_by_place,
+                               [1] + [0] * (proto.gap.parent_hp.betti - 1),
+                               tol=args.tol, max_depth=args.quad_depth, residuals=args.residuals)
     out = args.out or "sweep.csv"
     _write_sweep_csv(out, sweep)
-    summary = {
-        "config": cfg.as_dict(),
-        "input_hash": _hash_or_builtin([args.file]),
-        "topological": list(sweep.topological),
-        "slope": sweep.slope,
-        "csv": out,
-    }
-    print(json.dumps(summary, indent=1, sort_keys=True))
+    _emit(cfg, {"topological": list(sweep.topological), "slope": sweep.slope, "csv": out})
     return 0
 
 
 def cmd_weightspace(args):
-    cfg = RunConfig(
-        "weightspace.report", inputs=[args.file], p=args.p, q=args.q, out=args.out
-    ).validate()
+    cfg = _config("weightspace.report", [args.file], p=args.p, q=args.q)
     robust = classify_top_cells(load_complex(args.file), args.p, args.q)
-    report = {
-        "config": cfg.as_dict(),
-        "input_hash": _hash_inputs([args.file]),
-        "summands": robust.summands,
-        "contractible": robust.contractible,
-    }
+    report = {"summands": robust.summands, "contractible": robust.contractible}
     if not robust.contractible:
         # cells of one current share its matrix, and so its rows of _rat
         distinct = {id(rep.current_matrix): rep.current_matrix for rep in robust.cells}
@@ -332,15 +279,14 @@ def cmd_weightspace(args):
         ]
         report["inessential"] = robust.inessential
         report["robust_summands"] = robust.robust_summands
-    _emit(report, args.out)
+    _emit(cfg, report, args.out)
     return 0
 
 
 def cmd_dyn(args):
-    cfg = RunConfig("dyn.evolve", inputs=[args.file, args.p0], tol=args.tol,
-                    out=args.out).validate()
+    cfg = _config("dyn.evolve", [args.file, args.p0], tol=args.tol)
     proto = _load_protocol_arg(args.file)
-    p0 = _side_file(args.p0, lambda d: [float(v) for v in _listed(d)],
+    p0 = _side_file(args.p0, lambda d: [float(_no_bool(v)) for v in _listed(d)],
                     "a JSON list of probabilities, one per state")
     times, traj = evolve(proto, p0, args.t0, args.t1, args.steps, tol=args.tol)
     out = args.out or "traj.csv"
@@ -350,15 +296,13 @@ def cmd_dyn(args):
         # a float row as csv writes it: the reprs, comma separated, CRLF
         fh.writelines(",".join(map(repr, row)) + "\r\n"
                       for row in np.column_stack([times, traj]).tolist())
-    print(json.dumps({"config": cfg.as_dict(), "csv": out, "mass_drift":
-                      float(np.max(np.abs(traj.sum(axis=1) - 1.0)))}, indent=1))
+    _emit(cfg, {"csv": out, "mass_drift": float(np.max(np.abs(traj.sum(axis=1) - 1.0)))})
     return 0
 
 
 def cmd_demo(args):
     betas = [float(b) for b in args.betas.split(",")]
-    cfg = RunConfig("demo", q=args.q, betas=betas, tol=args.tol,
-                    quad_depth=args.quad_depth, out=args.out).validate()
+    _config("demo", [], q=args.q, betas=betas, tol=args.tol, quad_depth=args.quad_depth)
     q = args.q
     rows = []
     for name, kind in [("sphere", "cube_sphere"), ("wedge", "cube_wedge")]:
