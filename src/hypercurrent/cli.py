@@ -45,10 +45,18 @@ def _config(subcommand, inputs, p=None, q=None, betas=(), tol=1e-8, quad_depth=8
         raise HclError("beta values must be positive")
     if list(betas) != sorted(betas):
         raise HclError("beta values must be ascending")
-    return {"subcommand": subcommand, "inputs": list(inputs), "p": p, "q": q,
-            "betas": list(betas), "tol": tol, "quad_depth": quad_depth,
-            # the library runs on one thread; reports keep the key they always carried
-            "workers": 1, "seed": seed}
+    return {
+        "subcommand": subcommand,
+        "inputs": list(inputs),
+        "p": p,
+        "q": q,
+        "betas": list(betas),
+        "tol": tol,
+        "quad_depth": quad_depth,
+        # the library runs on one thread; reports keep the key they always carried
+        "workers": 1,
+        "seed": seed,
+    }
 
 
 def _input_hash(inputs):
@@ -141,20 +149,23 @@ def cmd_trees(args):
     cfg = _config("trees." + args.action, inputs, p=args.p, q=args.q)
     x = load_complex(args.file)
     gap = gap_complex(x, args.p, args.q)
+    report = {}
     if not greedy:
-        report = {"trees": [{"cells": list(t.cells), "torsion": t.torsion}
-                            for t in enumerate_dtrees(gap, args.level)]}
+        report["trees"] = [
+            {"cells": list(t.cells), "torsion": t.torsion}
+            for t in enumerate_dtrees(gap, args.level)
+        ]
     else:
         if args.weights is None:
             raise HclError("trees greedy needs --weights")
         weights = _side_file(args.weights, lambda d: {k: float(_no_bool(v)) for k, v in d.items()},
                              "a JSON object of numbers keyed by cell name")
         t = greedy_dtree(gap, args.level, weights)
-        report = {"tree": {
+        report["tree"] = {
             "cells": list(t.cells),
             "torsion": t.torsion,
             "total_weight": sum(weights[nm] for nm in t.cells),
-        }}
+        }
     _emit(cfg, report, args.out)
     return 0
 
@@ -209,30 +220,26 @@ def cmd_ana(args):
     cfg = _config("ana." + args.action, [args.file], betas=[args.beta], tol=args.tol,
                   quad_depth=args.quad_depth, seed=args.seed)
     proto = _load_protocol_arg(args.file)
+    report = {}
     if args.action == "integrate":
         coch = jan_cochain(proto, args.beta, tol=args.tol, max_depth=args.quad_depth)
-        report = {
-            "residual": cochain_chain_map_defect(coch),
-            "simplices": [
-                {"vertices": [proto.vertex_ids[v] for v in key], "block": block.tolist()}
-                for key, block in zip(proto.cell_index.keys,
-                                      (b for stack in coch.stacks for b in stack))
-            ],
-        }
+        report["residual"] = cochain_chain_map_defect(coch)
+        report["simplices"] = [
+            {"vertices": [proto.vertex_ids[v] for v in key], "block": block.tolist()}
+            for key, block in zip(proto.cell_index.keys, (b for stack in coch.stacks for b in stack))
+        ]
     else:
         if args.samples < 1:
             raise HclError(f"samples must be at least 1, got {args.samples}")
         rng = np.random.default_rng(args.seed)
         samples = interior_samples(proto, args.samples, rng)
         rep = axioms_check(proto, args.beta, samples, fd_step=args.fd_step, tol=args.tol)
-        report = {
-            "samples": rep.samples,
-            "continuity": rep.continuity,
-            "orthogonality": rep.orthogonality,
-            "initial_value": rep.initial_value,
-            "zeta_independence": rep.zeta_independence,
-            "violations": len(rep.violations),
-        }
+        report["samples"] = rep.samples
+        report["continuity"] = rep.continuity
+        report["orthogonality"] = rep.orthogonality
+        report["initial_value"] = rep.initial_value
+        report["zeta_independence"] = rep.zeta_independence
+        report["violations"] = len(rep.violations)
     _emit(cfg, report, args.out)
     return 0
 
@@ -240,20 +247,32 @@ def cmd_ana(args):
 def _write_sweep_csv(path, sweep):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["beta"] + [f"class_{i}" for i in range(len(sweep.topological))]
-                        + ["distance", "max_residual"])
+        ncoords = len(sweep.topological)
+        writer.writerow(
+            ["beta"]
+            + [f"class_{i}" for i in range(ncoords)]
+            + ["distance", "max_residual"]
+        )
         for row in sweep.rows:
             resid = "" if row.residual is None else row.residual
-            writer.writerow([row.beta] + [f"{c!r}" for c in row.coords] + [row.distance, resid])
+            writer.writerow(
+                [row.beta] + [f"{c!r}" for c in row.coords] + [row.distance, resid]
+            )
 
 
 def cmd_quantize(args):
     betas = [float(b) for b in args.betas.split(",")]
     cfg = _config("quantize", [args.file], betas=betas, tol=args.tol, quad_depth=args.quad_depth)
     proto = _load_protocol_arg(args.file)
-    sweep = quantization_sweep(proto, betas, proto.cycle_by_place,
-                               [1] + [0] * (proto.gap.parent_hp.betti - 1),
-                               tol=args.tol, max_depth=args.quad_depth, residuals=args.residuals)
+    sweep = quantization_sweep(
+        proto,
+        betas,
+        proto.cycle_by_place,
+        [1] + [0] * (proto.gap.parent_hp.betti - 1),
+        tol=args.tol,
+        max_depth=args.quad_depth,
+        residuals=args.residuals,
+    )
     out = args.out or "sweep.csv"
     _write_sweep_csv(out, sweep)
     _emit(cfg, {"topological": list(sweep.topological), "slope": sweep.slope, "csv": out})

@@ -1171,6 +1171,46 @@ def test_a_near_tie_at_a_vertex_is_resolved_or_raised():
     assert np.abs(block - exact).max() < 1e-6
 
 
+def buried_crossing_protocol():
+    """The triangle graph at (0, 1) on one edge, from t = 0 to t = 1, its
+    edges a, b, c weighted t, 1 - t and 5: the trees {b, c} and {a, c}
+    cross at t = 1/2, at weight 5.5 with steepness 2, while {a, b} leads
+    at weight 1 throughout, so their tie is buried.  At level 0 the
+    vertices x and y cross gently (steepness 0.1), so that level does not
+    zero the floor."""
+    x = loads_complex(json.dumps({"name": "triangle", "cells": [["x", "y", "z"], ["a", "b", "c"]],
+                                  "boundary": [[[-1, 0, -1], [1, -1, 0], [0, 1, 1]]]}))
+    return simplicial_protocol(
+        gap=gap_complex(x, 0, 1),
+        vertex_ids=("t0", "t1"),
+        level_weights=levels_of([((0.0, 0.05, 1.0), (0.0, 1.0, 5.0)),
+                                 ((0.1, 0.05, 1.0), (1.0, 0.0, 5.0))]),
+        simplices=((0,), (1,), (0, 1)),
+    )
+
+
+def test_a_buried_crossing_costs_depth_not_correctness():
+    # the floor's second limit: the buried pair's steepness 2 sets the
+    # floor, beta 2^-7 * 2 <= 1 at beta 40 (level 0's 0.1 alone gives 2);
+    # the block either raises or is the edge's integral at fixed depths
+    # four and five past the floor
+    proto = buried_crossing_protocol()
+    edge, beta = (0, 1), 40.0
+    ctx = _context(proto.gap)
+    geos = _vertex_geometry(ctx, proto, [edge], range(0, 2))
+    assert ana_hyper._tie_depths(geos, beta, 1e-8).tolist() == [7]
+    assert single_tie_depth(proto, edge, beta, 1e-8) == 7
+    try:
+        [block] = jan_integrate(proto, beta, [edge], tol=1e-8)
+    except QuadratureNoConvergence:
+        return
+    for depth in (11, 12):
+        nodes, wts = _node_batches(1, depth)
+        fixed = single_form(ctx, proto, edge, beta, nodes, wts, 1, "standard")
+        assert np.abs(fixed).max() > 0.7
+        assert np.abs(block - fixed).max() < 1e-8
+
+
 def test_quantization_sweep_repeated_betas_has_no_slope():
     proto = square_protocol()
     rep = quantization_sweep(proto, [5.0, 5.0], proto.fundamental_cycle, [1])

@@ -1,4 +1,6 @@
+import ast
 import csv
+import hashlib
 import io
 import json
 import pathlib
@@ -848,3 +850,117 @@ def test_protocol_check_of_a_simplex_repeating_a_vertex_is_validation_error(tmp_
     captured = capsys.readouterr()
     assert "error: ParseError: simplex (0, 0) is not a strictly sorted vertex tuple" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, option, doc",
+    [(["topo", "current", "builtin:cube_sphere:2"], "--class", "[true]"),
+     (["trees", "greedy", "TOR", "--p", "0", "--q", "2", "--level", "2"], "--weights",
+      '{"u": true, "w": false}'),
+     (["dyn", "evolve", "DYN"], "--p0", "[true, false]")],
+    ids=["class", "weights", "p0"])
+def test_a_side_file_boolean_is_no_number(command, option, doc, tor_file, tmp_path, capsys):
+    # Python counts true as 1: the class paired as 1, the weights picked a
+    # tree and p0 evolved, where protocol and complex documents refuse it
+    pfile = tmp_path / "proto.json"
+    pfile.write_text(json.dumps(DYN_PROTOCOL))
+    side = tmp_path / "side.json"
+    side.write_text(doc)
+    argv = [{"TOR": tor_file, "DYN": str(pfile)}.get(a, a) for a in command]
+    out = tmp_path / "out"
+    assert main(argv + [option, str(side), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: HclError: {side} must hold " in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+# every JSON-emitting command and the inputs it reads, in argument order:
+# an upper-case argument names a file the test writes, OUT one the command
+# writes, and a builtin: argument is read as its text
+HEADER_COMMANDS = {
+    "complex.validate": ["complex", "validate", "SPHERE1"],
+    "complex.betti": ["complex", "betti", "TOR"],
+    "trees.enumerate": ["trees", "enumerate", "TOR", "--p", "0", "--q", "2", "--level", "2"],
+    "trees.greedy": ["trees", "greedy", "TOR", "--p", "0", "--q", "2", "--level", "2",
+                     "--weights", "WEIGHTS"],
+    "protocol.check": ["protocol", "check", "builtin:square"],
+    "protocol.strata": ["protocol", "strata", "SQUARE"],
+    "topo.current": ["topo", "current", "SQUARE"],
+    "topo.current.class": ["topo", "current", "builtin:cube_sphere:2", "--class", "CLASS"],
+    "ana.integrate": ["ana", "integrate", "builtin:square", "--beta", "5"],
+    "ana.axioms": ["ana", "axioms", "SQUARE", "--beta", "3", "--samples", "3"],
+    "quantize": ["quantize", "SQUARE", "--betas", "2,5", "--out", "OUT"],
+    "weightspace.report": ["weightspace", "report", "TRIANGLE", "--p", "0", "--q", "1"],
+    "dyn.evolve": ["dyn", "evolve", "DYN", "--p0", "P0", "--steps", "20", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize("name", list(HEADER_COMMANDS))
+def test_a_report_lists_and_hashes_exactly_the_inputs_it_reads(name, sphere1_file, tor_file,
+                                                               triangle_file, tmp_path,
+                                                               monkeypatch, capsys):
+    files = {"SPHERE1": sphere1_file, "TOR": tor_file, "TRIANGLE": triangle_file}
+    for key, text in [("WEIGHTS", json.dumps({"u": 5.0, "w": 1.0})), ("CLASS", "[7]"),
+                      ("SQUARE", dumps_protocol(builtin_protocol("square", 1))),
+                      ("DYN", json.dumps(DYN_PROTOCOL)), ("P0", "[1.0, 0.0]")]:
+        files[key] = str(tmp_path / f"{key.lower()}.json")
+        pathlib.Path(files[key]).write_text(text)
+    argv = [files.get(a, str(tmp_path / "out.csv") if a == "OUT" else a)
+            for a in HEADER_COMMANDS[name]]
+    inputs = [files[a] if a in files else a for a in HEADER_COMMANDS[name]
+              if a in files or a.startswith("builtin:")]
+    opens, real_open = [], open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        opens.append((str(file), mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    files_read = [a for a in inputs if not a.startswith("builtin:")]
+
+    def header():
+        opens.clear()
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        report = json.loads(text)
+        assert text == json.dumps(report, indent=1, sort_keys=True) + "\n"
+        # the command reads its inputs as text, then the hash reads them as
+        # bytes, none before the command has
+        reading = [(path, mode) for path, mode in opens if "r" in mode]
+        assert reading == [(a, "r") for a in files_read] + [(a, "rb") for a in files_read]
+        return report["config"]["inputs"], report["input_hash"]
+
+    listed, digest = header()
+    assert listed == inputs
+    read = [a.encode() if a.startswith("builtin:") else pathlib.Path(a).read_bytes() for a in inputs]
+    assert digest == hashlib.sha256(b"".join(read)).hexdigest()
+    for path in listed:
+        if not path.startswith("builtin:"):
+            # the same document, one byte longer: a new hash
+            with real_open(path, "a") as fh:
+                fh.write("\n")
+            listed_again, digest_again = header()
+            assert listed_again == listed and digest_again != digest
+            digest = digest_again
+
+
+def test_json_is_written_by_emit_and_hashed_by_input_hash_alone():
+    # one JSON writer and one hash: every use of json.dumps and of hashlib
+    # in the module, by the function around it
+    owners = {}
+
+    def visit(node, owner):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json":
+            owners.setdefault(f"json.{node.attr}", set()).add(owner)
+        elif isinstance(node, ast.Name) and node.id == "hashlib":
+            owners.setdefault("hashlib", set()).add(owner)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module not in ("json", "hashlib"), ast.unparse(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8")), None)
+    assert owners["json.dumps"] == {"_emit"}
+    assert owners["hashlib"] == {"_input_hash"}
