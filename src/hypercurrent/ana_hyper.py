@@ -25,23 +25,31 @@ bits are those of the tree-last kernel: the tree sum adds in numpy's
 order for a last axis of that length (_tree_axis_sum), and the matmuls
 that contract trees, whose rounding depends on operand layout, are
 handed tree-last arrays (drho is laid out trees innermost).
-The Stokes map integrates the forms over simplices with a degree-5 rule
-plus edgewise dyadic refinement; the quadrature geometry depends only on
-the simplex dimension and the depth and is cached per process.  The
-integration is stacked: all simplices of one dimension at one beta share
-the depth loop, their vertex tree weights are computed once, and each
+The Stokes map integrates the forms over simplices with a degree-5 rule.
+An edge is cut where a tree pair of either level ties on it, and at a
+vertex where a pair comes within ln(1/tol)/beta of a tie, and its mesh
+is graded toward those cuts from pieces of R/(beta s) (_edge_meshes,
+_graded_breaks), so a layer of width 1/(beta s) costs O(log beta)
+pieces; the mesh is then halved level by level until two levels agree
+within tol.  Simplices of dimension 2 and up take edgewise dyadic
+refinement, whose geometry depends only on the dimension and the depth
+and is cached per process.  The integration is stacked: all simplices
+of one dimension at one beta share the depth loop (the edges of one mesh
+share its levels), their vertex tree weights are computed once, and each
 depth is one form evaluation over the still-unconverged simplices, in
 blocks of at most _BLOCK simplices times nodes, or of one simplex whose
 nodes alone exceed it.  A block's per-node passes (rho, drho and the
 orchard's tree contractions) run on chunks of at most _BLOCK simplices
 times nodes and write node-axis buffers; each node sum is one matmul
 over all of the block's nodes, so the chunks leave every bit as it is.
-A simplex leaves the stack when its own two last depths agree at or past
-its tie floor (_tie_depths), and the depth loop stops short of a batch of
-more than _NODE_BUDGET nodes per simplex; a floor past the depth the loop
-can reach raises before any form is evaluated.  The point form takes a stack of points: each is its
-simplex's vertex geometry moved to it, so the stack is the one-node case
-of the same evaluator, and each point rounds as it does alone on its frame.
+A simplex leaves the stack when its own two last depths agree, one of
+dimension 2 and up only at or past its tie floor (_tie_depths); the
+depth loop stops short of a batch of more than _NODE_BUDGET nodes per
+simplex, and a floor past the depth the loop can reach raises before
+any form is evaluated.  The point form takes a stack of points: each is
+its simplex's vertex geometry moved to it, so the stack is the one-node
+case of the same evaluator, and each point rounds as it does alone on
+its frame.
 The axiom check makes one such call per degree and zeta over its samples.
 Exponentials are always shifted by the per-level extremum before
 exponentiation so large beta stays finite.
@@ -497,9 +505,17 @@ def _node_batches(jdim, depth):
 
 
 @functools.lru_cache(maxsize=8)
+def _rule(jdim):
+    """simplex_rule on the jdim-simplex, read-only and kept per process."""
+    bary, w = simplex_rule(jdim)
+    bary.setflags(write=False)
+    w.setflags(write=False)
+    return bary, w
+
+
 def _rule_size(jdim):
     """Nodes of simplex_rule on the jdim-simplex, one rule piece."""
-    return len(simplex_rule(jdim)[1])
+    return len(_rule(jdim)[1])
 
 
 # Simplices times nodes in one per-node pass of a form evaluation: every
@@ -516,36 +532,199 @@ _BLOCK = 4096
 _NODE_BUDGET = 2 ** 22
 
 
+def _reach(tol):
+    """R = (tol / 1e-8)^(1/6): the e-folds of a tree ratio one piece may
+    span where the degree-5 rule still meets tol."""
+    return (tol / 1e-8) ** (1 / 6)
+
+
+def _near(beta, tol):
+    """L / beta with L = ln(1/tol): a pair whose difference comes this
+    close to a tie is a layer, since past L e-folds a tree's Boltzmann
+    weight falls below tol."""
+    return math.log(1 / tol) / beta
+
+
 def _tie_depths(geos, beta, tol):
-    """Each simplex's floor: the least depth d with R = beta 2^-d s at most
-    (tol / 1e-8)^(1/6), the e-folds of a tree ratio one piece edge may span
-    where the degree-5 rule still meets tol.  s is the largest steepness
-    (range over the vertices) of a level's tree-weight difference that
-    changes sign over the simplex's vertices: tree weights are affine, so
-    such a pair ties inside the simplex, in a layer of width 1/(beta s).
-    Where a level below the top has no such pair, the form is damped by
-    that level's Boltzmann gap and R is 0.  The floor bounds a tie's slope
-    as the vertices see it, not the quadrature error: it misses a pair that
-    comes within a few 1/beta of a tie at a vertex without crossing, and
-    it counts crossings of trees that never lead, which costs depth."""
+    """Each simplex's floor: the least depth d with beta 2^-d s at most R
+    (_reach).  s is the largest steepness (range over the vertices) of a
+    level's tree-weight difference that changes sign over the simplex's
+    vertices, or comes within L / beta of a tie at one (_near): tree
+    weights are affine, so such a pair ties inside the simplex, or nearly
+    at a vertex, in a layer of width 1/(beta s).  Where a level below the
+    top has no such pair, the form is damped by that level's Boltzmann
+    gap and R is 0.  The floor bounds a tie's slope as the vertices see
+    it, not the quadrature error: it misses a layer between the vertices
+    that no pair approaches at a vertex, and it counts crossings of trees
+    that never lead, which costs depth."""
     steep = []
+    near = _near(beta, tol)
     for base, grads in geos:
         wt = np.concatenate([base[:, None], base[:, None] + grads], axis=1)
         diff = wt[:, :, :, None] - wt[:, :, None, :]      # (simplices, vertices, trees, trees)
         lo, hi = diff.min(axis=1), diff.max(axis=1)
-        steep.append(((hi - lo) * (lo * hi < 0)).max(axis=(1, 2)))
-    ratio = beta * np.max(steep, axis=0) * np.all(steep[:-1], axis=0) / (tol / 1e-8) ** (1 / 6)
+        seen = (lo * hi < 0) | (np.abs(diff).min(axis=1) <= near)
+        steep.append(((hi - lo) * seen).max(axis=(1, 2)))
+    ratio = beta * np.max(steep, axis=0) * np.all(steep[:-1], axis=0) / _reach(tol)
     return np.ceil(np.log2(np.maximum(ratio, 1))).astype(int)
 
 
+# The ratio of neighbouring pieces of a graded mesh, measured: on a cycle
+# edge of square, its tie at t = 1/2, at tol 1e-8 and beta 30-3000, ratio
+# 1.15 converged with the fewest nodes (648-1836, against 1176-2856 at
+# 1.25 and 2232-4836 at 2) and in the fewest levels (2, against 3 at 1.25
+# and 5 at 2); 1.125 took 720-2124 nodes, and nodes at beta 3000 grow
+# toward twice those at beta 100 as the ratio falls.
+_GRADING = 1.15
+
+
+def _edge_meshes(geos, beta, tol):
+    """The edges by their cuts, {cuts: edge indices}, the cuts a sorted
+    tuple of (place, first piece length): at t* = d0 / (d0 - d1), where
+    the difference d of a tree pair of some level changes sign, and at a
+    vertex where a pair that does not cross comes within L / beta of a
+    tie (_near).  The first piece is R / (beta s) long (_reach),
+    s = |d1 - d0| the pair's steepness; of several pairs at one place the
+    shortest wins."""
+    d0, d1 = [], []
+    for base, grads in geos:
+        ends = base + grads[:, 0]
+        d0.append((base[:, :, None] - base[:, None, :]).reshape(len(base), -1))
+        d1.append((ends[:, :, None] - ends[:, None, :]).reshape(len(base), -1))
+    d0, d1 = np.concatenate(d0, axis=1), np.concatenate(d1, axis=1)
+    steep = np.abs(d1 - d0)
+    cross = d0 * d1 < 0
+    near = ~cross & (steep > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        places = np.concatenate([np.where(cross, d0 / (d0 - d1), np.inf),
+                                 np.where(near & (np.abs(d0) <= _near(beta, tol)), 0.0, np.inf),
+                                 np.where(near & (np.abs(d1) <= _near(beta, tol)), 1.0, np.inf)], axis=1)
+        sizes = np.tile(_reach(tol) / (beta * steep), 3)
+    # each edge's places sorted, the shortest piece first at a place, and
+    # the first of each place kept; unseen and repeated places are inf
+    order = np.lexsort((sizes, places))
+    places, sizes = np.take_along_axis(places, order, 1), np.take_along_axis(sizes, order, 1)
+    places[:, 1:][places[:, 1:] == places[:, :-1]] = np.inf
+    meshes = {}
+    for edge, (row, lengths) in enumerate(zip(places.tolist(), sizes.tolist())):
+        cuts = tuple((t, h) for t, h in zip(row, lengths) if t < math.inf)
+        meshes.setdefault(cuts, []).append(edge)
+    return {cuts: np.array(edges) for cuts, edges in meshes.items()}
+
+
+def _graded_part(span, size):
+    """The breaks of a part span long graded away from a cut, as ascending
+    distances from it, the last span: pieces growing by _GRADING toward
+    the far end, span (1 - 1/_GRADING) / _GRADING^k for k = 0, 1, ..., as
+    long as they are at least size long, and the rest next to the cut in
+    equal pieces of at most size."""
+    n = 0
+    while span * _GRADING ** -(n + 1) * (_GRADING - 1) >= size:
+        n += 1
+    inner = span * _GRADING ** -n
+    m = math.ceil(inner / size)
+    return [inner * j / m for j in range(1, m)] + [span * _GRADING ** -k for k in range(n, -1, -1)]
+
+
+def _graded_breaks(cuts):
+    """The breakpoints of an edge's graded mesh on [0, 1].  Each stretch
+    between neighbouring places (the cuts and the ends) is split at its
+    midpoint where both ends are cuts, and each part is graded away from
+    its cut, starting with pieces of at most the cut's first piece length
+    (_graded_part); a part with no cut is one piece."""
+    sizes = dict(cuts)
+    places = sorted(set(sizes) | {0.0, 1.0})
+    breaks = [0.0]
+    for a, b in zip(places, places[1:]):
+        ha, hb = sizes.get(a, math.inf), sizes.get(b, math.inf)
+        mid = (a + b) / 2 if max(ha, hb) < math.inf else b if ha < math.inf else a
+        if mid > a:
+            breaks += [a + x for x in _graded_part(mid - a, ha)[:-1]] + [mid]
+        if b > mid:
+            breaks += [b - x for x in _graded_part(b - mid, hb)[-2::-1]] + [b]
+    return np.array(breaks)
+
+
+def _graded_levels(breaks, levels):
+    """Node batches of a 1-D mesh with the given breakpoints, halved level
+    by level, levels of them: the degree-5 rule on every piece."""
+    bary, w = _rule(1)
+    for _ in range(levels):
+        pieces = np.stack([breaks[:-1], breaks[1:]], axis=1)[:, :, None]
+        yield (np.einsum("pv,kvd->kpd", bary, pieces).reshape(-1, 1),
+               (w * (breaks[1:] - breaks[:-1])[:, None]).reshape(-1))
+        halved = np.empty(2 * len(breaks) - 1)
+        halved[::2], halved[1::2] = breaks, (breaks[:-1] + breaks[1:]) / 2
+        breaks = halved
+
+
+def _refine(ctx, p, beta, geos, active, batches, tol, out, floors=None):
+    """The depth loop of a stack of simplices of one dimension: active
+    indexes them in out, geos is their vertex geometry, and batches gives
+    each depth's (nodes, weights).  Each depth is one form evaluation per
+    block of still-active simplices; a simplex leaves, its block written
+    to out, once its two last depths agree within tol, at a depth no less
+    than its floor where floors (by index in out) are given.  Returns the
+    indices of the simplices that never converged."""
+    prev = None
+    for depth, (nodes, wts) in enumerate(batches):
+        step = max(1, _BLOCK // len(wts))
+        est = np.concatenate([
+            _form(ctx, p, beta, [(base[lo:lo + step], grads[lo:lo + step]) for base, grads in geos],
+                  nodes, wts, "standard")
+            for lo in range(0, len(active), step)])
+        if prev is not None:
+            done = np.max(np.abs(est - prev), axis=(1, 2)) < tol
+            if floors is not None:
+                done &= floors[active] <= depth
+            out[active[done]] = est[done]
+            active, est = active[~done], est[~done]
+            geos = [(base[~done], grads[~done]) for base, grads in geos]
+            if not len(active):
+                break
+        prev = est
+    return active
+
+
+def _unconverged(active, deepest, max_depth, tol):
+    """Why each simplex of active failed: no convergence by the deepest
+    depth allowed, and the node budget where it cut max_depth short."""
+    budget = "" if deepest == max_depth else (
+        f": depth {deepest + 1} would exceed the budget of {_NODE_BUDGET} nodes per simplex")
+    return dict.fromkeys(active.tolist(), f": no convergence within depth {deepest} at tol {tol}{budget}")
+
+
+def _integrate_edges(ctx, proto, beta, keys, tol, max_depth):
+    """Stokes integrals of 1-simplices on graded meshes: each edge is cut
+    at its ties and graded toward them (_edge_meshes, _graded_breaks), so
+    the mesh resolves a layer of width 1/(beta s) with O(log beta)
+    pieces, and the mesh is halved level by level until the edge's two
+    last levels agree within tol (_refine).  Edges of one mesh share its
+    levels.  A mesh stops past max_depth halvings, or short of a level of
+    more than _NODE_BUDGET nodes; returns the blocks and why each edge
+    that never converged failed, as _integrate_stack does."""
+    p = proto.gap.p
+    geos = _vertex_geometry(ctx, proto, keys, (p, p + 1))
+    out = np.full((len(keys), proto.gap.dim_at(1), proto.gap.dim_at(0)), np.nan)
+    missed = {}
+    for cuts, at in _edge_meshes(geos, beta, tol).items():
+        breaks = _graded_breaks(cuts)
+        deepest = max_depth
+        while deepest >= 0 and _rule_size(1) * (len(breaks) - 1) * 2 ** deepest > _NODE_BUDGET:
+            deepest -= 1
+        left = _refine(ctx, p, beta, [(base[at], grads[at]) for base, grads in geos], at,
+                       _graded_levels(breaks, deepest + 1), tol, out)
+        missed.update(_unconverged(left, deepest, max_depth, tol))
+    return out, missed
+
+
 def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
-    """Dyadic Stokes integrals of simplices of one dimension, stacked: one
-    form evaluation per depth and block of still-active simplices.  Each
-    simplex leaves once two depths agree within tol, at a depth no less
-    than its floor (_tie_depths); returns the blocks as one array
-    (simplices, rows, cols), NaN for the simplices that never converged,
-    and why each of those failed, by its place in keys.  The depth loop
-    stops short of max_depth where the next batch would exceed
+    """Dyadic Stokes integrals of simplices of one dimension, stacked
+    (_refine): each simplex leaves once two depths agree within tol, at a
+    depth no less than its floor (_tie_depths); returns the blocks as one
+    array (simplices, rows, cols), NaN for the simplices that never
+    converged, and why each of those failed, by its place in keys.  The
+    depth loop stops short of max_depth where the next batch would exceed
     _NODE_BUDGET nodes per simplex; where some floor lies deeper than the
     loop can reach, the stack returns those simplices as failed before any
     form is evaluated."""
@@ -560,27 +739,9 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     if (floors > deepest).any():
         return out, {i: f" at beta {beta}: tie layer needs depth {floors[i]}, budget allows {deepest}"
                      for i in np.flatnonzero(floors > deepest).tolist()}
-    active = np.arange(len(keys))
-    prev = None
-    for depth in range(deepest + 1):
-        nodes, wts = _node_batches(jdim, depth)
-        step = max(1, _BLOCK // len(wts))
-        est = np.concatenate([
-            _form(ctx, p, beta, [(base[lo:lo + step], grads[lo:lo + step]) for base, grads in geos],
-                  nodes, wts, "standard")
-            for lo in range(0, len(active), step)])
-        if prev is not None:
-            done = (np.max(np.abs(est - prev), axis=(1, 2)) < tol) & (floors[active] <= depth)
-            out[active[done]] = est[done]
-            active, est = active[~done], est[~done]
-            geos = [(base[~done], grads[~done]) for base, grads in geos]
-            if not len(active):
-                break
-        prev = est
-    budget = "" if deepest == max_depth else (
-        f": depth {deepest + 1} would exceed the budget of {_NODE_BUDGET} nodes per simplex")
-    why = f": no convergence within depth {deepest} at tol {tol}{budget}"
-    return out, dict.fromkeys(active.tolist(), why)
+    left = _refine(ctx, p, beta, geos, np.arange(len(keys)),
+                   (_node_batches(jdim, depth) for depth in range(deepest + 1)), tol, out, floors)
+    return out, _unconverged(left, deepest, max_depth, tol)
 
 
 def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
@@ -599,7 +760,8 @@ def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
         if len(simplices[0]) == 1:
             stack = _alpha0(gap, _vertex_rows(proto, simplices, gap.p)[:, 0], beta)
         else:
-            stack, left = _integrate_stack(ctx, proto, beta, simplices, tol, max_depth)
+            route = _integrate_edges if len(simplices[0]) == 2 else _integrate_stack
+            stack, left = route(ctx, proto, beta, simplices, tol, max_depth)
             missed += [(at[i], simplices[i], why) for i, why in left.items()]
         out.append(stack)
     if missed:
@@ -611,9 +773,10 @@ def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
 
 def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     """Stokes-map values on a list of simplices, in their order: the
-    integral of each one's pulled-back degree-(dim) form, refined
-    dyadically until two depths agree within tol, which must be finite
-    and positive.  The simplices are vertex tuples, or an array of vertex
+    integral of each one's pulled-back degree-(dim) form, refined until
+    two depths agree within tol, which must be finite and positive: an
+    edge on its graded mesh, halved (_integrate_edges), a simplex of
+    dimension 2 and up dyadically (_integrate_stack).  The simplices are vertex tuples, or an array of vertex
     rows of one dimension.  Simplices of one dimension are integrated
     together (see _integrate_stack)."""
     keys = keys if isinstance(keys, np.ndarray) else [tuple(key) for key in keys]

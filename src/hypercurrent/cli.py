@@ -3,10 +3,13 @@
 Every report is JSON (or CSV for sweeps and trajectories, with a JSON
 summary on stdout).  Each JSON report and summary carries the resolved
 configuration, whose ``inputs`` lists every file the command reads in
-argument order, side files included, and ``input_hash``, the SHA-256 of
+the order it reads them, side files and a complex file that a protocol
+file references included, and ``input_hash``, the SHA-256 of
 those inputs in that order: a file's bytes, or a ``builtin:`` argument's
 text.  Identical invocations produce identical outputs.  Validation
-problems exit with status 2, internal errors with 1.
+problems exit with status 2, internal errors with 1; a command whose
+stdout closes early (``hcl ... | head``) stops without a message and
+exits with 1, as Python does on EPIPE.
 """
 
 import argparse
@@ -15,6 +18,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -92,13 +96,20 @@ def _emit(config, report, out=None):
         print(text)
 
 
-def _load_protocol_arg(path):
+def _load_protocol_arg(path, inputs=None):
+    """The protocol a builtin: argument names or a file holds; a complex
+    file the protocol file references goes into inputs right after it."""
     if path.startswith("builtin:"):
         kind, _, qs = path.split(":", 1)[1].partition(":")
         if qs and not (qs.isascii() and qs.isdigit()):
             raise ParseError(f"{path}: the Q of builtin:KIND:Q must be ASCII decimal digits")
         return builtin_protocol(kind, int(qs) if qs else 2)
-    return load_protocol(path)
+    read = []
+    proto = load_protocol(path, read)
+    if inputs is not None:
+        at = inputs.index(path) + 1
+        inputs[at:at] = read
+    return proto
 
 
 def _side_file(path, read, shape):
@@ -125,6 +136,14 @@ def _no_bool(value):
     if isinstance(value, bool):
         raise TypeError(f"a JSON boolean, not a number: {value!r}")
     return value
+
+
+def _number(value):
+    """value as a float, which must be a JSON number, as in a protocol
+    document: float() also reads strings, and Python counts true as 1."""
+    if type(value) not in (int, float):
+        raise TypeError(f"not a JSON number: {value!r}")
+    return float(value)
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -158,7 +177,7 @@ def cmd_trees(args):
     else:
         if args.weights is None:
             raise HclError("trees greedy needs --weights")
-        weights = _side_file(args.weights, lambda d: {k: float(_no_bool(v)) for k, v in d.items()},
+        weights = _side_file(args.weights, lambda d: {k: _number(v) for k, v in d.items()},
                              "a JSON object of numbers keyed by cell name")
         t = greedy_dtree(gap, args.level, weights)
         report["tree"] = {
@@ -172,7 +191,7 @@ def cmd_trees(args):
 
 def cmd_protocol(args):
     cfg = _config("protocol." + args.action, [args.file])
-    proto = _load_protocol_arg(args.file)
+    proto = _load_protocol_arg(args.file, cfg["inputs"])
     cert = proto.certificate
     good, offender = is_good(proto)
     report = {"good": good}
@@ -194,7 +213,7 @@ def cmd_protocol(args):
 
 def cmd_topo(args):
     cfg = _config("topo.current", filter(None, [args.file, args.class_file]))
-    proto = _load_protocol_arg(args.file)
+    proto = _load_protocol_arg(args.file, cfg["inputs"])
     gap = proto.gap
     if not len(proto.cycle_by_place[0]):
         raise HclError("protocol has no stored fundamental cycle")
@@ -219,7 +238,7 @@ def cmd_topo(args):
 def cmd_ana(args):
     cfg = _config("ana." + args.action, [args.file], betas=[args.beta], tol=args.tol,
                   quad_depth=args.quad_depth, seed=args.seed)
-    proto = _load_protocol_arg(args.file)
+    proto = _load_protocol_arg(args.file, cfg["inputs"])
     report = {}
     if args.action == "integrate":
         coch = jan_cochain(proto, args.beta, tol=args.tol, max_depth=args.quad_depth)
@@ -263,7 +282,7 @@ def _write_sweep_csv(path, sweep):
 def cmd_quantize(args):
     betas = [float(b) for b in args.betas.split(",")]
     cfg = _config("quantize", [args.file], betas=betas, tol=args.tol, quad_depth=args.quad_depth)
-    proto = _load_protocol_arg(args.file)
+    proto = _load_protocol_arg(args.file, cfg["inputs"])
     sweep = quantization_sweep(
         proto,
         betas,
@@ -304,8 +323,8 @@ def cmd_weightspace(args):
 
 def cmd_dyn(args):
     cfg = _config("dyn.evolve", [args.file, args.p0], tol=args.tol)
-    proto = _load_protocol_arg(args.file)
-    p0 = _side_file(args.p0, lambda d: [float(_no_bool(v)) for v in _listed(d)],
+    proto = _load_protocol_arg(args.file, cfg["inputs"])
+    p0 = _side_file(args.p0, lambda d: [_number(v) for v in _listed(d)],
                     "a JSON list of probabilities, one per state")
     times, traj = evolve(proto, p0, args.t0, args.t1, args.steps, tol=args.tol)
     out = args.out or "traj.csv"
@@ -353,6 +372,11 @@ def cmd_demo(args):
     return 0
 
 
+QUAD_DEPTH_HELP = ("the deepest quadrature level: a simplex of dimension 2 or more is split "
+                   "into at most 2^depth pieces along each edge, and an edge's mesh, cut at its "
+                   "ties and graded toward them, is halved at most depth times (default 8)")
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parse_args keeps no
@@ -396,7 +420,7 @@ def build_parser():
     pa.add_argument("--samples", type=int, default=50)
     pa.add_argument("--fd-step", type=float, default=1e-5)
     pa.add_argument("--tol", type=float, default=1e-8)
-    pa.add_argument("--quad-depth", type=int, default=8)
+    pa.add_argument("--quad-depth", type=int, default=8, help=QUAD_DEPTH_HELP)
     pa.add_argument("--seed", type=int, default=0)
     pa.add_argument("--out")
     pa.set_defaults(func=cmd_ana)
@@ -405,7 +429,7 @@ def build_parser():
     pq.add_argument("file")
     pq.add_argument("--betas", required=True)
     pq.add_argument("--tol", type=float, default=1e-8)
-    pq.add_argument("--quad-depth", type=int, default=8)
+    pq.add_argument("--quad-depth", type=int, default=8, help=QUAD_DEPTH_HELP)
     pq.add_argument("--residuals", action="store_true")
     pq.add_argument("--out")
     pq.set_defaults(func=cmd_quantize)
@@ -433,7 +457,7 @@ def build_parser():
     pm.add_argument("--q", type=int, default=2)
     pm.add_argument("--betas", default="5,10,20,30")
     pm.add_argument("--tol", type=float, default=1e-8)
-    pm.add_argument("--quad-depth", type=int, default=8)
+    pm.add_argument("--quad-depth", type=int, default=8, help=QUAD_DEPTH_HELP)
     pm.add_argument("--out")
     pm.set_defaults(func=cmd_demo)
 
@@ -444,7 +468,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left (hcl ... | head): Python's SIGPIPE
+        # idiom, no message, and the flush at exit sent to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except HclError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

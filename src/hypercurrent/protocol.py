@@ -253,13 +253,16 @@ def _builtin_complex(kind, q):
     return _BUILTIN_COMPLEXES[kind](q)
 
 
-def _resolve_complex(spec, base_dir=None):
+def _resolve_complex(spec, base_dir=None, read=None):
     if isinstance(spec, str):
         path = spec if base_dir is None else os.path.join(base_dir, spec)
-        return load_complex(path)
+        x = load_complex(path)
+        if read is not None:
+            read.append(path)
+        return x
     if isinstance(spec, dict):
         if "path" in spec:
-            return _resolve_complex(spec["path"], base_dir)
+            return _resolve_complex(spec["path"], base_dir, read)
         if "inline" in spec:
             return _from_doc(spec["inline"])
         kind = spec.get("builtin")
@@ -294,11 +297,13 @@ def _vertex_key(index, vids, where):
         raise NotClosedUnderFaces(f"{where} references unknown vertex {bad!r}") from None
 
 
-def loads_protocol(text, base_dir=None):
+def loads_protocol(text, base_dir=None, read=None):
     """The protocol a JSON document describes.  Each field's JSON type is
     checked where it is read; one of the wrong type is a ParseError
     naming it.  A weight entry is a JSON number and an integer field a
-    JSON integer, neither of them a bool."""
+    JSON integer, neither of them a bool.  A complex the document names
+    by path is read relative to base_dir, and its path appended to the
+    list read, if one is given."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -308,7 +313,7 @@ def loads_protocol(text, base_dir=None):
         b = _typed(doc["builtin"], dict, "protocol field builtin")
         return builtin_protocol(b.get("type"), _typed(b.get("q", 2), int, "builtin field q"))
     try:
-        x = _resolve_complex(doc["complex"], base_dir)
+        x = _resolve_complex(doc["complex"], base_dir, read)
         p, q = (_typed(doc[f], int, f"protocol field {f}") for f in "pq")
         gap = gap_complex(x, p, q)
         ids, rows = [], []
@@ -359,9 +364,11 @@ def loads_protocol(text, base_dir=None):
     return simplicial_protocol(gap, ids, weights, simplices, orientation, cycle)
 
 
-def load_protocol(path):
+def load_protocol(path, read=None):
+    """The protocol of the document at path (loads_protocol); read, if
+    given, gets the path of a complex file the document references."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_protocol(fh.read(), base_dir=os.path.dirname(os.path.abspath(path)))
+        return loads_protocol(fh.read(), os.path.dirname(os.path.abspath(path)), read)
 
 
 def _refuse_unnamable_ids(ids, cycle, error):

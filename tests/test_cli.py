@@ -3,7 +3,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +16,8 @@ from hypercurrent.cli import main
 from hypercurrent.complex_core import dumps_complex, gap_complex, sphere_complex, torsion_complex
 from hypercurrent.ana_hyper import jan_cochain
 from hypercurrent.graph_dynamics import evolve
-from hypercurrent.protocol import builtin_protocol, cube_protocol, dumps_protocol, load_protocol
+from hypercurrent.protocol import builtin_protocol, cube_protocol, cube_sphere_protocol, \
+    dumps_protocol, load_protocol
 
 from exact_cochain import chain_map_defect_oracle
 from protocol_ops import shuffled_doc, square_doc_without_last_edge
@@ -735,6 +739,21 @@ def test_demo_q1(tmp_path, capsys):
     assert out.exists()
 
 
+def test_a_closed_stdout_exits_1_without_a_message():
+    # hcl ... | head: the reader leaves before the report is written; the
+    # command stops as Python's SIGPIPE idiom has it, not with the
+    # validation code 2 and an error line
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen([sys.executable, "-m", "hypercurrent.cli", "protocol", "check",
+                             "builtin:square"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()     # before the interpreter has started
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")
+
+
 def test_reports_are_deterministic(sphere1_file, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["complex", "betti", sphere1_file, "--out", str(out1)])
@@ -884,6 +903,7 @@ HEADER_COMMANDS = {
     "trees.greedy": ["trees", "greedy", "TOR", "--p", "0", "--q", "2", "--level", "2",
                      "--weights", "WEIGHTS"],
     "protocol.check": ["protocol", "check", "builtin:square"],
+    "protocol.check.complex_path": ["protocol", "check", "REFPROTO"],
     "protocol.strata": ["protocol", "strata", "SQUARE"],
     "topo.current": ["topo", "current", "SQUARE"],
     "topo.current.class": ["topo", "current", "builtin:cube_sphere:2", "--class", "CLASS"],
@@ -895,6 +915,11 @@ HEADER_COMMANDS = {
 }
 
 
+# files an input document references, read right after it: REFPROTO names
+# its complex by the relative path sphere1.json
+REFERENCED = {"REFPROTO": ["SPHERE1"]}
+
+
 @pytest.mark.parametrize("name", list(HEADER_COMMANDS))
 def test_a_report_lists_and_hashes_exactly_the_inputs_it_reads(name, sphere1_file, tor_file,
                                                                triangle_file, tmp_path,
@@ -902,13 +927,14 @@ def test_a_report_lists_and_hashes_exactly_the_inputs_it_reads(name, sphere1_fil
     files = {"SPHERE1": sphere1_file, "TOR": tor_file, "TRIANGLE": triangle_file}
     for key, text in [("WEIGHTS", json.dumps({"u": 5.0, "w": 1.0})), ("CLASS", "[7]"),
                       ("SQUARE", dumps_protocol(builtin_protocol("square", 1))),
-                      ("DYN", json.dumps(DYN_PROTOCOL)), ("P0", "[1.0, 0.0]")]:
+                      ("DYN", json.dumps(DYN_PROTOCOL)), ("P0", "[1.0, 0.0]"),
+                      ("REFPROTO", dumps_protocol(cube_sphere_protocol(1), "sphere1.json"))]:
         files[key] = str(tmp_path / f"{key.lower()}.json")
         pathlib.Path(files[key]).write_text(text)
     argv = [files.get(a, str(tmp_path / "out.csv") if a == "OUT" else a)
             for a in HEADER_COMMANDS[name]]
-    inputs = [files[a] if a in files else a for a in HEADER_COMMANDS[name]
-              if a in files or a.startswith("builtin:")]
+    inputs = [read for a in HEADER_COMMANDS[name] if a in files or a.startswith("builtin:")
+              for read in [files.get(a, a)] + [files[r] for r in REFERENCED.get(a, [])]]
     opens, real_open = [], open
 
     def recording_open(file, mode="r", *args, **kwargs):

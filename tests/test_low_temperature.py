@@ -3,7 +3,7 @@
 On the generic protocols of tests/generic.py the analytical class must
 reach the exact class once beta * gap >= 25, and its distance must fall
 as e^(-beta * gap): the fitted log-slope within 2% of -gap on beta * gap
-in [5, 20].  On the builtins and the generic protocols, the analytical
+in [5, 20], over the points whose distance the quadrature resolves.  On the builtins and the generic protocols, the analytical
 vertex block minus the exact one must be the deviation that
 tests/asymptotics.py predicts from exact tree data.
 """
@@ -23,13 +23,21 @@ GENERIC = [(q, seed) for q in (1, 2) for seed in SEEDS]
 EPS = np.finfo(float).eps
 
 # Generic protocols whose fitted slope breaks the 2% law, with the fitted
-# slope over -gap.  Each has a second tie point whose gap lies within a
-# few percent of the smallest, so on beta * gap <= 20 the distance is a
+# slope over -gap.  Most have a second tie point whose gap lies within a
+# few percent of the smallest, so on beta * gap <= 15 the distance is a
 # sum of two exponentials of nearly equal rate and its slope lies between
-# them.  The law is not met, and the marks are strict: a change that
-# meets it fails here until its mark goes.
-SLOPE_REFUTED = {(1, 0): 1.0269, (1, 1): 1.0244, (1, 3): 1.0248, (2, 0): 1.0220,
-                 (2, 1): 1.0579, (2, 2): 1.0526, (2, 3): 1.0454}
+# them; cube_sphere1-seed2's next gap is 27% larger, and its slope still
+# reads 1.0355 times -gap over the fitted points (1.023 with beta * gap
+# 20 too).  The law is not met on any of the eight, and the marks are
+# strict: a change that meets it fails here until its mark goes.
+SLOPE_REFUTED = {(1, 0): 1.0269, (1, 1): 1.0281, (1, 2): 1.0355, (1, 3): 1.0292,
+                 (2, 0): 1.0343, (2, 1): 1.0530, (2, 2): 1.0629, (2, 3): 1.0748}
+
+# The slope sweeps' tolerance.  A point's distance is fitted only where it
+# is at least 100 * SLOPE_TOL, so that the quadrature error, within
+# SLOPE_TOL, moves its log by 1% or less: beta * gap 5, 10 and 15 here.
+# At beta * gap 20 the distance is 2-5e-9, below that line.
+SLOPE_TOL = 1e-10
 
 
 def _slope_cases():
@@ -63,8 +71,11 @@ def test_fitted_slope_is_minus_the_gap(q, seed):
     proto = generic_protocol(q, seed)
     gap = float(tie_gap(proto))
     sweep = quantization_sweep(proto, [s / gap for s in (5, 10, 15, 20)],
-                               proto.fundamental_cycle, [1])
-    assert abs(sweep.slope / -gap - 1) <= 0.02
+                               proto.fundamental_cycle, [1], tol=SLOPE_TOL)
+    kept = [row for row in sweep.rows if row.distance >= 100 * SLOPE_TOL]
+    assert len(kept) >= 3
+    slope = np.polyfit([row.beta for row in kept], np.log([row.distance for row in kept]), 1)[0]
+    assert abs(slope / -gap - 1) <= 0.02
 
 
 VERTEX_DOMAINS = [("square", square_protocol, 1.0)] + [

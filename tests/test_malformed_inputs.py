@@ -135,3 +135,38 @@ def test_an_integer_field_must_be_a_json_integer(case, tmp_path):
         code = main(["protocol", "check", str(path)])
     assert (code, out.getvalue()) == (2, "")
     assert err.getvalue() == f"error: ParseError: {named} must be a JSON integer, got {bad!r}\n"
+
+
+# side files read numbers by the rule protocol documents follow: a JSON
+# string is no number, though float() reads it; a class file keeps its
+# rational strings.  Each case: option, document, the shape its message
+# names, and the exit code
+SIDE_NUMBERS = {
+    "weights": ("--weights", {"e0+": "5", "e0-": 1.0}, "a JSON object of numbers keyed by cell name", 2),
+    "p0": ("--p0", ["1.0", 0.0], "a JSON list of probabilities, one per state", 2),
+    "class": ("--class", ["-7/2"], None, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SIDE_NUMBERS))
+def test_a_side_file_string_is_no_number(case, tmp_path):
+    option, doc, shape, code = SIDE_NUMBERS[case]
+    [command] = KINDS[case][1]
+    sphere2 = tmp_path / "sphere2.json"
+    sphere2.write_text(dumps_complex(sphere_complex(2)))
+    dyn = tmp_path / "dyn.json"
+    dyn.write_text(json.dumps(DYN_PROTOCOL))
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(doc))
+    names = {"FILE": str(path), "SPHERE2": str(sphere2), "DYN": str(dyn),
+             "OUT": str(tmp_path / "out.csv")}
+    assert option in command
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        got = main([names.get(a, a) for a in command])
+    assert got == code
+    if code == 2:
+        assert err.getvalue() == f"error: HclError: {path} must hold {shape}\n"
+        assert out.getvalue() == ""
+    else:
+        assert json.loads(out.getvalue())["class"] == ["7/2"]

@@ -231,7 +231,7 @@ def test_every_written_protocol_reads_back(make, monkeypatch, tmp_path, capsys):
     reports = []
     for loaded in (False, True):
         if loaded:
-            monkeypatch.setattr(cli, "_load_protocol_arg", lambda _: proto)
+            monkeypatch.setattr(cli, "_load_protocol_arg", lambda *_: proto)
         assert cli.main(["topo", "current", str(path)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
