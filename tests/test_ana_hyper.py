@@ -2079,6 +2079,23 @@ def test_node_budget_stops_the_depth_loop(monkeypatch):
     assert built == []
 
 
+def test_node_budget_stops_an_edge_mesh(monkeypatch):
+    # at beta 3000 each of square's edges has a 102-piece mesh, 612 nodes:
+    # a budget of 1000 admits that level and not the next, so no edge can
+    # be compared with a second level; a budget of 600 admits none
+    proto = square_protocol()
+    keys = proto.simplices_of_dim(1)
+    for budget, depth in ((1000, 0), (600, -1)):
+        monkeypatch.setattr(ana_hyper, "_NODE_BUDGET", budget)
+        with pytest.raises(QuadratureNoConvergence) as oracle:
+            single_jan_integrate(proto, 3000.0, keys[0])
+        with pytest.raises(QuadratureNoConvergence) as err:
+            jan_integrate(proto, 3000.0, keys)
+        assert str(err.value) == str(oracle.value) == (
+            f"simplex {keys[0]}: no convergence within depth {depth} at tol 1e-08: depth "
+            f"{depth + 1} would exceed the budget of {budget} nodes per simplex")
+
+
 def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):
     proto = cube_sphere_protocol(2)
     rng = np.random.default_rng(5)
