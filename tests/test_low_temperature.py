@@ -3,9 +3,10 @@
 On the generic protocols of tests/generic.py the analytical class must
 reach the exact class once beta * gap >= 25, and its distance must fall
 as e^(-beta * gap): the fitted log-slope within 2% of -gap on beta * gap
-in [5, 20], over the points whose distance the quadrature resolves.  On the builtins and the generic protocols, the analytical
-vertex block minus the exact one must be the deviation that
-tests/asymptotics.py predicts from exact tree data.
+in [5, 20], over the points whose distance the quadrature resolves, or,
+where that law is refuted, the recorded ratio.  On the builtins and the
+generic protocols, the analytical vertex block minus the exact one must
+be the deviation that tests/asymptotics.py predicts from exact tree data.
 """
 
 import numpy as np
@@ -28,24 +29,18 @@ EPS = np.finfo(float).eps
 # sum of two exponentials of nearly equal rate and its slope lies between
 # them; cube_sphere1-seed2's next gap is 27% larger, and its slope still
 # reads 1.0355 times -gap over the fitted points (1.023 with beta * gap
-# 20 too).  The law is not met on any of the eight, and the marks are
-# strict: a change that meets it fails here until its mark goes.
+# 20 too).  The law is not met on any of the eight.  Each case asserts its
+# recorded ratio to within RATIO_TOL, outside the 2% bound, so a change that
+# meets the law, or moves the slope, fails here until its entry goes.
 SLOPE_REFUTED = {(1, 0): 1.0269, (1, 1): 1.0281, (1, 2): 1.0355, (1, 3): 1.0292,
                  (2, 0): 1.0343, (2, 1): 1.0530, (2, 2): 1.0629, (2, 3): 1.0748}
+RATIO_TOL = 5e-4
 
 # The slope sweeps' tolerance.  A point's distance is fitted only where it
 # is at least 100 * SLOPE_TOL, so that the quadrature error, within
 # SLOPE_TOL, moves its log by 1% or less: beta * gap 5, 10 and 15 here.
 # At beta * gap 20 the distance is 2-5e-9, below that line.
 SLOPE_TOL = 1e-10
-
-
-def _slope_cases():
-    for q, seed in GENERIC:
-        ratio = SLOPE_REFUTED.get((q, seed))
-        marks = () if ratio is None else pytest.mark.xfail(
-            strict=True, reason=f"refuted: the fitted slope is {ratio} times -gap")
-        yield pytest.param(q, seed, marks=marks, id=f"cube_sphere{q}-seed{seed}")
 
 
 @pytest.mark.parametrize("q, seed", GENERIC)
@@ -66,7 +61,7 @@ def test_class_converges_once_beta_gap_reaches_25(q, seed):
     assert max(row.distance for row in sweep.rows) <= 1e-6
 
 
-@pytest.mark.parametrize("q, seed", list(_slope_cases()))
+@pytest.mark.parametrize("q, seed", GENERIC, ids=[f"cube_sphere{q}-seed{seed}" for q, seed in GENERIC])
 def test_fitted_slope_is_minus_the_gap(q, seed):
     proto = generic_protocol(q, seed)
     gap = float(tie_gap(proto))
@@ -75,7 +70,12 @@ def test_fitted_slope_is_minus_the_gap(q, seed):
     kept = [row for row in sweep.rows if row.distance >= 100 * SLOPE_TOL]
     assert len(kept) >= 3
     slope = np.polyfit([row.beta for row in kept], np.log([row.distance for row in kept]), 1)[0]
-    assert abs(slope / -gap - 1) <= 0.02
+    refuted = SLOPE_REFUTED.get((q, seed))
+    if refuted is None:
+        assert abs(slope / -gap - 1) <= 0.02
+    else:
+        assert abs(slope / -gap - refuted) <= RATIO_TOL
+        assert abs(slope / -gap - 1) > 0.02
 
 
 VERTEX_DOMAINS = [("square", square_protocol, 1.0)] + [
