@@ -25,20 +25,22 @@ bits are those of the tree-last kernel: the tree sum adds in numpy's
 order for a last axis of that length (_tree_axis_sum), and the matmuls
 that contract trees, whose rounding depends on operand layout, are
 handed tree-last arrays (drho is laid out trees innermost).
-The Stokes map integrates the forms over simplices with a degree-5 rule.
-An edge is cut where a tree pair of either level ties on it, and at a
-vertex where a pair comes within ln(1/tol)/beta of a tie, and its mesh
-is graded toward those cuts from pieces of R/(beta s) (_edge_meshes,
+The Stokes map integrates the forms over simplices with a degree-5 rule,
+and over edges with 5-point Gauss-Legendre (degree 9).  An edge is cut
+where a tree pair of either level ties on it, and at a vertex where a
+pair comes within ln(1/tol)/beta of a tie, and its mesh is graded
+toward those cuts from pieces of R/(beta s) (_edge_meshes,
 _graded_breaks), so a layer of width 1/(beta s) costs O(log beta)
 pieces; the mesh is then halved level by level until two levels agree
 within tol.  Simplices of dimension 2 and up take edgewise dyadic
 refinement, whose geometry depends only on the dimension and the depth
 and is cached per process.  The integration is stacked: all simplices
-of one dimension at one beta share the depth loop (the edges of one mesh
-share its levels), their vertex tree weights are computed once, and each
-depth is one form evaluation over the still-unconverged simplices, in
-blocks of at most _BLOCK simplices times nodes, or of one simplex whose
-nodes alone exceed it.  A block's per-node passes (rho, drho and the
+of one dimension at one beta share the depth loop, their vertex tree
+weights are computed once, and each depth is one form evaluation over
+the still-unconverged simplices (for edges, one pass per level over
+every piece of every edge, each piece with its own nodes), in blocks of
+at most _BLOCK simplices times nodes, or of one simplex whose nodes
+alone exceed it.  A block's per-node passes (rho, drho and the
 orchard's tree contractions) run on chunks of at most _BLOCK simplices
 times nodes and write node-axis buffers; each node sum is one matmul
 over all of the block's nodes, so the chunks leave every bit as it is.
@@ -263,12 +265,13 @@ def _vertex_geometry(ctx, proto, keys, levels):
 
 def _rho_at_nodes(table, geo, beta, nodes):
     """Tree distribution at each node of each simplex, tree-major
-    (ntrees, I, N), from the simplices' vertex geometry (base, grads)."""
+    (ntrees, I, N), from the simplices' vertex geometry (base, grads);
+    nodes (N, jdim) are shared, or (I, N, jdim) each simplex's own."""
     base, grads = geo
     # the matmul keeps its tree-last layout; the given tree-major out makes
     # the add run over the nodes (an allocated result would follow the
     # matmul and run over the trees)
-    wt = np.empty((grads.shape[2], len(base), len(nodes)))
+    wt = np.empty((grads.shape[2], len(base), nodes.shape[-2]))
     np.add(base.T[:, :, None], (nodes @ grads).transpose(2, 0, 1), out=wt)
     return _tree_distribution(table, wt, beta)
 
@@ -297,45 +300,68 @@ def _drho(rho, grads, beta):
 # --- the form and its integrals -------------------------------------------------
 
 
-def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
-    """Weighted node sum of the degree-ell form on a stack of simplices of
-    one dimension, (I, rows, cols).  geos[j] is the simplices' vertex
-    geometry at level p + j, for j = 0 .. ell.  The per-node passes run on
-    chunks of whole rule pieces, at most _BLOCK simplices times nodes each:
-    rho at the top level, its differential along the frame columns `along`
-    (jdim, ell), or (I, jdim, ell) one frame per simplex (the coordinate
-    axes when None), below it, and the orchard's per-node
-    factors (_orchard_sum), which each chunk writes into node-axis
-    buffers of the stack.  Each node sum is then one matmul per simplex
-    over all of its nodes, so the chunking leaves every bit as it is."""
+def _node_terms(ctx, p, beta, geos, nodes, wts, zeta, along, kirch, chains):
+    """The per-node factors of the degree-ell form on a stack of simplices
+    of one dimension, written into kirch (I, N, rows, inner) and chains
+    (ell!, I, N, inner, cols) (_orchard_sum).  geos[j] is the simplices'
+    vertex geometry at level p + j, for j = 0 .. ell; nodes (N, jdim) and
+    wts (N,) are shared, or (I, N, jdim) and (I, N) are each simplex's
+    own.  The passes run on chunks of whole rule pieces, at most _BLOCK
+    simplices times nodes each: rho at the top level, its differential
+    along the frame columns `along` (jdim, ell), or (I, jdim, ell) one
+    frame per simplex (the coordinate axes when None), below it, and the
+    orchard's per-node factors."""
     ell = len(geos) - 1
     factors = ctx.factors_std if zeta == "standard" else ctx.factors_alt
     top = ctx.trees[p + ell]
     signed = _signed_permutations(ell)
-    items, n = len(geos[0][0]), len(nodes)
-    _, rows, inner = top.rinv.shape
-    kirch = np.empty((items, n, rows, inner))
-    chains = np.empty((len(signed), items, n, inner, factors[0].shape[2]))
+    items, n = len(geos[0][0]), nodes.shape[-2]
     # a multiple of the rule's nodes, so no chunk holds one node (a
     # one-node tree sum rounds as gemv, not as gemm)
-    piece = _rule_size(nodes.shape[1])
+    piece = _rule_size(nodes.shape[-1])
     size = max(1, _BLOCK // (items * piece)) * piece
     for lo in range(0, n, size):
         at = slice(lo, lo + size)
-        chunk = nodes[at]
+        chunk = nodes[..., at, :]
         drhos = []
         for j in range(ell):
             drho = _drho(_rho_at_nodes(ctx.trees[p + j], geos[j], beta, chunk), geos[j][1], beta)
             drhos.append(drho if along is None else drho @ along[..., None, :, :])
         rho_top = _rho_at_nodes(top, geos[ell], beta, chunk)
-        _orchard_sum(top, factors, signed, rho_top, drhos, wts[at], kirch[:, at], chains[:, :, at])
+        _orchard_sum(top, factors, signed, rho_top, drhos, wts[..., at], kirch[:, at], chains[:, :, at])
+
+
+def _node_buffers(ctx, p, ell, zeta, items, n):
+    """Empty kirch and chains for _node_terms on items simplices of n nodes."""
+    factors = ctx.factors_std if zeta == "standard" else ctx.factors_alt
+    _, rows, inner = ctx.trees[p + ell].rinv.shape
+    return (np.empty((items, n, rows, inner)),
+            np.empty((len(_signed_permutations(ell)), items, n, inner, factors[0].shape[2])))
+
+
+def _node_sum(kirch, chains, ell):
+    """The node sums of the per-node factors (_node_terms), (I, rows,
+    cols): one matmul per simplex over all of its nodes."""
+    items, n, rows, inner = kirch.shape
     # a view when inner is 1: a matmul rounds by its operands' layout, and
     # the per-simplex oracles pin this one
     kirch = kirch.transpose(0, 2, 1, 3).reshape(items, rows, n * inner)
-    value = np.zeros((items, rows, factors[0].shape[2]))
-    for (_, sign), chain in zip(signed, chains):
+    value = np.zeros((items, rows, chains.shape[-1]))
+    for (_, sign), chain in zip(_signed_permutations(ell), chains):
         value += sign * (kirch @ chain.reshape(items, n * inner, -1))
     return value
+
+
+def _form(ctx, p, beta, geos, nodes, wts, zeta, along=None):
+    """Weighted node sum of the degree-ell form on a stack of simplices of
+    one dimension, (I, rows, cols), from its per-node factors
+    (_node_terms), which each chunk writes into node-axis buffers of the
+    stack.  Each node sum is then one matmul per simplex over all of its
+    nodes, so the chunking leaves every bit as it is."""
+    ell = len(geos) - 1
+    kirch, chains = _node_buffers(ctx, p, ell, zeta, len(geos[0][0]), nodes.shape[-2])
+    _node_terms(ctx, p, beta, geos, nodes, wts, zeta, along, kirch, chains)
+    return _node_sum(kirch, chains, ell)
 
 
 def jan_form(proto, beta, key, coords, frame, ell, zeta="standard"):
@@ -393,7 +419,7 @@ def _orchard_sum(top, factors, signed, rho_top, drhos, wts, kirch, chains):
 
     rho_top: (ntrees, I, N) at the top level; drhos[j]: (I, N, ntrees,
     ell), the tree-weight differentials j levels above the bottom along
-    the ell frame vectors; wts: (N,).  The orchard summand rho_T det(drho . v) R_ell Z
+    the ell frame vectors; wts: (N,), or (I, N).  The orchard summand rho_T det(drho . v) R_ell Z
     ... R_0 is multilinear in the tree chosen per level, so the sum over
     orchards is
     sum_sigma sgn(sigma) K Z D_{ell-1}(v_sigma(0)) ... Z D_1 D_0(v_sigma(ell-1))
@@ -489,7 +515,7 @@ def _node_batches(jdim, depth):
     if key in _node_cache:
         _node_cache.move_to_end(key)
         return _node_cache[key]
-    bary, w = simplex_rule(jdim)
+    bary, w = _rule(jdim)
     pieces = edgewise_pieces(jdim, depth)
     vol = (1.0 / math.factorial(jdim)) / len(pieces)
     nodes = np.einsum("pv,kvd->kpd", bary, pieces).reshape(-1, jdim)
@@ -504,17 +530,34 @@ def _node_batches(jdim, depth):
     return nodes, weights
 
 
+# Gauss-Legendre nodes per edge piece.  An edge's mesh is sized by the
+# floor's constant R (_reach), which the degree-5 simplex_rule needs; on
+# the cycle edges of square and cube_sphere:1 at beta 50-3000 and the
+# default tol, where the exact distance is below 1e-21, the class read
+# 4.6e-11 to 5.6e-11 from it with that rule once two levels agreed within
+# tol, 1.2e-14 to 1.8e-14 with 4 nodes (degree 7) and at most 5e-15 with
+# 5 (degree 9), five nodes a piece where simplex_rule(1) takes six.
+_EDGE_NODES = 5
+
+
 @functools.lru_cache(maxsize=8)
 def _rule(jdim):
-    """simplex_rule on the jdim-simplex, read-only and kept per process."""
-    bary, w = simplex_rule(jdim)
+    """The rule on each piece of a jdim-simplex, barycentric points and
+    weights summing to one, read-only and kept per process: Gauss-Legendre
+    with _EDGE_NODES nodes on an edge, simplex_rule on the others."""
+    if jdim == 1:
+        x, w = np.polynomial.legendre.leggauss(_EDGE_NODES)
+        t = (1 + x) / 2
+        bary, w = np.stack([1 - t, t], axis=1), w / 2
+    else:
+        bary, w = simplex_rule(jdim)
     bary.setflags(write=False)
     w.setflags(write=False)
     return bary, w
 
 
 def _rule_size(jdim):
-    """Nodes of simplex_rule on the jdim-simplex, one rule piece."""
+    """Nodes of one piece's rule on the jdim-simplex (_rule)."""
     return len(_rule(jdim)[1])
 
 
@@ -534,7 +577,8 @@ _NODE_BUDGET = 2 ** 22
 
 def _reach(tol):
     """R = (tol / 1e-8)^(1/6): the e-folds of a tree ratio one piece may
-    span where the degree-5 rule still meets tol."""
+    span where the degree-5 simplex_rule still meets tol.  An edge's
+    pieces are sized by it too, and its rule (_rule) is of degree 9."""
     return (tol / 1e-8) ** (1 / 6)
 
 
@@ -647,43 +691,15 @@ def _graded_breaks(cuts):
 
 def _graded_levels(breaks, levels):
     """Node batches of a 1-D mesh with the given breakpoints, halved level
-    by level, levels of them: the degree-5 rule on every piece."""
+    by level, levels of them: the edge rule (_rule) on every piece, the
+    nodes (pieces, rule nodes, 1) and their weights (pieces, rule nodes)."""
     bary, w = _rule(1)
     for _ in range(levels):
-        pieces = np.stack([breaks[:-1], breaks[1:]], axis=1)[:, :, None]
-        yield (np.einsum("pv,kvd->kpd", bary, pieces).reshape(-1, 1),
-               (w * (breaks[1:] - breaks[:-1])[:, None]).reshape(-1))
+        lo, hi = breaks[:-1, None], breaks[1:, None]
+        yield (bary[:, 0] * lo + bary[:, 1] * hi)[:, :, None], w * (hi - lo)
         halved = np.empty(2 * len(breaks) - 1)
         halved[::2], halved[1::2] = breaks, (breaks[:-1] + breaks[1:]) / 2
         breaks = halved
-
-
-def _refine(ctx, p, beta, geos, active, batches, tol, out, floors=None):
-    """The depth loop of a stack of simplices of one dimension: active
-    indexes them in out, geos is their vertex geometry, and batches gives
-    each depth's (nodes, weights).  Each depth is one form evaluation per
-    block of still-active simplices; a simplex leaves, its block written
-    to out, once its two last depths agree within tol, at a depth no less
-    than its floor where floors (by index in out) are given.  Returns the
-    indices of the simplices that never converged."""
-    prev = None
-    for depth, (nodes, wts) in enumerate(batches):
-        step = max(1, _BLOCK // len(wts))
-        est = np.concatenate([
-            _form(ctx, p, beta, [(base[lo:lo + step], grads[lo:lo + step]) for base, grads in geos],
-                  nodes, wts, "standard")
-            for lo in range(0, len(active), step)])
-        if prev is not None:
-            done = np.max(np.abs(est - prev), axis=(1, 2)) < tol
-            if floors is not None:
-                done &= floors[active] <= depth
-            out[active[done]] = est[done]
-            active, est = active[~done], est[~done]
-            geos = [(base[~done], grads[~done]) for base, grads in geos]
-            if not len(active):
-                break
-        prev = est
-    return active
 
 
 def _unconverged(active, deepest, max_depth, tol):
@@ -694,37 +710,101 @@ def _unconverged(active, deepest, max_depth, tol):
     return dict.fromkeys(active.tolist(), f": no convergence within depth {deepest} at tol {tol}{budget}")
 
 
+def _edge_level(ctx, p, beta, geos, groups):
+    """One level of the edge meshes, a block (edges, rows, cols) per item
+    of groups, (edges, nodes, wts) for the edges of one mesh and its
+    level's node batch (_graded_levels).  Every piece of every edge is one
+    item of the per-node passes, with its edge's geometry and its own
+    nodes, so all meshes share them, in blocks of whole edges of at most
+    _BLOCK nodes, or of one edge whose nodes alone exceed it; each edge's
+    node sum is one matmul over all of its nodes, in mesh order, as a
+    stack of the edges of one mesh would give it."""
+    k = _rule_size(1)
+    runs, blocks, size = [], [], 0      # a block's runs: (group, first edge, end)
+    for g, (edges, nodes, _) in enumerate(groups):
+        for e in range(len(edges)):
+            if runs and size + k * len(nodes) > _BLOCK:
+                blocks.append(runs)
+                runs, size = [], 0
+            if runs and runs[-1][0] == g:
+                runs[-1][2] += 1
+            else:
+                runs.append([g, e, e + 1])
+            size += k * len(nodes)
+    blocks.append(runs)
+    out = [[] for _ in groups]
+    for runs in blocks:
+        owner = np.concatenate([np.repeat(groups[g][0][a:b], len(groups[g][1])) for g, a, b in runs])
+        nodes = np.concatenate([np.tile(groups[g][1], (b - a, 1, 1)) for g, a, b in runs])
+        wts = np.concatenate([np.tile(groups[g][2], (b - a, 1)) for g, a, b in runs])
+        kirch, chains = _node_buffers(ctx, p, 1, "standard", len(owner), k)
+        step = _BLOCK // k
+        for lo in range(0, len(owner), step):
+            at = slice(lo, lo + step)
+            _node_terms(ctx, p, beta, [(base[owner[at]], grads[owner[at]]) for base, grads in geos],
+                        nodes[at], wts[at], "standard", None, kirch[at], chains[:, at])
+        lo = 0
+        for g, a, b in runs:
+            pieces = len(groups[g][1])
+            hi = lo + (b - a) * pieces
+            out[g].append(_node_sum(kirch[lo:hi].reshape((b - a, pieces * k) + kirch.shape[2:]),
+                                    chains[:, lo:hi].reshape((len(chains), b - a, pieces * k)
+                                                             + chains.shape[3:]), 1))
+            lo = hi
+    return [np.concatenate(blocks) for blocks in out]
+
+
 def _integrate_edges(ctx, proto, beta, keys, tol, max_depth):
     """Stokes integrals of 1-simplices on graded meshes: each edge is cut
     at its ties and graded toward them (_edge_meshes, _graded_breaks), so
     the mesh resolves a layer of width 1/(beta s) with O(log beta)
     pieces, and the mesh is halved level by level until the edge's two
-    last levels agree within tol (_refine).  Edges of one mesh share its
-    levels.  A mesh stops past max_depth halvings, or short of a level of
-    more than _NODE_BUDGET nodes; returns the blocks and why each edge
+    last levels agree within tol.  Each level is one pass over the
+    still-unconverged edges of every mesh (_edge_level).  A mesh stops
+    past max_depth halvings, or short of a level of more than
+    _NODE_BUDGET nodes, and a mesh over the budget from the start fails
+    before any form is evaluated; returns the blocks and why each edge
     that never converged failed, as _integrate_stack does."""
     p = proto.gap.p
     geos = _vertex_geometry(ctx, proto, keys, (p, p + 1))
     out = np.full((len(keys), proto.gap.dim_at(1), proto.gap.dim_at(0)), np.nan)
     missed = {}
+    meshes = []     # per mesh: [active edges, level batches, deepest level, last level's blocks]
     for cuts, at in _edge_meshes(geos, beta, tol).items():
         breaks = _graded_breaks(cuts)
+        size = _rule_size(1) * (len(breaks) - 1)
+        if size > _NODE_BUDGET:
+            missed.update(dict.fromkeys(at.tolist(), f" at beta {beta}: graded mesh of {size} nodes "
+                                        f"exceeds the budget of {_NODE_BUDGET} nodes per simplex"))
+            continue
         deepest = max_depth
-        while deepest >= 0 and _rule_size(1) * (len(breaks) - 1) * 2 ** deepest > _NODE_BUDGET:
+        while size * 2 ** deepest > _NODE_BUDGET:
             deepest -= 1
-        left = _refine(ctx, p, beta, [(base[at], grads[at]) for base, grads in geos], at,
-                       _graded_levels(breaks, deepest + 1), tol, out)
-        missed.update(_unconverged(left, deepest, max_depth, tol))
+        meshes.append([at, _graded_levels(breaks, deepest + 1), deepest, None])
+    for level in range(max_depth + 1):
+        live = [mesh for mesh in meshes if len(mesh[0]) and level <= mesh[2]]
+        if not live:
+            break
+        for mesh, est in zip(live, _edge_level(ctx, p, beta, geos,
+                                               [(mesh[0],) + next(mesh[1]) for mesh in live])):
+            if mesh[3] is not None:
+                done = np.max(np.abs(est - mesh[3]), axis=(1, 2)) < tol
+                out[mesh[0][done]] = est[done]
+                mesh[0], est = mesh[0][~done], est[~done]
+            mesh[3] = est
+    for at, _, deepest, _ in meshes:
+        missed.update(_unconverged(at, deepest, max_depth, tol))
     return out, missed
 
 
 def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
-    """Dyadic Stokes integrals of simplices of one dimension, stacked
-    (_refine): each simplex leaves once two depths agree within tol, at a
-    depth no less than its floor (_tie_depths); returns the blocks as one
-    array (simplices, rows, cols), NaN for the simplices that never
-    converged, and why each of those failed, by its place in keys.  The
-    depth loop stops short of max_depth where the next batch would exceed
+    """Dyadic Stokes integrals of simplices of one dimension, stacked: one
+    form evaluation per depth and block of still-active simplices.  Each
+    simplex leaves once two depths agree within tol, at a depth no less
+    than its floor (_tie_depths); returns the blocks as one array
+    (simplices, rows, cols), NaN for the simplices that never converged,
+    and why each of those failed, by its place in keys.  The depth loop
+    stops short of max_depth where the next batch would exceed
     _NODE_BUDGET nodes per simplex; where some floor lies deeper than the
     loop can reach, the stack returns those simplices as failed before any
     form is evaluated."""
@@ -739,9 +819,24 @@ def _integrate_stack(ctx, proto, beta, keys, tol, max_depth):
     if (floors > deepest).any():
         return out, {i: f" at beta {beta}: tie layer needs depth {floors[i]}, budget allows {deepest}"
                      for i in np.flatnonzero(floors > deepest).tolist()}
-    left = _refine(ctx, p, beta, geos, np.arange(len(keys)),
-                   (_node_batches(jdim, depth) for depth in range(deepest + 1)), tol, out, floors)
-    return out, _unconverged(left, deepest, max_depth, tol)
+    active = np.arange(len(keys))
+    prev = None
+    for depth in range(deepest + 1):
+        nodes, wts = _node_batches(jdim, depth)
+        step = max(1, _BLOCK // len(wts))
+        est = np.concatenate([
+            _form(ctx, p, beta, [(base[lo:lo + step], grads[lo:lo + step]) for base, grads in geos],
+                  nodes, wts, "standard")
+            for lo in range(0, len(active), step)])
+        if prev is not None:
+            done = (np.max(np.abs(est - prev), axis=(1, 2)) < tol) & (floors[active] <= depth)
+            out[active[done]] = est[done]
+            active, est = active[~done], est[~done]
+            geos = [(base[~done], grads[~done]) for base, grads in geos]
+            if not len(active):
+                break
+        prev = est
+    return out, _unconverged(active, deepest, max_depth, tol)
 
 
 def _integrate_by_dim(proto, beta, rows, tol, max_depth, places):
@@ -776,8 +871,8 @@ def jan_integrate(proto, beta, keys, tol=1e-8, max_depth=8):
     integral of each one's pulled-back degree-(dim) form, refined until
     two depths agree within tol, which must be finite and positive: an
     edge on its graded mesh, halved (_integrate_edges), a simplex of
-    dimension 2 and up dyadically (_integrate_stack).  The simplices are vertex tuples, or an array of vertex
-    rows of one dimension.  Simplices of one dimension are integrated
+    dimension 2 and up dyadically (_integrate_stack).  The simplices are
+    vertex tuples, or an array of vertex rows of one dimension.  Simplices of one dimension are integrated
     together (see _integrate_stack)."""
     keys = keys if isinstance(keys, np.ndarray) else [tuple(key) for key in keys]
     places = [[i for i, key in enumerate(keys) if len(key) == n] for n in sorted(set(map(len, keys)))]
@@ -932,10 +1027,12 @@ class SweepReport:
 def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
                        fit_range=None, residuals=False):
     """Analytical class per beta against the exact value, with a
-    log-linear decay fit over the requested beta range (slope NaN unless
-    the range holds two distinct betas).  cycle is a top cycle in either
-    form hypercurrent_homology takes; a mapping is read by place once,
-    here.  With residuals, each beta integrates the whole analytical
+    log-linear decay fit over the rows in the requested beta range whose
+    distance is at least 100 tol, so that the quadrature error, within
+    tol, moves a fitted log by 1% or less (slope NaN unless two distinct
+    betas are fitted).  cycle is a top cycle in either form
+    hypercurrent_homology takes; a mapping is read by place once, here.
+    With residuals, each beta integrates the whole analytical
     cochain once: its blocks give the class and its chain-map defect the
     row's residual."""
     if len(betas) == 0:
@@ -971,8 +1068,9 @@ def quantization_sweep(proto, betas, cycle, class_p, tol=1e-8, max_depth=8,
 
     rows = [run(b) for b in betas]
     lo, hi = fit_range if fit_range else (min(betas), max(betas))
-    xs = [r.beta for r in rows if lo <= r.beta <= hi and r.distance > 0]
-    ys = [math.log(r.distance) for r in rows if lo <= r.beta <= hi and r.distance > 0]
+    fitted = [r for r in rows if lo <= r.beta <= hi and r.distance >= 100 * tol]
+    xs = [r.beta for r in fitted]
+    ys = [math.log(r.distance) for r in fitted]
     slope = float("nan")
     if len(set(xs)) >= 2:
         xbar = sum(xs) / len(xs)

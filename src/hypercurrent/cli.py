@@ -96,9 +96,10 @@ def _emit(config, report, out=None):
         print(text)
 
 
-def _load_protocol_arg(path, inputs=None):
+def _load_protocol_arg(path, inputs):
     """The protocol a builtin: argument names or a file holds; a complex
-    file the protocol file references goes into inputs right after it."""
+    file the protocol file references goes into inputs, the run's input
+    paths, right after it."""
     if path.startswith("builtin:"):
         kind, _, qs = path.split(":", 1)[1].partition(":")
         if qs and not (qs.isascii() and qs.isdigit()):
@@ -106,9 +107,8 @@ def _load_protocol_arg(path, inputs=None):
         return builtin_protocol(kind, int(qs) if qs else 2)
     read = []
     proto = load_protocol(path, read)
-    if inputs is not None:
-        at = inputs.index(path) + 1
-        inputs[at:at] = read
+    at = inputs.index(path) + 1
+    inputs[at:at] = read
     return proto
 
 

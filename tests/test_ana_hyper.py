@@ -685,10 +685,11 @@ def graded_levels(proto, key, beta, tol):
     """The edge's meshes level by level, each with every piece of the one
     before halved, as node batches ((N, 1) nodes, weights)."""
     points = graded_mesh(single_edge_cuts(proto, key, beta, tol))
-    bary, w = simplex_rule(1)
+    x, w = np.polynomial.legendre.leggauss(5)      # on [-1, 1]
+    t, w = (1 + x) / 2, w / 2
     while True:
         lo, hi = points[:-1], points[1:]
-        yield (bary[:, 0] * lo[:, None] + bary[:, 1] * hi[:, None]).reshape(-1, 1), \
+        yield ((1 - t) * lo[:, None] + t * hi[:, None]).reshape(-1, 1), \
             (w * (hi - lo)[:, None]).reshape(-1)
         fine = []
         for x0, x1 in zip(lo.tolist(), hi.tolist()):
@@ -704,6 +705,10 @@ def single_graded_integrate(proto, beta, key, tol=1e-8, max_depth=8):
     key = tuple(key)
     prev, level = None, -1
     for level, (nodes, wts) in zip(range(max_depth + 1), graded_levels(proto, key, beta, tol)):
+        if level == 0 and len(wts) > ana_hyper._NODE_BUDGET:
+            raise QuadratureNoConvergence(
+                f"simplex {key} at beta {beta}: graded mesh of {len(wts)} nodes exceeds the budget "
+                f"of {ana_hyper._NODE_BUDGET} nodes per simplex")
         if len(wts) > ana_hyper._NODE_BUDGET:
             raise QuadratureNoConvergence(
                 f"simplex {key}: no convergence within depth {level - 1} at tol {tol}: depth "
@@ -1234,9 +1239,8 @@ LARGE_BETA_PROBES = [("square", 2), ("cube_sphere", 1), ("cube_sphere", 2), ("cu
 
 @pytest.mark.parametrize("kind, q", LARGE_BETA_PROBES)
 def test_large_beta_sweeps_raise_rather_than_answer(kind, q):
-    # a cycle of edges answers at any beta on its graded meshes: the class
-    # is the exact one but for the quadrature error, within tol (measured
-    # up to 5.6e-11 at the default tol, 4.9e-14 at tol 1e-11).  A cycle of
+    # a cycle of edges answers at any beta on its graded meshes, at the
+    # exact class but for rounding (measured up to 5e-15).  A cycle of
     # 2-simplices raises instead of returning an unresolved class
     # (distance 1 on the sphere, 0 on the wedge at beta 300): from beta 150
     # before any form is evaluated, naming the floor; at 80 and 100 once
@@ -1245,10 +1249,9 @@ def test_large_beta_sweeps_raise_rather_than_answer(kind, q):
     for beta in (80.0, 100.0, 150.0, 300.0, 1000.0, 3000.0):
         for residuals in (False, True):
             if proto.gap.top == 1:
-                for tol, bound in ((1e-8, 1e-9), (1e-11, 1e-12)):
-                    [row] = quantization_sweep(proto, [beta], proto.cycle_by_place, [1], tol=tol,
-                                               residuals=residuals).rows
-                    assert row.distance <= bound and (row.residual or 0.0) <= bound
+                [row] = quantization_sweep(proto, [beta], proto.cycle_by_place, [1],
+                                           residuals=residuals).rows
+                assert row.distance <= 1e-12 and (row.residual or 0.0) <= 1e-12
                 continue
             with pytest.raises(QuadratureNoConvergence) as err:
                 quantization_sweep(proto, [beta], proto.cycle_by_place, [1], residuals=residuals)
@@ -1256,7 +1259,7 @@ def test_large_beta_sweeps_raise_rather_than_answer(kind, q):
             assert re.search(floor or "no convergence within depth 8", str(err.value))
     # beta 50 and 60 still converge to the exact class
     rows = quantization_sweep(proto, [50.0, 60.0], proto.cycle_by_place, [1]).rows
-    assert all(row.distance < (1e-9 if proto.gap.top == 1 else 1e-14) for row in rows)
+    assert all(row.distance < 1e-14 for row in rows)
 
 
 def _uniform_reference(proto, beta, key, depth):
@@ -1275,13 +1278,13 @@ def test_graded_edges_cost_grows_like_log_beta(make, monkeypatch):
     cells = proto.cell_index
     keys = [tuple(row) for row in cells.rows[1][np.asarray(proto.cycle_by_place[0]) - cells.offsets[1]]]
     nodes = []
-    original = ana_hyper._form
+    original = ana_hyper._node_terms
 
-    def counted(ctx, p, beta, geos, batch, *args, **kwargs):
-        nodes.append(len(geos[0][0]) * len(batch))
-        return original(ctx, p, beta, geos, batch, *args, **kwargs)
+    def counted(ctx, p, beta, geos, batch, wts, *args, **kwargs):
+        nodes.append(len(geos[0][0]) * wts.shape[-1])
+        return original(ctx, p, beta, geos, batch, wts, *args, **kwargs)
 
-    monkeypatch.setattr(ana_hyper, "_form", counted)
+    monkeypatch.setattr(ana_hyper, "_node_terms", counted)
     cost = {}
     for beta in (30.0, 100.0, 300.0, 1000.0, 3000.0):
         nodes.clear()
@@ -1836,6 +1839,17 @@ def test_quantization_square():
     assert rep.slope == pytest.approx(-1.0, rel=0.25)
 
 
+@pytest.mark.parametrize("make", [square_protocol, lambda: cube_sphere_protocol(1)],
+                         ids=["square", "sphere1"])
+def test_sweep_slope_fits_only_rows_well_above_tol(make):
+    # at the default tol the distance falls from 3e-2 at beta 5 to 8e-9 at
+    # 20 and to rounding (2e-16) at 100; a fit over every row reads the
+    # rounding as decay, so the sweep fits the rows of at least 100 tol
+    proto = make()
+    rep = quantization_sweep(proto, [5.0, 10.0, 20.0, 30.0, 60.0, 100.0], proto.fundamental_cycle, [1])
+    assert rep.slope == pytest.approx(-1.0, abs=0.01)
+
+
 def test_context_and_tree_functor_share_trees():
     proto = cube_protocol(gap_complex(sphere_wedge_complex(2), 0, 2))
     chosen = {tree_functor(proto, row) for row in range(proto.cell_index.offsets[-1])}
@@ -1881,16 +1895,22 @@ def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     betas = [3.0, 5.0]
     # a small block bound, so some depths need more than one block
     monkeypatch.setattr(ana_hyper, "_BLOCK", 64)
-    calls, integrals, forms, cochains = [], [], [], []
+    calls, integrals, forms, levels, passes, cochains = [], [], [], [], [], []
     # _integrate_by_dim(proto, beta, rows, ...), which every integration
-    # goes through, _form(ctx, p, beta, geos, nodes, ...) and
-    # jan_cochain(proto, beta): a form sum's nodes name its dimension
-    # and depth, its vertex geometry the number of simplices in its block
+    # goes through, _form(ctx, p, beta, geos, nodes, ...), a form sum
+    # whose nodes name its dimension and depth and whose vertex geometry
+    # the number of simplices in its block, _edge_level(ctx, p, beta,
+    # geos, groups), a level of the edge meshes whose groups give each
+    # edge its pieces, _node_terms(..., kirch, chains), a per-node pass
+    # whose kirch holds its simplices and nodes, and jan_cochain(proto, beta)
     for name, log, rec in (
             ("_integrate_by_dim", calls, lambda a: a[1]),
             ("_integrate_by_dim", integrals,
              lambda a: [(a[1], tuple(k)) for rows in a[2] for k in np.asarray(rows).tolist()]),
             ("_form", forms, lambda a: ((a[2], a[4].shape[1], len(a[4])), len(a[3][0][0]))),
+            ("_edge_level", levels,
+             lambda a: (a[2], sorted((e, len(nodes)) for edges, nodes, _ in a[4] for e in edges.tolist()))),
+            ("_node_terms", passes, lambda a: (a[4].shape[-1], a[8].shape[0] * a[8].shape[1])),
             ("jan_cochain", cochains, lambda a: a[1])):
         original = getattr(ana_hyper, name)
 
@@ -1906,29 +1926,33 @@ def test_residual_sweep_integrates_each_cell_once(monkeypatch):
     # one integral per (beta, cell), all of one beta in one call
     assert calls == betas
     assert sorted(integrals) == sorted((b, key) for b in betas for key in cells)
-    # one form sum per (beta, dimension, depth, block), and for edges per
-    # mesh: full blocks of _BLOCK // nodes simplices and one last partial
-    # block; every simplex is in a block of its first depth, an edge in
-    # one of its graded mesh's nodes (here no two meshes of one beta
-    # share a node count)
+    # one form sum per (beta, depth, block) of the 2-simplices: full
+    # blocks of _BLOCK // nodes simplices and one last partial block, and
+    # every simplex in a block of its first depth
     groups = {}
     for group, items in forms:
         groups.setdefault(group, []).append(items)
-    first = collections.Counter(
-        (beta, 1, 6 * (len(graded_mesh(single_edge_cuts(proto, key, beta, 1e-8))) - 1))
-        for beta in betas for key in proto.simplices_of_dim(1))
-    for beta in betas:
-        first[beta, 2, min(n for b, d, n in groups if (b, d) == (beta, 2))] = \
-            len(proto.simplices_of_dim(2))
     for (beta, jdim, nodes), items in groups.items():
         step = max(1, 64 // nodes)
         assert items[:-1] == [step] * (len(items) - 1) and 0 < items[-1] <= step
-        if (beta, jdim, nodes) in first:
-            assert sum(items) == first[beta, jdim, nodes]
-    assert len(first) == 6 and all(group in groups for group in first)
+        if nodes == min(n for b, _, n in groups if b == beta):
+            assert sum(items) == len(proto.simplices_of_dim(2))
+    assert {(b, d) for b, d, _ in groups} == {(b, 2) for b in betas}
     assert any(len(items) > 1 for items in groups.values())
     assert any(max(items) > 1 for items in groups.values())
-    assert {(b, d) for b, d, _ in groups} == {(b, d) for b in betas for d in (1, 2)}
+    # one pass over the edges per (beta, level): the first holds every
+    # edge with the pieces of its graded mesh, each later one some of the
+    # edges of the one before; the edges' per-node passes hold at most
+    # _BLOCK nodes
+    edges = proto.cell_index.rows[1].tolist()
+    for beta in betas:
+        mine = [level for b, level in levels if b == beta]
+        assert len(mine) >= 2 and mine[0] == [
+            (e, len(graded_mesh(single_edge_cuts(proto, tuple(edge), beta, 1e-8))) - 1)
+            for e, edge in enumerate(edges)]
+        assert all({e for e, _ in later} <= {e for e, _ in before} for before, later in zip(mine, mine[1:]))
+    edge_passes = [n for jdim, n in passes if jdim == 1]
+    assert edge_passes and all(0 < n <= 64 for n in edge_passes)
 
 
 # --- streamed per-node passes ---------------------------------------------------------
@@ -2080,20 +2104,22 @@ def test_node_budget_stops_the_depth_loop(monkeypatch):
 
 
 def test_node_budget_stops_an_edge_mesh(monkeypatch):
-    # at beta 3000 each of square's edges has a 102-piece mesh, 612 nodes:
+    # at beta 3000 each of square's edges has a 102-piece mesh, 510 nodes:
     # a budget of 1000 admits that level and not the next, so no edge can
-    # be compared with a second level; a budget of 600 admits none
+    # be compared with a second level; a budget of 500 admits none, and the
+    # edge fails naming its mesh
     proto = square_protocol()
     keys = proto.simplices_of_dim(1)
-    for budget, depth in ((1000, 0), (600, -1)):
+    for budget, why in ((1000, ": no convergence within depth 0 at tol 1e-08: depth 1 would exceed "
+                                "the budget of 1000 nodes per simplex"),
+                        (500, " at beta 3000.0: graded mesh of 510 nodes exceeds the budget of 500 "
+                              "nodes per simplex")):
         monkeypatch.setattr(ana_hyper, "_NODE_BUDGET", budget)
         with pytest.raises(QuadratureNoConvergence) as oracle:
             single_jan_integrate(proto, 3000.0, keys[0])
         with pytest.raises(QuadratureNoConvergence) as err:
             jan_integrate(proto, 3000.0, keys)
-        assert str(err.value) == str(oracle.value) == (
-            f"simplex {keys[0]}: no convergence within depth {depth} at tol 1e-08: depth "
-            f"{depth + 1} would exceed the budget of {budget} nodes per simplex")
+        assert str(err.value) == str(oracle.value) == f"simplex {keys[0]}{why}"
 
 
 def test_axioms_check_pinv_calls_flat_in_samples(monkeypatch):

@@ -311,7 +311,7 @@ def test_integrate_lists_cells_in_cell_index_order(spec, tmp_path, capsys):
     if spec == "shuffled":
         spec = str(tmp_path / "shuffled.json")
         pathlib.Path(spec).write_text(json.dumps(shuffled_doc(builtin_protocol("cube_sphere", 2), 5)))
-    proto = cli._load_protocol_arg(spec)
+    proto = cli._load_protocol_arg(spec, [spec])
     keys = proto.cell_index.keys
     assert list(keys) == sorted(keys, key=lambda key: (len(key), key))
     assert main(["ana", "integrate", spec, "--beta", "5"]) == 0

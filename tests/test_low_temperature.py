@@ -36,10 +36,10 @@ SLOPE_REFUTED = {(1, 0): 1.0269, (1, 1): 1.0281, (1, 2): 1.0355, (1, 3): 1.0292,
                  (2, 0): 1.0343, (2, 1): 1.0530, (2, 2): 1.0629, (2, 3): 1.0748}
 RATIO_TOL = 5e-4
 
-# The slope sweeps' tolerance.  A point's distance is fitted only where it
-# is at least 100 * SLOPE_TOL, so that the quadrature error, within
-# SLOPE_TOL, moves its log by 1% or less: beta * gap 5, 10 and 15 here.
-# At beta * gap 20 the distance is 2-5e-9, below that line.
+# The slope sweeps' tolerance.  The sweep fits a point's distance only
+# where it is at least 100 * SLOPE_TOL, so that the quadrature error,
+# within SLOPE_TOL, moves its log by 1% or less: beta * gap 5, 10 and 15
+# here.  At beta * gap 20 the distance is 2-5e-9, below that line.
 SLOPE_TOL = 1e-10
 
 
@@ -67,9 +67,8 @@ def test_fitted_slope_is_minus_the_gap(q, seed):
     gap = float(tie_gap(proto))
     sweep = quantization_sweep(proto, [s / gap for s in (5, 10, 15, 20)],
                                proto.fundamental_cycle, [1], tol=SLOPE_TOL)
-    kept = [row for row in sweep.rows if row.distance >= 100 * SLOPE_TOL]
-    assert len(kept) >= 3
-    slope = np.polyfit([row.beta for row in kept], np.log([row.distance for row in kept]), 1)[0]
+    assert sum(row.distance >= 100 * SLOPE_TOL for row in sweep.rows) >= 3
+    slope = sweep.slope
     refuted = SLOPE_REFUTED.get((q, seed))
     if refuted is None:
         assert abs(slope / -gap - 1) <= 0.02
