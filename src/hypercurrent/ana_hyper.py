@@ -534,9 +534,9 @@ def _node_batches(jdim, depth):
 # floor's constant R (_reach), which the degree-5 simplex_rule needs; on
 # the cycle edges of square and cube_sphere:1 at beta 50-3000 and the
 # default tol, where the exact distance is below 1e-21, the class read
-# 4.6e-11 to 5.6e-11 from it with that rule once two levels agreed within
-# tol, 1.2e-14 to 1.8e-14 with 4 nodes (degree 7) and at most 5e-15 with
-# 5 (degree 9), five nodes a piece where simplex_rule(1) takes six.
+# 2.6e-11 with that rule once two levels agreed within tol (3 levels,
+# 3840-8160 nodes), 6.6e-13 to 7.3e-13 with 4 nodes (degree 7) and at
+# most 3.6e-15 with 5 (degree 9; 2 levels, 1920-4080 nodes).
 _EDGE_NODES = 5
 
 
@@ -613,13 +613,14 @@ def _tie_depths(geos, beta, tol):
     return np.ceil(np.log2(np.maximum(ratio, 1))).astype(int)
 
 
-# The ratio of neighbouring pieces of a graded mesh, measured: on a cycle
-# edge of square, its tie at t = 1/2, at tol 1e-8 and beta 30-3000, ratio
-# 1.15 converged with the fewest nodes (648-1836, against 1176-2856 at
-# 1.25 and 2232-4836 at 2) and in the fewest levels (2, against 3 at 1.25
-# and 5 at 2); 1.125 took 720-2124 nodes, and nodes at beta 3000 grow
-# toward twice those at beta 100 as the ratio falls.
-_GRADING = 1.15
+# The ratio of neighbouring pieces of a graded mesh, measured with the
+# edge rule on square's four cycle edges, ties at t = 1/2, at tol 1e-8
+# and beta 30-3000: every ratio from 1.1 to 1.5 converged in 2 levels,
+# 1.1 with 2640-8400 nodes, 1.15 with 2160-6120 and 1.25 with 1680-4080;
+# at beta 50-3000 the class was at most 3.6e-15 from the exact one at
+# 1.25, and 1.1e-14 at 1.35 (1320-3240 nodes), 2.7e-13 at 1.5.  Ratio 2
+# took 3 levels.
+_GRADING = 1.25
 
 
 def _edge_meshes(geos, beta, tol):

@@ -652,11 +652,11 @@ def single_edge_cuts(proto, key, beta, tol):
 
 def graded_part(span, size):
     """Distances from a cut, ascending to span: from the far end inward,
-    breaks at span / 1.15^k while the piece beyond the next one is at
+    breaks at span / 1.25^k while the piece beyond the next one is at
     least size long, and the rest in equal pieces of at most size."""
     far = [span]
-    while span * 1.15 ** -len(far) * (1.15 - 1) >= size:
-        far.append(span * 1.15 ** -len(far))
+    while span * 1.25 ** -len(far) * (1.25 - 1) >= size:
+        far.append(span * 1.25 ** -len(far))
     inner = far[-1]
     m = math.ceil(inner / size)
     return [inner * j / m for j in range(1, m)] + far[::-1]
@@ -2104,15 +2104,15 @@ def test_node_budget_stops_the_depth_loop(monkeypatch):
 
 
 def test_node_budget_stops_an_edge_mesh(monkeypatch):
-    # at beta 3000 each of square's edges has a 102-piece mesh, 510 nodes:
-    # a budget of 1000 admits that level and not the next, so no edge can
-    # be compared with a second level; a budget of 500 admits none, and the
+    # at beta 3000 each of square's edges has a 68-piece mesh, 340 nodes:
+    # a budget of 500 admits that level and not the next, so no edge can
+    # be compared with a second level; a budget of 300 admits none, and the
     # edge fails naming its mesh
     proto = square_protocol()
     keys = proto.simplices_of_dim(1)
-    for budget, why in ((1000, ": no convergence within depth 0 at tol 1e-08: depth 1 would exceed "
-                                "the budget of 1000 nodes per simplex"),
-                        (500, " at beta 3000.0: graded mesh of 510 nodes exceeds the budget of 500 "
+    for budget, why in ((500, ": no convergence within depth 0 at tol 1e-08: depth 1 would exceed "
+                               "the budget of 500 nodes per simplex"),
+                        (300, " at beta 3000.0: graded mesh of 340 nodes exceeds the budget of 300 "
                               "nodes per simplex")):
         monkeypatch.setattr(ana_hyper, "_NODE_BUDGET", budget)
         with pytest.raises(QuadratureNoConvergence) as oracle:
